@@ -96,6 +96,78 @@ void BM_MontMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MontMul)->Arg(256)->Arg(1024)->Arg(2048)->Arg(3072);
 
+// Binary kernels under the group layer: the Jacobi symbol is the whole cost
+// of a Schnorr decode's membership check, invmod of SchnorrGroup::inv.
+// Inputs cycle through 64 random residues so the variable-time loops are
+// timed on a spread of inputs, not one.
+std::vector<mpz::Nat> residues(const mpz::Nat& m, mpz::ChaChaRng& rng) {
+  std::vector<mpz::Nat> xs;
+  for (int i = 0; i < 64; ++i) xs.push_back(rng.nonzero_below(m));
+  return xs;
+}
+
+void BM_Jacobi(benchmark::State& state) {
+  mpz::ChaChaRng rng{8};
+  const mpz::Nat p =
+      mpz::random_prime(static_cast<std::size_t>(state.range(0)), rng);
+  const auto xs = residues(p, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto r = mpz::jacobi(xs[i++ % xs.size()], p);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_Jacobi)->Arg(256)->Arg(1024);
+
+void BM_InvMod(benchmark::State& state) {
+  mpz::ChaChaRng rng{9};
+  const mpz::Nat p =
+      mpz::random_prime(static_cast<std::size_t>(state.range(0)), rng);
+  const auto xs = residues(p, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto r = mpz::invmod(xs[i++ % xs.size()], p);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_InvMod)->Arg(256)->Arg(1024);
+
+// The Schnorr groups at 256 (dl-test-256) and 1024 bits (dl-1024).
+const group::Group& schnorr_for(std::int64_t bits) {
+  static const auto g256 = group::make_group(group::GroupId::kDlTest256);
+  static const auto g1024 = group::make_group(group::GroupId::kDl1024);
+  return bits == 256 ? *g256 : *g1024;
+}
+
+void BM_GroupDeserialize(benchmark::State& state) {
+  const auto& g = schnorr_for(state.range(0));
+  mpz::ChaChaRng rng{10};
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (int i = 0; i < 64; ++i)
+    wire.push_back(g.serialize(g.exp_g(g.random_nonzero_scalar(rng))));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto e = g.deserialize(wire[i++ % wire.size()]);
+    benchmark::DoNotOptimize(e);
+  }
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupDeserialize)->Arg(256)->Arg(1024);
+
+void BM_GroupInv(benchmark::State& state) {
+  const auto& g = schnorr_for(state.range(0));
+  mpz::ChaChaRng rng{11};
+  std::vector<group::Elem> xs;
+  for (int i = 0; i < 64; ++i) xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto e = g.inv(xs[i++ % xs.size()]);
+    benchmark::DoNotOptimize(e);
+  }
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupInv)->Arg(256)->Arg(1024);
+
 void BM_NatMul(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   mpz::ChaChaRng rng{6};

@@ -30,7 +30,10 @@
 # differential suite (Straus/Pippenger/fixed-base vs naive Group::exp on
 # every group family), the batched-inversion KATs and the accel-on vs
 # accel-off bit-identity test run under ASan+UBSan — index arithmetic over
-# window digits and bucket arrays is exactly the surface ASan watches.
+# window digits and bucket arrays is exactly the surface ASan watches. The
+# leg also runs the mpz_modular and group suites: the binary gcd / Jacobi /
+# inverse kernels index fixed stack limb buffers at every width the GMP
+# differential tests use (1 to 64 limbs).
 #
 # The `telemetry` mode is the live-observability leg: the telemetry suite
 # (sampler lifecycle, concurrent snapshot-vs-absorb races, the telemetry-off
@@ -153,7 +156,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|mpz_modular|group_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit)
     run_leg asan -R 'flightrec|audit_test|server_cli'

@@ -42,10 +42,12 @@ void append_kind_latency(std::string& out, const char* kind,
 
 EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
   EngineSnapshot out;
-  const double now = runtime::metrics_now_seconds();
   out.stall_deadline_s = stall_deadline_s;
   {
     const std::lock_guard<std::mutex> lock(engine.mu_);
+    // Read under mu_, like every live session's start_s, so no start_s can
+    // postdate `now` and running_for_s never goes negative.
+    const double now = runtime::metrics_now_seconds();
     out.uptime_s = now - engine.born_s_;
     out.queued = engine.queue_.size();
     out.in_flight = engine.active_;

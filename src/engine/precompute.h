@@ -23,16 +23,27 @@
 // protocol runs that an adversary could distinguish — reuse means literal
 // replay.
 //
+// Bounds: generator tables (one per group) are never evicted. Key tables
+// and zero pools are per session, so each of those two shelves keeps only
+// the kSessionShelfCap most recently built artifacts and evicts the oldest
+// first; otherwise every completed session would stay resident for the
+// life of the process. A session holding an evicted artifact keeps it alive
+// through its shared_ptr.
+//
 // Concurrency: every lookup is build-once — the first thread to miss builds
-// outside the lock while later threads for the same key wait, so a key is
-// built exactly once no matter how many sessions race for it. That makes
-// engine-level hit/miss *totals* deterministic (misses == distinct keys)
-// even though which session pays for a shared build is schedule-dependent.
+// outside the lock while later threads for the same key wait, so a resident
+// key is built exactly once no matter how many sessions race for it. That
+// makes engine-level hit/miss *totals* deterministic (misses == distinct
+// keys) even though which session pays for a shared build is
+// schedule-dependent, as long as a replay finds its artifacts resident:
+// replaying more than kSessionShelfCap sessions rebuilds the evicted ones,
+// and those rebuilds count as misses.
 #pragma once
 
 #include <array>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,6 +58,10 @@ namespace ppgr::engine {
 
 class PrecomputeCache {
  public:
+  /// Per-shelf cap on joint-key tables and on zero pools (oldest evicted
+  /// first). Generator tables are uncapped.
+  static constexpr std::size_t kSessionShelfCap = 64;
+
   struct TableResult {
     std::shared_ptr<const group::FixedBaseTable> table;
     bool built = false;  // true = this call built it (a miss)
@@ -84,10 +99,13 @@ class PrecomputeCache {
  private:
   // Build-once slot map: get() returns {value, built}; concurrent getters
   // of a missing key block until the single builder publishes (they report
-  // as hits — they did not pay for the build).
+  // as hits — they did not pay for the build). With a nonzero cap, the
+  // oldest published slot is evicted once more than `cap` are resident.
   template <typename T>
   class Shelf {
    public:
+    explicit Shelf(std::size_t cap = 0) : cap_(cap) {}
+
     std::pair<std::shared_ptr<const T>, bool> get(
         const std::string& key, const std::function<T()>& build) {
       std::unique_lock<std::mutex> lock(mu_);
@@ -110,6 +128,11 @@ class PrecomputeCache {
       }
       lock.lock();
       slots_[key] = value;
+      if (cap_ != 0) {
+        published_.push_back(key);
+        for (; published_.size() > cap_; published_.pop_front())
+          slots_.erase(published_.front());
+      }
       cv_.notify_all();
       return {value, true};
     }
@@ -123,17 +146,20 @@ class PrecomputeCache {
       // let a second builder race the first one's publish.
       for (auto it = slots_.begin(); it != slots_.end();)
         it = it->second != nullptr ? slots_.erase(it) : std::next(it);
+      published_.clear();
     }
 
    private:
+    const std::size_t cap_;  // 0 = unbounded
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::map<std::string, std::shared_ptr<const T>> slots_;
+    std::deque<std::string> published_;  // publish order, when capped
   };
 
   Shelf<group::FixedBaseTable> generator_tables_;
-  Shelf<group::FixedBaseTable> key_tables_;
-  Shelf<crypto::ZeroPool> zero_pools_;
+  Shelf<group::FixedBaseTable> key_tables_{kSessionShelfCap};
+  Shelf<crypto::ZeroPool> zero_pools_{kSessionShelfCap};
 };
 
 /// The process-wide cache the engine defaults to.

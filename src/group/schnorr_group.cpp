@@ -83,11 +83,10 @@ Elem SchnorrGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
 }
 
 Elem SchnorrGroup::inv(const Elem& x) const {
-  // Extended-Euclidean field inverse: an egcd on p's few limbs is far
-  // cheaper than the x^(q-1) exponentiation (a full-width ladder), and the
-  // inverse is unique in Z_p*, so the result is bit-identical. Inverting
-  // the Montgomery form xR directly would yield x^{-1}R^{-1}; convert out
-  // and back in instead.
+  // Binary field inverse (mpz::invmod): far cheaper than the x^(q-1)
+  // exponentiation (a full-width ladder), and the inverse is unique in
+  // Z_p*, so the result is bit-identical. Inverting the Montgomery form xR
+  // directly would yield x^{-1}R^{-1}; convert out and back in instead.
   const auto s = mpz::invmod(mont_.from_mont(x.a), mont_.modulus());
   if (!s.has_value())  // impossible for subgroup elements (p prime, x != 0)
     throw std::domain_error("SchnorrGroup::inv: element not invertible");
@@ -114,6 +113,7 @@ Elem SchnorrGroup::deserialize(std::span<const std::uint8_t> bytes) const {
   const Nat v = Nat::from_bytes_be(bytes);
   if (v.is_zero() || v >= mont_.modulus())
     throw std::invalid_argument("SchnorrGroup::deserialize: out of range");
+  // Subgroup membership (the QRs mod p); this check dominates decode cost.
   if (mpz::jacobi(v, mont_.modulus()) != 1)
     throw std::invalid_argument("SchnorrGroup::deserialize: not a residue");
   return Elem{.a = mont_.to_mont(v)};

@@ -29,10 +29,10 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void FlightRecorder::record(FlightEventKind kind, Phase phase,
                             std::uint16_t detail, std::uint32_t a,
                             std::uint32_t b, std::uint64_t c) {
-  const double now = metrics_now_seconds();
   const std::lock_guard<std::mutex> lock(mu_);
+  // Stamped under mu_ so ring order is time order across recording threads.
   FlightEvent& e = ring_[recorded_ % ring_.size()];
-  e.t_s = now;
+  e.t_s = metrics_now_seconds();
   e.kind = kind;
   e.phase = phase;
   e.detail = detail;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/precompute.h"
+#include "group/group.h"
 
 #ifndef PPGR_GOLDEN_DIR
 #define PPGR_GOLDEN_DIR "tests/golden"
@@ -206,6 +209,31 @@ TEST(SessionEngine, ColdWarmCacheAccountingIsExact) {
   const auto totals = warm.metrics().totals();
   EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeHit], 3 * kSessions);
   EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeMiss], 0u);
+}
+
+// Joint-key tables and zero pools only repeat on a literal replay, so each
+// of their shelves keeps the newest kSessionShelfCap artifacts: more
+// distinct sessions than the cap leave the cache's size bounded.
+TEST(PrecomputeCache, SessionShelvesEvictOldestPastTheCap) {
+  constexpr std::size_t kCap = PrecomputeCache::kSessionShelfCap;
+  PrecomputeCache cache;
+  const auto g = group::make_group(group::GroupId::kDlTest256);
+  ChaChaRng rng{77};
+  std::vector<group::Elem> keys;
+  for (std::size_t i = 0; i < kCap + 8; ++i)
+    keys.push_back(g->exp_g(g->random_nonzero_scalar(rng)));
+  const std::array<std::uint8_t, 32> pool_key{};
+  for (const auto& key : keys) {
+    EXPECT_TRUE(cache.key_table(*g, key).built);
+    EXPECT_TRUE(cache.zero_pool(*g, key, nullptr, nullptr, pool_key, 1).built);
+  }
+  EXPECT_TRUE(cache.generator_table(*g).built);
+  EXPECT_EQ(cache.size(), 2 * kCap + 1);
+  // The newest artifacts are resident; the oldest were evicted first.
+  EXPECT_FALSE(cache.key_table(*g, keys.back()).built);
+  EXPECT_FALSE(cache.zero_pool(*g, keys[8], nullptr, nullptr, pool_key, 1).built);
+  EXPECT_TRUE(cache.key_table(*g, keys.front()).built);
+  EXPECT_EQ(cache.size(), 2 * kCap + 1);
 }
 
 std::string rollup_at(std::size_t in_flight, std::size_t parallelism) {

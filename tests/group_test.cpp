@@ -112,19 +112,33 @@ TEST(SchnorrGroup, GeneratorIsQuadraticResidue) {
 }
 
 TEST(SchnorrGroup, DeserializeRejectsNonResidue) {
-  const auto g = make_group(GroupId::kDlTest256);
-  auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
-  // Find a quadratic non-residue and check rejection.
-  Nat z{2};
-  while (mpz::jacobi(z, sg->modulus()) != -1) z += Nat{1};
-  EXPECT_THROW((void)g->deserialize(z.to_bytes_be(g->element_bytes())),
-               std::invalid_argument);
-  // Zero and p are rejected too.
-  EXPECT_THROW((void)g->deserialize(Nat{}.to_bytes_be(g->element_bytes())),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)g->deserialize(sg->modulus().to_bytes_be(g->element_bytes())),
-      std::invalid_argument);
+  for (const GroupId id : {GroupId::kDlTest256, GroupId::kDl1024}) {
+    const auto g = make_group(id);
+    auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
+    const Nat& p = sg->modulus();
+    const std::size_t len = g->element_bytes();
+    const auto rejects = [&](std::span<const std::uint8_t> bytes) {
+      EXPECT_THROW((void)g->deserialize(bytes), std::invalid_argument)
+          << g->name() << ", " << bytes.size() << " bytes";
+    };
+    // Non-residues: the least one, and p - 1 (-1 is one for p ≡ 3 mod 4).
+    Nat z{2};
+    while (mpz::jacobi(z, p) != -1) z += Nat{1};
+    rejects(z.to_bytes_be(len));
+    rejects(Nat::sub(p, Nat{1}).to_bytes_be(len));
+    // Out of range: zero, p, p + 1 and the all-ones encoding.
+    rejects(Nat{}.to_bytes_be(len));
+    rejects(p.to_bytes_be(len));
+    rejects(Nat::add(p, Nat{1}).to_bytes_be(len));
+    rejects(std::vector<std::uint8_t>(len, 0xff));
+    // Wrong lengths around a valid encoding.
+    std::vector<std::uint8_t> ok = g->serialize(g->generator());
+    EXPECT_EQ(g->deserialize(ok).a, g->generator().a) << g->name();
+    rejects(std::span<const std::uint8_t>(ok).subspan(1));
+    rejects({});
+    ok.insert(ok.begin(), 0);
+    rejects(ok);
+  }
 }
 
 TEST(EcGroup, StandardCurveParametersValidate) {

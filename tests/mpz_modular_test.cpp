@@ -3,6 +3,9 @@
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
+#include "group/ec_group.h"
+#include "group/group.h"
+#include "group/schnorr_group.h"
 #include "mpz/fp.h"
 #include "mpz/modarith.h"
 #include "mpz/mont.h"
@@ -168,6 +171,111 @@ TEST(ModArith, SqrtMod) {
     while (jacobi(z, p) != -1) z += Nat{1};
     EXPECT_FALSE(sqrtmod(z, p).has_value());
   }
+}
+
+// ---- Binary kernels (gcd / jacobi / invmod) against GMP ----
+
+Nat schnorr_prime(group::GroupId id) {
+  const auto g = group::make_group(id);
+  return dynamic_cast<const group::SchnorrGroup&>(*g).modulus();
+}
+
+// Odd moduli: a random odd composite at every width from 1 to 48 limbs,
+// random primes, a product of two primes and a prime square (so gcd > 1
+// inputs are plentiful), and the shipped dl-test-256, P-256, dl-1024 and
+// dl-3072 primes.
+std::vector<Nat> kernel_moduli() {
+  ChaChaRng rng{201};
+  std::vector<Nat> out{Nat{1}, Nat{3}, Nat{9}, Nat{15}};
+  for (std::size_t limbs = 1; limbs <= 48; ++limbs) {
+    Nat c = rng.bits(64 * limbs);
+    c.set_bit(64 * limbs - 1, true);
+    c.set_bit(0, true);
+    out.push_back(std::move(c));
+  }
+  for (std::size_t bits : {20u, 64u, 65u, 127u, 256u, 512u})
+    out.push_back(random_prime(bits, rng));
+  const Nat p = random_prime(100, rng), q = random_prime(140, rng);
+  out.push_back(Nat::mul(p, q));
+  out.push_back(Nat::mul(p, p));
+  out.push_back(schnorr_prime(group::GroupId::kDlTest256));
+  out.push_back(group::nist_p256().p);
+  out.push_back(schnorr_prime(group::GroupId::kDl1024));
+  out.push_back(schnorr_prime(group::GroupId::kDl3072));
+  return out;
+}
+
+// Edge inputs (0, 1, 2, n-1, n, n+1, a > n, a a limb wider than n) plus
+// random residues.
+std::vector<Nat> kernel_inputs(const Nat& n, ChaChaRng& rng) {
+  std::vector<Nat> out{Nat{},
+                       Nat{1},
+                       Nat{2},
+                       Nat::sub(n, Nat{1}),
+                       n,
+                       Nat::add(n, Nat{1}),
+                       Nat::add(Nat::mul(n, Nat{3}), Nat{2}),
+                       rng.bits(n.bit_length() + 64)};
+  for (int i = 0; i < 24; ++i) out.push_back(rng.below(n));
+  return out;
+}
+
+TEST(ModArithOracle, JacobiInvModAndGcdMatchGmp) {
+  ChaChaRng rng{202};
+  std::size_t inverses = 0, non_units = 0;
+  for (const Nat& n : kernel_moduli()) {
+    const mpz_class gn = to_gmp(n);
+    for (const Nat& a : kernel_inputs(n, rng)) {
+      const mpz_class ga = to_gmp(a);
+      SCOPED_TRACE("a=" + a.to_hex() + " n=" + n.to_hex());
+      EXPECT_EQ(jacobi(a, n), mpz_jacobi(ga.get_mpz_t(), gn.get_mpz_t()));
+      mpz_class g;
+      mpz_gcd(g.get_mpz_t(), ga.get_mpz_t(), gn.get_mpz_t());
+      EXPECT_EQ(to_gmp(gcd(a, n)), g);
+      if (n.is_one()) continue;  // outside invmod's contract
+      mpz_class inv;
+      const bool unit =
+          mpz_invert(inv.get_mpz_t(), ga.get_mpz_t(), gn.get_mpz_t()) != 0;
+      const auto mine = invmod(a, n);
+      ASSERT_EQ(mine.has_value(), unit);
+      if (unit) {
+        EXPECT_EQ(to_gmp(*mine), inv);
+        ++inverses;
+      } else {
+        ++non_units;
+      }
+    }
+  }
+  EXPECT_GT(inverses, 1000u);
+  EXPECT_GT(non_units, 100u);
+}
+
+TEST(ModArithOracle, GcdOfEvenOperandsMatchesGmp) {
+  ChaChaRng rng{203};
+  for (int i = 0; i < 60; ++i) {
+    const Nat a = rng.bits(1 + rng.below_u64(700)).shl(rng.below_u64(130));
+    const Nat b = rng.bits(1 + rng.below_u64(700)).shl(rng.below_u64(130));
+    mpz_class g;
+    const mpz_class ga = to_gmp(a), gb = to_gmp(b);
+    mpz_gcd(g.get_mpz_t(), ga.get_mpz_t(), gb.get_mpz_t());
+    EXPECT_EQ(to_gmp(gcd(a, b)), g);
+  }
+}
+
+TEST(ModArithOracle, KernelContracts) {
+  EXPECT_THROW((void)invmod(Nat{3}, Nat{10}), std::invalid_argument);
+  EXPECT_THROW((void)invmod(Nat{3}, Nat{1}), std::invalid_argument);
+  EXPECT_THROW((void)invmod(Nat{3}, Nat{}), std::invalid_argument);
+  EXPECT_THROW((void)jacobi(Nat{3}, Nat{}), std::invalid_argument);
+  EXPECT_EQ(jacobi(Nat::from_hex("123456789abcdef0123"), Nat{1}), 1);
+  // 64 limbs is the widest operand the stack buffers hold.
+  const Nat widest = Nat::sub(Nat::pow2(64 * 64), Nat{1});
+  EXPECT_EQ(invmod(Nat{2}, widest), Nat::pow2(64 * 64 - 1));
+  EXPECT_EQ(jacobi(Nat{1}, widest), 1);
+  const Nat wider = Nat::pow2(64 * 64);
+  EXPECT_THROW((void)jacobi(wider, Nat{3}), std::length_error);
+  EXPECT_THROW((void)invmod(wider, Nat{3}), std::length_error);
+  EXPECT_THROW((void)gcd(wider, Nat{3}), std::length_error);
 }
 
 TEST(Prime, SmallKnownValues) {
