@@ -8,18 +8,13 @@
 // C cores the expected speedup at parallelism p is ~min(p, C) (Amdahl-
 // limited by the serial trace/merge epilogues, which are O(n) bookkeeping).
 //
-// A leading pass runs the protocol with the multi-exponentiation engine
-// disabled (cfg.accel = false) at parallelism 1; every accelerated run must
-// be bit-identical to it — ranks, β, byte trace, comm flows, span stream
-// and all logical metrics counters (only the accel_* diagnostics may
-// appear on the accelerated side). The JSON gains an "accel_off" block so
-// the per-phase accel/no-accel wall breakdown is part of the report.
+// The per-phase group_* counts in the report are executed Group interface
+// calls (benchcore::model_he_ops states them in closed form).
 //
 // Usage: parallel_speedup [--n N] [--threads "1,2,4"] [--out FILE]
 #include <cstdio>
 #include <cstring>
 #include <chrono>
-#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,25 +36,6 @@ struct RunResult {
   double wall_seconds;
   core::FrameworkResult result;
 };
-
-// The accel_* counters are the only metrics keys allowed to differ between
-// accelerated and naive runs; everything left must be byte-identical.
-std::string strip_accel_keys(const std::string& metrics_json) {
-  static const std::regex kAccel{R"(, "accel_[a-z_]+": [0-9]+)"};
-  return std::regex_replace(metrics_json, kAccel, "");
-}
-
-bool identical_modulo_accel(const core::FrameworkResult& a,
-                            const core::FrameworkResult& b) {
-  return a.ranks == b.ranks && a.submitted_ids == b.submitted_ids &&
-         a.trace.total_bytes() == b.trace.total_bytes() &&
-         strip_accel_keys(a.metrics->to_json(/*include_timing=*/false)) ==
-             strip_accel_keys(b.metrics->to_json(false)) &&
-         a.spans->chrome_trace_json(/*deterministic=*/true) ==
-             b.spans->chrome_trace_json(true) &&
-         a.comm->to_json() == b.comm->to_json() &&
-         a.comm->chrome_trace_json() == b.comm->chrome_trace_json();
-}
 
 }  // namespace
 
@@ -113,21 +89,6 @@ int main(int argc, char** argv) {
               g->name().c_str(), n, cfg.spec.beta_bits(),
               std::thread::hardware_concurrency());
 
-  // Naive baseline: multi-exp engine off, serial. Timed and kept for the
-  // bit-identity check against every accelerated run below.
-  RunResult accel_off{1, 0.0, {}};
-  {
-    cfg.accel = false;
-    cfg.parallelism = 1;
-    mpz::ChaChaRng rng{777};
-    const double t0 = now_s();
-    accel_off.result = core::run_framework(cfg, v0, w, infos, rng);
-    accel_off.wall_seconds = now_s() - t0;
-    cfg.accel = true;
-    std::printf("accel off (naive, serial): %.3f s wall\n\n",
-                accel_off.wall_seconds);
-  }
-
   std::printf("%12s %14s %10s %12s\n", "parallelism", "wall[s]", "speedup",
               "identical");
 
@@ -156,13 +117,6 @@ int main(int argc, char** argv) {
     if (!identical) {
       std::fprintf(stderr,
                    "FATAL: parallelism=%zu output differs from serial\n", p);
-      return 1;
-    }
-    if (!identical_modulo_accel(accel_off.result, cur)) {
-      std::fprintf(stderr,
-                   "FATAL: parallelism=%zu accelerated output differs from "
-                   "the naive (accel off) run\n",
-                   p);
       return 1;
     }
     std::printf("%12zu %14.3f %9.2fx %12s\n", p, wall,
@@ -206,12 +160,13 @@ int main(int argc, char** argv) {
           out,
           "      {\"phase\": \"%s\", \"wall_seconds\": %.6f, "
           "\"group_exps\": %llu, \"group_exp_g\": %llu, "
+          "\"group_dual_exps\": %llu, "
           "\"group_muls\": %llu, \"compare_circuits\": %llu, "
           "\"shuffle_hops\": %llu, \"accel_multi_exps\": %llu, "
           "\"accel_fixed_base_exps\": %llu}%s\n",
           runtime::phase_name(static_cast<runtime::Phase>(p)), walls[p],
           c(runtime::CryptoOp::kGroupExp), c(runtime::CryptoOp::kGroupExpG),
-          c(runtime::CryptoOp::kGroupMul),
+          c(runtime::CryptoOp::kGroupDualExp), c(runtime::CryptoOp::kGroupMul),
           c(runtime::CryptoOp::kCompareCircuit),
           c(runtime::CryptoOp::kShuffleHop),
           c(runtime::CryptoOp::kAccelMultiExp),
@@ -221,37 +176,6 @@ int main(int argc, char** argv) {
     std::fprintf(out, "    ]}%s\n", i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-
-  // Naive (multi-exp engine off) baseline: same instance, serial. The
-  // logical op counts are identical to the accelerated runs by the
-  // bit-identity check above, so only the per-phase walls are reported —
-  // phase2 wall[off] / wall[on] is the acceleration's end-to-end win.
-  {
-    const auto off_walls = accel_off.result.spans->phase_wall_seconds();
-    const auto on_walls = runs.front().result.spans->phase_wall_seconds();
-    const double p2_off = off_walls[static_cast<std::size_t>(
-        runtime::Phase::kPhase2)];
-    const double p2_on = on_walls[static_cast<std::size_t>(
-        runtime::Phase::kPhase2)];
-    std::fprintf(out,
-                 "  \"accel_off\": {\"parallelism\": 1, "
-                 "\"wall_seconds\": %.6f, \"outputs_identical\": true,\n"
-                 "    \"phases\": [\n",
-                 accel_off.wall_seconds);
-    for (std::size_t p = 0; p < runtime::kPhaseCount; ++p)
-      std::fprintf(out,
-                   "      {\"phase\": \"%s\", \"wall_seconds\": %.6f}%s\n",
-                   runtime::phase_name(static_cast<runtime::Phase>(p)),
-                   off_walls[p], p + 1 < runtime::kPhaseCount ? "," : "");
-    std::fprintf(out,
-                 "    ],\n"
-                 "    \"phase2_speedup_vs_naive\": %.4f\n  },\n",
-                 p2_on > 0 ? p2_off / p2_on : 0.0);
-    std::printf("\naccel on vs off (serial): phase2 %.3f s -> %.3f s "
-                "(%.2fx), total %.3f s -> %.3f s\n",
-                p2_off, p2_on, p2_on > 0 ? p2_off / p2_on : 0.0,
-                accel_off.wall_seconds, runs.front().wall_seconds);
-  }
 
   // Measured communication of the run (identical at every parallelism, per
   // the bit-identity check): per-phase totals plus the per-link breakdown

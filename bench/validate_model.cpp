@@ -7,11 +7,10 @@
 //    model's prediction for the same configuration (timing sanity check);
 //  - --check mode (run as the `model_validation` ctest): runs the real
 //    framework with the runtime metrics layer enabled and asserts the
-//    *measured* group-op counters match the CountingGroup totals of
-//    benchcore::count_he_framework exactly, reporting the offending counter
-//    on drift. This pins the Sec. VI-B analytical table to the real
-//    runtime: an instrumentation or protocol change that alters either
-//    side's counts fails CI;
+//    *measured* per-phase group-op counters equal the closed-form executed
+//    counts of benchcore::model_he_ops exactly, reporting the offending
+//    (phase, counter) on drift. An instrumentation or protocol change that
+//    alters the executed calls without the model (or vice versa) fails CI;
 //  - --check-comm mode (run as the `comm_validation` ctest): runs the real
 //    framework and asserts the communication CommRegistry *measured* on the
 //    wire (every message serialized through net::Router) matches
@@ -27,24 +26,15 @@ namespace {
 
 using namespace ppgr;
 
-/// Exits nonzero on the first counter that drifts between the measured
-/// runtime metrics and the counted model run.
+/// Exits nonzero if any per-phase group-op counter drifts between the
+/// measured runtime metrics and the closed-form model.
 int run_check() {
   const core::ProblemSpec spec{.m = 4, .t = 2, .d1 = 6, .d2 = 6, .h = 6};
   constexpr std::size_t n = 4;
   constexpr std::size_t k = 2;
   constexpr std::uint64_t seed = 1234;
 
-  // Model side: CountingGroup totals from the counted mock-group run.
   const auto g = group::make_group(group::GroupId::kDlTest256);
-  const auto model = benchcore::count_he_framework(
-      spec, n, k, g->element_bytes(), g->field_bits(), seed);
-
-  // Measured side: the real framework under the metrics layer, constructed
-  // exactly as count_he_framework constructs its counted run (same
-  // instance, same seed-derived streams) — group operations in this
-  // protocol are data-independent, so the two runs must perform the same
-  // interface-level op sequence.
   core::FrameworkConfig cfg;
   cfg.spec = spec;
   cfg.n = n;
@@ -55,62 +45,45 @@ int run_check() {
   const auto inst = benchcore::random_instance(spec, n, seed);
   mpz::ChaChaRng rng{seed + 1};
   const auto real = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
-  const auto measured = real.metrics->totals();
-
-  int failures = 0;
-  const auto expect = [&failures](const char* counter, std::uint64_t measured_v,
-                                  std::uint64_t model_v) {
-    if (measured_v == model_v) return;
-    std::fprintf(stderr,
-                 "DRIFT %-18s measured=%llu model=%llu (delta %+lld)\n",
-                 counter, static_cast<unsigned long long>(measured_v),
-                 static_cast<unsigned long long>(model_v),
-                 static_cast<long long>(measured_v) -
-                     static_cast<long long>(model_v));
-    ++failures;
-  };
+  const auto model =
+      benchcore::model_he_ops(spec, n, benchcore::beta_popcounts(real.betas),
+                              /*pooled=*/false);
 
   using runtime::CryptoOp;
-  expect("group_mul", measured[CryptoOp::kGroupMul], model.totals.muls);
-  expect("group_exp", measured[CryptoOp::kGroupExp], model.totals.exps);
-  expect("group_exp_g", measured[CryptoOp::kGroupExpG], model.totals.gexps);
-  expect("group_inv", measured[CryptoOp::kGroupInv], model.totals.invs);
-  expect("group_serialize", measured[CryptoOp::kGroupSerialize],
-         model.totals.serializations);
-  expect("group_deserialize", measured[CryptoOp::kGroupDeserialize],
-         model.totals.deserializations);
-
-  // (No divisibility-by-n assertion: comparison-circuit cost depends on
-  // each party's own β bit pattern, so totals are not an exact multiple of
-  // n — which is also why the model's per-participant figures use integer
-  // division.)
-
-  // Phase attribution must add up: the sum over the model run's per-phase
-  // tallies equals its undivided totals for every op.
-  runtime::OpTally phase_sum;
-  for (const auto& t : model.phase_ops) phase_sum += t;
-  expect("phases(group_mul)", phase_sum[CryptoOp::kGroupMul],
-         model.totals.muls);
-  expect("phases(group_exp)", phase_sum[CryptoOp::kGroupExp],
-         model.totals.exps);
-  expect("phases(group_exp_g)", phase_sum[CryptoOp::kGroupExpG],
-         model.totals.gexps);
-  expect("phases(group_inv)", phase_sum[CryptoOp::kGroupInv],
-         model.totals.invs);
+  int failures = 0;
+  for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
+    const auto phase = static_cast<runtime::Phase>(p);
+    const runtime::OpTally measured = real.metrics->phase_totals(phase);
+    for (const CryptoOp op : benchcore::kModeledGroupOps) {
+      const std::uint64_t measured_v = measured[op];
+      const std::uint64_t model_v = model.phase_ops[p][op];
+      if (measured_v == model_v) continue;
+      std::fprintf(stderr,
+                   "DRIFT %-7s %-18s measured=%llu model=%llu (delta %+lld)\n",
+                   runtime::phase_name(phase), runtime::op_name(op),
+                   static_cast<unsigned long long>(measured_v),
+                   static_cast<unsigned long long>(model_v),
+                   static_cast<long long>(measured_v) -
+                       static_cast<long long>(model_v));
+      ++failures;
+    }
+  }
 
   if (failures != 0) {
     std::fprintf(stderr,
                  "\nmodel validation FAILED: %d counter(s) drifted between "
-                 "benchcore::count_he_framework and the measured runtime "
-                 "metrics\n",
+                 "benchcore::model_he_ops and the measured runtime metrics\n",
                  failures);
     return 1;
   }
-  std::printf("model validation OK: measured runtime counters match "
-              "CountingGroup totals exactly\n"
-              "  group_exp=%llu group_exp_g=%llu group_mul=%llu "
-              "group_inv=%llu (n=%zu, l=%zu)\n",
+  const runtime::OpTally measured = real.metrics->totals();
+  std::printf("model validation OK: measured group-op counters match "
+              "model_he_ops in every phase\n"
+              "  group_exp=%llu group_dual_exp=%llu group_exp_g=%llu "
+              "group_mul=%llu group_inv=%llu (n=%zu, l=%zu)\n",
               static_cast<unsigned long long>(measured[CryptoOp::kGroupExp]),
+              static_cast<unsigned long long>(
+                  measured[CryptoOp::kGroupDualExp]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupExpG]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupMul]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupInv]),

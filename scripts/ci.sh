@@ -28,9 +28,11 @@
 #
 # The `multiexp` mode is the multi-exponentiation crypto leg: the
 # differential suite (Straus/Pippenger/fixed-base vs naive Group::exp on
-# every group family), the batched-inversion KATs and the accel-on vs
-# accel-off bit-identity test run under ASan+UBSan — index arithmetic over
-# window digits and bucket arrays is exactly the surface ASan watches. The
+# every group family), the batched-inversion KATs, the parallel-determinism
+# suite and the phase-2 oracle (the fused comparison circuit and chain hop
+# vs the naive evaluation, value- and byte-identical on every group family)
+# run under ASan+UBSan — index arithmetic over window digits and bucket
+# arrays is exactly the surface ASan watches. The
 # leg also runs the mpz_modular and group suites: the binary gcd / Jacobi /
 # inverse kernels index fixed stack limb buffers at every width the GMP
 # differential tests use (1 to 64 limbs).
@@ -156,7 +158,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|mpz_modular|group_test' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit)
     run_leg asan -R 'flightrec|audit_test|server_cli'

@@ -63,7 +63,7 @@ SsCosts calibrate_ss(const mpz::FpCtx& field, std::size_t n, std::size_t t,
   return costs;
 }
 
-double price_group_ops(const group::OpCounts& per_participant,
+double price_group_ops(const OpCounts& per_participant,
                        const GroupCosts& costs) {
   return static_cast<double>(per_participant.muls) * costs.mul_s +
          static_cast<double>(per_participant.exps) * costs.exp_s +

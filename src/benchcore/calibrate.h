@@ -2,8 +2,9 @@
 //
 // The paper measures per-participant execution time on its own hardware; we
 // reproduce the *shape* of those figures by combining
-//   (a) exact per-protocol operation counts (CountingGroup over MockGroup
-//       for the HE frameworks; MpcEngine::kCountOnly for the SS baseline)
+//   (a) exact per-protocol operation counts (the closed-form
+//       benchcore::model_he_ops for the HE frameworks;
+//       MpcEngine::kCountOnly for the SS baseline)
 // with
 //   (b) per-operation wall-clock costs of the *real* cryptographic
 //       implementations measured on this host at the modeled parameter
@@ -13,10 +14,25 @@
 // model against full real executions at small n.
 #pragma once
 
-#include "group/counting_group.h"
+#include <cstdint>
+
+#include "group/group.h"
 #include "sss/mpc_engine.h"
 
 namespace ppgr::benchcore {
+
+/// HE-framework group-op counts in the shape the cost model prices (one
+/// field per calibrated cost below).
+struct OpCounts {
+  std::uint64_t muls = 0;
+  std::uint64_t exps = 0;   // variable-base exponentiations
+  std::uint64_t gexps = 0;  // fixed-base (generator) exponentiations
+  std::uint64_t invs = 0;
+  std::uint64_t serializations = 0;
+  std::uint64_t deserializations = 0;
+
+  bool operator==(const OpCounts&) const = default;
+};
 
 /// Per-operation costs of a real group, in seconds.
 struct GroupCosts {
@@ -46,7 +62,7 @@ struct SsCosts {
                                    std::size_t t, mpz::Rng& rng);
 
 /// Prices HE-framework op counts (already divided per participant).
-[[nodiscard]] double price_group_ops(const group::OpCounts& per_participant,
+[[nodiscard]] double price_group_ops(const OpCounts& per_participant,
                                      const GroupCosts& costs);
 
 /// Prices SS-framework costs per participant: counts are engine totals; each

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <initializer_list>
 #include <map>
+#include <stdexcept>
 
 #include "core/codec.h"
 #include "crypto/codec.h"
@@ -41,59 +43,162 @@ Instance random_instance(const ProblemSpec& spec, std::size_t n,
   return inst;
 }
 
+namespace {
+
+using runtime::CryptoOp;
+using runtime::OpTally;
+
+OpTally tally(std::initializer_list<std::pair<CryptoOp, std::uint64_t>> ops,
+              std::uint64_t times = 1) {
+  OpTally t;
+  for (const auto& [op, k] : ops)
+    t.v[static_cast<std::size_t>(op)] += k * times;
+  return t;
+}
+
+OpTally scaled(const OpTally& t, std::uint64_t k) {
+  OpTally out;
+  for (std::size_t i = 0; i < runtime::kOpCount; ++i) out.v[i] = t.v[i] * k;
+  return out;
+}
+
+// The priced fields of a tally, each divided by `parties`.
+OpCounts priced(const OpTally& t, std::uint64_t parties) {
+  const auto c = [&](CryptoOp op) { return t[op] / parties; };
+  return OpCounts{c(CryptoOp::kGroupMul),       c(CryptoOp::kGroupExp),
+                  c(CryptoOp::kGroupExpG),      c(CryptoOp::kGroupInv),
+                  c(CryptoOp::kGroupSerialize), c(CryptoOp::kGroupDeserialize)};
+}
+
+}  // namespace
+
+OpTally compare_circuit_ops(std::size_t l, std::size_t pop, bool pooled,
+                            OpProfile profile) {
+  const std::uint64_t drawn = pooled ? 0 : l;  // re-randomizations drawn
+  // Naive: ct_scale (2 exps) per own set bit and per ω; ct_add_plain (exp_g
+  // + mul) per own set bit, per ω and per τ of a set bit; ct_add (2 muls)
+  // per ω and per suffix step; the re-randomization's 2 muls, plus y^r and
+  // g^r when drawn.
+  if (profile == OpProfile::kNaive)
+    return tally({{CryptoOp::kGroupExp, 2 * l + 2 * pop + drawn},
+                  {CryptoOp::kGroupExpG, l + 2 * pop + drawn},
+                  {CryptoOp::kGroupMul, 7 * l + 2 * pop}});
+  // Executed: γ of a set bit is two inversions, g^1 and a mul; ω is two
+  // inversions, the fused inv(γ.c)^coeff · g^coeff, inv(γ.cp)^coeff and two
+  // muls; τ of a set bit adds g^1 and a mul; then the same
+  // re-randomization and suffix step.
+  return tally({{CryptoOp::kGroupInv, 2 * l + 2 * pop},
+                {CryptoOp::kGroupDualExp, l},
+                {CryptoOp::kGroupExp, l + drawn},
+                {CryptoOp::kGroupExpG, 2 * pop + drawn},
+                {CryptoOp::kGroupMul, 6 * l + 2 * pop}});
+}
+
+OpTally hop_ciphertext_ops(OpProfile profile) {
+  // Naive: partial_decrypt's cp^x and c / cp^x, exp_randomize's c1^r, cp^r.
+  // Executed: c^r · cp^(q - x·r) fused, then cp^r.
+  if (profile == OpProfile::kNaive)
+    return tally({{CryptoOp::kGroupExp, 3},
+                  {CryptoOp::kGroupInv, 1},
+                  {CryptoOp::kGroupMul, 1}});
+  return tally({{CryptoOp::kGroupDualExp, 1}, {CryptoOp::kGroupExp, 1}});
+}
+
+HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
+                       const std::vector<std::size_t>& popcounts,
+                       bool pooled) {
+  if (popcounts.size() != n)
+    throw std::invalid_argument("model_he_ops: need one popcount per party");
+  const std::uint64_t l = spec.beta_bits();
+  const std::uint64_t pairs = n * (n - 1);
+  const std::uint64_t bits = n * l;           // β bits of all parties
+  const std::uint64_t set_cts = (n - 1) * l;  // one party's comparison set
+  // Wire images, 2 elements per ciphertext: the β broadcasts, n-1 sets to
+  // P1, the whole n-set vector forwarded n-1 times along the chain, and
+  // n-1 sets returned by Pn.
+  const std::uint64_t wire_elems = 2 * (bits + (n + 2) * (n - 1) * set_cts);
+  const auto phases = [&](OpProfile profile) {
+    std::array<OpTally, runtime::kPhaseCount> ph{};
+    OpTally& p2 = ph[static_cast<std::size_t>(runtime::Phase::kPhase2)];
+    // Step 5: key share and proof commitment (exp_g and a serialization
+    // each per party); every verifier decodes each peer's share and
+    // commitment and checks g^z = h · y^Σc; the joint key multiplies the n
+    // shares. Step 6: per β bit g^m and a mul onto a pooled zero, or
+    // encrypt_exp's g^m, y^r, g^r and mul.
+    const std::uint64_t drawn = pooled ? 0 : bits;  // encryptions drawn
+    p2 += tally({{CryptoOp::kGroupExpG, 2 * n + pairs + bits + drawn},
+                 {CryptoOp::kGroupExp, pairs + drawn},
+                 {CryptoOp::kGroupMul, pairs + n + bits},
+                 {CryptoOp::kGroupSerialize, 2 * n + wire_elems},
+                 {CryptoOp::kGroupDeserialize, 2 * pairs + wire_elems}});
+    // Step 7: n-1 circuits per evaluator; step 8: each of the n hops
+    // re-randomizes the n-1 foreign sets.
+    for (std::size_t j = 0; j < n; ++j)
+      p2 += scaled(compare_circuit_ops(l, popcounts[j], pooled, profile),
+                   n - 1);
+    p2 += scaled(hop_ciphertext_ops(profile), n * (n - 1) * set_cts);
+    // Step 9: every party decrypts its returned set — cp^x, c / cp^x.
+    ph[static_cast<std::size_t>(runtime::Phase::kPhase3)] =
+        tally({{CryptoOp::kGroupExp, 1},
+               {CryptoOp::kGroupInv, 1},
+               {CryptoOp::kGroupMul, 1}},
+              n * set_cts);
+    return ph;
+  };
+
+  HeOpModel model;
+  model.phase_ops = phases(OpProfile::kExecuted);
+  for (const OpTally& t : phases(OpProfile::kNaive)) model.naive += t;
+  return model;
+}
+
+std::vector<std::size_t> beta_popcounts(const std::vector<mpz::Nat>& betas) {
+  std::vector<std::size_t> pops;
+  pops.reserve(betas.size());
+  for (const mpz::Nat& beta : betas) {
+    std::size_t pop = 0;
+    for (std::size_t b = 0; b < beta.bit_length(); ++b) pop += beta.bit(b);
+    pops.push_back(pop);
+  }
+  return pops;
+}
+
 HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
                             std::size_t k, std::size_t modeled_elem_bytes,
                             std::size_t modeled_field_bits,
                             std::uint64_t seed) {
-  // Counted protocol run over a mock group dressed with the modeled
-  // element/scalar sizes.
+  // Protocol run over a mock group dressed with the modeled element/scalar
+  // sizes: its trace carries the modeled wire bytes, and its β values fix
+  // the circuits' bit patterns.
   const group::MockGroup mock{"mock", modeled_elem_bytes, modeled_field_bits};
-  const group::CountingGroup counted{mock};
-
   core::FrameworkConfig cfg;
   cfg.spec = spec;
   cfg.n = n;
   cfg.k = k;
-  cfg.group = &counted;
+  cfg.group = &mock;
   cfg.dot_field = &core::default_dot_field();
-  // Record runtime metrics alongside the CountingGroup totals: the two
-  // count the same interface-level operations, so bench/validate_model can
-  // assert they agree exactly.
-  cfg.metrics = true;
-  // This is the reference count: run the naive (unaccelerated) protocol so
-  // the CountingGroup sees the logical op profile that accelerated runs
-  // credit against. With accel on the CountingGroup would instead record
-  // the multi-exp call shapes and the cross-check would no longer define
-  // the invariant.
-  cfg.accel = false;
 
   const Instance inst = random_instance(spec, n, seed);
   mpz::ChaChaRng rng{seed + 1};
   auto result = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
 
   HeCounts counts;
-  for (std::size_t p = 0; p < runtime::kPhaseCount; ++p)
-    counts.phase_ops[p] =
-        result.metrics->phase_totals(static_cast<runtime::Phase>(p));
-  // The initiator performs no group operations, so the counted totals are
-  // all participant work; the per-participant share is totals / n (integer
+  // The initiator performs no group operations, so the totals are all
+  // participant work; the per-participant share is totals / n (integer
   // division — comparison-circuit cost varies slightly with each party's
   // own β bit pattern, so the division is a mean, not exact per party).
-  const auto& totals = counted.counts();
-  counts.totals = totals;
-  counts.per_participant.muls = totals.muls / n;
-  counts.per_participant.exps = totals.exps / n;
-  counts.per_participant.gexps = totals.gexps / n;
-  counts.per_participant.invs = totals.invs / n;
-  counts.per_participant.serializations = totals.serializations / n;
-  counts.per_participant.deserializations = totals.deserializations / n;
+  const OpTally naive =
+      model_he_ops(spec, n, beta_popcounts(result.betas), /*pooled=*/false)
+          .naive;
+  counts.totals = priced(naive, 1);
+  counts.per_participant = priced(naive, n);
   // Phase 1 runs on the real field either way (the mock only replaces the
   // DDH group); measure one real dot-product exchange.
   {
     const double t1 = now_s();
     core::Initiator initiator{cfg, inst.v0, inst.w, rng};
-    core::Participant p{cfg, 1, inst.infos[0], rng};
-    const auto& q = p.gain_query();
+    core::Participant p{cfg, 1, inst.infos[0]};
+    const auto& q = p.gain_query(rng);
     p.receive_gain_answer(initiator.answer_gain_query(1, q));
     counts.phase1_seconds = now_s() - t1;
   }
@@ -234,8 +339,8 @@ SsPoint price_ss_framework(const ProblemSpec& spec, std::size_t n,
   {
     const double t1 = now_s();
     core::Initiator initiator{cfg.base, inst.v0, inst.w, rng};
-    core::Participant p{cfg.base, 1, inst.infos[0], rng};
-    const auto& q = p.gain_query();
+    core::Participant p{cfg.base, 1, inst.infos[0]};
+    const auto& q = p.gain_query(rng);
     p.receive_gain_answer(initiator.answer_gain_query(1, q));
     point.phase1_seconds = now_s() - t1;
   }

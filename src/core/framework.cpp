@@ -21,7 +21,6 @@ namespace {
 
 using crypto::ct_add;
 using crypto::ct_add_plain;
-using crypto::ct_scale;
 using crypto::encrypt_exp;
 using crypto::rerandomize;
 using mpz::ChaChaRng;
@@ -151,15 +150,15 @@ void FrameworkConfig::validate() const {
 
 Initiator::Initiator(const FrameworkConfig& cfg, AttrVec v0, AttrVec w,
                      Rng& rng)
-    : cfg_(cfg), v0_(std::move(v0)), w_(std::move(w)), rng_(rng) {
+    : cfg_(cfg), v0_(std::move(v0)), w_(std::move(w)) {
   cfg_.validate();
   cfg_.spec.check_attributes(v0_);
   cfg_.spec.check_weights(w_);
   // ρ: h-bit, top bit forced so ρ_j < ρ leaves a full range; ρ >= 1.
-  rho_ = rng_.bits(cfg_.spec.h);
+  rho_ = rng.bits(cfg_.spec.h);
   rho_.set_bit(cfg_.spec.h - 1, true);
   rho_j_.resize(cfg_.n);
-  for (auto& rj : rho_j_) rj = rng_.below(rho_);  // [0, ρ) — strict order
+  for (auto& rj : rho_j_) rj = rng.below(rho_);  // [0, ρ) — strict order
 }
 
 dotprod::AliceRound2 Initiator::answer_gain_query(
@@ -201,8 +200,8 @@ std::vector<std::size_t> Initiator::inconsistent_submissions() const {
 // ---------------- Participant ----------------
 
 Participant::Participant(const FrameworkConfig& cfg, std::size_t id,
-                         AttrVec info, Rng& rng)
-    : cfg_(cfg), id_(id), info_(std::move(info)), rng_(rng) {
+                         AttrVec info)
+    : cfg_(cfg), id_(id), info_(std::move(info)) {
   cfg_.validate();
   cfg_.spec.check_attributes(info_);
   if (id_ < 1 || id_ > cfg_.n)
@@ -246,81 +245,68 @@ bool Participant::verify_peer_key(const Elem& y,
   return crypto::schnorr_verify(*cfg_.group, y, proof);
 }
 
-Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
-  return encrypt_exp(*cfg_.group, joint_key_,
-                     beta_.bit(b) ? Nat{1} : Nat{}, rng);
-}
-
 Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng,
                                          const crypto::ZeroPool* pool,
                                          std::size_t pool_offset) const {
+  const Nat m = beta_.bit(b) ? Nat{1} : Nat{};
   if (pool != nullptr)
     return crypto::encrypt_exp_with(*cfg_.group,
-                                    pool->entries.at(pool_offset + b),
-                                    beta_.bit(b) ? Nat{1} : Nat{});
-  return encrypt_beta_bit(b, rng);
+                                    pool->entries.at(pool_offset + b), m);
+  return encrypt_exp(*cfg_.group, joint_key_, m, rng);
 }
 
-void Participant::set_accel_context(
-    const Group* fast, std::shared_ptr<const group::FixedBaseTable> key_table) {
-  fast_ = fast;
-  key_table_ = std::move(key_table);
-}
-
-std::vector<Ciphertext> Participant::encrypt_beta_bits(Rng& rng) {
-  const std::size_t l = cfg_.spec.beta_bits();
-  std::vector<Ciphertext> out;
-  out.reserve(l);
-  for (std::size_t b = 0; b < l; ++b) out.push_back(encrypt_beta_bit(b, rng));
-  return out;
-}
-
+// The comparison circuit (DESIGN.md §5e), evaluated through group::multi_exp
+// fusions. Per bit b, with own bits own_b and the peer's E(peer_b):
+//
+//   γ_b = own_b XOR peer_b             (own bit is plaintext)
+//   ω_b = (l-b)·(1 - γ_b) + Σ_{v>b} γ_v  zero iff b is the most
+//                                        significant differing bit
+//   τ_b = ω_b + own_b                  zero iff the peer's bit is 1 there,
+//                                        i.e. iff the peer's β is larger
+//
+// then τ_b is re-randomized before the set leaves this party: the
+// homomorphic result is otherwise a deterministic function of the published
+// ciphertexts and the own bits, which an adversary could test bit by bit
+// (the paper's Lemma-3 simulator implicitly assumes fresh encryptions here;
+// see DESIGN.md). Every element's order divides q, so the exponents q-1 and
+// q-coeff collapse into inversions and coeff-width ladders. The naive
+// ct_scale/ct_add_plain form of the same algebra is the differential oracle
+// in tests/phase2_oracle_test.cpp; benchcore::model_he_ops states the
+// interface calls this evaluation executes.
 std::vector<Ciphertext> Participant::compare_against(
     const std::vector<Ciphertext>& peer_bits, Rng& rng,
     const crypto::ZeroPool* pool, std::size_t pool_offset) const {
-  if (fast_ != nullptr)
-    return compare_against_accel(peer_bits, rng, pool, pool_offset);
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
   const Group& g = *cfg_.group;
   const std::size_t l = cfg_.spec.beta_bits();
   if (peer_bits.size() != l)
     throw std::invalid_argument("compare_against: wrong bit count");
-  const Nat& q = g.order();
 
-  // γ_b = own_b XOR peer_b, homomorphically (own bit is plaintext):
-  //   own_b = 0:  γ = peer_b            -> copy
-  //   own_b = 1:  γ = 1 - peer_b        -> E(peer)^(q-1) ∘ g^1
+  // γ = 1 - peer for an own set bit: E(peer)^(q-1) = E(peer)^{-1}.
   std::vector<Ciphertext> gamma;
   gamma.reserve(l);
   for (std::size_t b = 0; b < l; ++b) {
     if (!beta_.bit(b)) {
       gamma.push_back(peer_bits[b]);
     } else {
-      gamma.push_back(ct_add_plain(
-          g, ct_scale(g, peer_bits[b], Nat::sub(q, Nat{1})), Nat{1}));
+      gamma.push_back(Ciphertext{.c = g.mul(g.inv(peer_bits[b].c),
+                                            g.exp_g(Nat{1})),
+                                 .cp = g.inv(peer_bits[b].cp)});
     }
   }
 
-  // Suffix sums S_b = Σ_{v>b} γ_v, accumulated from the MSB down. The
-  // trivial ciphertext (1, 1) is a valid encryption of zero.
-  const Ciphertext zero_ct{.c = g.identity(), .cp = g.identity()};
   std::vector<Ciphertext> tau(l);
-  Ciphertext suffix = zero_ct;
+  Ciphertext suffix{.c = g.identity(), .cp = g.identity()};
   for (std::size_t b = l; b-- > 0;) {
-    // ω_b = (l-b)·(1 - γ_b) + S_b  (paper's (l-t+1) with t = b+1);
-    // zero iff b is the most significant differing bit.
     const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    Ciphertext omega = ct_scale(g, gamma[b], Nat::sub(q, coeff % q));
-    omega = ct_add_plain(g, omega, coeff);
-    omega = ct_add(g, omega, suffix);
-    // τ_b = ω_b + own_b: zero iff peer's bit is 1 at the first difference,
-    // i.e. iff peer's β is larger.
+    // γ^(q-coeff) = inv(γ)^coeff, and coeff = l-b is tiny, so the fused
+    // inv(γ.c)^coeff · g^coeff runs a coeff-width Straus ladder.
+    const std::array<Elem, 2> cb{g.inv(gamma[b].c), g.generator()};
+    const std::array<Nat, 2> ce{coeff, coeff};
+    const Ciphertext omega{
+        .c = g.mul(group::multi_exp(g, cb, ce), suffix.c),
+        .cp = g.mul(g.exp(g.inv(gamma[b].cp), coeff), suffix.cp)};
     tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
-    // Fresh randomness before the set leaves this party: the homomorphic
-    // result is otherwise a deterministic function of the published
-    // ciphertexts and the own bits, which an adversary could test bit by
-    // bit (the paper's Lemma-3 simulator implicitly assumes fresh
-    // encryptions here; see DESIGN.md).
     tau[b] = pool != nullptr
                  ? crypto::rerandomize_with(g, tau[b],
                                             pool->entries.at(pool_offset + b))
@@ -330,148 +316,29 @@ std::vector<Ciphertext> Participant::compare_against(
   return tau;
 }
 
-// Accelerated comparison circuit (FrameworkConfig::accel): same algebra as
-// compare_against above, evaluated through group::multi_exp fusions and the
-// joint-key window table on the undecorated group `*fast_`. Every output
-// ciphertext is value-identical to the naive evaluation (for groups with a
-// unique element representation — Schnorr, mock — bit-identical in memory;
-// for EC only the Jacobian representative may differ, which serialization
-// canonicalizes away), and the same randomness is drawn in the same order.
-// Because the metering decorator never sees this path, it ends by crediting
-// the exact interface-level op counts the naive evaluation reports:
+// One chain hop. Partial decryption and exponent randomization fuse into
+// one 2-term multi-exp per ciphertext —
 //
-//   naive, per circuit over l bits with pop = popcount(own β bits):
-//     kGroupExp   3l + 2·pop   (2l with a pool: the re-randomizations'
-//                               y^r exponentiations disappear)
-//     kGroupExpG  2l + 2·pop   (l + 2·pop with a pool)
-//     kGroupMul   7l + 2·pop
+//   c1 = c / cp^x;  out = (c1^r, cp^r)
+//      = (c^r · cp^(q - x·r mod q), cp^r)
 //
-// The kCompareCircuit / kElGamalRerandomize timers stay in place, so their
-// tallies and histogram sample counts are identical too. Only the accel_*
-// counters (bumped by multi_exp and the key-table hits) differ from an
-// unaccelerated run.
-std::vector<Ciphertext> Participant::compare_against_accel(
-    const std::vector<Ciphertext>& peer_bits, Rng& rng,
-    const crypto::ZeroPool* pool, std::size_t pool_offset) const {
-  const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
-  const Group& f = *fast_;
-  const std::size_t l = cfg_.spec.beta_bits();
-  if (peer_bits.size() != l)
-    throw std::invalid_argument("compare_against: wrong bit count");
-
-  // γ_b = own_b XOR peer_b. The complement's exponent is q-1, and
-  // x^(q-1) = x^{-1} (every element's order divides q) — one group
-  // inversion instead of a full-width ladder. Value-identical: inverses
-  // are unique, and inv() is cheap on every family (EC: negation; Schnorr:
-  // egcd field inverse; mock: 61-bit powmod).
-  std::vector<Ciphertext> gamma;
-  gamma.reserve(l);
-  std::size_t pop = 0;
-  for (std::size_t b = 0; b < l; ++b) {
-    if (!beta_.bit(b)) {
-      gamma.push_back(peer_bits[b]);
-    } else {
-      ++pop;
-      gamma.push_back(Ciphertext{.c = f.mul(f.inv(peer_bits[b].c),
-                                            f.exp_g(Nat{1})),
-                                 .cp = f.inv(peer_bits[b].cp)});
-    }
-  }
-
-  std::vector<Ciphertext> tau(l);
-  Ciphertext suffix{.c = f.identity(), .cp = f.identity()};
-  for (std::size_t b = l; b-- > 0;) {
-    const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    // ω_b's exponent q - coeff collapses the same way: γ^(q-coeff) =
-    // inv(γ)^coeff, and coeff = l-b is tiny (< l), so the fused
-    // accumulation inv(γ.c)^coeff · g^coeff runs a coeff-width Straus
-    // ladder — a handful of squarings — instead of a q-width one.
-    const std::array<Elem, 2> cb{f.inv(gamma[b].c), f.generator()};
-    const std::array<Nat, 2> ce{coeff, coeff};
-    Ciphertext omega{.c = f.mul(group::multi_exp(f, cb, ce), suffix.c),
-                     .cp = f.mul(f.exp(f.inv(gamma[b].cp), coeff),
-                                 suffix.cp)};
-    // τ_b = ω_b (+1 on the payload for an own set bit).
-    tau[b] = beta_.bit(b)
-                 ? Ciphertext{.c = f.mul(omega.c, f.exp_g(Nat{1})),
-                              .cp = omega.cp}
-                 : omega;
-    if (pool != nullptr) {
-      tau[b] = crypto::rerandomize_with(f, tau[b],
-                                        pool->entries.at(pool_offset + b));
-    } else {
-      const runtime::ScopedOpTimer rr(runtime::CryptoOp::kElGamalRerandomize);
-      const Nat r = f.random_nonzero_scalar(rng);
-      Elem yr;
-      if (key_table_ != nullptr) {
-        runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
-        yr = key_table_->exp(f, r);
-      } else {
-        yr = f.exp(joint_key_, r);
-      }
-      tau[b] = Ciphertext{.c = f.mul(tau[b].c, yr),
-                          .cp = f.mul(tau[b].cp, f.exp_g(r))};
-    }
-    suffix = ct_add(f, suffix, gamma[b]);
-  }
-
-  // Credit the naive evaluation's interface-level op profile (table above).
-  using runtime::CryptoOp;
-  runtime::count_op(CryptoOp::kGroupMul, 7 * l + 2 * pop);
-  runtime::count_op(CryptoOp::kGroupExp,
-                    (pool != nullptr ? 2 : 3) * l + 2 * pop);
-  runtime::count_op(CryptoOp::kGroupExpG,
-                    (pool != nullptr ? 1 : 2) * l + 2 * pop);
-  return tau;
-}
-
-void Participant::shuffle_hop(CipherSet& set, Rng& rng) {
-  if (fast_ != nullptr) return shuffle_hop_accel(set, rng);
+// because every element's order divides q, so cp^(q-e) = cp^(-e). One
+// random_nonzero_scalar per ciphertext, in set order, then the Fisher–Yates
+// draws with the party's private randomness.
+void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
   const Group& g = *cfg_.group;
+  const Nat& q = g.order();
   for (Ciphertext& ct : set) {
-    ct = crypto::partial_decrypt(g, key_.x, ct);
-    ct = crypto::exp_randomize(g, ct, g.random_nonzero_scalar(rng));
-  }
-  // Fisher–Yates with the party's private randomness.
-  for (std::size_t i = set.size(); i-- > 1;)
-    std::swap(set[i], set[rng.below_u64(i + 1)]);
-}
-
-// Accelerated chain hop: partial decryption and exponent randomization fuse
-// into one 2-term multi-exp per ciphertext —
-//
-//   naive:  c1 = c / cp^x;  out = (c1^r, cp^r)       (3 exps + 1 inv + 1 mul)
-//   fused:  out.c = c^r · cp^(q - x·r mod q)          (one multi_exp)
-//           out.cp = cp^r                             (one exp)
-//
-// equal because every element's order divides q, so cp^(q-e) = cp^(-e). For
-// the Schnorr groups — whose inv() is itself a full-width exponentiation —
-// this roughly halves the hop cost. Randomness: the same one
-// random_nonzero_scalar per ciphertext, in the same order, then the same
-// Fisher–Yates draws; credits follow the naive profile per ciphertext
-// (kElGamalPartialDecrypt, kElGamalExpRandomize, 3 kGroupExp, 1 kGroupInv,
-// 1 kGroupMul).
-void Participant::shuffle_hop_accel(CipherSet& set, Rng& rng) {
-  const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
-  const Group& f = *fast_;
-  const Nat& q = f.order();
-  for (Ciphertext& ct : set) {
-    runtime::count_op(runtime::CryptoOp::kElGamalPartialDecrypt);
-    const Nat r = f.random_nonzero_scalar(rng);
-    runtime::count_op(runtime::CryptoOp::kElGamalExpRandomize);
+    const Nat r = g.random_nonzero_scalar(rng);
     const Nat e = Nat::sub(q, Nat::mul(key_.x, r) % q);
     const std::array<Elem, 2> bases{ct.c, ct.cp};
     const std::array<Nat, 2> exps{r, e};
-    ct = Ciphertext{.c = group::multi_exp(f, bases, exps),
-                    .cp = f.exp(ct.cp, r)};
+    ct = Ciphertext{.c = group::multi_exp(g, bases, exps),
+                    .cp = g.exp(ct.cp, r)};
   }
   for (std::size_t i = set.size(); i-- > 1;)
     std::swap(set[i], set[rng.below_u64(i + 1)]);
-  using runtime::CryptoOp;
-  runtime::count_op(CryptoOp::kGroupExp, 3 * set.size());
-  runtime::count_op(CryptoOp::kGroupInv, set.size());
-  runtime::count_op(CryptoOp::kGroupMul, set.size());
 }
 
 std::size_t Participant::compute_rank(const CipherSet& own_set) const {
@@ -523,27 +390,22 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
   }
   Obs obs{cfg.metrics, result.metrics.get(), result.spans.get()};
 
-  // Decorator stack the parties bind to (inside-out): the optional
-  // precompute accelerator routes fixed-base exponentiations through shared
-  // comb tables without changing any value, and with metrics on the
-  // interface-level MeteredGroup sits outermost — the measured counterpart
-  // of the CountingGroup runs that calibrate benchcore's cost model, whose
-  // counts are unaffected by what sits below it.
-  std::optional<group::AcceleratedGroup> accel;
-  const Group* proto_group = cfg.group;
+  // The run's one decorator stack (inside-out): an AcceleratedGroup that
+  // routes fixed-base exponentiations through comb tables without changing
+  // any value — the precompute source's generator table when one is
+  // attached, and the joint-key table once the key exists — and, with
+  // metrics on, the MeteredGroup outermost, counting every interface call
+  // the parties execute.
+  group::AcceleratedGroup accel{*cfg.group};
   if (cfg.precompute != nullptr) {
-    accel.emplace(*cfg.group);
-    {
-      // Muted: artifact (re)build cost must not show up in this session's
-      // counters — it would make them depend on prior cache state.
-      const runtime::MetricsMute mute;
-      accel->set_generator_table(cfg.precompute->generator_table(*cfg.group));
-    }
-    proto_group = &*accel;
+    // Muted: artifact (re)build cost must not show up in this session's
+    // counters — it would make them depend on prior cache state.
+    const runtime::MetricsMute mute;
+    accel.set_generator_table(cfg.precompute->generator_table(*cfg.group));
   }
-  const group::MeteredGroup metered{*proto_group};
+  const group::MeteredGroup metered{accel};
   FrameworkConfig ecfg = cfg;  // effective config the parties bind to
-  ecfg.group = cfg.metrics ? static_cast<const Group*>(&metered) : proto_group;
+  ecfg.group = cfg.metrics ? static_cast<const Group*>(&metered) : &accel;
   const Group& g = *ecfg.group;
 
   // Either the caller's long-lived pool (session engine) or a private one.
@@ -563,19 +425,12 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
                                           Phase::kSetup,
                                           runtime::kOrchestratorParty};
 
-  // Long-lived per-party streams backing the Rng& each party binds at
-  // construction (only the initiator draws from hers at construction time).
-  std::vector<ChaChaRng> party_rngs;
-  party_rngs.reserve(n + 1);
-  party_rngs.push_back(task_stream(StreamKind::kInitiatorSetup, 0, 0));
-  for (std::size_t j = 1; j <= n; ++j)
-    party_rngs.push_back(task_stream(StreamKind::kPartySetup, j, 0));
-
-  Initiator initiator{ecfg, v0, w, party_rngs[0]};
+  ChaChaRng initiator_rng = task_stream(StreamKind::kInitiatorSetup, 0, 0);
+  Initiator initiator{ecfg, v0, w, initiator_rng};
   std::vector<Participant> parts;
   parts.reserve(n);
   for (std::size_t j = 1; j <= n; ++j)
-    parts.emplace_back(ecfg, j, infos[j - 1], party_rngs[j]);
+    parts.emplace_back(ecfg, j, infos[j - 1]);
 
   // The message transport: n participants + the initiator (party 0), on the
   // default complete-graph topology. Byte accounting (trace) is always on;
@@ -931,35 +786,29 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
                                     Phase::kPhase2,
                                     runtime::kOrchestratorParty};
       const Elem joint = crypto::joint_public_key(g, pubkeys);
-      if (cfg.precompute != nullptr) {
-        // The joint key now exists: fetch/build its comb table and the
-        // zero-encryption pool, and arm the accelerator. This runs between
-        // fork-join barriers, so worker threads of the later steps observe
-        // the attached table through the pool's synchronization. The pool is
-        // the PR-6 widened layout: n·(n-1)·l comparison entries (slice
-        // idx·l for evaluation idx, unchanged), then n·l entries feeding the
-        // bitwise β encryptions (slice n·(n-1)·l + j·l for party j+1).
+      // The joint key now exists: attach its comb table, which serves every
+      // y^r of the bitwise encryptions and the circuit re-randomizations.
+      // It comes from the precompute source with the zero-encryption pool
+      // when one is attached; otherwise it is built here — O(2^w · bits/w)
+      // multiplications once per run, repaid by the n·(n-1)·l
+      // re-randomizations. Either way muted, and attached between fork-join
+      // barriers, so worker threads of the later steps observe it through
+      // the pool's synchronization. The pool is the widened layout:
+      // n·(n-1)·l comparison entries (slice idx·l for evaluation idx), then
+      // n·l entries feeding the bitwise β encryptions (slice n·(n-1)·l + j·l
+      // for party j+1).
+      {
         const runtime::MetricsMute mute;
-        key_mat = cfg.precompute->key_material(*cfg.group, joint,
-                                               n * (n - 1) * l + n * l);
-        accel->set_base_table(key_mat.key_table);
+        if (cfg.precompute != nullptr)
+          key_mat = cfg.precompute->key_material(*cfg.group, joint,
+                                                 n * (n - 1) * l + n * l);
+        accel.set_base_table(
+            key_mat.key_table != nullptr
+                ? key_mat.key_table
+                : std::make_shared<const group::FixedBaseTable>(
+                      *cfg.group, joint, cfg.group->order().bit_length()));
       }
       for (auto& p : parts) p.set_joint_key(joint);
-      if (cfg.accel) {
-        // Arm the multi-exp fast path: parties compute through the
-        // undecorated proto_group and credit logical counts themselves. The
-        // joint-key window table comes from the precompute source when one
-        // is attached; otherwise it is built here, muted — its cost is
-        // O(2^w · bits/w) multiplications once per run, repaid by the
-        // n·(n-1)·l re-randomizations.
-        std::shared_ptr<const group::FixedBaseTable> kt = key_mat.key_table;
-        if (kt == nullptr) {
-          const runtime::MetricsMute mute;
-          kt = std::make_shared<const group::FixedBaseTable>(
-              *cfg.group, joint, cfg.group->order().bit_length());
-        }
-        for (auto& p : parts) p.set_accel_context(proto_group, kt);
-      }
     }
     router.next_round();
 

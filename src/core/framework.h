@@ -161,8 +161,7 @@ struct FrameworkConfig {
   /// Execution-engine concurrency for run_framework: 1 = serial (default),
   /// 0 = hardware concurrency, N = N-way fork-join. Outputs are
   /// bit-identical for every value (see DESIGN.md, "Threading model &
-  /// determinism"). Must be 1 when `group` is not thread-safe (e.g.
-  /// group::CountingGroup).
+  /// determinism"). Must be 1 when `group` is not thread-safe.
   std::size_t parallelism = 1;
   /// Enables the observability layer (DESIGN.md, "Observability"): the run
   /// wraps `group` in group::MeteredGroup, records hierarchical spans and
@@ -183,15 +182,6 @@ struct FrameworkConfig {
   /// attached, per-op group counts shift from exponentiations to
   /// multiplications (see DESIGN.md §6).
   PrecomputeSource* precompute = nullptr;
-  /// Phase-2 multi-exponentiation acceleration (DESIGN.md §5e): the
-  /// comparison circuit and the shuffle hops compute through
-  /// group::multi_exp fusions and fixed-base windows on the *undecorated*
-  /// group, then credit the exact interface-level op counts the naive
-  /// evaluation reports — so every output (ranks, β, wire bytes, metrics
-  /// minus the accel_* counters) is bit-identical with the flag on or off,
-  /// at any parallelism. Turn it off for op-count *measurement through the
-  /// group decorator itself* (benchcore's CountingGroup model runs do).
-  bool accel = true;
   /// Deterministic fault schedule routed into the run's net::Router; must
   /// outlive the run. Null or disabled: the fault layer is a strict no-op
   /// and every output/export is bit-identical to a build without it.
@@ -227,6 +217,7 @@ struct FrameworkConfig {
 /// P0. Holds the criterion/weight vectors, ρ and the per-participant ρ_j.
 class Initiator {
  public:
+  /// Draws ρ and the ρ_j masks from `rng` (the only randomness P0 uses).
   Initiator(const FrameworkConfig& cfg, AttrVec v0, AttrVec w, Rng& rng);
 
   /// Phase 1 step 3: answer participant j's dot-product message.
@@ -254,28 +245,22 @@ class Initiator {
   const FrameworkConfig& cfg_;
   AttrVec v0_;
   AttrVec w_;
-  Rng& rng_;
   Nat rho_;                  // h-bit, shared across participants
   std::vector<Nat> rho_j_;   // per-participant masks, < rho
   std::vector<Submission> submissions_;
 };
 
 /// P_j (1-based id). Drives its side of all three phases.
+///
+/// Every randomness-consuming step takes its Rng explicitly: the execution
+/// engine passes each task its own counter-seeded stream so results do not
+/// depend on scheduling (DESIGN.md, "Threading model & determinism").
+/// Group operations go through cfg.group, run_framework's decorator stack.
 class Participant {
  public:
-  Participant(const FrameworkConfig& cfg, std::size_t id, AttrVec info,
-              Rng& rng);
-
-  // Every randomness-consuming step has two forms: the original one drawing
-  // from the Rng bound at construction (kept for direct/single-threaded
-  // use), and an overload taking an explicit Rng — the parallel execution
-  // engine passes each task its own counter-seeded stream so results do not
-  // depend on scheduling (DESIGN.md, "Threading model & determinism").
+  Participant(const FrameworkConfig& cfg, std::size_t id, AttrVec info);
 
   // --- phase 1 ---
-  [[nodiscard]] const dotprod::BobRound1& gain_query() {
-    return gain_query(rng_);
-  }
   [[nodiscard]] const dotprod::BobRound1& gain_query(Rng& rng);
   void receive_gain_answer(const dotprod::AliceRound2& answer);
   /// Unsigned l-bit masked gain (available after phase 1).
@@ -283,59 +268,41 @@ class Participant {
 
   // --- phase 2 ---
   /// Step 5: publish the ElGamal public key share.
-  [[nodiscard]] const Elem& public_key() { return public_key(rng_); }
   [[nodiscard]] const Elem& public_key(Rng& rng);
-  [[nodiscard]] crypto::SchnorrTranscript prove_key(std::size_t n_verifiers) {
-    return prove_key(n_verifiers, rng_);
-  }
   [[nodiscard]] crypto::SchnorrTranscript prove_key(std::size_t n_verifiers,
                                                     Rng& rng);
   [[nodiscard]] bool verify_peer_key(const Elem& y,
                                      const crypto::SchnorrTranscript& proof) const;
   /// Called once all shares are collected.
   void set_joint_key(const Elem& y) { joint_key_ = y; }
-  /// Step 6: bitwise encryption of β under the joint key (l ciphertexts,
-  /// LSB first).
-  [[nodiscard]] std::vector<Ciphertext> encrypt_beta_bits() {
-    return encrypt_beta_bits(rng_);
-  }
-  [[nodiscard]] std::vector<Ciphertext> encrypt_beta_bits(Rng& rng);
-  /// One ciphertext of step 6: E(bit b of β). The engine fans this out
-  /// across the l bits, one Rng stream per bit.
-  [[nodiscard]] Ciphertext encrypt_beta_bit(std::size_t b, Rng& rng) const;
-  /// Pool-fed form: when `pool` is non-null, bit b rides the precomputed
-  /// zero encryption pool->entries[pool_offset + b] (crypto::
-  /// encrypt_exp_with) instead of drawing randomness — run_framework hands
-  /// each party the l-entry slice after the comparison region of the
-  /// widened pool. `rng` is only consumed on the drawing fallback.
-  [[nodiscard]] Ciphertext encrypt_beta_bit(std::size_t b, Rng& rng,
-                                            const crypto::ZeroPool* pool,
-                                            std::size_t pool_offset) const;
+  /// Step 6, bitwise encryption of β under the joint key: E(bit b of β)
+  /// (bits LSB first). The engine fans this out across the l bits, one Rng
+  /// stream per bit. When `pool` is non-null,
+  /// bit b rides the precomputed zero encryption pool->entries[pool_offset +
+  /// b] (crypto::encrypt_exp_with) instead of drawing randomness —
+  /// run_framework hands each party the l-entry slice after the comparison
+  /// region of the widened pool. `rng` is only consumed on the drawing path.
+  [[nodiscard]] Ciphertext encrypt_beta_bit(
+      std::size_t b, Rng& rng, const crypto::ZeroPool* pool = nullptr,
+      std::size_t pool_offset = 0) const;
   /// Step 7: homomorphic comparison of own (plaintext) bits against another
   /// participant's encrypted bits; returns E(τ^1..τ^l). A zero among the τ
   /// plaintexts means the peer's β is larger.
-  [[nodiscard]] std::vector<Ciphertext> compare_against(
-      const std::vector<Ciphertext>& peer_bits) const {
-    return compare_against(peer_bits, rng_);
-  }
-  [[nodiscard]] std::vector<Ciphertext> compare_against(
-      const std::vector<Ciphertext>& peer_bits, Rng& rng) const {
-    return compare_against(peer_bits, rng, nullptr, 0);
-  }
-  /// Pool-fed form: when `pool` is non-null, the final re-randomization of
-  /// τ_b consumes pool->entries[pool_offset + b] instead of drawing from
-  /// `rng` — two multiplications instead of two exponentiations. The caller
-  /// assigns each evaluation a disjoint l-entry slice (the engine uses
-  /// pool_offset = task_index · l), so every entry is used at most once per
-  /// run and the slice is a pure function of the task's protocol position.
+  ///
+  /// When `pool` is non-null, the final re-randomization of τ_b consumes
+  /// pool->entries[pool_offset + b] instead of drawing from `rng` — two
+  /// multiplications instead of two exponentiations. The caller assigns each
+  /// evaluation a disjoint l-entry slice (the engine uses pool_offset =
+  /// task_index · l), so every entry is used at most once per run and the
+  /// slice is a pure function of the task's protocol position.
   [[nodiscard]] std::vector<Ciphertext> compare_against(
       const std::vector<Ciphertext>& peer_bits, Rng& rng,
-      const crypto::ZeroPool* pool, std::size_t pool_offset) const;
+      const crypto::ZeroPool* pool = nullptr,
+      std::size_t pool_offset = 0) const;
   /// Step 8: one chain hop over a peer's set — partial decryption with this
   /// party's key share, per-ciphertext exponent randomization, and a uniform
   /// permutation of the set.
-  void shuffle_hop(CipherSet& set) { shuffle_hop(set, rng_); }
-  void shuffle_hop(CipherSet& set, Rng& rng);
+  void shuffle_hop(CipherSet& set, Rng& rng) const;
   /// Step 9: final decryption of the own returned set; rank = zeros + 1.
   [[nodiscard]] std::size_t compute_rank(const CipherSet& own_set) const;
 
@@ -343,37 +310,18 @@ class Participant {
   [[nodiscard]] std::optional<Initiator::Submission> submission(
       std::size_t rank) const;
 
-  /// Arms the phase-2 multi-exponentiation fast path (FrameworkConfig::
-  /// accel): `fast` is the undecorated group the accelerated
-  /// compare_against / shuffle_hop compute through (bypassing any metering
-  /// decorator — the fast path credits the naive op counts itself), and
-  /// `key_table` is a fixed-base window table for the joint public key used
-  /// by the circuit re-randomizations. Both must outlive this party; null
-  /// `fast` restores the naive path. Call after set_joint_key.
-  void set_accel_context(const Group* fast,
-                         std::shared_ptr<const group::FixedBaseTable> key_table);
-
   [[nodiscard]] std::size_t id() const { return id_; }
   [[nodiscard]] const AttrVec& info() const { return info_; }
 
  private:
-  [[nodiscard]] std::vector<Ciphertext> compare_against_accel(
-      const std::vector<Ciphertext>& peer_bits, Rng& rng,
-      const crypto::ZeroPool* pool, std::size_t pool_offset) const;
-  void shuffle_hop_accel(CipherSet& set, Rng& rng);
-
   const FrameworkConfig& cfg_;
   std::size_t id_;
   AttrVec info_;
-  Rng& rng_;
   std::optional<dotprod::DotProductBob> dot_;
   Nat beta_;  // unsigned l-bit
   crypto::KeyPair key_;
   bool key_generated_ = false;
   Elem joint_key_;
-  // Accelerated-path context (set_accel_context); naive when fast_ is null.
-  const Group* fast_ = nullptr;
-  std::shared_ptr<const group::FixedBaseTable> key_table_;
 };
 
 /// Outputs plus observability data.

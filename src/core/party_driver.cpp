@@ -8,6 +8,7 @@
 #include "core/ss_framework.h"
 #include "core/streams.h"
 #include "crypto/codec.h"
+#include "group/accel_group.h"
 #include "net/channel.h"
 #include "runtime/wire.h"
 #include "sss/mpc_sort.h"
@@ -161,8 +162,12 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
   // ---------------------------------------------------------------------
   // Participant me in 1..n.
   // ---------------------------------------------------------------------
-  ChaChaRng my_rng = task_stream(StreamKind::kPartySetup, me, 0);
-  Participant part{cfg.fw, me, input.info, my_rng};
+  // Like run_framework's parties, compute through an AcceleratedGroup that
+  // gets the joint-key table once the key exists.
+  group::AcceleratedGroup accel{*cfg.fw.group};
+  FrameworkConfig fw = cfg.fw;
+  fw.group = &accel;
+  Participant part{fw, me, input.info};
 
   // ---- Phase 1: secure gain computation with the initiator ----
   router.set_phase(Phase::kPhase1);
@@ -236,11 +241,8 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
       }
       const Elem joint = crypto::joint_public_key(g, pubkeys);
       part.set_joint_key(joint);
-      if (cfg.fw.accel) {
-        auto kt = std::make_shared<const group::FixedBaseTable>(
-            *cfg.fw.group, joint, cfg.fw.group->order().bit_length());
-        part.set_accel_context(cfg.fw.group, kt);
-      }
+      accel.set_base_table(std::make_shared<const group::FixedBaseTable>(
+          *cfg.fw.group, joint, cfg.fw.group->order().bit_length()));
       router.next_round();
 
       // Bitwise β encryption, broadcast. Like run_framework, the own bits

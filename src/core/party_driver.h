@@ -46,7 +46,7 @@ namespace ppgr::core {
 
 struct PartyConfig {
   /// The public instance agreement every process must share: spec, group,
-  /// n, k, dot_field, accel. fault_plan must be null (fault injection is a
+  /// n, k, dot_field. fault_plan must be null (fault injection is a
   /// simulator construct); parallelism/pool are unused (one party's state
   /// machine runs serially).
   FrameworkConfig fw;

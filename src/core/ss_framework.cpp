@@ -132,7 +132,7 @@ SsFrameworkResult run_ss_framework(const SsFrameworkConfig& cfg,
   std::vector<Participant> parts;
   parts.reserve(n);
   for (std::size_t j = 1; j <= n; ++j)
-    parts.emplace_back(base, j, infos[j - 1], rng);
+    parts.emplace_back(base, j, infos[j - 1]);
   std::vector<Nat> betas(n);
   std::vector<char> dropped(n, 0);
   // A participant lost in phase 1 either aborts the run (typed fault) or —
@@ -163,7 +163,7 @@ SsFrameworkResult run_ss_framework(const SsFrameworkConfig& cfg,
         mbuf.set_context(runtime::Phase::kPhase1,
                          static_cast<std::int32_t>(j + 1));
       auto scope = timer.time(j + 1);
-      const dotprod::BobRound1& q = parts[j].gain_query();
+      const dotprod::BobRound1& q = parts[j].gain_query(rng);
       runtime::Writer w;
       write_bob_round1(w, *base.dot_field, q);
       router.channel(j + 1, 0).send(std::move(w));

@@ -20,7 +20,7 @@ namespace ppgr::core {
 
 enum class StreamKind : std::uint64_t {
   kInitiatorSetup = 0,  // ρ and the ρ_j masks
-  kPartySetup = 1,      // per-party fallback stream (legacy entry points)
+  kPartySetup = 1,      // reserved (unused; ids stay stable)
   kPhase1 = 2,          // dot-product disguise (per party)
   kKeygen = 3,          // ElGamal key share (per party)
   kProve = 4,           // Schnorr proof nonce (per party)

@@ -13,7 +13,7 @@
 // Expectations per framework:
 //  - HE: a differential reference execution at construction time — the same
 //    (spec, n, k, inputs) and an identically-seeded rng replayed through
-//    run_framework on a cheap 61-bit MockGroup, serial, unaccelerated, with
+//    run_framework on a cheap 61-bit MockGroup, serially, with
 //    a private precompute source mirroring the engine's. The determinism
 //    invariant ("bit-identical at any parallelism / cache state") makes its
 //    per-phase op tallies, submitted set and round count exact predictions

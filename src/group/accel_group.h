@@ -1,12 +1,15 @@
 // Precompute-accelerated decorator over any Group.
 //
-// The session engine's counterpart of MeteredGroup: instead of counting
-// calls it routes them through fixed-base comb tables (group/fixed_base.h)
+// Routes fixed-base exponentiations through comb tables (group/fixed_base.h)
 // when one is attached —
 //
 //   exp_g(s)      -> generator table (every encryption / re-randomization)
 //   exp(base, s)  -> joint-key table when `base` equals the table's base
-//                    (the other half of every encryption)
+//                    (the y^r half of every encryption and
+//                    re-randomization); each hit bumps kAccelFixedBaseExp
+//
+// and forwards everything else, dual_exp included, so a concrete group's
+// native ladders stay reachable through the decorator.
 //
 // Tables are attached after construction because the joint ElGamal key only
 // exists once phase-2 keygen has run; run_framework installs the key table
@@ -27,6 +30,7 @@
 
 #include "group/fixed_base.h"
 #include "group/group.h"
+#include "runtime/metrics.h"
 
 namespace ppgr::group {
 
@@ -56,9 +60,15 @@ class AcceleratedGroup final : public Group {
     return inner_.mul(x, y);
   }
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override {
-    if (base_table_ != nullptr && inner_.eq(base, base_table_->base()))
+    if (base_table_ != nullptr && inner_.eq(base, base_table_->base())) {
+      runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
       return base_table_->exp(inner_, scalar);
+    }
     return inner_.exp(base, scalar);
+  }
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override {
+    return inner_.dual_exp(x, ex, y, ey);
   }
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     if (gen_table_ != nullptr) return gen_table_->exp(inner_, scalar);

@@ -5,8 +5,9 @@
 // instantiations: "DL" (quadratic residues modulo a safe prime) and "ECC"
 // (a prime-order elliptic-curve group). All protocol code (ElGamal, Schnorr
 // proofs, the unlinkable comparison phase) is written against this interface
-// so the two instantiations — plus the op-counting decorator used by the
-// benchmark cost model — are interchangeable at runtime.
+// so the two instantiations — plus the mock group of the benchmark cost model
+// and the metering / acceleration decorators — are interchangeable at
+// runtime.
 //
 // Group notation is multiplicative throughout, matching the paper: `mul` is
 // the group operation and `exp` is repeated application (scalar
@@ -64,8 +65,8 @@ class Group {
   /// (element_bytes() each), byte-identical to serializing one by one. The
   /// default loops; EcGroup overrides it with a batched-inversion affine
   /// normalization (one field inversion for the whole batch instead of one
-  /// per point), and the counting decorators override it to keep reporting
-  /// xs.size() logical serializations.
+  /// per point), and MeteredGroup overrides it to keep reporting xs.size()
+  /// serializations.
   [[nodiscard]] virtual std::vector<std::uint8_t> serialize_many(
       std::span<const Elem> xs) const {
     std::vector<std::uint8_t> out;
@@ -83,14 +84,13 @@ class Group {
   /// accounting (S_c in the paper's Sec. VI-B is 2 * element_bytes()).
   [[nodiscard]] virtual std::size_t element_bytes() const = 0;
 
-  /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in the
-  /// accelerated phase-2 paths (multi_exp() routes its 2-term calls here).
-  /// The default (defined in multi_exp.cpp) is the generic interleaved
-  /// Straus ladder through this group's mul(), so decorators that count or
-  /// meter group operations keep reporting exactly the ops the generic
-  /// evaluation performs. SchnorrGroup overrides it with a Montgomery-native
-  /// ladder that computes the identical element without per-step Elem
-  /// boxing.
+  /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
+  /// phase 2 (multi_exp() routes its 2-term calls here). The default
+  /// (defined in multi_exp.cpp) is the generic interleaved Straus ladder
+  /// through this group's mul(). SchnorrGroup overrides it with a
+  /// Montgomery-native ladder that computes the identical element without
+  /// per-step Elem boxing; decorators forward it to the wrapped group so
+  /// that ladder stays reachable (MeteredGroup counts it as one call).
   [[nodiscard]] virtual Elem dual_exp(const Elem& x, const Nat& ex,
                                       const Elem& y, const Nat& ey) const;
 

@@ -1,12 +1,14 @@
 // Metrics-emitting decorator over any Group.
 //
-// The observability analogue of CountingGroup: every interface-level call is
-// reported to the runtime metrics funnel (runtime::count_op) and then
-// forwarded to the wrapped group. Counting at the *interface* — not inside
-// the concrete groups — is deliberate and must match CountingGroup exactly:
-// SchnorrGroup::exp_g runs internal comb-table multiplications that the
-// Sec. VI-B model does not price, so instrumenting the concrete groups would
-// break the model-vs-measured exact-match check in bench/validate_model.
+// Every interface-level call is reported to the runtime metrics funnel
+// (runtime::count_op) and then forwarded to the wrapped group, so the
+// group_* counters are the calls the protocol actually executed — one
+// count per call, whatever the call costs inside (a dual_exp is one
+// kGroupDualExp, not the ladder's multiplications). Counting at the
+// *interface* — not inside the concrete groups — is deliberate: comb-table
+// and ladder internals (SchnorrGroup::exp_g, AcceleratedGroup's tables,
+// dual_exp) stay invisible, so the counts are the same on every group
+// family and benchcore::model_he_ops can state them in closed form.
 //
 // With no metrics sink installed on the calling thread, each report is a
 // thread-local load plus an untaken branch; with PPGR_DISABLE_METRICS the
@@ -43,6 +45,11 @@ class MeteredGroup final : public Group {
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     runtime::count_op(runtime::CryptoOp::kGroupExpG);
     return inner_.exp_g(scalar);
+  }
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupDualExp);
+    return inner_.dual_exp(x, ex, y, ey);
   }
   [[nodiscard]] Elem inv(const Elem& x) const override {
     runtime::count_op(runtime::CryptoOp::kGroupInv);

@@ -51,6 +51,13 @@ Elem MockGroup::exp(const Elem& base, const Nat& scalar) const {
   return Elem{.a = Nat{powmod61(base.a.to_limb(), e)}};
 }
 
+// Two native powers instead of the generic Straus ladder over boxed
+// elements: the cost model's mock runs evaluate ~10^7 of these at n = 70.
+Elem MockGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                         const Nat& ey) const {
+  return mul(exp(x, ex), exp(y, ey));
+}
+
 Elem MockGroup::inv(const Elem& x) const {
   return Elem{.a = Nat{powmod61(x.a.to_limb(), kP - 2)}};
 }

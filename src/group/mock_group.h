@@ -33,6 +33,8 @@ class MockGroup final : public Group {
   [[nodiscard]] Elem identity() const override;
   [[nodiscard]] Elem mul(const Elem& x, const Elem& y) const override;
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override;
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override;
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override;

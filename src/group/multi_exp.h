@@ -26,10 +26,10 @@
 // edge-case inputs.
 //
 // Metrics: multi_exp() bumps the kAccelMultiExp/kAccelMultiExpTerm counters
-// (the explicit straus/pippenger entry points do not). It never credits
-// logical group-op counters — callers on the accelerated protocol path are
-// responsible for crediting the interface-level ops the unaccelerated
-// algorithm would have reported (see core/framework.cpp).
+// (the explicit straus/pippenger entry points do not). Group-op counters
+// come from the group it runs on: through a group::MeteredGroup a 2-term
+// call is one kGroupDualExp, a 1-term call one kGroupExp, and wider calls
+// the ladder's kGroupMul.
 #pragma once
 
 #include <span>

@@ -29,6 +29,7 @@ const char* op_name(CryptoOp op) {
     case CryptoOp::kGroupMul: return "group_mul";
     case CryptoOp::kGroupExp: return "group_exp";
     case CryptoOp::kGroupExpG: return "group_exp_g";
+    case CryptoOp::kGroupDualExp: return "group_dual_exp";
     case CryptoOp::kGroupInv: return "group_inv";
     case CryptoOp::kGroupSerialize: return "group_serialize";
     case CryptoOp::kGroupDeserialize: return "group_deserialize";
@@ -284,11 +285,12 @@ std::string phase_report(const MetricsRegistry& reg,
     char buf[256];
     std::snprintf(
         buf, sizeof(buf),
-        "%-8s %10s %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %8" PRIu64
+        "%-8s %10s %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %10" PRIu64
         " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
-        "\n",
+        " %8" PRIu64 "\n",
         phase, wall_s, t[CryptoOp::kGroupExp], t[CryptoOp::kGroupExpG],
-        t[CryptoOp::kGroupMul], t[CryptoOp::kGroupInv],
+        t[CryptoOp::kGroupDualExp], t[CryptoOp::kGroupMul],
+        t[CryptoOp::kGroupInv],
         t[CryptoOp::kElGamalEncrypt], t[CryptoOp::kElGamalDecrypt],
         t[CryptoOp::kSchnorrProve] + t[CryptoOp::kSchnorrVerify],
         t[CryptoOp::kCompareCircuit], t[CryptoOp::kShuffleHop]);
@@ -300,9 +302,9 @@ std::string phase_report(const MetricsRegistry& reg,
   {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "%-8s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n",
-                  "phase", "wall[s]", "exp", "exp_g", "mul", "inv", "enc",
-                  "dec", "schnorr", "compare", "shuffle");
+                  "%-8s %10s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n",
+                  "phase", "wall[s]", "exp", "exp_g", "dual_exp", "mul", "inv",
+                  "enc", "dec", "schnorr", "compare", "shuffle");
     out += buf;
     out += std::string(std::string_view{buf}.size() - 1, '-') + "\n";
   }

@@ -5,7 +5,7 @@
 // breakdown of where exponentiations, multiplications and bytes go across
 // the three phases. This registry measures exactly that on the *real*
 // runtime, so bench/validate_model can cross-check the measured counts
-// against the closed-form predictions of benchcore::price_he_framework —
+// against the closed-form predictions of benchcore::model_he_ops —
 // the analytical table and the implementation can no longer silently
 // diverge.
 //
@@ -70,11 +70,12 @@ inline constexpr std::int32_t kOrchestratorParty = -1;
 /// The expensive operations of the protocol stack, at the granularity the
 /// paper's Sec. VI-B analysis counts them.
 enum class CryptoOp : std::uint8_t {
-  // group layer (counted by group::MeteredGroup at the Group interface,
-  // identical semantics to group::CountingGroup)
+  // group layer: executed Group interface calls, counted by
+  // group::MeteredGroup (one per call; serialize_many counts its elements)
   kGroupMul = 0,
   kGroupExp,        // variable-base exponentiation
   kGroupExpG,       // fixed-base (generator) exponentiation
+  kGroupDualExp,    // fused x^a · y^b (Group::dual_exp)
   kGroupInv,
   kGroupSerialize,
   kGroupDeserialize,
@@ -107,21 +108,19 @@ enum class CryptoOp : std::uint8_t {
   // before it).
   kPrecomputeHit,
   kPrecomputeMiss,
-  // accelerated-execution counters (PR 6): how often the phase-2 hot path
-  // took a fast route — simultaneous multi-exponentiation (group/multi_exp),
-  // fixed-base comb exponentiation through an attached table, and batched
-  // Montgomery inversion for affine normalization. These run *in parallel*
-  // to the logical group-op counters above: an accelerated path credits the
-  // exact interface-level ops the unaccelerated algorithm would have
-  // reported (so validate_model --check stays exact) and additionally bumps
-  // these. They are deterministic functions of the run configuration, and
-  // the only metrics keys allowed to differ between accel-on and accel-off.
+  // accelerated-execution diagnostics: how often the hot path took a fast
+  // route — simultaneous multi-exponentiation (group/multi_exp), fixed-base
+  // comb exponentiation through an attached non-generator table
+  // (group::AcceleratedGroup), and batched Montgomery inversion for affine
+  // normalization. Deterministic functions of the run configuration; they
+  // sit below the group-layer counters (a table-served exp is still one
+  // kGroupExp) and depend on the group family and the attached tables.
   kAccelMultiExp,      // one multi_exp evaluation
   kAccelMultiExpTerm,  // terms across all multi_exp evaluations
   kAccelFixedBaseExp,  // exps served by a non-generator fixed-base table
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
-inline constexpr std::size_t kOpCount = 29;
+inline constexpr std::size_t kOpCount = 30;
 [[nodiscard]] const char* op_name(CryptoOp op);
 
 /// Plain counter block, one slot per CryptoOp.

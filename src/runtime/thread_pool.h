@@ -13,7 +13,7 @@
 // slot), so the *results* are identical for any thread count — including
 // the inline path. `threads <= 1` spawns no workers at all and runs every
 // index on the caller; this is the default engine and the only mode safe
-// for non-thread-safe decorators (e.g. group::CountingGroup).
+// for callbacks that share unsynchronized state.
 #pragma once
 
 #include <cstddef>

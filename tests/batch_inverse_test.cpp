@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "group/counting_group.h"
+#include "group/metered_group.h"
 #include "group/mock_group.h"
 #include "mpz/fp.h"
 #include "mpz/rng.h"
@@ -107,24 +107,31 @@ TEST(BatchSerialize, EcMatchesPerElementIncludingIdentity) {
   EXPECT_EQ(g->serialize_many(ids).size(), 2 * g->element_bytes());
 }
 
-TEST(BatchSerialize, DefaultLoopAndCountingDecorator) {
+TEST(BatchSerialize, DefaultLoopAndMeteredDecorator) {
   // Groups without a batched override fall back to the per-element loop,
-  // and the counting decorator keeps reporting one logical serialization
-  // per element — the batch is invisible to the op accounting.
+  // and the metering decorator keeps reporting one serialization per
+  // element — the batch is invisible to the op accounting.
   const group::MockGroup mock{"mock", 32, 61};
-  const group::CountingGroup counted{mock};
+  const group::MeteredGroup metered{mock};
   ChaChaRng rng{14};
   std::vector<group::Elem> xs;
   for (std::size_t i = 0; i < 5; ++i)
     xs.push_back(mock.exp_g(mock.random_nonzero_scalar(rng)));
-  const auto batched = counted.serialize_many(xs);
+  runtime::MetricsBuffer buf;
+  std::vector<std::uint8_t> batched;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    batched = metered.serialize_many(xs);
+  }
   std::vector<std::uint8_t> looped;
   for (const auto& x : xs) {
     const auto one = mock.serialize(x);
     looped.insert(looped.end(), one.begin(), one.end());
   }
   EXPECT_EQ(batched, looped);
-  EXPECT_EQ(counted.counts().serializations, 5u);
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupSerialize), 5u);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// Tests for the benchmark cost model: the mock group's consistency, count
-// equivalence between mock and real protocol runs, calibration sanity and
-// model scaling laws.
+// Tests for the benchmark cost model: the mock group's consistency, the
+// closed-form op model against metered protocol runs on every group family,
+// calibration sanity and model scaling laws.
 #include <gtest/gtest.h>
 
 #include "benchcore/model.h"
+#include "engine/precompute.h"
 #include "group/mock_group.h"
 
 namespace ppgr::benchcore {
 namespace {
 
-using group::CountingGroup;
 using group::GroupId;
 using group::MockGroup;
 using mpz::ChaChaRng;
@@ -52,36 +52,97 @@ TEST(MockGroup, SerializationCarriesModeledSize) {
   EXPECT_TRUE(g.eq(g.deserialize(bytes), g.generator()));
 }
 
-TEST(Model, MockCountsEqualRealGroupCounts) {
-  // The foundation of the whole cost model: a protocol run counted over the
-  // mock group charges exactly the same operations as one over a real group
-  // (the operation sequence is data-independent).
+// run_framework's precompute hook served by the session engine's cache.
+class CacheSource final : public core::PrecomputeSource {
+ public:
+  std::shared_ptr<const group::FixedBaseTable> generator_table(
+      const group::Group& base) override {
+    gen_ = cache_.generator_table(base).table;
+    return gen_;
+  }
+  core::KeyPrecompute key_material(const group::Group& base,
+                                   const group::Elem& joint_key,
+                                   std::size_t pool_size) override {
+    auto kt = cache_.key_table(base, joint_key);
+    auto zp = cache_.zero_pool(base, joint_key, gen_, kt.table, {}, pool_size);
+    return core::KeyPrecompute{std::move(kt.table), std::move(zp.pool)};
+  }
+
+ private:
+  engine::PrecomputeCache cache_;
+  std::shared_ptr<const group::FixedBaseTable> gen_;
+};
+
+TEST(Model, ExecutedOpsMatchMeteredRunsOnEveryGroup) {
+  // model_he_ops (a) is the closed form of what the metrics layer measures:
+  // per phase, every executed Group interface call — on the Schnorr, EC
+  // and mock families alike, with and without precompute.
+  const core::ProblemSpec spec{.m = 2, .t = 1, .d1 = 2, .d2 = 1, .h = 2};
+  const auto dl = group::make_group(GroupId::kDlTest256);
+  const auto ec = group::make_group(GroupId::kEcP192);
+  const MockGroup mock{"mock", 32, 61};
+  const std::vector<const group::Group*> groups{dl.get(), ec.get(), &mock};
+  for (const group::Group* g : groups) {
+    for (const bool pooled : {false, true}) {
+      for (const std::size_t n : {2u, 3u, 5u, 8u}) {
+        CacheSource source;
+        core::FrameworkConfig cfg;
+        cfg.spec = spec;
+        cfg.n = n;
+        cfg.k = 1;
+        cfg.group = g;
+        cfg.dot_field = &core::default_dot_field();
+        cfg.metrics = true;
+        if (pooled) cfg.precompute = &source;
+        const Instance inst = random_instance(spec, n, 40 + n);
+        ChaChaRng rng{41 + n};
+        const auto result =
+            core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+        const HeOpModel model =
+            model_he_ops(spec, n, beta_popcounts(result.betas), pooled);
+        for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
+          const auto phase = static_cast<runtime::Phase>(p);
+          const runtime::OpTally measured = result.metrics->phase_totals(phase);
+          for (const runtime::CryptoOp op : kModeledGroupOps)
+            EXPECT_EQ(measured[op], model.phase_ops[p][op])
+                << g->name() << " n=" << n << " pooled=" << pooled << " "
+                << runtime::phase_name(phase) << " " << runtime::op_name(op);
+        }
+      }
+    }
+  }
+}
+
+TEST(Model, NaiveProfileReproducesTheFigureCounts) {
+  // model_he_ops (b) is what the figure benches price. These totals were
+  // measured by counting every group call of a full protocol run with the
+  // naive evaluation over the same instances; the closed form must
+  // reproduce them exactly.
   const core::ProblemSpec spec{.m = 3, .t = 1, .d1 = 5, .d2 = 4, .h = 5};
-  const std::size_t n = 3, k = 1;
-  const auto real = group::make_group(GroupId::kDlTest256);
-  const CountingGroup counted_real{*real};
-
-  core::FrameworkConfig cfg;
-  cfg.spec = spec;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.group = &counted_real;
-  cfg.dot_field = &core::default_dot_field();
-  // Counting through the decorator: the accelerated path computes past it
-  // (crediting runtime counters instead), so it must be off here, exactly
-  // as in count_he_framework.
-  cfg.accel = false;
-  const Instance inst = random_instance(spec, n, 99);
-  ChaChaRng rng{100};
-  (void)core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
-
-  const HeCounts mock_counts = count_he_framework(
-      spec, n, k, real->element_bytes(), real->field_bits(), 99);
-  EXPECT_EQ(mock_counts.per_participant.muls, counted_real.counts().muls / n);
-  EXPECT_EQ(mock_counts.per_participant.exps, counted_real.counts().exps / n);
-  EXPECT_EQ(mock_counts.per_participant.invs, counted_real.counts().invs / n);
-  EXPECT_EQ(mock_counts.per_participant.gexps,
-            counted_real.counts().gexps / n);
+  struct Pin {
+    std::size_t n;
+    std::uint64_t seed;
+    OpCounts totals;
+  };
+  const Pin pins[] = {
+      {3, 99, {.muls = 1617, .exps = 1614, .gexps = 540, .invs = 432,
+               .serializations = 1110, .deserializations = 1116}},
+      {5, 1, {.muls = 6401, .exps = 8316, .gexps = 1726, .invs = 2400,
+              .serializations = 5626, .deserializations = 5656}},
+      {10, 1, {.muls = 39328, .exps = 69558, .gexps = 7178, .invs = 21600,
+               .serializations = 47156, .deserializations = 47316}},
+      {5, 2, {.muls = 6241, .exps = 8156, .gexps = 1566, .invs = 2400,
+              .serializations = 5626, .deserializations = 5656}},
+      {10, 2, {.muls = 38896, .exps = 69126, .gexps = 6746, .invs = 21600,
+               .serializations = 47156, .deserializations = 47316}},
+  };
+  for (const Pin& pin : pins) {
+    const HeCounts counts =
+        count_he_framework(spec, pin.n, 1, 32, 256, pin.seed);
+    EXPECT_EQ(counts.totals, pin.totals)
+        << "n=" << pin.n << " seed=" << pin.seed;
+    EXPECT_EQ(counts.per_participant.exps, pin.totals.exps / pin.n);
+  }
 }
 
 TEST(Model, CalibrationProducesPositiveCosts) {
@@ -107,7 +168,7 @@ TEST(Model, SsCalibrationProducesPositiveCosts) {
 TEST(Model, PricingIsLinearInCounts) {
   GroupCosts costs{.mul_s = 1e-6, .exp_s = 1e-3, .inv_s = 1e-3,
                    .serialize_s = 1e-7};
-  group::OpCounts counts;
+  OpCounts counts;
   counts.muls = 1000;
   counts.exps = 10;
   const double t1 = price_group_ops(counts, costs);

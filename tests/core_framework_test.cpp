@@ -31,6 +31,15 @@ FrameworkConfig make_config(const group::Group& g, std::size_t n,
   return cfg;
 }
 
+// Step 6 for one party: E(β) bit by bit, LSB first.
+std::vector<Ciphertext> encrypt_bits(const Participant& p, std::size_t l,
+                                     mpz::Rng& rng) {
+  std::vector<Ciphertext> bits;
+  for (std::size_t b = 0; b < l; ++b)
+    bits.push_back(p.encrypt_beta_bit(b, rng));
+  return bits;
+}
+
 AttrVec random_attrs(const ProblemSpec& s, mpz::Rng& rng, std::size_t bits) {
   AttrVec v(s.m);
   for (auto& x : v) x = rng.below_u64(std::uint64_t{1} << bits);
@@ -107,10 +116,10 @@ TEST(Framework, PhaseOneBetaMatchesAlgebra) {
   std::vector<Participant> parts;
   const std::vector<AttrVec> infos{{1, 2, 10, 10}, {1, 2, 3, 3}, {9, 9, 0, 0}};
   for (std::size_t j = 1; j <= 3; ++j)
-    parts.emplace_back(cfg, j, infos[j - 1], rng);
+    parts.emplace_back(cfg, j, infos[j - 1]);
   std::vector<Nat> betas;
   for (std::size_t j = 0; j < 3; ++j) {
-    const auto& q = parts[j].gain_query();
+    const auto& q = parts[j].gain_query(rng);
     parts[j].receive_gain_answer(initiator.answer_gain_query(j + 1, q));
     betas.push_back(parts[j].beta());
     EXPECT_LE(betas.back().bit_length(), cfg.spec.beta_bits());
@@ -135,11 +144,11 @@ TEST(Framework, ComparisonCircuitTruthTable) {
 
   auto run_phase1 = [&](const AttrVec& a, const AttrVec& b) {
     std::vector<Participant> parts;
-    parts.emplace_back(cfg, 1, a, rng);
-    parts.emplace_back(cfg, 2, b, rng);
+    parts.emplace_back(cfg, 1, a);
+    parts.emplace_back(cfg, 2, b);
     Initiator init{cfg, {0, 0, 0, 0}, {1, 1, 1, 1}, rng};
     for (std::size_t j = 0; j < 2; ++j) {
-      const auto& q = parts[j].gain_query();
+      const auto& q = parts[j].gain_query(rng);
       parts[j].receive_gain_answer(init.answer_gain_query(j + 1, q));
     }
     return parts;
@@ -155,22 +164,23 @@ TEST(Framework, ComparisonCircuitTruthTable) {
   pa.set_joint_key(key_a.y);
   pb.set_joint_key(key_a.y);
 
-  const auto bits_b = pb.encrypt_beta_bits();
-  const auto tau_ab = pa.compare_against(bits_b);  // a vs larger b
+  const std::size_t l = cfg.spec.beta_bits();
+  const auto bits_b = encrypt_bits(pb, l, rng);
+  const auto tau_ab = pa.compare_against(bits_b, rng);  // a vs larger b
   std::size_t zeros = 0;
   for (const auto& ct : tau_ab)
     zeros += crypto::decrypts_to_zero(*g, key_a.x, ct) ? 1 : 0;
   EXPECT_EQ(zeros, 1u) << "exactly one zero when peer is larger";
 
-  const auto bits_a = pa.encrypt_beta_bits();
-  const auto tau_ba = pb.compare_against(bits_a);  // b vs smaller a
+  const auto bits_a = encrypt_bits(pa, l, rng);
+  const auto tau_ba = pb.compare_against(bits_a, rng);  // b vs smaller a
   zeros = 0;
   for (const auto& ct : tau_ba)
     zeros += crypto::decrypts_to_zero(*g, key_a.x, ct) ? 1 : 0;
   EXPECT_EQ(zeros, 0u) << "no zero when peer is smaller";
 
   // Self-comparison (equal β): no zero either.
-  const auto tau_aa = pa.compare_against(bits_a);
+  const auto tau_aa = pa.compare_against(bits_a, rng);
   zeros = 0;
   for (const auto& ct : tau_aa)
     zeros += crypto::decrypts_to_zero(*g, key_a.x, ct) ? 1 : 0;

@@ -4,7 +4,6 @@
 
 #include "crypto/elgamal.h"
 #include "crypto/schnorr_proof.h"
-#include "group/counting_group.h"
 
 namespace ppgr::crypto {
 namespace {

@@ -1,12 +1,13 @@
 // Tests for the group layer: abstract group laws over every instantiation,
 // safe-prime parameter validation, elliptic-curve specifics, serialization,
-// and the op-counting decorator.
+// and the metering / acceleration decorators.
 #include <gtest/gtest.h>
 
-#include "group/counting_group.h"
+#include "group/accel_group.h"
 #include "group/fixed_base.h"
 #include "group/ec_group.h"
 #include "group/group.h"
+#include "group/metered_group.h"
 #include "group/schnorr_group.h"
 #include "mpz/modarith.h"
 #include "mpz/prime.h"
@@ -212,26 +213,120 @@ TEST(EcGroup, DeserializeRejectsOffCurvePoint) {
   EXPECT_THROW((void)curve.deserialize(bytes), std::invalid_argument);
 }
 
-TEST(CountingGroup, CountsAndForwards) {
+TEST(MeteredGroup, CountsAndForwards) {
   const auto inner = make_group(GroupId::kEcP192);
-  CountingGroup g{*inner};
+  const MeteredGroup g{*inner};
   ChaChaRng rng{6};
   const Nat x = g.random_scalar(rng);
-  const Elem e = g.exp_g(x);          // fixed-base: counted as gexps
-  (void)g.exp(e, x);                  // variable-base: counted as exps
-  (void)g.mul(e, e);
-  (void)g.inv(e);
-  (void)g.serialize(e);
-  EXPECT_EQ(g.counts().gexps, 1u);
-  EXPECT_EQ(g.counts().exps, 1u);
-  EXPECT_EQ(g.counts().muls, 1u);
-  EXPECT_EQ(g.counts().invs, 1u);
-  EXPECT_EQ(g.counts().serializations, 1u);
-  EXPECT_EQ(g.counts().exp_bits, x.bit_length());
+  runtime::MetricsBuffer buf;
+  Elem e;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    e = g.exp_g(x);                   // fixed-base: group_exp_g
+    (void)g.exp(e, x);                // variable-base: group_exp
+    (void)g.dual_exp(e, x, e, x);     // one group_dual_exp, no muls
+    (void)g.mul(e, e);
+    (void)g.inv(e);
+    (void)g.serialize(e);
+    const std::vector<Elem> two{e, e};
+    (void)g.serialize_many(two);      // one serialization per element
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  using runtime::CryptoOp;
+  EXPECT_EQ(reg.total(CryptoOp::kGroupExpG), 1u);
+  EXPECT_EQ(reg.total(CryptoOp::kGroupExp), 1u);
+  EXPECT_EQ(reg.total(CryptoOp::kGroupDualExp), 1u);
+  EXPECT_EQ(reg.total(CryptoOp::kGroupMul), 1u);
+  EXPECT_EQ(reg.total(CryptoOp::kGroupInv), 1u);
+  EXPECT_EQ(reg.total(CryptoOp::kGroupSerialize), 3u);
   // Forwarded results match the inner group.
   EXPECT_TRUE(inner->eq(e, inner->exp_g(x)));
-  g.reset();
-  EXPECT_EQ(g.counts().muls, 0u);
+}
+
+// Forwards every call to `inner`, counting how often dual_exp reaches it.
+class DualExpSpy final : public Group {
+ public:
+  explicit DualExpSpy(const Group& inner) : inner_(inner) {}
+  mutable std::size_t dual_exps = 0;
+
+  std::string name() const override { return inner_.name(); }
+  const Nat& order() const override { return inner_.order(); }
+  std::size_t field_bits() const override { return inner_.field_bits(); }
+  Elem generator() const override { return inner_.generator(); }
+  Elem identity() const override { return inner_.identity(); }
+  Elem mul(const Elem& x, const Elem& y) const override {
+    return inner_.mul(x, y);
+  }
+  Elem exp(const Elem& b, const Nat& s) const override {
+    return inner_.exp(b, s);
+  }
+  Elem inv(const Elem& x) const override { return inner_.inv(x); }
+  bool eq(const Elem& x, const Elem& y) const override {
+    return inner_.eq(x, y);
+  }
+  bool is_identity(const Elem& x) const override {
+    return inner_.is_identity(x);
+  }
+  std::vector<std::uint8_t> serialize(const Elem& x) const override {
+    return inner_.serialize(x);
+  }
+  Elem deserialize(std::span<const std::uint8_t> bytes) const override {
+    return inner_.deserialize(bytes);
+  }
+  std::size_t element_bytes() const override {
+    return inner_.element_bytes();
+  }
+  Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                const Nat& ey) const override {
+    ++dual_exps;
+    return inner_.dual_exp(x, ex, y, ey);
+  }
+
+ private:
+  const Group& inner_;
+};
+
+TEST(GroupDecorators, ForwardDualExpToTheInnerGroup) {
+  // SchnorrGroup's Montgomery-native dual_exp ladder must stay reachable
+  // through the decorator stack: each decorator hands the call to the inner
+  // group exactly once instead of running the generic ladder over mul().
+  const auto inner = make_group(GroupId::kDlTest256);
+  const DualExpSpy spy{*inner};
+  const AcceleratedGroup accel{spy};
+  const MeteredGroup metered{spy};
+  ChaChaRng rng{7};
+  const Elem x = inner->exp_g(inner->random_nonzero_scalar(rng));
+  const Elem y = inner->exp_g(inner->random_nonzero_scalar(rng));
+  const Nat ex = inner->random_scalar(rng);
+  const Nat ey = inner->random_scalar(rng);
+  const Elem want = inner->dual_exp(x, ex, y, ey);
+  for (const Group* deco : {static_cast<const Group*>(&accel),
+                            static_cast<const Group*>(&metered)}) {
+    spy.dual_exps = 0;
+    EXPECT_TRUE(inner->eq(deco->dual_exp(x, ex, y, ey), want));
+    EXPECT_EQ(spy.dual_exps, 1u);
+  }
+}
+
+TEST(AcceleratedGroup, BaseTableHitsAreCountedAndValueIdentical) {
+  const auto inner = make_group(GroupId::kDlTest256);
+  AcceleratedGroup accel{*inner};
+  ChaChaRng rng{8};
+  const Elem base = inner->exp_g(inner->random_nonzero_scalar(rng));
+  const Elem other = inner->exp_g(inner->random_nonzero_scalar(rng));
+  accel.set_base_table(std::make_shared<const FixedBaseTable>(
+      *inner, base, inner->order().bit_length()));
+  const Nat s = inner->random_scalar(rng);
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    EXPECT_TRUE(inner->eq(accel.exp(base, s), inner->exp(base, s)));
+    EXPECT_TRUE(inner->eq(accel.exp(other, s), inner->exp(other, s)));
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp), 1u);
 }
 
 class FixedBaseOverGroups : public ::testing::TestWithParam<GroupId> {};

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <regex>
 #include <string>
 #include <thread>
 
@@ -131,60 +130,6 @@ TEST(ParallelDeterminism, RanksCorrectUnderThreading) {
         std::find(result.submitted_ids.begin(), result.submitted_ids.end(),
                   j + 1) != result.submitted_ids.end();
     EXPECT_EQ(submitted, result.ranks[j] <= cfg.k);
-  }
-}
-
-FrameworkResult run_accel(std::size_t parallelism, bool accel,
-                          group::GroupId gid) {
-  const auto g = make_group(gid);
-  FrameworkConfig cfg = small_config(*g, parallelism);
-  cfg.metrics = true;
-  cfg.accel = accel;
-  ChaChaRng rng{909};
-  AttrVec v0(cfg.spec.m), w(cfg.spec.m);
-  for (auto& x : v0) x = rng.below_u64(std::uint64_t{1} << cfg.spec.d1);
-  for (auto& x : w) x = rng.below_u64(std::uint64_t{1} << cfg.spec.d2);
-  const auto infos = random_infos(cfg.spec, cfg.n, rng);
-  return run_framework(cfg, v0, w, infos, rng);
-}
-
-/// Drops the accel_* counters — the only metrics keys the multi-exp engine
-/// is allowed to add — so the remaining JSON must be byte-identical between
-/// accelerated and naive runs.
-std::string strip_accel_keys(const std::string& metrics_json) {
-  static const std::regex kAccel{R"(, "accel_[a-z_]+": [0-9]+)"};
-  return std::regex_replace(metrics_json, kAccel, "");
-}
-
-TEST(ParallelDeterminism, AccelOnOffBitIdentical) {
-  // The PR 6 invariant: the multi-exp engine is mathematically invisible.
-  // With acceleration on vs off — at serial and multi-threaded parallelism
-  // on the unique-representation Schnorr group and the Jacobian EC group —
-  // ranks, β values, the byte trace, the measured comm flows, the span
-  // stream and every logical metrics counter must be bit-identical; only
-  // the accel_* diagnostic counters may differ.
-  for (const auto gid : {GroupId::kDlTest256, GroupId::kEcP192}) {
-    const auto off = run_accel(1, false, gid);
-    for (const std::size_t par : {std::size_t{1}, std::size_t{4}}) {
-      const auto on = run_accel(par, true, gid);
-      expect_identical(off, on, "accel off vs on");
-      EXPECT_EQ(off.comm->to_json(), on.comm->to_json());
-      EXPECT_EQ(off.spans->chrome_trace_json(/*deterministic=*/true),
-                on.spans->chrome_trace_json(true));
-      const std::string off_json = off.metrics->to_json(false);
-      const std::string on_json = on.metrics->to_json(false);
-      // cfg.accel gates the protocol-path fusions only; those counters must
-      // be absent from the naive run. (accel_batch_inverse is codec-level —
-      // EC serialize_many batches its affine normalization regardless, just
-      // like the always-on comb tables.)
-      EXPECT_EQ(off_json.find("accel_multi_exp"), std::string::npos)
-          << "naive run must not touch the multi-exp counters";
-      EXPECT_EQ(off_json.find("accel_fixed_base"), std::string::npos)
-          << "naive run must not touch the fixed-base counter";
-      EXPECT_NE(on_json.find("accel_multi_exp"), std::string::npos)
-          << "accelerated run must report its accel counters";
-      EXPECT_EQ(strip_accel_keys(off_json), strip_accel_keys(on_json));
-    }
   }
 }
 

@@ -35,6 +35,15 @@ ProblemSpec tiny_spec() {
   return ProblemSpec{.m = 2, .t = 1, .d1 = 4, .d2 = 3, .h = 4};
 }
 
+// Step 6 for one party: E(β) bit by bit, LSB first.
+std::vector<Ciphertext> encrypt_bits(const Participant& p, std::size_t l,
+                                     mpz::Rng& rng) {
+  std::vector<Ciphertext> bits;
+  for (std::size_t b = 0; b < l; ++b)
+    bits.push_back(p.encrypt_beta_bit(b, rng));
+  return bits;
+}
+
 FrameworkConfig make_config(const group::Group& g, std::size_t n) {
   FrameworkConfig cfg;
   cfg.spec = tiny_spec();
@@ -84,10 +93,10 @@ TEST(PrivateInputHiding, InitiatorViewVariesAcrossRunsForSameInput) {
   const FrameworkConfig cfg = make_config(*g, 2);
   ChaChaRng rng{200};
   const AttrVec info{3, 5};
-  Participant p1{cfg, 1, info, rng};
-  Participant p2{cfg, 2, info, rng};
-  const auto& q1 = p1.gain_query();
-  const auto& q2 = p2.gain_query();
+  Participant p1{cfg, 1, info};
+  Participant p2{cfg, 2, info};
+  const auto& q1 = p1.gain_query(rng);
+  const auto& q2 = p2.gain_query(rng);
   EXPECT_NE(q1.qx, q2.qx);
   EXPECT_NE(q1.cprime, q2.cprime);
   EXPECT_NE(q1.gvec, q2.gvec);
@@ -103,18 +112,18 @@ TEST(GainHiding, ComparisonSetsCarryNoDeterministicFingerprint) {
   const FrameworkConfig cfg = make_config(*g, 2);
   ChaChaRng rng{201};
   Initiator init{cfg, {1, 2}, {3, 3}, rng};
-  Participant a{cfg, 1, {3, 9}, rng};
-  Participant b{cfg, 2, {1, 4}, rng};
+  Participant a{cfg, 1, {3, 9}};
+  Participant b{cfg, 2, {1, 4}};
   for (auto* p : {&a, &b}) {
-    const auto& q = p->gain_query();
+    const auto& q = p->gain_query(rng);
     p->receive_gain_answer(init.answer_gain_query(p->id(), q));
   }
   const auto kp = crypto::keygen(*g, rng);
   a.set_joint_key(kp.y);
   b.set_joint_key(kp.y);
-  const auto bits_b = b.encrypt_beta_bits();
-  const auto tau1 = a.compare_against(bits_b);
-  const auto tau2 = a.compare_against(bits_b);
+  const auto bits_b = encrypt_bits(b, cfg.spec.beta_bits(), rng);
+  const auto tau1 = a.compare_against(bits_b, rng);
+  const auto tau2 = a.compare_against(bits_b, rng);
   ASSERT_EQ(tau1.size(), tau2.size());
   for (std::size_t t = 0; t < tau1.size(); ++t) {
     EXPECT_FALSE(g->eq(tau1[t].c, tau2[t].c)) << "bit " << t;
