@@ -8,6 +8,7 @@
 #include "crypto/elgamal.h"
 #include "group/group.h"
 #include "mpz/modarith.h"
+#include "mpz/mont.h"
 #include "mpz/prime.h"
 #include "sss/mpc_engine.h"
 
@@ -95,6 +96,38 @@ void BM_MontMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MontMul)->Arg(256)->Arg(1024)->Arg(2048)->Arg(3072);
+
+// The ladder layer between BM_MontMul and BM_GroupExp: MontCtx::exp and
+// dual_exp on full-width exponents, with no Elem boxing or group dispatch.
+void BM_MontExp(benchmark::State& state) {
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  mpz::ChaChaRng rng{6};
+  const mpz::Nat m = mpz::random_prime(bits, rng);
+  const mpz::MontCtx ctx{m};
+  const mpz::Nat x = ctx.to_mont(rng.below(m));
+  const mpz::Nat e = rng.bits(bits);
+  for (auto _ : state) {
+    auto r = ctx.exp(x, e);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_MontExp)->Arg(256)->Arg(1024);
+
+void BM_MontDualExp(benchmark::State& state) {
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  mpz::ChaChaRng rng{7};
+  const mpz::Nat m = mpz::random_prime(bits, rng);
+  const mpz::MontCtx ctx{m};
+  const mpz::Nat x = ctx.to_mont(rng.below(m));
+  const mpz::Nat y = ctx.to_mont(rng.below(m));
+  const mpz::Nat ex = rng.bits(bits);
+  const mpz::Nat ey = rng.bits(bits);
+  for (auto _ : state) {
+    auto r = ctx.dual_exp(x, ex, y, ey);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_MontDualExp)->Arg(256)->Arg(1024);
 
 // Binary kernels under the group layer: the Jacobi symbol is the whole cost
 // of a Schnorr decode's membership check, invmod of SchnorrGroup::inv.

@@ -148,9 +148,11 @@ case "${MODE}" in
   plain) run_leg default ;;
   asan) run_leg asan ;;
   # The full suite takes a while under TSan's instrumentation; the threaded
-  # tests are the ones TSan exists for, so the tsan leg runs those. Pass
-  # extra ctest args (e.g. -R '.') to widen.
-  tsan) run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property' ;;
+  # tests are the ones TSan exists for, so the tsan leg runs those
+  # (metrics_export and core_framework cover the metric staging of the
+  # pooled phase-2 payload decodes). Pass extra ctest args (e.g. -R '.') to
+  # widen.
+  tsan) run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework' ;;
   engine) run_leg tsan -R 'engine' ;;
   metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test' ;;
   chaos)
@@ -172,7 +174,7 @@ case "${MODE}" in
   all)
     run_leg default
     run_leg asan
-    run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property'
+    run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework'
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'flightrec'

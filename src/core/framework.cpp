@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 
 #include "core/codec.h"
@@ -97,6 +98,17 @@ class Obs {
                                                         phase_, party, arg);
     }
     return guard;
+  }
+
+  /// Metrics-only guard for orchestrator work fanned out on the pool (the
+  /// routing epilogues' payload decodes): counts go to task `idx`'s buffer
+  /// under (phase, orchestrator), exactly where a serial decode on the
+  /// orchestrator thread would put them, and no span is opened.
+  [[nodiscard]] std::unique_ptr<runtime::MetricsScope> orchestrator_task(
+      std::size_t idx) {
+    if (!on()) return nullptr;
+    return std::make_unique<runtime::MetricsScope>(
+        &mbufs_[idx], phase_, runtime::kOrchestratorParty);
   }
 
   /// Absorbs the staged buffers in task-index order. Must run while the
@@ -420,6 +432,27 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
   };
 
   runtime::PartyTimer timer{n + 1};
+
+  // Decodes received ciphertext sets on the pool: *set = the set->size()
+  // ciphertexts in `bytes`, which must be consumed exactly. Receiving and
+  // byte accounting stay serial at the call sites. The decode tasks count
+  // into per-task buffers absorbed in set order, so exports do not depend
+  // on parallelism, and the pool rethrows the lowest-index failure — the one
+  // a sequential decode would have hit first.
+  struct SetWire {
+    std::span<const std::uint8_t> bytes;
+    CipherSet* set;
+  };
+  const auto decode_sets = [&](const std::vector<SetWire>& wire) {
+    obs.stage(wire.size());
+    pool.parallel_for(wire.size(), [&](std::size_t i) {
+      const auto metrics = obs.orchestrator_task(i);
+      runtime::Reader r{wire[i].bytes};
+      *wire[i].set = crypto::read_ciphertext_seq(r, g, wire[i].set->size());
+      r.finish();
+    });
+    obs.collect();
+  };
 
   const runtime::SpanScope framework_span{obs.span_sink(), "framework",
                                           Phase::kSetup,
@@ -887,11 +920,14 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       router.channel(j + 1, 1).send(std::move(w));
     }
     router.next_round();
-    for (std::size_t j = 1; j < n; ++j) {
-      const auto payload = router.channel(j + 1, 1).receive();
-      runtime::Reader r{*payload};
-      v_sets[j] = crypto::read_ciphertext_seq(r, g, v_sets[j].size());
-      r.finish();
+    {
+      std::vector<Payload> payloads;
+      std::vector<SetWire> wire;
+      for (std::size_t j = 1; j < n; ++j) {
+        payloads.push_back(router.channel(j + 1, 1).receive());
+        wire.push_back({*payloads.back(), &v_sets[j]});
+      }
+      decode_sets(wire);
     }
 
     // Step 8: the decrypt-shuffle chain P1 -> P2 -> ... -> Pn. Hops are
@@ -918,10 +954,23 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
         for (const auto& s : v_sets) crypto::write_ciphertext_seq(w, g, s);
         router.channel(hop + 1, hop + 2).send(std::move(w));
         router.next_round();
+        // One fixed-size slice per set, the last taking any remainder, so a
+        // short or long payload fails on the same set with the same error
+        // as one sequential read.
         const auto payload = router.channel(hop + 1, hop + 2).receive();
-        runtime::Reader r{*payload};
-        for (auto& s : v_sets) s = crypto::read_ciphertext_seq(r, g, s.size());
-        r.finish();
+        const std::span<const std::uint8_t> bytes{*payload};
+        std::vector<SetWire> wire;
+        std::size_t off = 0;
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::size_t len =
+              s + 1 < n ? std::min(v_sets[s].size() *
+                                       crypto::ciphertext_wire_bytes(g),
+                                   bytes.size() - off)
+                        : bytes.size() - off;
+          wire.push_back({bytes.subspan(off, len), &v_sets[s]});
+          off += len;
+        }
+        decode_sets(wire);
       }
     }
     // P_n returns each set to its owner (P_n's own set stays put).
@@ -931,11 +980,14 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       router.channel(n, owner + 1).send(std::move(w));
     }
     router.next_round();
-    for (std::size_t owner = 0; owner + 1 < n; ++owner) {
-      const auto payload = router.channel(n, owner + 1).receive();
-      runtime::Reader r{*payload};
-      v_sets[owner] = crypto::read_ciphertext_seq(r, g, v_sets[owner].size());
-      r.finish();
+    {
+      std::vector<Payload> payloads;
+      std::vector<SetWire> wire;
+      for (std::size_t owner = 0; owner + 1 < n; ++owner) {
+        payloads.push_back(router.channel(n, owner + 1).receive());
+        wire.push_back({*payloads.back(), &v_sets[owner]});
+      }
+      decode_sets(wire);
     }
   } catch (...) {
     rethrow_as_fault(Phase::kPhase2);

@@ -87,10 +87,11 @@ class Group {
   /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
   /// phase 2 (multi_exp() routes its 2-term calls here). The default
   /// (defined in multi_exp.cpp) is the generic interleaved Straus ladder
-  /// through this group's mul(). SchnorrGroup overrides it with a
-  /// Montgomery-native ladder that computes the identical element without
-  /// per-step Elem boxing; decorators forward it to the wrapped group so
-  /// that ladder stays reachable (MeteredGroup counts it as one call).
+  /// through this group's mul(). SchnorrGroup overrides it with
+  /// MontCtx::dual_exp, the same ladder on raw Montgomery residues (no
+  /// per-step Elem boxing, identical element); decorators forward it to the
+  /// wrapped group so that ladder stays reachable (MeteredGroup counts it as
+  /// one call).
   [[nodiscard]] virtual Elem dual_exp(const Elem& x, const Nat& ex,
                                       const Elem& y, const Nat& ey) const;
 

@@ -1,7 +1,5 @@
 #include "group/schnorr_group.h"
 
-#include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -39,47 +37,7 @@ Elem SchnorrGroup::exp(const Elem& base, const Nat& scalar) const {
 
 Elem SchnorrGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                             const Nat& ey) const {
-  // Montgomery-native 2-term Straus ladder (4-bit interleaved windows): the
-  // same interleaving as the generic Group::dual_exp, evaluated directly on
-  // the residues so the ~400 ladder steps skip the virtual dispatch and
-  // Elem boxing of the generic path. Residues mod p have a unique
-  // Montgomery form, so the result is bit-identical to the generic ladder.
-  constexpr std::size_t kW = 4;
-  constexpr std::size_t kDigits = std::size_t{1} << kW;
-  const std::size_t bits = std::max(ex.bit_length(), ey.bit_length());
-  if (bits == 0) return identity();
-  std::array<Nat, kDigits> tx, ty;
-  tx[1] = x.a;
-  ty[1] = y.a;
-  for (std::size_t d = 2; d < kDigits; ++d) {
-    tx[d] = mont_.mul(tx[d - 1], x.a);
-    ty[d] = mont_.mul(ty[d - 1], y.a);
-  }
-  // 4-bit windows at 4-bit offsets never straddle a 64-bit limb.
-  const auto digit = [](const Nat& e, std::size_t pos) -> std::size_t {
-    return (e.limb(pos / 64) >> (pos % 64)) & 0xF;
-  };
-  Nat acc;
-  bool started = false;
-  for (std::size_t w = (bits + kW - 1) / kW; w-- > 0;) {
-    if (started) {
-      acc = mont_.sqr(acc);
-      acc = mont_.sqr(acc);
-      acc = mont_.sqr(acc);
-      acc = mont_.sqr(acc);
-    }
-    const std::size_t dx = digit(ex, w * kW);
-    const std::size_t dy = digit(ey, w * kW);
-    if (dx != 0) {
-      acc = started ? mont_.mul(acc, tx[dx]) : tx[dx];
-      started = true;
-    }
-    if (dy != 0) {
-      acc = started ? mont_.mul(acc, ty[dy]) : ty[dy];
-      started = true;
-    }
-  }
-  return started ? Elem{.a = std::move(acc)} : identity();
+  return Elem{.a = mont_.dual_exp(x.a, ex, y.a, ey)};
 }
 
 Elem SchnorrGroup::inv(const Elem& x) const {

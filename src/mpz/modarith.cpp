@@ -251,11 +251,12 @@ std::optional<Nat> invmod(const Nat& a, const Nat& m) {
 Nat powmod(const Nat& base, const Nat& e, const Nat& m) {
   if (m.is_zero()) throw std::domain_error("powmod: zero modulus");
   if (m.is_one()) return Nat{};
-  if (m.is_odd()) {
+  if (m.is_odd() && m.limb_count() <= MontCtx::kCiosMaxLimbs) {
     const MontCtx ctx{m};
     return ctx.from_mont(ctx.exp(ctx.to_mont(base % m), e));
   }
-  // Plain square-and-multiply with division-based reduction (rare path).
+  // Plain square-and-multiply with division-based reduction (rare path:
+  // even moduli, and odd ones wider than a Montgomery context takes).
   Nat acc{1};
   Nat b = base % m;
   for (std::size_t i = e.bit_length(); i-- > 0;) {

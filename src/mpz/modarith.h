@@ -22,7 +22,8 @@ namespace ppgr::mpz {
 /// almost-inverse (Kaliski), then a Montgomery-style division by 2^k.
 [[nodiscard]] std::optional<Nat> invmod(const Nat& a, const Nat& m);
 
-/// base^e mod m for arbitrary m > 0 (uses Montgomery when m is odd).
+/// base^e mod m for arbitrary m > 0 (uses Montgomery when m is odd and at
+/// most MontCtx::kCiosMaxLimbs limbs).
 [[nodiscard]] Nat powmod(const Nat& base, const Nat& e, const Nat& m);
 
 /// Jacobi symbol (a/n) for odd n > 0 and any a >= 0; returns -1, 0 or +1.

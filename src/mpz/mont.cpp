@@ -1,8 +1,9 @@
 #include "mpz/mont.h"
 
+#include <algorithm>
 #include <array>
-#include <span>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ppgr::mpz {
 
@@ -15,118 +16,31 @@ Limb neg_inv64(Limb x) {
   for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
   return ~inv + 1;  // negate mod 2^64
 }
-}  // namespace
-
-MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
-  if (m_.is_even() || m_ <= Nat{1})
-    throw std::invalid_argument("MontCtx: modulus must be odd and > 1");
-  k_ = m_.limb_count();
-  n0inv_ = neg_inv64(m_.limb(0));
-  r_mod_m_ = Nat::pow2(64 * k_) % m_;
-  rr_ = Nat::pow2(128 * k_) % m_;
-}
-
-Nat MontCtx::redc(std::vector<Limb> t) const {
-  // t has up to 2k (+1 scratch) limbs; reduce in place.
-  t.resize(2 * k_ + 1, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const Limb u = t[i] * n0inv_;
-    Limb carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const U128 s = static_cast<U128>(u) * m_.limb(j) + t[i + j] + carry;
-      t[i + j] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-    // Propagate carry.
-    std::size_t idx = i + k_;
-    while (carry != 0) {
-      const U128 s = static_cast<U128>(t[idx]) + carry;
-      t[idx] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-      ++idx;
-    }
-  }
-  Nat out = Nat::from_limbs(std::span<const Limb>(t).subspan(k_));
-  if (out >= m_) out = Nat::sub(out, m_);
-  return out;
-}
-
-Nat MontCtx::to_mont(const Nat& a) const { return mul(a, rr_); }
-
-Nat MontCtx::from_mont(const Nat& a) const {
-  std::vector<Limb> t(a.limbs().begin(), a.limbs().end());
-  return redc(std::move(t));
-}
-
-Nat MontCtx::mul(const Nat& a, const Nat& b) const {
-  if (k_ <= kCiosMaxLimbs) return mul_cios(a, b);
-  const Nat prod = Nat::mul(a, b);
-  std::vector<Limb> t(prod.limbs().begin(), prod.limbs().end());
-  return redc(std::move(t));
-}
-
-namespace {
-
-// Conditional final subtraction shared by the CIOS kernels: r = t mod m,
-// where t (k+1 limbs, low k in t[0..k-1], overflow limb `top`) is < 2m.
-template <std::size_t Cap>
-Nat cios_finish(const Limb (&t)[Cap], Limb top, const Limb* nl,
-                std::size_t k) {
-  bool ge = top != 0;
-  if (!ge) {
-    ge = true;  // tentatively t >= m; flip on the first smaller limb
-    for (std::size_t j = k; j-- > 0;) {
-      if (t[j] != nl[j]) {
-        ge = t[j] > nl[j];
-        break;
-      }
-    }
-  }
-  Limb out[Cap];
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const Limb d = t[j] - nl[j] - borrow;
-      borrow = (t[j] < nl[j] || (borrow != 0 && t[j] == nl[j])) ? 1 : 0;
-      out[j] = d;
-    }
-  } else {
-    for (std::size_t j = 0; j < k; ++j) out[j] = t[j];
-  }
-  return Nat::from_limbs(std::span<const Limb>(out, k));
-}
 
 // Coarsely Integrated Operand Scanning (Koç/Acar/Kaliski): one outer pass
 // per limb of `a`, interleaving the partial product with the Montgomery
-// reduction step, entirely on stack buffers. t has k+2 limbs; after the
-// loop t[0..k] holds the (k+1)-limb pre-conditional result < 2m.
+// reduction step, entirely on stack buffers. After the loop t[0..k] holds
+// the (k+1)-limb pre-conditional result < 2m; the final subtraction is
+// branch-free.
 //
-// Kc is the compile-time limb count (0 = use the runtime k): the protocol
-// moduli are tiny (dl-test-256 is 4 limbs, the P-curve fields 3-4), and a
-// constant trip count lets the compiler fully unroll the carry chains —
-// roughly twice the throughput of the rolled loop at k=4 — while also
-// shrinking the zero-initialized scratch from kCiosMaxLimbs to k limbs.
+// Kc is the compile-time limb count (0 = use the runtime k): a constant trip
+// count lets the compiler fully unroll the carry chains — roughly twice the
+// throughput of the rolled loop at k=4 — and shrinks the scratch to k limbs.
+// This is the only kernel on hosts without BMI2/ADX and for every width but
+// 4 limbs.
 template <std::size_t Kc>
-Nat mul_cios_impl(const Nat& a, const Nat& b, const Nat& m, Limb n0inv,
-                  std::size_t k_runtime) {
-  constexpr std::size_t kCap =
-      Kc != 0 ? Kc : MontCtx::kCiosMaxLimbs;
+[[gnu::always_inline]] inline void cios(Limb* out, const Limb* a,
+                                        const Limb* b, const Limb* m,
+                                        Limb n0inv, std::size_t k_runtime) {
+  constexpr std::size_t kCap = Kc != 0 ? Kc : MontCtx::kCiosMaxLimbs;
   const std::size_t k = Kc != 0 ? Kc : k_runtime;
   Limb t[kCap + 2] = {};
-  Limb al[kCap];
-  Limb bl[kCap];
-  Limb nl[kCap];
-  for (std::size_t j = 0; j < k; ++j) {
-    al[j] = a.limb(j);
-    bl[j] = b.limb(j);
-    nl[j] = m.limb(j);
-  }
   for (std::size_t i = 0; i < k; ++i) {
-    const Limb ai = al[i];
+    const Limb ai = a[i];
     // t += ai * b
     U128 carry = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      const U128 s = static_cast<U128>(ai) * bl[j] + t[j] + static_cast<Limb>(carry);
+      const U128 s = static_cast<U128>(ai) * b[j] + t[j] + static_cast<Limb>(carry);
       t[j] = static_cast<Limb>(s);
       carry = s >> 64;
     }
@@ -137,9 +51,9 @@ Nat mul_cios_impl(const Nat& a, const Nat& b, const Nat& m, Limb n0inv,
     }
     // t += (t[0] * n0inv mod 2^64) * m, then t >>= 64
     const Limb u = t[0] * n0inv;
-    carry = (static_cast<U128>(u) * nl[0] + t[0]) >> 64;
+    carry = (static_cast<U128>(u) * m[0] + t[0]) >> 64;
     for (std::size_t j = 1; j < k; ++j) {
-      const U128 s = static_cast<U128>(u) * nl[j] + t[j] + static_cast<Limb>(carry);
+      const U128 s = static_cast<U128>(u) * m[j] + t[j] + static_cast<Limb>(carry);
       t[j - 1] = static_cast<Limb>(s);
       carry = s >> 64;
     }
@@ -150,17 +64,269 @@ Nat mul_cios_impl(const Nat& a, const Nat& b, const Nat& m, Limb n0inv,
       t[k + 1] = 0;
     }
   }
-  return cios_finish(t, t[k], nl, k);
+  // out = t - m (a and b are no longer read, so out may alias them); keep
+  // t instead when that borrows past the overflow limb t[k].
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 d = static_cast<U128>(t[j]) - m[j] - borrow;
+    out[j] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 64) & 1;
+  }
+  const Limb keep_t = Limb{0} - static_cast<Limb>(t[k] < borrow);
+  for (std::size_t j = 0; j < k; ++j)
+    out[j] = (t[j] & keep_t) | (out[j] & ~keep_t);
+}
+
+#if defined(__x86_64__)
+// The 4-limb CIOS on mulx (flag-free 64x64->128 multiply from rdx) with two
+// independent carry chains: adox folds the low product halves into t[j]
+// along OF, adcx the high halves into t[j+1] along CF. Six registers hold
+// the running t[0..5]; instead of shifting t down after each reduction, the
+// next pass renames them (pass i uses r[(i+j) % 6] for t[j]), since the
+// retired t[0] is exactly zero and becomes the next pass's t[5]. The
+// mnemonics need no -mbmi2/-madx: the assembler accepts them regardless,
+// and the code runs only after cpu_has_mulx_adx().
+#define PPGR_ADX_MUL_PASS(OFF, T0, T1, T2, T3, T4, T5) \
+  "movq " OFF "(%[a]), %%rdx\n\t"                      \
+  "xorl %k[lo], %k[lo]\n\t"                            \
+  "mulxq 0(%[b]), %[lo], %[hi]\n\t"                    \
+  "adoxq %[lo], %[" T0 "]\n\t"                         \
+  "adcxq %[hi], %[" T1 "]\n\t"                         \
+  "mulxq 8(%[b]), %[lo], %[hi]\n\t"                    \
+  "adoxq %[lo], %[" T1 "]\n\t"                         \
+  "adcxq %[hi], %[" T2 "]\n\t"                         \
+  "mulxq 16(%[b]), %[lo], %[hi]\n\t"                   \
+  "adoxq %[lo], %[" T2 "]\n\t"                         \
+  "adcxq %[hi], %[" T3 "]\n\t"                         \
+  "mulxq 24(%[b]), %[lo], %[hi]\n\t"                   \
+  "adoxq %[lo], %[" T3 "]\n\t"                         \
+  "adcxq %[hi], %[" T4 "]\n\t"                         \
+  "movl $0, %k[lo]\n\t"                                \
+  "adoxq %[lo], %[" T4 "]\n\t"                         \
+  "adcxq %[lo], %[" T5 "]\n\t"                         \
+  "adoxq %[lo], %[" T5 "]\n\t"
+
+#define PPGR_ADX_RED_PASS(T0, T1, T2, T3, T4, T5) \
+  "movq %[" T0 "], %%rdx\n\t"                     \
+  "imulq %[n0], %%rdx\n\t"                        \
+  "xorl %k[lo], %k[lo]\n\t"                       \
+  "mulxq 0(%[m]), %[lo], %[hi]\n\t"               \
+  "adoxq %[lo], %[" T0 "]\n\t"                    \
+  "adcxq %[hi], %[" T1 "]\n\t"                    \
+  "mulxq 8(%[m]), %[lo], %[hi]\n\t"               \
+  "adoxq %[lo], %[" T1 "]\n\t"                    \
+  "adcxq %[hi], %[" T2 "]\n\t"                    \
+  "mulxq 16(%[m]), %[lo], %[hi]\n\t"              \
+  "adoxq %[lo], %[" T2 "]\n\t"                    \
+  "adcxq %[hi], %[" T3 "]\n\t"                    \
+  "mulxq 24(%[m]), %[lo], %[hi]\n\t"              \
+  "adoxq %[lo], %[" T3 "]\n\t"                    \
+  "adcxq %[hi], %[" T4 "]\n\t"                    \
+  "movl $0, %k[lo]\n\t"                           \
+  "adoxq %[lo], %[" T4 "]\n\t"                    \
+  "adcxq %[lo], %[" T5 "]\n\t"                    \
+  "adoxq %[lo], %[" T5 "]\n\t"
+
+[[gnu::always_inline]] inline void cios4_adx(Limb* out, const Limb* a,
+                                             const Limb* b, const Limb* m,
+                                             Limb n0inv) {
+  Limb r0 = 0, r1 = 0, r2 = 0, r3 = 0, r4 = 0, r5 = 0, lo = 0, hi = 0, dx = 0;
+  asm(PPGR_ADX_MUL_PASS("0", "r0", "r1", "r2", "r3", "r4", "r5")
+      PPGR_ADX_RED_PASS("r0", "r1", "r2", "r3", "r4", "r5")
+      PPGR_ADX_MUL_PASS("8", "r1", "r2", "r3", "r4", "r5", "r0")
+      PPGR_ADX_RED_PASS("r1", "r2", "r3", "r4", "r5", "r0")
+      PPGR_ADX_MUL_PASS("16", "r2", "r3", "r4", "r5", "r0", "r1")
+      PPGR_ADX_RED_PASS("r2", "r3", "r4", "r5", "r0", "r1")
+      PPGR_ADX_MUL_PASS("24", "r3", "r4", "r5", "r0", "r1", "r2")
+      PPGR_ADX_RED_PASS("r3", "r4", "r5", "r0", "r1", "r2")
+      // t = (r4, r5, r0, r1) with overflow limb r2; r3 is free. Subtract m
+      // and keep the difference unless it borrows past r2.
+      "movq %[r4], %[lo]\n\t"
+      "subq 0(%[m]), %[lo]\n\t"
+      "movq %[r5], %[hi]\n\t"
+      "sbbq 8(%[m]), %[hi]\n\t"
+      "movq %[r0], %%rdx\n\t"
+      "sbbq 16(%[m]), %%rdx\n\t"
+      "movq %[r1], %[r3]\n\t"
+      "sbbq 24(%[m]), %[r3]\n\t"
+      "sbbq $0, %[r2]\n\t"
+      "cmovncq %[lo], %[r4]\n\t"
+      "cmovncq %[hi], %[r5]\n\t"
+      "cmovncq %%rdx, %[r0]\n\t"
+      "cmovncq %[r3], %[r1]\n\t"
+      : [r0] "+&r"(r0), [r1] "+&r"(r1), [r2] "+&r"(r2), [r3] "+&r"(r3),
+        [r4] "+&r"(r4), [r5] "+&r"(r5), [lo] "=&r"(lo), [hi] "=&r"(hi),
+        "=&d"(dx)
+      : [a] "r"(a), [b] "r"(b), [m] "r"(m), [n0] "m"(n0inv)
+      : "cc", "memory");
+  out[0] = r4;
+  out[1] = r5;
+  out[2] = r0;
+  out[3] = r1;
+}
+
+#undef PPGR_ADX_MUL_PASS
+#undef PPGR_ADX_RED_PASS
+#else
+inline void cios4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
+                      Limb n0inv) {
+  cios<4>(out, a, b, m, n0inv, 4);
+}
+#endif
+
+// Kernel functors the ladders are instantiated over: kCap sizes the stack
+// buffers, k is the live width.
+template <std::size_t Kc>
+struct Cios {
+  static constexpr std::size_t kCap = Kc != 0 ? Kc : MontCtx::kCiosMaxLimbs;
+  const Limb* m;
+  Limb n0inv;
+  std::size_t k;
+  void operator()(Limb* out, const Limb* a, const Limb* b) const {
+    cios<Kc>(out, a, b, m, n0inv, k);
+  }
+};
+
+struct Adx4 {
+  static constexpr std::size_t kCap = 4;
+  const Limb* m;
+  Limb n0inv;
+  std::size_t k = 4;
+  void operator()(Limb* out, const Limb* a, const Limb* b) const {
+    cios4_adx(out, a, b, m, n0inv);
+  }
+};
+
+// dst[0, k) = the low k limbs of x, zero-padded.
+void load(Limb* dst, const Nat& x, std::size_t k) {
+  const auto l = x.limbs();
+  const std::size_t n = std::min(l.size(), k);
+  std::copy_n(l.begin(), n, dst);
+  std::fill(dst + n, dst + k, Limb{0});
+}
+
+// The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
+// digit never straddles a limb.
+unsigned nibble(const Nat& e, std::size_t pos) {
+  return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
+}
+
+constexpr std::size_t kWindow = 4;
+constexpr std::size_t kDigits = std::size_t{1} << kWindow;
+
+// Product of bases[i]^exps[i] over N = 1 (exp) or 2 (dual_exp) terms, at
+// least one exponent nonzero: interleaved Straus with 4-bit windows, one
+// squaring run shared by all terms and leading zero windows skipped. For
+// N = 1 this is the plain fixed-window ladder.
+template <std::size_t N, class Kern>
+Nat straus_ladder(const Kern& mul, const std::array<const Nat*, N>& bases,
+                  const std::array<const Nat*, N>& exps) {
+  constexpr std::size_t kCap = Kern::kCap;
+  const std::size_t k = mul.k;
+  Limb table[N][kDigits][kCap] = {};
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    load(table[i][1], *bases[i], k);
+    for (std::size_t d = 2; d < kDigits; ++d)
+      mul(table[i][d], table[i][d - 1], table[i][1]);
+    bits = std::max(bits, exps[i]->bit_length());
+  }
+  Limb acc[kCap] = {};
+  bool started = false;
+  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+    if (started)
+      for (std::size_t s = 0; s < kWindow; ++s) mul(acc, acc, acc);
+    for (std::size_t i = 0; i < N; ++i) {
+      const unsigned d = nibble(*exps[i], w * kWindow);
+      if (d == 0) continue;
+      if (started) {
+        mul(acc, acc, table[i][d]);
+      } else {
+        std::copy_n(table[i][d], k, acc);
+        started = true;
+      }
+    }
+  }
+  return Nat::from_limbs({acc, k});
 }
 
 }  // namespace
 
-Nat MontCtx::mul_cios(const Nat& a, const Nat& b) const {
+template <std::size_t K>
+void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
+              Limb n0inv, std::size_t k) {
+  cios<K>(out, a, b, m, n0inv, k);
+}
+template void mont_mul<0>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t);
+template void mont_mul<3>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t);
+template void mont_mul<4>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t);
+
+bool cpu_has_mulx_adx() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+void mont_mul4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
+                   Limb n0inv) {
+  cios4_adx(out, a, b, m, n0inv);
+}
+
+MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
+  if (m_.is_even() || m_ <= Nat{1})
+    throw std::invalid_argument("MontCtx: modulus must be odd and > 1");
+  k_ = m_.limb_count();
+  if (k_ > kCiosMaxLimbs)
+    throw std::length_error("MontCtx: modulus wider than 4096 bits");
+  n0inv_ = neg_inv64(m_.limb(0));
   switch (k_) {
-    case 3: return mul_cios_impl<3>(a, b, m_, n0inv_, k_);
-    case 4: return mul_cios_impl<4>(a, b, m_, n0inv_, k_);
-    default: return mul_cios_impl<0>(a, b, m_, n0inv_, k_);
+    case 3: kernel_ = Kernel::kCios3; break;
+    case 4: kernel_ = cpu_has_mulx_adx() ? Kernel::kAdx4 : Kernel::kCios4; break;
+    default: kernel_ = Kernel::kCiosN; break;
   }
+  r_mod_m_ = Nat::pow2(64 * k_) % m_;
+  rr_ = Nat::pow2(128 * k_) % m_;
+}
+
+template <class F>
+decltype(auto) MontCtx::with_kernel(F&& f) const {
+  const Limb* m = m_.limbs().data();
+  switch (kernel_) {
+    case Kernel::kAdx4: return f(Adx4{m, n0inv_});
+    case Kernel::kCios3: return f(Cios<3>{m, n0inv_, 3});
+    case Kernel::kCios4: return f(Cios<4>{m, n0inv_, 4});
+    case Kernel::kCiosN: break;
+  }
+  return f(Cios<0>{m, n0inv_, k_});
+}
+
+Nat MontCtx::to_mont(const Nat& a) const { return mul(a, rr_); }
+
+Nat MontCtx::from_mont(const Nat& a) const {
+  // The Montgomery product with plain 1; the kernels take k-limb operands,
+  // so anything wider is reduced first.
+  if (a.limb_count() > k_) return from_mont(a % m_);
+  return mul(a, Nat{1});
+}
+
+Nat MontCtx::mul(const Nat& a, const Nat& b) const {
+  return with_kernel([&](const auto& kern) {
+    constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
+    Limb al[kCap] = {}, bl[kCap] = {}, out[kCap] = {};
+    load(al, a, k_);
+    load(bl, b, k_);
+    kern(out, al, bl);
+    return Nat::from_limbs({out, k_});
+  });
 }
 
 // Measured on the 4-limb protocol moduli, a dedicated SOS squaring (halved
@@ -184,36 +350,17 @@ Nat MontCtx::sub(const Nat& a, const Nat& b) const {
 
 Nat MontCtx::exp(const Nat& base, const Nat& e) const {
   if (e.is_zero()) return r_mod_m_;
-  // 4-bit fixed window.
-  std::array<Nat, 16> table;
-  table[0] = r_mod_m_;
-  table[1] = base;
-  for (std::size_t i = 2; i < 16; ++i) table[i] = mul(table[i - 1], base);
+  return with_kernel([&](const auto& kern) {
+    return straus_ladder<1>(kern, {&base}, {&e});
+  });
+}
 
-  const std::size_t nbits = e.bit_length();
-  const std::size_t windows = (nbits + 3) / 4;
-  Nat acc = r_mod_m_;
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      acc = sqr(acc);
-      acc = sqr(acc);
-      acc = sqr(acc);
-      acc = sqr(acc);
-    }
-    std::size_t nib = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      const std::size_t bit_idx = w * 4 + b;
-      if (bit_idx < nbits && e.bit(bit_idx)) nib |= (1u << b);
-    }
-    if (nib != 0) {
-      acc = started ? mul(acc, table[nib]) : table[nib];
-      started = true;
-    } else if (!started) {
-      continue;  // skip leading zero windows entirely
-    }
-  }
-  return started ? acc : r_mod_m_;
+Nat MontCtx::dual_exp(const Nat& x, const Nat& ex, const Nat& y,
+                      const Nat& ey) const {
+  if (ex.is_zero() && ey.is_zero()) return r_mod_m_;
+  return with_kernel([&](const auto& kern) {
+    return straus_ladder<2>(kern, {&x, &y}, {&ex, &ey});
+  });
 }
 
 }  // namespace ppgr::mpz

@@ -1,5 +1,10 @@
 // Tests for modular arithmetic: Montgomery context, Barrett reduction,
 // gcd/invmod/powmod/jacobi/sqrtmod, primality and the Fp field context.
+#include <array>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -18,7 +23,22 @@ namespace {
 mpz_class to_gmp(const Nat& n) { return mpz_class{n.to_hex(), 16}; }
 Nat from_gmp(const mpz_class& g) { return Nat::from_hex(g.get_str(16)); }
 
-// A handful of moduli covering 1..many limbs, odd.
+Nat schnorr_prime(group::GroupId id) {
+  const auto g = group::make_group(id);
+  return dynamic_cast<const group::SchnorrGroup&>(*g).modulus();
+}
+
+Nat ec_field_prime(group::GroupId id) {
+  const auto g = group::make_group(id);
+  return dynamic_cast<const group::EcGroup&>(*g).field().p();
+}
+
+// 2^256 - 189, the largest prime below 2^256: its top limb is all ones, so
+// the Montgomery kernels run at their maximum carry.
+Nat max_carry_prime() { return Nat::sub(Nat::pow2(256), Nat{189}); }
+
+// Odd moduli covering 1..48 limbs: small and generic primes plus every
+// modulus the library ships (the Schnorr primes and the P-curve fields).
 std::vector<Nat> test_moduli() {
   return {
       Nat{3},
@@ -26,6 +46,13 @@ std::vector<Nat> test_moduli() {
       Nat::from_hex("ffffffffffffffc5"),                      // < 2^64 prime
       Nat::from_hex("100000000000000000000000000000033"),     // 2^128 + 51, prime
       Nat::from_dec("57896044618658097711785492504343953926634992332820282019728792003956564819949"),  // 2^255-19
+      max_carry_prime(),
+      ec_field_prime(group::GroupId::kEcP192),
+      ec_field_prime(group::GroupId::kEcP224),
+      ec_field_prime(group::GroupId::kEcP256),
+      schnorr_prime(group::GroupId::kDlTest256),
+      schnorr_prime(group::GroupId::kDl1024),
+      schnorr_prime(group::GroupId::kDl3072),
   };
 }
 
@@ -83,6 +110,219 @@ TEST(Mont, ExpEdgeCases) {
   EXPECT_EQ(ctx.from_mont(ctx.exp(g, Nat{1})), Nat{5});      // e = 1
   EXPECT_EQ(ctx.from_mont(ctx.exp(g, Nat{100})), Nat{1});    // Fermat
   EXPECT_EQ(ctx.from_mont(ctx.exp(ctx.to_mont(Nat{}), Nat{9})), Nat{});
+}
+
+TEST(Mont, RejectsModulusWiderThanKernels) {
+  const Nat wide = Nat::add(Nat::pow2(64 * MontCtx::kCiosMaxLimbs), Nat{1});
+  EXPECT_THROW(MontCtx{wide}, std::length_error);
+  // powmod still serves it, on the plain path.
+  const Nat b = Nat::from_hex("123456789abcdef0123456789");
+  const Nat e = Nat{65537};
+  mpz_class expect;
+  const mpz_class gb = to_gmp(b), ge = to_gmp(e), gm = to_gmp(wide);
+  mpz_powm(expect.get_mpz_t(), gb.get_mpz_t(), ge.get_mpz_t(), gm.get_mpz_t());
+  EXPECT_EQ(to_gmp(powmod(b, e, wide)), expect);
+}
+
+// ---- Raw 4-limb product kernels against GMP ----
+
+mpz_class gmp_from_limbs(const Limb* x, std::size_t k) {
+  mpz_class out;
+  mpz_import(out.get_mpz_t(), k, -1, sizeof(Limb), 0, 0, x);
+  return out;
+}
+
+std::array<Limb, 4> limbs4(const mpz_class& x) {
+  std::array<Limb, 4> out{};
+  mpz_export(out.data(), nullptr, -1, sizeof(Limb), 0, 0, x.get_mpz_t());
+  return out;
+}
+
+using Kernel4 = void (*)(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+
+// The kernels' reduction constant -m^{-1} mod 2^64, computed by GMP.
+Limb n0inv_of(const mpz_class& m) {
+  const mpz_class word = mpz_class{1} << 64;
+  mpz_class inv;
+  mpz_invert(inv.get_mpz_t(), mpz_class{m % word}.get_mpz_t(), word.get_mpz_t());
+  return limbs4(word - inv)[0];
+}
+
+// An operand whose limbs are drawn from carry-heavy patterns (0, 1, 2,
+// 2^63-1, 2^63, 2^64-2, 2^64-1), reduced mod m. Uniform operands almost
+// never make a carry chain ripple through an all-ones limb; these do.
+mpz_class patterned_below(const mpz_class& m, std::mt19937_64& gen) {
+  constexpr std::array<Limb, 7> kPatterns{
+      0, 1, 2, (Limb{1} << 63) - 1, Limb{1} << 63, ~Limb{1}, ~Limb{0}};
+  std::array<Limb, 4> l{};
+  for (auto& x : l) x = kPatterns[gen() % kPatterns.size()];
+  return gmp_from_limbs(l.data(), 4) % m;
+}
+
+// Directed pairs (hex) that, under 2^256-189, make a multiply pass's low-half
+// chain carry out of t[4] into t[5]: that needs a limb of b equal to
+// 2^64-1 and is out of reach of uniform and patterned sampling alike. Found
+// by modelling the kernel's two carry chains.
+constexpr std::array<std::pair<const char*, const char*>, 3> kCarryVectors{{
+    {"7fffffffffffffffffffffffffffffff80000000000000008000000000000000",
+     "ffffffffffffffffffffffffffffffffffffffffffffffff0000000000000000"},
+    {"fffffffffffffffffffffffffffffffffffffffffffffffefffffffffffffffe",
+     "ffffffffffffffffffffffffffffffffffffffffffffffff0000000000000002"},
+    {"8000000000000000ffffffffffffffff80000000000000008000000000000000",
+     "ffffffffffffffffffffffffffffffffffffffffffffffff0000000000000000"},
+}};
+
+// Checks `kernel` against a·b·R^{-1} mod m on every pair of the edge
+// operands {0, 1, m-1, R mod m, R^2 mod m}, on kCarryVectors, and on
+// `random_pairs` uniform pairs below m and as many patterned pairs, for
+// every 4-limb shipped modulus plus 2^255-19 and 2^256-189. Includes
+// aliased calls (out == a, out == a == b).
+void check_kernel4(Kernel4 kernel, std::size_t random_pairs) {
+  const std::vector<Nat> moduli{
+      schnorr_prime(group::GroupId::kDlTest256),
+      ec_field_prime(group::GroupId::kEcP224),
+      ec_field_prime(group::GroupId::kEcP256),
+      Nat::sub(Nat::pow2(255), Nat{19}),
+      max_carry_prime(),
+  };
+  gmp_randclass gr{gmp_randinit_default};
+  gr.seed(401);
+  std::mt19937_64 gen{401};
+  for (const Nat& mn : moduli) {
+    ASSERT_EQ(mn.limb_count(), 4u);
+    const mpz_class m = to_gmp(mn);
+    const Limb n0 = n0inv_of(m);
+    const mpz_class r = mpz_class{1} << 256;
+    mpz_class rinv;
+    ASSERT_NE(mpz_invert(rinv.get_mpz_t(), r.get_mpz_t(), m.get_mpz_t()), 0);
+    const auto ml = limbs4(m);
+    const auto check = [&](const mpz_class& a, const mpz_class& b) {
+      const auto al = limbs4(a), bl = limbs4(b);
+      const mpz_class expect = a * b * rinv % m;
+      std::array<Limb, 4> out{};
+      kernel(out.data(), al.data(), bl.data(), ml.data(), n0);
+      ASSERT_EQ(gmp_from_limbs(out.data(), 4), expect)
+          << "m=" << m.get_str(16) << " a=" << a.get_str(16)
+          << " b=" << b.get_str(16);
+      auto acc = al;
+      kernel(acc.data(), acc.data(), bl.data(), ml.data(), n0);
+      ASSERT_EQ(acc, out);
+      acc = al;
+      kernel(acc.data(), acc.data(), acc.data(), ml.data(), n0);
+      ASSERT_EQ(gmp_from_limbs(acc.data(), 4), a * a * rinv % m);
+    };
+    const std::vector<mpz_class> edges{0, 1, m - 1, r % m, r * r % m};
+    for (const auto& a : edges)
+      for (const auto& b : edges) check(a, b);
+    for (const auto& [a, b] : kCarryVectors)
+      check(mpz_class{a, 16} % m, mpz_class{b, 16} % m);
+    for (std::size_t i = 0; i < random_pairs; ++i) {
+      check(gr.get_z_range(m), gr.get_z_range(m));
+      check(patterned_below(m, gen), patterned_below(m, gen));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(MontKernel, PortableFourLimbMatchesGmp) {
+  check_kernel4(
+      [](Limb* out, const Limb* a, const Limb* b, const Limb* m, Limb n0) {
+        mont_mul<4>(out, a, b, m, n0);
+      },
+      20000);
+}
+
+TEST(MontKernel, AdxFourLimbMatchesGmp) {
+  if (!cpu_has_mulx_adx()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  check_kernel4(&mont_mul4_adx, 20000);
+}
+
+TEST(MontKernel, RuntimeWidthMatchesFixedWidth) {
+  // The runtime-width instance serves every width but 3 and 4 limbs; at
+  // those two it must agree with the unrolled ones.
+  gmp_randclass gr{gmp_randinit_default};
+  gr.seed(402);
+  for (const Nat& mn : {ec_field_prime(group::GroupId::kEcP192),
+                        ec_field_prime(group::GroupId::kEcP256)}) {
+    const std::size_t k = mn.limb_count();
+    const mpz_class m = to_gmp(mn);
+    const Limb n0 = n0inv_of(m);
+    const auto ml = limbs4(m);
+    for (int i = 0; i < 2000; ++i) {
+      const auto al = limbs4(gr.get_z_range(m)), bl = limbs4(gr.get_z_range(m));
+      std::array<Limb, 4> fixed{}, runtime{};
+      if (k == 3)
+        mont_mul<3>(fixed.data(), al.data(), bl.data(), ml.data(), n0);
+      else
+        mont_mul<4>(fixed.data(), al.data(), bl.data(), ml.data(), n0);
+      mont_mul<0>(runtime.data(), al.data(), bl.data(), ml.data(), n0, k);
+      ASSERT_EQ(fixed, runtime);
+    }
+  }
+}
+
+// ---- exp / dual_exp ladders against mpz_powm ----
+
+mpz_class powm(const mpz_class& b, const mpz_class& e, const mpz_class& m) {
+  mpz_class out;
+  mpz_powm(out.get_mpz_t(), b.get_mpz_t(), e.get_mpz_t(), m.get_mpz_t());
+  return out;
+}
+
+// One shipped modulus per ladder instance: P-192 (3 limbs), dl-test-256
+// (4), dl-1024 (16) and dl-3072 (48), each with its group order as the
+// "exponent = q" case.
+struct LadderCase {
+  group::GroupId id;
+  Nat m;
+};
+
+std::vector<LadderCase> ladder_cases() {
+  return {
+      {group::GroupId::kEcP192, ec_field_prime(group::GroupId::kEcP192)},
+      {group::GroupId::kDlTest256, schnorr_prime(group::GroupId::kDlTest256)},
+      {group::GroupId::kDl1024, schnorr_prime(group::GroupId::kDl1024)},
+      {group::GroupId::kDl3072, schnorr_prime(group::GroupId::kDl3072)},
+  };
+}
+
+TEST(MontLadder, ExpAndDualExpMatchPowm) {
+  ChaChaRng rng{403};
+  for (const auto& c : ladder_cases()) {
+    const MontCtx ctx{c.m};
+    const mpz_class m = to_gmp(c.m);
+    const Nat q = group::make_group(c.id)->order();
+    const std::size_t bits = c.m.bit_length();
+    // Exponents: zero, one, the group order, random full-width ones and
+    // ones wider than the modulus.
+    const std::vector<Nat> exps{Nat{}, Nat{1}, q, rng.bits(bits),
+                                rng.bits(bits + 1 + rng.below_u64(200))};
+    // Bases: one, m-1 and random residues.
+    const std::vector<Nat> bases{Nat{1}, Nat::sub(c.m, Nat{1}),
+                                 rng.nonzero_below(c.m),
+                                 rng.nonzero_below(c.m)};
+    for (const Nat& b : bases) {
+      const Nat bm = ctx.to_mont(b);
+      for (const Nat& e : exps) {
+        EXPECT_EQ(to_gmp(ctx.from_mont(ctx.exp(bm, e))),
+                  powm(to_gmp(b), to_gmp(e), m))
+            << "limbs=" << ctx.limbs() << " e=" << e.to_hex();
+      }
+    }
+    const std::vector<std::pair<Nat, Nat>> pairs{{bases[0], bases[2]},
+                                                 {bases[2], bases[3]}};
+    for (const auto& [x, y] : pairs)
+      for (const Nat& ex : exps)
+        for (const Nat& ey : {exps[0], exps[2], exps[4]}) {
+          const mpz_class expect = powm(to_gmp(x), to_gmp(ex), m) *
+                                   powm(to_gmp(y), to_gmp(ey), m) % m;
+          EXPECT_EQ(to_gmp(ctx.from_mont(
+                        ctx.dual_exp(ctx.to_mont(x), ex, ctx.to_mont(y), ey))),
+                    expect)
+              << "limbs=" << ctx.limbs() << " ex=" << ex.to_hex()
+              << " ey=" << ey.to_hex();
+        }
+  }
 }
 
 TEST(Barrett, MatchesDivrem) {
@@ -174,11 +414,6 @@ TEST(ModArith, SqrtMod) {
 }
 
 // ---- Binary kernels (gcd / jacobi / invmod) against GMP ----
-
-Nat schnorr_prime(group::GroupId id) {
-  const auto g = group::make_group(id);
-  return dynamic_cast<const group::SchnorrGroup&>(*g).modulus();
-}
 
 // Odd moduli: a random odd composite at every width from 1 to 48 limbs,
 // random primes, a product of two primes and a prime square (so gcd > 1
