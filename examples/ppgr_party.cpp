@@ -22,6 +22,9 @@
 // `participant` line. scripts/run_local.sh splits a full ppgr_cli instance
 // file into these per-party pieces.
 //
+// The initiator prints the submitted ids with their claimed ranks — all it
+// learns; each participant prints its own rank.
+//
 // A shared --seed makes the socket run reproduce a same-seed single-process
 // ppgr_cli run bit for bit (same ranks, same β values) — the verification
 // harness, not a security feature. Without --seed each process draws its
@@ -384,16 +387,13 @@ int main(int argc, char** argv) {
     transport.shutdown();
 
     if (party == 0) {
+      // The initiator learns the top-k submissions only; each participant
+      // prints its own rank (scripts/run_local.sh assembles the ranking).
       std::printf("n=%zu participants, k=%zu, group=%s, l=%zu bits\n\n", n,
                   sf.k, group->name().c_str(), sf.spec.beta_bits());
-      for (std::size_t j = 0; j < n; ++j) {
-        const bool submitted =
-            std::find(result.submitted_ids.begin(),
-                      result.submitted_ids.end(),
-                      j + 1) != result.submitted_ids.end();
-        std::printf("participant %2zu: rank %2zu%s\n", j + 1, result.ranks[j],
-                    submitted ? "   -> submitted to initiator" : "");
-      }
+      for (std::size_t i = 0; i < result.submitted_ids.size(); ++i)
+        std::printf("submission: participant %2zu claims rank %2zu\n",
+                    result.submitted_ids[i], result.submitted_ranks[i]);
       std::printf("\n");
     } else if (!quiet) {
       std::printf("party %zu: rank %zu\n", party, result.rank);

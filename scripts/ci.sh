@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: plain build + full ctest, then the same suite hardened
 # under ASan+UBSan and TSan (CMake presets `asan` / `tsan`). The TSan leg is
-# what proves the parallel execution engine race-free: it runs
-# parallel_determinism_test and runtime_pool_test with real threads.
+# what proves the parallel execution engine race-free: it runs the baton
+# scheduler, the framework suites and runtime_pool_test with real threads.
 #
 # The `metrics` mode is the focused observability leg: it runs the metrics
 # unit tests, the golden exporter test and the model-vs-measured self-checks
@@ -148,11 +148,13 @@ case "${MODE}" in
   plain) run_leg default ;;
   asan) run_leg asan ;;
   # The full suite takes a while under TSan's instrumentation; the threaded
-  # tests are the ones TSan exists for, so the tsan leg runs those
-  # (metrics_export and core_framework cover the metric staging of the
-  # pooled phase-2 payload decodes). Pass extra ctest args (e.g. -R '.') to
-  # widen.
-  tsan) run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework' ;;
+  # tests are the ones TSan exists for, so the tsan leg runs those. Every
+  # in-process run schedules n+1 party coroutines with one baton while
+  # their fan-outs run on the pool: baton_test pins the scheduler, and the
+  # framework suites (core_framework, chaos, framework_property,
+  # parallel_determinism, metrics_export) drive it end to end. Pass extra
+  # ctest args (e.g. -R '.') to widen.
+  tsan) run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos' ;;
   engine) run_leg tsan -R 'engine' ;;
   metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test' ;;
   chaos)
@@ -174,7 +176,7 @@ case "${MODE}" in
   all)
     run_leg default
     run_leg asan
-    run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework'
+    run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos'
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'flightrec'

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Loopback deployment launcher: runs one ppgr_cli-style instance file as
 # n+1 real OS processes (one ppgr_party per protocol party) over localhost
-# TCP, and prints the initiator's ranking.
+# TCP, and prints the ranking assembled from the participants' own-rank
+# lines (the initiator itself learns only the top-k submissions).
 #
 # The instance file is split into the public spec (spec/group/k + a derived
 # `parties` count) and per-party private inputs (criterion+weights for the
@@ -111,7 +112,7 @@ pids=()
 for ((i = 1; i <= n; ++i)); do
   "${bin}" --party-id "${i}" --listen "127.0.0.1:$((base_port + i))" \
       --peers "${peers}" --spec "${work}/spec.txt" \
-      --input "${work}/input${i}.txt" --quiet \
+      --input "${work}/input${i}.txt" \
       "${seed_args[@]+"${seed_args[@]}"}" "${fw_args[@]+"${fw_args[@]}"}" \
       > "${work}/party${i}.log" 2>&1 &
   pids+=($!)
@@ -132,11 +133,25 @@ for ((i = 1; i <= n; ++i)); do
 done
 echo "${status}" > "${work}/party0.exit"
 
-cat "${work}/party0.log"
 if [[ "${status}" -ne 0 ]]; then
+  cat "${work}/party0.log"
   echo "run_local.sh: a party failed (exit ${status}); logs kept in ${work}/" >&2
   exit "${status}"
 fi
+# The initiator's header, then the ranking in ppgr_cli's format — each
+# participant's own rank, marked when the initiator received its
+# submission — then the rest of the initiator's report.
+head -n 2 "${work}/party0.log"
+for ((i = 1; i <= n; ++i)); do
+  rank="$(sed -n "s/^party ${i}: rank \([0-9][0-9]*\)\$/\1/p" "${work}/party${i}.log")"
+  mark=""
+  if grep -Eq "^submission: participant +${i} claims" "${work}/party0.log"; then
+    mark="   -> submitted to initiator"
+  fi
+  printf 'participant %2d: rank %2d%s\n' "${i}" "${rank}" "${mark}"
+done
+echo
+tail -n +3 "${work}/party0.log"
 if [[ "${keep}" -eq 1 ]]; then
   echo "run_local.sh: artifacts kept in ${work}/" >&2
 else

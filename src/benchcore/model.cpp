@@ -1,5 +1,6 @@
 #include "benchcore/model.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -113,10 +114,13 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
   const std::uint64_t pairs = n * (n - 1);
   const std::uint64_t bits = n * l;           // β bits of all parties
   const std::uint64_t set_cts = (n - 1) * l;  // one party's comparison set
-  // Wire images, 2 elements per ciphertext: the β broadcasts, n-1 sets to
-  // P1, the whole n-set vector forwarded n-1 times along the chain, and
-  // n-1 sets returned by Pn.
-  const std::uint64_t wire_elems = 2 * (bits + (n + 2) * (n - 1) * set_cts);
+  // Set wire images, 2 elements per ciphertext: n-1 sets to P1, the whole
+  // n-set vector forwarded n-1 times along the chain, and n-1 sets returned
+  // by Pn — each serialized once and decoded once. Each party serializes
+  // its β bits once for all peers, and every peer decodes its own copy.
+  const std::uint64_t set_elems = 2 * (n + 2) * (n - 1) * set_cts;
+  const std::uint64_t beta_out = 2 * bits;
+  const std::uint64_t beta_in = 2 * (n - 1) * bits;
   const auto phases = [&](OpProfile profile) {
     std::array<OpTally, runtime::kPhaseCount> ph{};
     OpTally& p2 = ph[static_cast<std::size_t>(runtime::Phase::kPhase2)];
@@ -129,8 +133,9 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
     p2 += tally({{CryptoOp::kGroupExpG, 2 * n + pairs + bits + drawn},
                  {CryptoOp::kGroupExp, pairs + drawn},
                  {CryptoOp::kGroupMul, pairs + n + bits},
-                 {CryptoOp::kGroupSerialize, 2 * n + wire_elems},
-                 {CryptoOp::kGroupDeserialize, 2 * pairs + wire_elems}});
+                 {CryptoOp::kGroupSerialize, 2 * n + beta_out + set_elems},
+                 {CryptoOp::kGroupDeserialize,
+                  2 * pairs + beta_in + set_elems}});
     // Step 7: n-1 circuits per evaluator; step 8: each of the n hops
     // re-randomizes the n-1 foreign sets.
     for (std::size_t j = 0; j < n; ++j)
@@ -261,9 +266,8 @@ std::vector<runtime::CommLink> model_he_comm(
   }
 
   // Phase 2: every ordered participant pair (a, b) carries the key
-  // broadcast (one element), the proof broadcast (commitment + response)
-  // and the reverse-direction Schnorr challenge (one scalar), then the
-  // bitwise-beta broadcast (l ciphertexts).
+  // broadcast (one element), the proof message (commitment, challenge sum,
+  // response) and the bitwise-beta broadcast (l ciphertexts).
   const std::size_t eb = crypto::elem_wire_bytes(g);
   const std::size_t sb = crypto::scalar_wire_bytes(g);
   const std::size_t cb = crypto::ciphertext_wire_bytes(g);
@@ -271,10 +275,9 @@ std::vector<runtime::CommLink> model_he_comm(
   for (std::size_t a = 1; a <= n; ++a) {
     for (std::size_t b = 1; b <= n; ++b) {
       if (a == b) continue;
-      add(Phase::kPhase2, a, b, 1, eb);       // public key y
-      add(Phase::kPhase2, a, b, 1, eb + sb);  // proof (h, z)
-      add(Phase::kPhase2, a, b, 1, sb);       // challenge c for prover b
-      add(Phase::kPhase2, a, b, 1, l * cb);   // encrypted beta bits
+      add(Phase::kPhase2, a, b, 1, eb);           // public key y
+      add(Phase::kPhase2, a, b, 1, eb + 2 * sb);  // proof (h, Σc, z)
+      add(Phase::kPhase2, a, b, 1, l * cb);       // encrypted beta bits
     }
   }
   // Comparison sets: each party's flattened (n-1)*l ciphertexts go to P1
@@ -287,10 +290,15 @@ std::vector<runtime::CommLink> model_he_comm(
   for (std::size_t owner = 1; owner + 1 <= n; ++owner)
     add(Phase::kPhase2, n, owner, 1, set_b);
 
-  // Phase 3: one fixed-width submission per top-k party.
+  // Phase 3: one fixed-width submission per top-k party, an empty message
+  // from every other participant.
   const std::size_t sub_b = core::submission_wire_bytes(spec);
-  for (const std::size_t id : submitted_ids)
-    add(Phase::kPhase3, id, 0, 1, sub_b);
+  for (std::size_t j = 1; j <= n; ++j) {
+    const bool submitted = std::find(submitted_ids.begin(),
+                                     submitted_ids.end(),
+                                     j) != submitted_ids.end();
+    add(Phase::kPhase3, j, 0, 1, submitted ? sub_b : 0);
+  }
 
   std::vector<runtime::CommLink> links;
   links.reserve(acc.size());

@@ -143,8 +143,10 @@ struct HeCounts {
 /// wire codecs' exact size functions — no protocol run. This is the
 /// Sec. VI-B communication analysis made byte-exact; `validate_model
 /// --check-comm` asserts it matches what CommRegistry measures on the wire
-/// for a real run. Phase-3 routing depends on the ranking outcome, so the
-/// submitting party ids are an input (everything else is data-independent).
+/// for a real run. Phase-3 message sizes depend on the ranking outcome
+/// (a submission from the top k, an empty message from everyone else), so
+/// the submitting party ids are an input (everything else is
+/// data-independent).
 /// Returned links are sorted by (phase, src, dst) with tx_s left at 0 —
 /// virtual time belongs to the simulator, not the model.
 [[nodiscard]] std::vector<runtime::CommLink> model_he_comm(

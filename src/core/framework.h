@@ -17,17 +17,21 @@
 //   information vector; the initiator cross-checks submissions by
 //   recomputing gains.
 //
-// The classes below are the per-party protocol state machines; run_framework
-// drives them and routes every inter-party message — serialized for real
-// through the wire codecs — over a net::Router, which accounts the exact
-// byte counts into a runtime::TraceRecorder (and, with metrics on, a
-// runtime::CommRegistry with simulated virtual-time delivery), and accounts
-// per-party computation time — producing both the protocol outputs and the
-// observability data the benchmarks (Figs. 2 and 3) need.
+// The classes below are the per-party protocol state machines. The per-party
+// program of core/party_driver.h drives them — one party per process over
+// sockets (run_party), or all n+1 parties in-process (run_framework, which
+// launches the same program once per party over one shared net::Router).
+// Every inter-party message is serialized for real through the wire codecs;
+// the Router accounts the exact byte counts into a runtime::TraceRecorder
+// (and, with metrics on, a runtime::CommRegistry with simulated
+// virtual-time delivery), and the run accounts per-party computation time —
+// producing both the protocol outputs and the observability data the
+// benchmarks (Figs. 2 and 3) need.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/spec.h"
 #include "crypto/elgamal.h"
@@ -235,11 +239,6 @@ class Initiator {
   /// (the check described at the end of Sec. V): returns the ids whose
   /// claimed rank order contradicts the recomputed gain order.
   [[nodiscard]] std::vector<std::size_t> inconsistent_submissions() const;
-  [[nodiscard]] const std::vector<Submission>& submissions() const {
-    return submissions_;
-  }
-
-  [[nodiscard]] const Nat& rho() const { return rho_; }
 
  private:
   const FrameworkConfig& cfg_;
@@ -267,12 +266,15 @@ class Participant {
   [[nodiscard]] const Nat& beta() const { return beta_; }
 
   // --- phase 2 ---
-  /// Step 5: publish the ElGamal public key share.
+  /// Step 5: draw the ElGamal key share; returns the public share.
   [[nodiscard]] const Elem& public_key(Rng& rng);
-  [[nodiscard]] crypto::SchnorrTranscript prove_key(std::size_t n_verifiers,
-                                                    Rng& rng);
+  /// The proof message (h, Σc, z) of the key share for n verifiers. The
+  /// prover draws the challenges, so it is honest-verifier only.
+  [[nodiscard]] crypto::SchnorrProof prove_key(std::size_t n_verifiers,
+                                               Rng& rng) const;
+  /// Checks a peer's proof message (h, Σc, z) for its key share y.
   [[nodiscard]] bool verify_peer_key(const Elem& y,
-                                     const crypto::SchnorrTranscript& proof) const;
+                                     const crypto::SchnorrProof& proof) const;
   /// Called once all shares are collected.
   void set_joint_key(const Elem& y) { joint_key_ = y; }
   /// Step 6, bitwise encryption of β under the joint key: E(bit b of β)
@@ -303,15 +305,15 @@ class Participant {
   /// party's key share, per-ciphertext exponent randomization, and a uniform
   /// permutation of the set.
   void shuffle_hop(CipherSet& set, Rng& rng) const;
-  /// Step 9: final decryption of the own returned set; rank = zeros + 1.
-  [[nodiscard]] std::size_t compute_rank(const CipherSet& own_set) const;
+  /// Step 9: final decryption of (part of) the own returned set; the rank
+  /// is 1 + the zeros of the whole set.
+  [[nodiscard]] std::size_t count_zeros(std::span<const Ciphertext> cts) const;
 
   // --- phase 3 ---
   [[nodiscard]] std::optional<Initiator::Submission> submission(
       std::size_t rank) const;
 
   [[nodiscard]] std::size_t id() const { return id_; }
-  [[nodiscard]] const AttrVec& info() const { return info_; }
 
  private:
   const FrameworkConfig& cfg_;
@@ -320,7 +322,6 @@ class Participant {
   std::optional<dotprod::DotProductBob> dot_;
   Nat beta_;  // unsigned l-bit
   crypto::KeyPair key_;
-  bool key_generated_ = false;
   Elem joint_key_;
 };
 
@@ -356,7 +357,9 @@ struct FrameworkResult {
   std::optional<net::FaultReport> faults;
 };
 
-/// Runs the whole framework honestly (HBC) with in-process parties.
+/// Runs the whole framework honestly (HBC) with in-process parties: n+1
+/// party coroutines over one shared Router, one party computing at a time
+/// (DESIGN.md §5b). Failures surface as typed ProtocolFaults.
 [[nodiscard]] FrameworkResult run_framework(const FrameworkConfig& cfg,
                                             const AttrVec& v0, const AttrVec& w,
                                             const std::vector<AttrVec>& infos,

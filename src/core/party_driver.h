@@ -1,45 +1,34 @@
-// One-party protocol driver for real-transport deployments (DESIGN.md §5f).
+// The per-party protocol program (DESIGN.md §5b, §5f): the one
+// implementation of phases 1-3 for both the HE framework and the SS
+// baseline.
 //
-// run_framework() executes all n+1 party state machines in one process and
-// moves messages through the Router's mailboxes. run_party() is the other
-// half of the transport seam: it drives exactly ONE party's state machine —
-// the initiator (party 0) or one participant — and routes every message
-// through a net::Transport (in practice net::tcp::TcpTransport, one OS
-// process per party). The ppgr_party executable is a thin shell around it.
+// run_party() drives exactly ONE party's state machine — the initiator
+// (party 0) or one participant — and routes every message through a
+// net::Transport (in practice net::tcp::TcpTransport, one OS process per
+// party). The ppgr_party executable is a thin shell around it.
+// run_framework() and run_ss_framework() launch the same program n+1 times
+// over one shared in-process Router (launch() below), one party at a time.
 //
-// Determinism contract: run_party draws every random value from the same
-// counter-addressed substreams (core/streams.h) run_framework uses, and
-// every stream is consumed by exactly one party. Processes launched with a
-// shared --seed therefore reproduce a same-seed run_framework run bit for
-// bit (β values, ciphertexts, ranks) — the loopback verification harness
-// tests exactly that. Without a shared seed each process seeds from OS
-// entropy and the run is still a correct protocol execution, just not
-// comparable to a reference run. The shared seed is a verification harness,
-// NOT part of the security model (a real deployment would never share it).
+// Determinism contract: every random value comes from counter-addressed
+// substreams (core/streams.h), and every stream is consumed by exactly one
+// party. Processes launched with a shared --seed therefore reproduce a
+// same-seed run_framework / run_ss_framework run bit for bit (β values,
+// ciphertexts, ranks) — the loopback verification harness tests exactly
+// that. Without a shared seed each process seeds from OS entropy and the
+// run is still a correct protocol execution, just not comparable to a
+// reference run. The shared seed is a verification harness, NOT part of
+// the security model (a real deployment would never share it).
 //
-// Wire-protocol deviations from the in-process run (both documented in
-// DESIGN.md §5f):
-//  - Schnorr proofs travel as full transcripts (commitment + challenges +
-//    response) — the in-process run ships commitment/response only and
-//    shares challenges out-of-band, which separate processes cannot do.
-//  - Phase 3: every participant sends the initiator one message
-//    `u32 rank | u8 has-submission | [submission]`, so the initiator can
-//    print the complete ranking; in-process, non-submitting parties send
-//    nothing (their ranks are visible to the orchestrator anyway).
-//
-// SS baseline (`ss = true`): phases 1 and 3 are fully distributed as above;
-// the phase-2 secret-sharing sort runs on the sort host (party 1), which
-// collects every β, runs the existing sss::MpcEngine — itself a one-process
-// simulation of all n share-holders — and returns each party its rank. The
-// SS ranks still match a same-seed run_ss_framework run whenever gains are
-// distinct (β masking is order-preserving), which is what the harness
-// asserts.
+// SS baseline (`ss = true`): phase 2 runs on the sort host (party 1),
+// which collects every β, runs sss::MpcEngine — itself a one-process
+// simulation of all n share-holders — and returns each party its rank.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "core/framework.h"
+#include "core/ss_framework.h"
 #include "net/transport.h"
 
 namespace ppgr::core {
@@ -47,8 +36,7 @@ namespace ppgr::core {
 struct PartyConfig {
   /// The public instance agreement every process must share: spec, group,
   /// n, k, dot_field. fault_plan must be null (fault injection is a
-  /// simulator construct); parallelism/pool are unused (one party's state
-  /// machine runs serially).
+  /// simulator construct); `parallelism` sizes this party's pool.
   FrameworkConfig fw;
   /// Own party id: 0 = initiator, 1..n = participants.
   std::size_t party = 0;
@@ -70,11 +58,12 @@ struct PartyResult {
   std::size_t rank = 0;
   /// Own masked gain β (participants).
   Nat beta;
-  /// All parties' claimed ranks, index participant-1 (initiator only).
-  std::vector<std::size_t> ranks;
   /// 1-based ids whose submissions arrived (initiator only).
   std::vector<std::size_t> submitted_ids;
-  /// Exact byte accounting of this process's links (both directions).
+  /// Claimed rank of each submission, parallel to submitted_ids (initiator
+  /// only). The initiator learns nothing about the other participants.
+  std::vector<std::size_t> submitted_ranks;
+  /// Exact byte accounting of what this process sent.
   runtime::TraceRecorder trace;
   /// Measured communication with wall-clock round timings; iff fw.metrics.
   std::unique_ptr<runtime::CommRegistry> comm;
@@ -90,5 +79,59 @@ struct PartyResult {
 [[nodiscard]] PartyResult run_party(const PartyConfig& cfg,
                                     const PartyInput& input,
                                     net::Transport& transport, Rng& rng);
+
+// ---- In-process launcher (run_framework / run_ss_framework) ----
+
+/// Runs the n+1 party programs of `cfg` as coroutines over one shared
+/// Router, one party at a time (net::Baton), on the calling thread; an HE
+/// run leaves the sort fields empty. Non-empty dropped_parties: phase 1
+/// lost participants, the run stopped at the phase-2 barrier and the caller
+/// owes a degrade rerun (the result then holds only the fault report).
+/// Throws std::invalid_argument for an invalid cfg or input count.
+[[nodiscard]] SsFrameworkResult launch(const FrameworkConfig& cfg,
+                                       const SsFrameworkConfig* ss,
+                                       const AttrVec& v0,
+                                       const AttrVec& w,
+                                       const std::vector<AttrVec>& infos,
+                                       Rng& rng);
+
+/// Degrade-on-dropout (DESIGN.md Sec. 7): reruns a stopped launch over its
+/// survivors — rerun(sub, sub_infos) with their inputs in id order and a
+/// copy of `cfg` without fault plan (the faults already happened) or audit
+/// (the auditor's reference no longer applies) — and maps the rerun's
+/// result back to the original party ids. β_j ordering is independent per
+/// party, so the survivors' ranking equals the reduced instance's ranking.
+template <typename Result, typename Rerun>
+[[nodiscard]] Result degrade(SsFrameworkResult& run, const FrameworkConfig& cfg,
+                             const std::vector<AttrVec>& infos, Rerun&& rerun) {
+  const auto& dropped = run.dropped_parties;  // sorted
+  std::vector<std::size_t> survivors;
+  std::vector<AttrVec> sub_infos;
+  for (std::size_t j = 1; j <= infos.size(); ++j) {
+    if (std::binary_search(dropped.begin(), dropped.end(), j)) continue;
+    survivors.push_back(j);
+    sub_infos.push_back(infos[j - 1]);
+  }
+  FrameworkConfig sub = cfg;
+  sub.n = survivors.size();
+  sub.k = std::min(cfg.k, sub.n);
+  sub.fault_plan = nullptr;
+  sub.degrade_on_dropout = false;
+  sub.audit = nullptr;
+  Result out = rerun(sub, sub_infos);
+  std::vector<std::size_t> ranks(out.ranks.empty() ? 0 : infos.size(), 0);
+  std::vector<Nat> betas(infos.size());
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    if (!ranks.empty()) ranks[survivors[i] - 1] = out.ranks[i];
+    betas[survivors[i] - 1] = std::move(out.betas[i]);
+  }
+  out.ranks = std::move(ranks);
+  out.betas = std::move(betas);
+  for (std::size_t& id : out.submitted_ids) id = survivors[id - 1];
+  out.active_parties = std::move(survivors);
+  out.dropped_parties = std::move(run.dropped_parties);
+  out.faults = std::move(run.faults);
+  return out;
+}
 
 }  // namespace ppgr::core

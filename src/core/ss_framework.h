@@ -4,7 +4,10 @@
 // the initiator produces each participant's masked gain β_j); phase 2 is
 // replaced by the Jónsson-style secret-sharing sort: β values are shared
 // among the n participants and ranked through a Batcher network of
-// Nishide–Ohta comparisons. Phase 3 is the same submission step.
+// Nishide–Ohta comparisons (simulated in one process on the sort host P1,
+// which collects every β and returns each party its rank). Phase 3 is the
+// same submission step. Both run as the per-party program of
+// core/party_driver.h.
 //
 // Note what this baseline gives up relative to the paper's protocol: the
 // complete ranking permutation becomes public (every party sees which party
@@ -17,29 +20,14 @@
 
 namespace ppgr::core {
 
-struct SsFrameworkResult {
-  std::vector<std::size_t> ranks;          // per participant, 1-based
-  std::vector<std::size_t> submitted_ids;  // rank <= k
+/// The framework's result (same fields and contracts as FrameworkResult;
+/// comm: every β travels to the sort host and every rank back as real
+/// payloads, the sort's own traffic is transmitted per the engine's exact
+/// byte meter) plus the sort's metered costs.
+struct SsFrameworkResult : FrameworkResult {
   sss::MpcCosts sort_costs;                // exact metered MPC costs
   std::uint64_t parallel_rounds = 0;       // phase-2 parallel rounds
   std::size_t comparators = 0;
-  runtime::TraceRecorder trace;            // phase-1 exact + phase-2 synthetic
-  std::vector<double> compute_seconds;     // index 0 = initiator
-  /// Populated iff base.metrics (same contract as FrameworkResult). The SS
-  /// baseline runs serially, so spans are pushed straight to the recorder.
-  std::unique_ptr<runtime::MetricsRegistry> metrics;
-  std::unique_ptr<runtime::SpanRecorder> spans;
-  /// Measured communication (see FrameworkResult::comm): phase-1 and
-  /// phase-3 flows carry real serialized payloads; the phase-2 sort traffic
-  /// is transmitted per the engine's exact byte meter.
-  std::unique_ptr<runtime::CommRegistry> comm;
-  /// Fault-tolerance bookkeeping, mirroring FrameworkResult: the 1-based
-  /// ids that finished the run, the ids dropped by degrade-on-dropout
-  /// (ranks[j-1] == 0 for those), and the fault report when a plan was
-  /// installed.
-  std::vector<std::size_t> active_parties;
-  std::vector<std::size_t> dropped_parties;
-  std::optional<net::FaultReport> faults;
 };
 
 struct SsFrameworkConfig {

@@ -6,11 +6,10 @@
 // core/party_driver.h), replays the exact same randomness from the same
 // master seed (DESIGN.md, "Threading model & determinism").
 //
-// Shared between run_framework (one process simulates all parties) and
-// run_party (one process drives one party): both derive a
-// mpz::StreamFamily from the caller's Rng and address substreams through
-// these ids, which is what makes a same-seed socket run bit-identical to
-// the simulator run.
+// The one per-party program (core/party_driver.h) derives a
+// mpz::StreamFamily from the caller's Rng and addresses substreams through
+// these ids — in-process for all parties, or one party per process — which
+// is what makes a same-seed socket run bit-identical to the simulator run.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,6 @@ namespace ppgr::core {
 
 enum class StreamKind : std::uint64_t {
   kInitiatorSetup = 0,  // ρ and the ρ_j masks
-  kPartySetup = 1,      // reserved (unused; ids stay stable)
   kPhase1 = 2,          // dot-product disguise (per party)
   kKeygen = 3,          // ElGamal key share (per party)
   kProve = 4,           // Schnorr proof nonce (per party)

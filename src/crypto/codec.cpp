@@ -76,29 +76,18 @@ std::vector<Ciphertext> read_ciphertext_seq(Reader& r, const Group& g,
   return out;
 }
 
-void write_transcript(Writer& w, const Group& g, const SchnorrTranscript& t) {
-  write_elem(w, g, t.commitment);
-  w.varint(t.challenges.size());
-  for (const auto& c : t.challenges) w.nat(c);
-  w.nat(t.response);
+void write_schnorr_proof(Writer& w, const Group& g, const SchnorrProof& p) {
+  write_elem(w, g, p.commitment);
+  write_scalar(w, g, p.challenge_sum);
+  write_scalar(w, g, p.response);
 }
 
-SchnorrTranscript read_transcript(Reader& r, const Group& g) {
-  SchnorrTranscript t;
-  t.commitment = read_elem(r, g);
-  const std::uint64_t count = r.varint();
-  if (count > r.remaining())  // each challenge takes >= 1 byte
-    throw runtime::WireError("transcript: length prefix exceeds input");
-  t.challenges.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    t.challenges.push_back(r.nat());
-    if (t.challenges.back() >= g.order())
-      throw runtime::WireError("transcript: challenge out of range");
-  }
-  t.response = r.nat();
-  if (t.response >= g.order())
-    throw runtime::WireError("transcript: response out of range");
-  return t;
+SchnorrProof read_schnorr_proof(Reader& r, const Group& g) {
+  SchnorrProof p;
+  p.commitment = read_elem(r, g);
+  p.challenge_sum = read_scalar(r, g);
+  p.response = read_scalar(r, g);
+  return p;
 }
 
 std::size_t elem_wire_bytes(const Group& g) { return g.element_bytes(); }

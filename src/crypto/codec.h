@@ -43,8 +43,10 @@ void write_ciphertexts(Writer& w, const Group& g,
 [[nodiscard]] std::vector<Ciphertext> read_ciphertexts(Reader& r,
                                                        const Group& g);
 
-void write_transcript(Writer& w, const Group& g, const SchnorrTranscript& t);
-[[nodiscard]] SchnorrTranscript read_transcript(Reader& r, const Group& g);
+/// The multi-verifier proof message h | Σc | z: one element and two
+/// scalars, elem_wire_bytes(g) + 2·scalar_wire_bytes(g) bytes.
+void write_schnorr_proof(Writer& w, const Group& g, const SchnorrProof& p);
+[[nodiscard]] SchnorrProof read_schnorr_proof(Reader& r, const Group& g);
 
 /// Encoded sizes (exact): these back the TraceRecorder byte accounting.
 [[nodiscard]] std::size_t elem_wire_bytes(const Group& g);

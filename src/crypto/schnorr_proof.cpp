@@ -32,11 +32,16 @@ Nat schnorr_respond(const Group& g, const SchnorrProverState& st, const Nat& x,
   return Nat::add(st.r, Nat::mul(x % g.order(), csum) % g.order()) % g.order();
 }
 
-bool schnorr_verify(const Group& g, const Elem& y, const SchnorrTranscript& t) {
+SchnorrProof schnorr_proof(const Group& g, const SchnorrTranscript& t) {
+  return SchnorrProof{.commitment = t.commitment,
+                      .challenge_sum = sum_mod_q(g, t.challenges),
+                      .response = t.response};
+}
+
+bool schnorr_verify(const Group& g, const Elem& y, const SchnorrProof& p) {
   const runtime::ScopedOpTimer timer(runtime::CryptoOp::kSchnorrVerify);
-  const Nat csum = sum_mod_q(g, t.challenges);
-  const Elem lhs = g.exp_g(t.response);
-  const Elem rhs = g.mul(t.commitment, g.exp(y, csum));
+  const Elem lhs = g.exp_g(p.response);
+  const Elem rhs = g.mul(p.commitment, g.exp(y, p.challenge_sum));
   return g.eq(lhs, rhs);
 }
 

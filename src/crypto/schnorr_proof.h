@@ -29,6 +29,18 @@ struct SchnorrTranscript {
   Nat response;                 // z = r + x·Σc_j mod q
 };
 
+/// What a verifier needs of a transcript: the commitment, the challenge sum
+/// Σc_j mod q and the response — the multi-verifier proof message.
+struct SchnorrProof {
+  Elem commitment;
+  Nat challenge_sum;
+  Nat response;
+};
+
+/// Folds a transcript's challenges into their sum mod q.
+[[nodiscard]] SchnorrProof schnorr_proof(const Group& g,
+                                         const SchnorrTranscript& t);
+
 /// Prover state between commit and respond.
 struct SchnorrProverState {
   Nat r;
@@ -47,7 +59,7 @@ struct SchnorrProverState {
 
 /// Step 4 (each verifier): check g^z == h · y^{Σc_j}.
 [[nodiscard]] bool schnorr_verify(const Group& g, const Elem& y,
-                                  const SchnorrTranscript& t);
+                                  const SchnorrProof& p);
 
 /// Convenience: run the whole protocol locally with `n_verifiers` honest
 /// verifiers and return the transcript (used in the HBC simulation, where

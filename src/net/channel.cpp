@@ -24,6 +24,116 @@ std::string link_str(std::size_t src, std::size_t dst) {
 
 }  // namespace
 
+// ---------------- Baton ----------------
+
+Baton::Baton(std::size_t parties) : slots_(parties) {}
+
+void Baton::check_exit(std::size_t p) const {
+  if (cancelled_ || stopped_ || slots_[p].released) throw Exit{};
+}
+
+void Baton::fail(std::exception_ptr e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const Exit&) {
+    return;  // a quiet end
+  } catch (...) {
+  }
+  if (!failure_) failure_ = std::move(e);
+  cancelled_ = true;
+}
+
+bool Baton::Wait::await_ready() const {
+  baton_.check_exit(p_);
+  return false;  // always yield: the lowest-id runnable party runs next
+}
+
+void Baton::Wait::await_suspend(std::coroutine_handle<> h) {
+  Slot& s = baton_.slots_[p_];
+  s.state = State::kWaiting;
+  s.ready = std::move(ready_);
+  s.resume = h;
+}
+
+void Baton::Wait::await_resume() const { baton_.check_exit(p_); }
+
+// The next holder: the lowest-id party that has not started yet or whose
+// wait can end; kNone once every party has finished.
+std::size_t Baton::next() {
+  for (;;) {
+    bool unfinished = false;
+    for (std::size_t p = 0; p < slots_.size(); ++p) {
+      Slot& s = slots_[p];
+      if (s.state == State::kDone) continue;
+      unfinished = true;
+      if (s.state == State::kIdle || cancelled_ || stopped_ || s.released ||
+          s.ready())
+        return p;
+    }
+    if (!unfinished) return kNone;
+    // Every unfinished party is blocked on something no one will provide.
+    std::string blocked;
+    for (std::size_t p = 0; p < slots_.size(); ++p)
+      if (slots_[p].state == State::kWaiting)
+        blocked += " P" + std::to_string(p);
+    if (!failure_)
+      failure_ = std::make_exception_ptr(std::logic_error(
+          "Baton: deadlock, every unfinished party is blocked:" + blocked));
+    cancelled_ = true;  // the blocked parties now unwind with Exit
+  }
+}
+
+// Runs the pending barrier's completion once every party still running has
+// arrived.
+void Baton::complete_barrier_if_full() {
+  std::size_t live = 0;
+  for (const Slot& s : slots_) live += s.state != State::kDone ? 1 : 0;
+  if (cancelled_ || stopped_ || arrived_ == 0 || arrived_ < live) return;
+  arrived_ = 0;
+  const std::function<void()> complete = std::move(complete_);
+  complete();
+  ++generation_;
+}
+
+Task<> Baton::barrier(std::size_t p, std::uint64_t tag,
+                      std::function<void()> complete) {
+  check_exit(p);
+  if (arrived_ == 0) {
+    tag_ = tag;
+    complete_ = std::move(complete);
+  } else if (tag != tag_) {
+    throw std::logic_error("Baton: P" + std::to_string(p) +
+                           " reached a different barrier than its peers");
+  }
+  ++arrived_;
+  const std::uint64_t generation = generation_;
+  complete_barrier_if_full();
+  co_await wait(p, [this, generation] { return generation_ != generation; });
+}
+
+void Baton::run(std::vector<Task<>>& programs) {
+  for (std::size_t p = 0; p < slots_.size(); ++p)
+    slots_[p].resume = programs[p].handle();
+  for (std::size_t p = next(); p != kNone; p = next()) {
+    Slot& s = slots_[p];
+    // A party that has not started when the run is cancelled never starts.
+    const bool start = s.state != State::kIdle || (!cancelled_ && !stopped_);
+    s.state = State::kRunning;
+    if (start) s.resume.resume();
+    if (start && !programs[p].done()) continue;  // it waits again
+    s.state = State::kDone;
+    if (start && programs[p].error()) fail(programs[p].error());
+    try {
+      complete_barrier_if_full();  // the others may be waiting only on p
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+  if (failure_) std::rethrow_exception(failure_);
+}
+
+// ---------------- Router ----------------
+
 Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
                runtime::CommRegistry* comm)
     : Router(parties, trace, comm, Config{}) {}
@@ -41,6 +151,7 @@ Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
                                    : std::vector<std::size_t>{}),
       sim_(*topo_, cfg.sim),
       mailboxes_(parties * parties),
+      link_events_(parties * parties, 0),
       progress_(cfg.progress),
       flight_(cfg.flight),
       transport_(cfg.transport),
@@ -143,6 +254,7 @@ void Router::send(std::size_t src, std::size_t dst,
   account(src, dst, payload->size());
   mailbox(src, dst).push_back(std::move(payload));
   ++pending_;
+  ++link_events_[src * parties_ + dst];
 }
 
 void Router::faulted_send(
@@ -154,6 +266,7 @@ void Router::faulted_send(
   // A crashed sender is silent: its peers discover the crash when their
   // receive finds nothing on the link (ChannelError kPeerDead).
   if (dead_[src] != 0) return;
+  ++link_events_[link];  // whatever the ladder resolves, the link changed
   const std::uint32_t seq = tx_seq_[link]++;
   const std::uint32_t msg = msg_ctr_[link]++;
   auto& box = mailbox(src, dst);
@@ -277,31 +390,16 @@ void Router::transmit(std::size_t src, std::size_t dst, std::size_t bytes) {
   account(src, dst, bytes);
 }
 
-void Router::absorb(runtime::CommBuffer& buf) {
-  for (const auto& m : buf.staged()) {
-    if (m.payload != nullptr) {
-      send(m.src, m.dst, m.payload);
-    } else {
-      transmit(m.src, m.dst, m.bytes);
-    }
-  }
-  buf.clear();
-}
-
 std::shared_ptr<const std::vector<std::uint8_t>> Router::receive(
     std::size_t src, std::size_t dst) {
   if (src >= parties_ || dst >= parties_)
     throw std::invalid_argument("Router: party id out of range");
-  if (faults_ != nullptr) return faulted_receive(src, dst);
   if (transport_ != nullptr && !transport_->local(src)) {
     try {
-      auto payload = std::make_shared<const std::vector<std::uint8_t>>(
+      // Not accounted: the sending process accounted it, so the processes'
+      // exports sum to exactly the in-process run's.
+      return std::make_shared<const std::vector<std::uint8_t>>(
           transport_->receive(src, dst));
-      // Inbound accounting: in a one-party-per-process run each process
-      // records both directions of its own links, so its trace and comm
-      // exports are self-contained.
-      account(src, dst, payload->size());
-      return payload;
     } catch (const ChannelError& e) {
       if (flight_ != nullptr)
         flight_->record(runtime::FlightEventKind::kChannelError, phase_,
@@ -311,9 +409,23 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::receive(
       throw;
     }
   }
-  auto& box = mailbox(src, dst);
-  if (box.empty())
+  auto payload = try_receive(src, dst);
+  if (payload == nullptr)
     throw std::logic_error("Router::receive: mailbox empty");
+  return payload;
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>> Router::try_receive(
+    std::size_t src, std::size_t dst) {
+  if (src >= parties_ || dst >= parties_)
+    throw std::invalid_argument("Router: party id out of range");
+  return faults_ != nullptr ? faulted_receive(src, dst) : pop(src, dst);
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>> Router::pop(std::size_t src,
+                                                             std::size_t dst) {
+  auto& box = mailbox(src, dst);
+  if (box.empty()) return nullptr;
   auto payload = std::move(box.front());
   box.pop_front();
   --pending_;
@@ -398,7 +510,7 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::faulted_receive(
                        "Router::receive: " + link_str(src, dst) +
                            " peer P" + std::to_string(src) + " crashed");
   }
-  throw std::logic_error("Router::receive: mailbox empty");
+  return nullptr;  // the awaited frame has not been sent yet
 }
 
 void Router::next_round() {

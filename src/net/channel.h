@@ -15,14 +15,15 @@
 // Two send flavours (DESIGN.md Sec. 5d):
 //  - send(): payload retained and later receive()d — the bytes a decoding
 //    party actually consumes;
-//  - transmit(): accounting + virtual-time delivery only, for messages
-//    whose serialized form was produced and measured but whose content the
-//    in-process HBC simulation hands over out-of-band (e.g. per-verifier
-//    Schnorr challenges already embedded in the prover's transcript).
+//  - transmit(): accounting + virtual-time delivery only, for the SS
+//    baseline's synthetic sort traffic, whose content stays inside the
+//    in-process secret-sharing engine.
 //
-// Parallel regions never touch the router directly: tasks stage messages in
-// per-task runtime::CommBuffers and the orchestrator absorbs them in
-// task-index order (absorb()), so the flow sequence is schedule-independent.
+// In-process runs share one Router among n+1 party coroutines scheduled by
+// a net::Baton (below): one party runs at a time, so every Router call is
+// serial, and a party that finds its mailbox empty (try_receive) hands the
+// baton on until the link changes. A transport-backed Router (one per
+// process) blocks on the transport instead.
 //
 // Fault injection (DESIGN.md Sec. 7): constructed with a net::FaultPlan the
 // router wraps every payload send in a sequenced CRC32 frame and resolves a
@@ -46,9 +47,14 @@
 #pragma once
 
 #include <chrono>
+#include <coroutine>
+#include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/fault.h"
@@ -64,6 +70,160 @@ namespace ppgr::net {
 
 class Channel;
 class Transport;
+
+namespace detail {
+struct TaskPromiseBase {
+  std::coroutine_handle<> continuation;  // the awaiting coroutine, if any
+  std::exception_ptr error;
+
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  struct Final {
+    bool await_ready() noexcept { return false; }
+    template <typename P>
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
+      const std::coroutine_handle<> next = h.promise().continuation;
+      return next ? next : std::noop_coroutine();
+    }
+    void await_resume() noexcept {}
+  };
+  Final final_suspend() noexcept { return {}; }
+  void unhandled_exception() noexcept { error = std::current_exception(); }
+};
+template <typename T>
+struct TaskValue : TaskPromiseBase {
+  std::optional<T> value;
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
+  }
+  T take() { return std::move(*value); }
+};
+template <>
+struct TaskValue<void> : TaskPromiseBase {
+  void return_void() noexcept {}
+  void take() {}
+};
+}  // namespace detail
+
+/// A lazily started C++20 coroutine: the per-party protocol program and
+/// its steps. `co_await task` runs it to completion — suspending whenever
+/// it does — then yields its value or rethrows its exception.
+template <typename T = void>
+class [[nodiscard]] Task {
+ public:
+  struct promise_type : detail::TaskValue<T> {
+    Task get_return_object() {
+      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+  };
+
+  Task(Task&& other) noexcept : h_(std::exchange(other.h_, {})) {}
+  Task& operator=(Task&&) = delete;
+  ~Task() {
+    if (h_) h_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> caller) noexcept {
+    h_.promise().continuation = caller;
+    return h_;
+  }
+  T await_resume() {
+    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+    return h_.promise().take();
+  }
+
+  [[nodiscard]] std::coroutine_handle<> handle() const { return h_; }
+  [[nodiscard]] bool done() const { return h_.done(); }
+  [[nodiscard]] std::exception_ptr error() const { return h_.promise().error; }
+
+ private:
+  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
+  std::coroutine_handle<promise_type> h_;
+};
+
+/// One-at-a-time scheduler for the party programs of an in-process run
+/// (the "baton", DESIGN.md §5b). Every party is a coroutine; run() resumes
+/// one party at a time on the calling thread, and a party gives the baton
+/// up only when it blocks — on an empty mailbox, or at a barrier — after
+/// which the lowest-id party that can make progress runs next. The
+/// schedule is therefore a pure function of the protocol, and every Router
+/// call is serial without any locking.
+class Baton {
+ public:
+  /// Thrown out of a wait to unwind a party that must stop quietly:
+  /// another party failed, the run was stopped, or this party was
+  /// released. Deliberately not a std::exception, so protocol code that
+  /// converts std::exceptions into typed faults lets it pass.
+  struct Exit {};
+
+  explicit Baton(std::size_t parties);
+  Baton(const Baton&) = delete;
+  Baton& operator=(const Baton&) = delete;
+
+  /// Runs programs[p] (party p's coroutine, not yet started) for every
+  /// party. A program that ends in Exit ends quietly. Rethrows the first
+  /// failure in baton order (every other party then unwinds with Exit);
+  /// throws std::logic_error naming the blocked parties when every
+  /// unfinished party is blocked.
+  void run(std::vector<Task<>>& programs);
+
+  /// Awaitable: party p (the holder) gives up the baton until ready()
+  /// holds. ready is evaluated only between turns, so it may read state
+  /// only baton holders mutate.
+  class Wait {
+   public:
+    bool await_ready() const;
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const;
+
+   private:
+    friend class Baton;
+    Wait(Baton& baton, std::size_t p, std::function<bool()> ready)
+        : baton_(baton), p_(p), ready_(std::move(ready)) {}
+    Baton& baton_;
+    std::size_t p_;
+    std::function<bool()> ready_;
+  };
+  [[nodiscard]] Wait wait(std::size_t p, std::function<bool()> ready) {
+    return Wait{*this, p, std::move(ready)};
+  }
+  /// Barrier over every party still running: p arrives and waits until
+  /// all have. The last arrival — or the last departure, if a party ends
+  /// while the others wait — runs `complete` first. All arrivals at one
+  /// barrier must pass the same tag (a schedule check).
+  Task<> barrier(std::size_t p, std::uint64_t tag,
+                 std::function<void()> complete);
+  /// Party p's next wait ends in Exit.
+  void release(std::size_t p) { slots_[p].released = true; }
+  /// Every party's next wait ends in Exit.
+  void stop() { stopped_ = true; }
+
+ private:
+  enum class State : std::uint8_t { kIdle, kRunning, kWaiting, kDone };
+  struct Slot {
+    State state = State::kIdle;
+    bool released = false;
+    std::function<bool()> ready;
+    std::coroutine_handle<> resume;
+  };
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  [[nodiscard]] std::size_t next();
+  void check_exit(std::size_t p) const;
+  void complete_barrier_if_full();
+  void fail(std::exception_ptr e);
+
+  std::vector<Slot> slots_;
+  bool cancelled_ = false;  // a party failed
+  bool stopped_ = false;
+  std::exception_ptr failure_;
+  std::size_t arrived_ = 0;
+  std::uint64_t tag_ = 0;
+  std::uint64_t generation_ = 0;
+  std::function<void()> complete_;
+};
 
 class Router {
  public:
@@ -89,10 +249,10 @@ class Router {
     /// Observation-only — null means one untaken branch per event site.
     runtime::FlightRecorder* flight = nullptr;
     /// Optional real transport (DESIGN.md §5f). Null: the in-process
-    /// simulator path, byte-identical to every build before the seam
-    /// existed. Non-null: sends to non-local parties are handed to the
-    /// transport (after the usual byte accounting) and receives from
-    /// non-local parties block on it; next_round() stamps wall-clock flow
+    /// simulator path. Non-null: sends to non-local parties are handed to
+    /// the transport (after the usual byte accounting) and receives from
+    /// non-local parties block on it, unaccounted (the sender's process
+    /// accounted them); next_round() stamps wall-clock flow
     /// timings instead of replaying the virtual-time simulator. Must
     /// outlive the router. Mutually exclusive with `faults` — the injection
     /// ladder is a simulator-mailbox construct.
@@ -122,17 +282,24 @@ class Router {
   void send(std::size_t src, std::size_t dst, std::vector<std::uint8_t> bytes);
   /// Accounting-only send; see the header comment.
   void transmit(std::size_t src, std::size_t dst, std::size_t bytes);
-  /// Absorbs a per-task staging buffer: its messages (in staged order) are
-  /// accounted and, when they carry payloads, enqueued. Clears the buffer.
-  void absorb(runtime::CommBuffer& buf);
 
-  /// Pops the oldest pending payload on (src, dst). Throws std::logic_error
-  /// when the mailbox is empty. Under a fault plan: discards duplicates and
+  /// Pops the oldest pending payload on (src, dst); over a transport, blocks
+  /// for it. Throws std::logic_error when an in-process mailbox holds
+  /// nothing deliverable. Under a fault plan: discards duplicates and
   /// CRC-rejected frames, heals reorders by sequence number, and throws a
   /// typed ChannelError when the awaited message permanently failed
   /// (timeout / retries exhausted / peer crashed).
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> receive(
       std::size_t src, std::size_t dst);
+  /// In-process receive(), but null when nothing is deliverable yet.
+  [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> try_receive(
+      std::size_t src, std::size_t dst);
+  /// Sends made on (src, dst) so far: a party waiting on an empty mailbox
+  /// waits for this to change.
+  [[nodiscard]] std::uint64_t link_events(std::size_t src,
+                                          std::size_t dst) const {
+    return link_events_[src * parties_ + dst];
+  }
 
   /// Round barrier: simulates the round's messages on the virtual network
   /// (filling the comm registry's flow timings) and closes the trace round.
@@ -170,6 +337,8 @@ class Router {
   mailbox(std::size_t src, std::size_t dst);
   void faulted_send(std::size_t src, std::size_t dst,
                     std::shared_ptr<const std::vector<std::uint8_t>> payload);
+  [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> pop(
+      std::size_t src, std::size_t dst);
   [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
   faulted_receive(std::size_t src, std::size_t dst);
   void note(FaultKind kind, std::size_t src, std::size_t dst,
@@ -186,6 +355,7 @@ class Router {
       mailboxes_;
   std::vector<runtime::Transfer> round_;  // current round, for the simulator
   std::size_t pending_ = 0;
+  std::vector<std::uint64_t> link_events_;  // per link: sends so far
 
   runtime::ProgressSink* progress_ = nullptr;  // round-progress hook
   runtime::FlightRecorder* flight_ = nullptr;  // forensic event ring

@@ -288,7 +288,9 @@ std::vector<std::uint8_t> encode_frame(std::uint32_t seq,
             static_cast<std::uint32_t>(kFrameHeaderBytes + payload.size()));
   store_u32(out.data() + 4, seq);
   store_u32(out.data() + 8, crc32(payload));
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  if (!payload.empty())  // an empty span may carry a null data()
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
   return out;
 }
 

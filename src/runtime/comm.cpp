@@ -7,21 +7,6 @@
 
 namespace ppgr::runtime {
 
-void CommBuffer::send(
-    std::size_t src, std::size_t dst,
-    std::shared_ptr<const std::vector<std::uint8_t>> payload) {
-  if (src == dst) throw std::invalid_argument("CommBuffer: src == dst");
-  if (payload == nullptr)
-    throw std::invalid_argument("CommBuffer: null payload");
-  const std::size_t bytes = payload->size();
-  staged_.push_back(CommMessage{src, dst, bytes, std::move(payload)});
-}
-
-void CommBuffer::record(std::size_t src, std::size_t dst, std::size_t bytes) {
-  if (src == dst) throw std::invalid_argument("CommBuffer: src == dst");
-  staged_.push_back(CommMessage{src, dst, bytes, nullptr});
-}
-
 void CommRegistry::set_phase(Phase p) {
   const std::lock_guard<std::mutex> lock(mu_);
   phase_ = p;

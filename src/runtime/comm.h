@@ -9,13 +9,12 @@
 // simulated network — queueing, transmission and propagation segments, as
 // computed by net::Simulator when net::Router closes a round.
 //
-// Staging mirrors MetricsBuffer/TraceBuffer: parallel tasks serialize their
-// outgoing messages into a per-task CommBuffer (unsynchronized), and the
-// orchestrator absorbs the buffers in task-index order after the fork-join
-// barrier — so the flow sequence, and therefore every exporter below, is
-// bit-identical for any --parallelism value. Virtual times are derived from
-// the deterministic discrete-event simulation, so they are deterministic
-// too (the golden exporter tests run all comm exports in default mode).
+// Every flow is recorded by net::Router, whose calls are serial (one party
+// runs at a time, DESIGN.md §5b) — so the flow sequence, and therefore every
+// exporter below, is bit-identical for any --parallelism value. Virtual
+// times are derived from the deterministic discrete-event simulation, so
+// they are deterministic too (the golden exporter tests run all comm exports
+// in default mode).
 //
 // Exporters:
 //  - to_json(): "ppgr.comm.v1" — totals, per-phase per-link tables
@@ -66,38 +65,6 @@ struct FlowRecord {
   FlowTiming t;           // filled when the round is closed
 };
 
-/// A message staged for routing: either a real payload (delivered to the
-/// destination's mailbox for decoding) or accounting-only (bytes measured
-/// from a real serialization whose content the in-process simulation hands
-/// over out-of-band; see DESIGN.md Sec. 5d). Broadcasts share one payload.
-struct CommMessage {
-  std::size_t src = 0;
-  std::size_t dst = 0;
-  std::size_t bytes = 0;
-  std::shared_ptr<const std::vector<std::uint8_t>> payload;  // may be null
-};
-
-/// Per-task, unsynchronized staging area for messages sent inside a
-/// parallel region (the comm analogue of MetricsBuffer). net::Router
-/// absorbs buffers in task-index order after the fork-join barrier.
-class CommBuffer {
- public:
-  /// Stages a payload-carrying message; bytes = payload->size().
-  void send(std::size_t src, std::size_t dst,
-            std::shared_ptr<const std::vector<std::uint8_t>> payload);
-  /// Stages an accounting-only message of `bytes` serialized bytes.
-  void record(std::size_t src, std::size_t dst, std::size_t bytes);
-
-  [[nodiscard]] const std::vector<CommMessage>& staged() const {
-    return staged_;
-  }
-  [[nodiscard]] bool empty() const { return staged_.empty(); }
-  void clear() { staged_.clear(); }
-
- private:
-  std::vector<CommMessage> staged_;
-};
-
 /// Channel-recovery counters mirrored from the fault-injection layer
 /// (net::Router under a net::FaultPlan; see DESIGN.md Sec. 7). Pure
 /// counters — a deterministic function of the fault schedule — so the
@@ -129,9 +96,9 @@ struct CommLink {
 };
 
 /// Thread-safe accumulation of flows plus the virtual network clock.
-/// Records arrive in deterministic order (direct serial calls or CommBuffer
-/// absorption in task order); close_round() stamps the current round's
-/// flows with their simulated timings and advances the virtual clock.
+/// Records arrive in deterministic order (serial Router calls);
+/// close_round() stamps the current round's flows with their simulated
+/// timings and advances the virtual clock.
 class CommRegistry {
  public:
   CommRegistry() = default;

@@ -19,11 +19,12 @@
 //    PPGR_DISABLE_METRICS removes even that (kMetricsCompiledIn == false,
 //    compile-time checkable), turning every instrumentation point into an
 //    empty constexpr-folded function.
-//  - Enabled (FrameworkConfig::metrics): the orchestrator installs one
-//    MetricsBuffer per parallel task (MetricsScope) and absorbs them into
-//    the shared MetricsRegistry in deterministic task-index order after the
-//    fork-join barrier, mirroring TraceBuffer/TraceRecorder. Counter totals
-//    are sums, so they are bit-identical for every --parallelism value.
+//  - Enabled (FrameworkConfig::metrics): every party installs its own
+//    MetricsBuffer and one per parallel task (MetricsScope), and absorbs
+//    them into the shared MetricsRegistry in deterministic order (task
+//    buffers in task-index order after the fork-join barrier). Counter
+//    totals are sums, so they are bit-identical for every --parallelism
+//    value.
 //
 // Determinism contract: counters (and histogram sample *counts*) are pure
 // functions of the protocol instance and seed; latency bin contents and
@@ -144,10 +145,9 @@ struct OpTally {
 // LatencyHistogram lives in runtime/histogram.h (shared with the telemetry
 // layer's OpenMetrics buckets and quantile estimators).
 
-/// Per-task, unsynchronized staging area (the metrics analogue of
-/// TraceBuffer): counters keyed by (phase, party) plus per-op latency
-/// histograms. The orchestrator gives every parallel task its own buffer
-/// and absorbs them in task-index order.
+/// Per-task, unsynchronized staging area: counters keyed by (phase, party)
+/// plus per-op latency histograms. Every party and every parallel task gets
+/// its own buffer; task buffers are absorbed in task-index order.
 class MetricsBuffer {
  public:
   struct Slot {
@@ -255,6 +255,12 @@ class MetricsScope {
  private:
   MetricsBuffer* prev_;
 };
+
+/// Makes `buf` this thread's sink until replaced: for a cooperative
+/// scheduler that interleaves several parties on one thread, where each
+/// party installs its own buffer whenever it resumes. The scheduler's
+/// caller brackets the run with a MetricsMute to restore its own sink.
+inline void install_metrics_sink(MetricsBuffer* buf) { detail::tl_sink = buf; }
 
 /// RAII mute: removes this thread's sink entirely, restoring it on
 /// destruction. MetricsScope cannot express "no sink" (a null buffer keeps

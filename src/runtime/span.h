@@ -2,8 +2,8 @@
 // party task.
 //
 // Spans are recorded as begin/end event pairs. Inside a parallel region
-// every task writes into its own SpanBuffer (unsynchronized, like
-// TraceBuffer) and the orchestrator absorbs the buffers in deterministic
+// every task writes into its own SpanBuffer (unsynchronized) and the
+// party that forked the tasks absorbs the buffers in deterministic
 // task-index order after the fork-join barrier — so the event *stream*
 // (names, nesting, phases, parties) is bit-identical for every
 // --parallelism value. Wall-clock timestamps ride along for the timing
@@ -47,7 +47,7 @@ class SpanSink {
 
 /// Per-task, unsynchronized staging area. Events absorbed into a
 /// SpanRecorder are re-based onto the recorder's current depth, so task
-/// spans nest under the orchestrator's open step span.
+/// spans nest under the forking party's open step span.
 class SpanBuffer final : public SpanSink {
  public:
   void push(SpanEvent ev) override;
@@ -93,7 +93,7 @@ class SpanScope {
   std::uint64_t index_;
 };
 
-/// The shared span stream. Direct push() calls (orchestrator-level spans)
+/// The shared span stream. Direct push() calls (phase and step spans)
 /// and absorb() (task buffers) are serialized by one mutex; reads are
 /// unsynchronized and expect the run to have finished, exactly like
 /// TraceRecorder::transfers().

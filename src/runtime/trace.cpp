@@ -5,11 +5,6 @@
 
 namespace ppgr::runtime {
 
-void TraceBuffer::record(std::size_t src, std::size_t dst, std::size_t bytes) {
-  if (src == dst) throw std::invalid_argument("TraceBuffer: src == dst");
-  staged_.push_back(Transfer{0, src, dst, bytes});
-}
-
 TraceRecorder::TraceRecorder(const TraceRecorder& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
   transfers_ = other.transfers_;
@@ -62,16 +57,6 @@ void TraceRecorder::next_round() {
   std::lock_guard<std::mutex> lock(mu_);
   ++current_round_;
   current_round_counted_ = false;
-}
-
-void TraceRecorder::absorb(const TraceBuffer& buf) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Transfer& t : buf.staged())
-    transfers_.push_back(Transfer{current_round_, t.src, t.dst, t.bytes});
-  if (!buf.staged().empty() && !current_round_counted_) {
-    ++distinct_rounds_;
-    current_round_counted_ = true;
-  }
 }
 
 std::size_t TraceRecorder::rounds() const {

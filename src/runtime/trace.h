@@ -8,11 +8,9 @@
 // topology, exactly as the paper ran its frameworks through NS2.
 //
 // Threading: the recorder is safe for concurrent record() calls (internally
-// locked), but the parallel execution engine never contends on that lock in
-// hot loops. Instead each parallel task records into its own TraceBuffer and
-// the orchestrator absorbs the buffers serially, in deterministic task-index
-// order, after the fork-join barrier — so the transfer sequence is
-// bit-identical for any thread count.
+// locked). Protocol runs record only through net::Router, whose calls are
+// serial (one party runs at a time, DESIGN.md §5b), so the transfer sequence
+// is bit-identical for any thread count.
 //
 // Party ids: 0 is the initiator P0, 1..n are participants P1..Pn (paper
 // notation).
@@ -32,21 +30,6 @@ struct Transfer {
   std::size_t bytes;
 };
 
-/// Per-task, unsynchronized staging area for transfers recorded inside a
-/// parallel region. Round numbers are stamped when the buffer is absorbed
-/// into a TraceRecorder.
-class TraceBuffer {
- public:
-  void record(std::size_t src, std::size_t dst, std::size_t bytes);
-
-  [[nodiscard]] const std::vector<Transfer>& staged() const { return staged_; }
-  [[nodiscard]] bool empty() const { return staged_.empty(); }
-  void clear() { staged_.clear(); }
-
- private:
-  std::vector<Transfer> staged_;  // round fields unset (0) until absorbed
-};
-
 class TraceRecorder {
  public:
   TraceRecorder() = default;
@@ -56,15 +39,11 @@ class TraceRecorder {
   TraceRecorder& operator=(TraceRecorder&& other) noexcept;
 
   /// Records a message in the current round. Thread-safe; note that the
-  /// relative order of concurrent records is scheduling-dependent — use
-  /// TraceBuffer + absorb() where the transfer order must be deterministic.
+  /// relative order of concurrent records is scheduling-dependent.
   void record(std::size_t src, std::size_t dst, std::size_t bytes);
   /// Closes the current round; subsequent records belong to the next one.
   /// (Empty rounds are allowed and preserved.)
   void next_round();
-  /// Appends a buffer's transfers (in their staged order) to the current
-  /// round. One lock acquisition per buffer, not per transfer.
-  void absorb(const TraceBuffer& buf);
 
   [[nodiscard]] const std::vector<Transfer>& transfers() const {
     return transfers_;
@@ -87,8 +66,8 @@ class TraceRecorder {
   bool current_round_counted_ = false;    // current round already in the tally
 };
 
-/// Accumulates computation time per party. The framework orchestrator brackets
-/// each party-local computation with start/stop; the benches report the
+/// Accumulates computation time per party. The party program brackets each
+/// party-local computation with start/stop; the benches report the
 /// maximum / per-participant values the paper plots.
 ///
 /// Accumulation is a relaxed atomic add per party, so concurrent tasks that

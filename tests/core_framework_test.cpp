@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 
-#include "core/framework.h"
+#include "core/codec.h"
+#include "core/party_driver.h"
 #include "core/ss_framework.h"
 
 namespace ppgr::core {
@@ -248,6 +251,115 @@ TEST(Framework, SubmissionOverClaimDetected) {
   EXPECT_THROW(init.receive_submission({.participant = 3, .claimed_rank = 1,
                                         .info = {1, 2, 3}}),
                std::invalid_argument);
+}
+
+// ---- the initiator's phase-3 checks, against scripted peers ----
+
+// A transport hosting only the initiator: each participant link replays a
+// script (a real phase-1 query, then a phase-3 payload); sends vanish.
+class ScriptedPeers final : public net::Transport {
+ public:
+  [[nodiscard]] bool local(std::size_t party) const override {
+    return party == 0;
+  }
+  void send(std::size_t, std::size_t,
+            const std::vector<std::uint8_t>&) override {}
+  [[nodiscard]] std::vector<std::uint8_t> receive(std::size_t src,
+                                                  std::size_t) override {
+    auto& q = script[src];
+    if (q.empty())
+      throw net::ChannelError(net::ChannelErrorKind::kTimeout, src, 0, 0,
+                              "script exhausted");
+    auto out = std::move(q.front());
+    q.pop_front();
+    return out;
+  }
+  [[nodiscard]] net::FaultStats stats() const override { return {}; }
+
+  std::map<std::size_t, std::deque<std::vector<std::uint8_t>>> script;
+};
+
+struct ScriptedRun {
+  const std::unique_ptr<group::Group> g = make_group(GroupId::kDlTest256);
+  PartyConfig cfg;
+  PartyInput input;
+  // Gains rise with the last two attributes: P1 < P2 < P3.
+  std::vector<AttrVec> infos{{0, 0, 1, 1}, {0, 0, 9, 9}, {0, 0, 30, 30}};
+  ScriptedPeers peers;
+
+  ScriptedRun() {
+    cfg.fw = make_config(*g, 3, 2);
+    input.v0 = {0, 0, 0, 0};
+    input.w = {1, 1, 1, 1};
+    ChaChaRng rng{301};
+    for (std::size_t j = 1; j <= 3; ++j) {
+      Participant p{cfg.fw, j, infos[j - 1]};
+      runtime::Writer w;
+      write_bob_round1(w, *cfg.fw.dot_field, p.gain_query(rng));
+      peers.script[j].push_back(std::move(w).take());
+    }
+  }
+  std::vector<std::uint8_t> submission(std::size_t id, std::size_t rank,
+                                       std::size_t info_of) const {
+    runtime::Writer w;
+    write_submission(w, cfg.fw.spec,
+                     {.participant = id, .claimed_rank = rank,
+                      .info = infos[info_of - 1]});
+    return std::move(w).take();
+  }
+  // Runs the initiator; returns its phase-3 fault.
+  ProtocolFault fault() {
+    ChaChaRng rng{302};
+    try {
+      (void)run_party(cfg, input, peers, rng);
+    } catch (const ProtocolFault& pf) {
+      return pf;
+    }
+    ADD_FAILURE() << "the initiator accepted the script";
+    return ProtocolFault{{}, {}, ""};
+  }
+};
+
+TEST(InitiatorChecks, ForgedSubmissionBlamesTheSendingLink) {
+  ScriptedRun run;
+  run.peers.script[1].push_back({});
+  run.peers.script[2].push_back(run.submission(3, 1, 3));  // claims to be P3
+  run.peers.script[3].push_back(run.submission(3, 2, 3));
+  const ProtocolFault pf = run.fault();
+  EXPECT_EQ(pf.info().phase, runtime::Phase::kPhase3);
+  EXPECT_EQ(pf.info().party, 2u) << pf.what();
+}
+
+TEST(InitiatorChecks, GarbagePayloadBlamesItsSender) {
+  ScriptedRun run;
+  run.peers.script[1].push_back({0xde, 0xad, 0xbe, 0xef, 0x01});
+  run.peers.script[2].push_back({});
+  run.peers.script[3].push_back(run.submission(3, 1, 3));
+  const ProtocolFault pf = run.fault();
+  EXPECT_EQ(pf.info().phase, runtime::Phase::kPhase3);
+  EXPECT_EQ(pf.info().party, 1u) << pf.what();
+}
+
+TEST(InitiatorChecks, ClaimedRankOutsideTopKIsAFault) {
+  ScriptedRun run;
+  run.peers.script[1].push_back(run.submission(1, 3, 1));  // k = 2
+  run.peers.script[2].push_back({});
+  run.peers.script[3].push_back({});
+  const ProtocolFault pf = run.fault();
+  EXPECT_EQ(pf.info().phase, runtime::Phase::kPhase3);
+  EXPECT_EQ(pf.info().party, 1u) << pf.what();
+}
+
+// No fault plan anywhere: an over-claimed rank is still a typed fault.
+TEST(InitiatorChecks, InconsistentSubmissionIsATypedFault) {
+  ScriptedRun run;
+  run.peers.script[1].push_back(run.submission(1, 1, 1));  // lowest gain
+  run.peers.script[2].push_back({});
+  run.peers.script[3].push_back(run.submission(3, 2, 3));  // highest gain
+  const ProtocolFault pf = run.fault();
+  EXPECT_EQ(pf.info().phase, runtime::Phase::kPhase3);
+  EXPECT_EQ(pf.info().party, 1u) << pf.what();
+  EXPECT_NE(std::string{pf.what()}.find("inconsistent"), std::string::npos);
 }
 
 // ---- SS baseline ----

@@ -160,7 +160,7 @@ TEST_P(SchnorrOverGroups, CompletenessSingleAndMultiVerifier) {
     const KeyPair kp = keygen(*g, rng);
     const SchnorrTranscript t = schnorr_prove(*g, kp.x, n_verifiers, rng);
     EXPECT_EQ(t.challenges.size(), n_verifiers);
-    EXPECT_TRUE(schnorr_verify(*g, kp.y, t));
+    EXPECT_TRUE(schnorr_verify(*g, kp.y, schnorr_proof(*g, t)));
   }
 }
 
@@ -175,7 +175,7 @@ TEST_P(SchnorrOverGroups, SoundnessWrongWitnessFails) {
   t.commitment = st.commitment;
   t.challenges = {schnorr_challenge(*g, rng)};
   t.response = schnorr_respond(*g, st, wrong, t.challenges);
-  EXPECT_FALSE(schnorr_verify(*g, kp.y, t));
+  EXPECT_FALSE(schnorr_verify(*g, kp.y, schnorr_proof(*g, t)));
 }
 
 TEST_P(SchnorrOverGroups, TamperedTranscriptFails) {
@@ -184,7 +184,7 @@ TEST_P(SchnorrOverGroups, TamperedTranscriptFails) {
   const KeyPair kp = keygen(*g, rng);
   SchnorrTranscript t = schnorr_prove(*g, kp.x, 3, rng);
   t.response = Nat::add(t.response, Nat{1}) % g->order();
-  EXPECT_FALSE(schnorr_verify(*g, kp.y, t));
+  EXPECT_FALSE(schnorr_verify(*g, kp.y, schnorr_proof(*g, t)));
 }
 
 TEST_P(SchnorrOverGroups, ExtractorRecoversWitness) {
@@ -223,7 +223,7 @@ TEST_P(SchnorrOverGroups, SimulatedTranscriptsVerify) {
   const KeyPair kp = keygen(*g, rng);
   for (int i = 0; i < 5; ++i) {
     const SchnorrTranscript t = schnorr_simulate(*g, kp.y, 3, rng);
-    EXPECT_TRUE(schnorr_verify(*g, kp.y, t));
+    EXPECT_TRUE(schnorr_verify(*g, kp.y, schnorr_proof(*g, t)));
   }
 }
 

@@ -275,32 +275,6 @@ TEST(Router, ZeroByteSendRoundTripsAndCostsAPacket) {
   EXPECT_GT(flows[0].t.deliver_s, flows[0].t.send_s);
 }
 
-TEST(Router, AbsorbKeepsStagedOrderAndDeliversPayloads) {
-  TraceRecorder trace;
-  runtime::CommRegistry comm;
-  Router router{3, trace, &comm};
-  runtime::CommBuffer task_a;
-  runtime::CommBuffer task_b;
-  task_a.send(0, 1,
-              std::make_shared<const std::vector<std::uint8_t>>(
-                  std::vector<std::uint8_t>{10}));
-  task_a.record(0, 2, 64);  // accounting-only
-  task_b.send(0, 1,
-              std::make_shared<const std::vector<std::uint8_t>>(
-                  std::vector<std::uint8_t>{11}));
-  router.absorb(task_a);
-  router.absorb(task_b);
-  EXPECT_TRUE(task_a.empty());
-  EXPECT_EQ(router.pending(), 2u);
-  router.next_round();
-  EXPECT_EQ((*router.receive(0, 1))[0], 10);  // task-index order
-  EXPECT_EQ((*router.receive(0, 1))[0], 11);
-  const auto flows = comm.flows();
-  ASSERT_EQ(flows.size(), 3u);
-  EXPECT_EQ(flows[1].dst, 2u);
-  EXPECT_EQ(flows[1].bytes, 64u);
-}
-
 TEST(Router, NextRoundStampsFlowTimingInvariant) {
   TraceRecorder trace;
   runtime::CommRegistry comm;

@@ -134,20 +134,21 @@ TEST(TraceRecorderThreading, ConcurrentRecordKeepsEveryTransfer) {
 }
 
 TEST(TraceRecorderThreading, BufferedAbsorbIsDeterministic) {
-  // The engine's pattern: tasks record into per-task buffers; the
-  // orchestrator absorbs them in task order. The resulting transfer
-  // sequence must not depend on the schedule — compare against a serial
-  // reference.
+  // The program's pattern: tasks write into per-task output slots; the
+  // forking party records them in task order after the barrier. The
+  // resulting transfer sequence must not depend on the schedule — compare
+  // against a serial reference.
   const std::size_t kTasks = 64;
   auto run = [&](std::size_t threads) {
     TraceRecorder rec;
-    std::vector<TraceBuffer> bufs(kTasks);
+    std::vector<std::vector<Transfer>> slots(kTasks);
     ThreadPool pool{threads};
     pool.parallel_for(kTasks, [&](std::size_t t) {
-      bufs[t].record(t + 1, 0, 10 * t);
-      bufs[t].record(0, t + 1, 10 * t + 1);
+      slots[t].push_back(Transfer{0, t + 1, 0, 10 * t});
+      slots[t].push_back(Transfer{0, 0, t + 1, 10 * t + 1});
     });
-    for (auto& b : bufs) rec.absorb(b);
+    for (const auto& slot : slots)
+      for (const Transfer& x : slot) rec.record(x.src, x.dst, x.bytes);
     rec.next_round();
     return rec;
   };

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "core/framework.h"
 #include "dotprod/dot_product.h"
@@ -302,11 +303,27 @@ TEST(IdentityUnlinkability, SwappedAssignmentsGiveIdenticalObservables) {
 
   EXPECT_EQ(run_b0.trace.rounds(), run_b1.trace.rounds());
   EXPECT_EQ(run_b0.trace.message_count(), run_b1.trace.message_count());
-  ASSERT_EQ(run_b0.trace.transfers().size(), run_b1.trace.transfers().size());
-  for (std::size_t i = 0; i < run_b0.trace.transfers().size(); ++i) {
-    EXPECT_EQ(run_b0.trace.transfers()[i].bytes,
-              run_b1.trace.transfers()[i].bytes);
+  // Every transfer before the phase-3 round, in order, has the same size.
+  // In the phase-3 round only the multiset of sizes: which link carries a
+  // submission rather than an empty message names a top-k party — as the
+  // submission itself does, by design.
+  const auto& t0 = run_b0.trace.transfers();
+  const auto& t1 = run_b1.trace.transfers();
+  ASSERT_EQ(t0.size(), t1.size());
+  ASSERT_FALSE(t0.empty());
+  const std::size_t phase3_round = t0.back().round;
+  ASSERT_EQ(t1.back().round, phase3_round);
+  std::multiset<std::size_t> last0, last1;
+  for (std::size_t i = 0; i < t0.size(); ++i) {
+    ASSERT_EQ(t0[i].round, t1[i].round);
+    if (t0[i].round == phase3_round) {
+      last0.insert(t0[i].bytes);
+      last1.insert(t1[i].bytes);
+    } else {
+      EXPECT_EQ(t0[i].bytes, t1[i].bytes) << "transfer " << i;
+    }
   }
+  EXPECT_EQ(last0, last1);
   // Rank multiset identical; the identity holding each rank swaps.
   auto r0 = run_b0.ranks, r1 = run_b1.ranks;
   EXPECT_EQ(r0[2], r1[2]);  // adversary's own rank is the same

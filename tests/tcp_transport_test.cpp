@@ -10,15 +10,17 @@
 //  3. The full protocol over sockets: n+1 in-process TcpTransport parties
 //     (one thread each, real loopback TCP between them) driven by
 //     core::run_party must reproduce a same-seed run_framework /
-//     run_ss_framework run — ranks, submissions and β bit-identical for
-//     HE; ranks identical for SS.
+//     run_ss_framework run — ranks, submissions, β and the per-link
+//     message and byte totals identical, for HE and SS.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "core/party_driver.h"
 #include "core/ss_framework.h"
@@ -333,10 +335,44 @@ std::vector<core::PartyResult> run_socket_mesh(const core::PartyConfig& base,
   return results;
 }
 
+// Per-(phase, src, dst) message counts and bytes. Each process accounts
+// what it sends (the sort host also the SS sort's synthetic traffic), so
+// the processes' registries sum to the in-process run's.
+using LinkTotals =
+    std::map<std::tuple<runtime::Phase, std::size_t, std::size_t>,
+             std::pair<std::uint64_t, std::uint64_t>>;
+LinkTotals link_totals(const std::vector<const runtime::CommRegistry*>& regs) {
+  LinkTotals out;
+  for (const auto* reg : regs)
+    for (const runtime::CommLink& l : reg->links()) {
+      auto& slot = out[{l.phase, l.src, l.dst}];
+      slot.first += l.messages;
+      slot.second += l.bytes;
+    }
+  return out;
+}
+LinkTotals merged_socket_links(const std::vector<core::PartyResult>& results) {
+  std::vector<const runtime::CommRegistry*> regs;
+  for (const auto& r : results) regs.push_back(r.comm.get());
+  return link_totals(regs);
+}
+
+// The initiator's view: exactly the top-k submissions, with their claimed
+// ranks — nothing about the other participants.
+void expect_initiator_view(const core::PartyResult& initiator,
+                           const std::vector<std::size_t>& ranks,
+                           const std::vector<std::size_t>& submitted) {
+  EXPECT_EQ(initiator.submitted_ids, submitted);
+  ASSERT_EQ(initiator.submitted_ranks.size(), submitted.size());
+  for (std::size_t i = 0; i < submitted.size(); ++i)
+    EXPECT_EQ(initiator.submitted_ranks[i], ranks[submitted[i] - 1]);
+}
+
 TEST(TcpPartyE2E, HeSocketRunBitIdenticalToSimulator) {
   const Instance inst;
   const auto group = group::make_group(group::GroupId::kDlTest256);
-  const core::FrameworkConfig fw = make_fw(group.get());
+  core::FrameworkConfig fw = make_fw(group.get());
+  fw.metrics = true;
 
   mpz::ChaChaRng ref_rng{42};
   const core::FrameworkResult ref =
@@ -346,9 +382,7 @@ TEST(TcpPartyE2E, HeSocketRunBitIdenticalToSimulator) {
   base.fw = fw;
   const auto results = run_socket_mesh(base, inst, 42);
 
-  // The initiator's view: complete ranking + submissions, identical.
-  EXPECT_EQ(results[0].ranks, ref.ranks);
-  EXPECT_EQ(results[0].submitted_ids, ref.submitted_ids);
+  expect_initiator_view(results[0], ref.ranks, ref.submitted_ids);
   // Every participant's own view: rank AND masked gain β bit-identical —
   // the whole phase-2 pipeline (keys, encryptions, comparisons, shuffles)
   // ran on the same substreams over real sockets.
@@ -356,12 +390,15 @@ TEST(TcpPartyE2E, HeSocketRunBitIdenticalToSimulator) {
     EXPECT_EQ(results[j].rank, ref.ranks[j - 1]) << "party " << j;
     EXPECT_EQ(results[j].beta, ref.betas[j - 1]) << "party " << j;
   }
+  // One wire format: the same messages and bytes on every link.
+  EXPECT_EQ(merged_socket_links(results), link_totals({ref.comm.get()}));
 }
 
-TEST(TcpPartyE2E, SsSocketRanksMatchSimulator) {
+TEST(TcpPartyE2E, SsSocketRunBitIdenticalToSimulator) {
   const Instance inst;
   const auto group = group::make_group(group::GroupId::kDlTest256);
-  const core::FrameworkConfig fw = make_fw(group.get());
+  core::FrameworkConfig fw = make_fw(group.get());
+  fw.metrics = true;
 
   core::SsFrameworkConfig scfg;
   scfg.base = fw;
@@ -369,6 +406,11 @@ TEST(TcpPartyE2E, SsSocketRanksMatchSimulator) {
   mpz::ChaChaRng ref_rng{7};
   const core::SsFrameworkResult ref =
       core::run_ss_framework(scfg, inst.v0, inst.w, inst.infos, ref_rng);
+  // Phase 1 is the HE framework's, on the same substreams: its β values are
+  // the SS run's too.
+  mpz::ChaChaRng he_rng{7};
+  const core::FrameworkResult he =
+      core::run_framework(fw, inst.v0, inst.w, inst.infos, he_rng);
 
   core::PartyConfig base;
   base.fw = fw;
@@ -376,13 +418,12 @@ TEST(TcpPartyE2E, SsSocketRanksMatchSimulator) {
   base.ss_threshold = 1;
   const auto results = run_socket_mesh(base, inst, 7);
 
-  // β masking is order-preserving, so with distinct gains the distributed
-  // sort reproduces the simulator's ranks (β values themselves differ —
-  // each party draws its own mask stream).
-  EXPECT_EQ(results[0].ranks, ref.ranks);
-  EXPECT_EQ(results[0].submitted_ids, ref.submitted_ids);
-  for (std::size_t j = 1; j <= fw.n; ++j)
+  expect_initiator_view(results[0], ref.ranks, ref.submitted_ids);
+  for (std::size_t j = 1; j <= fw.n; ++j) {
     EXPECT_EQ(results[j].rank, ref.ranks[j - 1]) << "party " << j;
+    EXPECT_EQ(results[j].beta, he.betas[j - 1]) << "party " << j;
+  }
+  EXPECT_EQ(merged_socket_links(results), link_totals({ref.comm.get()}));
 }
 
 }  // namespace

@@ -163,26 +163,38 @@ TEST_P(CryptoCodec, CiphertextVectorRejectsLengthBomb) {
   EXPECT_THROW((void)crypto::read_ciphertexts(r, *g), WireError);
 }
 
-TEST_P(CryptoCodec, TranscriptRoundTripAndValidation) {
+TEST_P(CryptoCodec, ProofMessageRoundTripAndValidation) {
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{122};
   const auto kp = crypto::keygen(*g, rng);
-  const auto t = crypto::schnorr_prove(*g, kp.x, 3, rng);
+  const auto proof =
+      crypto::schnorr_proof(*g, crypto::schnorr_prove(*g, kp.x, 3, rng));
 
   Writer w;
-  crypto::write_transcript(w, *g, t);
+  crypto::write_schnorr_proof(w, *g, proof);
+  EXPECT_EQ(w.size(),
+            crypto::elem_wire_bytes(*g) + 2 * crypto::scalar_wire_bytes(*g));
   Reader r{w.data()};
-  const auto t2 = crypto::read_transcript(r, *g);
+  const auto back = crypto::read_schnorr_proof(r, *g);
   r.finish();
-  EXPECT_TRUE(crypto::schnorr_verify(*g, kp.y, t2));
+  EXPECT_TRUE(crypto::schnorr_verify(*g, kp.y, back));
 
-  // Out-of-range challenge rejected.
-  crypto::SchnorrTranscript bad = t;
-  bad.challenges[0] = g->order();
-  Writer wb;
-  crypto::write_transcript(wb, *g, bad);
-  Reader rb{wb.data()};
-  EXPECT_THROW((void)crypto::read_transcript(rb, *g), WireError);
+  // Short payload.
+  const std::vector<std::uint8_t> bytes{w.data().begin(), w.data().end()};
+  Reader rs{std::span{bytes}.first(bytes.size() - 1)};
+  EXPECT_THROW((void)crypto::read_schnorr_proof(rs, *g), WireError);
+
+  // Σc >= q and z >= q are each rejected (scalars write as fixed-width
+  // big-endian, so the order itself encodes).
+  for (const int field : {0, 1}) {
+    crypto::SchnorrProof bad = proof;
+    (field == 0 ? bad.challenge_sum : bad.response) = g->order();
+    Writer wb;
+    crypto::write_schnorr_proof(wb, *g, bad);
+    Reader rb{wb.data()};
+    EXPECT_THROW((void)crypto::read_schnorr_proof(rb, *g), WireError)
+        << (field == 0 ? "challenge sum" : "response");
+  }
 }
 
 TEST_P(CryptoCodec, CorruptedElementRejected) {
