@@ -66,9 +66,9 @@ inline void run_fig2_sweep(const std::string& figure,
             ss_costs.mult_party_s +
         ss.phase1_seconds;
 
-    // One counted run prices both HE frameworks (identical op sequences).
-    const auto counts = benchcore::count_he_framework(
-        p.spec, p.n, kTopK, dl->element_bytes(), dl->field_bits(), seed);
+    // One count prices both HE frameworks (identical op sequences).
+    const auto counts =
+        benchcore::count_he_framework(p.spec, p.n, kTopK, *dl, seed);
     const HePoint dlp = benchcore::price_he_counts(counts, "dl-1024", dl_costs);
     const HePoint ecp = benchcore::price_he_counts(counts, "ecc-p192", ec_costs);
     char ratio[16];

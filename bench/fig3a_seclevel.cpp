@@ -27,9 +27,10 @@ int main(int argc, char** argv) {
   const std::size_t n = 70;
   const auto spec = benchcore::paper_default_spec();
 
-  // All parameter sets execute the identical operation sequence; one counted
-  // run prices every level.
-  const auto counts = benchcore::count_he_framework(spec, n, 3, 128, 1024, 7);
+  // All parameter sets execute the identical operation sequence; one count
+  // prices every level.
+  const auto counts = benchcore::count_he_framework(
+      spec, n, 3, *group::make_group(group::GroupId::kDl1024), 7);
 
   std::printf("Fig 3(a): per-participant computation time vs security level "
               "(n = %zu)\n\n", n);

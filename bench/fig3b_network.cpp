@@ -1,8 +1,8 @@
 // Fig. 3(b): execution time including network latency, on the paper's
 // topology: 80 nodes, 320 duplex 2 Mbps links with 50 ms latency, random
 // connected graph obtained by deleting edges from the complete graph.
-// Protocol communication traces are recorded from counted protocol runs and
-// replayed through the packet simulator.
+// The HE message schedules (benchcore::model_he_schedule on each priced
+// group) are replayed through the packet simulator.
 //
 // Two SS variants are simulated (see EXPERIMENTS.md):
 //  - "ss-lean": this repository's implementation (linear-round prefix
@@ -77,20 +77,18 @@ int main(int argc, char** argv) {
 
     const std::uint64_t seed = 1000 + n;
     const auto ssp = benchcore::price_ss_framework(spec, n, 3, seed);
-    const auto dl_counts = benchcore::count_he_framework(
-        spec, n, 3, dl->element_bytes(), dl->field_bits(), seed);
-    const auto ec_counts = benchcore::count_he_framework(
-        spec, n, 3, ec->element_bytes(), ec->field_bits(), seed);
+    const auto dl_counts = benchcore::count_he_framework(spec, n, 3, *dl, seed);
+    const auto ec_counts = benchcore::count_he_framework(spec, n, 3, *ec, seed);
     const auto dlp =
-        benchcore::price_he_counts(dl_counts, dl->name(), dl_costs, true);
+        benchcore::price_he_counts(dl_counts, dl->name(), dl_costs);
     const auto ecp =
-        benchcore::price_he_counts(ec_counts, ec->name(), ec_costs, true);
+        benchcore::price_he_counts(ec_counts, ec->name(), ec_costs);
 
-    // HE traces: replay in full.
+    // HE schedules: replay in full.
     const double dl_net =
-        sim.replay(dlp.trace.transfers(), node_of).total_seconds;
+        sim.replay(dl_counts.schedule.transfers, node_of).total_seconds;
     const double ec_net =
-        sim.replay(ecp.trace.transfers(), node_of).total_seconds;
+        sim.replay(ec_counts.schedule.transfers, node_of).total_seconds;
 
     // ss-lean: this repo's implementation, measured counts.
     const double lean_net = all_to_all_rounds_seconds(

@@ -26,13 +26,13 @@ int main() {
                       "ss MB/party", "our exps/party", "ss mults"});
   for (const std::size_t n : {10u, 25u, 40u, 55u, 70u}) {
     const std::uint64_t seed = 2000 + n;
-    const auto he = benchcore::price_he_framework(spec, n, 3, *ec, ec_costs,
-                                                  seed);
+    const auto counts = benchcore::count_he_framework(spec, n, 3, *ec, seed);
+    const auto he = benchcore::price_he_counts(counts, ec->name(), ec_costs);
     const auto ss = benchcore::price_ss_framework(spec, n, 3, seed);
     // Per-participant communication: average sent bytes over participants.
     double he_mb = 0;
-    for (std::size_t j = 1; j <= n; ++j)
-      he_mb += static_cast<double>(he.trace.bytes_sent_by(j));
+    for (const runtime::Transfer& t : counts.schedule.transfers)
+      if (t.src != 0) he_mb += static_cast<double>(t.bytes);
     he_mb /= static_cast<double>(n) * 1e6;
     const double ss_mb = static_cast<double>(ss.totals.bytes) /
                          static_cast<double>(n) / 1e6;

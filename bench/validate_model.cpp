@@ -6,17 +6,20 @@
 //    compares measured mean per-participant compute time against the
 //    model's prediction for the same configuration (timing sanity check);
 //  - --check mode (run as the `model_validation` ctest): runs the real
-//    framework with the runtime metrics layer enabled and asserts the
-//    *measured* per-phase group-op counters equal the closed-form executed
-//    counts of benchcore::model_he_ops exactly, reporting the offending
+//    framework with the runtime metrics layer enabled and asserts every
+//    *measured* per-phase counter the conformance auditor checks
+//    (benchcore::audited_op) equals the closed-form executed counts of
+//    benchcore::model_he_ops exactly, reporting the offending
 //    (phase, counter) on drift. An instrumentation or protocol change that
 //    alters the executed calls without the model (or vice versa) fails CI;
 //  - --check-comm mode (run as the `comm_validation` ctest): runs the real
-//    framework and asserts the communication CommRegistry *measured* on the
-//    wire (every message serialized through net::Router) matches
-//    benchcore::model_he_comm — the closed-form per-(phase, link)
-//    message/byte model — exactly, link by link. A codec or protocol change
-//    that alters either side fails CI.
+//    framework and asserts the message trace recorded on the wire (every
+//    message serialized through net::Router) equals
+//    benchcore::model_he_schedule element for element, with the same round
+//    count, and that the CommRegistry's per-(phase, link) message/byte
+//    totals match benchcore::model_he_comm exactly. A codec or protocol
+//    change that alters either side fails CI.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -26,7 +29,7 @@ namespace {
 
 using namespace ppgr;
 
-/// Exits nonzero if any per-phase group-op counter drifts between the
+/// Exits nonzero if any per-phase audited counter drifts between the
 /// measured runtime metrics and the closed-form model.
 int run_check() {
   const core::ProblemSpec spec{.m = 4, .t = 2, .d1 = 6, .d2 = 6, .h = 6};
@@ -54,7 +57,9 @@ int run_check() {
   for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
     const auto phase = static_cast<runtime::Phase>(p);
     const runtime::OpTally measured = real.metrics->phase_totals(phase);
-    for (const CryptoOp op : benchcore::kModeledGroupOps) {
+    for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
+      const auto op = static_cast<CryptoOp>(i);
+      if (!benchcore::audited_op(op)) continue;
       const std::uint64_t measured_v = measured[op];
       const std::uint64_t model_v = model.phase_ops[p][op];
       if (measured_v == model_v) continue;
@@ -77,7 +82,7 @@ int run_check() {
     return 1;
   }
   const runtime::OpTally measured = real.metrics->totals();
-  std::printf("model validation OK: measured group-op counters match "
+  std::printf("model validation OK: measured audited counters match "
               "model_he_ops in every phase\n"
               "  group_exp=%llu group_dual_exp=%llu group_exp_g=%llu "
               "group_mul=%llu group_inv=%llu (n=%zu, l=%zu)\n",
@@ -91,9 +96,9 @@ int run_check() {
   return 0;
 }
 
-/// Exits nonzero on the first (phase, src -> dst) link whose measured
-/// message count or serialized byte total drifts from the closed-form
-/// communication model.
+/// Exits nonzero if the measured message trace or round count drifts from
+/// the closed-form schedule, or any (phase, src -> dst) link's measured
+/// message count or serialized byte total from the communication model.
 int run_check_comm() {
   const core::ProblemSpec spec{.m = 4, .t = 2, .d1 = 6, .d2 = 6, .h = 6};
   constexpr std::size_t n = 4;
@@ -112,11 +117,37 @@ int run_check_comm() {
   mpz::ChaChaRng rng{seed + 1};
   const auto real = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
 
+  int failures = 0;
+  const auto schedule = benchcore::model_he_schedule(
+      spec, n, *g, *cfg.dot_field, cfg.dot_s, real.submitted_ids);
+  const auto& trace = real.trace.transfers();
+  for (std::size_t i = 0; i < std::min(trace.size(), schedule.transfers.size());
+       ++i) {
+    const runtime::Transfer& ms = trace[i];
+    const runtime::Transfer& md = schedule.transfers[i];
+    if (ms.round == md.round && ms.src == md.src && ms.dst == md.dst &&
+        ms.bytes == md.bytes)
+      continue;
+    std::fprintf(stderr,
+                 "SCHEDULE drift at message %zu: measured round %zu %zu->%zu "
+                 "%zu B, model round %zu %zu->%zu %zu B\n",
+                 i, ms.round, ms.src, ms.dst, ms.bytes, md.round, md.src,
+                 md.dst, md.bytes);
+    ++failures;
+  }
+  if (trace.size() != schedule.transfers.size() ||
+      real.comm->rounds() != schedule.rounds) {
+    std::fprintf(stderr,
+                 "SCHEDULE size drift: measured %zu messages in %zu rounds, "
+                 "model %zu in %zu\n",
+                 trace.size(), real.comm->rounds(), schedule.transfers.size(),
+                 schedule.rounds);
+    ++failures;
+  }
+
   const auto measured = real.comm->links();
   const auto modeled = benchcore::model_he_comm(
       spec, n, *g, *cfg.dot_field, cfg.dot_s, real.submitted_ids);
-
-  int failures = 0;
   const auto link_name = [](const runtime::CommLink& lk) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s %zu->%zu",
@@ -166,13 +197,13 @@ int run_check_comm() {
 
   if (failures != 0) {
     std::fprintf(stderr,
-                 "\ncomm validation FAILED: %d link(s) drifted between the "
-                 "measured wire bytes and benchcore::model_he_comm\n",
+                 "\ncomm validation FAILED: %d check(s) drifted between the "
+                 "measured wire and benchcore::model_he_schedule/_comm\n",
                  failures);
     return 1;
   }
-  std::printf("comm validation OK: measured wire bytes match the closed-form "
-              "model on all %zu links\n"
+  std::printf("comm validation OK: the measured trace equals the closed-form "
+              "schedule and the wire bytes match the model on all %zu links\n"
               "  messages=%zu bytes=%llu rounds=%zu virtual=%.6fs (n=%zu, "
               "l=%zu)\n",
               measured.size(), real.comm->message_count(),
@@ -218,8 +249,9 @@ int main(int argc, char** argv) {
       for (std::size_t j = 1; j <= n; ++j) measured += real.compute_seconds[j];
       measured /= static_cast<double>(n);
 
-      const auto modeled =
-          benchcore::price_he_framework(spec, n, 2, *g, costs, 77 + n);
+      const auto modeled = benchcore::price_he_counts(
+          benchcore::count_he_framework(spec, n, 2, *g, 77 + n), g->name(),
+          costs);
       char ratio[16];
       std::snprintf(ratio, sizeof(ratio), "%.2f",
                     modeled.total_seconds() / measured);

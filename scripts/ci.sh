@@ -48,8 +48,10 @@
 # The `audit` mode is the forensics/conformance leg: the flight-recorder
 # suite (ring semantics, Router taps), the conformance-audit suite (clean
 # runs audit to zero findings, faulted/degraded/tampered runs to typed
-# ones, postmortem atomicity) and the ppgr_server exit-contract integration
-# test run under ASan+UBSan; the concurrent record-vs-dump race in the
+# ones, postmortem atomicity), the ppgr_server exit-contract integration
+# test and — because the audit's expectations are the closed-form model —
+# the model suites (benchcore_test, model_validation, comm_validation) run
+# under ASan+UBSan; the concurrent record-vs-dump race in the
 # flight ring runs again under TSan (observer threads dump while the
 # orchestrator records).
 #
@@ -165,7 +167,7 @@ case "${MODE}" in
   multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit)
-    run_leg asan -R 'flightrec|audit_test|server_cli'
+    run_leg asan -R 'flightrec|audit_test|server_cli|benchcore|model_validation|comm_validation'
     run_leg tsan -R 'flightrec'
     ;;
   sockets)

@@ -11,6 +11,7 @@
 #include "core/codec.h"
 #include "crypto/codec.h"
 #include "dotprod/dot_product.h"
+#include "group/mock_group.h"
 
 namespace ppgr::benchcore {
 
@@ -72,6 +73,27 @@ OpCounts priced(const OpTally& t, std::uint64_t parties) {
 }
 
 }  // namespace
+
+bool audited_op(CryptoOp op) {
+  switch (op) {
+    case CryptoOp::kPrecomputeHit:
+    case CryptoOp::kPrecomputeMiss:
+    case CryptoOp::kAccelMultiExp:
+    case CryptoOp::kAccelMultiExpTerm:
+    case CryptoOp::kAccelFixedBaseExp:
+    case CryptoOp::kAccelBatchInverse:
+      return false;
+    default:
+      return true;
+  }
+}
+
+OpTally phase1_ops(std::size_t n) {
+  return tally({{CryptoOp::kDotprodQuery, 1},
+                {CryptoOp::kDotprodAnswer, 1},
+                {CryptoOp::kDotprodFinish, 1}},
+               n);
+}
 
 OpTally compare_circuit_ops(std::size_t l, std::size_t pop, bool pooled,
                             OpProfile profile) {
@@ -154,6 +176,21 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
   HeOpModel model;
   model.phase_ops = phases(OpProfile::kExecuted);
   for (const OpTally& t : phases(OpProfile::kNaive)) model.naive += t;
+  // The protocol steps around the group calls: the dot products; one proof
+  // per party, checked by each peer; the β bit encryptions; n-1 circuits per
+  // evaluator, each re-randomizing its l outputs; one hop per party over
+  // each foreign set; and the decryption of every returned ciphertext.
+  model.phase_ops[static_cast<std::size_t>(runtime::Phase::kPhase1)] =
+      phase1_ops(n);
+  model.phase_ops[static_cast<std::size_t>(runtime::Phase::kPhase2)] +=
+      tally({{CryptoOp::kSchnorrProve, n},
+             {CryptoOp::kSchnorrVerify, pairs},
+             {CryptoOp::kElGamalEncrypt, bits},
+             {CryptoOp::kCompareCircuit, pairs},
+             {CryptoOp::kElGamalRerandomize, pairs * l},
+             {CryptoOp::kShuffleHop, pairs}});
+  model.phase_ops[static_cast<std::size_t>(runtime::Phase::kPhase3)] +=
+      tally({{CryptoOp::kElGamalDecrypt, n * set_cts}});
   return model;
 }
 
@@ -168,72 +205,137 @@ std::vector<std::size_t> beta_popcounts(const std::vector<mpz::Nat>& betas) {
   return pops;
 }
 
+std::vector<std::size_t> beta_ranks(const std::vector<mpz::Nat>& betas) {
+  std::vector<std::size_t> ranks;
+  ranks.reserve(betas.size());
+  for (const mpz::Nat& own : betas)
+    ranks.push_back(1 + static_cast<std::size_t>(std::count_if(
+                            betas.begin(), betas.end(),
+                            [&](const mpz::Nat& b) { return b > own; })));
+  return ranks;
+}
+
+std::vector<std::size_t> top_k_ids(const std::vector<std::size_t>& ranks,
+                                   std::size_t k) {
+  std::vector<std::size_t> ids;
+  for (std::size_t j = 0; j < ranks.size(); ++j)
+    if (ranks[j] <= k) ids.push_back(j + 1);
+  return ids;
+}
+
+std::size_t HeSchedule::message_rounds() const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < transfers.size(); ++i)
+    if (i == 0 || transfers[i].round != transfers[i - 1].round) ++count;
+  return count;
+}
+
+HeSchedule model_he_schedule(const ProblemSpec& spec, std::size_t n,
+                             const group::Group& g, const mpz::FpCtx& dot_field,
+                             std::size_t dot_s,
+                             const std::vector<std::size_t>& submitted_ids) {
+  using runtime::Phase;
+  HeSchedule s;
+  Phase phase = Phase::kPhase1;
+  const auto send = [&](std::size_t src, std::size_t dst, std::size_t bytes) {
+    s.transfers.push_back(runtime::Transfer{s.rounds, src, dst, bytes});
+    s.phases.push_back(phase);
+  };
+  // Every participant's broadcast in id order: party a runs to its round
+  // barrier before a+1 takes over.
+  const auto broadcast = [&](std::size_t bytes) {
+    for (std::size_t a = 1; a <= n; ++a)
+      for (std::size_t b = 1; b <= n; ++b)
+        if (a != b) send(a, b, bytes);
+    ++s.rounds;
+  };
+
+  // Phase 1: each participant's disguised query (a d-vector blown up to an
+  // s x d matrix plus two masking d-vectors) to the initiator, then one
+  // (a, h) pair back. Dimensions follow Participant::gain_query.
+  const std::size_t d = spec.m + spec.t + 1;
+  const std::size_t sd = std::max(dot_s, dotprod::recommended_s(d));
+  for (std::size_t j = 1; j <= n; ++j)
+    send(j, 0, dotprod::bob_message_bytes(dot_field, sd, d));
+  ++s.rounds;
+  for (std::size_t j = 1; j <= n; ++j)
+    send(0, j, dotprod::alice_message_bytes(dot_field));
+  ++s.rounds;
+
+  // Phase 2: the key share (one element), the proof message (commitment,
+  // challenge sum, response) and, after the joint-key round, the bitwise-β
+  // broadcast (l ciphertexts). Then each party's flattened (n-1)·l
+  // comparison set goes to P1 (P1's own set stays put), the whole n-set
+  // vector walks the decrypt-shuffle chain P1 -> ... -> Pn, and Pn returns
+  // each set to its owner.
+  phase = Phase::kPhase2;
+  const std::size_t eb = crypto::elem_wire_bytes(g);
+  const std::size_t cb = crypto::ciphertext_wire_bytes(g);
+  const std::size_t l = spec.beta_bits();
+  broadcast(eb);
+  broadcast(eb + 2 * crypto::scalar_wire_bytes(g));
+  ++s.rounds;
+  broadcast(l * cb);
+  const std::size_t set_b = (n - 1) * l * cb;
+  for (std::size_t j = 2; j <= n; ++j) send(j, 1, set_b);
+  ++s.rounds;
+  for (std::size_t hop = 1; hop < n; ++hop) {
+    send(hop, hop + 1, n * set_b);
+    ++s.rounds;
+  }
+  for (std::size_t owner = 1; owner < n; ++owner) send(n, owner, set_b);
+  ++s.rounds;
+
+  // Phase 3: one fixed-width submission per top-k party, an empty message
+  // from every other participant.
+  phase = Phase::kPhase3;
+  const std::size_t sub_b = core::submission_wire_bytes(spec);
+  for (std::size_t j = 1; j <= n; ++j)
+    send(j, 0,
+         std::count(submitted_ids.begin(), submitted_ids.end(), j) ? sub_b : 0);
+  ++s.rounds;
+  return s;
+}
+
 HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
-                            std::size_t k, std::size_t modeled_elem_bytes,
-                            std::size_t modeled_field_bits,
+                            std::size_t k, const group::Group& g,
                             std::uint64_t seed) {
-  // Protocol run over a mock group dressed with the modeled element/scalar
-  // sizes: its trace carries the modeled wire bytes, and its β values fix
-  // the circuits' bit patterns.
-  const group::MockGroup mock{"mock", modeled_elem_bytes, modeled_field_bits};
   core::FrameworkConfig cfg;
   cfg.spec = spec;
   cfg.n = n;
   cfg.k = k;
-  cfg.group = &mock;
+  cfg.group = &g;
   cfg.dot_field = &core::default_dot_field();
-
   const Instance inst = random_instance(spec, n, seed);
   mpz::ChaChaRng rng{seed + 1};
-  auto result = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+  const double t0 = now_s();
+  const std::vector<mpz::Nat> betas =
+      core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, rng);
 
   HeCounts counts;
+  counts.phase1_seconds = (now_s() - t0) / static_cast<double>(n);
   // The initiator performs no group operations, so the totals are all
   // participant work; the per-participant share is totals / n (integer
   // division — comparison-circuit cost varies slightly with each party's
   // own β bit pattern, so the division is a mean, not exact per party).
   const OpTally naive =
-      model_he_ops(spec, n, beta_popcounts(result.betas), /*pooled=*/false)
-          .naive;
+      model_he_ops(spec, n, beta_popcounts(betas), /*pooled=*/false).naive;
   counts.totals = priced(naive, 1);
   counts.per_participant = priced(naive, n);
-  // Phase 1 runs on the real field either way (the mock only replaces the
-  // DDH group); measure one real dot-product exchange.
-  {
-    const double t1 = now_s();
-    core::Initiator initiator{cfg, inst.v0, inst.w, rng};
-    core::Participant p{cfg, 1, inst.infos[0]};
-    const auto& q = p.gain_query(rng);
-    p.receive_gain_answer(initiator.answer_gain_query(1, q));
-    counts.phase1_seconds = now_s() - t1;
-  }
-  counts.rounds = result.trace.rounds();
-  counts.total_bytes = result.trace.total_bytes();
-  counts.trace = std::move(result.trace);
+  counts.schedule = model_he_schedule(spec, n, g, *cfg.dot_field, cfg.dot_s,
+                                      top_k_ids(beta_ranks(betas), k));
   return counts;
 }
 
 HePoint price_he_counts(const HeCounts& counts, const std::string& name,
-                        const GroupCosts& real_costs, bool with_trace) {
+                        const GroupCosts& real_costs) {
   HePoint point;
   point.framework = name;
   point.per_participant = counts.per_participant;
   point.participant_seconds =
       price_group_ops(counts.per_participant, real_costs);
   point.phase1_seconds = counts.phase1_seconds;
-  point.rounds = counts.rounds;
-  point.total_bytes = counts.total_bytes;
-  if (with_trace) point.trace = counts.trace;
-  return point;
-}
-
-HePoint price_he_framework(const ProblemSpec& spec, std::size_t n,
-                           std::size_t k, const group::Group& real,
-                           const GroupCosts& real_costs, std::uint64_t seed) {
-  const HeCounts counts = count_he_framework(
-      spec, n, k, real.element_bytes(), real.field_bits(), seed);
-  HePoint point = price_he_counts(counts, real.name(), real_costs,
-                                  /*with_trace=*/true);
+  point.rounds = counts.schedule.message_rounds();
   return point;
 }
 
@@ -241,65 +343,18 @@ std::vector<runtime::CommLink> model_he_comm(
     const ProblemSpec& spec, std::size_t n, const group::Group& g,
     const mpz::FpCtx& dot_field, std::size_t dot_s,
     const std::vector<std::size_t>& submitted_ids) {
-  using runtime::Phase;
+  const HeSchedule s =
+      model_he_schedule(spec, n, g, dot_field, dot_s, submitted_ids);
   // Aggregation keyed exactly like CommRegistry::links() sorts.
-  std::map<std::tuple<Phase, std::size_t, std::size_t>,
+  std::map<std::tuple<runtime::Phase, std::size_t, std::size_t>,
            std::pair<std::uint64_t, std::uint64_t>>
       acc;
-  const auto add = [&acc](Phase phase, std::size_t src, std::size_t dst,
-                          std::uint64_t messages, std::uint64_t bytes) {
-    auto& slot = acc[{phase, src, dst}];
-    slot.first += messages;
-    slot.second += messages * bytes;
-  };
-
-  // Phase 1: each participant's disguised query (a d-vector blown up to an
-  // s x d matrix plus two masking d-vectors) to the initiator, one (a, h)
-  // pair back. Dimensions follow Participant::gain_query.
-  const std::size_t d = spec.m + spec.t + 1;
-  const std::size_t s = std::max(dot_s, dotprod::recommended_s(d));
-  const std::size_t query_b = dotprod::bob_message_bytes(dot_field, s, d);
-  const std::size_t answer_b = dotprod::alice_message_bytes(dot_field);
-  for (std::size_t j = 1; j <= n; ++j) {
-    add(Phase::kPhase1, j, 0, 1, query_b);
-    add(Phase::kPhase1, 0, j, 1, answer_b);
+  for (std::size_t i = 0; i < s.transfers.size(); ++i) {
+    const runtime::Transfer& t = s.transfers[i];
+    auto& slot = acc[{s.phases[i], t.src, t.dst}];
+    slot.first += 1;
+    slot.second += t.bytes;
   }
-
-  // Phase 2: every ordered participant pair (a, b) carries the key
-  // broadcast (one element), the proof message (commitment, challenge sum,
-  // response) and the bitwise-beta broadcast (l ciphertexts).
-  const std::size_t eb = crypto::elem_wire_bytes(g);
-  const std::size_t sb = crypto::scalar_wire_bytes(g);
-  const std::size_t cb = crypto::ciphertext_wire_bytes(g);
-  const std::size_t l = spec.beta_bits();
-  for (std::size_t a = 1; a <= n; ++a) {
-    for (std::size_t b = 1; b <= n; ++b) {
-      if (a == b) continue;
-      add(Phase::kPhase2, a, b, 1, eb);           // public key y
-      add(Phase::kPhase2, a, b, 1, eb + 2 * sb);  // proof (h, Σc, z)
-      add(Phase::kPhase2, a, b, 1, l * cb);       // encrypted beta bits
-    }
-  }
-  // Comparison sets: each party's flattened (n-1)*l ciphertexts go to P1
-  // (P1's own set stays put), the whole n-set vector walks the decrypt-
-  // shuffle chain P1 -> ... -> Pn, and Pn returns each set to its owner.
-  const std::uint64_t set_b = static_cast<std::uint64_t>(n - 1) * l * cb;
-  for (std::size_t j = 2; j <= n; ++j) add(Phase::kPhase2, j, 1, 1, set_b);
-  for (std::size_t hop = 1; hop + 1 <= n; ++hop)
-    add(Phase::kPhase2, hop, hop + 1, 1, n * set_b);
-  for (std::size_t owner = 1; owner + 1 <= n; ++owner)
-    add(Phase::kPhase2, n, owner, 1, set_b);
-
-  // Phase 3: one fixed-width submission per top-k party, an empty message
-  // from every other participant.
-  const std::size_t sub_b = core::submission_wire_bytes(spec);
-  for (std::size_t j = 1; j <= n; ++j) {
-    const bool submitted = std::find(submitted_ids.begin(),
-                                     submitted_ids.end(),
-                                     j) != submitted_ids.end();
-    add(Phase::kPhase3, j, 0, 1, submitted ? sub_b : 0);
-  }
-
   std::vector<runtime::CommLink> links;
   links.reserve(acc.size());
   for (const auto& [key, v] : acc) {
@@ -326,7 +381,7 @@ SsPoint price_ss_framework(const ProblemSpec& spec, std::size_t n,
   cfg.base.k = k;
   // The SS framework needs no DDH group, but FrameworkConfig validation
   // does; use a mock.
-  static const group::MockGroup dummy{"ss-dummy", 32, 61};
+  static const group::MockGroup dummy{"ss-dummy"};
   cfg.base.group = &dummy;
   cfg.base.dot_field = &core::default_dot_field();
   cfg.threshold = std::max<std::size_t>(1, t);
@@ -344,14 +399,9 @@ SsPoint price_ss_framework(const ProblemSpec& spec, std::size_t n,
   point.totals = result.sort_costs;
   point.parallel_rounds = result.parallel_rounds;
   point.participant_seconds = price_ss_ops(result.sort_costs, costs, n);
-  {
-    const double t1 = now_s();
-    core::Initiator initiator{cfg.base, inst.v0, inst.w, rng};
-    core::Participant p{cfg.base, 1, inst.infos[0]};
-    const auto& q = p.gain_query(rng);
-    p.receive_gain_answer(initiator.answer_gain_query(1, q));
-    point.phase1_seconds = now_s() - t1;
-  }
+  const double t1 = now_s();
+  (void)core::phase1_betas(cfg.base, inst.v0, inst.w, inst.infos, rng);
+  point.phase1_seconds = (now_s() - t1) / static_cast<double>(n);
   point.trace = std::move(result.trace);
   return point;
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/party_driver.h"
+#include "core/streams.h"
 #include "group/multi_exp.h"
 
 namespace ppgr::core {
@@ -248,6 +249,26 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       [&](const FrameworkConfig& sub, const std::vector<AttrVec>& sub_infos) {
         return run_framework(sub, v0, w, sub_infos, rng);
       });
+}
+
+std::vector<Nat> phase1_betas(const FrameworkConfig& cfg, const AttrVec& v0,
+                              const AttrVec& w,
+                              const std::vector<AttrVec>& infos, Rng& rng) {
+  if (infos.size() != cfg.n)
+    throw std::invalid_argument("phase1_betas: one input per participant");
+  const runtime::MetricsMute mute;
+  const mpz::StreamFamily streams{rng};
+  mpz::ChaChaRng setup =
+      streams.stream(stream_id(StreamKind::kInitiatorSetup, 0, 0));
+  Initiator initiator{cfg, v0, w, setup};
+  std::vector<Nat> betas;
+  for (std::size_t j = 1; j <= cfg.n; ++j) {
+    Participant p{cfg, j, infos[j - 1]};
+    mpz::ChaChaRng query = streams.stream(stream_id(StreamKind::kPhase1, j, 0));
+    p.receive_gain_answer(initiator.answer_gain_query(j, p.gain_query(query)));
+    betas.push_back(p.beta());
+  }
+  return betas;
 }
 
 const FpCtx& default_dot_field() {

@@ -365,6 +365,15 @@ struct FrameworkResult {
                                             const std::vector<AttrVec>& infos,
                                             Rng& rng);
 
+/// Phase 1 alone, metrics muted: the Initiator and Participant state
+/// machines on the substreams run_framework gives them (kInitiatorSetup,
+/// kPhase1). Returns every β_j in participant order, i.e.
+/// run_framework(cfg, ...).betas for an identically-seeded rng.
+[[nodiscard]] std::vector<Nat> phase1_betas(const FrameworkConfig& cfg,
+                                            const AttrVec& v0, const AttrVec& w,
+                                            const std::vector<AttrVec>& infos,
+                                            Rng& rng);
+
 /// Plain (insecure) reference ranking for tests and examples: ranks by gain,
 /// non-increasing; tied gains share a rank.
 [[nodiscard]] std::vector<std::size_t> reference_ranks(

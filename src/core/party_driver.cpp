@@ -887,8 +887,8 @@ SsFrameworkResult launch(const FrameworkConfig& cfg,
       cfg.flight->record(runtime::FlightEventKind::kDegrade, Phase::kPhase1, 0,
                          static_cast<std::uint32_t>(survivors),
                          static_cast<std::uint32_t>(dropped.size()));
-    // The survivor-set rerun is a different instance: the auditor's
-    // reference no longer applies, so it is told about the degrade (a typed
+    // The survivor-set rerun is a different instance: the auditor's phase-1
+    // predictions no longer apply, so it is told about the degrade (a typed
     // finding naming the dropped parties) and detached from the sub-run.
     if (cfg.audit != nullptr) cfg.audit->run_degraded(dropped);
     res.faults = router.fault_report();

@@ -98,7 +98,7 @@ struct PartyResult {
 /// Degrade-on-dropout (DESIGN.md Sec. 7): reruns a stopped launch over its
 /// survivors — rerun(sub, sub_infos) with their inputs in id order and a
 /// copy of `cfg` without fault plan (the faults already happened) or audit
-/// (the auditor's reference no longer applies) — and maps the rerun's
+/// (the auditor's phase-1 predictions no longer apply) — and maps the rerun's
 /// result back to the original party ids. β_j ordering is independent per
 /// party, so the survivors' ranking equals the reduced instance's ranking.
 template <typename Result, typename Rerun>

@@ -1,14 +1,11 @@
 #include "engine/audit.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <tuple>
 #include <utility>
 
 #include "benchcore/model.h"
-#include "engine/precompute.h"
-#include "group/mock_group.h"
 
 namespace ppgr::engine {
 
@@ -16,49 +13,6 @@ namespace {
 
 using runtime::CryptoOp;
 using runtime::Phase;
-
-// Session registries never carry the cache counters, and the accel_*
-// diagnostics depend on the group family (EC batches its affine
-// normalization; the mock group does not) — every other counter, the
-// executed group_* calls including group_dual_exp, is audited.
-bool audited_op(std::size_t i) {
-  switch (static_cast<CryptoOp>(i)) {
-    case CryptoOp::kPrecomputeHit:
-    case CryptoOp::kPrecomputeMiss:
-    case CryptoOp::kAccelMultiExp:
-    case CryptoOp::kAccelMultiExpTerm:
-    case CryptoOp::kAccelFixedBaseExp:
-    case CryptoOp::kAccelBatchInverse:
-      return false;
-    default:
-      return true;
-  }
-}
-
-// Private precompute for the reference execution. The pool key is fixed
-// (all zero): pool *values* differ from the real session's, but op counts
-// and protocol outputs are independent of them by the precompute contract.
-class RefSource final : public core::PrecomputeSource {
- public:
-  [[nodiscard]] std::shared_ptr<const group::FixedBaseTable> generator_table(
-      const group::Group& base) override {
-    gen_ = cache_.generator_table(base).table;
-    return gen_;
-  }
-  [[nodiscard]] core::KeyPrecompute key_material(const group::Group& base,
-                                                 const group::Elem& joint_key,
-                                                 std::size_t pool_size) override {
-    auto kt = cache_.key_table(base, joint_key);
-    auto zp =
-        cache_.zero_pool(base, joint_key, gen_, kt.table, pool_key_, pool_size);
-    return core::KeyPrecompute{std::move(kt.table), std::move(zp.pool)};
-  }
-
- private:
-  PrecomputeCache cache_;
-  std::array<std::uint8_t, 32> pool_key_{};
-  std::shared_ptr<const group::FixedBaseTable> gen_;
-};
 
 void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -139,45 +93,39 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
     : cfg_(std::move(cfg)) {
   report_.ss = cfg_.ss;
   if (cfg_.ss) {
-    // Closed form: phase 1 runs one secure dot product per participant —
-    // one query (participant), one answer (initiator), one unmasking
-    // (participant). No group ops, nothing else counted.
-    runtime::OpTally& t =
-        expected_ops_[static_cast<std::size_t>(Phase::kPhase1)];
-    t.v[static_cast<std::size_t>(CryptoOp::kDotprodQuery)] = cfg_.n;
-    t.v[static_cast<std::size_t>(CryptoOp::kDotprodAnswer)] = cfg_.n;
-    t.v[static_cast<std::size_t>(CryptoOp::kDotprodFinish)] = cfg_.n;
+    // Phase 1 only: the in-process sort (phase 2) exports its own costs.
+    expected_ops_[static_cast<std::size_t>(Phase::kPhase1)] =
+        benchcore::phase1_ops(cfg_.n);
     check_ops_[static_cast<std::size_t>(Phase::kPhase1)] = true;
     return;
   }
-  // Differential reference execution: the same instance replayed on a cheap
-  // mock group, serially, with mirrored precompute (a source shifts metered
-  // exponentiations to multiplications, so the reference must use one too).
-  // The determinism invariant makes its deterministic outputs exact
-  // predictions for the real session.
-  group::MockGroup ref_group{"audit-ref", 32, 61};
-  RefSource source;
-  core::FrameworkConfig ref;
-  ref.spec = cfg_.spec;
-  ref.n = cfg_.n;
-  ref.k = cfg_.k;
-  ref.group = &ref_group;
-  ref.dot_field = cfg_.dot_field;
-  ref.dot_s = cfg_.dot_s;
-  ref.parallelism = 1;
-  ref.metrics = true;
-  ref.precompute = &source;
-  const core::FrameworkResult r = core::run_framework(ref, v0, w, infos, rng);
-  for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
-    expected_ops_[p] = r.metrics->phase_totals(static_cast<Phase>(p));
-    check_ops_[p] = true;
-  }
-  expected_submitted_ = r.submitted_ids;
+  // Phase 1 alone, on the session's own substreams, fixes every β; the
+  // closed forms give the rest. The engine always attaches a precompute
+  // source with the widened zero pool, hence `pooled`.
+  core::FrameworkConfig fw;
+  fw.spec = cfg_.spec;
+  fw.n = cfg_.n;
+  fw.k = cfg_.k;
+  fw.group = cfg_.group;
+  fw.dot_field = cfg_.dot_field;
+  fw.dot_s = cfg_.dot_s;
+  const std::vector<mpz::Nat> betas =
+      core::phase1_betas(fw, v0, w, infos, rng);
+  expected_ops_ = benchcore::model_he_ops(cfg_.spec, cfg_.n,
+                                          benchcore::beta_popcounts(betas),
+                                          /*pooled=*/true)
+                      .phase_ops;
+  check_ops_.fill(true);
+  expected_submitted_ =
+      benchcore::top_k_ids(benchcore::beta_ranks(betas), cfg_.k);
   check_submitted_ = true;
-  // The measured side reports the router's closed-round counter, which the
-  // comm registry mirrors (empty rounds preserved) — trace.rounds() would
-  // not: it only counts rounds carrying at least one message.
-  expected_rounds_ = r.comm->rounds();
+  // The measured side reports the Router's closed-round counter, empty
+  // rounds included.
+  expected_rounds_ =
+      benchcore::model_he_schedule(cfg_.spec, cfg_.n, *cfg_.group,
+                                   *cfg_.dot_field, cfg_.dot_s,
+                                   expected_submitted_)
+          .rounds;
   check_rounds_ = true;
 }
 
@@ -188,14 +136,12 @@ void ConformanceAuditor::check_count(AuditCheckKind kind, Phase phase,
                                      const std::string& what) {
   ++report_.checks;
   if (expected == measured) return;
-  AuditFinding f;
-  f.kind = kind;
-  f.phase = phase;
-  f.key = key;
-  f.expected = expected;
-  f.measured = measured;
-  f.detail = what;
-  report_.findings.push_back(std::move(f));
+  report_.findings.push_back(AuditFinding{.kind = kind,
+                                          .phase = phase,
+                                          .key = key,
+                                          .expected = expected,
+                                          .measured = measured,
+                                          .detail = what});
 }
 
 void ConformanceAuditor::breadcrumb(Phase phase) {
@@ -215,12 +161,12 @@ void ConformanceAuditor::phase_complete(Phase phase,
     const runtime::OpTally measured = metrics->phase_totals(phase);
     const runtime::OpTally& want = expected_ops_[pi];
     for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
-      if (!audited_op(i)) continue;
+      if (!benchcore::audited_op(static_cast<CryptoOp>(i))) continue;
       if (want.v[i] == 0 && measured.v[i] == 0) continue;
       check_count(AuditCheckKind::kPhaseOps, phase,
                   runtime::op_name(static_cast<CryptoOp>(i)), want.v[i],
                   measured.v[i],
-                  std::string("op tally diverges from the reference run in ") +
+                  std::string("op tally diverges from the model in ") +
                       runtime::phase_name(phase));
     }
   }
@@ -235,68 +181,54 @@ void ConformanceAuditor::run_complete(
   ++report_.checkpoints;
   if (check_submitted_) {
     ++report_.checks;
-    if (submitted_ids != expected_submitted_) {
-      AuditFinding f;
-      f.kind = AuditCheckKind::kSubmissions;
-      f.phase = Phase::kPhase3;
-      f.key = "submitted_ids";
-      f.expected = expected_submitted_.size();
-      f.measured = submitted_ids.size();
-      f.detail = "submitted top-k set diverges from the reference run";
-      report_.findings.push_back(std::move(f));
-    }
+    if (submitted_ids != expected_submitted_)
+      report_.findings.push_back(AuditFinding{
+          .kind = AuditCheckKind::kSubmissions,
+          .phase = Phase::kPhase3,
+          .key = "submitted_ids",
+          .expected = expected_submitted_.size(),
+          .measured = submitted_ids.size(),
+          .detail = "submitted top-k set diverges from the beta ranking"});
   }
   if (check_rounds_)
     check_count(AuditCheckKind::kRounds, Phase::kPhase3, "rounds",
                 expected_rounds_, rounds,
-                "transport round count diverges from the reference run");
+                "transport round count diverges from the message schedule");
   // Byte-exact communication check against the closed-form model on the
   // real group. Skipped under a fault plan: CRC framing, retransmits and
   // drops legitimately change wire bytes there (divergence then surfaces
   // through the op / submission / incompleteness checks instead).
   if (comm != nullptr && !cfg_.fault_plan && cfg_.group != nullptr &&
       cfg_.dot_field != nullptr) {
-    const std::vector<runtime::CommLink> expected = benchcore::model_he_comm(
-        cfg_.spec, cfg_.n, *cfg_.group, *cfg_.dot_field, cfg_.dot_s,
-        submitted_ids);
-    const std::vector<runtime::CommLink> measured = comm->links();
-    const auto audited_phase = [&](Phase p) {
-      // The SS baseline shares the HE wire codecs in phases 1 and 3 only;
-      // its phase-2 traffic is the sort's own synthetic model.
-      return !cfg_.ss || p == Phase::kPhase1 || p == Phase::kPhase3;
+    // Per (phase, src, dst) link: expected then measured (messages, bytes).
+    std::map<std::tuple<Phase, std::size_t, std::size_t>,
+             std::array<std::uint64_t, 4>>
+        links;
+    const auto add = [&](const std::vector<runtime::CommLink>& from,
+                         std::size_t slot) {
+      for (const runtime::CommLink& l : from) {
+        // The SS baseline shares the HE wire codecs in phases 1 and 3 only;
+        // its phase-2 traffic is the sort's own synthetic model.
+        if (cfg_.ss && l.phase != Phase::kPhase1 && l.phase != Phase::kPhase3)
+          continue;
+        auto& v = links[{l.phase, l.src, l.dst}];
+        v[slot] = l.messages;
+        v[slot + 1] = l.bytes;
+      }
     };
-    using Key = std::tuple<std::size_t, std::size_t, std::size_t>;
-    std::map<Key, std::pair<std::uint64_t, std::uint64_t>> want;
-    std::map<Key, std::pair<std::uint64_t, std::uint64_t>> got;
-    for (const runtime::CommLink& l : expected)
-      if (audited_phase(l.phase))
-        want[{static_cast<std::size_t>(l.phase), l.src, l.dst}] = {l.messages,
-                                                                   l.bytes};
-    for (const runtime::CommLink& l : measured)
-      if (audited_phase(l.phase))
-        got[{static_cast<std::size_t>(l.phase), l.src, l.dst}] = {l.messages,
-                                                                  l.bytes};
-    auto keys = want;
-    for (const auto& [k, v] : got) keys.emplace(k, v);  // union of links
-    for (const auto& [k, unused] : keys) {
-      (void)unused;
-      const auto [pi, src, dst] = k;
-      const Phase p = static_cast<Phase>(pi);
+    add(benchcore::model_he_comm(cfg_.spec, cfg_.n, *cfg_.group,
+                                 *cfg_.dot_field, cfg_.dot_s, submitted_ids),
+        0);
+    add(comm->links(), 2);
+    for (const auto& [key, v] : links) {
+      const auto& [phase, src, dst] = key;
       char label[64];
       std::snprintf(label, sizeof(label), "P%zu->P%zu", src, dst);
-      const auto w_it = want.find(k);
-      const auto g_it = got.find(k);
-      const std::pair<std::uint64_t, std::uint64_t> w_v =
-          w_it != want.end() ? w_it->second : std::pair<std::uint64_t,
-                                                        std::uint64_t>{0, 0};
-      const std::pair<std::uint64_t, std::uint64_t> g_v =
-          g_it != got.end() ? g_it->second : std::pair<std::uint64_t,
-                                                       std::uint64_t>{0, 0};
-      check_count(AuditCheckKind::kComm, p, std::string(label) + " messages",
-                  w_v.first, g_v.first,
+      check_count(AuditCheckKind::kComm, phase,
+                  std::string(label) + " messages", v[0], v[2],
                   "per-link message count diverges from the comm model");
-      check_count(AuditCheckKind::kComm, p, std::string(label) + " bytes",
-                  w_v.second, g_v.second,
+      check_count(AuditCheckKind::kComm, phase, std::string(label) + " bytes",
+                  v[1], v[3],
                   "per-link byte total diverges from the comm model");
     }
   }
@@ -305,16 +237,14 @@ void ConformanceAuditor::run_complete(
 
 void ConformanceAuditor::run_degraded(const std::vector<std::size_t>& dropped) {
   report_.incomplete = true;
-  AuditFinding f;
-  f.kind = AuditCheckKind::kIncomplete;
-  f.phase = Phase::kPhase1;
-  f.key = "degrade";
-  f.expected = cfg_.n;
-  f.measured = cfg_.n - dropped.size();
   std::string detail = "run degraded onto the survivor set; dropped parties:";
   for (const std::size_t p : dropped) detail += " P" + std::to_string(p);
-  f.detail = std::move(detail);
-  report_.findings.push_back(std::move(f));
+  report_.findings.push_back(AuditFinding{.kind = AuditCheckKind::kIncomplete,
+                                          .phase = Phase::kPhase1,
+                                          .key = "degrade",
+                                          .expected = cfg_.n,
+                                          .measured = cfg_.n - dropped.size(),
+                                          .detail = std::move(detail)});
   // The survivor rerun is a different instance — every expectation is void.
   check_ops_.fill(false);
   check_submitted_ = false;
@@ -324,13 +254,12 @@ void ConformanceAuditor::run_degraded(const std::vector<std::size_t>& dropped) {
 
 void ConformanceAuditor::run_faulted(Phase phase) {
   report_.incomplete = true;
-  AuditFinding f;
-  f.kind = AuditCheckKind::kIncomplete;
-  f.phase = phase;
-  f.key = "fault";
-  f.detail = std::string("run aborted by a protocol fault in ") +
-             runtime::phase_name(phase);
-  report_.findings.push_back(std::move(f));
+  report_.findings.push_back(AuditFinding{
+      .kind = AuditCheckKind::kIncomplete,
+      .phase = phase,
+      .key = "fault",
+      .detail = std::string("run aborted by a protocol fault in ") +
+                runtime::phase_name(phase)});
   breadcrumb(phase);
 }
 

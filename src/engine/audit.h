@@ -3,26 +3,23 @@
 //
 // The repo carries two independent descriptions of every protocol run: the
 // *measured* one (runtime::MetricsRegistry / runtime::CommRegistry, filled
-// by the run itself) and the *modeled* one (benchcore's closed-form comm
-// model and counted reference executions — the Sec. VI analysis made
-// byte-exact). ConformanceAuditor wires the two together while a session
-// runs: it is a core::AuditSink the frameworks call at every phase
-// boundary, comparing the running counters against what the model says they
-// must be and emitting a typed AuditFinding for every divergence.
+// by the run itself) and the *modeled* one (benchcore's closed forms — the
+// Sec. VI analysis made exact). ConformanceAuditor wires the two together
+// while a session runs: it is a core::AuditSink the frameworks call at every
+// phase boundary, comparing the running counters against what the model
+// says they must be and emitting a typed AuditFinding for every divergence.
 //
 // Expectations per framework:
-//  - HE: a differential reference execution at construction time — the same
-//    (spec, n, k, inputs) and an identically-seeded rng replayed through
-//    run_framework on a cheap 61-bit MockGroup, serially, with
-//    a private precompute source mirroring the engine's. The determinism
-//    invariant ("bit-identical at any parallelism / cache state") makes its
-//    per-phase op tallies, submitted set and round count exact predictions
-//    for the real session. Comm bytes come from benchcore::model_he_comm on
-//    the *real* group (element sizes differ on the mock).
-//  - SS: no reference run. Phase-1 op counts follow in closed form (n of
-//    each dot-product step); comm is the shared phase-1/phase-3 codec model.
-//    The in-process sort (phase 2) exports its own cost model and is not
-//    re-checked here.
+//  - HE: phase 1 plus closed forms. At construction the auditor runs phase 1
+//    alone (core::phase1_betas) on an identically-seeded duplicate of the
+//    session's stream, which yields every β exactly. From those:
+//    benchcore::model_he_ops gives the per-phase op tallies,
+//    benchcore::beta_ranks the submitted set, and
+//    benchcore::model_he_schedule the round count. Comm bytes come from
+//    benchcore::model_he_comm on the real group.
+//  - SS: phase-1 op counts in closed form (benchcore::phase1_ops); comm is
+//    the shared phase-1/phase-3 codec model. The in-process sort (phase 2)
+//    exports its own cost model and is not re-checked here.
 //
 // Every audited quantity is a deterministic count, so every check is exact
 // — except under an installed fault plan, where frames, retransmits and
@@ -53,10 +50,10 @@ namespace ppgr::engine {
 
 /// What an AuditFinding is about.
 enum class AuditCheckKind : std::uint8_t {
-  kPhaseOps = 0,   // per-phase crypto-op tally vs the reference run
+  kPhaseOps = 0,   // per-phase crypto-op tally vs benchcore::model_he_ops
   kComm,           // per-(phase, src, dst) messages/bytes vs the comm model
-  kRounds,         // transport round count vs the reference run
-  kSubmissions,    // submitted top-k set vs the reference run
+  kRounds,         // transport round count vs the message schedule
+  kSubmissions,    // submitted top-k set vs the β ranking
   kIncomplete,     // the run degraded or faulted: expectations void
 };
 [[nodiscard]] const char* to_string(AuditCheckKind kind);
@@ -88,8 +85,8 @@ struct AuditReport {
 };
 
 /// Live auditor for one session; attach via core::FrameworkConfig::audit.
-/// Construction is where the HE reference execution runs (cheap: 61-bit
-/// mock arithmetic), so build the auditor off the protocol's critical path.
+/// Construction runs the HE session's phase 1 (n dot products on the real
+/// field) to fix its β values.
 class ConformanceAuditor final : public core::AuditSink {
  public:
   struct Config {
@@ -97,8 +94,8 @@ class ConformanceAuditor final : public core::AuditSink {
     core::ProblemSpec spec;
     std::size_t n = 0;
     std::size_t k = 1;
-    /// The group the *real* session runs on (sizes the comm model). Must
-    /// outlive the auditor.
+    /// The group the *real* session runs on (sizes the comm model and the
+    /// message schedule). Required for HE; must outlive the auditor.
     const group::Group* group = nullptr;
     const mpz::FpCtx* dot_field = nullptr;
     std::size_t dot_s = 8;
@@ -143,8 +140,8 @@ class ConformanceAuditor final : public core::AuditSink {
 
   Config cfg_;
   AuditReport report_;
-  /// Per-phase expected op tallies: the HE reference run's measurements, or
-  /// the SS closed form (phase 1 only; other phases stay unchecked there).
+  /// Per-phase expected op tallies: model_he_ops on the session's β values,
+  /// or the SS closed form (phase 1 only; other phases stay unchecked).
   std::array<runtime::OpTally, runtime::kPhaseCount> expected_ops_{};
   std::array<bool, runtime::kPhaseCount> check_ops_{};
   std::vector<std::size_t> expected_submitted_;

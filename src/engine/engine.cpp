@@ -365,9 +365,10 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
     out.flight = std::make_shared<runtime::FlightRecorder>(cfg_.flight_events);
     fcfg.flight = out.flight.get();
   }
-  // Live conformance audit: the auditor replays the session's stream (a
-  // second identical family draw) through its reference execution, then
-  // rides the run's phase boundaries. Needs the registries, hence metrics.
+  // Live conformance audit: the auditor runs phase 1 alone on the session's
+  // stream (a second identical family draw) and predicts the rest from
+  // closed forms, then rides the run's phase boundaries. Needs the
+  // registries, hence metrics.
   std::optional<ConformanceAuditor> auditor;
   if (cfg_.audit && cfg_.metrics) {
     ConformanceAuditor::Config acfg;

@@ -29,12 +29,8 @@ std::uint64_t powmod61(std::uint64_t base, std::uint64_t e) {
 
 }  // namespace
 
-MockGroup::MockGroup(std::string name, std::size_t modeled_elem_bytes,
-                     std::size_t modeled_field_bits)
-    : name_(std::move(name)),
-      elem_bytes_(modeled_elem_bytes),
-      field_bits_(modeled_field_bits),
-      order_(Nat{kP - 1}) {}
+MockGroup::MockGroup(std::string name)
+    : name_(std::move(name)), order_(Nat{kP - 1}) {}
 
 Elem MockGroup::generator() const { return Elem{.a = Nat{3}}; }
 
@@ -51,13 +47,6 @@ Elem MockGroup::exp(const Elem& base, const Nat& scalar) const {
   return Elem{.a = Nat{powmod61(base.a.to_limb(), e)}};
 }
 
-// Two native powers instead of the generic Straus ladder over boxed
-// elements: the cost model's mock runs evaluate ~10^7 of these at n = 70.
-Elem MockGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
-                         const Nat& ey) const {
-  return mul(exp(x, ex), exp(y, ey));
-}
-
 Elem MockGroup::inv(const Elem& x) const {
   return Elem{.a = Nat{powmod61(x.a.to_limb(), kP - 2)}};
 }
@@ -67,12 +56,11 @@ bool MockGroup::eq(const Elem& x, const Elem& y) const { return x.a == y.a; }
 bool MockGroup::is_identity(const Elem& x) const { return x.a.is_one(); }
 
 std::vector<std::uint8_t> MockGroup::serialize(const Elem& x) const {
-  // Padded to the modeled size so traces carry realistic bytes.
-  return x.a.to_bytes_be(elem_bytes_);
+  return x.a.to_bytes_be(element_bytes());
 }
 
 Elem MockGroup::deserialize(std::span<const std::uint8_t> bytes) const {
-  if (bytes.size() != elem_bytes_)
+  if (bytes.size() != element_bytes())
     throw std::invalid_argument("MockGroup::deserialize: bad length");
   const Nat v = Nat::from_bytes_be(bytes);
   if (v.is_zero() || v >= Nat{kP})

@@ -5,7 +5,8 @@
 //    (the differential reference / closed form really is an exact model);
 //  - an injected-fault chaos run is flagged with a typed finding naming the
 //    phase, and a degrade-on-dropout continuation with the dropped parties;
-//  - tampered counters produce typed kPhaseOps findings (the drift path);
+//  - tampered counters, submissions and round counts produce typed
+//    kPhaseOps / kSubmissions / kRounds findings (the drift path);
 //  - audit drift escalates engine health to degraded;
 //  - the "ppgr.session.v1" wide event and the atomic "ppgr.postmortem.v1"
 //    bundle render the result faithfully;
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "benchcore/model.h"
 #include "engine/audit.h"
 #include "engine/engine.h"
 #include "engine/introspect.h"
@@ -163,6 +165,95 @@ TEST(ConformanceAudit, TamperedCountersProduceTypedDrift) {
   EXPECT_NE(json.find("\"schema\": \"ppgr.audit.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"phase_ops\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\": \"drift\""), std::string::npos);
+}
+
+// The HE auditor's expectations come from phase 1 plus the closed forms;
+// each tamper below breaks exactly one of them and must give exactly one
+// typed finding.
+class HeTamper : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kN = 4;
+  static constexpr std::size_t kK = 2;
+  // Two phase-1 rounds, n + 5 phase-2 rounds (key shares, proofs, the empty
+  // joint-key round, β bits, sets to P1, n chain hops), one phase-3 round.
+  static constexpr std::size_t kRounds = kN + 8;
+
+  HeTamper() : req_(fig2a_request(5, kN, kK)) {}
+
+  ConformanceAuditor auditor() const {
+    ConformanceAuditor::Config cfg;
+    cfg.spec = req_.spec;
+    cfg.n = kN;
+    cfg.k = kK;
+    cfg.group = group_.get();
+    cfg.dot_field = &core::default_dot_field();
+    return ConformanceAuditor{cfg, req_.v0, req_.w, req_.infos, ChaChaRng{9}};
+  }
+  // The instance's β values, from the stream the auditor is given.
+  std::vector<mpz::Nat> betas() const {
+    core::FrameworkConfig fw;
+    fw.spec = req_.spec;
+    fw.n = kN;
+    fw.k = kK;
+    fw.group = group_.get();
+    fw.dot_field = &core::default_dot_field();
+    ChaChaRng rng{9};
+    return core::phase1_betas(fw, req_.v0, req_.w, req_.infos, rng);
+  }
+  std::vector<std::size_t> submitted() const {
+    return benchcore::top_k_ids(benchcore::beta_ranks(betas()), kK);
+  }
+
+  RankingRequest req_;
+  std::unique_ptr<group::Group> group_ =
+      group::make_group(group::GroupId::kDlTest256);
+};
+
+TEST_F(HeTamper, ShortShuffleHopTallyIsPhaseOpsDrift) {
+  ConformanceAuditor a = auditor();
+  const runtime::OpTally want =
+      benchcore::model_he_ops(req_.spec, kN, benchcore::beta_popcounts(betas()),
+                              /*pooled=*/true)
+          .phase_ops[static_cast<std::size_t>(runtime::Phase::kPhase2)];
+  runtime::MetricsRegistry tampered;
+  for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
+    const auto op = static_cast<runtime::CryptoOp>(i);
+    const std::uint64_t v =
+        want.v[i] - (op == runtime::CryptoOp::kShuffleHop ? 1 : 0);
+    if (v != 0) tampered.add(runtime::Phase::kPhase2, 1, op, v);
+  }
+  a.phase_complete(runtime::Phase::kPhase2, &tampered, nullptr);
+  const AuditReport& report = a.report();
+  ASSERT_EQ(report.findings.size(), 1u) << report.to_json();
+  const AuditFinding& f = report.findings[0];
+  EXPECT_EQ(f.kind, AuditCheckKind::kPhaseOps);
+  EXPECT_EQ(f.phase, runtime::Phase::kPhase2);
+  EXPECT_EQ(f.key, runtime::op_name(runtime::CryptoOp::kShuffleHop));
+  EXPECT_EQ(f.expected, kN * (kN - 1));  // one hop per party per foreign set
+  EXPECT_EQ(f.measured, kN * (kN - 1) - 1);
+}
+
+TEST_F(HeTamper, WrongSubmittedSetIsSubmissionsDrift) {
+  ConformanceAuditor a = auditor();
+  std::vector<std::size_t> wrong = submitted();
+  ASSERT_FALSE(wrong.empty());
+  wrong.back() = wrong.back() % kN + 1;  // another party in the last slot
+  ASSERT_NE(wrong, submitted());
+  a.run_complete(wrong, nullptr, nullptr, kRounds);
+  const AuditReport& report = a.report();
+  ASSERT_EQ(report.findings.size(), 1u) << report.to_json();
+  EXPECT_EQ(report.findings[0].kind, AuditCheckKind::kSubmissions);
+  EXPECT_EQ(report.findings[0].key, "submitted_ids");
+}
+
+TEST_F(HeTamper, RoundCountOffByOneIsRoundsDrift) {
+  ConformanceAuditor a = auditor();
+  a.run_complete(submitted(), nullptr, nullptr, kRounds + 1);
+  const AuditReport& report = a.report();
+  ASSERT_EQ(report.findings.size(), 1u) << report.to_json();
+  EXPECT_EQ(report.findings[0].kind, AuditCheckKind::kRounds);
+  EXPECT_EQ(report.findings[0].expected, kRounds);
+  EXPECT_EQ(report.findings[0].measured, kRounds + 1);
 }
 
 // Engine health: a session whose audit report carries findings (here via a

@@ -111,7 +111,7 @@ TEST(BatchSerialize, DefaultLoopAndMeteredDecorator) {
   // Groups without a batched override fall back to the per-element loop,
   // and the metering decorator keeps reporting one serialization per
   // element — the batch is invisible to the op accounting.
-  const group::MockGroup mock{"mock", 32, 61};
+  const group::MockGroup mock{"mock"};
   const group::MeteredGroup metered{mock};
   ChaChaRng rng{14};
   std::vector<group::Elem> xs;

@@ -1,6 +1,7 @@
 // Tests for the benchmark cost model: the mock group's consistency, the
-// closed-form op model against metered protocol runs on every group family,
-// calibration sanity and model scaling laws.
+// closed-form op model, the phase-1 helper, the β-rank rule and the message
+// schedule against metered protocol runs on every group family, calibration
+// sanity and model scaling laws.
 #include <gtest/gtest.h>
 
 #include "benchcore/model.h"
@@ -16,7 +17,7 @@ using mpz::ChaChaRng;
 using mpz::Nat;
 
 TEST(MockGroup, IsAConsistentGroup) {
-  const MockGroup g{"mock", 32, 61};
+  const MockGroup g{"mock"};
   ChaChaRng rng{500};
   const auto x = g.random_nonzero_scalar(rng);
   const auto y = g.random_nonzero_scalar(rng);
@@ -32,7 +33,7 @@ TEST(MockGroup, IsAConsistentGroup) {
 TEST(MockGroup, ElGamalAndProofsWorkOverIt) {
   // The counted framework run exercises ElGamal + Schnorr over the mock
   // group; both must be *correct* there (only security is absent).
-  const MockGroup g{"mock", 32, 61};
+  const MockGroup g{"mock"};
   ChaChaRng rng{501};
   const auto kp = crypto::keygen(g, rng);
   const auto ct = crypto::encrypt_exp(g, kp.y, Nat{}, rng);
@@ -42,15 +43,6 @@ TEST(MockGroup, ElGamalAndProofsWorkOverIt) {
   const auto proof = crypto::schnorr_prove(g, kp.x, 4, rng);
   EXPECT_TRUE(
       crypto::schnorr_verify(g, kp.y, crypto::schnorr_proof(g, proof)));
-}
-
-TEST(MockGroup, SerializationCarriesModeledSize) {
-  const MockGroup g{"mock", 128, 1024};
-  EXPECT_EQ(g.element_bytes(), 128u);
-  EXPECT_EQ(g.field_bits(), 1024u);
-  const auto bytes = g.serialize(g.generator());
-  EXPECT_EQ(bytes.size(), 128u);
-  EXPECT_TRUE(g.eq(g.deserialize(bytes), g.generator()));
 }
 
 // run_framework's precompute hook served by the session engine's cache.
@@ -76,12 +68,14 @@ class CacheSource final : public core::PrecomputeSource {
 
 TEST(Model, ExecutedOpsMatchMeteredRunsOnEveryGroup) {
   // model_he_ops (a) is the closed form of what the metrics layer measures:
-  // per phase, every executed Group interface call — on the Schnorr, EC
-  // and mock families alike, with and without precompute.
+  // per phase, every audited counter — on the Schnorr, EC and mock families
+  // alike, with and without precompute. Its inputs come from phase 1 alone:
+  // phase1_betas must reproduce the run's β on the same stream layout, and
+  // the β-rank rule its ranks and submitted set.
   const core::ProblemSpec spec{.m = 2, .t = 1, .d1 = 2, .d2 = 1, .h = 2};
   const auto dl = group::make_group(GroupId::kDlTest256);
   const auto ec = group::make_group(GroupId::kEcP192);
-  const MockGroup mock{"mock", 32, 61};
+  const MockGroup mock{"mock"};
   const std::vector<const group::Group*> groups{dl.get(), ec.get(), &mock};
   for (const group::Group* g : groups) {
     for (const bool pooled : {false, true}) {
@@ -90,26 +84,74 @@ TEST(Model, ExecutedOpsMatchMeteredRunsOnEveryGroup) {
         core::FrameworkConfig cfg;
         cfg.spec = spec;
         cfg.n = n;
-        cfg.k = 1;
+        cfg.k = 2;
         cfg.group = g;
         cfg.dot_field = &core::default_dot_field();
         cfg.metrics = true;
         if (pooled) cfg.precompute = &source;
         const Instance inst = random_instance(spec, n, 40 + n);
         ChaChaRng rng{41 + n};
+        ChaChaRng phase1_rng{41 + n};
         const auto result =
             core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+        const auto betas =
+            core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, phase1_rng);
+        EXPECT_EQ(betas, result.betas) << g->name() << " n=" << n;
+        const auto ranks = beta_ranks(betas);
+        EXPECT_EQ(ranks, result.ranks) << g->name() << " n=" << n;
+        EXPECT_EQ(top_k_ids(ranks, cfg.k), result.submitted_ids)
+            << g->name() << " n=" << n;
         const HeOpModel model =
-            model_he_ops(spec, n, beta_popcounts(result.betas), pooled);
+            model_he_ops(spec, n, beta_popcounts(betas), pooled);
         for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
           const auto phase = static_cast<runtime::Phase>(p);
           const runtime::OpTally measured = result.metrics->phase_totals(phase);
-          for (const runtime::CryptoOp op : kModeledGroupOps)
+          for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
+            const auto op = static_cast<runtime::CryptoOp>(i);
+            if (!audited_op(op)) continue;
             EXPECT_EQ(measured[op], model.phase_ops[p][op])
                 << g->name() << " n=" << n << " pooled=" << pooled << " "
                 << runtime::phase_name(phase) << " " << runtime::op_name(op);
+          }
         }
       }
+    }
+  }
+}
+
+TEST(Model, ScheduleEqualsTheRecordedTrace) {
+  // model_he_schedule is every message of a run in the Router's order, and
+  // its round count the Router's closed rounds (the empty joint-key round
+  // included).
+  const core::ProblemSpec spec{.m = 2, .t = 1, .d1 = 2, .d2 = 1, .h = 2};
+  for (const GroupId id : {GroupId::kDlTest256, GroupId::kEcP192}) {
+    const auto g = group::make_group(id);
+    for (const std::size_t n : {2u, 3u, 5u}) {
+      core::FrameworkConfig cfg;
+      cfg.spec = spec;
+      cfg.n = n;
+      cfg.k = 2;
+      cfg.group = g.get();
+      cfg.dot_field = &core::default_dot_field();
+      cfg.metrics = true;
+      const Instance inst = random_instance(spec, n, 60 + n);
+      ChaChaRng rng{61 + n};
+      const auto result =
+          core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+      const HeSchedule s = model_he_schedule(
+          spec, n, *g, *cfg.dot_field, cfg.dot_s, result.submitted_ids);
+      const auto& trace = result.trace.transfers();
+      ASSERT_EQ(s.transfers.size(), trace.size()) << g->name() << " n=" << n;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const runtime::Transfer& want = s.transfers[i];
+        EXPECT_EQ(want.round, trace[i].round) << g->name() << " " << i;
+        EXPECT_EQ(want.src, trace[i].src) << g->name() << " " << i;
+        EXPECT_EQ(want.dst, trace[i].dst) << g->name() << " " << i;
+        EXPECT_EQ(want.bytes, trace[i].bytes) << g->name() << " " << i;
+      }
+      EXPECT_EQ(s.rounds, result.comm->rounds()) << g->name() << " n=" << n;
+      EXPECT_EQ(s.rounds, n + 8);
+      EXPECT_EQ(s.message_rounds(), result.trace.rounds());
     }
   }
 }
@@ -138,9 +180,9 @@ TEST(Model, NaiveProfileReproducesTheFigureCounts) {
       {10, 2, {.muls = 38896, .exps = 69126, .gexps = 6746, .invs = 21600,
                .serializations = 47156, .deserializations = 51156}},
   };
+  const auto g = group::make_group(GroupId::kDlTest256);
   for (const Pin& pin : pins) {
-    const HeCounts counts =
-        count_he_framework(spec, pin.n, 1, 32, 256, pin.seed);
+    const HeCounts counts = count_he_framework(spec, pin.n, 1, *g, pin.seed);
     EXPECT_EQ(counts.totals, pin.totals)
         << "n=" << pin.n << " seed=" << pin.seed;
     EXPECT_EQ(counts.per_participant.exps, pin.totals.exps / pin.n);
@@ -184,8 +226,9 @@ TEST(Model, HeCountsScaleQuadraticallyInN) {
   // Sec. VI-B: per-participant exponentiations are O(l n^2)/n... the total
   // protocol is O(l n^3) exps across parties, i.e. per participant O(l n^2).
   const core::ProblemSpec spec{.m = 3, .t = 1, .d1 = 5, .d2 = 4, .h = 5};
-  const auto c5 = count_he_framework(spec, 5, 1, 32, 256, 1);
-  const auto c10 = count_he_framework(spec, 10, 1, 32, 256, 1);
+  const auto g = group::make_group(GroupId::kDlTest256);
+  const auto c5 = count_he_framework(spec, 5, 1, *g, 1);
+  const auto c10 = count_he_framework(spec, 10, 1, *g, 1);
   const double ratio = static_cast<double>(c10.per_participant.exps) /
                        static_cast<double>(c5.per_participant.exps);
   EXPECT_GT(ratio, 3.0);  // ~4x for doubled n
@@ -194,10 +237,11 @@ TEST(Model, HeCountsScaleQuadraticallyInN) {
 
 TEST(Model, TraceRoundsLinearInN) {
   const core::ProblemSpec spec{.m = 3, .t = 1, .d1 = 5, .d2 = 4, .h = 5};
-  const auto c5 = count_he_framework(spec, 5, 1, 32, 256, 2);
-  const auto c10 = count_he_framework(spec, 10, 1, 32, 256, 2);
+  const auto g = group::make_group(GroupId::kDlTest256);
+  const auto c5 = count_he_framework(spec, 5, 1, *g, 2);
+  const auto c10 = count_he_framework(spec, 10, 1, *g, 2);
   // rounds = n + constant.
-  EXPECT_EQ(c10.rounds - c5.rounds, 5u);
+  EXPECT_EQ(c10.schedule.message_rounds() - c5.schedule.message_rounds(), 5u);
 }
 
 TEST(Model, PaperDefaultSpecMatchesSecVII) {

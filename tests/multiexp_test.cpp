@@ -55,7 +55,7 @@ class MultiExpTest : public ::testing::TestWithParam<const char*> {
   MultiExpTest() {
     const std::string which = GetParam();
     if (which == "mock") {
-      g_ = std::make_unique<MockGroup>("mock", 32, 61);
+      g_ = std::make_unique<MockGroup>("mock");
     } else if (which == "schnorr") {
       g_ = make_group(GroupId::kDlTest256);
     } else {
@@ -174,7 +174,7 @@ TEST(MultiExpLarge, FourThousandTermsPippenger) {
     if (schnorr)
       g = make_group(GroupId::kDlTest256);
     else
-      g = std::make_unique<MockGroup>("mock", 32, 61);
+      g = std::make_unique<MockGroup>("mock");
     ChaChaRng rng{7};
     std::vector<Elem> bases;
     std::vector<Nat> exps;
