@@ -162,14 +162,12 @@ int main(int argc, char** argv) {
           "\"group_exps\": %llu, \"group_exp_g\": %llu, "
           "\"group_dual_exps\": %llu, "
           "\"group_muls\": %llu, \"compare_circuits\": %llu, "
-          "\"shuffle_hops\": %llu, \"accel_multi_exps\": %llu, "
-          "\"accel_fixed_base_exps\": %llu}%s\n",
+          "\"shuffle_hops\": %llu, \"accel_fixed_base_exps\": %llu}%s\n",
           runtime::phase_name(static_cast<runtime::Phase>(p)), walls[p],
           c(runtime::CryptoOp::kGroupExp), c(runtime::CryptoOp::kGroupExpG),
           c(runtime::CryptoOp::kGroupDualExp), c(runtime::CryptoOp::kGroupMul),
           c(runtime::CryptoOp::kCompareCircuit),
           c(runtime::CryptoOp::kShuffleHop),
-          c(runtime::CryptoOp::kAccelMultiExp),
           c(runtime::CryptoOp::kAccelFixedBaseExp),
           p + 1 < runtime::kPhaseCount ? "," : "");
     }

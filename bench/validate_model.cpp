@@ -49,8 +49,7 @@ int run_check() {
   mpz::ChaChaRng rng{seed + 1};
   const auto real = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
   const auto model =
-      benchcore::model_he_ops(spec, n, benchcore::beta_popcounts(real.betas),
-                              /*pooled=*/false);
+      benchcore::model_he_ops(spec, n, benchcore::beta_popcounts(real.betas));
 
   using runtime::CryptoOp;
   int failures = 0;

@@ -253,7 +253,7 @@ void print_usage(const char* prog, std::FILE* out) {
       "                        rollup and degrades engine health\n"
       "  --flight-events N     per-session forensic flight recorder: a\n"
       "                        bounded ring of the last N protocol events\n"
-      "                        (phase/round/send/retry/fault/cache), dumped\n"
+      "                        (phase/round/send/retry/fault), dumped\n"
       "                        into the post-mortem bundle on fault\n"
       "  --session-log-out FILE\n"
       "                        wide-event session log: ONE ppgr.session.v1\n"
@@ -557,16 +557,10 @@ int main(int argc, char** argv) {
     }
 
     const engine::PrecomputeStats stats = eng.precompute_stats();
-    std::printf("\nprecompute cache: %llu hits, %llu misses "
-                "(tables: gen %llu/%llu, key %llu/%llu; pools %llu/%llu)\n",
-                (unsigned long long)stats.total().hits,
-                (unsigned long long)stats.total().misses,
+    std::printf("\nprecompute cache: generator tables %llu hits, %llu "
+                "misses\n",
                 (unsigned long long)stats.generator_table.hits,
-                (unsigned long long)stats.generator_table.misses,
-                (unsigned long long)stats.key_table.hits,
-                (unsigned long long)stats.key_table.misses,
-                (unsigned long long)stats.zero_pool.hits,
-                (unsigned long long)stats.zero_pool.misses);
+                (unsigned long long)stats.generator_table.misses);
 
     if (!rollup_path.empty()) {
       std::ofstream out{rollup_path};

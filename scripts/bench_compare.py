@@ -18,12 +18,12 @@ Leaves are classified by key:
     vary run to run; a relative drift beyond the tolerance prints a WARN
     but never fails the gate. Simulated *virtual* network seconds are NOT
     noisy: they are a deterministic function of the run and compare
-    exactly. Fault-injection/recovery counters ("ppgr.fault.v1", the
-    comm "faults" block, engine outcome rollups) are likewise seeded and
-    deterministic, and are forced into the exact class even when a noisy
-    substring (e.g. "latency") would otherwise match; so are the accel_*
-    multi-exponentiation counters — they count algorithm invocations, not
-    time, and must never drift silently;
+    exactly. Fault-injection/recovery counters ("ppgr.fault.v1", engine
+    outcome rollups) are likewise seeded and deterministic, and are forced
+    into the exact class even when a noisy substring (e.g. "latency")
+    would otherwise match; so are the accel_* fixed-base and
+    batch-inverse counters — they count algorithm invocations, not time,
+    and must never drift silently;
   - every other numeric leaf (operation counts, cache hit/miss counts,
     message counts, byte totals, rounds, parameters) is deterministic by
     construction, so any drift at all is a FAIL: the protocol, the codecs
@@ -63,12 +63,12 @@ NOISY_KEY_PARTS = (
 )
 
 # Fault-injection and channel-recovery observables (ppgr.fault.v1 sections,
-# CommRegistry "faults" blocks, engine per-outcome rollups) are seeded and
-# schedule-independent: they compare EXACTLY, even where a substring above
-# would otherwise classify them as noisy (e.g. the injected-delay counter
-# lives next to latency keys). Checked before the noisy classification.
+# engine per-outcome rollups) are seeded and schedule-independent: they
+# compare EXACTLY, even where a substring above would otherwise classify
+# them as noisy (e.g. the injected-delay counter lives next to latency
+# keys). Checked before the noisy classification.
 EXACT_KEY_PARTS = (
-    "accel",  # accel_* multi-exp/fixed-base/batch-inverse counters
+    "accel",  # accel_* fixed-base/batch-inverse counters
     "injected",  # injected_drop/.../injected_crash/injected_total
     "retransmits",
     "crc_detected",

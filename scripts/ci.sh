@@ -13,10 +13,11 @@
 # tests via ctest.
 #
 # The `engine` mode is the session-engine concurrency leg: it runs the
-# engine tests (admission cap, shared precompute cache, determinism under
-# load, the multi-session stress test) under TSan — many driver threads
-# race through one shared thread pool, cache and metrics registry, which is
-# exactly the surface TSan exists for.
+# engine tests (admission cap, the shared generator-table cache, an engine
+# session equal to a bare run_framework run, determinism under load, the
+# multi-session stress test) under TSan — many driver threads race through
+# one shared thread pool, cache and metrics registry, which is exactly the
+# surface TSan exists for.
 #
 # The `chaos` mode is the fault-injection leg: the seeded fault-matrix soak
 # (drop/corrupt/delay/crash x phase x party over both frameworks, plus the
@@ -26,13 +27,14 @@
 # sessions vs bit-identical survivors over a shared precompute cache) runs
 # under TSan, since session isolation is a concurrency property.
 #
-# The `multiexp` mode is the multi-exponentiation crypto leg: the
-# differential suite (Straus/Pippenger/fixed-base vs naive Group::exp on
-# every group family), the batched-inversion KATs, the parallel-determinism
-# suite and the phase-2 oracle (the fused comparison circuit and chain hop
-# vs the naive evaluation, value- and byte-identical on every group family)
-# run under ASan+UBSan — index arithmetic over window digits and bucket
-# arrays is exactly the surface ASan watches. The
+# The `multiexp` mode is the fused-exponentiation crypto leg: the
+# differential suite (Group::dual_exp's Straus ladders and the fixed-base
+# tables vs naive Group::exp on every group family), the batched-inversion
+# KATs, the parallel-determinism suite and the phase-2 oracle (the fused
+# comparison circuit and chain hop vs the naive evaluation, value- and
+# byte-identical on every group family) run under ASan+UBSan — index
+# arithmetic over window digits and digit tables is exactly the surface
+# ASan watches. The
 # leg also runs the mpz_modular and group suites: the binary gcd / Jacobi /
 # inverse kernels index fixed stack limb buffers at every width the GMP
 # differential tests use (1 to 64 limbs).

@@ -78,8 +78,6 @@ bool audited_op(CryptoOp op) {
   switch (op) {
     case CryptoOp::kPrecomputeHit:
     case CryptoOp::kPrecomputeMiss:
-    case CryptoOp::kAccelMultiExp:
-    case CryptoOp::kAccelMultiExpTerm:
     case CryptoOp::kAccelFixedBaseExp:
     case CryptoOp::kAccelBatchInverse:
       return false;
@@ -95,16 +93,14 @@ OpTally phase1_ops(std::size_t n) {
                n);
 }
 
-OpTally compare_circuit_ops(std::size_t l, std::size_t pop, bool pooled,
+OpTally compare_circuit_ops(std::size_t l, std::size_t pop,
                             OpProfile profile) {
-  const std::uint64_t drawn = pooled ? 0 : l;  // re-randomizations drawn
   // Naive: ct_scale (2 exps) per own set bit and per ω; ct_add_plain (exp_g
   // + mul) per own set bit, per ω and per τ of a set bit; ct_add (2 muls)
-  // per ω and per suffix step; the re-randomization's 2 muls, plus y^r and
-  // g^r when drawn.
+  // per ω and per suffix step; the re-randomization's y^r, g^r and 2 muls.
   if (profile == OpProfile::kNaive)
-    return tally({{CryptoOp::kGroupExp, 2 * l + 2 * pop + drawn},
-                  {CryptoOp::kGroupExpG, l + 2 * pop + drawn},
+    return tally({{CryptoOp::kGroupExp, 3 * l + 2 * pop},
+                  {CryptoOp::kGroupExpG, 2 * l + 2 * pop},
                   {CryptoOp::kGroupMul, 7 * l + 2 * pop}});
   // Executed: γ of a set bit is two inversions, g^1 and a mul; ω is two
   // inversions, the fused inv(γ.c)^coeff · g^coeff, inv(γ.cp)^coeff and two
@@ -112,8 +108,8 @@ OpTally compare_circuit_ops(std::size_t l, std::size_t pop, bool pooled,
   // re-randomization and suffix step.
   return tally({{CryptoOp::kGroupInv, 2 * l + 2 * pop},
                 {CryptoOp::kGroupDualExp, l},
-                {CryptoOp::kGroupExp, l + drawn},
-                {CryptoOp::kGroupExpG, 2 * pop + drawn},
+                {CryptoOp::kGroupExp, 2 * l},
+                {CryptoOp::kGroupExpG, l + 2 * pop},
                 {CryptoOp::kGroupMul, 6 * l + 2 * pop}});
 }
 
@@ -128,8 +124,7 @@ OpTally hop_ciphertext_ops(OpProfile profile) {
 }
 
 HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
-                       const std::vector<std::size_t>& popcounts,
-                       bool pooled) {
+                       const std::vector<std::size_t>& popcounts) {
   if (popcounts.size() != n)
     throw std::invalid_argument("model_he_ops: need one popcount per party");
   const std::uint64_t l = spec.beta_bits();
@@ -149,11 +144,9 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
     // Step 5: key share and proof commitment (exp_g and a serialization
     // each per party); every verifier decodes each peer's share and
     // commitment and checks g^z = h · y^Σc; the joint key multiplies the n
-    // shares. Step 6: per β bit g^m and a mul onto a pooled zero, or
-    // encrypt_exp's g^m, y^r, g^r and mul.
-    const std::uint64_t drawn = pooled ? 0 : bits;  // encryptions drawn
-    p2 += tally({{CryptoOp::kGroupExpG, 2 * n + pairs + bits + drawn},
-                 {CryptoOp::kGroupExp, pairs + drawn},
+    // shares. Step 6: per β bit encrypt_exp's g^m, y^r, g^r and mul.
+    p2 += tally({{CryptoOp::kGroupExpG, 2 * n + pairs + 2 * bits},
+                 {CryptoOp::kGroupExp, pairs + bits},
                  {CryptoOp::kGroupMul, pairs + n + bits},
                  {CryptoOp::kGroupSerialize, 2 * n + beta_out + set_elems},
                  {CryptoOp::kGroupDeserialize,
@@ -161,8 +154,7 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
     // Step 7: n-1 circuits per evaluator; step 8: each of the n hops
     // re-randomizes the n-1 foreign sets.
     for (std::size_t j = 0; j < n; ++j)
-      p2 += scaled(compare_circuit_ops(l, popcounts[j], pooled, profile),
-                   n - 1);
+      p2 += scaled(compare_circuit_ops(l, popcounts[j], profile), n - 1);
     p2 += scaled(hop_ciphertext_ops(profile), n * (n - 1) * set_cts);
     // Step 9: every party decrypts its returned set — cp^x, c / cp^x.
     ph[static_cast<std::size_t>(runtime::Phase::kPhase3)] =
@@ -319,7 +311,7 @@ HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
   // division — comparison-circuit cost varies slightly with each party's
   // own β bit pattern, so the division is a mean, not exact per party).
   const OpTally naive =
-      model_he_ops(spec, n, beta_popcounts(betas), /*pooled=*/false).naive;
+      model_he_ops(spec, n, beta_popcounts(betas)).naive;
   counts.totals = priced(naive, 1);
   counts.per_participant = priced(naive, n);
   counts.schedule = model_he_schedule(spec, n, g, *cfg.dot_field, cfg.dot_s,

@@ -67,11 +67,10 @@ enum class OpProfile {
 };
 
 /// Group calls of one comparison circuit over l bits whose evaluator's own
-/// β has `pop` set bits. `pooled`: the re-randomizations add precomputed
-/// zero encryptions instead of drawing fresh ones.
+/// β has `pop` set bits, each output re-randomized with a drawn encryption
+/// of zero.
 [[nodiscard]] runtime::OpTally compare_circuit_ops(std::size_t l,
                                                    std::size_t pop,
-                                                   bool pooled,
                                                    OpProfile profile);
 /// Group calls of one shuffle-hop ciphertext (the permutation calls none).
 [[nodiscard]] runtime::OpTally hop_ciphertext_ops(OpProfile profile);
@@ -95,12 +94,9 @@ struct HeOpModel {
   runtime::OpTally naive;
 };
 /// `popcounts[j]` is the popcount of participant j+1's β (a circuit's cost
-/// depends on its evaluator's own bits; see beta_popcounts). `pooled`: a
-/// precompute source supplies the widened zero-encryption pool, so the
-/// bitwise β encryptions and the circuit re-randomizations ride it.
+/// depends on its evaluator's own bits; see beta_popcounts).
 [[nodiscard]] HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
-                                     const std::vector<std::size_t>& popcounts,
-                                     bool pooled);
+                                     const std::vector<std::size_t>& popcounts);
 /// Popcounts of FrameworkResult::betas, in party order.
 [[nodiscard]] std::vector<std::size_t> beta_popcounts(
     const std::vector<mpz::Nat>& betas);

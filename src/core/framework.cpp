@@ -1,13 +1,11 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <array>
 #include <span>
 #include <stdexcept>
 
 #include "core/party_driver.h"
 #include "core/streams.h"
-#include "group/multi_exp.h"
 
 namespace ppgr::core {
 
@@ -126,17 +124,12 @@ bool Participant::verify_peer_key(const Elem& y,
   return crypto::schnorr_verify(*cfg_.group, y, proof);
 }
 
-Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng,
-                                         const crypto::ZeroPool* pool,
-                                         std::size_t pool_offset) const {
+Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
   const Nat m = beta_.bit(b) ? Nat{1} : Nat{};
-  if (pool != nullptr)
-    return crypto::encrypt_exp_with(*cfg_.group,
-                                    pool->entries.at(pool_offset + b), m);
   return encrypt_exp(*cfg_.group, joint_key_, m, rng);
 }
 
-// The comparison circuit (DESIGN.md §5e), evaluated through group::multi_exp
+// The comparison circuit (DESIGN.md §5e), evaluated through Group::dual_exp
 // fusions. Per bit b, with own bits own_b and the peer's E(peer_b):
 //
 //   γ_b = own_b XOR peer_b             (own bit is plaintext)
@@ -155,8 +148,7 @@ Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng,
 // in tests/phase2_oracle_test.cpp; benchcore::model_he_ops states the
 // interface calls this evaluation executes.
 std::vector<Ciphertext> Participant::compare_against(
-    const std::vector<Ciphertext>& peer_bits, Rng& rng,
-    const crypto::ZeroPool* pool, std::size_t pool_offset) const {
+    const std::vector<Ciphertext>& peer_bits, Rng& rng) const {
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
   const Group& g = *cfg_.group;
   const std::size_t l = cfg_.spec.beta_bits();
@@ -182,23 +174,19 @@ std::vector<Ciphertext> Participant::compare_against(
     const Nat coeff{static_cast<mpz::Limb>(l - b)};
     // γ^(q-coeff) = inv(γ)^coeff, and coeff = l-b is tiny, so the fused
     // inv(γ.c)^coeff · g^coeff runs a coeff-width Straus ladder.
-    const std::array<Elem, 2> cb{g.inv(gamma[b].c), g.generator()};
-    const std::array<Nat, 2> ce{coeff, coeff};
     const Ciphertext omega{
-        .c = g.mul(group::multi_exp(g, cb, ce), suffix.c),
+        .c = g.mul(g.dual_exp(g.inv(gamma[b].c), coeff, g.generator(), coeff),
+                   suffix.c),
         .cp = g.mul(g.exp(g.inv(gamma[b].cp), coeff), suffix.cp)};
     tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
-    tau[b] = pool != nullptr
-                 ? crypto::rerandomize_with(g, tau[b],
-                                            pool->entries.at(pool_offset + b))
-                 : rerandomize(g, joint_key_, tau[b], rng);
+    tau[b] = rerandomize(g, joint_key_, tau[b], rng);
     suffix = ct_add(g, suffix, gamma[b]);
   }
   return tau;
 }
 
 // One chain hop. Partial decryption and exponent randomization fuse into
-// one 2-term multi-exp per ciphertext —
+// one fused dual_exp per ciphertext —
 //
 //   c1 = c / cp^x;  out = (c1^r, cp^r)
 //      = (c^r · cp^(q - x·r mod q), cp^r)
@@ -213,9 +201,7 @@ void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
   for (Ciphertext& ct : set) {
     const Nat r = g.random_nonzero_scalar(rng);
     const Nat e = Nat::sub(q, Nat::mul(key_.x, r) % q);
-    const std::array<Elem, 2> bases{ct.c, ct.cp};
-    const std::array<Nat, 2> exps{r, e};
-    ct = Ciphertext{.c = group::multi_exp(g, bases, exps),
+    ct = Ciphertext{.c = g.dual_exp(ct.c, r, ct.cp, e),
                     .cp = g.exp(ct.cp, r)};
   }
   for (std::size_t i = set.size(); i-- > 1;)

@@ -99,24 +99,15 @@ class ProtocolFault : public std::runtime_error {
   net::FaultReport report_;
 };
 
-/// Joint-key-dependent precompute a PrecomputeSource hands a run: a
-/// fixed-base table for the joint ElGamal key and a zero-encryption pool
-/// sized for the run's n·(n-1)·l comparison re-randomizations. Either field
-/// may be null (that component simply isn't accelerated).
-struct KeyPrecompute {
-  std::shared_ptr<const group::FixedBaseTable> key_table;
-  std::shared_ptr<const crypto::ZeroPool> zero_pool;
-};
-
 /// Supplier of shared crypto precompute for run_framework (implemented by
 /// the session engine's PrecomputeCache; see src/engine/precompute.h).
 ///
-/// Contract: the returned artifacts must be pure functions of their inputs
-/// — generator_table of the group, key_material of (group, joint key,
-/// pool_size) plus whatever pool key the source fixes per session — so a
-/// run's outputs never depend on whether an artifact was freshly built or
-/// reused. run_framework mutes the metrics funnel around both calls for the
-/// same reason: build cost must not leak into the session's counters.
+/// Contract: the generator table must be a pure function of the group, so a
+/// run's outputs never depend on whether it was freshly built or reused.
+/// run_framework mutes the metrics funnel around the call for the same
+/// reason: build cost must not leak into the session's counters. Everything
+/// keyed by the session itself (the joint-key table, every encryption of
+/// zero) the run computes on its own.
 class PrecomputeSource {
  public:
   virtual ~PrecomputeSource() = default;
@@ -124,12 +115,6 @@ class PrecomputeSource {
   /// May return null (no generator acceleration).
   [[nodiscard]] virtual std::shared_ptr<const group::FixedBaseTable>
   generator_table(const group::Group& base) = 0;
-  /// Called once per run, right after the joint public key is assembled.
-  /// `pool_size` is the exact number of zero encryptions the comparison
-  /// step will consume (n·(n-1)·l).
-  [[nodiscard]] virtual KeyPrecompute key_material(const group::Group& base,
-                                                   const group::Elem& joint_key,
-                                                   std::size_t pool_size) = 0;
 };
 
 /// Live conformance-audit hook (implemented by engine::ConformanceAuditor;
@@ -179,12 +164,10 @@ struct FrameworkConfig {
   /// Null (the default) preserves the original behavior: a private pool of
   /// `parallelism` threads per run. When set, `parallelism` is ignored.
   runtime::ThreadPool* shared_pool = nullptr;
-  /// Shared crypto precompute (generator/joint-key comb tables, a zero
-  /// -encryption pool for the comparison step and the bitwise β
-  /// encryptions). Null (the default) runs the original non-precomputed
-  /// path. Protocol *outputs* are identical either way; with a source
-  /// attached, per-op group counts shift from exponentiations to
-  /// multiplications (see DESIGN.md §6).
+  /// Shared crypto precompute: the generator comb table. Null (the default)
+  /// builds none. Protocol outputs and every group_* counter are identical
+  /// either way; only where the table's build time is spent moves (see
+  /// DESIGN.md §6).
   PrecomputeSource* precompute = nullptr;
   /// Deterministic fault schedule routed into the run's net::Router; must
   /// outlive the run. Null or disabled: the fault layer is a strict no-op
@@ -279,28 +262,14 @@ class Participant {
   void set_joint_key(const Elem& y) { joint_key_ = y; }
   /// Step 6, bitwise encryption of β under the joint key: E(bit b of β)
   /// (bits LSB first). The engine fans this out across the l bits, one Rng
-  /// stream per bit. When `pool` is non-null,
-  /// bit b rides the precomputed zero encryption pool->entries[pool_offset +
-  /// b] (crypto::encrypt_exp_with) instead of drawing randomness —
-  /// run_framework hands each party the l-entry slice after the comparison
-  /// region of the widened pool. `rng` is only consumed on the drawing path.
-  [[nodiscard]] Ciphertext encrypt_beta_bit(
-      std::size_t b, Rng& rng, const crypto::ZeroPool* pool = nullptr,
-      std::size_t pool_offset = 0) const;
+  /// stream per bit.
+  [[nodiscard]] Ciphertext encrypt_beta_bit(std::size_t b, Rng& rng) const;
   /// Step 7: homomorphic comparison of own (plaintext) bits against another
-  /// participant's encrypted bits; returns E(τ^1..τ^l). A zero among the τ
-  /// plaintexts means the peer's β is larger.
-  ///
-  /// When `pool` is non-null, the final re-randomization of τ_b consumes
-  /// pool->entries[pool_offset + b] instead of drawing from `rng` — two
-  /// multiplications instead of two exponentiations. The caller assigns each
-  /// evaluation a disjoint l-entry slice (the engine uses pool_offset =
-  /// task_index · l), so every entry is used at most once per run and the
-  /// slice is a pure function of the task's protocol position.
+  /// participant's encrypted bits; returns E(τ^1..τ^l), each τ_b
+  /// re-randomized with a fresh encryption of zero drawn from `rng`. A zero
+  /// among the τ plaintexts means the peer's β is larger.
   [[nodiscard]] std::vector<Ciphertext> compare_against(
-      const std::vector<Ciphertext>& peer_bits, Rng& rng,
-      const crypto::ZeroPool* pool = nullptr,
-      std::size_t pool_offset = 0) const;
+      const std::vector<Ciphertext>& peer_bits, Rng& rng) const;
   /// Step 8: one chain hop over a peer's set — partial decryption with this
   /// party's key share, per-ciphertext exponent randomization, and a uniform
   /// permutation of the set.

@@ -149,10 +149,9 @@ struct Host {
   runtime::SpanRecorder* spans = nullptr;
   SsFrameworkResult* result = nullptr;  // receives the sort's costs
   std::vector<std::size_t> dropped;     // participants lost in phase 1
-  // The joint key and its precompute, set by the first participant to
-  // reach the joint-key step.
+  // The joint key, set by the first participant to reach the joint-key
+  // step.
   std::optional<Elem> joint;
-  KeyPrecompute key_mat;
   Phase phase = Phase::kSetup;
   std::optional<runtime::SpanScope> phase_span;
 };
@@ -492,23 +491,14 @@ class Party {
     }
     co_await next_round();
 
-    // Step 6: bitwise β encryption, broadcast. With a widened zero pool the
-    // encryptions ride its β region (slice n·(n-1)·l + j·l for party j+1);
-    // a comparison-only pool leaves the drawing path in place.
-    const std::size_t beta_base = n_ * (n_ - 1) * l_;
-    const crypto::ZeroPool* pool = key_mat_.zero_pool.get();
-    const crypto::ZeroPool* beta_pool =
-        pool != nullptr && pool->entries.size() >= beta_base + n_ * l_
-            ? pool
-            : nullptr;
+    // Step 6: bitwise β encryption, broadcast.
     CipherSet own_bits(l_);
     {
       const auto span = step("p2.encrypt_bits");
       fan_out("task.encrypt_bit", l_, [](std::size_t b) { return b; },
               [&](std::size_t b) {
                 ChaChaRng rng = stream(StreamKind::kEncryptBit, me_, b);
-                own_bits[b] = part_->encrypt_beta_bit(
-                    b, rng, beta_pool, beta_base + (me_ - 1) * l_);
+                own_bits[b] = part_->encrypt_beta_bit(b, rng);
               });
     }
     broadcast(encode_set(own_bits));
@@ -531,9 +521,7 @@ class Party {
               [&](std::size_t s) {
                 const std::size_t i = peer(s) - 1;
                 ChaChaRng rng = stream(StreamKind::kCompare, me_, i);
-                const std::size_t task = (me_ - 1) * (n_ - 1) + s;
-                auto tau = part_->compare_against(peer_bits[i + 1], rng, pool,
-                                                  task * l_);
+                auto tau = part_->compare_against(peer_bits[i + 1], rng);
                 std::move(tau.begin(), tau.end(), own_set.begin() + s * l_);
               });
     }
@@ -606,29 +594,19 @@ class Party {
   }
 
   // The joint key Π y_j. In-process, the first participant here computes it
-  // and attaches its comb table — and, with a precompute source, the key
-  // material — to the run's one decorator stack; the others reuse both.
-  // Attaching between fork-joins lets the pool's synchronization publish the
-  // table to the workers. Muted: build cost must not depend on cache state.
+  // and attaches its comb table to the run's one decorator stack; the others
+  // reuse both. Attaching between fork-joins lets the pool's synchronization
+  // publish the table to the workers. Muted, like the generator table's
+  // build: setup cost is not a protocol operation.
   Elem joint_key(const std::vector<Elem>& keys) {
-    if (host_.joint.has_value()) {
-      key_mat_ = host_.key_mat;
-      return *host_.joint;
-    }
+    if (host_.joint.has_value()) return *host_.joint;
     const Elem joint = crypto::joint_public_key(*fw_.group, keys);
     {
       const runtime::MetricsMute mute;
-      if (fw_.precompute != nullptr)
-        key_mat_ = fw_.precompute->key_material(host_.base, joint,
-                                                n_ * (n_ - 1) * l_ + n_ * l_);
-      host_.accel.set_base_table(
-          key_mat_.key_table != nullptr
-              ? key_mat_.key_table
-              : std::make_shared<const group::FixedBaseTable>(
-                    host_.base, joint, host_.base.order().bit_length()));
+      host_.accel.set_base_table(std::make_shared<const group::FixedBaseTable>(
+          host_.base, joint, host_.base.order().bit_length()));
     }
     host_.joint = joint;
-    host_.key_mat = key_mat_;
     return joint;
   }
 
@@ -782,7 +760,6 @@ class Party {
   runtime::MetricsBuffer mbuf_;
   std::optional<Initiator> initiator_;
   std::optional<Participant> part_;
-  KeyPrecompute key_mat_;
   CipherSet own_set_;
 };
 

@@ -66,32 +66,6 @@ Ciphertext rerandomize(const Group& g, const Elem& y, const Ciphertext& ct,
                     .cp = g.mul(ct.cp, g.exp_g(r))};
 }
 
-ZeroPool make_zero_pool(const Group& g, const Elem& y,
-                        const std::array<std::uint8_t, 32>& key,
-                        std::size_t count) {
-  ZeroPool pool;
-  pool.entries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    mpz::ChaChaRng rng{key, static_cast<std::uint64_t>(i)};
-    const Nat r = g.random_nonzero_scalar(rng);
-    pool.entries.push_back(
-        Ciphertext{.c = g.exp(y, r), .cp = g.exp_g(r)});
-  }
-  return pool;
-}
-
-Ciphertext rerandomize_with(const Group& g, const Ciphertext& ct,
-                            const Ciphertext& zero) {
-  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalRerandomize);
-  return ct_add(g, ct, zero);
-}
-
-Ciphertext encrypt_exp_with(const Group& g, const Ciphertext& zero,
-                            const Nat& m) {
-  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalEncrypt);
-  return Ciphertext{.c = g.mul(zero.c, g.exp_g(m)), .cp = zero.cp};
-}
-
 Ciphertext partial_decrypt(const Group& g, const Nat& x_j,
                            const Ciphertext& ct) {
   runtime::count_op(CryptoOp::kElGamalPartialDecrypt);

@@ -14,8 +14,6 @@
 // and decryption composes per-party partial decryptions c / c'^{x_j}.
 #pragma once
 
-#include <array>
-
 #include "group/group.h"
 
 namespace ppgr::crypto {
@@ -73,33 +71,6 @@ struct KeyPair {
 /// Multiplies in a fresh encryption of zero, refreshing the randomness.
 [[nodiscard]] Ciphertext rerandomize(const Group& g, const Elem& y,
                                      const Ciphertext& ct, Rng& rng);
-
-/// A precomputed pool of encryptions of zero under one public key — the
-/// standard mixnet trick for cheap re-randomization: ct ∘ E_y(0; r_i) costs
-/// two group multiplications instead of two exponentiations. Entry i is a
-/// pure function of (group, y, key, i): its randomness comes from the
-/// counter-seeded substream ChaChaRng(key, i), so a pool can be rebuilt
-/// bit-identically from its 256-bit key (the session engine's
-/// PrecomputeCache keys pools this way). Each entry must be consumed at
-/// most once per protocol run, at a slot index fixed by the task's place in
-/// the protocol — never by the schedule.
-struct ZeroPool {
-  std::vector<Ciphertext> entries;
-};
-[[nodiscard]] ZeroPool make_zero_pool(const Group& g, const Elem& y,
-                                      const std::array<std::uint8_t, 32>& key,
-                                      std::size_t count);
-/// Re-randomization by a pool entry: ct ∘ zero. Counts/times as a
-/// kElGamalRerandomize like the exponentiating form.
-[[nodiscard]] Ciphertext rerandomize_with(const Group& g, const Ciphertext& ct,
-                                          const Ciphertext& zero);
-/// Pool-fed exponential encryption: E(m) = zero ∘ (g^m, 1) — the PR 6
-/// "phase-2 capable" pool use, letting the bitwise β encryptions ride the
-/// same precomputed randomness as the comparison re-randomizations (one
-/// fixed-base exponentiation and one multiplication instead of a full
-/// encrypt_exp). Counts/times as a kElGamalEncrypt like the drawing form.
-[[nodiscard]] Ciphertext encrypt_exp_with(const Group& g, const Ciphertext& zero,
-                                          const Nat& m);
 
 // --- distributed decryption building blocks (framework step 8) ---
 /// Removes one key layer: (c / c'^{x_j}, c'). After every holder of a key

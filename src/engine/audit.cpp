@@ -100,8 +100,7 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
     return;
   }
   // Phase 1 alone, on the session's own substreams, fixes every β; the
-  // closed forms give the rest. The engine always attaches a precompute
-  // source with the widened zero pool, hence `pooled`.
+  // closed forms give the rest.
   core::FrameworkConfig fw;
   fw.spec = cfg_.spec;
   fw.n = cfg_.n;
@@ -112,8 +111,7 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
   const std::vector<mpz::Nat> betas =
       core::phase1_betas(fw, v0, w, infos, rng);
   expected_ops_ = benchcore::model_he_ops(cfg_.spec, cfg_.n,
-                                          benchcore::beta_popcounts(betas),
-                                          /*pooled=*/true)
+                                          benchcore::beta_popcounts(betas))
                       .phase_ops;
   check_ops_.fill(true);
   expected_submitted_ =

@@ -75,52 +75,27 @@ void append_json_string(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-// Per-session PrecomputeSource: forwards run_framework's two precompute
-// requests to the (shared or private) cache, accounting this session's
-// hits/misses and the wall time spent fetching/building.
+// Per-session PrecomputeSource: forwards run_framework's generator-table
+// request to the engine's cache, accounting this session's hit or miss and
+// the wall time spent fetching or building.
 class SessionSource final : public core::PrecomputeSource {
  public:
-  SessionSource(PrecomputeCache& cache,
-                const std::array<std::uint8_t, 32>& pool_key)
-      : cache_(cache), pool_key_(pool_key) {}
+  explicit SessionSource(PrecomputeCache& cache) : cache_(cache) {}
 
   [[nodiscard]] std::shared_ptr<const group::FixedBaseTable> generator_table(
       const group::Group& base) override {
     const double t0 = runtime::metrics_now_seconds();
     auto r = cache_.generator_table(base);
-    note(stats_.generator_table, r.built);
-    gen_table_ = r.table;
+    ++(r.built ? stats_.generator_table.misses : stats_.generator_table.hits);
     setup_seconds_ += runtime::metrics_now_seconds() - t0;
     return r.table;
-  }
-
-  [[nodiscard]] core::KeyPrecompute key_material(
-      const group::Group& base, const group::Elem& joint_key,
-      std::size_t pool_size) override {
-    const double t0 = runtime::metrics_now_seconds();
-    auto kt = cache_.key_table(base, joint_key);
-    note(stats_.key_table, kt.built);
-    auto zp = cache_.zero_pool(base, joint_key, gen_table_, kt.table,
-                               pool_key_, pool_size);
-    note(stats_.zero_pool, zp.built);
-    setup_seconds_ += runtime::metrics_now_seconds() - t0;
-    return core::KeyPrecompute{std::move(kt.table), std::move(zp.pool)};
   }
 
   [[nodiscard]] const PrecomputeStats& stats() const { return stats_; }
   [[nodiscard]] double setup_seconds() const { return setup_seconds_; }
 
  private:
-  static void note(CacheCounters& c, bool built) {
-    if (built)
-      ++c.misses;
-    else
-      ++c.hits;
-  }
-
   PrecomputeCache& cache_;
-  std::array<std::uint8_t, 32> pool_key_;
-  std::shared_ptr<const group::FixedBaseTable> gen_table_;
   PrecomputeStats stats_;
   double setup_seconds_ = 0.0;
 };
@@ -149,13 +124,9 @@ const char* to_string(EngineErrorCode code) {
 
 SessionEngine::SessionEngine(EngineConfig cfg)
     : cfg_(cfg),
-      cache_(cfg_.share_precompute
-                 ? (cfg_.cache != nullptr ? cfg_.cache
-                                          : &process_precompute_cache())
-                 : nullptr),
+      cache_(cfg_.cache != nullptr ? *cfg_.cache : process_precompute_cache()),
       root_(cfg_.seed),
       session_family_(root_),
-      pool_key_family_(root_),
       pool_(cfg_.parallelism) {
   if (cfg_.max_in_flight < 1)
     throw std::invalid_argument("SessionEngine: max_in_flight must be >= 1");
@@ -388,17 +359,7 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
 
   if (req.framework == FrameworkKind::kHe) {
     fcfg.shared_pool = &pool_;
-    std::array<std::uint8_t, 32> pool_key{};
-    {
-      mpz::ChaChaRng key_rng = pool_key_family_.stream(req.session_id);
-      key_rng.fill(pool_key);
-    }
-    // share_precompute off: a private throwaway cache — the session still
-    // builds the exact same artifacts (outputs cannot tell), it just never
-    // benefits from or contributes to sharing.
-    PrecomputeCache private_cache;
-    PrecomputeCache* cache = cache_ != nullptr ? cache_ : &private_cache;
-    SessionSource source{*cache, pool_key};
+    SessionSource source{cache_};
     fcfg.precompute = &source;
     try {
       out.he = core::run_framework(fcfg, req.v0, req.w, req.infos, rng);
@@ -483,8 +444,6 @@ std::string SessionEngine::rollup_json() const {
   appendf(out, "  \"engine_seed\": %llu,\n",
           static_cast<unsigned long long>(cfg_.seed));
   appendf(out, "  \"metrics\": %s,\n", cfg_.metrics ? "true" : "false");
-  appendf(out, "  \"share_precompute\": %s,\n",
-          cfg_.share_precompute ? "true" : "false");
   appendf(out, "  \"sessions_completed\": %zu,\n", summaries_.size());
   if (fault_aware_) {
     std::size_t ok = 0;
@@ -555,10 +514,6 @@ std::string SessionEngine::rollup_json() const {
   }
   out += "  \"cache\": {\n    \"generator_tables\": ";
   append_counters(out, totals_.generator_table);
-  out += ",\n    \"joint_key_tables\": ";
-  append_counters(out, totals_.key_table);
-  out += ",\n    \"zero_pools\": ";
-  append_counters(out, totals_.zero_pool);
   out += "\n  },\n  \"sessions\": [";
   bool first = true;
   for (const auto& [sid, s] : summaries_) {

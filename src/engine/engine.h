@@ -10,13 +10,13 @@
 //
 // Determinism under load — the engine extends the repo's determinism
 // invariant from "any thread count" to "any concurrent load": a session's
-// randomness is derived from (engine seed, session id) via two
-// mpz::StreamFamily draws (protocol stream + zero-pool key), every shared
-// precompute artifact is a pure function of its cache key, and nothing a
+// randomness is derived from (engine seed, session id) via one
+// mpz::StreamFamily draw, the one shared precompute artifact (a group's
+// generator table) is a pure function of its cache key, and nothing a
 // session computes depends on what else is in flight. A given request
 // therefore produces bit-identical ranks, betas, traces and deterministic
 // metric exports regardless of max_in_flight, parallelism, or whether the
-// PrecomputeCache was cold, warm, shared or disabled.
+// PrecomputeCache was cold or warm.
 //
 // Cache hit/miss counters flow into the engine's runtime::MetricsRegistry
 // (kPrecomputeHit / kPrecomputeMiss) — never into a session's own registry,
@@ -109,26 +109,20 @@ struct CacheCounters {
   std::uint64_t misses = 0;
 };
 
-/// Per-component cache interaction counts. Engine-wide totals are
-/// deterministic (misses == distinct cache keys); per-session attribution
-/// of a shared build is schedule-dependent and so never exported.
+/// Cache interaction counts. Engine-wide totals are deterministic
+/// (misses == distinct groups); per-session attribution of a shared build
+/// is schedule-dependent and so never exported.
 struct PrecomputeStats {
   CacheCounters generator_table;
+  /// Always zero: the cache holds generator tables only (DESIGN.md §6).
+  /// These two stay because perfbench's report still reads them.
   CacheCounters key_table;
   CacheCounters zero_pool;
 
-  [[nodiscard]] CacheCounters total() const {
-    return CacheCounters{
-        generator_table.hits + key_table.hits + zero_pool.hits,
-        generator_table.misses + key_table.misses + zero_pool.misses};
-  }
+  [[nodiscard]] CacheCounters total() const { return generator_table; }
   PrecomputeStats& operator+=(const PrecomputeStats& o) {
     generator_table.hits += o.generator_table.hits;
     generator_table.misses += o.generator_table.misses;
-    key_table.hits += o.key_table.hits;
-    key_table.misses += o.key_table.misses;
-    zero_pool.hits += o.zero_pool.hits;
-    zero_pool.misses += o.zero_pool.misses;
     return *this;
   }
 };
@@ -163,7 +157,7 @@ struct SessionResult {
   }
 
   double wall_seconds = 0.0;   // execution start -> completion (noisy)
-  double setup_seconds = 0.0;  // time inside precompute fetch/build (noisy)
+  double setup_seconds = 0.0;  // time inside the generator-table fetch (noisy)
   PrecomputeStats precompute;  // this session's cache interactions
 
   /// Present iff EngineConfig::flight_events > 0: the session's forensic
@@ -195,12 +189,10 @@ struct EngineConfig {
   std::size_t parallelism = 1;
   /// Per-session observability (FrameworkConfig::metrics).
   bool metrics = true;
-  /// false: each HE session builds identical *private* precompute instead
-  /// of consulting the shared cache. Outputs are bit-identical either way —
-  /// this flag only moves where setup time is spent (the cache-on/off
-  /// bit-identity test and the cold/warm bench lean on this).
-  bool share_precompute = true;
-  /// Cache to share (when share_precompute); null = the process-wide one.
+  /// Generator-table cache to share; null = the process-wide one. A fresh
+  /// PrecomputeCache makes the engine's cache private. Outputs are
+  /// bit-identical either way: the cache only moves where setup time is
+  /// spent.
   PrecomputeCache* cache = nullptr;
   /// Enables the rollup's live-telemetry sections: per-kind queue-wait /
   /// run-duration quantiles and the health summary. Off by default — those
@@ -324,10 +316,9 @@ class SessionEngine {
   [[nodiscard]] const group::Group& group_instance(group::GroupId id);
 
   EngineConfig cfg_;
-  PrecomputeCache* cache_;  // null when share_precompute is off
+  PrecomputeCache& cache_;
   mpz::ChaChaRng root_;
-  mpz::StreamFamily session_family_;   // per-session protocol randomness
-  mpz::StreamFamily pool_key_family_;  // per-session zero-pool keys
+  mpz::StreamFamily session_family_;  // per-session protocol randomness
   runtime::ThreadPool pool_;
   runtime::MetricsRegistry metrics_;
 

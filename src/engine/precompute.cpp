@@ -1,7 +1,5 @@
 #include "engine/precompute.h"
 
-#include "group/accel_group.h"
-
 namespace ppgr::engine {
 
 namespace {
@@ -12,75 +10,43 @@ namespace {
 // differ even though the exps they answer do not.
 constexpr std::size_t kTableWindowBits = 4;
 
-void append_hex(std::string& out, std::span<const std::uint8_t> bytes) {
-  static const char* kHex = "0123456789abcdef";
-  for (const std::uint8_t b : bytes) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-}
-
 std::string group_key(const group::Group& base) {
   return base.name() + "|w" + std::to_string(kTableWindowBits);
-}
-
-std::string elem_key(const group::Group& base, const group::Elem& e) {
-  std::string out = group_key(base);
-  out.push_back('|');
-  append_hex(out, base.serialize(e));
-  return out;
 }
 
 }  // namespace
 
 PrecomputeCache::TableResult PrecomputeCache::generator_table(
     const group::Group& base) {
-  auto [table, built] = generator_tables_.get(group_key(base), [&base] {
-    return group::FixedBaseTable{base, base.generator(),
-                                 base.order().bit_length(), kTableWindowBits};
-  });
-  return TableResult{std::move(table), built};
-}
-
-PrecomputeCache::TableResult PrecomputeCache::key_table(
-    const group::Group& base, const group::Elem& key) {
-  auto [table, built] = key_tables_.get(elem_key(base, key), [&base, &key] {
-    return group::FixedBaseTable{base, key, base.order().bit_length(),
-                                 kTableWindowBits};
-  });
-  return TableResult{std::move(table), built};
-}
-
-PrecomputeCache::PoolResult PrecomputeCache::zero_pool(
-    const group::Group& base, const group::Elem& key,
-    std::shared_ptr<const group::FixedBaseTable> gen_table,
-    std::shared_ptr<const group::FixedBaseTable> key_table,
-    const std::array<std::uint8_t, 32>& pool_key, std::size_t count) {
-  std::string cache_key = elem_key(base, key);
-  cache_key.push_back('|');
-  append_hex(cache_key, pool_key);
-  cache_key.push_back('|');
-  cache_key += std::to_string(count);
-  auto [pool, built] = zero_pools_.get(cache_key, [&] {
-    // Build through the accelerator so a cold pool costs comb-table
-    // multiplications, not generic square-and-multiply — the values are
-    // identical either way (see AcceleratedGroup).
-    group::AcceleratedGroup accel{base};
-    accel.set_generator_table(std::move(gen_table));
-    accel.set_base_table(std::move(key_table));
-    return crypto::make_zero_pool(accel, key, pool_key, count);
-  });
-  return PoolResult{std::move(pool), built};
+  const std::string key = group_key(base);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    auto it = tables_.find(key);
+    if (it == tables_.end()) break;  // this thread builds
+    if (it->second != nullptr) return TableResult{it->second, false};
+    cv_.wait(lock);  // builder in flight (or just failed: re-check)
+  }
+  tables_.emplace(key, nullptr);
+  lock.unlock();
+  std::shared_ptr<const group::FixedBaseTable> table;
+  try {
+    table = std::make_shared<const group::FixedBaseTable>(
+        base, base.generator(), base.order().bit_length(), kTableWindowBits);
+  } catch (...) {
+    lock.lock();
+    tables_.erase(key);
+    cv_.notify_all();
+    throw;
+  }
+  lock.lock();
+  tables_[key] = table;
+  cv_.notify_all();
+  return TableResult{std::move(table), true};
 }
 
 std::size_t PrecomputeCache::size() const {
-  return generator_tables_.size() + key_tables_.size() + zero_pools_.size();
-}
-
-void PrecomputeCache::clear() {
-  generator_tables_.clear();
-  key_tables_.clear();
-  zero_pools_.clear();
+  const std::lock_guard<std::mutex> lock(mu_);
+  return tables_.size();
 }
 
 PrecomputeCache& process_precompute_cache() {

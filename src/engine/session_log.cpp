@@ -35,12 +35,12 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 std::uint64_t retry_count(const SessionResult& res) {
-  // A completed faulted-plan run mirrors its counters into the comm
-  // registry; a run that aborted lost its registries, but the fault report
-  // travelled out with the exception.
-  if (const runtime::CommRegistry* comm = res.comm();
-      comm != nullptr && comm->has_fault_counters())
-    return comm->fault_counters().retransmits;
+  // A completed faulted-plan run carries its fault report; a run that
+  // aborted lost its result, but the report travelled out with the
+  // exception.
+  const core::FrameworkResult& run =
+      res.framework == FrameworkKind::kHe ? res.he : res.ss;
+  if (run.faults.has_value()) return run.faults->stats.retransmits;
   if (res.fault_report.has_value()) return res.fault_report->stats.retransmits;
   return 0;
 }

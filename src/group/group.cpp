@@ -6,6 +6,8 @@
 // tests/group_test.cpp using this library's own Miller-Rabin implementation.
 #include "group/group.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "group/ec_group.h"
@@ -50,6 +52,41 @@ const char* kSafePrimeTest256 =
     "F3831F59EF561EC1F0C3DE1DAFCA953D36133ACA9693A0C63BFFE9BB472ED7C7";
 
 }  // namespace
+
+// Default dual_exp: the generic interleaved (Straus) ladder with 4-bit
+// windows, evaluated through this (possibly decorated) group's own mul():
+// one squaring ladder over the wider exponent, and per window at most one
+// multiplication by each base's digit power from a 16-entry table.
+Elem Group::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                     const Nat& ey) const {
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kDigits = std::size_t{1} << kWindow;
+  const std::array<const Elem*, 2> bases{&x, &y};
+  const std::array<const Nat*, 2> exps{&ex, &ey};
+  std::array<std::array<Elem, kDigits>, 2> table;  // table[i][d] = base_i^d
+  for (std::size_t i = 0; i < 2; ++i) {
+    table[i][0] = identity();
+    table[i][1] = *bases[i];
+    for (std::size_t d = 2; d < kDigits; ++d)
+      table[i][d] = mul(table[i][d - 1], *bases[i]);
+  }
+  const std::size_t bits = std::max(ex.bit_length(), ey.bit_length());
+  Elem acc = identity();
+  bool started = false;
+  for (std::size_t win = (bits + kWindow - 1) / kWindow; win-- > 0;) {
+    if (started)
+      for (std::size_t s = 0; s < kWindow; ++s) acc = mul(acc, acc);
+    for (std::size_t i = 0; i < 2; ++i) {
+      std::size_t d = 0;
+      for (std::size_t b = 0; b < kWindow; ++b)
+        if (exps[i]->bit(win * kWindow + b)) d |= std::size_t{1} << b;
+      if (d == 0) continue;
+      acc = started ? mul(acc, table[i][d]) : table[i][d];
+      started = true;
+    }
+  }
+  return acc;
+}
 
 std::unique_ptr<Group> make_group(GroupId id) {
   switch (id) {

@@ -85,9 +85,8 @@ class Group {
   [[nodiscard]] virtual std::size_t element_bytes() const = 0;
 
   /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
-  /// phase 2 (multi_exp() routes its 2-term calls here). The default
-  /// (defined in multi_exp.cpp) is the generic interleaved Straus ladder
-  /// through this group's mul(). SchnorrGroup overrides it with
+  /// phase 2. The default (group.cpp) is the generic interleaved Straus
+  /// ladder through this group's mul(); EcGroup and MockGroup use it. SchnorrGroup overrides it with
   /// MontCtx::dual_exp, the same ladder on raw Montgomery residues (no
   /// per-step Elem boxing, identical element); decorators forward it to the
   /// wrapped group so that ladder stays reachable (MeteredGroup counts it as

@@ -534,13 +534,6 @@ void Router::next_round() {
     comm_->close_round(timings, elapsed_s);
     round_.clear();
     round_open_s_ = now_s;
-    const FaultStats ts = transport_->stats();
-    runtime::FaultCounters fc;
-    fc.retransmits = ts.retransmits;
-    fc.crc_detected = ts.crc_detected;
-    fc.timeouts = ts.timeouts;
-    fc.giveups = ts.giveups;
-    comm_->set_fault_counters(fc);
   } else if (comm_ != nullptr) {
     auto detail = sim_.replay_detailed(round_, node_of_);
     double round_seconds = detail.summary.total_seconds;
@@ -559,29 +552,6 @@ void Router::next_round() {
     }
     comm_->close_round(detail.timings, round_seconds);
     round_.clear();
-    if (faults_ != nullptr) {
-      runtime::FaultCounters fc;
-      fc.injected_drop = stats_.injected[static_cast<std::size_t>(FaultKind::kDrop)];
-      fc.injected_duplicate =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kDuplicate)];
-      fc.injected_reorder =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kReorder)];
-      fc.injected_corrupt =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kCorrupt)];
-      fc.injected_tamper =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kTamper)];
-      fc.injected_delay =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kDelay)];
-      fc.injected_crash =
-          stats_.injected[static_cast<std::size_t>(FaultKind::kCrash)];
-      fc.retransmits = stats_.retransmits;
-      fc.crc_detected = stats_.crc_detected;
-      fc.duplicates_dropped = stats_.duplicates_dropped;
-      fc.reorders_healed = stats_.reorders_healed;
-      fc.timeouts = stats_.timeouts;
-      fc.giveups = stats_.giveups;
-      comm_->set_fault_counters(fc);
-    }
   }
   trace_.next_round();
   ++round_index_;

@@ -104,22 +104,6 @@ std::vector<CommLink> CommRegistry::links() const {
   return out;
 }
 
-void CommRegistry::set_fault_counters(const FaultCounters& counters) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  fault_counters_ = counters;
-  has_fault_counters_ = true;
-}
-
-bool CommRegistry::has_fault_counters() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return has_fault_counters_;
-}
-
-FaultCounters CommRegistry::fault_counters() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return fault_counters_;
-}
-
 bool CommRegistry::empty() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return flows_.empty();
@@ -134,8 +118,6 @@ void CommRegistry::clear() {
   virtual_clock_ = 0.0;
   phase_virtual_ = {};
   phase_ = Phase::kSetup;
-  fault_counters_ = {};
-  has_fault_counters_ = false;
 }
 
 namespace {
@@ -154,15 +136,11 @@ std::string CommRegistry::to_json() const {
   std::array<double, kPhaseCount> phase_s{};
   double total_s = 0.0;
   std::size_t n_rounds = 0;
-  FaultCounters fc{};
-  bool has_fc = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     phase_s = phase_virtual_;
     total_s = virtual_clock_;
     n_rounds = closed_rounds_;
-    fc = fault_counters_;
-    has_fc = has_fault_counters_;
   }
 
   std::uint64_t total_bytes = 0;
@@ -178,36 +156,6 @@ std::string CommRegistry::to_json() const {
   out += buf;
   out += "  \"virtual_seconds\": ";
   append_f(out, "%.9f", total_s);
-  // Only faulted runs carry the counters section; fault-free exports stay
-  // byte-identical to the pre-fault-layer schema.
-  if (has_fc) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"faults\": {\n"
-                  "    \"injected_drop\": %" PRIu64 ",\n"
-                  "    \"injected_duplicate\": %" PRIu64 ",\n"
-                  "    \"injected_reorder\": %" PRIu64 ",\n"
-                  "    \"injected_corrupt\": %" PRIu64 ",\n",
-                  fc.injected_drop, fc.injected_duplicate, fc.injected_reorder,
-                  fc.injected_corrupt);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "    \"injected_tamper\": %" PRIu64 ",\n"
-                  "    \"injected_delay\": %" PRIu64 ",\n"
-                  "    \"injected_crash\": %" PRIu64 ",\n"
-                  "    \"retransmits\": %" PRIu64 ",\n",
-                  fc.injected_tamper, fc.injected_delay, fc.injected_crash,
-                  fc.retransmits);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "    \"crc_detected\": %" PRIu64 ",\n"
-                  "    \"duplicates_dropped\": %" PRIu64 ",\n"
-                  "    \"reorders_healed\": %" PRIu64 ",\n"
-                  "    \"timeouts\": %" PRIu64 ",\n"
-                  "    \"giveups\": %" PRIu64 "\n  }",
-                  fc.crc_detected, fc.duplicates_dropped, fc.reorders_healed,
-                  fc.timeouts, fc.giveups);
-    out += buf;
-  }
   out += ",\n  \"phases\": [";
 
   bool first_phase = true;

@@ -65,26 +65,6 @@ struct FlowRecord {
   FlowTiming t;           // filled when the round is closed
 };
 
-/// Channel-recovery counters mirrored from the fault-injection layer
-/// (net::Router under a net::FaultPlan; see DESIGN.md Sec. 7). Pure
-/// counters — a deterministic function of the fault schedule — so the
-/// bench-regress gate compares them exactly.
-struct FaultCounters {
-  std::uint64_t injected_drop = 0;
-  std::uint64_t injected_duplicate = 0;
-  std::uint64_t injected_reorder = 0;
-  std::uint64_t injected_corrupt = 0;
-  std::uint64_t injected_tamper = 0;
-  std::uint64_t injected_delay = 0;
-  std::uint64_t injected_crash = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t crc_detected = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t reorders_healed = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t giveups = 0;
-};
-
 /// Aggregate over one (phase, src -> dst) link.
 struct CommLink {
   Phase phase = Phase::kSetup;
@@ -128,13 +108,6 @@ class CommRegistry {
   [[nodiscard]] std::vector<FlowRecord> flows() const;
   /// Per-(phase, src, dst) aggregates, sorted by (phase, src, dst).
   [[nodiscard]] std::vector<CommLink> links() const;
-  /// Installs the fault/retry counters (net::Router mirrors them at the end
-  /// of a faulted run). Once set, to_json() gains a "faults" section —
-  /// fault-free runs never call this, keeping their exports byte-identical
-  /// to the pre-fault-layer goldens.
-  void set_fault_counters(const FaultCounters& counters);
-  [[nodiscard]] bool has_fault_counters() const;
-  [[nodiscard]] FaultCounters fault_counters() const;
   [[nodiscard]] bool empty() const;
   void clear();
 
@@ -154,8 +127,6 @@ class CommRegistry {
   double virtual_clock_ = 0.0;
   std::array<double, kPhaseCount> phase_virtual_{};
   Phase phase_ = Phase::kSetup;
-  FaultCounters fault_counters_{};
-  bool has_fault_counters_ = false;
 };
 
 }  // namespace ppgr::runtime

@@ -14,8 +14,6 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kRetry: return "retry";
     case FlightEventKind::kInject: return "inject";
     case FlightEventKind::kChannelError: return "channel_error";
-    case FlightEventKind::kCacheHit: return "cache_hit";
-    case FlightEventKind::kCacheMiss: return "cache_miss";
     case FlightEventKind::kDegrade: return "degrade";
     case FlightEventKind::kFault: return "fault";
     case FlightEventKind::kAudit: return "audit";

@@ -3,8 +3,8 @@
 // When a session faults or stalls today, the typed ProtocolFault says
 // *where* it died, not *what led up to it*. The flight recorder keeps the
 // recent event history — phase/round transitions, channel sends, the fault
-// ladder's retry/backoff/give-up decisions, precompute cache hits/misses,
-// degradation steps — in a fixed-capacity ring that is cheap enough to leave
+// ladder's retry/backoff/give-up decisions, degradation steps, faults and
+// audit verdicts — in a fixed-capacity ring that is cheap enough to leave
 // always-on (<1% of session wall, gated by bench/engine_throughput) and is
 // dumped only on fault/stall or on demand.
 //
@@ -38,9 +38,6 @@ namespace ppgr::runtime {
 ///   kRetry        a=src, b=dst, c=attempt                (retransmit ladder)
 ///   kInject       detail=net::FaultKind, a=src, b=dst, c=attempt (plan hit)
 ///   kChannelError detail=net::ChannelErrorKind, a=src, b=dst     (surfaced)
-///   kCacheHit /
-///   kCacheMiss    detail=artifact ordinal (0=generator table, 1=key table,
-///                 2=zero pool)                           (engine precompute)
 ///   kDegrade      a=survivors, b=dropped                 (phase-1 degrade)
 ///   kFault        detail=party (+1 bias: 0 = none), c=round      (ProtocolFault)
 ///   kAudit        a=checks, b=findings                   (conformance audit)
@@ -51,8 +48,6 @@ enum class FlightEventKind : std::uint8_t {
   kRetry,
   kInject,
   kChannelError,
-  kCacheHit,
-  kCacheMiss,
   kDegrade,
   kFault,
   kAudit,

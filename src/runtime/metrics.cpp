@@ -52,8 +52,6 @@ const char* op_name(CryptoOp op) {
     case CryptoOp::kShuffleHop: return "shuffle_hop";
     case CryptoOp::kPrecomputeHit: return "precompute_hit";
     case CryptoOp::kPrecomputeMiss: return "precompute_miss";
-    case CryptoOp::kAccelMultiExp: return "accel_multi_exp";
-    case CryptoOp::kAccelMultiExpTerm: return "accel_multi_exp_term";
     case CryptoOp::kAccelFixedBaseExp: return "accel_fixed_base_exp";
     case CryptoOp::kAccelBatchInverse: return "accel_batch_inverse";
   }

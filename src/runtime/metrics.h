@@ -110,18 +110,16 @@ enum class CryptoOp : std::uint8_t {
   kPrecomputeHit,
   kPrecomputeMiss,
   // accelerated-execution diagnostics: how often the hot path took a fast
-  // route — simultaneous multi-exponentiation (group/multi_exp), fixed-base
-  // comb exponentiation through an attached non-generator table
-  // (group::AcceleratedGroup), and batched Montgomery inversion for affine
-  // normalization. Deterministic functions of the run configuration; they
-  // sit below the group-layer counters (a table-served exp is still one
-  // kGroupExp) and depend on the group family and the attached tables.
-  kAccelMultiExp,      // one multi_exp evaluation
-  kAccelMultiExpTerm,  // terms across all multi_exp evaluations
+  // route — fixed-base comb exponentiation through an attached
+  // non-generator table (group::AcceleratedGroup), and batched Montgomery
+  // inversion for affine normalization. Deterministic functions of the run
+  // configuration; they sit below the group-layer counters (a table-served
+  // exp is still one kGroupExp) and depend on the group family and the
+  // attached tables.
   kAccelFixedBaseExp,  // exps served by a non-generator fixed-base table
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
-inline constexpr std::size_t kOpCount = 30;
+inline constexpr std::size_t kOpCount = 28;
 [[nodiscard]] const char* op_name(CryptoOp op);
 
 /// Plain counter block, one slot per CryptoOp.

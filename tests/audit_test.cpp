@@ -212,8 +212,7 @@ class HeTamper : public ::testing::Test {
 TEST_F(HeTamper, ShortShuffleHopTallyIsPhaseOpsDrift) {
   ConformanceAuditor a = auditor();
   const runtime::OpTally want =
-      benchcore::model_he_ops(req_.spec, kN, benchcore::beta_popcounts(betas()),
-                              /*pooled=*/true)
+      benchcore::model_he_ops(req_.spec, kN, benchcore::beta_popcounts(betas()))
           .phase_ops[static_cast<std::size_t>(runtime::Phase::kPhase2)];
   runtime::MetricsRegistry tampered;
   for (std::size_t i = 0; i < runtime::kOpCount; ++i) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "benchcore/model.h"
-#include "engine/precompute.h"
 #include "group/mock_group.h"
 
 namespace ppgr::benchcore {
@@ -45,31 +44,10 @@ TEST(MockGroup, ElGamalAndProofsWorkOverIt) {
       crypto::schnorr_verify(g, kp.y, crypto::schnorr_proof(g, proof)));
 }
 
-// run_framework's precompute hook served by the session engine's cache.
-class CacheSource final : public core::PrecomputeSource {
- public:
-  std::shared_ptr<const group::FixedBaseTable> generator_table(
-      const group::Group& base) override {
-    gen_ = cache_.generator_table(base).table;
-    return gen_;
-  }
-  core::KeyPrecompute key_material(const group::Group& base,
-                                   const group::Elem& joint_key,
-                                   std::size_t pool_size) override {
-    auto kt = cache_.key_table(base, joint_key);
-    auto zp = cache_.zero_pool(base, joint_key, gen_, kt.table, {}, pool_size);
-    return core::KeyPrecompute{std::move(kt.table), std::move(zp.pool)};
-  }
-
- private:
-  engine::PrecomputeCache cache_;
-  std::shared_ptr<const group::FixedBaseTable> gen_;
-};
-
 TEST(Model, ExecutedOpsMatchMeteredRunsOnEveryGroup) {
   // model_he_ops (a) is the closed form of what the metrics layer measures:
   // per phase, every audited counter — on the Schnorr, EC and mock families
-  // alike, with and without precompute. Its inputs come from phase 1 alone:
+  // alike. Its inputs come from phase 1 alone:
   // phase1_betas must reproduce the run's β on the same stream layout, and
   // the β-rank rule its ranks and submitted set.
   const core::ProblemSpec spec{.m = 2, .t = 1, .d1 = 2, .d2 = 1, .h = 2};
@@ -78,41 +56,36 @@ TEST(Model, ExecutedOpsMatchMeteredRunsOnEveryGroup) {
   const MockGroup mock{"mock"};
   const std::vector<const group::Group*> groups{dl.get(), ec.get(), &mock};
   for (const group::Group* g : groups) {
-    for (const bool pooled : {false, true}) {
-      for (const std::size_t n : {2u, 3u, 5u, 8u}) {
-        CacheSource source;
-        core::FrameworkConfig cfg;
-        cfg.spec = spec;
-        cfg.n = n;
-        cfg.k = 2;
-        cfg.group = g;
-        cfg.dot_field = &core::default_dot_field();
-        cfg.metrics = true;
-        if (pooled) cfg.precompute = &source;
-        const Instance inst = random_instance(spec, n, 40 + n);
-        ChaChaRng rng{41 + n};
-        ChaChaRng phase1_rng{41 + n};
-        const auto result =
-            core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
-        const auto betas =
-            core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, phase1_rng);
-        EXPECT_EQ(betas, result.betas) << g->name() << " n=" << n;
-        const auto ranks = beta_ranks(betas);
-        EXPECT_EQ(ranks, result.ranks) << g->name() << " n=" << n;
-        EXPECT_EQ(top_k_ids(ranks, cfg.k), result.submitted_ids)
-            << g->name() << " n=" << n;
-        const HeOpModel model =
-            model_he_ops(spec, n, beta_popcounts(betas), pooled);
-        for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
-          const auto phase = static_cast<runtime::Phase>(p);
-          const runtime::OpTally measured = result.metrics->phase_totals(phase);
-          for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
-            const auto op = static_cast<runtime::CryptoOp>(i);
-            if (!audited_op(op)) continue;
-            EXPECT_EQ(measured[op], model.phase_ops[p][op])
-                << g->name() << " n=" << n << " pooled=" << pooled << " "
-                << runtime::phase_name(phase) << " " << runtime::op_name(op);
-          }
+    for (const std::size_t n : {2u, 3u, 5u, 8u}) {
+      core::FrameworkConfig cfg;
+      cfg.spec = spec;
+      cfg.n = n;
+      cfg.k = 2;
+      cfg.group = g;
+      cfg.dot_field = &core::default_dot_field();
+      cfg.metrics = true;
+      const Instance inst = random_instance(spec, n, 40 + n);
+      ChaChaRng rng{41 + n};
+      ChaChaRng phase1_rng{41 + n};
+      const auto result =
+          core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+      const auto betas =
+          core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, phase1_rng);
+      EXPECT_EQ(betas, result.betas) << g->name() << " n=" << n;
+      const auto ranks = beta_ranks(betas);
+      EXPECT_EQ(ranks, result.ranks) << g->name() << " n=" << n;
+      EXPECT_EQ(top_k_ids(ranks, cfg.k), result.submitted_ids)
+          << g->name() << " n=" << n;
+      const HeOpModel model = model_he_ops(spec, n, beta_popcounts(betas));
+      for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
+        const auto phase = static_cast<runtime::Phase>(p);
+        const runtime::OpTally measured = result.metrics->phase_totals(phase);
+        for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
+          const auto op = static_cast<runtime::CryptoOp>(i);
+          if (!audited_op(op)) continue;
+          EXPECT_EQ(measured[op], model.phase_ops[p][op])
+              << g->name() << " n=" << n << " "
+              << runtime::phase_name(phase) << " " << runtime::op_name(op);
         }
       }
     }

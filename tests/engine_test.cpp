@@ -1,15 +1,15 @@
 // SessionEngine behavior: admission cap, session isolation, correctness vs
-// the plain reference ranking, determinism under load (bit-identical outputs
-// at load 1 vs 16, cache on vs off), exact cold/warm cache hit accounting,
-// and the golden rollup export (tests/golden/engine_small.json) byte-stable
-// across parallelism 1 / 2 / hardware concurrency.
+// the plain reference ranking, the same evaluation as a bare run_framework,
+// determinism under load (bit-identical outputs at load 1 vs 16, cold vs
+// warm cache), exact cold/warm cache hit accounting, and the golden rollup
+// export (tests/golden/engine_small.json) byte-stable across parallelism
+// 1 / 2 / hardware concurrency.
 //
 // Regenerate the golden after a deliberate format change with:
 //   PPGR_UPDATE_GOLDEN=1 ./build/tests/engine_test
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -20,6 +20,7 @@
 #include "engine/engine.h"
 #include "engine/precompute.h"
 #include "group/group.h"
+#include "mpz/rng.h"
 
 #ifndef PPGR_GOLDEN_DIR
 #define PPGR_GOLDEN_DIR "tests/golden"
@@ -137,38 +138,94 @@ TEST(SessionEngine, AdmissionCapBoundsConcurrency) {
   engine.drain();
   EXPECT_GE(engine.peak_in_flight(), 1u);
   EXPECT_LE(engine.peak_in_flight(), 2u);
-  EXPECT_EQ(engine.precompute_stats().zero_pool.hits +
-                engine.precompute_stats().zero_pool.misses,
+  EXPECT_EQ(engine.precompute_stats().generator_table.hits +
+                engine.precompute_stats().generator_table.misses,
             6u);
+}
+
+// An engine HE session runs exactly run_framework's evaluation on the
+// session's stream: the same ranks, β and wire transfers, and the same
+// executed op counts phase by phase — every encryption of zero the protocol
+// charges is drawn, counted and timed inside the run, on every group family.
+TEST(SessionEngine, HeSessionRunsTheSameEvaluationAsRunFramework) {
+  constexpr std::uint64_t kSeed = 314;
+  constexpr std::uint64_t kSid = 3;
+  for (const group::GroupId id :
+       {group::GroupId::kDlTest256, group::GroupId::kEcP192}) {
+    RankingRequest req = make_request(kSid, /*n=*/4, /*k=*/2);
+    req.group = id;
+    const RankingRequest copy = req;
+
+    PrecomputeCache cache;
+    EngineConfig cfg;
+    cfg.seed = kSeed;
+    cfg.max_in_flight = 1;
+    cfg.cache = &cache;
+    SessionEngine engine{cfg};
+    const SessionResult via_engine = engine.take(engine.submit(std::move(req)));
+
+    const auto g = group::make_group(id);
+    core::FrameworkConfig fcfg;
+    fcfg.spec = copy.spec;
+    fcfg.n = copy.infos.size();
+    fcfg.k = copy.k;
+    fcfg.group = g.get();
+    fcfg.dot_field = &core::default_dot_field();
+    fcfg.metrics = true;
+    ChaChaRng root{kSeed};
+    ChaChaRng rng = mpz::StreamFamily{root}.stream(kSid);
+    const core::FrameworkResult direct =
+        core::run_framework(fcfg, copy.v0, copy.w, copy.infos, rng);
+
+    SCOPED_TRACE(g->name());
+    ASSERT_EQ(via_engine.outcome, SessionOutcome::kOk);
+    EXPECT_EQ(via_engine.he.ranks, direct.ranks);
+    EXPECT_EQ(via_engine.he.betas, direct.betas);
+    const auto& te = via_engine.he.trace.transfers();
+    const auto& td = direct.trace.transfers();
+    ASSERT_EQ(te.size(), td.size());
+    for (std::size_t i = 0; i < te.size(); ++i) {
+      EXPECT_EQ(te[i].round, td[i].round) << "transfer " << i;
+      EXPECT_EQ(te[i].src, td[i].src) << "transfer " << i;
+      EXPECT_EQ(te[i].dst, td[i].dst) << "transfer " << i;
+      EXPECT_EQ(te[i].bytes, td[i].bytes) << "transfer " << i;
+    }
+    for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
+      const auto phase = static_cast<runtime::Phase>(p);
+      EXPECT_EQ(via_engine.he.metrics->phase_totals(phase).v,
+                direct.metrics->phase_totals(phase).v)
+          << runtime::phase_name(phase);
+    }
+  }
 }
 
 // The tentpole invariant: one fixed request set produces bit-identical
 // per-session outputs whether sessions run one-at-a-time or 16-wide, on a
-// serial or multi-threaded pool, with the shared cache on or off.
+// serial or multi-threaded pool, over a cold or a warm cache.
 TEST(SessionEngine, BitIdenticalAcrossLoadParallelismAndCache) {
   constexpr std::size_t kSessions = 16;
   const auto run = [&](std::size_t in_flight, std::size_t parallelism,
-                       bool share) {
-    PrecomputeCache cache;
+                       PrecomputeCache& cache) {
     EngineConfig cfg;
     cfg.seed = 1234;
     cfg.max_in_flight = in_flight;
     cfg.parallelism = parallelism;
-    cfg.share_precompute = share;
-    cfg.cache = share ? &cache : nullptr;
+    cfg.cache = &cache;
     SessionEngine engine{cfg};
     return engine.run_batch(small_batch(kSessions, /*n=*/4));
   };
 
-  const auto serial = run(1, 1, true);
-  const auto loaded = run(16, 2, true);
-  const auto uncached = run(16, 2, false);
+  PrecomputeCache cold_serial;
+  PrecomputeCache cold_loaded;
+  const auto serial = run(1, 1, cold_serial);
+  const auto loaded = run(16, 2, cold_loaded);
+  const auto warm = run(16, 2, cold_serial);  // its table is resident now
   ASSERT_EQ(serial.size(), kSessions);
   ASSERT_EQ(loaded.size(), kSessions);
-  ASSERT_EQ(uncached.size(), kSessions);
+  ASSERT_EQ(warm.size(), kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) {
     expect_bit_identical(serial[i], loaded[i]);
-    expect_bit_identical(serial[i], uncached[i]);
+    expect_bit_identical(serial[i], warm[i]);
   }
 }
 
@@ -187,53 +244,21 @@ TEST(SessionEngine, ColdWarmCacheAccountingIsExact) {
     // One group in play: the generator table is built once and shared.
     EXPECT_EQ(s.generator_table.misses, 1u);
     EXPECT_EQ(s.generator_table.hits, kSessions - 1);
-    // Joint keys and pool keys are session-specific: all misses when cold.
-    EXPECT_EQ(s.key_table.misses, kSessions);
-    EXPECT_EQ(s.key_table.hits, 0u);
-    EXPECT_EQ(s.zero_pool.misses, kSessions);
-    EXPECT_EQ(s.zero_pool.hits, 0u);
     const auto totals = cold.metrics().totals();
     EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeHit], kSessions - 1);
-    EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeMiss], 2 * kSessions + 1);
+    EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeMiss], 1u);
   }
 
-  // Same seed + same requests against the same cache = a bit-for-bit replay:
-  // every artifact (including each session's zero pool) is already resident.
+  // A second engine over the same cache finds the table resident.
   SessionEngine warm{cfg};
   (void)warm.run_batch(small_batch(kSessions, /*n=*/4));
   const PrecomputeStats w = warm.precompute_stats();
   EXPECT_EQ(w.generator_table.hits, kSessions);
-  EXPECT_EQ(w.key_table.hits, kSessions);
-  EXPECT_EQ(w.zero_pool.hits, kSessions);
   EXPECT_EQ(w.total().misses, 0u);
+  EXPECT_EQ(cache.size(), 1u);
   const auto totals = warm.metrics().totals();
-  EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeHit], 3 * kSessions);
+  EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeHit], kSessions);
   EXPECT_EQ(totals[runtime::CryptoOp::kPrecomputeMiss], 0u);
-}
-
-// Joint-key tables and zero pools only repeat on a literal replay, so each
-// of their shelves keeps the newest kSessionShelfCap artifacts: more
-// distinct sessions than the cap leave the cache's size bounded.
-TEST(PrecomputeCache, SessionShelvesEvictOldestPastTheCap) {
-  constexpr std::size_t kCap = PrecomputeCache::kSessionShelfCap;
-  PrecomputeCache cache;
-  const auto g = group::make_group(group::GroupId::kDlTest256);
-  ChaChaRng rng{77};
-  std::vector<group::Elem> keys;
-  for (std::size_t i = 0; i < kCap + 8; ++i)
-    keys.push_back(g->exp_g(g->random_nonzero_scalar(rng)));
-  const std::array<std::uint8_t, 32> pool_key{};
-  for (const auto& key : keys) {
-    EXPECT_TRUE(cache.key_table(*g, key).built);
-    EXPECT_TRUE(cache.zero_pool(*g, key, nullptr, nullptr, pool_key, 1).built);
-  }
-  EXPECT_TRUE(cache.generator_table(*g).built);
-  EXPECT_EQ(cache.size(), 2 * kCap + 1);
-  // The newest artifacts are resident; the oldest were evicted first.
-  EXPECT_FALSE(cache.key_table(*g, keys.back()).built);
-  EXPECT_FALSE(cache.zero_pool(*g, keys[8], nullptr, nullptr, pool_key, 1).built);
-  EXPECT_TRUE(cache.key_table(*g, keys.front()).built);
-  EXPECT_EQ(cache.size(), 2 * kCap + 1);
 }
 
 std::string rollup_at(std::size_t in_flight, std::size_t parallelism) {

@@ -461,9 +461,9 @@ TEST(RouterFaults, DelaySpikeStretchesTheVirtualTimeline) {
   EXPECT_NEAR(f.t.deliver_s - f.t.send_s, f.t.tx_s + f.t.prop_s + f.t.queue_s,
               1e-12);
   EXPECT_GE(comm.virtual_seconds(), 2.5);
-  // The counters are mirrored into the comm registry for export.
-  ASSERT_TRUE(comm.has_fault_counters());
-  EXPECT_EQ(comm.fault_counters().injected_delay, 1u);
+  EXPECT_EQ(router.fault_report()
+                .stats.injected[static_cast<std::size_t>(FaultKind::kDelay)],
+            1u);
 }
 
 TEST(RouterFaults, IdenticalPlansProduceIdenticalReports) {

@@ -1,12 +1,12 @@
 // Differential oracle for phase 2's one evaluation path.
 //
 // Participant::compare_against and ::shuffle_hop compute the comparison
-// circuit and the chain hop through multi-exp fusions and inversions. The
+// circuit and the chain hop through dual_exp fusions and inversions. The
 // oracle below is the same algebra written the naive way — plain ct_scale /
 // ct_add_plain / ct_add / rerandomize per bit, partial_decrypt +
 // exp_randomize per hop ciphertext — which is how the paper states it and
 // how its Sec. VI-B cost analysis counts it. Both run on the same streams
-// over every group family, pooled and unpooled, at the extreme β patterns
+// over every group family, at the extreme β patterns
 // (0, all ones) and a random one, and must agree:
 //
 //  - τ sets and hop outputs are eq-identical element by element and
@@ -45,8 +45,7 @@ using runtime::CryptoOp;
 std::vector<Ciphertext> oracle_compare(const Group& g, const Nat& beta,
                                        std::size_t l, const Elem& joint_key,
                                        const std::vector<Ciphertext>& peer_bits,
-                                       Rng& rng, const crypto::ZeroPool* pool,
-                                       std::size_t pool_offset) {
+                                       Rng& rng) {
   const Nat& q = g.order();
 
   // γ_b = own_b XOR peer_b, homomorphically (own bit is plaintext):
@@ -78,10 +77,7 @@ std::vector<Ciphertext> oracle_compare(const Group& g, const Nat& beta,
     // τ_b = ω_b + own_b: zero iff peer's bit is 1 at the first difference,
     // i.e. iff peer's β is larger.
     tau[b] = beta.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
-    tau[b] = pool != nullptr
-                 ? crypto::rerandomize_with(g, tau[b],
-                                            pool->entries.at(pool_offset + b))
-                 : rerandomize(g, joint_key, tau[b], rng);
+    tau[b] = rerandomize(g, joint_key, tau[b], rng);
     suffix = ct_add(g, suffix, gamma[b]);
   }
   return tau;
@@ -193,7 +189,6 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
   std::vector<Ciphertext> peer_bits;
   for (std::size_t b = 0; b < l; ++b)
     peer_bits.push_back(peer.encrypt_beta_bit(b, rng));
-  const crypto::ZeroPool pool = crypto::make_zero_pool(g, joint, {}, l);
 
   const Nat all_ones = Nat::sub(Nat::pow2(l), Nat{1});
   for (const Nat& beta : {Nat{}, all_ones, rng.bits(l)}) {
@@ -202,51 +197,42 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
     ASSERT_TRUE(g.eq(own.public_key(own_key_rng), own_key.y));
     own.set_joint_key(joint);
     const std::size_t pop = benchcore::beta_popcounts({beta}).front();
-    for (const crypto::ZeroPool* zp : {static_cast<const crypto::ZeroPool*>(
-                                           nullptr),
-                                       &pool}) {
-      const bool pooled = zp != nullptr;
-      SCOPED_TRACE(testing::Message() << g.name() << " pop=" << pop
-                                      << " pooled=" << pooled);
+    SCOPED_TRACE(testing::Message() << g.name() << " pop=" << pop);
 
-      ChaChaRng r1{31}, r2{31};
-      std::vector<Ciphertext> tau, tau_oracle;
-      const runtime::OpTally fused_ops = group_ops_of(
-          [&] { tau = own.compare_against(peer_bits, r1, zp, 0); });
-      const runtime::OpTally naive_ops = group_ops_of([&] {
-        tau_oracle =
-            oracle_compare(oracle_g, beta, l, joint, peer_bits, r2, zp, 0);
-      });
-      expect_same(g, tau, tau_oracle, "compare_against");
-      EXPECT_EQ(r1.below_u64(1u << 30), r2.below_u64(1u << 30))
-          << "circuit randomness diverged";
-      EXPECT_EQ(fused_ops.v, benchcore::compare_circuit_ops(
-                                 l, pop, pooled, OpProfile::kExecuted)
-                                 .v);
-      EXPECT_EQ(naive_ops.v, benchcore::compare_circuit_ops(
-                                 l, pop, pooled, OpProfile::kNaive)
-                                 .v);
+    ChaChaRng r1{31}, r2{31};
+    std::vector<Ciphertext> tau, tau_oracle;
+    const runtime::OpTally fused_ops =
+        group_ops_of([&] { tau = own.compare_against(peer_bits, r1); });
+    const runtime::OpTally naive_ops = group_ops_of([&] {
+      tau_oracle = oracle_compare(oracle_g, beta, l, joint, peer_bits, r2);
+    });
+    expect_same(g, tau, tau_oracle, "compare_against");
+    EXPECT_EQ(r1.below_u64(1u << 30), r2.below_u64(1u << 30))
+        << "circuit randomness diverged";
+    EXPECT_EQ(fused_ops.v,
+              benchcore::compare_circuit_ops(l, pop, OpProfile::kExecuted).v);
+    EXPECT_EQ(naive_ops.v,
+              benchcore::compare_circuit_ops(l, pop, OpProfile::kNaive).v);
 
-      CipherSet hop = tau;
-      CipherSet hop_oracle = tau;
-      ChaChaRng h1{53}, h2{53};
-      const runtime::OpTally fused_hop =
-          group_ops_of([&] { own.shuffle_hop(hop, h1); });
-      const runtime::OpTally naive_hop = group_ops_of(
-          [&] { oracle_hop(oracle_g, own_key.x, hop_oracle, h2); });
-      expect_same(g, hop, hop_oracle, "shuffle_hop");
-      EXPECT_EQ(h1.below_u64(1u << 30), h2.below_u64(1u << 30))
-          << "hop randomness diverged";
-      const runtime::OpTally per_ct_fused =
-          benchcore::hop_ciphertext_ops(OpProfile::kExecuted);
-      const runtime::OpTally per_ct_naive =
-          benchcore::hop_ciphertext_ops(OpProfile::kNaive);
-      for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
-        EXPECT_EQ(fused_hop.v[i], per_ct_fused.v[i] * hop.size())
-            << runtime::op_name(static_cast<CryptoOp>(i));
-        EXPECT_EQ(naive_hop.v[i], per_ct_naive.v[i] * hop.size())
-            << runtime::op_name(static_cast<CryptoOp>(i));
-      }
+    CipherSet hop = tau;
+    CipherSet hop_oracle = tau;
+    ChaChaRng h1{53}, h2{53};
+    const runtime::OpTally fused_hop =
+        group_ops_of([&] { own.shuffle_hop(hop, h1); });
+    const runtime::OpTally naive_hop = group_ops_of(
+        [&] { oracle_hop(oracle_g, own_key.x, hop_oracle, h2); });
+    expect_same(g, hop, hop_oracle, "shuffle_hop");
+    EXPECT_EQ(h1.below_u64(1u << 30), h2.below_u64(1u << 30))
+        << "hop randomness diverged";
+    const runtime::OpTally per_ct_fused =
+        benchcore::hop_ciphertext_ops(OpProfile::kExecuted);
+    const runtime::OpTally per_ct_naive =
+        benchcore::hop_ciphertext_ops(OpProfile::kNaive);
+    for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
+      EXPECT_EQ(fused_hop.v[i], per_ct_fused.v[i] * hop.size())
+          << runtime::op_name(static_cast<CryptoOp>(i));
+      EXPECT_EQ(naive_hop.v[i], per_ct_naive.v[i] * hop.size())
+          << runtime::op_name(static_cast<CryptoOp>(i));
     }
   }
 }
