@@ -24,14 +24,6 @@
 // bench scale). The busy-fraction measure is used instead of a wall-clock
 // A/B delta because the latter is scheduler noise on 1-core CI boxes.
 //
-// A fourth (warm) pass runs with the forensic flight recorder attached
-// (runtime/flightrec.h, 4096-event ring per session) — the always-on budget
-// for the recorder. The "flight" block gates its overhead the same way:
-// events-recorded x a calibrated per-record() cost must stay under 1% of
-// the pass wall, and outputs must stay bit-identical. The event count
-// itself is deterministic (the event sequence is a pure function of a
-// fault-free run), so bench_compare gates it exactly.
-//
 // The final "tcp_loopback" block measures the real-socket transport
 // (net::tcp, DESIGN.md §5f): framed round trips over a loopback
 // TcpTransport pair — p50/p95 round-trip latency for a protocol-sized
@@ -52,7 +44,6 @@
 #include "engine/engine.h"
 #include "engine/introspect.h"
 #include "net/tcp/transport.h"
-#include "runtime/flightrec.h"
 
 namespace {
 
@@ -115,24 +106,20 @@ struct PassStats {
   double p95 = 0.0;
   std::uint64_t samples = 0;        // telemetry pass only
   double sampler_busy_seconds = 0.0;  // total time inside sampler callbacks
-  std::uint64_t flight_recorded = 0;  // flight pass only: events, all sessions
   PrecomputeStats cache;
   std::vector<SessionResult> results;
 };
 
-constexpr double kTelemetryPeriodS = 0.1;   // operator default (100 ms)
-constexpr std::size_t kFlightEvents = 4096;  // per-session ring capacity
+constexpr double kTelemetryPeriodS = 0.1;  // operator default (100 ms)
 
 PassStats run_pass(const Preset& preset, PrecomputeCache& cache,
                    std::size_t load, std::size_t parallelism,
-                   std::uint64_t seed, bool with_telemetry = false,
-                   std::size_t flight_events = 0) {
+                   std::uint64_t seed, bool with_telemetry = false) {
   EngineConfig cfg;
   cfg.seed = seed;
   cfg.max_in_flight = load;
   cfg.parallelism = parallelism;
   cfg.cache = &cache;
-  cfg.flight_events = flight_events;
   SessionEngine eng{cfg};
 
   PassStats stats;
@@ -166,7 +153,6 @@ PassStats run_pass(const Preset& preset, PrecomputeCache& cache,
   for (const auto& res : stats.results) {
     stats.setup_seconds += res.setup_seconds;
     latencies.push_back(res.wall_seconds);
-    if (res.flight != nullptr) stats.flight_recorded += res.flight->recorded();
   }
   std::sort(latencies.begin(), latencies.end());
   stats.p50 = latencies[latencies.size() / 2];
@@ -174,22 +160,6 @@ PassStats run_pass(const Preset& preset, PrecomputeCache& cache,
       latencies[std::min(latencies.size() - 1, latencies.size() * 95 / 100)];
   stats.cache = eng.precompute_stats();
   return stats;
-}
-
-// Median per-record() cost of the flight ring, measured hot (the ring and
-// its mutex resident in cache — the state a recording session runs in).
-double calibrate_flight_record_seconds() {
-  runtime::FlightRecorder rec{kFlightEvents};
-  constexpr std::uint64_t kCalls = 1u << 18;
-  double best = 1e9;  // best-of-3 to shed scheduler noise
-  for (int rep = 0; rep < 3; ++rep) {
-    const double t0 = now_s();
-    for (std::uint64_t i = 0; i < kCalls; ++i)
-      rec.record(runtime::FlightEventKind::kSend, runtime::Phase::kPhase2, 0,
-                 1, 2, i);
-    best = std::min(best, now_s() - t0);
-  }
-  return best / static_cast<double>(kCalls);
 }
 
 bool passes_identical(const PassStats& a, const PassStats& b) {
@@ -316,10 +286,6 @@ int main(int argc, char** argv) {
   bool telemetry_gate_ok = true;
   double tele_overhead = 0.0, tele_wall = 0.0, tele_busy = 0.0;
   std::uint64_t tele_samples = 0;
-  bool flight_gate_ok = true;
-  bool flight_identical = true;
-  double flight_overhead = 0.0, flight_wall = 0.0, flight_per_event = 0.0;
-  std::uint64_t flight_recorded = 0;
   for (std::size_t pi = 0; pi < std::size(kPresets); ++pi) {
     const Preset& preset = kPresets[pi];
     PrecomputeCache cache;
@@ -347,31 +313,6 @@ int main(int argc, char** argv) {
           preset.name, static_cast<unsigned long long>(tele_samples),
           kTelemetryPeriodS * 1e3, tele_overhead * 100.0,
           telemetry_gate_ok ? "ok" : "FAIL");
-
-      // Flight-recorder budget on the small preset: a fourth warm pass with
-      // the per-session ring attached must stay bit-identical, and the
-      // recording cost (events x calibrated per-record cost) must stay
-      // under 1% of the pass wall.
-      const PassStats flight =
-          run_pass(preset, cache, load, parallelism, seed,
-                   /*with_telemetry=*/false, kFlightEvents);
-      flight_identical = passes_identical(cold, flight);
-      identical = identical && flight_identical;
-      flight_per_event = calibrate_flight_record_seconds();
-      flight_recorded = flight.flight_recorded;
-      flight_wall = flight.wall_seconds;
-      flight_overhead =
-          flight_wall > 0.0
-              ? static_cast<double>(flight_recorded) * flight_per_event /
-                    flight_wall
-              : 0.0;
-      flight_gate_ok = flight_overhead < 0.01;
-      std::printf(
-          "%8s      flight: %llu events @ %.0fns, overhead %.4f%% "
-          "(gate <1%%) %s\n",
-          preset.name, static_cast<unsigned long long>(flight_recorded),
-          flight_per_event * 1e9, flight_overhead * 100.0,
-          flight_gate_ok ? "ok" : "FAIL");
     }
     all_identical = all_identical && identical;
 
@@ -429,21 +370,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(tele_samples), tele_wall,
                tele_busy, tele_overhead,
                telemetry_gate_ok ? "true" : "false");
-  // Flight-recorder budget on the small preset. events_recorded,
-  // outputs_identical and gate_pass are deterministic-exact leaves; the
-  // per-event cost and ratios are wall-clock noise.
-  std::fprintf(out,
-               "  \"flight\": {\"events_capacity\": %zu, "
-               "\"events_recorded\": %llu,\n"
-               "    \"outputs_identical\": %s,\n"
-               "    \"wall_seconds\": %.6f, \"per_event_seconds\": %.9f,\n"
-               "    \"overhead_ratio\": %.6f, \"gate_ratio\": 0.01, "
-               "\"gate_pass\": %s},\n",
-               kFlightEvents,
-               static_cast<unsigned long long>(flight_recorded),
-               flight_identical ? "true" : "false", flight_wall,
-               flight_per_event, flight_overhead,
-               flight_gate_ok ? "true" : "false");
   // Real-socket frame round trips over loopback (see the header comment).
   // frames / payload_bytes are exact; the latency/wall leaves are noisy.
   const TcpLoopbackStats tcp = measure_tcp_loopback();
@@ -463,5 +389,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-  return all_identical && telemetry_gate_ok && flight_gate_ok ? 0 : 1;
+  return all_identical && telemetry_gate_ok ? 0 : 1;
 }

@@ -251,16 +251,12 @@ void print_usage(const char* prog, std::FILE* out) {
       "                        the closed-form model at each phase boundary;\n"
       "                        confirmed drift is reported, lands in the\n"
       "                        rollup and degrades engine health\n"
-      "  --flight-events N     per-session forensic flight recorder: a\n"
-      "                        bounded ring of the last N protocol events\n"
-      "                        (phase/round/send/retry/fault), dumped\n"
-      "                        into the post-mortem bundle on fault\n"
       "  --session-log-out FILE\n"
       "                        wide-event session log: ONE ppgr.session.v1\n"
       "                        JSON line per completed session\n"
       "  --postmortem-dir DIR  on a session fault, write a self-contained\n"
       "                        ppgr.postmortem.v1 bundle (wide event +\n"
-      "                        flight recording + fault report + last\n"
+      "                        fault report + audit report + last\n"
       "                        telemetry snapshot) atomically to\n"
       "                        DIR/session-<id>.postmortem.json\n"
       "\n"
@@ -270,7 +266,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "                         ppgr.telemetry.v1 object per line\n"
       "  --openmetrics-out FILE OpenMetrics exposition file, atomically\n"
       "                         replaced every period (Prometheus scrape)\n"
-      "  --health-out FILE      final ppgr.health.v1 verdict after the batch\n"
       "  --telemetry-period S   sampler period in seconds (default 0.1)\n"
       "  --stall-deadline S     watchdog: a session is stalled when its\n"
       "                         phase/round has not advanced for S seconds\n"
@@ -309,7 +304,6 @@ int main(int argc, char** argv) {
   std::string stitched_path;
   std::string telemetry_path;
   std::string openmetrics_path;
-  std::string health_path;
   std::string session_log_path;
   std::string postmortem_dir;
   double telemetry_period = 0.1;
@@ -347,14 +341,8 @@ int main(int argc, char** argv) {
         telemetry_path = value();
       } else if (arg == "--openmetrics-out") {
         openmetrics_path = value();
-      } else if (arg == "--health-out") {
-        health_path = value();
       } else if (arg == "--audit") {
         cfg.audit = true;
-      } else if (arg == "--flight-events") {
-        cfg.flight_events = std::stoul(value());
-        if (cfg.flight_events == 0)
-          throw std::invalid_argument("--flight-events must be > 0");
       } else if (arg == "--session-log-out") {
         session_log_path = value();
       } else if (arg == "--postmortem-dir") {
@@ -409,9 +397,6 @@ int main(int argc, char** argv) {
     std::optional<std::ofstream> stitched_out;
     if (!stitched_path.empty())
       stitched_out = bench::open_bench_out(stitched_path);
-    std::optional<std::ofstream> health_out;
-    if (!health_path.empty())
-      health_out = bench::open_bench_out(health_path);
     std::optional<std::ofstream> session_log_out;
     if (!session_log_path.empty())
       session_log_out = bench::open_bench_out(session_log_path);
@@ -425,10 +410,7 @@ int main(int argc, char** argv) {
 
     // Any telemetry output also turns on the rollup's latency/health
     // sections (EngineConfig::telemetry).
-    const bool telemetry_on = !telemetry_path.empty() ||
-                              !openmetrics_path.empty() ||
-                              !health_path.empty();
-    cfg.telemetry = cfg.telemetry || telemetry_on;
+    cfg.telemetry = !telemetry_path.empty() || !openmetrics_path.empty();
 
     std::size_t rejected = 0;
     std::size_t faulted = 0;
@@ -540,10 +522,6 @@ int main(int argc, char** argv) {
                   telemetry_path.c_str(),
                   openmetrics_path.empty() ? "" : ", OpenMetrics ",
                   openmetrics_path.c_str());
-    }
-    if (health_out) {
-      *health_out << engine::snapshot(eng, stall_deadline).health_json();
-      std::printf("health JSON written to %s\n", health_path.c_str());
     }
     if (session_log_out)
       std::printf("session log written to %s\n", session_log_path.c_str());

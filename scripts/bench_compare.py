@@ -59,7 +59,6 @@ NOISY_KEY_PARTS = (
     "samples",  # sampler tick count — period / scheduling dependent
     "stalls",  # watchdog observation count — snapshot-timing dependent
     "uptime",
-    "per_event",  # calibrated flight-recorder record() cost (BENCH_engine)
 )
 
 # Fault-injection and channel-recovery observables (ppgr.fault.v1 sections,
@@ -80,10 +79,8 @@ EXACT_KEY_PARTS = (
     "outcome",  # engine per-outcome counts ("outcomes": {"ok": .., ..})
     "dropped_parties",
     "active_parties",
-    # Conformance-audit and flight-recorder observables (engine rollup
-    # "audit" block, BENCH_engine.json "flight" block, ppgr.audit.v1):
-    # counts of deterministic events, gated exactly.
-    "events_recorded",  # flight events per pass — a pure function of the run
+    # Conformance-audit observables (engine rollup "audit" block,
+    # ppgr.audit.v1): counts of deterministic events, gated exactly.
     "drifted",  # sessions whose audit found divergence
     "findings",
     "checkpoints",

@@ -47,20 +47,18 @@
 # engine state while sixteen driver threads mutate it, which is exactly the
 # surface TSan exists for.
 #
-# The `audit` mode is the forensics/conformance leg: the flight-recorder
-# suite (ring semantics, Router taps), the conformance-audit suite (clean
-# runs audit to zero findings, faulted/degraded/tampered runs to typed
-# ones, postmortem atomicity), the ppgr_server exit-contract integration
-# test and — because the audit's expectations are the closed-form model —
-# the model suites (benchcore_test, model_validation, comm_validation) run
-# under ASan+UBSan; the concurrent record-vs-dump race in the
-# flight ring runs again under TSan (observer threads dump while the
-# orchestrator records).
+# The `audit` mode is the forensics/conformance leg: the conformance-audit
+# suite (clean runs audit to zero findings, faulted/degraded/tampered runs
+# to typed ones, postmortem atomicity and determinism), the ppgr_server
+# exit-contract integration test and — because the audit's expectations
+# are the closed-form model — the model suites (benchcore_test,
+# model_validation, comm_validation) run under ASan+UBSan.
 #
 # The `chaos` leg additionally drives one known-faulting scenario through
 # ppgr_server with --postmortem-dir build/chaos_postmortems/ and archives
 # the resulting ppgr.postmortem.v1 bundles — a failing chaos investigation
-# starts from a forensic flight recording, not from a rerun.
+# starts from the bundle's deterministic fault report (the full injection
+# log), not from a rerun.
 #
 # The `bench-regress` mode is the perf-regression gate: it reruns the
 # parallel_speedup and engine_throughput benches with the checked-in
@@ -113,8 +111,8 @@ bench_regress() {
 
 # Archives forensic bundles from a known-faulting chaos scenario: a crash
 # plan kills a session, ppgr_server exits 3 (batch degraded) and the
-# postmortem bundle (wide event + flight recording + fault report) must
-# land in build/chaos_postmortems/ for the investigation.
+# postmortem bundle (wide event + fault report + audit report) must land
+# in build/chaos_postmortems/ for the investigation.
 chaos_postmortems() {
   echo "==== [chaos] archive postmortem bundles from a faulting run ===="
   cmake --preset default
@@ -134,7 +132,7 @@ participant 35 121 40 40
 fault-plan seed=7,crash=2@1
 EOF
   local status=0
-  ./build/examples/ppgr_server "${req}" --audit --flight-events 4096 \
+  ./build/examples/ppgr_server "${req}" --audit \
       --postmortem-dir "${dir}" \
       --session-log-out "${dir}/sessions.jsonl" || status=$?
   if [[ "${status}" -ne 3 ]]; then
@@ -143,6 +141,10 @@ EOF
   fi
   if [[ ! -s "${dir}/session-1.postmortem.json" ]]; then
     echo "chaos_postmortems: postmortem bundle did not land in ${dir}" >&2
+    exit 1
+  fi
+  if ! grep -q '"ppgr.fault.v1"' "${dir}/session-1.postmortem.json"; then
+    echo "chaos_postmortems: bundle lacks the ppgr.fault.v1 report" >&2
     exit 1
   fi
   echo "chaos postmortem bundles archived in ${dir}/"
@@ -168,10 +170,7 @@ case "${MODE}" in
     ;;
   multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
-  audit)
-    run_leg asan -R 'flightrec|audit_test|server_cli|benchcore|model_validation|comm_validation'
-    run_leg tsan -R 'flightrec'
-    ;;
+  audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)
     run_leg asan -R 'tcp_transport|party_launcher'
     run_leg tsan -R 'tcp_transport'
@@ -183,7 +182,6 @@ case "${MODE}" in
     run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos'
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
-    run_leg tsan -R 'flightrec'
     run_leg tsan -R 'tcp_transport'
     bench_regress
     ;;

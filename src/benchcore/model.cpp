@@ -75,15 +75,8 @@ OpCounts priced(const OpTally& t, std::uint64_t parties) {
 }  // namespace
 
 bool audited_op(CryptoOp op) {
-  switch (op) {
-    case CryptoOp::kPrecomputeHit:
-    case CryptoOp::kPrecomputeMiss:
-    case CryptoOp::kAccelFixedBaseExp:
-    case CryptoOp::kAccelBatchInverse:
-      return false;
-    default:
-      return true;
-  }
+  return op != CryptoOp::kAccelFixedBaseExp &&
+         op != CryptoOp::kAccelBatchInverse;
 }
 
 OpTally phase1_ops(std::size_t n) {

@@ -76,8 +76,8 @@ enum class OpProfile {
 [[nodiscard]] runtime::OpTally hop_ciphertext_ops(OpProfile profile);
 
 /// The counters model_he_ops (a) states and the conformance auditor checks:
-/// all but the engine's cache counters (never in a session registry) and
-/// the accel_* diagnostics (they depend on the group family and tables).
+/// all but the accel_* diagnostics (they depend on the group family and
+/// tables).
 [[nodiscard]] bool audited_op(runtime::CryptoOp op);
 
 /// Phase 1's counters, HE and SS alike: one secure dot product per party.

@@ -42,7 +42,6 @@
 #include "mpz/rng.h"
 #include "net/fault.h"
 #include "runtime/comm.h"
-#include "runtime/flightrec.h"
 #include "runtime/metrics.h"
 #include "runtime/span.h"
 #include "runtime/telemetry.h"
@@ -178,7 +177,7 @@ struct FrameworkConfig {
   /// is what the session engine's stall watchdog watches. Must outlive the
   /// run. Null (the default): zero overhead; never affects outputs either
   /// way — progress reporting is observation, not computation.
-  runtime::ProgressSink* progress = nullptr;
+  runtime::ProgressCell* progress = nullptr;
   /// Dropout policy: when a participant is declared dead *before the
   /// phase-2 commitment* (i.e. during phase 1), rerun the protocol over the
   /// surviving party set instead of aborting — the paper's β_j ordering is
@@ -192,11 +191,6 @@ struct FrameworkConfig {
   /// Live conformance audit (see AuditSink above). Requires `metrics`; must
   /// outlive the run. Null: no checkpoints fire, zero overhead.
   AuditSink* audit = nullptr;
-  /// Forensic flight recorder (runtime/flightrec.h): forwarded to the run's
-  /// Router so phase/round/send/fault-ladder events land in the ring, plus
-  /// degrade/fault events recorded here. Must outlive the run. Null: one
-  /// untaken branch per event site, no output changes either way.
-  runtime::FlightRecorder* flight = nullptr;
 
   void validate() const;
 };

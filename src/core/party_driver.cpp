@@ -50,8 +50,8 @@ auto decode(std::span<const std::uint8_t> bytes, Read&& read) {
 // the span stream) does not depend on the pool size.
 constexpr std::size_t kRankChunk = 64;
 
-// The typed fault of a run: records it in the flight recorder, notifies
-// the auditor, and carries the fault report.
+// The typed fault of a run: notifies the auditor and carries the fault
+// report.
 ProtocolFault make_fault(const FrameworkConfig& cfg, Phase phase,
                          std::size_t round, std::size_t party,
                          const std::string& cause, net::FaultReport report) {
@@ -60,12 +60,7 @@ ProtocolFault make_fault(const FrameworkConfig& cfg, Phase phase,
   if (party != kNoParty) what += ", party P" + std::to_string(party);
   what += "]";
   // The fault is about to unwind past the run's registries: notify the
-  // observers now, while the evidence still exists.
-  if (cfg.flight != nullptr)
-    cfg.flight->record(
-        runtime::FlightEventKind::kFault, phase,
-        static_cast<std::uint16_t>(party == kNoParty ? 0 : party + 1), 0, 0,
-        round);
+  // auditor now, while the evidence still exists.
   if (cfg.audit != nullptr) cfg.audit->run_faulted(phase);
   return ProtocolFault(FaultInfo{phase, round, party, cause}, std::move(report),
                        what);
@@ -106,7 +101,6 @@ struct Host {
     router.emplace(cfg.n + 1, trace, comm,
                    net::Router::Config{.faults = cfg.fault_plan,
                                        .progress = cfg.progress,
-                                       .flight = cfg.flight,
                                        .transport = transport});
   }
 
@@ -860,10 +854,6 @@ SsFrameworkResult launch(const FrameworkConfig& cfg,
                        "too few survivors to degrade (" +
                            std::to_string(survivors) + " left)",
                        router.fault_report());
-    if (cfg.flight != nullptr)
-      cfg.flight->record(runtime::FlightEventKind::kDegrade, Phase::kPhase1, 0,
-                         static_cast<std::uint32_t>(survivors),
-                         static_cast<std::uint32_t>(dropped.size()));
     // The survivor-set rerun is a different instance: the auditor's phase-1
     // predictions no longer apply, so it is told about the degrade (a typed
     // finding naming the dropped parties) and detached from the sub-run.

@@ -142,13 +142,6 @@ void ConformanceAuditor::check_count(AuditCheckKind kind, Phase phase,
                                           .detail = what});
 }
 
-void ConformanceAuditor::breadcrumb(Phase phase) {
-  if (cfg_.flight != nullptr)
-    cfg_.flight->record(runtime::FlightEventKind::kAudit, phase, 0,
-                        static_cast<std::uint32_t>(report_.checks),
-                        static_cast<std::uint32_t>(report_.findings.size()));
-}
-
 void ConformanceAuditor::phase_complete(Phase phase,
                                         const runtime::MetricsRegistry* metrics,
                                         const runtime::CommRegistry* comm) {
@@ -168,7 +161,6 @@ void ConformanceAuditor::phase_complete(Phase phase,
                       runtime::phase_name(phase));
     }
   }
-  breadcrumb(phase);
 }
 
 void ConformanceAuditor::run_complete(
@@ -230,7 +222,6 @@ void ConformanceAuditor::run_complete(
                   "per-link byte total diverges from the comm model");
     }
   }
-  breadcrumb(Phase::kPhase3);
 }
 
 void ConformanceAuditor::run_degraded(const std::vector<std::size_t>& dropped) {
@@ -247,7 +238,6 @@ void ConformanceAuditor::run_degraded(const std::vector<std::size_t>& dropped) {
   check_ops_.fill(false);
   check_submitted_ = false;
   check_rounds_ = false;
-  breadcrumb(Phase::kPhase1);
 }
 
 void ConformanceAuditor::run_faulted(Phase phase) {
@@ -258,7 +248,6 @@ void ConformanceAuditor::run_faulted(Phase phase) {
       .key = "fault",
       .detail = std::string("run aborted by a protocol fault in ") +
                 runtime::phase_name(phase)});
-  breadcrumb(phase);
 }
 
 }  // namespace ppgr::engine

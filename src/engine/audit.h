@@ -43,7 +43,6 @@
 #include "group/group.h"
 #include "mpz/rng.h"
 #include "runtime/comm.h"
-#include "runtime/flightrec.h"
 #include "runtime/metrics.h"
 
 namespace ppgr::engine {
@@ -103,9 +102,6 @@ class ConformanceAuditor final : public core::AuditSink {
     /// retransmits make wire bytes legitimately diverge from the fault-free
     /// model, so the byte-exact comm check is skipped.
     bool fault_plan = false;
-    /// Optional: a kAudit breadcrumb (checks, findings) lands in the ring
-    /// at every checkpoint. Must outlive the auditor.
-    runtime::FlightRecorder* flight = nullptr;
   };
 
   /// `rng` must be an identically-seeded duplicate of the stream the real
@@ -136,7 +132,6 @@ class ConformanceAuditor final : public core::AuditSink {
   void check_count(AuditCheckKind kind, runtime::Phase phase,
                    const std::string& key, std::uint64_t expected,
                    std::uint64_t measured, const std::string& what);
-  void breadcrumb(runtime::Phase phase);
 
   Config cfg_;
   AuditReport report_;

@@ -278,13 +278,6 @@ void SessionEngine::driver_loop() {
         }
         summaries_.emplace(req.session_id, std::move(s));
         totals_ += res.precompute;
-        const CacheCounters t = res.precompute.total();
-        if (t.hits != 0)
-          metrics_.add(Phase::kSetup, runtime::kOrchestratorParty,
-                       CryptoOp::kPrecomputeHit, t.hits);
-        if (t.misses != 0)
-          metrics_.add(Phase::kSetup, runtime::kOrchestratorParty,
-                       CryptoOp::kPrecomputeMiss, t.misses);
         done_.emplace(req.session_id, std::move(res));
       }
       --active_;
@@ -330,12 +323,6 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
     out.fault_report = pf.report();
   };
 
-  // Forensic flight recorder: always-on ring when configured, dumped only
-  // on demand. Observation-only, so outputs are identical either way.
-  if (cfg_.flight_events > 0) {
-    out.flight = std::make_shared<runtime::FlightRecorder>(cfg_.flight_events);
-    fcfg.flight = out.flight.get();
-  }
   // Live conformance audit: the auditor runs phase 1 alone on the session's
   // stream (a second identical family draw) and predicts the rest from
   // closed forms, then rides the run's phase boundaries. Needs the
@@ -351,7 +338,6 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
     acfg.dot_field = fcfg.dot_field;
     acfg.dot_s = fcfg.dot_s;
     acfg.fault_plan = plan.enabled();
-    acfg.flight = fcfg.flight;
     auditor.emplace(std::move(acfg), req.v0, req.w, req.infos,
                     session_family_.stream(req.session_id));
     fcfg.audit = &*auditor;

@@ -18,9 +18,8 @@
 // metric exports regardless of max_in_flight, parallelism, or whether the
 // PrecomputeCache was cold or warm.
 //
-// Cache hit/miss counters flow into the engine's runtime::MetricsRegistry
-// (kPrecomputeHit / kPrecomputeMiss) — never into a session's own registry,
-// which must not see history-dependent counts.
+// Cache hit/miss counts are engine-wide (precompute_stats()) — never in a
+// session's own registry, which must not see history-dependent counts.
 #pragma once
 
 #include <array>
@@ -42,7 +41,6 @@
 #include "core/ss_framework.h"
 #include "engine/audit.h"
 #include "engine/precompute.h"
-#include "runtime/flightrec.h"
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 
@@ -160,9 +158,6 @@ struct SessionResult {
   double setup_seconds = 0.0;  // time inside the generator-table fetch (noisy)
   PrecomputeStats precompute;  // this session's cache interactions
 
-  /// Present iff EngineConfig::flight_events > 0: the session's forensic
-  /// flight recording (phase/round/send/retry/fault-ladder events).
-  std::shared_ptr<runtime::FlightRecorder> flight;
   /// Present iff EngineConfig::audit (and metrics): the conformance-audit
   /// report of this session ("ppgr.audit.v1").
   std::shared_ptr<const AuditReport> audit;
@@ -207,10 +202,6 @@ struct EngineConfig {
   /// drift degrades engine health. Off by default: the golden rollup pins
   /// the off state, and sessions take zero audit branches.
   bool audit = false;
-  /// Ring capacity of the per-session forensic flight recorder
-  /// (runtime/flightrec.h); 0 (default) = no recorder. Observation-only:
-  /// every deterministic export is byte-identical at any value.
-  std::size_t flight_events = 0;
 };
 
 class SessionEngine {
@@ -240,10 +231,6 @@ class SessionEngine {
   [[nodiscard]] std::size_t peak_in_flight() const;
   /// Engine-wide cache interaction totals (deterministic).
   [[nodiscard]] PrecomputeStats precompute_stats() const;
-  /// Engine-level registry: kPrecomputeHit / kPrecomputeMiss.
-  [[nodiscard]] const runtime::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
   /// Rolled-up deterministic export ("ppgr.engine.v1"): per-session ranks,
@@ -320,7 +307,6 @@ class SessionEngine {
   mpz::ChaChaRng root_;
   mpz::StreamFamily session_family_;  // per-session protocol randomness
   runtime::ThreadPool pool_;
-  runtime::MetricsRegistry metrics_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

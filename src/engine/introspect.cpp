@@ -55,6 +55,9 @@ EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
     out.faulted = engine.faulted_done_;
     out.audit_drift = engine.audit_drift_done_;
     out.stalls_total = engine.stalls_total_;
+    const CacheCounters cache = engine.totals_.total();
+    out.cache_hits = cache.hits;
+    out.cache_misses = cache.misses;
     for (std::size_t kind = 0; kind < 2; ++kind) {
       out.latency[kind].queue_wait = engine.queue_wait_hist_[kind];
       out.latency[kind].run_duration = engine.run_hist_[kind];
@@ -79,13 +82,6 @@ EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
       out.sessions.push_back(st);
     }
   }
-  // The engine registry has its own lock; reading it outside mu_ keeps the
-  // critical section to the copy above.
-  const runtime::OpTally t = engine.metrics_.totals();
-  out.cache_hits =
-      t.v[static_cast<std::size_t>(runtime::CryptoOp::kPrecomputeHit)];
-  out.cache_misses =
-      t.v[static_cast<std::size_t>(runtime::CryptoOp::kPrecomputeMiss)];
 
   // Confirmed conformance drift is as alarming as a faulted session: the
   // engine is producing numbers its own model contradicts.
@@ -105,6 +101,7 @@ std::string EngineSnapshot::to_jsonl() const {
   appendf(out, ", \"health\": \"%s\"", runtime::to_string(health));
   appendf(out, ", \"queued\": %zu, \"in_flight\": %zu", queued, in_flight);
   appendf(out, ", \"completed\": %zu, \"faulted\": %zu", completed, faulted);
+  appendf(out, ", \"audit_drift\": %zu", audit_drift);
   appendf(out, ", \"stalls\": %llu",
           static_cast<unsigned long long>(stalls_total));
   appendf(out, ", \"cache\": {\"hits\": %llu, \"misses\": %llu}",
@@ -209,30 +206,6 @@ std::string EngineSnapshot::to_openmetrics() const {
                 static_cast<std::uint64_t>(st.stalled ? 1 : 0));
   }
   return om.render();
-}
-
-std::string EngineSnapshot::health_json() const {
-  std::string out;
-  out += "{\n  \"schema\": \"ppgr.health.v1\",\n";
-  appendf(out, "  \"state\": \"%s\",\n", runtime::to_string(health));
-  appendf(out, "  \"uptime_seconds\": %.6f,\n", uptime_s);
-  appendf(out, "  \"queued\": %zu,\n  \"in_flight\": %zu,\n", queued,
-          in_flight);
-  appendf(out, "  \"completed\": %zu,\n  \"faulted\": %zu,\n", completed,
-          faulted);
-  appendf(out, "  \"audit_drift\": %zu,\n", audit_drift);
-  appendf(out, "  \"stalls\": %llu,\n",
-          static_cast<unsigned long long>(stalls_total));
-  out += "  \"stalled_sessions\": [";
-  bool first = true;
-  for (const auto& st : sessions) {
-    if (!st.stalled) continue;
-    appendf(out, "%s%llu", first ? "" : ", ",
-            static_cast<unsigned long long>(st.id));
-    first = false;
-  }
-  out += "]\n}\n";
-  return out;
 }
 
 std::string stitched_trace_json(

@@ -19,10 +19,9 @@
 //    The call is also the stall watchdog: a live session whose progress cell
 //    has not advanced within stall_deadline_s is flagged stalled, its sticky
 //    stall counter bumped, and the snapshot's health degraded to kStalled.
-//  - EngineSnapshot::to_jsonl() / to_openmetrics() / health_json(): the
-//    "ppgr.telemetry.v1" JSONL line, the OpenMetrics exposition page
-//    (validated by scripts/check_openmetrics.py in CI) and the compact
-//    "ppgr.health.v1" document.
+//  - EngineSnapshot::to_jsonl() / to_openmetrics(): the "ppgr.telemetry.v1"
+//    JSONL line and the OpenMetrics exposition page (validated by
+//    scripts/check_openmetrics.py in CI).
 //  - EngineSampler: binds a runtime::TelemetrySampler to an engine — a
 //    background thread snapshotting every period into a JSONL stream and an
 //    atomically-replaced OpenMetrics file.
@@ -83,8 +82,6 @@ struct EngineSnapshot {
   [[nodiscard]] std::string to_jsonl() const;
   /// Full OpenMetrics text exposition page (ends with "# EOF").
   [[nodiscard]] std::string to_openmetrics() const;
-  /// Compact "ppgr.health.v1" document (state + counts + stalled ids).
-  [[nodiscard]] std::string health_json() const;
 };
 
 /// Takes a snapshot; also the stall watchdog (see the header comment).

@@ -110,10 +110,6 @@ std::string session_wide_event_json(const SessionResult& res,
             "\"verdict\": \"%s\"}",
             res.audit->checks, res.audit->findings.size(),
             res.audit->verdict());
-  if (res.flight != nullptr)
-    appendf(out, ", \"flight\": {\"recorded\": %llu, \"dropped\": %llu}",
-            static_cast<unsigned long long>(res.flight->recorded()),
-            static_cast<unsigned long long>(res.flight->dropped()));
   if (res.fault.has_value()) {
     const core::FaultInfo& f = *res.fault;
     appendf(out, ", \"fault\": {\"phase\": \"%s\", \"round\": %zu, ",
@@ -138,11 +134,11 @@ std::string postmortem_json(const SessionResult& res,
   append_escaped(out, res.fault_what);
   out += ",\n  \"event\": ";
   out += session_wide_event_json(res, info);
-  out += ",\n  \"flight\": ";
-  out += res.flight != nullptr ? res.flight->to_json() : std::string("null");
   out += ",\n  \"fault_report\": ";
   out += res.fault_report.has_value() ? res.fault_report->to_json()
                                       : std::string("null");
+  out += ",\n  \"audit\": ";
+  out += res.audit != nullptr ? res.audit->to_json() : std::string("null");
   out += ",\n  \"snapshot\": ";
   if (snapshot_jsonl.empty())
     out += "null";

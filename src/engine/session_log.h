@@ -5,15 +5,16 @@
 //  - "ppgr.session.v1": ONE JSON line per completed session — the wide
 //    event. Everything an operator greps for lives on that line: spec
 //    shape, outcome, per-phase ops/messages/bytes, retry counters, cache
-//    interactions, the audit verdict, flight-ring occupancy and (for
-//    faulted sessions) the fault coordinates. Appended to a JSONL stream
-//    by examples/ppgr_server --session-log-out.
+//    interactions, the audit verdict and (for faulted sessions) the fault
+//    coordinates. Appended to a JSONL stream by examples/ppgr_server
+//    --session-log-out.
 //
 //  - "ppgr.postmortem.v1": the forensic bundle written when a session
-//    faults — the wide event, the full flight recording, the router's
-//    fault report and (optionally) the last live-telemetry snapshot, in
-//    one self-contained document. Written atomically (tmp + rename), so a
-//    crash mid-write never leaves a torn bundle.
+//    faults — the wide event, the router's fault report (the full
+//    injection log), the session's audit report and (optionally) the last
+//    live-telemetry snapshot, in one self-contained document. Every block
+//    but the snapshot is deterministic. Written atomically (tmp + rename),
+//    so a crash mid-write never leaves a torn bundle.
 //
 // Both are observation-only renderings of a SessionResult; nothing here
 // touches engine state.

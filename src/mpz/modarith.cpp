@@ -332,21 +332,4 @@ std::optional<Nat> sqrtmod(const Nat& a, const Nat& p) {
   return r;
 }
 
-BarrettCtx::BarrettCtx(Nat modulus) : m_(std::move(modulus)) {
-  if (m_ <= Nat{1}) throw std::invalid_argument("BarrettCtx: modulus must be > 1");
-  k_ = m_.limb_count();
-  mu_ = Nat::pow2(2 * 64 * k_) / m_;
-}
-
-Nat BarrettCtx::reduce(const Nat& a) const {
-  // Classic Barrett: q = floor(floor(a / b^(k-1)) * mu / b^(k+1)), with
-  // b = 2^64; then at most two correction subtractions.
-  const Nat q1 = a.shr(64 * (k_ - 1));
-  const Nat q2 = Nat::mul(q1, mu_);
-  const Nat q3 = q2.shr(64 * (k_ + 1));
-  Nat r = Nat::sub(a, Nat::mul(q3, m_));
-  while (r >= m_) r = Nat::sub(r, m_);
-  return r;
-}
-
 }  // namespace ppgr::mpz

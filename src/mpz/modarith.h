@@ -1,7 +1,5 @@
 // Number-theoretic helpers over Nat: gcd, modular inverse, general modular
-// exponentiation, Jacobi symbol, modular square roots (Tonelli–Shanks), and a
-// Barrett reduction context for repeated reduction by a fixed (possibly even)
-// modulus.
+// exponentiation, Jacobi symbol and modular square roots (Tonelli–Shanks).
 //
 // gcd, invmod and jacobi are binary kernels: subtract/shift loops on stack
 // limb buffers, with no division and no allocation. Their operands may be at
@@ -32,20 +30,5 @@ namespace ppgr::mpz {
 
 /// Square root of a modulo an odd prime p, if one exists (Tonelli–Shanks).
 [[nodiscard]] std::optional<Nat> sqrtmod(const Nat& a, const Nat& p);
-
-/// Barrett reduction context: amortizes division by a fixed modulus.
-class BarrettCtx {
- public:
-  explicit BarrettCtx(Nat modulus);
-
-  [[nodiscard]] const Nat& modulus() const { return m_; }
-  /// a mod m for a < m^2.
-  [[nodiscard]] Nat reduce(const Nat& a) const;
-
- private:
-  Nat m_;
-  Nat mu_;          // floor(2^(2*64k) / m)
-  std::size_t k_;   // limbs of m
-};
 
 }  // namespace ppgr::mpz

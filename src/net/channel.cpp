@@ -153,7 +153,6 @@ Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
       mailboxes_(parties * parties),
       link_events_(parties * parties, 0),
       progress_(cfg.progress),
-      flight_(cfg.flight),
       transport_(cfg.transport),
       start_(std::chrono::steady_clock::now()) {
   if (parties_ < 2) throw std::invalid_argument("Router: need >= 2 parties");
@@ -187,9 +186,6 @@ void Router::set_phase(runtime::Phase p) {
   if (comm_ != nullptr) comm_->set_phase(p);
   phase_ = p;
   if (progress_ != nullptr) progress_->advance(phase_, round_index_);
-  if (flight_ != nullptr)
-    flight_->record(runtime::FlightEventKind::kPhase, phase_, 0,
-                    static_cast<std::uint32_t>(round_index_));
   if (faults_ == nullptr) return;
   for (const std::size_t party : faults_->crashes_at(p)) {
     if (party >= parties_ || dead_[party] != 0) continue;
@@ -197,11 +193,6 @@ void Router::set_phase(runtime::Phase p) {
     stats_.injected[static_cast<std::size_t>(FaultKind::kCrash)]++;
     events_.push_back(FaultEvent{FaultKind::kCrash, round_index_, party,
                                  party, 0});
-    if (flight_ != nullptr)
-      flight_->record(runtime::FlightEventKind::kInject, phase_,
-                      static_cast<std::uint16_t>(FaultKind::kCrash),
-                      static_cast<std::uint32_t>(party),
-                      static_cast<std::uint32_t>(party));
   }
 }
 
@@ -209,11 +200,6 @@ void Router::note(FaultKind kind, std::size_t src, std::size_t dst,
                   std::size_t attempt) {
   stats_.injected[static_cast<std::size_t>(kind)]++;
   events_.push_back(FaultEvent{kind, round_index_, src, dst, attempt});
-  if (flight_ != nullptr)
-    flight_->record(runtime::FlightEventKind::kInject, phase_,
-                    static_cast<std::uint16_t>(kind),
-                    static_cast<std::uint32_t>(src),
-                    static_cast<std::uint32_t>(dst), attempt);
 }
 
 void Router::account(std::size_t src, std::size_t dst, std::size_t bytes,
@@ -221,10 +207,6 @@ void Router::account(std::size_t src, std::size_t dst, std::size_t bytes,
   if (src >= parties_ || dst >= parties_)
     throw std::invalid_argument("Router: party id out of range");
   trace_.record(src, dst, bytes);
-  if (flight_ != nullptr)
-    flight_->record(runtime::FlightEventKind::kSend, phase_, 0,
-                    static_cast<std::uint32_t>(src),
-                    static_cast<std::uint32_t>(dst), bytes);
   if (comm_ != nullptr) {
     comm_->record(src, dst, bytes);
     round_.push_back(runtime::Transfer{0, src, dst, bytes});
@@ -283,13 +265,7 @@ void Router::faulted_send(
   for (std::size_t attempt = 0;; ++attempt) {
     const FaultDecision d =
         faults_->decide(phase_, round_index_, src, dst, msg, attempt);
-    if (attempt > 0) {
-      stats_.retransmits++;
-      if (flight_ != nullptr)
-        flight_->record(runtime::FlightEventKind::kRetry, phase_, 0,
-                        static_cast<std::uint32_t>(src),
-                        static_cast<std::uint32_t>(dst), attempt);
-    }
+    if (attempt > 0) stats_.retransmits++;
     if (d.drop || d.corrupt) {
       // The attempt consumed wire bytes either way; a corrupted frame also
       // reaches the mailbox, where the receiver's CRC check discards it.
@@ -395,19 +371,10 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::receive(
   if (src >= parties_ || dst >= parties_)
     throw std::invalid_argument("Router: party id out of range");
   if (transport_ != nullptr && !transport_->local(src)) {
-    try {
-      // Not accounted: the sending process accounted it, so the processes'
-      // exports sum to exactly the in-process run's.
-      return std::make_shared<const std::vector<std::uint8_t>>(
-          transport_->receive(src, dst));
-    } catch (const ChannelError& e) {
-      if (flight_ != nullptr)
-        flight_->record(runtime::FlightEventKind::kChannelError, phase_,
-                        static_cast<std::uint16_t>(e.kind()),
-                        static_cast<std::uint32_t>(src),
-                        static_cast<std::uint32_t>(dst));
-      throw;
-    }
+    // Not accounted: the sending process accounted it, so the processes'
+    // exports sum to exactly the in-process run's.
+    return std::make_shared<const std::vector<std::uint8_t>>(
+        transport_->receive(src, dst));
   }
   auto payload = try_receive(src, dst);
   if (payload == nullptr)
@@ -443,11 +410,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::faulted_receive(
     const FailedSend failed = failures_[link].front();
     failures_[link].pop_front();
     rx_seq_[link] = want + 1;
-    if (flight_ != nullptr)
-      flight_->record(runtime::FlightEventKind::kChannelError, phase_,
-                      static_cast<std::uint16_t>(failed.kind),
-                      static_cast<std::uint32_t>(src),
-                      static_cast<std::uint32_t>(dst), want);
     throw ChannelError(
         failed.kind, src, dst, failed.round,
         "Router::receive: " + link_str(src, dst) + " message #" +
@@ -501,11 +463,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::faulted_receive(
         std::move(frame.payload));
   }
   if (dead_[src] != 0) {
-    if (flight_ != nullptr)
-      flight_->record(runtime::FlightEventKind::kChannelError, phase_,
-                      static_cast<std::uint16_t>(ChannelErrorKind::kPeerDead),
-                      static_cast<std::uint32_t>(src),
-                      static_cast<std::uint32_t>(dst));
     throw ChannelError(ChannelErrorKind::kPeerDead, src, dst, round_index_,
                        "Router::receive: " + link_str(src, dst) +
                            " peer P" + std::to_string(src) + " crashed");
@@ -556,9 +513,6 @@ void Router::next_round() {
   trace_.next_round();
   ++round_index_;
   if (progress_ != nullptr) progress_->advance(phase_, round_index_);
-  if (flight_ != nullptr)
-    flight_->record(runtime::FlightEventKind::kRound, phase_, 0, 0, 0,
-                    round_index_);
 }
 
 std::size_t Router::pending() const { return pending_; }

@@ -61,7 +61,6 @@
 #include "net/simulator.h"
 #include "net/topology.h"
 #include "runtime/comm.h"
-#include "runtime/flightrec.h"
 #include "runtime/telemetry.h"
 #include "runtime/trace.h"
 #include "runtime/wire.h"
@@ -240,14 +239,9 @@ class Router {
     /// Optional round-progress hook (live telemetry): notified with the
     /// current (phase, closed-round index) at every set_phase() and
     /// next_round(). Must outlive the router and be safe to call from the
-    /// orchestrator thread while other threads read (runtime::ProgressCell
-    /// is). Null: zero overhead, no behavior change.
-    runtime::ProgressSink* progress = nullptr;
-    /// Optional forensic flight recorder: every phase/round transition,
-    /// accounted send, retransmit, fault injection and surfaced channel
-    /// error is recorded as a typed event. Must outlive the router.
-    /// Observation-only — null means one untaken branch per event site.
-    runtime::FlightRecorder* flight = nullptr;
+    /// orchestrator thread while other threads read. Null: zero overhead,
+    /// no behavior change.
+    runtime::ProgressCell* progress = nullptr;
     /// Optional real transport (DESIGN.md §5f). Null: the in-process
     /// simulator path. Non-null: sends to non-local parties are handed to
     /// the transport (after the usual byte accounting) and receives from
@@ -357,8 +351,7 @@ class Router {
   std::size_t pending_ = 0;
   std::vector<std::uint64_t> link_events_;  // per link: sends so far
 
-  runtime::ProgressSink* progress_ = nullptr;  // round-progress hook
-  runtime::FlightRecorder* flight_ = nullptr;  // forensic event ring
+  runtime::ProgressCell* progress_ = nullptr;  // round-progress hook
 
   // Real-transport state (inert when transport_ == nullptr).
   Transport* transport_ = nullptr;

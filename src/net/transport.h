@@ -12,8 +12,8 @@
 //
 //  - a Transport installed: the Router keeps doing exactly what it is for
 //    (accounting the exact serialized bytes of what this process sends
-//    into the TraceRecorder/CommRegistry, phase/round bookkeeping,
-//    flight-recorder taps) but hands payloads for non-local destinations to the transport
+//    into the TraceRecorder/CommRegistry, phase/round bookkeeping) but
+//    hands payloads for non-local destinations to the transport
 //    and blocks on it for payloads from non-local sources. net::tcp::
 //    TcpTransport is the real-socket implementation (one OS process per
 //    party over length-delimited TCP streams).

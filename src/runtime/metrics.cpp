@@ -50,8 +50,6 @@ const char* op_name(CryptoOp op) {
     case CryptoOp::kDotprodFinish: return "dotprod_finish";
     case CryptoOp::kCompareCircuit: return "compare_circuit";
     case CryptoOp::kShuffleHop: return "shuffle_hop";
-    case CryptoOp::kPrecomputeHit: return "precompute_hit";
-    case CryptoOp::kPrecomputeMiss: return "precompute_miss";
     case CryptoOp::kAccelFixedBaseExp: return "accel_fixed_base_exp";
     case CryptoOp::kAccelBatchInverse: return "accel_batch_inverse";
   }

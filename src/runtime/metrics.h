@@ -102,13 +102,6 @@ enum class CryptoOp : std::uint8_t {
   // framework steps (core/framework.cpp)
   kCompareCircuit,  // one l-bit comparison-circuit evaluation (step 7)
   kShuffleHop,      // one party's hop over one foreign set (step 8)
-  // session-engine precompute cache (src/engine/precompute.h): lookups that
-  // were served from an artifact a prior session built vs. lookups that had
-  // to build the artifact themselves. Counted in the engine's own registry,
-  // never in a session's (a session's counters must not depend on what ran
-  // before it).
-  kPrecomputeHit,
-  kPrecomputeMiss,
   // accelerated-execution diagnostics: how often the hot path took a fast
   // route — fixed-base comb exponentiation through an attached
   // non-generator table (group::AcceleratedGroup), and batched Montgomery
@@ -119,7 +112,7 @@ enum class CryptoOp : std::uint8_t {
   kAccelFixedBaseExp,  // exps served by a non-generator fixed-base table
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
-inline constexpr std::size_t kOpCount = 28;
+inline constexpr std::size_t kOpCount = 26;
 [[nodiscard]] const char* op_name(CryptoOp op);
 
 /// Plain counter block, one slot per CryptoOp.

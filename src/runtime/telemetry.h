@@ -13,11 +13,10 @@
 //
 // Pieces:
 //  - HealthState: the typed ok/degraded/stalled verdict of the watchdog;
-//  - ProgressSink / ProgressCell: the round-progress hook. net::Router
-//    notifies the sink at every phase change and round barrier; ProgressCell
-//    is the lock-free implementation a sampler thread can read while the
-//    protocol thread writes (relaxed atomics — a reader sees a recent,
-//    not-necessarily-latest, coherent (phase, round, when) triple);
+//  - ProgressCell: the round-progress hook. net::Router advances it at
+//    every phase change and round barrier; a sampler thread can read it
+//    while the protocol thread writes (relaxed atomics — a reader sees a
+//    recent, not-necessarily-latest, coherent (phase, round, when) triple);
 //  - OpenMetricsBuilder: renders the OpenMetrics text exposition format
 //    (Prometheus scrape format with `# EOF` terminator);
 //  - TelemetrySampler: a background thread that calls a produce callback
@@ -46,27 +45,17 @@ enum class HealthState : std::uint8_t { kOk = 0, kDegraded = 1, kStalled = 2 };
   return a > b ? a : b;
 }
 
-/// Round-progress hook: net::Router calls advance() at every phase change
-/// and round barrier. Implementations must be callable from the protocol's
-/// orchestrator thread while other threads read (ProgressCell is; a test
-/// double counting calls under a lock is too).
-class ProgressSink {
- public:
-  virtual ~ProgressSink() = default;
-  virtual void advance(Phase phase, std::size_t round) = 0;
-};
-
 /// Lock-free single-writer/many-reader progress cell. The writer is the
 /// session's orchestrator thread (via the Router hook); readers are sampler
 /// / watchdog threads. (phase, round) are packed into one atomic word so a
 /// reader never sees a phase from one round paired with another round's
 /// index; the advance timestamp is a separate relaxed atomic — the watchdog
 /// tolerates it being one advance behind.
-class ProgressCell final : public ProgressSink {
+class ProgressCell {
  public:
   ProgressCell() : state_(0), last_advance_s_(metrics_now_seconds()) {}
 
-  void advance(Phase phase, std::size_t round) override {
+  void advance(Phase phase, std::size_t round) {
     state_.store(pack(phase, round), std::memory_order_relaxed);
     last_advance_s_.store(metrics_now_seconds(), std::memory_order_relaxed);
   }

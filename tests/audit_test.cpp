@@ -9,9 +9,10 @@
 //    kPhaseOps / kSubmissions / kRounds findings (the drift path);
 //  - audit drift escalates engine health to degraded;
 //  - the "ppgr.session.v1" wide event and the atomic "ppgr.postmortem.v1"
-//    bundle render the result faithfully;
-//  - with audit + flight ON, every deterministic export stays bit-identical
-//    to a run with them OFF (the observation-only contract).
+//    bundle render the result faithfully, and the bundle's fault report and
+//    audit blocks are deterministic;
+//  - with audit ON, every deterministic export stays bit-identical to a run
+//    with it OFF (the observation-only contract).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -54,11 +55,10 @@ RankingRequest fig2a_request(std::uint64_t sid, std::size_t n, std::size_t k,
   return req;
 }
 
-SessionResult run_one(RankingRequest req, bool audit, std::size_t flight = 0) {
+SessionResult run_one(RankingRequest req, bool audit) {
   EngineConfig cfg;
   cfg.seed = 7;
   cfg.audit = audit;
-  cfg.flight_events = flight;
   SessionEngine eng{cfg};
   const std::uint64_t id = eng.submit(std::move(req));
   return eng.take(id);
@@ -92,7 +92,6 @@ TEST(ConformanceAudit, AuditOffLeavesResultWithoutReport) {
   const SessionResult res =
       run_one(fig2a_request(1, /*n=*/4, /*k=*/2), /*audit=*/false);
   EXPECT_EQ(res.audit, nullptr);
-  EXPECT_EQ(res.flight, nullptr);
 }
 
 // The injected-tamper path: a session killed by the chaos layer must carry
@@ -100,8 +99,7 @@ TEST(ConformanceAudit, AuditOffLeavesResultWithoutReport) {
 TEST(ConformanceAudit, FaultedRunIsFlaggedWithPhase) {
   RankingRequest req = fig2a_request(1, /*n=*/4, /*k=*/2);
   req.fault_plan = net::parse_fault_plan("seed=7,crash=2@1");
-  const SessionResult res = run_one(std::move(req), /*audit=*/true,
-                                    /*flight=*/256);
+  const SessionResult res = run_one(std::move(req), /*audit=*/true);
   EXPECT_EQ(res.outcome, SessionOutcome::kFault);
   ASSERT_NE(res.audit, nullptr);
   EXPECT_STREQ(res.audit->verdict(), "incomplete");
@@ -111,12 +109,11 @@ TEST(ConformanceAudit, FaultedRunIsFlaggedWithPhase) {
   EXPECT_EQ(f.phase, runtime::Phase::kPhase1);
   EXPECT_EQ(f.key, "fault");
   EXPECT_NE(f.detail.find("phase1"), std::string::npos);
-  // The flight ring survived the unwind and saw the fault event.
-  ASSERT_NE(res.flight, nullptr);
-  bool saw_fault = false;
-  for (const runtime::FlightEvent& e : res.flight->events())
-    saw_fault = saw_fault || e.kind == runtime::FlightEventKind::kFault;
-  EXPECT_TRUE(saw_fault);
+  // The fault report survived the unwind and logged the crash.
+  ASSERT_TRUE(res.fault_report.has_value());
+  ASSERT_EQ(res.fault_report->events.size(), 1u);
+  EXPECT_EQ(res.fault_report->events[0].kind, net::FaultKind::kCrash);
+  EXPECT_EQ(res.fault_report->events[0].src, 2u);
 }
 
 TEST(ConformanceAudit, DegradedRunNamesDroppedParties) {
@@ -257,7 +254,7 @@ TEST_F(HeTamper, RoundCountOffByOneIsRoundsDrift) {
 
 // Engine health: a session whose audit report carries findings (here via a
 // degrade continuation — no protocol fault, so `faulted` stays 0) must
-// escalate the snapshot and the health document to degraded.
+// escalate the snapshot and its telemetry line to degraded.
 TEST(ConformanceAudit, AuditDriftDegradesEngineHealth) {
   EngineConfig cfg;
   cfg.seed = 7;
@@ -275,15 +272,15 @@ TEST(ConformanceAudit, AuditDriftDegradesEngineHealth) {
   EXPECT_EQ(snap.faulted, 0u);
   EXPECT_EQ(snap.audit_drift, 1u);
   EXPECT_EQ(snap.health, runtime::HealthState::kDegraded);
-  EXPECT_NE(snap.health_json().find("\"audit_drift\": 1"), std::string::npos);
+  EXPECT_NE(snap.to_jsonl().find("\"audit_drift\": 1"), std::string::npos);
   // The deterministic rollup's audit section counts the drifted session.
   const std::string rollup = eng.rollup_json();
   EXPECT_NE(rollup.find("\"drifted\": 1"), std::string::npos);
 }
 
 TEST(SessionLog, WideEventLineRendersTheResult) {
-  const SessionResult res = run_one(fig2a_request(9, /*n=*/4, /*k=*/2),
-                                    /*audit=*/true, /*flight=*/128);
+  const SessionResult res =
+      run_one(fig2a_request(9, /*n=*/4, /*k=*/2), /*audit=*/true);
   const SessionLogInfo info{"dl-test-256", 4, 2};
   const std::string line = session_wide_event_json(res, info);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // ONE line
@@ -294,15 +291,13 @@ TEST(SessionLog, WideEventLineRendersTheResult) {
   EXPECT_NE(line.find("\"outcome\": \"ok\""), std::string::npos);
   EXPECT_NE(line.find("\"phase\": \"phase2\""), std::string::npos);
   EXPECT_NE(line.find("\"verdict\": \"clean\""), std::string::npos);
-  EXPECT_NE(line.find("\"flight\""), std::string::npos);
   EXPECT_EQ(line.find("\"fault\""), std::string::npos);  // clean run
 }
 
 TEST(SessionLog, PostmortemBundleIsAtomicAndComplete) {
   RankingRequest req = fig2a_request(3, /*n=*/4, /*k=*/2);
   req.fault_plan = net::parse_fault_plan("seed=7,crash=2@1");
-  const SessionResult res = run_one(std::move(req), /*audit=*/true,
-                                    /*flight=*/64);
+  const SessionResult res = run_one(std::move(req), /*audit=*/true);
   ASSERT_EQ(res.outcome, SessionOutcome::kFault);
   const SessionLogInfo info{"dl-test-256", 4, 2};
 
@@ -322,8 +317,8 @@ TEST(SessionLog, PostmortemBundleIsAtomicAndComplete) {
   EXPECT_NE(doc.find("\"schema\": \"ppgr.postmortem.v1\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"ppgr.session.v1\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ppgr.flight.v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"ppgr.fault.v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"ppgr.audit.v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"snapshot\": null"), std::string::npos);
   std::remove(path.c_str());
 }
@@ -339,14 +334,45 @@ TEST(SessionLog, PostmortemWriteFailureReportsError) {
   EXPECT_FALSE(err.empty());
 }
 
-// The observation-only contract at engine scale: audit + flight ON leaves
-// every deterministic export bit-identical to a run with them OFF.
-TEST(ConformanceAudit, AuditAndFlightDoNotPerturbDeterministicExports) {
+// The postmortem's forensic blocks are deterministic: two engines — one
+// fresh, one that already served another session on a wider pool — run the
+// same faulting request and render byte-identical fault report and audit
+// blocks (everything but the wall-clock wide event and snapshot).
+TEST(SessionLog, PostmortemForensicBlocksAreDeterministic) {
+  const auto forensic_blocks = [](std::size_t parallelism, bool warm) {
+    EngineConfig cfg;
+    cfg.seed = 7;
+    cfg.audit = true;
+    cfg.parallelism = parallelism;
+    SessionEngine eng{cfg};
+    if (warm) (void)eng.take(eng.submit(fig2a_request(1, /*n=*/4, /*k=*/2)));
+    RankingRequest req = fig2a_request(5, /*n=*/4, /*k=*/2);
+    req.fault_plan = net::parse_fault_plan("seed=7,drop=0.2,crash=2@2");
+    const SessionResult res = eng.take(eng.submit(std::move(req)));
+    EXPECT_EQ(res.outcome, SessionOutcome::kFault);
+    const std::string doc =
+        postmortem_json(res, SessionLogInfo{"dl-test-256", 4, 2}, "");
+    const std::size_t from = doc.find("\"fault_report\": ");
+    const std::size_t to = doc.find(",\n  \"snapshot\": ");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    return doc.substr(from, to - from);
+  };
+  const std::string a = forensic_blocks(/*parallelism=*/1, /*warm=*/false);
+  const std::string b = forensic_blocks(/*parallelism=*/2, /*warm=*/true);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a.find("\"ppgr.fault.v1\""), std::string::npos) << a;
+  EXPECT_NE(a.find("\"kind\": \"crash\""), std::string::npos) << a;
+  EXPECT_NE(a.find("\"ppgr.audit.v1\""), std::string::npos) << a;
+}
+
+// The observation-only contract at engine scale: audit ON leaves every
+// deterministic export bit-identical to a run with it OFF.
+TEST(ConformanceAudit, AuditDoesNotPerturbDeterministicExports) {
   const auto run = [](bool observed) {
     EngineConfig cfg;
     cfg.seed = 11;
     cfg.audit = observed;
-    cfg.flight_events = observed ? 512 : 0;
     SessionEngine eng{cfg};
     std::vector<RankingRequest> reqs;
     reqs.push_back(fig2a_request(1, /*n=*/4, /*k=*/2));
@@ -373,8 +399,6 @@ TEST(ConformanceAudit, AuditAndFlightDoNotPerturbDeterministicExports) {
     EXPECT_EQ(a.audit, nullptr);
     ASSERT_NE(b.audit, nullptr);
     EXPECT_TRUE(b.audit->clean());
-    ASSERT_NE(b.flight, nullptr);
-    EXPECT_GT(b.flight->recorded(), 0u);
   }
 }
 

@@ -274,8 +274,7 @@ TEST(EngineFault, WatchdogReportsCrashSessionStalledThenFault) {
         EXPECT_EQ(s.health, runtime::HealthState::kStalled);
         EXPECT_GE(s.stalls_total, 1u);
         EXPECT_NE(s.to_jsonl().find("\"stalled\": true"), std::string::npos);
-        EXPECT_NE(s.health_json().find("\"stalled_sessions\": [" +
-                                       std::to_string(sid) + "]"),
+        EXPECT_NE(s.to_jsonl().find("{\"id\": " + std::to_string(sid) + ","),
                   std::string::npos);
         break;
       }

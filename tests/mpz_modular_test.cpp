@@ -1,5 +1,5 @@
-// Tests for modular arithmetic: Montgomery context, Barrett reduction,
-// gcd/invmod/powmod/jacobi/sqrtmod, primality and the Fp field context.
+// Tests for modular arithmetic: Montgomery context, gcd/invmod/powmod/
+// jacobi/sqrtmod, primality and the Fp field context.
 #include <array>
 #include <random>
 #include <utility>
@@ -322,18 +322,6 @@ TEST(MontLadder, ExpAndDualExpMatchPowm) {
               << "limbs=" << ctx.limbs() << " ex=" << ex.to_hex()
               << " ey=" << ey.to_hex();
         }
-  }
-}
-
-TEST(Barrett, MatchesDivrem) {
-  for (const Nat& m : test_moduli()) {
-    const BarrettCtx ctx{m};
-    ChaChaRng rng{m.to_limb() + 3};
-    for (int i = 0; i < 30; ++i) {
-      // a < m^2 as required.
-      const Nat a = rng.below(m * m);
-      EXPECT_EQ(ctx.reduce(a), a % m);
-    }
   }
 }
 

@@ -136,15 +136,23 @@ TEST(ServerCli, FaultingSessionExitsThreeAndWritesPostmortem) {
   const std::string pm_dir = ::testing::TempDir();
   const std::string slog = temp_path("faulting.slog.jsonl");
   const RunResult r =
-      run_server(req + " --audit --flight-events 256 --postmortem-dir " +
-                 pm_dir + " --session-log-out " + slog);
+      run_server(req + " --audit --postmortem-dir " + pm_dir +
+                 " --session-log-out " + slog);
   EXPECT_EQ(r.exit_code, 3) << r.err;
   EXPECT_NE(r.err.find("session fault"), std::string::npos);
-  // The bundle landed, with the flight recording inside.
+  // The bundle landed: the fault report logs party 2's crash, and the
+  // session's audit report rides along.
   const std::string bundle = slurp(pm_dir + "/session-1.postmortem.json");
   EXPECT_NE(bundle.find("\"schema\": \"ppgr.postmortem.v1\""),
             std::string::npos);
-  EXPECT_NE(bundle.find("\"ppgr.flight.v1\""), std::string::npos);
+  EXPECT_NE(bundle.find("\"ppgr.fault.v1\""), std::string::npos);
+  EXPECT_NE(bundle.find("{\"kind\": \"crash\", \"round\": "),
+            std::string::npos)
+      << bundle;
+  EXPECT_NE(bundle.find("\"src\": 2, \"dst\": 2"), std::string::npos)
+      << bundle;
+  EXPECT_NE(bundle.find("\"ppgr.audit.v1\""), std::string::npos);
+  EXPECT_EQ(bundle.find("\"flight\""), std::string::npos);
   // The wide-event log has one line per session, fault coordinates on the
   // faulted one.
   const std::string log = slurp(slog);

@@ -475,9 +475,9 @@ TEST(EngineTelemetry, StitchedTraceMergesSessionTimelines) {
             std::string::npos);
 }
 
-// Drained-engine health document: the compact ppgr.health.v1 export used by
-// ppgr_server --health-out.
-TEST(EngineTelemetry, HealthDocumentReflectsDrainedEngine) {
+// Drained-engine health on the ppgr.telemetry.v1 line: the verdict, the
+// counts and no live sessions.
+TEST(EngineTelemetry, TelemetryLineReflectsDrainedEngine) {
   PrecomputeCache cache;
   EngineConfig cfg;
   cfg.seed = 3;
@@ -487,12 +487,14 @@ TEST(EngineTelemetry, HealthDocumentReflectsDrainedEngine) {
   reqs.push_back(make_request(1, /*n=*/4, /*k=*/1));
   (void)engine.run_batch(std::move(reqs));
 
-  const std::string doc = snapshot(engine, 60.0).health_json();
-  EXPECT_NE(doc.find("\"schema\": \"ppgr.health.v1\""), std::string::npos)
+  const std::string doc = snapshot(engine, 60.0).to_jsonl();
+  EXPECT_NE(doc.find("\"schema\": \"ppgr.telemetry.v1\""),
+            std::string::npos)
       << doc;
-  EXPECT_NE(doc.find("\"state\": \"ok\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"health\": \"ok\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"completed\": 1"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"stalled_sessions\": []"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"audit_drift\": 0"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"sessions\": []"), std::string::npos) << doc;
 }
 
 }  // namespace
