@@ -15,9 +15,10 @@
 //  - --check-comm mode (run as the `comm_validation` ctest): runs the real
 //    framework and asserts the message trace recorded on the wire (every
 //    message serialized through net::Router) equals
-//    benchcore::model_he_schedule element for element, with the same round
-//    count, and that the CommRegistry's per-(phase, link) message/byte
-//    totals match benchcore::model_he_comm exactly. A codec or protocol
+//    benchcore::model_he_schedule element for element (phase, round,
+//    endpoints, bytes), with the same round count, and that the comm
+//    report's per-(phase, link) message/byte totals match
+//    benchcore::model_he_comm exactly. A codec or protocol
 //    change that alters either side fails CI.
 #include <algorithm>
 #include <cstdio>
@@ -124,13 +125,14 @@ int run_check_comm() {
        ++i) {
     const runtime::Transfer& ms = trace[i];
     const runtime::Transfer& md = schedule.transfers[i];
-    if (ms.round == md.round && ms.src == md.src && ms.dst == md.dst &&
-        ms.bytes == md.bytes)
+    if (ms.phase == md.phase && ms.round == md.round && ms.src == md.src &&
+        ms.dst == md.dst && ms.bytes == md.bytes)
       continue;
     std::fprintf(stderr,
-                 "SCHEDULE drift at message %zu: measured round %zu %zu->%zu "
-                 "%zu B, model round %zu %zu->%zu %zu B\n",
-                 i, ms.round, ms.src, ms.dst, ms.bytes, md.round, md.src,
+                 "SCHEDULE drift at message %zu: measured %s round %zu "
+                 "%zu->%zu %zu B, model %s round %zu %zu->%zu %zu B\n",
+                 i, runtime::phase_name(ms.phase), ms.round, ms.src, ms.dst,
+                 ms.bytes, runtime::phase_name(md.phase), md.round, md.src,
                  md.dst, md.bytes);
     ++failures;
   }
@@ -178,19 +180,6 @@ int run_check_comm() {
   if (measured.size() != modeled.size()) {
     std::fprintf(stderr, "LINK COUNT drift: measured %zu links, model %zu\n",
                  measured.size(), modeled.size());
-    ++failures;
-  }
-
-  // Cross-pillar consistency: the comm registry and the replayable trace
-  // must account for the same wire, byte for byte.
-  if (real.comm->total_bytes() != real.trace.total_bytes() ||
-      real.comm->message_count() != real.trace.message_count()) {
-    std::fprintf(stderr,
-                 "PILLAR drift: comm bytes=%llu msgs=%zu vs trace bytes=%zu "
-                 "msgs=%zu\n",
-                 static_cast<unsigned long long>(real.comm->total_bytes()),
-                 real.comm->message_count(), real.trace.total_bytes(),
-                 real.trace.message_count());
     ++failures;
   }
 

@@ -235,7 +235,8 @@ void print_usage(const char* prog, std::FILE* out) {
       "  --fault-out FILE   write the transport fault report as JSON\n"
       "                     (schema ppgr.fault.v1)\n"
       "  --comm-out FILE    write measured communication as JSON (schema\n"
-      "                     ppgr.comm.v1; round timings are wall-clock)\n"
+      "                     ppgr.comm.v1): this process's sends, replayed\n"
+      "                     on the virtual network after the run\n"
       "  --quiet            suppress the participant's own-rank line\n"
       "  --help             show this message\n",
       prog);

@@ -5,12 +5,14 @@
 # scheduler, the framework suites and runtime_pool_test with real threads.
 #
 # The `metrics` mode is the focused observability leg: it runs the metrics
-# unit tests, the golden exporter test and the model-vs-measured self-checks
-# (bench/validate_model --check and --check-comm) under ASan+UBSan — CI
-# fails on any counter drift between the runtime metrics and the analytical
-# cost model, or any wire-byte drift between the measured communication and
-# the closed-form comm model. The full asan/plain legs also include these
-# tests via ctest.
+# unit tests, the golden exporter test, the model-vs-measured self-checks
+# (bench/validate_model --check and --check-comm) and every test of the
+# comm report built from the transfer log (net_test's Router cases,
+# fault_test's delay-spike case, tcp_transport's socket flow parity) under
+# ASan+UBSan — CI fails on any counter drift between the runtime metrics and
+# the analytical cost model, or any wire-byte drift between the measured
+# communication and the closed-form comm model. The full asan/plain legs
+# also include these tests via ctest.
 #
 # The `engine` mode is the session-engine concurrency leg: it runs the
 # engine tests (admission cap, the shared generator-table cache, an engine
@@ -162,7 +164,7 @@ case "${MODE}" in
   # ctest args (e.g. -R '.') to widen.
   tsan) run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos' ;;
   engine) run_leg tsan -R 'engine' ;;
-  metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test' ;;
+  metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test|tcp_transport|^fault_test$' ;;
   chaos)
     run_leg asan -R '^fault_test$|chaos_test|wire_test|security_test'
     run_leg tsan -R 'engine_fault'

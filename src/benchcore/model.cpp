@@ -223,8 +223,8 @@ HeSchedule model_he_schedule(const ProblemSpec& spec, std::size_t n,
   HeSchedule s;
   Phase phase = Phase::kPhase1;
   const auto send = [&](std::size_t src, std::size_t dst, std::size_t bytes) {
-    s.transfers.push_back(runtime::Transfer{s.rounds, src, dst, bytes});
-    s.phases.push_back(phase);
+    s.transfers.push_back(
+        runtime::Transfer{s.rounds, src, dst, bytes, phase});
   };
   // Every participant's broadcast in id order: party a runs to its round
   // barrier before a+1 takes over.
@@ -334,9 +334,8 @@ std::vector<runtime::CommLink> model_he_comm(
   std::map<std::tuple<runtime::Phase, std::size_t, std::size_t>,
            std::pair<std::uint64_t, std::uint64_t>>
       acc;
-  for (std::size_t i = 0; i < s.transfers.size(); ++i) {
-    const runtime::Transfer& t = s.transfers[i];
-    auto& slot = acc[{s.phases[i], t.src, t.dst}];
+  for (const runtime::Transfer& t : s.transfers) {
+    auto& slot = acc[{t.phase, t.src, t.dst}];
     slot.first += 1;
     slot.second += t.bytes;
   }

@@ -112,12 +112,11 @@ struct HeOpModel {
 
 /// Closed-form message schedule of one HE run: every message, in the order
 /// the Router accounts it — what TraceRecorder::transfers() records for a
-/// real run, byte for byte. Phase 1 takes rounds 0-1, phase 2 the next
-/// n + 5 (key shares, proofs, an empty joint-key round, β bits, sets to P1,
-/// then one round per chain hop), phase 3 the last one.
+/// real run, byte for byte and phase for phase. Phase 1 takes rounds 0-1,
+/// phase 2 the next n + 5 (key shares, proofs, an empty joint-key round,
+/// β bits, sets to P1, then one round per chain hop), phase 3 the last one.
 struct HeSchedule {
   std::vector<runtime::Transfer> transfers;
-  std::vector<runtime::Phase> phases;  // the phase of each transfer
   /// Closed rounds (Router::round_index() after phase 3), empty included.
   std::size_t rounds = 0;
   /// Rounds carrying at least one message (TraceRecorder::rounds()).

@@ -23,8 +23,9 @@
 // launches the same program once per party over one shared net::Router).
 // Every inter-party message is serialized for real through the wire codecs;
 // the Router accounts the exact byte counts into a runtime::TraceRecorder
-// (and, with metrics on, a runtime::CommRegistry with simulated
-// virtual-time delivery), and the run accounts per-party computation time —
+// (from which, with metrics on, the run computes a runtime::CommRegistry
+// with simulated virtual-time delivery), and the run accounts per-party
+// computation time —
 // producing both the protocol outputs and the observability data the
 // benchmarks (Figs. 2 and 3) need.
 #pragma once
@@ -128,8 +129,7 @@ class AuditSink {
  public:
   virtual ~AuditSink() = default;
   virtual void phase_complete(runtime::Phase phase,
-                              const runtime::MetricsRegistry* metrics,
-                              const runtime::CommRegistry* comm) = 0;
+                              const runtime::MetricsRegistry* metrics) = 0;
   virtual void run_complete(const std::vector<std::size_t>& submitted_ids,
                             const runtime::MetricsRegistry* metrics,
                             const runtime::CommRegistry* comm,
@@ -304,10 +304,11 @@ struct FrameworkResult {
   std::unique_ptr<runtime::MetricsRegistry> metrics;
   std::unique_ptr<runtime::SpanRecorder> spans;
   /// Measured communication: per-message flows with exact serialized bytes
-  /// and virtual-time delivery segments. Exporters: comm->to_json()
-  /// ("ppgr.comm.v1"), comm->chrome_trace_json() (flow events). Populated
-  /// iff FrameworkConfig::metrics; the TraceRecorder byte accounting is
-  /// always on.
+  /// and virtual-time delivery segments, computed from `trace` after the
+  /// run (net::comm_report). Exporters: comm->to_json() ("ppgr.comm.v1"),
+  /// comm->chrome_trace_json() (flow events). Populated iff
+  /// FrameworkConfig::metrics; the TraceRecorder byte accounting is always
+  /// on.
   std::unique_ptr<runtime::CommRegistry> comm;
   /// Participants (1-based) that completed the run. All of 1..n normally;
   /// the survivor set after a degrade-on-dropout continuation. For dropped

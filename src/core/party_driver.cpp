@@ -16,6 +16,7 @@
 #include "group/accel_group.h"
 #include "group/metered_group.h"
 #include "net/channel.h"
+#include "net/simulator.h"
 #include "runtime/thread_pool.h"
 #include "runtime/wire.h"
 #include "sss/mpc_sort.h"
@@ -78,8 +79,7 @@ ProtocolFault make_fault(const FrameworkConfig& cfg, Phase phase,
 // and keeps the run-wide state below.
 struct Host {
   Host(const FrameworkConfig& cfg, const SsFrameworkConfig* ss, Rng& rng,
-       runtime::TraceRecorder& trace, runtime::CommRegistry* comm,
-       net::Transport* transport)
+       runtime::TraceRecorder& trace, net::Transport* transport)
       : base(*cfg.group),
         accel(base),
         metered(accel),
@@ -98,7 +98,7 @@ struct Host {
     fw.group = cfg.metrics ? static_cast<const Group*>(&metered) : &accel;
     if (transport == nullptr) baton.emplace(cfg.n + 1);
     // (A transport rejects a fault plan.)
-    router.emplace(cfg.n + 1, trace, comm,
+    router.emplace(cfg.n + 1, trace,
                    net::Router::Config{.faults = cfg.fault_plan,
                                        .progress = cfg.progress,
                                        .transport = transport});
@@ -115,7 +115,7 @@ struct Host {
       return;
     }
     if (fw.audit != nullptr && phase != Phase::kSetup)
-      fw.audit->phase_complete(phase, metrics, result->comm.get());
+      fw.audit->phase_complete(phase, metrics);
     router->set_phase(p);
     phase = p;
     const char* name = p == Phase::kPhase1   ? "phase1.gain_computation"
@@ -776,10 +776,8 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
         "run_party: SS needs threshold >= 1 and n >= 2t+1");
 
   PartyResult result;
-  if (cfg.fw.metrics) result.comm = std::make_unique<runtime::CommRegistry>();
   const SsFrameworkConfig ss{.base = cfg.fw, .threshold = cfg.ss_threshold};
-  Host host{cfg.fw,       cfg.ss ? &ss : nullptr, rng,
-            result.trace, result.comm.get(),      &transport};
+  Host host{cfg.fw, cfg.ss ? &ss : nullptr, rng, result.trace, &transport};
   Party party{host, me, result};
   // Over a transport a receive blocks instead of suspending, so the
   // program runs to completion in one go.
@@ -787,6 +785,9 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
   program.handle().resume();
   if (program.error()) std::rethrow_exception(program.error());
   result.faults = host.router->fault_report();
+  if (cfg.fw.metrics)
+    result.comm =
+        std::make_unique<runtime::CommRegistry>(net::comm_report(result.trace));
   return result;
 }
 
@@ -816,9 +817,8 @@ SsFrameworkResult launch(const FrameworkConfig& cfg,
   if (cfg.metrics) {
     res.metrics = std::make_unique<runtime::MetricsRegistry>();
     res.spans = std::make_unique<runtime::SpanRecorder>();
-    res.comm = std::make_unique<runtime::CommRegistry>();
   }
-  Host host{cfg, ss, rng, res.trace, res.comm.get(), nullptr};
+  Host host{cfg, ss, rng, res.trace, nullptr};
   host.metrics = res.metrics.get();
   host.spans = res.spans.get();
   host.result = &res;
@@ -879,8 +879,11 @@ SsFrameworkResult launch(const FrameworkConfig& cfg,
   for (std::size_t p = 0; p <= n; ++p)
     res.compute_seconds.push_back(host.timer.seconds(p));
 
+  if (cfg.metrics)
+    res.comm =
+        std::make_unique<runtime::CommRegistry>(net::comm_report(res.trace));
   if (cfg.audit != nullptr) {
-    cfg.audit->phase_complete(host.phase, res.metrics.get(), res.comm.get());
+    cfg.audit->phase_complete(host.phase, res.metrics.get());
     cfg.audit->run_complete(res.submitted_ids, res.metrics.get(),
                             res.comm.get(), router.round_index());
   }

@@ -65,7 +65,8 @@ struct PartyResult {
   std::vector<std::size_t> submitted_ranks;
   /// Exact byte accounting of what this process sent.
   runtime::TraceRecorder trace;
-  /// Measured communication with wall-clock round timings; iff fw.metrics.
+  /// The comm report of this process's sends (net::comm_report of
+  /// `trace`), built after the run; iff fw.metrics.
   std::unique_ptr<runtime::CommRegistry> comm;
   /// Transport frame-level counters in the ppgr.fault.v1 taxonomy.
   net::FaultReport faults;

@@ -142,10 +142,8 @@ void ConformanceAuditor::check_count(AuditCheckKind kind, Phase phase,
                                           .detail = what});
 }
 
-void ConformanceAuditor::phase_complete(Phase phase,
-                                        const runtime::MetricsRegistry* metrics,
-                                        const runtime::CommRegistry* comm) {
-  (void)comm;  // byte-exact comm is a whole-run check (run_complete)
+void ConformanceAuditor::phase_complete(
+    Phase phase, const runtime::MetricsRegistry* metrics) {
   ++report_.checkpoints;
   const auto pi = static_cast<std::size_t>(phase);
   if (metrics != nullptr && pi < runtime::kPhaseCount && check_ops_[pi]) {

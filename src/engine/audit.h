@@ -2,12 +2,14 @@
 // audit").
 //
 // The repo carries two independent descriptions of every protocol run: the
-// *measured* one (runtime::MetricsRegistry / runtime::CommRegistry, filled
-// by the run itself) and the *modeled* one (benchcore's closed forms — the
-// Sec. VI analysis made exact). ConformanceAuditor wires the two together
-// while a session runs: it is a core::AuditSink the frameworks call at every
-// phase boundary, comparing the running counters against what the model
-// says they must be and emitting a typed AuditFinding for every divergence.
+// *measured* one (runtime::MetricsRegistry, filled by the run itself, and
+// the runtime::CommRegistry report computed from the run's transfer log)
+// and the *modeled* one (benchcore's closed forms — the Sec. VI analysis
+// made exact). ConformanceAuditor wires the two together while a session
+// runs: it is a core::AuditSink the frameworks call at every phase boundary
+// (op counters) and at run end (op counters, rounds and comm), comparing
+// the measurements against what the model says they must be and emitting a
+// typed AuditFinding for every divergence.
 //
 // Expectations per framework:
 //  - HE: phase 1 plus closed forms. At construction the auditor runs phase 1
@@ -113,8 +115,7 @@ class ConformanceAuditor final : public core::AuditSink {
 
   // core::AuditSink --------------------------------------------------------
   void phase_complete(runtime::Phase phase,
-                      const runtime::MetricsRegistry* metrics,
-                      const runtime::CommRegistry* comm) override;
+                      const runtime::MetricsRegistry* metrics) override;
   void run_complete(const std::vector<std::size_t>& submitted_ids,
                     const runtime::MetricsRegistry* metrics,
                     const runtime::CommRegistry* comm,

@@ -11,8 +11,7 @@
 // family and benchcore::model_he_ops can state them in closed form.
 //
 // With no metrics sink installed on the calling thread, each report is a
-// thread-local load plus an untaken branch; with PPGR_DISABLE_METRICS the
-// decorator degenerates to pure forwarding.
+// thread-local load plus an untaken branch.
 #pragma once
 
 #include "group/group.h"

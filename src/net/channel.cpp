@@ -1,22 +1,14 @@
 #include "net/channel.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
+#include "net/simulator.h"
 #include "net/transport.h"
 
 namespace ppgr::net {
 
 namespace {
-
-Topology complete_graph(std::size_t nodes) {
-  std::vector<Edge> edges;
-  edges.reserve(nodes * (nodes - 1) / 2);
-  for (std::size_t a = 0; a < nodes; ++a)
-    for (std::size_t b = a + 1; b < nodes; ++b) edges.push_back(Edge{a, b});
-  return Topology{nodes, std::move(edges)};
-}
 
 std::string link_str(std::size_t src, std::size_t dst) {
   return "P" + std::to_string(src) + "->P" + std::to_string(dst);
@@ -134,46 +126,27 @@ void Baton::run(std::vector<Task<>>& programs) {
 
 // ---------------- Router ----------------
 
-Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
-               runtime::CommRegistry* comm)
-    : Router(parties, trace, comm, Config{}) {}
+Router::Router(std::size_t parties, runtime::TraceRecorder& trace)
+    : Router(parties, trace, Config{}) {}
 
 Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
-               runtime::CommRegistry* comm, Config cfg)
+               Config cfg)
     : parties_(parties),
       trace_(trace),
-      comm_(comm),
-      owned_topo_(cfg.topo != nullptr
-                      ? std::nullopt
-                      : std::optional<Topology>{complete_graph(parties)}),
-      topo_(cfg.topo != nullptr ? cfg.topo : &*owned_topo_),
-      node_of_(cfg.topo != nullptr ? std::move(cfg.node_of)
-                                   : std::vector<std::size_t>{}),
-      sim_(*topo_, cfg.sim),
       mailboxes_(parties * parties),
       link_events_(parties * parties, 0),
       progress_(cfg.progress),
-      transport_(cfg.transport),
-      start_(std::chrono::steady_clock::now()) {
+      transport_(cfg.transport) {
   if (parties_ < 2) throw std::invalid_argument("Router: need >= 2 parties");
   if (transport_ != nullptr && cfg.faults != nullptr && cfg.faults->enabled())
     throw std::invalid_argument(
-        "Router: fault injection requires the in-process simulator "
-        "transport (the retry ladder is a mailbox construct)");
-  if (node_of_.empty()) {
-    node_of_.resize(parties_);
-    for (std::size_t p = 0; p < parties_; ++p) node_of_[p] = p;
-  }
-  if (node_of_.size() != parties_)
-    throw std::invalid_argument("Router: node_of size != parties");
-  for (const std::size_t node : node_of_)
-    if (node >= topo_->nodes())
-      throw std::invalid_argument("Router: node_of entry out of range");
+        "Router: fault injection requires the in-process mailboxes (the "
+        "retry ladder is a mailbox construct)");
   // A disabled plan is indistinguishable from no plan: every fault branch
   // below keys off faults_ != nullptr.
   if (cfg.faults != nullptr && cfg.faults->enabled()) {
     faults_ = cfg.faults;
-    deadline_s_ = faults_->effective_deadline(cfg.sim.latency_s);
+    deadline_s_ = faults_->effective_deadline(SimulatorConfig{}.latency_s);
     dead_.assign(parties_, 0);
     tx_seq_.assign(parties_ * parties_, 0);
     rx_seq_.assign(parties_ * parties_, 0);
@@ -183,7 +156,6 @@ Router::Router(std::size_t parties, runtime::TraceRecorder& trace,
 }
 
 void Router::set_phase(runtime::Phase p) {
-  if (comm_ != nullptr) comm_->set_phase(p);
   phase_ = p;
   if (progress_ != nullptr) progress_->advance(phase_, round_index_);
   if (faults_ == nullptr) return;
@@ -203,15 +175,10 @@ void Router::note(FaultKind kind, std::size_t src, std::size_t dst,
 }
 
 void Router::account(std::size_t src, std::size_t dst, std::size_t bytes,
-                     double extra_delay_s) {
+                     double delay_s) {
   if (src >= parties_ || dst >= parties_)
     throw std::invalid_argument("Router: party id out of range");
-  trace_.record(src, dst, bytes);
-  if (comm_ != nullptr) {
-    comm_->record(src, dst, bytes);
-    round_.push_back(runtime::Transfer{0, src, dst, bytes});
-    if (faults_ != nullptr) round_extra_.push_back(extra_delay_s);
-  }
+  trace_.record(phase_, src, dst, bytes, delay_s);
 }
 
 std::deque<std::shared_ptr<const std::vector<std::uint8_t>>>&
@@ -227,7 +194,7 @@ void Router::send(std::size_t src, std::size_t dst,
     return;
   }
   if (transport_ != nullptr && !transport_->local(dst)) {
-    // Account first (the trace/registry view is "bytes put on the wire"),
+    // Account first (the trace records "bytes put on the wire"),
     // then hand the payload to the transport, which frames and ships it.
     account(src, dst, payload->size());
     transport_->send(src, dst, *payload);
@@ -291,7 +258,7 @@ void Router::faulted_send(
       }
       // Ladder advance: one simulated round trip (the receiver's missing
       // ack) plus the exponential backoff before the retransmit.
-      elapsed_s += 2.0 * sim_.config().latency_s;
+      elapsed_s += 2.0 * SimulatorConfig{}.latency_s;
       if (attempt >= faults_->config().max_retries) {
         stats_.giveups++;
         failures_[link].push_back(
@@ -471,45 +438,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> Router::faulted_receive(
 }
 
 void Router::next_round() {
-  if (comm_ != nullptr && transport_ != nullptr) {
-    // Real transport: no virtual timeline to replay — stamp every flow of
-    // the round with the measured wall clock. All of a round's flows share
-    // its open/close instants; the elapsed time counts as queueing, so the
-    // deliver - send == tx + prop + queue invariant holds.
-    const double now_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-    const double elapsed_s = now_s - round_open_s_;
-    std::vector<runtime::FlowTiming> timings(round_.size());
-    for (auto& t : timings) {
-      t.send_s = round_open_s_;
-      t.deliver_s = now_s;
-      t.tx_s = 0.0;
-      t.prop_s = 0.0;
-      t.queue_s = elapsed_s;
-    }
-    comm_->close_round(timings, elapsed_s);
-    round_.clear();
-    round_open_s_ = now_s;
-  } else if (comm_ != nullptr) {
-    auto detail = sim_.replay_detailed(round_, node_of_);
-    double round_seconds = detail.summary.total_seconds;
-    if (faults_ != nullptr) {
-      // Injected delay spikes stretch the affected flows' delivery (and the
-      // round, if they finish last). The extra time is queueing from the
-      // flow's perspective, so the deliver - send == tx + prop + queue
-      // invariant is preserved.
-      for (std::size_t i = 0; i < detail.timings.size(); ++i) {
-        if (round_extra_[i] <= 0.0) continue;
-        detail.timings[i].deliver_s += round_extra_[i];
-        detail.timings[i].queue_s += round_extra_[i];
-        round_seconds = std::max(round_seconds, detail.timings[i].deliver_s);
-      }
-      round_extra_.clear();
-    }
-    comm_->close_round(detail.timings, round_seconds);
-    round_.clear();
-  }
   trace_.next_round();
   ++round_index_;
   if (progress_ != nullptr) progress_->advance(phase_, round_index_);

@@ -3,14 +3,12 @@
 // net::Router is the single choke point every inter-party message of the
 // in-process frameworks goes through: a send hands over *serialized* bytes
 // (produced by the wire codecs of crypto/codec.h and core/codec.h), the
-// router accounts the exact byte count in the runtime::TraceRecorder (the
-// replayable transfer log) and the runtime::CommRegistry (the measured
-// communication view), and enqueues the payload in a FIFO per-(src, dst)
-// mailbox for the destination to receive() and decode. next_round() is the
-// synchronous round barrier: it closes the trace round and replays the
-// round's transfers through net::Simulator on the router's topology,
-// stamping each flow with its simulated queueing / transmission /
-// propagation segments on the virtual timeline.
+// router records the exact byte count, the phase and any injected delay in
+// the runtime::TraceRecorder — the one transfer log, from which
+// net::comm_report() computes the "ppgr.comm.v1" report after the run —
+// and enqueues the payload in a FIFO per-(src, dst) mailbox for the
+// destination to receive() and decode. next_round() is the synchronous
+// round barrier: it closes the trace round.
 //
 // Two send flavours (DESIGN.md Sec. 5d):
 //  - send(): payload retained and later receive()d — the bytes a decoding
@@ -35,18 +33,12 @@
 // a phase onward, and a permanently undeliverable message turns the
 // matching receive() into a typed net::ChannelError. All injection happens
 // at this serial choke point, keyed by counter-seeded streams, so the fault
-// schedule is bit-identical at any --parallelism. Without a plan every
+// schedule is bit-identical at any --parallelism. The retry ladder and the
+// deadline run on the stock simulator link latency. Without a plan every
 // fault branch is skipped and the wire format, byte accounting and exports
 // are unchanged.
-//
-// The default topology is the complete graph over the parties (party p on
-// node p) with the simulator's stock 2 Mbps / 50 ms links: every pair is
-// directly connected, so virtual times reflect per-link serialization and
-// contention, not routing detours. Benches that want the paper's sparse
-// 80-node network pass an explicit topology + placement.
 #pragma once
 
-#include <chrono>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -58,9 +50,6 @@
 #include <vector>
 
 #include "net/fault.h"
-#include "net/simulator.h"
-#include "net/topology.h"
-#include "runtime/comm.h"
 #include "runtime/telemetry.h"
 #include "runtime/trace.h"
 #include "runtime/wire.h"
@@ -227,12 +216,6 @@ class Baton {
 class Router {
  public:
   struct Config {
-    SimulatorConfig sim{};
-    /// Optional explicit topology and party -> node placement; both must be
-    /// set together and node_of must have one entry per party. Default:
-    /// complete graph with party p on node p.
-    const Topology* topo = nullptr;
-    std::vector<std::size_t> node_of{};
     /// Optional fault schedule; must outlive the router. A null or disabled
     /// plan leaves the router's behavior (and wire bytes) untouched.
     const FaultPlan* faults = nullptr;
@@ -243,28 +226,22 @@ class Router {
     /// no behavior change.
     runtime::ProgressCell* progress = nullptr;
     /// Optional real transport (DESIGN.md §5f). Null: the in-process
-    /// simulator path. Non-null: sends to non-local parties are handed to
-    /// the transport (after the usual byte accounting) and receives from
+    /// mailboxes. Non-null: sends to non-local parties are handed to the
+    /// transport (after the usual byte accounting) and receives from
     /// non-local parties block on it, unaccounted (the sender's process
-    /// accounted them); next_round() stamps wall-clock flow
-    /// timings instead of replaying the virtual-time simulator. Must
-    /// outlive the router. Mutually exclusive with `faults` — the injection
-    /// ladder is a simulator-mailbox construct.
+    /// accounted them). Must outlive the router. Mutually exclusive with
+    /// `faults` — the injection ladder is a mailbox construct.
     Transport* transport = nullptr;
   };
 
-  /// `trace` must outlive the router; `comm` may be null (byte accounting
-  /// into the trace only — no flow records, no virtual-time simulation).
-  Router(std::size_t parties, runtime::TraceRecorder& trace,
-         runtime::CommRegistry* comm);
-  Router(std::size_t parties, runtime::TraceRecorder& trace,
-         runtime::CommRegistry* comm, Config cfg);
+  /// `trace` must outlive the router.
+  Router(std::size_t parties, runtime::TraceRecorder& trace);
+  Router(std::size_t parties, runtime::TraceRecorder& trace, Config cfg);
 
   [[nodiscard]] std::size_t parties() const { return parties_; }
 
-  /// Forwards the attribution phase to the comm registry (no-op without
-  /// one) and, under a fault plan, activates the crash points scheduled for
-  /// this phase.
+  /// Sets the phase recorded with every later message and, under a fault
+  /// plan, activates the crash points scheduled for this phase.
   void set_phase(runtime::Phase p);
 
   /// Serialized send: accounts payload->size() bytes on (src, dst) and
@@ -295,8 +272,7 @@ class Router {
     return link_events_[src * parties_ + dst];
   }
 
-  /// Round barrier: simulates the round's messages on the virtual network
-  /// (filling the comm registry's flow timings) and closes the trace round.
+  /// Round barrier: closes the trace round.
   void next_round();
 
   /// Pending (sent, not yet received) payloads across all mailboxes; a
@@ -326,7 +302,7 @@ class Router {
   };
 
   void account(std::size_t src, std::size_t dst, std::size_t bytes,
-               double extra_delay_s = 0.0);
+               double delay_s = 0.0);
   [[nodiscard]] std::deque<std::shared_ptr<const std::vector<std::uint8_t>>>&
   mailbox(std::size_t src, std::size_t dst);
   void faulted_send(std::size_t src, std::size_t dst,
@@ -340,35 +316,24 @@ class Router {
 
   std::size_t parties_;
   runtime::TraceRecorder& trace_;
-  runtime::CommRegistry* comm_;
-  std::optional<Topology> owned_topo_;
-  const Topology* topo_;
-  std::vector<std::size_t> node_of_;
-  Simulator sim_;
   std::vector<std::deque<std::shared_ptr<const std::vector<std::uint8_t>>>>
       mailboxes_;
-  std::vector<runtime::Transfer> round_;  // current round, for the simulator
   std::size_t pending_ = 0;
   std::vector<std::uint64_t> link_events_;  // per link: sends so far
+  runtime::Phase phase_ = runtime::Phase::kSetup;
+  std::size_t round_index_ = 0;
 
   runtime::ProgressCell* progress_ = nullptr;  // round-progress hook
-
-  // Real-transport state (inert when transport_ == nullptr).
-  Transport* transport_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};  // wall-clock origin
-  double round_open_s_ = 0.0;  // seconds since start_ at last round barrier
+  Transport* transport_ = nullptr;  // null: in-process mailboxes
 
   // Fault-plan state (inert when faults_ == nullptr).
   const FaultPlan* faults_ = nullptr;
   double deadline_s_ = 0.0;
-  runtime::Phase phase_ = runtime::Phase::kSetup;
-  std::size_t round_index_ = 0;
   std::vector<char> dead_;
   std::vector<std::uint32_t> tx_seq_;   // per link: next frame sequence
   std::vector<std::uint32_t> rx_seq_;   // per link: next expected sequence
   std::vector<std::uint32_t> msg_ctr_;  // per link: fault-schedule msg index
   std::vector<std::deque<FailedSend>> failures_;
-  std::vector<double> round_extra_;  // per round_ entry: injected delay
   FaultStats stats_;
   std::vector<FaultEvent> events_;
 };

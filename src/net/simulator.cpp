@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -151,11 +152,56 @@ DetailedSimulationResult Simulator::replay_detailed(
   return result;
 }
 
-double Simulator::send_once(std::size_t src_node, std::size_t dst_node,
-                            std::size_t bytes) {
-  const runtime::Transfer t{0, 0, 1, bytes};
-  const std::size_t nodes[] = {src_node, dst_node};
-  return replay(std::span{&t, 1}, nodes).total_seconds;
+runtime::CommRegistry comm_report(const runtime::TraceRecorder& trace) {
+  const std::vector<runtime::Transfer>& log = trace.transfers();
+  const std::size_t closed = trace.closed_rounds();
+  std::size_t nodes = 2;
+  for (const runtime::Transfer& t : log)
+    nodes = std::max({nodes, t.src + 1, t.dst + 1});
+  std::vector<Edge> edges;
+  for (std::size_t a = 0; a < nodes; ++a)
+    for (std::size_t b = a + 1; b < nodes; ++b) edges.push_back(Edge{a, b});
+  const Topology complete{nodes, std::move(edges)};
+  Simulator sim{complete, SimulatorConfig{}};
+  std::vector<std::size_t> node_of(nodes);
+  std::iota(node_of.begin(), node_of.end(), std::size_t{0});
+
+  std::vector<runtime::FlowRecord> flows;
+  flows.reserve(log.size());
+  for (const runtime::Transfer& t : log)
+    flows.push_back(
+        runtime::FlowRecord{t.phase, t.round, t.src, t.dst, t.bytes, {}});
+  double clock = 0.0;
+  std::array<double, runtime::kPhaseCount> phase_s{};
+  std::vector<runtime::Transfer> round;
+  for (std::size_t begin = 0;
+       begin < log.size() && log[begin].round < closed;) {
+    std::size_t end = begin;
+    round.clear();
+    for (; end < log.size() && log[end].round == log[begin].round; ++end) {
+      round.push_back(log[end]);
+      round.back().round = 0;  // each round replays from an idle network
+    }
+    auto detail = sim.replay_detailed(round, node_of);
+    double seconds = detail.summary.total_seconds;
+    for (std::size_t i = 0; i < round.size(); ++i) {
+      runtime::FlowTiming& t = detail.timings[i];
+      // A delay spike is queueing from the flow's perspective, so
+      // deliver - send == tx + prop + queue still holds.
+      if (round[i].delay_s > 0.0) {
+        t.deliver_s += round[i].delay_s;
+        t.queue_s += round[i].delay_s;
+        seconds = std::max(seconds, t.deliver_s);
+      }
+      t.send_s += clock;
+      t.deliver_s += clock;
+      flows[begin + i].t = t;
+    }
+    clock += seconds;
+    phase_s[static_cast<std::size_t>(round.back().phase)] += seconds;
+    begin = end;
+  }
+  return runtime::CommRegistry{std::move(flows), closed, clock, phase_s};
 }
 
 }  // namespace ppgr::net

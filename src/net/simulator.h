@@ -19,6 +19,9 @@
 // for free); same-time packet events drain in FIFO submission order; and a
 // transfer whose endpoints map to the same node is co-located (delivered
 // instantly, no packets).
+//
+// comm_report() (below) is how a run's communication gets priced: it
+// replays the run's recorded transfer log after the run ends.
 #pragma once
 
 #include "net/topology.h"
@@ -61,21 +64,25 @@ class Simulator {
 
   /// Like replay(), but also decomposes every transfer's delivery into
   /// queueing / transmission / propagation segments. This is what
-  /// net::Router uses to stamp runtime::CommRegistry flows.
+  /// comm_report() uses to stamp runtime::CommRegistry flows.
   [[nodiscard]] DetailedSimulationResult replay_detailed(
       std::span<const runtime::Transfer> trace,
       std::span<const std::size_t> node_of);
-
-  /// Convenience: one message, returns delivery latency from an idle start
-  /// (0 when src_node == dst_node).
-  [[nodiscard]] double send_once(std::size_t src_node, std::size_t dst_node,
-                                 std::size_t bytes);
-
-  [[nodiscard]] const SimulatorConfig& config() const { return cfg_; }
 
  private:
   const Topology& topo_;
   SimulatorConfig cfg_;
 };
+
+/// The communication report ("ppgr.comm.v1") of a recorded run: replays
+/// each closed round of `trace` on its own — complete graph over the
+/// parties, stock SimulatorConfig, rounds back to back on one virtual
+/// clock — and stamps every flow with its timing. A transfer's injected
+/// delay spike (Transfer::delay_s) stretches its delivery as queueing time
+/// and, if it then finishes last, its round. Each round's duration is
+/// charged to the phase of its transfers. Messages of a round that was
+/// never closed keep zero timings.
+[[nodiscard]] runtime::CommRegistry comm_report(
+    const runtime::TraceRecorder& trace);
 
 }  // namespace ppgr::net

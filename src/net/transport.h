@@ -4,19 +4,22 @@
 // through. Where the bytes physically travel is this interface's job:
 //
 //  - no transport installed (Router::Config::transport == nullptr): the
-//    in-process simulator path — payloads move through the Router's own
-//    FIFO mailboxes and next_round() replays the round on net::Simulator's
-//    virtual timeline. This is the CI-deterministic default; its behavior
-//    (wire bytes, exports, fault injection) is byte-identical to every
-//    build before the seam existed.
+//    in-process path — payloads move through the Router's own FIFO
+//    mailboxes. This is the CI-deterministic default; its behavior (wire
+//    bytes, exports, fault injection) is byte-identical to every build
+//    before the seam existed.
 //
 //  - a Transport installed: the Router keeps doing exactly what it is for
-//    (accounting the exact serialized bytes of what this process sends
-//    into the TraceRecorder/CommRegistry, phase/round bookkeeping) but
-//    hands payloads for non-local destinations to the transport
-//    and blocks on it for payloads from non-local sources. net::tcp::
-//    TcpTransport is the real-socket implementation (one OS process per
-//    party over length-delimited TCP streams).
+//    (recording the exact serialized bytes of what this process sends in
+//    the TraceRecorder, phase/round bookkeeping) but hands payloads for
+//    non-local destinations to the transport and blocks on it for payloads
+//    from non-local sources. net::tcp::TcpTransport is the real-socket
+//    implementation (one OS process per party over length-delimited TCP
+//    streams).
+//
+// Either way the comm report is computed from the trace after the run
+// (net::comm_report), so a process's flows carry the same virtual-time
+// segments as the in-process run's.
 //
 // Contract: `local(p)` partitions the party ids; the protocol driver in
 // this process only ever sends *from* local parties and receives *to*

@@ -3,98 +3,32 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 namespace ppgr::runtime {
 
-void CommRegistry::set_phase(Phase p) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  phase_ = p;
-}
-
-Phase CommRegistry::phase() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return phase_;
-}
-
-void CommRegistry::record(std::size_t src, std::size_t dst,
-                          std::size_t bytes) {
-  if (src == dst) throw std::invalid_argument("CommRegistry: src == dst");
-  const std::lock_guard<std::mutex> lock(mu_);
-  flows_.push_back(FlowRecord{phase_, current_round_, src, dst, bytes, {}});
-}
-
-void CommRegistry::close_round(std::span<const FlowTiming> timings,
-                               double round_seconds) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t in_round = flows_.size() - round_begin_;
-  if (timings.size() != in_round)
-    throw std::invalid_argument("CommRegistry::close_round: timing mismatch");
-  for (std::size_t i = 0; i < in_round; ++i) {
-    FlowTiming t = timings[i];
-    t.send_s += virtual_clock_;
-    t.deliver_s += virtual_clock_;
-    flows_[round_begin_ + i].t = t;
-  }
-  virtual_clock_ += round_seconds;
-  phase_virtual_[static_cast<std::size_t>(phase_)] += round_seconds;
-  ++closed_rounds_;
-  ++current_round_;
-  round_begin_ = flows_.size();
-}
-
-std::size_t CommRegistry::message_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return flows_.size();
-}
-
 std::uint64_t CommRegistry::total_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t b = 0;
   for (const auto& f : flows_) b += f.bytes;
   return b;
 }
 
-std::size_t CommRegistry::rounds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return closed_rounds_;
-}
-
-double CommRegistry::virtual_seconds() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return virtual_clock_;
-}
-
-double CommRegistry::phase_virtual_seconds(Phase p) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return phase_virtual_[static_cast<std::size_t>(p)];
-}
-
-std::vector<FlowRecord> CommRegistry::flows() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return flows_;
-}
-
 std::vector<CommLink> CommRegistry::links() const {
   std::vector<CommLink> out;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& f : flows_) {
-      CommLink* slot = nullptr;
-      for (auto& l : out) {
-        if (l.phase == f.phase && l.src == f.src && l.dst == f.dst) {
-          slot = &l;
-          break;
-        }
+  for (const auto& f : flows_) {
+    CommLink* slot = nullptr;
+    for (auto& l : out) {
+      if (l.phase == f.phase && l.src == f.src && l.dst == f.dst) {
+        slot = &l;
+        break;
       }
-      if (slot == nullptr) {
-        out.push_back(CommLink{f.phase, f.src, f.dst, 0, 0, 0.0});
-        slot = &out.back();
-      }
-      ++slot->messages;
-      slot->bytes += f.bytes;
-      slot->tx_s += f.t.tx_s;
     }
+    if (slot == nullptr) {
+      out.push_back(CommLink{f.phase, f.src, f.dst, 0, 0, 0.0});
+      slot = &out.back();
+    }
+    ++slot->messages;
+    slot->bytes += f.bytes;
+    slot->tx_s += f.t.tx_s;
   }
   std::sort(out.begin(), out.end(), [](const CommLink& a, const CommLink& b) {
     if (a.phase != b.phase) return a.phase < b.phase;
@@ -102,22 +36,6 @@ std::vector<CommLink> CommRegistry::links() const {
     return a.dst < b.dst;
   });
   return out;
-}
-
-bool CommRegistry::empty() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return flows_.empty();
-}
-
-void CommRegistry::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  flows_.clear();
-  current_round_ = 0;
-  round_begin_ = 0;
-  closed_rounds_ = 0;
-  virtual_clock_ = 0.0;
-  phase_virtual_ = {};
-  phase_ = Phase::kSetup;
 }
 
 namespace {
@@ -131,20 +49,9 @@ void append_f(std::string& out, const char* fmt, double v) {
 }  // namespace
 
 std::string CommRegistry::to_json() const {
-  const auto all_flows = flows();
+  const auto& all_flows = flows_;
   const auto all_links = links();
-  std::array<double, kPhaseCount> phase_s{};
-  double total_s = 0.0;
-  std::size_t n_rounds = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    phase_s = phase_virtual_;
-    total_s = virtual_clock_;
-    n_rounds = closed_rounds_;
-  }
-
-  std::uint64_t total_bytes = 0;
-  for (const auto& f : all_flows) total_bytes += f.bytes;
+  const auto& phase_s = phase_virtual_;
 
   std::string out;
   out += "{\n  \"schema\": \"ppgr.comm.v1\",\n";
@@ -152,10 +59,10 @@ std::string CommRegistry::to_json() const {
   std::snprintf(buf, sizeof(buf),
                 "  \"rounds\": %zu,\n  \"messages\": %zu,\n"
                 "  \"bytes\": %" PRIu64 ",\n",
-                n_rounds, all_flows.size(), total_bytes);
+                rounds_, all_flows.size(), total_bytes());
   out += buf;
   out += "  \"virtual_seconds\": ";
-  append_f(out, "%.9f", total_s);
+  append_f(out, "%.9f", virtual_seconds_);
   out += ",\n  \"phases\": [";
 
   bool first_phase = true;
@@ -221,7 +128,7 @@ std::string CommRegistry::to_json() const {
 }
 
 std::string CommRegistry::chrome_trace_json() const {
-  const auto all_flows = flows();
+  const auto& all_flows = flows_;
 
   // One lane (tid) per party; tid = party + 1 matches the span exporter's
   // convention. pid 1 keeps the virtual-network timeline in its own process

@@ -1,20 +1,21 @@
 // Communication observability: the third pillar next to the crypto-op
 // metrics (metrics.h) and the phase spans (span.h).
 //
-// The TraceRecorder keeps the raw (round, src, dst, bytes) transfer log the
-// network benches replay; CommRegistry layers the *measured* communication
-// view on top of it: one FlowRecord per delivered message carrying exact
-// serialized byte counts (produced by the wire codecs, not analytic
-// formulas) plus the virtual-time decomposition of its delivery on the
-// simulated network — queueing, transmission and propagation segments, as
-// computed by net::Simulator when net::Router closes a round.
+// The TraceRecorder (trace.h) is the one store of every message; a
+// CommRegistry is the *measured* communication report computed from it
+// once, after the run, by net::comm_report(): one FlowRecord per message
+// carrying exact serialized byte counts (produced by the wire codecs, not
+// analytic formulas) plus the virtual-time decomposition of its delivery on
+// the simulated network — queueing, transmission and propagation segments,
+// as computed by net::Simulator replaying each closed round. The report is
+// immutable.
 //
-// Every flow is recorded by net::Router, whose calls are serial (one party
-// runs at a time, DESIGN.md §5b) — so the flow sequence, and therefore every
-// exporter below, is bit-identical for any --parallelism value. Virtual
-// times are derived from the deterministic discrete-event simulation, so
-// they are deterministic too (the golden exporter tests run all comm exports
-// in default mode).
+// Every message is recorded by net::Router, whose calls are serial (one
+// party runs at a time, DESIGN.md §5b) — so the flow sequence, and
+// therefore every exporter below, is bit-identical for any --parallelism
+// value. Virtual times are derived from the deterministic discrete-event
+// simulation, so they are deterministic too (the golden exporter tests run
+// all comm exports in default mode).
 //
 // Exporters:
 //  - to_json(): "ppgr.comm.v1" — totals, per-phase per-link tables
@@ -28,11 +29,10 @@
 // Party ids follow the paper: 0 is the initiator, 1..n the participants.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -62,7 +62,7 @@ struct FlowRecord {
   std::size_t src = 0;
   std::size_t dst = 0;
   std::size_t bytes = 0;  // exact serialized wire bytes
-  FlowTiming t;           // filled when the round is closed
+  FlowTiming t;           // zero for a round that was never closed
 };
 
 /// Aggregate over one (phase, src -> dst) link.
@@ -75,41 +75,35 @@ struct CommLink {
   double tx_s = 0.0;  // summed transmission seconds
 };
 
-/// Thread-safe accumulation of flows plus the virtual network clock.
-/// Records arrive in deterministic order (serial Router calls);
-/// close_round() stamps the current round's flows with their simulated
-/// timings and advances the virtual clock.
+/// The communication report of one run: every flow with its virtual-time
+/// delivery, the closed-round count and the virtual clock (whole run and
+/// per phase). Built once by net::comm_report(); immutable afterwards.
 class CommRegistry {
  public:
-  CommRegistry() = default;
-  CommRegistry(const CommRegistry&) = delete;
-  CommRegistry& operator=(const CommRegistry&) = delete;
+  /// `flows` in record order; `rounds` closed rounds (empty ones
+  /// included); `virtual_seconds` the summed round durations and
+  /// `phase_seconds` the same sum split by each round's phase.
+  CommRegistry(std::vector<FlowRecord> flows, std::size_t rounds,
+               double virtual_seconds,
+               std::array<double, kPhaseCount> phase_seconds)
+      : flows_(std::move(flows)),
+        rounds_(rounds),
+        virtual_seconds_(virtual_seconds),
+        phase_virtual_(phase_seconds) {}
 
-  void set_phase(Phase p);
-  [[nodiscard]] Phase phase() const;
-
-  /// Records one message in the current round; bytes must be the exact
-  /// serialized size.
-  void record(std::size_t src, std::size_t dst, std::size_t bytes);
-
-  /// Closes the current round. `timings` holds one entry per flow recorded
-  /// in this round (in record order) with times relative to the round
-  /// start; `round_seconds` is the round's virtual duration. Throws
-  /// std::invalid_argument on a size mismatch.
-  void close_round(std::span<const FlowTiming> timings, double round_seconds);
-
-  [[nodiscard]] std::size_t message_count() const;
+  [[nodiscard]] std::size_t message_count() const { return flows_.size(); }
   [[nodiscard]] std::uint64_t total_bytes() const;
   /// Closed rounds (empty rounds are preserved, like TraceRecorder).
-  [[nodiscard]] std::size_t rounds() const;
+  [[nodiscard]] std::size_t rounds() const { return rounds_; }
   /// Virtual seconds of all closed rounds.
-  [[nodiscard]] double virtual_seconds() const;
-  [[nodiscard]] double phase_virtual_seconds(Phase p) const;
-  [[nodiscard]] std::vector<FlowRecord> flows() const;
+  [[nodiscard]] double virtual_seconds() const { return virtual_seconds_; }
+  [[nodiscard]] double phase_virtual_seconds(Phase p) const {
+    return phase_virtual_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] const std::vector<FlowRecord>& flows() const { return flows_; }
   /// Per-(phase, src, dst) aggregates, sorted by (phase, src, dst).
   [[nodiscard]] std::vector<CommLink> links() const;
-  [[nodiscard]] bool empty() const;
-  void clear();
+  [[nodiscard]] bool empty() const { return flows_.empty(); }
 
   /// Communication JSON document ("ppgr.comm.v1"). Fully deterministic: a
   /// pure function of the protocol run and the simulator config.
@@ -119,14 +113,10 @@ class CommRegistry {
   [[nodiscard]] std::string chrome_trace_json() const;
 
  private:
-  mutable std::mutex mu_;
   std::vector<FlowRecord> flows_;
-  std::size_t current_round_ = 0;
-  std::size_t round_begin_ = 0;  // index of the current round's first flow
-  std::size_t closed_rounds_ = 0;
-  double virtual_clock_ = 0.0;
+  std::size_t rounds_ = 0;
+  double virtual_seconds_ = 0.0;
   std::array<double, kPhaseCount> phase_virtual_{};
-  Phase phase_ = Phase::kSetup;
 };
 
 }  // namespace ppgr::runtime

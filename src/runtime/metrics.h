@@ -15,10 +15,7 @@
 // ScopedOpTimer. Both write through a thread-local MetricsBuffer* sink:
 //
 //  - Disabled (the default): no sink is installed, so every call is a
-//    single thread-local load + branch — a no-op sink. Defining
-//    PPGR_DISABLE_METRICS removes even that (kMetricsCompiledIn == false,
-//    compile-time checkable), turning every instrumentation point into an
-//    empty constexpr-folded function.
+//    single thread-local load + branch — a no-op sink.
 //  - Enabled (FrameworkConfig::metrics): every party installs its own
 //    MetricsBuffer and one per parallel task (MetricsScope), and absorbs
 //    them into the shared MetricsRegistry in deterministic order (task
@@ -45,14 +42,6 @@
 namespace ppgr::runtime {
 
 class SpanRecorder;  // span.h
-
-/// Compile-time kill switch: build with -DPPGR_DISABLE_METRICS to fold every
-/// count_op/ScopedOpTimer call site into an empty function.
-#ifdef PPGR_DISABLE_METRICS
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
 
 /// Protocol phases of the paper's framework (Fig. 1), plus setup.
 enum class Phase : std::uint8_t {
@@ -184,20 +173,13 @@ extern thread_local constinit MetricsBuffer* tl_sink;
 }  // namespace detail
 
 [[nodiscard]] inline MetricsBuffer* current_metrics_sink() {
-  if constexpr (!kMetricsCompiledIn) return nullptr;
   return detail::tl_sink;
 }
 
 /// The one-line instrumentation call for hot paths. With no sink installed
-/// this is a thread-local load and an untaken branch; with
-/// PPGR_DISABLE_METRICS it is an empty function.
+/// this is a thread-local load and an untaken branch.
 inline void count_op(CryptoOp op, std::uint64_t delta = 1) {
-  if constexpr (kMetricsCompiledIn) {
-    if (MetricsBuffer* sink = detail::tl_sink) sink->add(op, delta);
-  } else {
-    (void)op;
-    (void)delta;
-  }
+  if (MetricsBuffer* sink = detail::tl_sink) sink->add(op, delta);
 }
 
 [[nodiscard]] inline double metrics_now_seconds() {

@@ -41,12 +41,13 @@ TraceRecorder& TraceRecorder::operator=(TraceRecorder&& other) noexcept {
   return *this;
 }
 
-void TraceRecorder::record(std::size_t src, std::size_t dst,
-                           std::size_t bytes) {
+void TraceRecorder::record(Phase phase, std::size_t src, std::size_t dst,
+                           std::size_t bytes, double delay_s) {
   if (src == dst)
     throw std::invalid_argument("TraceRecorder: src == dst");
   std::lock_guard<std::mutex> lock(mu_);
-  transfers_.push_back(Transfer{current_round_, src, dst, bytes});
+  transfers_.push_back(
+      Transfer{current_round_, src, dst, bytes, phase, delay_s});
   if (!current_round_counted_) {
     ++distinct_rounds_;
     current_round_counted_ = true;
@@ -64,6 +65,11 @@ std::size_t TraceRecorder::rounds() const {
   return distinct_rounds_;
 }
 
+std::size_t TraceRecorder::closed_rounds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_round_;
+}
+
 std::size_t TraceRecorder::total_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t sum = 0;
@@ -71,33 +77,9 @@ std::size_t TraceRecorder::total_bytes() const {
   return sum;
 }
 
-std::size_t TraceRecorder::bytes_sent_by(std::size_t party) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t sum = 0;
-  for (const auto& t : transfers_)
-    if (t.src == party) sum += t.bytes;
-  return sum;
-}
-
-std::size_t TraceRecorder::bytes_received_by(std::size_t party) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t sum = 0;
-  for (const auto& t : transfers_)
-    if (t.dst == party) sum += t.bytes;
-  return sum;
-}
-
 std::size_t TraceRecorder::message_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return transfers_.size();
-}
-
-void TraceRecorder::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  transfers_.clear();
-  current_round_ = 0;
-  distinct_rounds_ = 0;
-  current_round_counted_ = false;
 }
 
 double PartyTimer::now_seconds() {

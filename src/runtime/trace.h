@@ -1,11 +1,14 @@
-// Communication trace recording.
+// Communication trace recording: the one store of every inter-party
+// message.
 //
 // Protocols in this library execute in synchronous logical rounds. While a
-// protocol runs (in-process), every message is recorded as a Transfer
-// (round, src, dst, bytes). The trace is the bridge to the network
-// simulator: bench/fig3b_network replays recorded traces through net::
-// Simulator to measure wall-clock communication time on the paper's 80-node
-// topology, exactly as the paper ran its frameworks through NS2.
+// protocol runs, net::Router records every message it accounts as a
+// Transfer (phase, round, src, dst, bytes, injected delay) — nothing else
+// keeps a copy. Everything that prices communication is computed from this
+// log after the run: net::comm_report() replays it round by round through
+// net::Simulator into the runtime::CommRegistry report ("ppgr.comm.v1"),
+// and bench/fig3b_network replays closed-form schedules on the paper's
+// 80-node topology, exactly as the paper ran its frameworks through NS2.
 //
 // Threading: the recorder is safe for concurrent record() calls (internally
 // locked). Protocol runs record only through net::Router, whose calls are
@@ -21,6 +24,8 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/metrics.h"
+
 namespace ppgr::runtime {
 
 struct Transfer {
@@ -28,6 +33,10 @@ struct Transfer {
   std::size_t src;
   std::size_t dst;
   std::size_t bytes;
+  Phase phase = Phase::kSetup;
+  /// Injected delay spike (net::FaultPlan) added to this message's delivery
+  /// on the virtual timeline; 0 without a fault plan.
+  double delay_s = 0.0;
 };
 
 class TraceRecorder {
@@ -40,7 +49,8 @@ class TraceRecorder {
 
   /// Records a message in the current round. Thread-safe; note that the
   /// relative order of concurrent records is scheduling-dependent.
-  void record(std::size_t src, std::size_t dst, std::size_t bytes);
+  void record(Phase phase, std::size_t src, std::size_t dst,
+              std::size_t bytes, double delay_s = 0.0);
   /// Closes the current round; subsequent records belong to the next one.
   /// (Empty rounds are allowed and preserved.)
   void next_round();
@@ -51,12 +61,10 @@ class TraceRecorder {
   /// Number of rounds that contain at least one message. Tracked
   /// incrementally as transfers arrive — O(1), safe to call per table row.
   [[nodiscard]] std::size_t rounds() const;
+  /// Rounds closed by next_round() so far, empty ones included.
+  [[nodiscard]] std::size_t closed_rounds() const;
   [[nodiscard]] std::size_t total_bytes() const;
-  [[nodiscard]] std::size_t bytes_sent_by(std::size_t party) const;
-  [[nodiscard]] std::size_t bytes_received_by(std::size_t party) const;
   [[nodiscard]] std::size_t message_count() const;
-
-  void clear();
 
  private:
   mutable std::mutex mu_;

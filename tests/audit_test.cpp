@@ -149,7 +149,7 @@ TEST(ConformanceAudit, TamperedCountersProduceTypedDrift) {
   tampered.add(Phase::kPhase1, 0, CryptoOp::kDotprodQuery, 3);
   tampered.add(Phase::kPhase1, 0, CryptoOp::kDotprodAnswer, 2);  // one short
   tampered.add(Phase::kPhase1, 0, CryptoOp::kDotprodFinish, 3);
-  auditor.phase_complete(Phase::kPhase1, &tampered, nullptr);
+  auditor.phase_complete(Phase::kPhase1, &tampered);
   const AuditReport& report = auditor.report();
   EXPECT_STREQ(report.verdict(), "drift");
   ASSERT_EQ(report.findings.size(), 1u);
@@ -218,7 +218,7 @@ TEST_F(HeTamper, ShortShuffleHopTallyIsPhaseOpsDrift) {
         want.v[i] - (op == runtime::CryptoOp::kShuffleHop ? 1 : 0);
     if (v != 0) tampered.add(runtime::Phase::kPhase2, 1, op, v);
   }
-  a.phase_complete(runtime::Phase::kPhase2, &tampered, nullptr);
+  a.phase_complete(runtime::Phase::kPhase2, &tampered);
   const AuditReport& report = a.report();
   ASSERT_EQ(report.findings.size(), 1u) << report.to_json();
   const AuditFinding& f = report.findings[0];

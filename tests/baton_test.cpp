@@ -21,7 +21,7 @@ using Log = std::vector<std::string>;
 
 struct Rig {
   explicit Rig(std::size_t parties)
-      : baton(parties), router(parties, trace, nullptr) {}
+      : baton(parties), router(parties, trace) {}
 
   // A receive as the party program does it: wait for the link to change.
   Task<std::uint8_t> receive(std::size_t src, std::size_t dst) {

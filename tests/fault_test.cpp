@@ -9,6 +9,7 @@
 
 #include "net/channel.h"
 #include "net/fault.h"
+#include "net/simulator.h"
 #include "runtime/comm.h"
 #include "runtime/trace.h"
 
@@ -220,7 +221,7 @@ TEST(RouterFaults, DisabledPlanIsAStrictNoOp) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   EXPECT_FALSE(router.fault_active());
   router.send(0, 1, bytes_of({1, 2, 3}));
   EXPECT_EQ(trace.total_bytes(), 3u);  // no 12-byte framing added
@@ -235,7 +236,7 @@ TEST(RouterFaults, FramingIsTransparentWhenNothingFires) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({1, 2, 3}));
   // Frames are on the wire (accounted)...
@@ -253,7 +254,7 @@ TEST(RouterFaults, CertainDropExhaustsRetriesIntoTypedGiveUp) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({42}));
   try {
@@ -285,7 +286,7 @@ TEST(RouterFaults, ExplicitDeadlineTurnsLossIntoTimeout) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({1}));
   try {
@@ -305,7 +306,7 @@ TEST(RouterFaults, ModerateLossHealsByRetransmission) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   const std::size_t kMessages = 32;
   for (std::size_t i = 0; i < kMessages; ++i)
@@ -329,7 +330,7 @@ TEST(RouterFaults, CorruptionIsDetectedAndRetransmitted) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   const std::size_t kMessages = 32;
   for (std::size_t i = 0; i < kMessages; ++i)
@@ -352,7 +353,7 @@ TEST(RouterFaults, DuplicatesAreDroppedOnReceive) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({8}));
   EXPECT_EQ(router.pending(), 2u);  // original + duplicate on the wire
@@ -368,7 +369,7 @@ TEST(RouterFaults, ReordersAreHealedBySequence) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({1}));
   router.send(0, 1, bytes_of({2}));  // swapped behind message #0 in the box
@@ -385,7 +386,7 @@ TEST(RouterFaults, TamperPassesTheChannelUndetected) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   const auto original = bytes_of({0x11, 0x22, 0x33, 0x44});
   router.send(0, 1, original);
@@ -410,7 +411,7 @@ TEST(RouterFaults, CrashMutesSenderAndSurfacesAsPeerDead) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{3, trace, nullptr, rcfg};
+  Router router{3, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   EXPECT_FALSE(router.party_dead(1));
   router.send(1, 0, bytes_of({1}));  // still alive in phase 1
@@ -447,20 +448,26 @@ TEST(RouterFaults, DelaySpikeStretchesTheVirtualTimeline) {
   cfg.delay_spike_s = 2.5;
   const FaultPlan plan{cfg};
   runtime::TraceRecorder trace;
-  runtime::CommRegistry comm;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, &comm, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({1, 2, 3}));
   router.next_round();
   (void)router.receive(0, 1);
+  ASSERT_EQ(trace.transfers().size(), 1u);
+  EXPECT_EQ(trace.transfers()[0].delay_s, 2.5);
+  const runtime::CommRegistry comm = comm_report(trace);
   ASSERT_EQ(comm.flows().size(), 1u);
   const runtime::FlowRecord f = comm.flows()[0];
+  EXPECT_EQ(f.phase, Phase::kPhase1);
   EXPECT_GE(f.t.deliver_s - f.t.send_s, 2.5);
+  EXPECT_GE(f.t.queue_s, 2.5);  // the spike counts as queueing
   EXPECT_NEAR(f.t.deliver_s - f.t.send_s, f.t.tx_s + f.t.prop_s + f.t.queue_s,
               1e-12);
   EXPECT_GE(comm.virtual_seconds(), 2.5);
+  EXPECT_EQ(comm.phase_virtual_seconds(Phase::kPhase1),
+            comm.virtual_seconds());
   EXPECT_EQ(router.fault_report()
                 .stats.injected[static_cast<std::size_t>(FaultKind::kDelay)],
             1u);
@@ -477,7 +484,7 @@ TEST(RouterFaults, IdenticalPlansProduceIdenticalReports) {
     runtime::TraceRecorder trace;
     Router::Config rcfg;
     rcfg.faults = &plan;
-    Router router{3, trace, nullptr, rcfg};
+    Router router{3, trace, rcfg};
     router.set_phase(Phase::kPhase1);
     for (std::size_t i = 0; i < 16; ++i) {
       router.send(0, 1, bytes_of({static_cast<int>(i)}));
@@ -500,7 +507,7 @@ TEST(FaultReportJson, CarriesSchemaAndCounters) {
   runtime::TraceRecorder trace;
   Router::Config rcfg;
   rcfg.faults = &plan;
-  Router router{2, trace, nullptr, rcfg};
+  Router router{2, trace, rcfg};
   router.set_phase(Phase::kPhase1);
   router.send(0, 1, bytes_of({1}));
   EXPECT_THROW((void)router.receive(0, 1), ChannelError);

@@ -5,7 +5,6 @@
 #include "net/channel.h"
 #include "net/simulator.h"
 #include "net/topology.h"
-#include "runtime/comm.h"
 #include "runtime/trace.h"
 
 namespace ppgr::net {
@@ -70,7 +69,9 @@ TEST(Simulator, SingleHopTimingIsExact) {
                                    .header_bytes = 40}};
   // 1000 payload bytes -> one packet of 1040 bytes on the wire:
   // tx = 1040*8/1e6 = 8.32 ms, + 50 ms latency.
-  const double d = sim.send_once(0, 1, 1000);
+  const Transfer msg[] = {{0, 0, 1, 1000}};
+  const std::size_t nodes[] = {0, 1};
+  const double d = sim.replay(msg, nodes).total_seconds;
   EXPECT_NEAR(d, 0.05 + 1040 * 8.0 / 1e6, 1e-9);
 }
 
@@ -81,7 +82,9 @@ TEST(Simulator, MultiPacketSerializesOnLink) {
                                    .mtu_bytes = 1500,
                                    .header_bytes = 0}};
   // 15000 bytes = 10 packets of 1500: serialized tx = 15000*8/1e6 = 120 ms.
-  const double d = sim.send_once(0, 1, 15000);
+  const Transfer msg[] = {{0, 0, 1, 15000}};
+  const std::size_t nodes[] = {0, 1};
+  const double d = sim.replay(msg, nodes).total_seconds;
   EXPECT_NEAR(d, 0.12, 1e-9);
 }
 
@@ -92,7 +95,9 @@ TEST(Simulator, LatencyPerHopAccumulates) {
                                       .mtu_bytes = 1500,
                                       .header_bytes = 0}};
   // Tiny message, 3 hops: ~3 * 50 ms dominates.
-  const double d = sim.send_once(0, 3, 10);
+  const Transfer msg[] = {{0, 0, 1, 10}};
+  const std::size_t nodes[] = {0, 3};
+  const double d = sim.replay(msg, nodes).total_seconds;
   EXPECT_GT(d, 0.15);
   EXPECT_LT(d, 0.1501);
 }
@@ -226,8 +231,7 @@ TEST(Simulator, TimingSegmentsAddUp) {
 
 TEST(Router, SendReceiveIsFifoPerLink) {
   TraceRecorder trace;
-  runtime::CommRegistry comm;
-  Router router{3, trace, &comm};
+  Router router{3, trace};
   router.send(0, 1, std::vector<std::uint8_t>{1});
   router.send(0, 1, std::vector<std::uint8_t>{2});
   router.send(2, 1, std::vector<std::uint8_t>{3});
@@ -237,6 +241,13 @@ TEST(Router, SendReceiveIsFifoPerLink) {
   EXPECT_EQ((*router.receive(2, 1))[0], 3);
   EXPECT_EQ(router.pending(), 0u);
   EXPECT_THROW((void)router.receive(0, 1), std::logic_error);
+  // The report lists the flows in send order.
+  router.next_round();
+  const auto comm = comm_report(trace);
+  ASSERT_EQ(comm.flows().size(), 3u);
+  EXPECT_EQ(comm.flows()[0].src, 0u);
+  EXPECT_EQ(comm.flows()[1].src, 0u);
+  EXPECT_EQ(comm.flows()[2].src, 2u);
 }
 
 TEST(Router, SelfSendIsRejected) {
@@ -244,7 +255,7 @@ TEST(Router, SelfSendIsRejected) {
   // the same *node* (see CoLocatedPartiesAreFree); a party messaging itself
   // is a protocol bug and is rejected at the accounting layer.
   TraceRecorder trace;
-  Router router{2, trace, nullptr};
+  Router router{2, trace};
   EXPECT_THROW(router.send(1, 1, std::vector<std::uint8_t>{1}),
                std::invalid_argument);
   EXPECT_THROW(router.transmit(0, 0, 16), std::invalid_argument);
@@ -252,39 +263,38 @@ TEST(Router, SelfSendIsRejected) {
 
 TEST(Router, TransmitAccountsWithoutDelivery) {
   TraceRecorder trace;
-  runtime::CommRegistry comm;
-  Router router{2, trace, &comm};
+  Router router{2, trace};
   router.transmit(0, 1, 128);
   EXPECT_EQ(router.pending(), 0u);  // nothing to receive...
   EXPECT_EQ(trace.total_bytes(), 128u);  // ...but the bytes are accounted
-  EXPECT_EQ(comm.total_bytes(), 128u);
+  EXPECT_EQ(comm_report(trace).total_bytes(), 128u);
   EXPECT_THROW((void)router.receive(0, 1), std::logic_error);
 }
 
 TEST(Router, ZeroByteSendRoundTripsAndCostsAPacket) {
   TraceRecorder trace;
-  runtime::CommRegistry comm;
-  Router router{2, trace, &comm};
+  Router router{2, trace};
   router.send(0, 1, std::vector<std::uint8_t>{});
   router.next_round();
   EXPECT_TRUE(router.receive(0, 1)->empty());
-  const auto flows = comm.flows();
+  const auto comm = comm_report(trace);
+  const auto& flows = comm.flows();
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].bytes, 0u);
   // The stock config still charges one header-only packet.
   EXPECT_GT(flows[0].t.deliver_s, flows[0].t.send_s);
 }
 
-TEST(Router, NextRoundStampsFlowTimingInvariant) {
+TEST(Router, ReportStampsFlowTimingInvariant) {
   TraceRecorder trace;
-  runtime::CommRegistry comm;
-  Router router{3, trace, &comm};
-  comm.set_phase(runtime::Phase::kPhase1);
+  Router router{3, trace};
+  router.set_phase(runtime::Phase::kPhase1);
   router.send(0, 1, std::vector<std::uint8_t>(2000, 0xAB));
   router.send(2, 1, std::vector<std::uint8_t>(100, 0xCD));
   router.next_round();
   (void)router.receive(0, 1);
   (void)router.receive(2, 1);
+  const auto comm = comm_report(trace);
   ASSERT_EQ(comm.rounds(), 1u);
   EXPECT_GT(comm.virtual_seconds(), 0.0);
   EXPECT_EQ(comm.phase_virtual_seconds(runtime::Phase::kPhase1),
@@ -297,27 +307,59 @@ TEST(Router, NextRoundStampsFlowTimingInvariant) {
   }
 }
 
+TEST(Router, ReportChargesEachRoundToItsPhase) {
+  // Rounds run back to back on one virtual clock; empty rounds count as
+  // rounds but take no time.
+  TraceRecorder trace;
+  Router router{2, trace};
+  router.set_phase(runtime::Phase::kPhase1);
+  router.transmit(0, 1, 500);
+  router.next_round();
+  router.next_round();  // empty
+  router.set_phase(runtime::Phase::kPhase2);
+  router.transmit(1, 0, 3000);
+  router.next_round();
+  const auto comm = comm_report(trace);
+  EXPECT_EQ(comm.rounds(), 3u);
+  const double p1 = comm.phase_virtual_seconds(runtime::Phase::kPhase1);
+  const double p2 = comm.phase_virtual_seconds(runtime::Phase::kPhase2);
+  EXPECT_GT(p1, 0.0);
+  EXPECT_GT(p2, p1);
+  EXPECT_EQ(comm.virtual_seconds(), p1 + p2);
+  ASSERT_EQ(comm.flows().size(), 2u);
+  EXPECT_EQ(comm.flows()[1].phase, runtime::Phase::kPhase2);
+  EXPECT_EQ(comm.flows()[1].t.send_s, p1);  // the second round starts late
+}
+
 // ---- TraceRecorder ----
 
 TEST(TraceRecorder, RecordsAndAggregates) {
   TraceRecorder rec;
-  rec.record(0, 1, 100);
-  rec.record(1, 0, 50);
+  rec.record(runtime::Phase::kPhase1, 0, 1, 100);
+  rec.record(runtime::Phase::kPhase1, 1, 0, 50);
   rec.next_round();
-  rec.record(2, 1, 25);
+  rec.record(runtime::Phase::kPhase2, 2, 1, 25, 0.5);
   EXPECT_EQ(rec.message_count(), 3u);
   EXPECT_EQ(rec.rounds(), 2u);
+  EXPECT_EQ(rec.closed_rounds(), 1u);
   EXPECT_EQ(rec.total_bytes(), 175u);
-  EXPECT_EQ(rec.bytes_sent_by(0), 100u);
-  EXPECT_EQ(rec.bytes_received_by(1), 125u);
+  std::size_t sent_by_0 = 0;
+  std::size_t received_by_1 = 0;
+  for (const Transfer& t : rec.transfers()) {
+    if (t.src == 0) sent_by_0 += t.bytes;
+    if (t.dst == 1) received_by_1 += t.bytes;
+  }
+  EXPECT_EQ(sent_by_0, 100u);
+  EXPECT_EQ(received_by_1, 125u);
   EXPECT_EQ(rec.transfers()[2].round, 1u);
-  rec.clear();
-  EXPECT_EQ(rec.message_count(), 0u);
+  EXPECT_EQ(rec.transfers()[2].phase, runtime::Phase::kPhase2);
+  EXPECT_EQ(rec.transfers()[2].delay_s, 0.5);
 }
 
 TEST(TraceRecorder, RejectsSelfMessages) {
   TraceRecorder rec;
-  EXPECT_THROW(rec.record(1, 1, 10), std::invalid_argument);
+  EXPECT_THROW(rec.record(runtime::Phase::kSetup, 1, 1, 10),
+               std::invalid_argument);
 }
 
 TEST(PartyTimer, AccumulatesPerParty) {

@@ -126,11 +126,15 @@ TEST(ThreadPool, EmptyAndSingleCounts) {
 TEST(TraceRecorderThreading, ConcurrentRecordKeepsEveryTransfer) {
   TraceRecorder rec;
   ThreadPool pool{4};
-  pool.parallel_for(1000, [&](std::size_t i) { rec.record(1, 2, i); });
+  pool.parallel_for(1000, [&](std::size_t i) {
+    rec.record(runtime::Phase::kPhase2, 1, 2, i);
+  });
   EXPECT_EQ(rec.message_count(), 1000u);
   EXPECT_EQ(rec.total_bytes(), 1000u * 999u / 2);
-  EXPECT_EQ(rec.bytes_sent_by(1), rec.total_bytes());
-  EXPECT_EQ(rec.bytes_received_by(2), rec.total_bytes());
+  std::size_t link_bytes = 0;
+  for (const Transfer& t : rec.transfers())
+    if (t.src == 1 && t.dst == 2) link_bytes += t.bytes;
+  EXPECT_EQ(link_bytes, rec.total_bytes());
 }
 
 TEST(TraceRecorderThreading, BufferedAbsorbIsDeterministic) {
@@ -148,7 +152,8 @@ TEST(TraceRecorderThreading, BufferedAbsorbIsDeterministic) {
       slots[t].push_back(Transfer{0, 0, t + 1, 10 * t + 1});
     });
     for (const auto& slot : slots)
-      for (const Transfer& x : slot) rec.record(x.src, x.dst, x.bytes);
+      for (const Transfer& x : slot)
+        rec.record(x.phase, x.src, x.dst, x.bytes);
     rec.next_round();
     return rec;
   };
@@ -165,9 +170,9 @@ TEST(TraceRecorderThreading, BufferedAbsorbIsDeterministic) {
 
 TEST(TraceRecorderThreading, CopyAndMovePreserveData) {
   TraceRecorder rec;
-  rec.record(1, 2, 100);
+  rec.record(runtime::Phase::kPhase1, 1, 2, 100);
   rec.next_round();
-  rec.record(2, 1, 50);
+  rec.record(runtime::Phase::kPhase1, 2, 1, 50);
   TraceRecorder copy{rec};
   EXPECT_EQ(copy.message_count(), 2u);
   EXPECT_EQ(copy.total_bytes(), 150u);

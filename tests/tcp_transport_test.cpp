@@ -11,12 +11,14 @@
 //     (one thread each, real loopback TCP between them) driven by
 //     core::run_party must reproduce a same-seed run_framework /
 //     run_ss_framework run — ranks, submissions, β and the per-link
-//     message and byte totals identical, for HE and SS.
+//     message and byte totals identical, for HE and SS; for HE also every
+//     flow's virtual-time segments.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -357,6 +359,22 @@ LinkTotals merged_socket_links(const std::vector<core::PartyResult>& results) {
   return link_totals(regs);
 }
 
+// Every flow as (phase, round, src, dst, bytes, tx_s, prop_s, queue_s),
+// sorted. send_s and deliver_s are left out: a process's rounds last only
+// as long as its own sends take, so its clock runs differently.
+using FlowKey = std::tuple<runtime::Phase, std::size_t, std::size_t,
+                           std::size_t, std::size_t, double, double, double>;
+std::vector<FlowKey> flow_keys(
+    const std::vector<const runtime::CommRegistry*>& regs) {
+  std::vector<FlowKey> out;
+  for (const auto* reg : regs)
+    for (const runtime::FlowRecord& f : reg->flows())
+      out.emplace_back(f.phase, f.round, f.src, f.dst, f.bytes, f.t.tx_s,
+                       f.t.prop_s, f.t.queue_s);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 // The initiator's view: exactly the top-k submissions, with their claimed
 // ranks — nothing about the other participants.
 void expect_initiator_view(const core::PartyResult& initiator,
@@ -392,6 +410,30 @@ TEST(TcpPartyE2E, HeSocketRunBitIdenticalToSimulator) {
   }
   // One wire format: the same messages and bytes on every link.
   EXPECT_EQ(merged_socket_links(results), link_totals({ref.comm.get()}));
+}
+
+TEST(TcpPartyE2E, HeSocketFlowTimingsEqualTheInProcessRun) {
+  // Each process's comm report replays its own sends. On the complete
+  // graph a directed link carries only its sender's messages, so every
+  // flow's transmission, propagation and queueing segments equal the
+  // in-process run's exactly.
+  const Instance inst;
+  const auto group = group::make_group(group::GroupId::kDlTest256);
+  core::FrameworkConfig fw = make_fw(group.get());
+  fw.metrics = true;
+
+  mpz::ChaChaRng ref_rng{11};
+  const core::FrameworkResult ref =
+      core::run_framework(fw, inst.v0, inst.w, inst.infos, ref_rng);
+
+  core::PartyConfig base;
+  base.fw = fw;
+  const auto results = run_socket_mesh(base, inst, 11);
+  std::vector<const runtime::CommRegistry*> regs;
+  for (const auto& r : results) regs.push_back(r.comm.get());
+  const std::vector<FlowKey> merged = flow_keys(regs);
+  ASSERT_EQ(merged.size(), ref.comm->message_count());
+  EXPECT_EQ(merged, flow_keys({ref.comm.get()}));
 }
 
 TEST(TcpPartyE2E, SsSocketRunBitIdenticalToSimulator) {
