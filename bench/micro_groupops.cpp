@@ -129,8 +129,9 @@ void BM_MontDualExp(benchmark::State& state) {
 }
 BENCHMARK(BM_MontDualExp)->Arg(256)->Arg(1024);
 
-// Binary kernels under the group layer: the Jacobi symbol is the whole cost
-// of a Schnorr decode's membership check, invmod of SchnorrGroup::inv.
+// Binary kernels under the group layer: invmod is SchnorrGroup::inv's; the
+// Jacobi symbol serves only mpz::sqrtmod (FpCtx::sqrt), since a Schnorr
+// decode is a range check.
 // Inputs cycle through 64 random residues so the variable-time loops are
 // timed on a spread of inputs, not one.
 std::vector<mpz::Nat> residues(const mpz::Nat& m, mpz::ChaChaRng& rng) {

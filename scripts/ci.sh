@@ -36,10 +36,13 @@
 # comparison circuit and chain hop vs the naive evaluation, value- and
 # byte-identical on every group family) run under ASan+UBSan — index
 # arithmetic over window digits and digit tables is exactly the surface
-# ASan watches. The
-# leg also runs the mpz_modular and group suites: the binary gcd / Jacobi /
-# inverse kernels index fixed stack limb buffers at every width the GMP
-# differential tests use (1 to 64 limbs).
+# ASan watches. The leg also runs the mpz_modular suite, whose binary gcd /
+# Jacobi / inverse kernels index fixed stack limb buffers at every width the
+# GMP differential tests use (1 to 64 limbs), and every suite that pins the
+# DL decode contract (a range check 1 <= z <= q on the canonical |x|
+# encoding): group_test's accept/reject cases and random-bytes property,
+# mpz_modular_test's GMP oracle for the encoding, and wire_test's
+# corrupted-element case.
 #
 # The `telemetry` mode is the live-observability leg: the telemetry suite
 # (sampler lifecycle, concurrent snapshot-vs-absorb races, the telemetry-off
@@ -170,7 +173,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)

@@ -1,9 +1,9 @@
 // Wire codecs for the cryptographic message types (see runtime/wire.h).
 //
 // Group elements use the group's fixed-size canonical encoding; decoding
-// validates group membership (the underlying deserialize rejects
-// non-residues / off-curve points), so a malformed peer message fails
-// loudly at the boundary instead of corrupting protocol state.
+// validates group membership (the underlying deserialize rejects off-curve
+// points and Schnorr encodings outside [1, q]), so a malformed peer message
+// fails loudly at the boundary instead of corrupting protocol state.
 #pragma once
 
 #include "crypto/elgamal.h"

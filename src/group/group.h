@@ -2,12 +2,13 @@
 //
 // The paper's framework (Sec. IV-B) needs a cyclic group of prime order q in
 // which the decisional Diffie-Hellman problem is hard, and evaluates two
-// instantiations: "DL" (quadratic residues modulo a safe prime) and "ECC"
-// (a prime-order elliptic-curve group). All protocol code (ElGamal, Schnorr
-// proofs, the unlinkable comparison phase) is written against this interface
-// so the two instantiations — plus the mock group of the benchmark cost model
-// and the metering / acceleration decorators — are interchangeable at
-// runtime.
+// instantiations: "DL" (the order-q group of a safe prime p = 2q + 1, here
+// Z_p*/{±1}, isomorphic to the quadratic residues mod p; see
+// schnorr_group.h) and "ECC" (a prime-order elliptic-curve group). All
+// protocol code (ElGamal, Schnorr proofs, the unlinkable comparison phase)
+// is written against this interface so the two instantiations — plus the
+// mock group of the benchmark cost model and the metering / acceleration
+// decorators — are interchangeable at runtime.
 //
 // Group notation is multiplicative throughout, matching the paper: `mul` is
 // the group operation and `exp` is repeated application (scalar
@@ -29,8 +30,9 @@ using mpz::Nat;
 using mpz::Rng;
 
 /// Opaque group element. Representation is owned by the concrete Group:
-/// Schnorr groups use `a` (a residue in Montgomery form); elliptic curves use
-/// (a, b, c) as Jacobian (X, Y, Z) with `infinity` flagging the identity.
+/// Schnorr groups use `a` (either representative of the class {x, -x}, in
+/// Montgomery form); elliptic curves use (a, b, c) as Jacobian (X, Y, Z)
+/// with `infinity` flagging the identity.
 /// Elements must only be combined through the Group that created them.
 struct Elem {
   Nat a;
@@ -78,7 +80,7 @@ class Group {
     return out;
   }
   /// Inverse of serialize; throws std::invalid_argument on malformed input
-  /// (including points off the curve / non-residues).
+  /// (including points off the curve, and Schnorr encodings outside [1, q]).
   [[nodiscard]] virtual Elem deserialize(std::span<const std::uint8_t> bytes) const = 0;
   /// Length of the canonical encoding in bytes. Drives the communication
   /// accounting (S_c in the paper's Sec. VI-B is 2 * element_bytes()).

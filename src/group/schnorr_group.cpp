@@ -6,13 +6,33 @@
 #include "mpz/modarith.h"
 
 namespace ppgr::group {
+namespace {
+
+// a + b == m, for residues a, b < m, on the limbs (no allocation).
+bool sums_to(const Nat& a, const Nat& b, const Nat& m) {
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < m.limb_count(); ++i) {
+    const unsigned __int128 s =
+        static_cast<unsigned __int128>(a.limb(i)) + b.limb(i) + carry;
+    if (static_cast<mpz::Limb>(s) != m.limb(i)) return false;
+    carry = s >> 64;
+  }
+  return carry == 0;
+}
+
+}  // namespace
 
 SchnorrGroup::SchnorrGroup(std::string name, Nat safe_prime)
     : name_(std::move(name)), mont_(std::move(safe_prime)) {
   const Nat& p = mont_.modulus();
   if (p < Nat{7}) throw std::invalid_argument("SchnorrGroup: p too small");
+  // -1 must be a non-residue, so that each class {x, -x} holds exactly one
+  // quadratic residue (true of every safe prime p = 2q+1 with q odd).
+  if ((p.limb(0) & 3u) != 3u)
+    throw std::invalid_argument("SchnorrGroup: p is not 3 mod 4");
   q_ = Nat::sub(p, Nat{1}).shr(1);
   gen_ = mont_.to_mont(Nat{4});
+  neg_one_ = Nat::sub(p, mont_.one_mont());
 }
 
 Elem SchnorrGroup::generator() const { return Elem{.a = gen_}; }
@@ -51,10 +71,14 @@ Elem SchnorrGroup::inv(const Elem& x) const {
   return Elem{.a = mont_.to_mont(*s)};
 }
 
-bool SchnorrGroup::eq(const Elem& x, const Elem& y) const { return x.a == y.a; }
+// The Montgomery form of -x is p - xR, so the classes of x and y are equal
+// iff xR == yR or xR + yR == p.
+bool SchnorrGroup::eq(const Elem& x, const Elem& y) const {
+  return x.a == y.a || sums_to(x.a, y.a, mont_.modulus());
+}
 
 bool SchnorrGroup::is_identity(const Elem& x) const {
-  return x.a == mont_.one_mont();
+  return x.a == mont_.one_mont() || x.a == neg_one_;
 }
 
 std::size_t SchnorrGroup::element_bytes() const {
@@ -62,18 +86,20 @@ std::size_t SchnorrGroup::element_bytes() const {
 }
 
 std::vector<std::uint8_t> SchnorrGroup::serialize(const Elem& x) const {
-  return mont_.from_mont(x.a).to_bytes_be(element_bytes());
+  // The canonical representative |x| = min(v, p - v).
+  Nat v = mont_.from_mont(x.a);
+  if (v > q_) v = Nat::sub(mont_.modulus(), v);
+  return v.to_bytes_be(element_bytes());
 }
 
 Elem SchnorrGroup::deserialize(std::span<const std::uint8_t> bytes) const {
   if (bytes.size() != element_bytes())
     throw std::invalid_argument("SchnorrGroup::deserialize: bad length");
+  // Every z in [1, q] is the canonical representative of exactly one class,
+  // so this range check is the whole membership test.
   const Nat v = Nat::from_bytes_be(bytes);
-  if (v.is_zero() || v >= mont_.modulus())
+  if (v.is_zero() || v > q_)
     throw std::invalid_argument("SchnorrGroup::deserialize: out of range");
-  // Subgroup membership (the QRs mod p); this check dominates decode cost.
-  if (mpz::jacobi(v, mont_.modulus()) != 1)
-    throw std::invalid_argument("SchnorrGroup::deserialize: not a residue");
   return Elem{.a = mont_.to_mont(v)};
 }
 

@@ -1,6 +1,12 @@
-// The "DL" instantiation of the paper's DDH group (Sec. IV-B): the subgroup
-// of quadratic residues modulo a safe prime p = 2q + 1, which has prime
-// order q. The generator is 4 = 2^2, a quadratic residue for every p > 5.
+// The "DL" instantiation of the paper's DDH group (Sec. IV-B), as the
+// quotient Z_p*/{±1} for a safe prime p = 2q + 1 (the signed quadratic
+// residues of Hofheinz-Kiltz, Eurocrypt 2009, over a prime modulus). Since
+// p = 3 mod 4, -1 is a non-residue, so each class {x, -x} holds exactly one
+// quadratic residue: the quotient has prime order q and is isomorphic to the
+// paper's QR subgroup, with the same DDH problem. The generator is the class
+// of 4 = 2^2. Arithmetic runs on any representative; eq, is_identity and
+// serialize work on classes, and the wire carries the canonical
+// |x| = min(x, p - x) in [1, q], so a decode is a range check.
 //
 // The production parameter sets (1024/2048/3072 bits, matching the security
 // levels compared in Fig. 3(a)) are fixed safe primes generated once with a
@@ -20,7 +26,8 @@ namespace ppgr::group {
 class SchnorrGroup final : public Group {
  public:
   /// p must be a safe prime (p = 2q+1, both prime). Verified lazily by the
-  /// test suite, not on construction (3072-bit primality proofs are slow).
+  /// test suite, not on construction (3072-bit primality proofs are slow);
+  /// the constructor checks only p >= 7 and p = 3 mod 4.
   explicit SchnorrGroup(std::string name, Nat safe_prime);
 
   [[nodiscard]] std::string name() const override { return name_; }
@@ -50,6 +57,7 @@ class SchnorrGroup final : public Group {
   mpz::MontCtx mont_;
   Nat q_;        // (p-1)/2
   Nat gen_;      // 4, in Montgomery form
+  Nat neg_one_;  // -1 (p - R), the identity's other Montgomery representative
   // Lazily built comb table for the generator; call_once-guarded so
   // concurrent exp_g calls from the parallel engine are race-free.
   mutable std::once_flag gen_table_once_;

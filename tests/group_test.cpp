@@ -10,6 +10,7 @@
 #include "group/metered_group.h"
 #include "group/schnorr_group.h"
 #include "mpz/modarith.h"
+#include "mpz/mont.h"
 #include "mpz/prime.h"
 
 namespace ppgr::group {
@@ -112,34 +113,99 @@ TEST(SchnorrGroup, GeneratorIsQuadraticResidue) {
   EXPECT_EQ(mpz::jacobi(Nat{4}, sg->modulus()), 1);
 }
 
-TEST(SchnorrGroup, DeserializeRejectsNonResidue) {
+// The DL decode contract: the group is Z_p*/{±1} and the wire carries the
+// canonical representative, so exactly the values 1..q decode, each to an
+// element of order dividing q, and each re-encodes to itself.
+TEST(SchnorrGroup, DeserializeAcceptsExactlyOneToQ) {
   for (const GroupId id : {GroupId::kDlTest256, GroupId::kDl1024}) {
     const auto g = make_group(id);
     auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
     const Nat& p = sg->modulus();
+    const Nat& q = sg->order();
     const std::size_t len = g->element_bytes();
     const auto rejects = [&](std::span<const std::uint8_t> bytes) {
       EXPECT_THROW((void)g->deserialize(bytes), std::invalid_argument)
           << g->name() << ", " << bytes.size() << " bytes";
     };
-    // Non-residues: the least one, and p - 1 (-1 is one for p ≡ 3 mod 4).
-    Nat z{2};
-    while (mpz::jacobi(z, p) != -1) z += Nat{1};
-    rejects(z.to_bytes_be(len));
-    rejects(Nat::sub(p, Nat{1}).to_bytes_be(len));
-    // Out of range: zero, p, p + 1 and the all-ones encoding.
-    rejects(Nat{}.to_bytes_be(len));
-    rejects(p.to_bytes_be(len));
-    rejects(Nat::add(p, Nat{1}).to_bytes_be(len));
+    // Out of range: zero, q + 1, p - 1 (the non-canonical encoding of the
+    // identity), p, p + 1 and the all-ones encoding.
+    for (const Nat& z : {Nat{}, Nat::add(q, Nat{1}), Nat::sub(p, Nat{1}), p,
+                         Nat::add(p, Nat{1})})
+      rejects(z.to_bytes_be(len));
     rejects(std::vector<std::uint8_t>(len, 0xff));
+    // In range: 1, q and the least quadratic non-residue.
+    Nat nonresidue{2};
+    while (mpz::jacobi(nonresidue, p) != -1) nonresidue += Nat{1};
+    for (const Nat& z : {Nat{1}, q, nonresidue}) {
+      const auto bytes = z.to_bytes_be(len);
+      const Elem x = g->deserialize(bytes);
+      EXPECT_EQ(g->serialize(x), bytes) << g->name() << " z=" << z.to_hex();
+      EXPECT_TRUE(g->is_identity(g->exp(x, q))) << g->name();
+      EXPECT_EQ(g->is_identity(x), z.is_one()) << g->name();
+    }
     // Wrong lengths around a valid encoding.
     std::vector<std::uint8_t> ok = g->serialize(g->generator());
-    EXPECT_EQ(g->deserialize(ok).a, g->generator().a) << g->name();
+    EXPECT_TRUE(g->eq(g->deserialize(ok), g->generator())) << g->name();
     rejects(std::span<const std::uint8_t>(ok).subspan(1));
     rejects({});
     ok.insert(ok.begin(), 0);
     rejects(ok);
   }
+}
+
+TEST(SchnorrGroup, DeserializePropertyOverRandomBytes) {
+  ChaChaRng rng{6};
+  for (const GroupId id : {GroupId::kDlTest256, GroupId::kDl1024}) {
+    const auto g = make_group(id);
+    const Nat& q = g->order();
+    std::vector<std::uint8_t> bytes(g->element_bytes());
+    int accepted = 0;
+    for (int i = 0; i < 10000; ++i) {
+      rng.fill(bytes);
+      const Nat z = Nat::from_bytes_be(bytes);
+      if (z.is_zero() || z > q) {
+        EXPECT_THROW((void)g->deserialize(bytes), std::invalid_argument)
+            << g->name() << " z=" << z.to_hex();
+        continue;
+      }
+      ++accepted;
+      const Elem x = g->deserialize(bytes);
+      EXPECT_TRUE(g->is_identity(g->exp(x, q)))
+          << g->name() << " z=" << z.to_hex();
+    }
+    // Uniform bytes land in [1, q] a little under half the time.
+    EXPECT_GT(accepted, 1000) << g->name();
+    EXPECT_LT(accepted, 9000) << g->name();
+  }
+}
+
+// Arithmetic runs on whichever representative it produces; eq, is_identity
+// and serialize see only the class {x, -x}.
+TEST(SchnorrGroup, NegatedRepresentativeIsTheSameElement) {
+  for (const GroupId id : {GroupId::kDlTest256, GroupId::kDl1024}) {
+    const auto g = make_group(id);
+    auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
+    const Nat& p = sg->modulus();
+    const mpz::MontCtx mont{p};
+    ChaChaRng rng{7};
+    const Elem x = g->exp_g(g->random_nonzero_scalar(rng));
+    const Elem neg{.a = Nat::sub(p, x.a)};
+    EXPECT_TRUE(g->eq(x, neg)) << g->name();
+    EXPECT_TRUE(g->eq(neg, x)) << g->name();
+    EXPECT_EQ(g->serialize(neg), g->serialize(x)) << g->name();
+    EXPECT_FALSE(g->eq(x, g->generator())) << g->name();
+    EXPECT_FALSE(g->is_identity(neg)) << g->name();
+    const Elem minus_one{.a = mont.to_mont(Nat::sub(p, Nat{1}))};
+    EXPECT_TRUE(g->is_identity(minus_one)) << g->name();
+    EXPECT_TRUE(g->eq(minus_one, g->identity())) << g->name();
+    EXPECT_EQ(g->serialize(minus_one), Nat{1}.to_bytes_be(g->element_bytes()))
+        << g->name();
+  }
+}
+
+TEST(SchnorrGroup, RejectsModulusNotThreeModFour) {
+  EXPECT_THROW(SchnorrGroup("p13", Nat{13}), std::invalid_argument);
+  EXPECT_NO_THROW(SchnorrGroup("p23", Nat{23}));
 }
 
 TEST(EcGroup, StandardCurveParametersValidate) {

@@ -1,5 +1,6 @@
 // Tests for modular arithmetic: Montgomery context, gcd/invmod/powmod/
-// jacobi/sqrtmod, primality and the Fp field context.
+// jacobi/sqrtmod, primality and the Fp field context, plus a GMP oracle for
+// the DL group's canonical wire encoding.
 #include <array>
 #include <random>
 #include <utility>
@@ -322,6 +323,63 @@ TEST(MontLadder, ExpAndDualExpMatchPowm) {
               << "limbs=" << ctx.limbs() << " ex=" << ex.to_hex()
               << " ey=" << ey.to_hex();
         }
+  }
+}
+
+// ---- the DL wire encoding against GMP ----
+
+// The canonical encoding of the class {v, p - v}: min(v, p - v), read from
+// the serialized bytes as a plain big-endian integer.
+mpz_class canonical(const mpz_class& v, const mpz_class& p) {
+  return v <= p - v ? v : mpz_class{p - v};
+}
+
+mpz_class wire_value(const group::Group& g, const group::Elem& x) {
+  const auto bytes = g.serialize(x);
+  EXPECT_EQ(bytes.size(), g.element_bytes());
+  return to_gmp(Nat::from_bytes_be(bytes));
+}
+
+// Every element, whatever representative the group computed with, goes on
+// the wire as min(v, p - v) of its value v in Z_p*, computed here by GMP
+// alone: generator powers, and mul / exp / dual_exp / inv of elements
+// decoded from non-residue representatives.
+TEST(SchnorrEncodingOracle, SerializeIsCanonicalAbsoluteValue) {
+  ChaChaRng rng{405};
+  for (const auto id : {group::GroupId::kDlTest256, group::GroupId::kDl1024}) {
+    const auto g = group::make_group(id);
+    const Nat& pn = dynamic_cast<const group::SchnorrGroup&>(*g).modulus();
+    const Nat& qn = g->order();
+    const mpz_class p = to_gmp(pn);
+    const auto nonresidue = [&] {
+      for (;;) {
+        const Nat z = rng.nonzero_below(qn);
+        if (mpz_jacobi(to_gmp(z).get_mpz_t(), p.get_mpz_t()) == -1) return z;
+      }
+    };
+    for (int i = 0; i < 64; ++i) {
+      const Nat s = g->random_scalar(rng);
+      const Nat t = g->random_scalar(rng);
+      const mpz_class gs = to_gmp(s), gt = to_gmp(t);
+      ASSERT_EQ(wire_value(*g, g->exp_g(s)), canonical(powm(4, gs, p), p))
+          << g->name() << " s=" << s.to_hex();
+      const Nat zn = nonresidue(), wn = nonresidue();
+      const mpz_class z = to_gmp(zn), w = to_gmp(wn);
+      const std::size_t len = g->element_bytes();
+      const group::Elem x = g->deserialize(zn.to_bytes_be(len));
+      const group::Elem y = g->deserialize(wn.to_bytes_be(len));
+      ASSERT_EQ(wire_value(*g, g->mul(x, y)), canonical(z * w % p, p))
+          << g->name() << " z=" << zn.to_hex() << " w=" << wn.to_hex();
+      ASSERT_EQ(wire_value(*g, g->exp(x, s)), canonical(powm(z, gs, p), p))
+          << g->name() << " z=" << zn.to_hex() << " s=" << s.to_hex();
+      ASSERT_EQ(wire_value(*g, g->dual_exp(x, s, y, t)),
+                canonical(powm(z, gs, p) * powm(w, gt, p) % p, p))
+          << g->name() << " z=" << zn.to_hex() << " w=" << wn.to_hex();
+      mpz_class zinv;
+      mpz_invert(zinv.get_mpz_t(), z.get_mpz_t(), p.get_mpz_t());
+      ASSERT_EQ(wire_value(*g, g->inv(x)), canonical(zinv, p))
+          << g->name() << " z=" << zn.to_hex();
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/codec.h"
 #include "crypto/codec.h"
+#include "group/schnorr_group.h"
 #include "net/fault.h"
 #include "runtime/wire.h"
 
@@ -198,15 +199,41 @@ TEST_P(CryptoCodec, ProofMessageRoundTripAndValidation) {
 }
 
 TEST_P(CryptoCodec, CorruptedElementRejected) {
-  // Flipping ciphertext bytes must yield a deserialization error (not a
-  // silently wrong element) for the curve; for the Schnorr group flipping
-  // can produce a non-residue, also rejected.
+  // A flipped element encoding must never decode silently to the sender's
+  // element. In the DL group every value in [1, q] is the canonical
+  // encoding of some element, so a flip that stays in range decodes to a
+  // different element and one that leaves it is rejected; on the curve,
+  // flips produce off-curve points, which are rejected.
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{123};
   const auto kp = crypto::keygen(*g, rng);
   Writer w;
   crypto::write_elem(w, *g, kp.y);
   auto data = w.take();
+  if (const auto* sg = dynamic_cast<const group::SchnorrGroup*>(g.get())) {
+    ASSERT_EQ(data.size(), g->element_bytes());
+    bool rejected_any = false;
+    bool decoded_any = false;
+    for (std::size_t i = 0; i < data.size(); ++i)
+      for (const std::uint8_t mask : {0x01, 0x5A, 0x80}) {
+        auto corrupt = data;
+        corrupt[i] ^= mask;
+        const Nat z = Nat::from_bytes_be(corrupt);
+        Reader r{corrupt};
+        if (z.is_zero() || z > sg->order()) {
+          EXPECT_THROW((void)crypto::read_elem(r, *g), std::invalid_argument)
+              << "byte " << i << " mask " << int{mask};
+          rejected_any = true;
+        } else {
+          EXPECT_FALSE(g->eq(crypto::read_elem(r, *g), kp.y))
+              << "byte " << i << " mask " << int{mask};
+          decoded_any = true;
+        }
+      }
+    EXPECT_TRUE(rejected_any);
+    EXPECT_TRUE(decoded_any);
+    return;
+  }
   bool rejected_any = false;
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto corrupt = data;
