@@ -219,7 +219,8 @@ int main(int argc, char** argv) {
                       "model/measured"});
 
   mpz::ChaChaRng rng{66};
-  for (const auto gid : {group::GroupId::kEcP192, group::GroupId::kDl1024}) {
+  for (const auto gid : {group::GroupId::kEcP192, group::GroupId::kDlTest256,
+                         group::GroupId::kDl1024}) {
     const auto g = group::make_group(gid);
     const auto costs = benchcore::calibrate_group(*g, rng);
     for (const std::size_t n : {4u, 6u, 8u}) {

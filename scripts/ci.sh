@@ -36,7 +36,15 @@
 # comparison circuit and chain hop vs the naive evaluation, value- and
 # byte-identical on every group family) run under ASan+UBSan — index
 # arithmetic over window digits and digit tables is exactly the surface
-# ASan watches. The leg also runs the mpz_modular suite, whose binary gcd /
+# ASan watches. The same leg runs the batch ladders' oracles:
+# mpz_modular_test's per-lane GMP oracle (MontCtx::exp_many / dual_exp_many
+# vs mpz_powm on every 4-limb modulus, over batch tails and mixed-width
+# exponents, failing on an IFMA host unless the 8-lane path ran) and
+# multiexp_test's batch-vs-per-element differential and count tests
+# (Group::exp_many / dual_exp_many through MeteredGroup and
+# AcceleratedGroup); building it under -Werror also proves the
+# pragma-scoped IFMA kernel compiles warning-free. The leg also runs the
+# mpz_modular suite, whose binary gcd /
 # Jacobi / inverse kernels index fixed stack limb buffers at every width the
 # GMP differential tests use (1 to 64 limbs), and every suite that pins the
 # DL decode contract (a range check 1 <= z <= q on the canonical |x|

@@ -193,16 +193,41 @@ std::vector<Ciphertext> Participant::compare_against(
 //
 // because every element's order divides q, so cp^(q-e) = cp^(-e). One
 // random_nonzero_scalar per ciphertext, in set order, then the Fisher–Yates
-// draws with the party's private randomness.
+// draws with the party's private randomness. The ladders run through the
+// group's batch forms, kHopChunk ciphertexts at a time (MontCtx runs 8
+// ladders per vector), drawing each chunk's r before its ladders: the same
+// draws in the same order, with O(kHopChunk) scratch.
 void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
+  constexpr std::size_t kHopChunk = 64;
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
   const Group& g = *cfg_.group;
   const Nat& q = g.order();
-  for (Ciphertext& ct : set) {
-    const Nat r = g.random_nonzero_scalar(rng);
-    const Nat e = Nat::sub(q, Nat::mul(key_.x, r) % q);
-    ct = Ciphertext{.c = g.dual_exp(ct.c, r, ct.cp, e),
-                    .cp = g.exp(ct.cp, r)};
+  std::vector<Nat> r, e;
+  std::vector<Elem> c, cp, out;
+  r.reserve(kHopChunk);
+  e.reserve(kHopChunk);
+  c.reserve(kHopChunk);
+  cp.reserve(kHopChunk);
+  for (std::size_t lo = 0; lo < set.size(); lo += kHopChunk) {
+    const std::span<Ciphertext> chunk =
+        std::span{set}.subspan(lo, std::min(kHopChunk, set.size() - lo));
+    r.clear();
+    e.clear();
+    c.clear();
+    cp.clear();
+    for (Ciphertext& ct : chunk) {
+      r.push_back(g.random_nonzero_scalar(rng));
+      e.push_back(Nat::sub(q, Nat::mul(key_.x, r.back()) % q));
+      c.push_back(std::move(ct.c));
+      cp.push_back(std::move(ct.cp));
+    }
+    out.resize(chunk.size());
+    g.dual_exp_many(c, r, cp, e, out);
+    for (std::size_t i = 0; i < chunk.size(); ++i)
+      chunk[i].c = std::move(out[i]);
+    g.exp_many(cp, r, out);
+    for (std::size_t i = 0; i < chunk.size(); ++i)
+      chunk[i].cp = std::move(out[i]);
   }
   for (std::size_t i = set.size(); i-- > 1;)
     std::swap(set[i], set[rng.below_u64(i + 1)]);

@@ -7,9 +7,12 @@
 //   exp(base, s)  -> joint-key table when `base` equals the table's base
 //                    (the y^r half of every encryption and
 //                    re-randomization); each hit bumps kAccelFixedBaseExp
+//   exp_many      -> the same, element by element: table-base elements go
+//                    to the comb (and count), the rest to the inner
+//                    group's exp_many as one batch
 //
-// and forwards everything else, dual_exp included, so a concrete group's
-// native ladders stay reachable through the decorator.
+// and forwards everything else, dual_exp and dual_exp_many included, so a
+// concrete group's native ladders stay reachable through the decorator.
 //
 // Tables are attached after construction because the joint ElGamal key only
 // exists once phase-2 keygen has run; run_framework installs the key table
@@ -26,7 +29,9 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "group/fixed_base.h"
 #include "group/group.h"
@@ -69,6 +74,43 @@ class AcceleratedGroup final : public Group {
   [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                               const Nat& ey) const override {
     return inner_.dual_exp(x, ex, y, ey);
+  }
+  void exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
+                std::span<Elem> out) const override {
+    if (base_table_ == nullptr)
+      return inner_.exp_many(bases, scalars, out);
+    if (bases.size() != out.size() || scalars.size() != out.size())
+      throw std::invalid_argument(
+          "AcceleratedGroup::exp_many: span sizes differ");
+    std::vector<std::size_t> rest;
+    rest.reserve(out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (inner_.eq(bases[i], base_table_->base())) {
+        runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
+        out[i] = base_table_->exp(inner_, scalars[i]);
+      } else {
+        rest.push_back(i);
+      }
+    }
+    // No table hit (every shuffle-hop batch): batch the spans as they are.
+    if (rest.size() == out.size())
+      return inner_.exp_many(bases, scalars, out);
+    std::vector<Elem> rest_bases, rest_out(rest.size());
+    std::vector<Nat> rest_scalars;
+    rest_bases.reserve(rest.size());
+    rest_scalars.reserve(rest.size());
+    for (const std::size_t i : rest) {
+      rest_bases.push_back(bases[i]);
+      rest_scalars.push_back(scalars[i]);
+    }
+    inner_.exp_many(rest_bases, rest_scalars, rest_out);
+    for (std::size_t j = 0; j < rest.size(); ++j)
+      out[rest[j]] = std::move(rest_out[j]);
+  }
+  void dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                     std::span<const Elem> ys, std::span<const Nat> eys,
+                     std::span<Elem> out) const override {
+    inner_.dual_exp_many(xs, exs, ys, eys, out);
   }
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     if (gen_table_ != nullptr) return gen_table_->exp(inner_, scalar);

@@ -53,6 +53,24 @@ const char* kSafePrimeTest256 =
 
 }  // namespace
 
+void Group::exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
+                     std::span<Elem> out) const {
+  if (bases.size() != out.size() || scalars.size() != out.size())
+    throw std::invalid_argument("Group::exp_many: span sizes differ");
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = exp(bases[i], scalars[i]);
+}
+
+void Group::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                          std::span<const Elem> ys, std::span<const Nat> eys,
+                          std::span<Elem> out) const {
+  if (xs.size() != out.size() || exs.size() != out.size() ||
+      ys.size() != out.size() || eys.size() != out.size())
+    throw std::invalid_argument("Group::dual_exp_many: span sizes differ");
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
+}
+
 // Default dual_exp: the generic interleaved (Straus) ladder with 4-bit
 // windows, evaluated through this (possibly decorated) group's own mul():
 // one squaring ladder over the wider exponent, and per window at most one

@@ -68,7 +68,7 @@ class Group {
   /// default loops; EcGroup overrides it with a batched-inversion affine
   /// normalization (one field inversion for the whole batch instead of one
   /// per point), and MeteredGroup overrides it to keep reporting xs.size()
-  /// serializations.
+  /// serializations. exp_many / dual_exp_many below follow the same pattern.
   [[nodiscard]] virtual std::vector<std::uint8_t> serialize_many(
       std::span<const Elem> xs) const {
     std::vector<std::uint8_t> out;
@@ -88,13 +88,30 @@ class Group {
 
   /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
   /// phase 2. The default (group.cpp) is the generic interleaved Straus
-  /// ladder through this group's mul(); EcGroup and MockGroup use it. SchnorrGroup overrides it with
-  /// MontCtx::dual_exp, the same ladder on raw Montgomery residues (no
-  /// per-step Elem boxing, identical element); decorators forward it to the
-  /// wrapped group so that ladder stays reachable (MeteredGroup counts it as
-  /// one call).
+  /// ladder through this group's mul(); EcGroup and MockGroup use it.
+  /// SchnorrGroup overrides it with MontCtx::dual_exp, the same ladder on raw
+  /// Montgomery residues (no per-step Elem boxing, identical element);
+  /// decorators forward it to the wrapped group so that ladder stays
+  /// reachable (MeteredGroup counts it as one call).
   [[nodiscard]] virtual Elem dual_exp(const Elem& x, const Nat& ex,
                                       const Elem& y, const Nat& ey) const;
+
+  /// Batch forms of exp and dual_exp: out[i] = exp(bases[i], scalars[i]),
+  /// resp. dual_exp(xs[i], exs[i], ys[i], eys[i]), element-identical to the
+  /// one-by-one calls. Every span has out.size() elements
+  /// (std::invalid_argument otherwise), and out must not overlap an input.
+  /// The defaults loop. SchnorrGroup hands whole batches to MontCtx's batch
+  /// ladders (8 ladders per AVX-512 IFMA vector on 4-limb moduli);
+  /// MeteredGroup counts out.size() calls of kGroupExp / kGroupDualExp, and
+  /// AcceleratedGroup still sends joint-key bases to its comb table.
+  virtual void exp_many(std::span<const Elem> bases,
+                        std::span<const Nat> scalars,
+                        std::span<Elem> out) const;
+  virtual void dual_exp_many(std::span<const Elem> xs,
+                             std::span<const Nat> exs,
+                             std::span<const Elem> ys,
+                             std::span<const Nat> eys,
+                             std::span<Elem> out) const;
 
   // --- conveniences shared by all groups ---
   /// x / y.

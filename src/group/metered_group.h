@@ -4,7 +4,9 @@
 // (runtime::count_op) and then forwarded to the wrapped group, so the
 // group_* counters are the calls the protocol actually executed — one
 // count per call, whatever the call costs inside (a dual_exp is one
-// kGroupDualExp, not the ladder's multiplications). Counting at the
+// kGroupDualExp, not the ladder's multiplications), and one per element for
+// the batch forms (an exp_many over n bases is n kGroupExp, however the
+// inner group batches them). Counting at the
 // *interface* — not inside the concrete groups — is deliberate: comb-table
 // and ladder internals (SchnorrGroup::exp_g, AcceleratedGroup's tables,
 // dual_exp) stay invisible, so the counts are the same on every group
@@ -49,6 +51,17 @@ class MeteredGroup final : public Group {
                               const Nat& ey) const override {
     runtime::count_op(runtime::CryptoOp::kGroupDualExp);
     return inner_.dual_exp(x, ex, y, ey);
+  }
+  void exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
+                std::span<Elem> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupExp, out.size());
+    inner_.exp_many(bases, scalars, out);
+  }
+  void dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                     std::span<const Elem> ys, std::span<const Nat> eys,
+                     std::span<Elem> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupDualExp, out.size());
+    inner_.dual_exp_many(xs, exs, ys, eys, out);
   }
   [[nodiscard]] Elem inv(const Elem& x) const override {
     runtime::count_op(runtime::CryptoOp::kGroupInv);

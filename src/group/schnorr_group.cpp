@@ -20,6 +20,14 @@ bool sums_to(const Nat& a, const Nat& b, const Nat& m) {
   return carry == 0;
 }
 
+// The residues of `xs`, for MontCtx's batch ladders.
+std::vector<Nat> residues(std::span<const Elem> xs) {
+  std::vector<Nat> out;
+  out.reserve(xs.size());
+  for (const Elem& x : xs) out.push_back(x.a);
+  return out;
+}
+
 }  // namespace
 
 SchnorrGroup::SchnorrGroup(std::string name, Nat safe_prime)
@@ -58,6 +66,33 @@ Elem SchnorrGroup::exp(const Elem& base, const Nat& scalar) const {
 Elem SchnorrGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                             const Nat& ey) const {
   return Elem{.a = mont_.dual_exp(x.a, ex, y.a, ey)};
+}
+
+// The batch forms run MontCtx's batch ladders in place over copies of the
+// residues (MontCtx allows out[i] to be its own base).
+void SchnorrGroup::exp_many(std::span<const Elem> bases,
+                            std::span<const Nat> scalars,
+                            std::span<Elem> out) const {
+  if (bases.size() != out.size())
+    throw std::invalid_argument("SchnorrGroup::exp_many: span sizes differ");
+  std::vector<Nat> r = residues(bases);
+  mont_.exp_many(r, scalars, r);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = Elem{.a = std::move(r[i])};
+}
+
+void SchnorrGroup::dual_exp_many(std::span<const Elem> xs,
+                                 std::span<const Nat> exs,
+                                 std::span<const Elem> ys,
+                                 std::span<const Nat> eys,
+                                 std::span<Elem> out) const {
+  if (xs.size() != out.size() || ys.size() != out.size())
+    throw std::invalid_argument(
+        "SchnorrGroup::dual_exp_many: span sizes differ");
+  std::vector<Nat> r = residues(xs);
+  mont_.dual_exp_many(r, exs, residues(ys), eys, r);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = Elem{.a = std::move(r[i])};
 }
 
 Elem SchnorrGroup::inv(const Elem& x) const {

@@ -44,6 +44,11 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override;
   [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                               const Nat& ey) const override;
+  void exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
+                std::span<Elem> out) const override;
+  void dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                     std::span<const Elem> ys, std::span<const Nat> eys,
+                     std::span<Elem> out) const override;
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override;

@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <type_traits>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace ppgr::mpz {
 
 namespace {
@@ -250,6 +254,212 @@ Nat straus_ladder(const Kern& mul, const std::array<const Nat*, N>& bases,
   return Nat::from_limbs({acc, k});
 }
 
+// ---- 8-lane batch ladders: AVX-512 IFMA, 4-limb moduli ----
+//
+// Eight independent ladders run side by side, one per 64-bit lane of a zmm
+// register: a residue is five registers, register j holding radix-2^52 limb
+// j of all eight lanes. vpmadd52{lo,hi}uq multiply the low 52 bits of two
+// lanes and add the low or high half of the 104-bit product to a 64-bit
+// accumulator, so the accumulators absorb the carries until one final
+// normalization (Gueron-Krasnov, ARITH 2016).
+//
+// The product is an almost-Montgomery multiplication (AMM) with R' = 2^260:
+// for a, b < 2p it returns a*b/R' mod p, below 2p, since
+// (a*b + U*p)/R' < (4p^2 + R'p)/R' < 2p whenever 4p < R' (p < 2^256 here).
+// Residues in the lane domain (x*R' mod p, below 2p) are never fully
+// reduced inside the ladder; entry multiplies a 64-bit Montgomery residue
+// (x*2^256) by 2^264 mod p, exit multiplies by 2^256 mod p and subtracts p
+// once, so the result is the fully reduced residue the scalar ladder
+// returns. The schedule is straus_ladder's; every lane looks up its own
+// digit (vpgatherqq), and table entry 0 is the lane domain's one, so a zero
+// digit multiplies by one and all lanes run the same sequence of products.
+
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kLimbs52 = 5;
+constexpr Limb kMask52 = (Limb{1} << 52) - 1;
+
+// x < 2^256 as five 52-bit limbs.
+std::array<Limb, kLimbs52> to_radix52(const Nat& x) {
+  Limb l[4] = {};
+  load(l, x, 4);
+  return {l[0] & kMask52, ((l[0] >> 52) | (l[1] << 12)) & kMask52,
+          ((l[1] >> 40) | (l[2] << 24)) & kMask52,
+          ((l[2] >> 28) | (l[3] << 36)) & kMask52, l[3] >> 16};
+}
+
+// True when this CPU supports AVX-512F and AVX-512 IFMA (libgcc reports
+// them only when the OS saves the zmm state), i.e. can run the 8-lane
+// ladders.
+bool cpu_has_avx512ifma() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512ifma");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+#if defined(__x86_64__)
+#pragma GCC diagnostic push
+// GCC 12 flags the deliberate self-initialization in _mm512_undefined_epi32,
+// which the gather and shift intrinsics use, as (maybe-)uninitialized (GCC
+// bug 105593).
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// Compiled for AVX-512 IFMA without a global -m flag: the code runs only
+// after cpu_has_avx512ifma(), so the binary still runs on any x86-64 CPU.
+#define PPGR_IFMA __attribute__((target("avx512f,avx512ifma")))
+#define PPGR_IFMA_INLINE \
+  __attribute__((target("avx512f,avx512ifma"), always_inline)) inline
+
+struct Lane5 {
+  __m512i l[kLimbs52];
+};
+
+// AMM over all eight lanes: out = a*b/2^260 mod m, below 2m, with 52-bit
+// limbs, for a, b < 2m with 52-bit limbs. `out` may alias a or b.
+PPGR_IFMA_INLINE void amm8(Lane5& out, const Lane5& a, const Lane5& b,
+                           const Lane5& m, __m512i k0) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i t[kLimbs52 + 1] = {zero, zero, zero, zero, zero, zero};
+#pragma GCC unroll 5
+  for (std::size_t i = 0; i < kLimbs52; ++i) {
+    const __m512i ai = a.l[i];
+    // t += a_i * b; u = t_0 * k0 mod 2^52 (madd52lo of a zero accumulator
+    // is already below 2^52).
+    t[0] = _mm512_madd52lo_epu64(t[0], ai, b.l[0]);
+    const __m512i u = _mm512_madd52lo_epu64(zero, t[0], k0);
+    t[1] = _mm512_madd52hi_epu64(t[1], ai, b.l[0]);
+#pragma GCC unroll 5
+    for (std::size_t j = 1; j < kLimbs52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], ai, b.l[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, b.l[j]);
+    }
+    // t += u * m, which clears t_0's low 52 bits; then t >>= 52.
+#pragma GCC unroll 5
+    for (std::size_t j = 0; j < kLimbs52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], u, m.l[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], u, m.l[j]);
+    }
+    t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
+#pragma GCC unroll 5
+    for (std::size_t j = 0; j < kLimbs52; ++j) t[j] = t[j + 1];
+    t[kLimbs52] = zero;
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+#pragma GCC unroll 5
+  for (std::size_t j = 0; j + 1 < kLimbs52; ++j) {
+    t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64(t[j], 52));
+    out.l[j] = _mm512_and_si512(t[j], mask);
+  }
+  out.l[kLimbs52 - 1] = t[kLimbs52 - 1];
+}
+
+PPGR_IFMA_INLINE Lane5 broadcast(const std::array<Limb, kLimbs52>& x) {
+  Lane5 v;
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    v.l[j] = _mm512_set1_epi64(static_cast<long long>(x[j]));
+  return v;
+}
+
+// One lane-domain residue per lane, in memory: [limb][lane].
+using LaneTable = Limb[kLimbs52][kLanes];
+
+PPGR_IFMA_INLINE void store5(LaneTable& dst, const Lane5& v) {
+  for (std::size_t j = 0; j < kLimbs52; ++j) _mm512_store_si512(dst[j], v.l[j]);
+}
+
+PPGR_IFMA_INLINE Lane5 load5(const LaneTable& src) {
+  Lane5 v;
+  for (std::size_t j = 0; j < kLimbs52; ++j) v.l[j] = _mm512_load_si512(src[j]);
+  return v;
+}
+
+// One batch of eight ladders: lane l sets out[l] to the product over the N
+// terms of bases[i][l]^exps[i][l], where bases[i] and exps[i] each point at
+// eight consecutive values and the bases are fully reduced 64-bit-limb
+// Montgomery residues. Every input is read before out is written.
+template <std::size_t N>
+PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
+                            const std::array<const Nat*, N>& bases,
+                            const std::array<const Nat*, N>& exps, Nat* out) {
+  // table[i][d][j][l]: limb j of bases[i][l]^d in the lane domain.
+  alignas(64) LaneTable table[N][kDigits];
+  const Lane5 m = broadcast(c.m);
+  const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
+  const Lane5 one = broadcast(c.one);
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const auto x = to_radix52(bases[i][l]);
+      for (std::size_t j = 0; j < kLimbs52; ++j) table[i][1][j][l] = x[j];
+      bits = std::max(bits, exps[i][l].bit_length());
+    }
+    Lane5 x = load5(table[i][1]);
+    amm8(x, x, broadcast(c.to_lane), m, k0);
+    store5(table[i][0], one);
+    store5(table[i][1], x);
+    Lane5 xd = x;
+    for (std::size_t d = 2; d < kDigits; ++d) {
+      amm8(xd, xd, x, m, k0);
+      store5(table[i][d], xd);
+    }
+  }
+  Lane5 acc = one;
+  bool started = false;
+  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+    if (started)
+      for (std::size_t s = 0; s < kWindow; ++s) amm8(acc, acc, acc, m, k0);
+    for (std::size_t i = 0; i < N; ++i) {
+      // Lane l's entry for digit d starts d * sizeof(LaneTable) + l limbs
+      // into the table.
+      alignas(64) Limb offset[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l)
+        offset[l] = nibble(exps[i][l], w * kWindow) * kLimbs52 * kLanes + l;
+      const __m512i idx = _mm512_load_si512(offset);
+      Lane5 g;
+      for (std::size_t j = 0; j < kLimbs52; ++j)
+        g.l[j] = _mm512_i64gather_epi64(idx, table[i][0][j], 8);
+      if (started) {
+        amm8(acc, acc, g, m, k0);
+      } else {
+        acc = g;
+        started = true;
+      }
+    }
+  }
+  amm8(acc, acc, broadcast(c.from_lane), m, k0);
+  alignas(64) LaneTable res;
+  store5(res, acc);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    // Back to 64-bit limbs (the value is below 2m < 2^257), then subtract m
+    // unless that borrows.
+    const Limb r0 = res[0][l], r1 = res[1][l], r2 = res[2][l],
+               r3 = res[3][l], r4 = res[4][l];
+    const Limb x[5] = {r0 | (r1 << 52), (r1 >> 12) | (r2 << 40),
+                       (r2 >> 24) | (r3 << 28), (r3 >> 36) | (r4 << 16),
+                       r4 >> 48};
+    Limb d[4] = {};
+    Limb borrow = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const U128 t = static_cast<U128>(x[j]) - m64[j] - borrow;
+      d[j] = static_cast<Limb>(t);
+      borrow = static_cast<Limb>(t >> 64) & 1;
+    }
+    out[l] = Nat::from_limbs({x[4] >= borrow ? d : x, 4});
+  }
+}
+
+#undef PPGR_IFMA
+#undef PPGR_IFMA_INLINE
+#pragma GCC diagnostic pop
+#endif  // __x86_64__
+
 }  // namespace
 
 template <std::size_t K>
@@ -295,6 +505,22 @@ MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
   }
   r_mod_m_ = Nat::pow2(64 * k_) % m_;
   rr_ = Nat::pow2(128 * k_) % m_;
+  if (k_ == 4 && cpu_has_avx512ifma()) {
+    // 2^260 and 2^264 mod m by doubling 2^256 mod m: no further division.
+    const auto times16 = [&](Nat x) {
+      for (int s = 0; s < 4; ++s) {
+        x = Nat::add(x, x);
+        if (x >= m_) x = Nat::sub(x, m_);
+      }
+      return x;
+    };
+    const Nat one = times16(r_mod_m_);
+    lanes_ = LaneConsts{.m = to_radix52(m_),
+                        .one = to_radix52(one),
+                        .to_lane = to_radix52(times16(one)),
+                        .from_lane = to_radix52(r_mod_m_),
+                        .k0 = n0inv_ & kMask52};
+  }
 }
 
 template <class F>
@@ -361,6 +587,36 @@ Nat MontCtx::dual_exp(const Nat& x, const Nat& ex, const Nat& y,
   return with_kernel([&](const auto& kern) {
     return straus_ladder<2>(kern, {&x, &y}, {&ex, &ey});
   });
+}
+
+void MontCtx::exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
+                       std::span<Nat> out) const {
+  if (bases.size() != out.size() || exps.size() != out.size())
+    throw std::invalid_argument("MontCtx::exp_many: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (lanes_.has_value())
+    for (; out.size() - i >= kLanes; i += kLanes)
+      straus_lanes<1>(*lanes_, m_.limbs().data(), {&bases[i]}, {&exps[i]},
+                      &out[i]);
+#endif
+  for (; i < out.size(); ++i) out[i] = exp(bases[i], exps[i]);
+}
+
+void MontCtx::dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
+                            std::span<const Nat> ys, std::span<const Nat> eys,
+                            std::span<Nat> out) const {
+  if (xs.size() != out.size() || exs.size() != out.size() ||
+      ys.size() != out.size() || eys.size() != out.size())
+    throw std::invalid_argument("MontCtx::dual_exp_many: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (lanes_.has_value())
+    for (; out.size() - i >= kLanes; i += kLanes)
+      straus_lanes<2>(*lanes_, m_.limbs().data(), {&xs[i], &ys[i]},
+                      {&exs[i], &eys[i]}, &out[i]);
+#endif
+  for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }
 
 }  // namespace ppgr::mpz

@@ -7,11 +7,17 @@
 // Two layers: the raw-limb product kernels below (fixed-width stack arrays,
 // no Nat, no allocation) and MontCtx, whose exp/dual_exp ladders run
 // entirely on those kernels and touch Nat only at entry and exit. MontCtx
-// picks its kernel once, at construction (see DESIGN.md Sec. 5e).
+// picks its kernel once, at construction (see DESIGN.md Sec. 5e). Its batch
+// ladders (exp_many / dual_exp_many) run 8 independent ladders per AVX-512
+// IFMA vector for 4-limb moduli on CPUs that have it, and the scalar
+// ladders otherwise; both paths return the same fully reduced residues.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "mpz/nat.h"
 
@@ -34,6 +40,14 @@ void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
 /// it is the portable kernel.
 void mont_mul4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
                    Limb n0inv);
+
+/// Radix-2^52 constants of MontCtx's 8-lane ladders, each a 5-limb value:
+/// the modulus, one in the lane domain (2^260 mod m), and the entry and exit
+/// factors 2^264 and 2^256 mod m (see mont.cpp).
+struct LaneConsts {
+  std::array<Limb, 5> m, one, to_lane, from_lane;
+  Limb k0;  // -m^{-1} mod 2^52
+};
 
 class MontCtx {
  public:
@@ -68,6 +82,24 @@ class MontCtx {
   [[nodiscard]] Nat dual_exp(const Nat& x, const Nat& ex, const Nat& y,
                              const Nat& ey) const;
 
+  /// Batch exp: out[i] = exp(bases[i], exps[i]), same values, with exp's
+  /// contract (bases in Montgomery form, below the modulus). All spans have
+  /// out.size() elements (std::invalid_argument otherwise); out[i] may be
+  /// the same object as bases[i] or exps[i], but must not overlap any other
+  /// input element.
+  void exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
+                std::span<Nat> out) const;
+  /// Batch dual_exp: out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]), with
+  /// exp_many's size and aliasing rules.
+  void dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
+                     std::span<const Nat> ys, std::span<const Nat> eys,
+                     std::span<Nat> out) const;
+  /// Ladders the batch forms run per step: 8 on the IFMA path (4-limb
+  /// moduli on an IFMA CPU), 1 on the scalar ladders.
+  [[nodiscard]] std::size_t batch_lanes() const {
+    return lanes_.has_value() ? 8 : 1;
+  }
+
   /// 1 in Montgomery form (== R mod m).
   [[nodiscard]] const Nat& one_mont() const { return r_mod_m_; }
 
@@ -89,6 +121,7 @@ class MontCtx {
   Kernel kernel_;
   Nat rr_;         // R^2 mod m
   Nat r_mod_m_;    // R mod m
+  std::optional<LaneConsts> lanes_;  // set iff batch_lanes() == 8
 };
 
 }  // namespace ppgr::mpz

@@ -326,6 +326,142 @@ TEST(MontLadder, ExpAndDualExpMatchPowm) {
   }
 }
 
+// ---- batch ladders (exp_many / dual_exp_many) against mpz_powm ----
+
+// The 4-limb moduli the batch ladders run 8 lanes at a time on IFMA hosts:
+// every shipped one plus 2^256-189, each with the exponent playing "q" (the
+// group order for the shipped ones, m-1 for 2^256-189).
+std::vector<std::pair<Nat, Nat>> batch_moduli() {
+  const auto with_order = [](group::GroupId id, const Nat& m) {
+    return std::pair{m, group::make_group(id)->order()};
+  };
+  const Nat maxc = max_carry_prime();
+  return {
+      with_order(group::GroupId::kDlTest256,
+                 schnorr_prime(group::GroupId::kDlTest256)),
+      with_order(group::GroupId::kEcP224,
+                 ec_field_prime(group::GroupId::kEcP224)),
+      with_order(group::GroupId::kEcP256,
+                 ec_field_prime(group::GroupId::kEcP256)),
+      {maxc, Nat::sub(maxc, Nat{1})},
+  };
+}
+
+// This CPU's AVX-512 IFMA support, read from CPUID independently of mont.cpp.
+bool host_has_ifma() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
+
+TEST(MontBatch, FourLimbModuliTakeTheEightLanePathOnIfmaHosts) {
+  // Only this assertion depends on the host; the oracle below runs on
+  // whichever path the host takes.
+  if (!host_has_ifma()) GTEST_SKIP() << "CPU lacks AVX-512 IFMA";
+  for (const auto& [m, q] : batch_moduli())
+    EXPECT_EQ(MontCtx{m}.batch_lanes(), 8u) << m.to_hex();
+  // Every other width stays on the scalar ladders.
+  EXPECT_EQ(MontCtx{ec_field_prime(group::GroupId::kEcP192)}.batch_lanes(), 1u);
+  EXPECT_EQ(MontCtx{schnorr_prime(group::GroupId::kDl1024)}.batch_lanes(), 1u);
+}
+
+TEST(MontBatch, ExpManyAndDualExpManyMatchPowmPerLane) {
+  ChaChaRng rng{404};
+  for (const auto& [mn, q] : batch_moduli()) {
+    const MontCtx ctx{mn};
+    ASSERT_EQ(ctx.batch_lanes(), host_has_ifma() ? 8u : 1u);
+    const mpz_class m = to_gmp(mn);
+    const std::size_t bits = mn.bit_length();
+    // Per-lane exponent shapes, cycled through the batch so one vector mixes
+    // widths: random full-width, zero, exactly q, q + small, wider than the
+    // modulus, short, one, and >= q by a full-width amount.
+    const auto exponent = [&](std::size_t i) -> Nat {
+      switch (i % 8) {
+        case 0: return rng.bits(bits);
+        case 1: return Nat{};
+        case 2: return q;
+        case 3: return Nat::add(q, Nat{rng.below_u64(1000)});
+        case 4: return rng.bits(bits + 1 + rng.below_u64(200));
+        case 5: return rng.bits(1 + rng.below_u64(64));
+        case 6: return Nat{1};
+        default: return Nat::add(q, rng.bits(bits));
+      }
+    };
+    // Montgomery bases: one, -one, and random residues.
+    const Nat one = ctx.one_mont(), minus_one = Nat::sub(mn, one);
+    const auto base = [&](std::size_t i) -> Nat {
+      if (i % 11 == 0) return one;
+      if (i % 11 == 5) return minus_one;
+      return ctx.to_mont(rng.nonzero_below(mn));
+    };
+    const auto check = [&](const std::vector<Nat>& xs,
+                           const std::vector<Nat>& exs,
+                           const std::vector<Nat>& ys,
+                           const std::vector<Nat>& eys) {
+      const std::size_t n = xs.size();
+      std::vector<Nat> got(n), got2(n);
+      ctx.exp_many(xs, exs, got);
+      ctx.dual_exp_many(xs, exs, ys, eys, got2);
+      for (std::size_t i = 0; i < n; ++i) {
+        const mpz_class x = to_gmp(ctx.from_mont(xs[i]));
+        const mpz_class y = to_gmp(ctx.from_mont(ys[i]));
+        // Fully reduced residues, equal to the scalar ladders' ...
+        ASSERT_LT(to_gmp(got[i]), m);
+        ASSERT_LT(to_gmp(got2[i]), m);
+        ASSERT_EQ(got[i], ctx.exp(xs[i], exs[i])) << "lane " << i;
+        ASSERT_EQ(got2[i], ctx.dual_exp(xs[i], exs[i], ys[i], eys[i]))
+            << "lane " << i;
+        // ... and to GMP's powers.
+        ASSERT_EQ(to_gmp(ctx.from_mont(got[i])), powm(x, to_gmp(exs[i]), m))
+            << "m=" << mn.to_hex() << " n=" << n << " lane " << i
+            << " e=" << exs[i].to_hex();
+        ASSERT_EQ(to_gmp(ctx.from_mont(got2[i])),
+                  powm(x, to_gmp(exs[i]), m) * powm(y, to_gmp(eys[i]), m) % m)
+            << "m=" << mn.to_hex() << " n=" << n << " lane " << i;
+      }
+      // In place: out[i] may be its own base.
+      std::vector<Nat> inplace = xs;
+      ctx.exp_many(inplace, exs, inplace);
+      EXPECT_EQ(inplace, got);
+      inplace = xs;
+      ctx.dual_exp_many(inplace, exs, ys, eys, inplace);
+      EXPECT_EQ(inplace, got2);
+    };
+    for (const std::size_t n : {0, 1, 7, 8, 9, 16, 17, 525}) {
+      std::vector<Nat> xs, ys, exs, eys;
+      for (std::size_t i = 0; i < n; ++i) {
+        xs.push_back(base(i));
+        ys.push_back(base(i + 3));
+        exs.push_back(exponent(i));
+        eys.push_back(exponent(i + 5));
+      }
+      check(xs, exs, ys, eys);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Zero in every lane of a full vector and its tail.
+    {
+      std::vector<Nat> xs, ys;
+      for (std::size_t i = 0; i < 9; ++i) {
+        xs.push_back(base(i + 1));
+        ys.push_back(base(i + 2));
+      }
+      check(xs, std::vector<Nat>(9), ys, std::vector<Nat>(9));
+    }
+  }
+}
+
+TEST(MontBatch, RejectsMismatchedSpans) {
+  const MontCtx ctx{schnorr_prime(group::GroupId::kDlTest256)};
+  std::vector<Nat> three(3, ctx.one_mont()), two(2, Nat{1}), out(3);
+  EXPECT_THROW(ctx.exp_many(three, two, out), std::invalid_argument);
+  EXPECT_THROW(ctx.dual_exp_many(three, three, three, two, out),
+               std::invalid_argument);
+}
+
 // ---- the DL wire encoding against GMP ----
 
 // The canonical encoding of the class {v, p - v}: min(v, p - v), read from

@@ -6,15 +6,21 @@
 // Schnorr (unique Montgomery representation) and elliptic-curve (non-unique
 // Jacobian representation, compared through eq() and the canonical
 // serialization). Edge exponents cover the window boundaries the ladders
-// digit-slice at: 0, 1, 2^w - 1, and order +/- 1.
+// digit-slice at: 0, 1, 2^w - 1, and order +/- 1. The batch forms
+// (exp_many / dual_exp_many) must equal the per-element calls on every
+// family, including SchnorrGroup's 8-lane path (dl-test-256) and its scalar
+// fallback (dl-1024), and the decorators must keep the per-element counts.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "group/accel_group.h"
 #include "group/fixed_base.h"
+#include "group/metered_group.h"
 #include "group/mock_group.h"
+#include "runtime/metrics.h"
 
 namespace ppgr::group {
 namespace {
@@ -53,6 +59,10 @@ class MultiExpTest : public ::testing::TestWithParam<const char*> {
       g_ = std::make_unique<MockGroup>("mock");
     } else if (which == "schnorr") {
       g_ = make_group(GroupId::kDlTest256);
+    } else if (which == "dl1024") {
+      g_ = make_group(GroupId::kDl1024);
+    } else if (which == "p256") {
+      g_ = make_group(GroupId::kEcP256);
     } else {
       g_ = make_group(GroupId::kEcP192);
     }
@@ -110,6 +120,107 @@ TEST_P(MultiExpTest, DualExpOfOneBaseTwiceAddsExponents) {
 
 INSTANTIATE_TEST_SUITE_P(AllGroups, MultiExpTest,
                          ::testing::Values("mock", "schnorr", "ec"),
+                         [](const auto& info) { return std::string{info.param}; });
+
+class BatchExpTest : public MultiExpTest {
+ protected:
+  // n inputs of the phase-2 hop's shape, with edge exponents and a repeated
+  // base mixed in.
+  void fill(std::size_t n) {
+    const auto edges = edge_exponents(*g_);
+    xs_.clear();
+    ys_.clear();
+    exs_.clear();
+    eys_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      xs_.push_back(i % 6 == 4 && i > 0 ? xs_[i - 1] : random_elem());
+      ys_.push_back(random_elem());
+      exs_.push_back(i % 3 == 0 ? edges[i % edges.size()]
+                                : g_->random_nonzero_scalar(rng_));
+      eys_.push_back(i % 4 == 1 ? edges[(i + 2) % edges.size()]
+                                : g_->random_nonzero_scalar(rng_));
+    }
+  }
+
+  std::vector<Elem> xs_, ys_;
+  std::vector<Nat> exs_, eys_;
+};
+
+TEST_P(BatchExpTest, BatchFormsEqualPerElementCalls) {
+  for (const std::size_t n : {0, 1, 7, 8, 9, 17, 64}) {
+    fill(n);
+    std::vector<Elem> got(n), got2(n);
+    g_->exp_many(xs_, exs_, got);
+    g_->dual_exp_many(xs_, exs_, ys_, eys_, got2);
+    for (std::size_t i = 0; i < n; ++i) {
+      expect_same(*g_, got[i], g_->exp(xs_[i], exs_[i]), "exp_many");
+      expect_same(*g_, got2[i], g_->dual_exp(xs_[i], exs_[i], ys_[i], eys_[i]),
+                  "dual_exp_many");
+    }
+  }
+  std::vector<Elem> out(2);
+  EXPECT_THROW(g_->exp_many(xs_, exs_, out), std::invalid_argument);
+}
+
+TEST_P(BatchExpTest, MeteredGroupCountsEveryElement) {
+  const MeteredGroup metered{*g_};
+  fill(17);
+  std::vector<Elem> out(17);
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    metered.exp_many(xs_, exs_, out);
+    metered.dual_exp_many(xs_, exs_, ys_, eys_, out);
+    metered.dual_exp_many({}, {}, {}, {}, {});
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExp), 17u);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupDualExp), 17u);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
+}
+
+TEST_P(BatchExpTest, AcceleratedGroupRoutesKeyTableBasesToTheComb) {
+  // A batch mixing the key table's base with other bases: same values and
+  // the same kAccelFixedBaseExp count as the per-element loop.
+  AcceleratedGroup accel{*g_};
+  const Elem key = random_elem();
+  accel.set_base_table(std::make_shared<const FixedBaseTable>(
+      *g_, key, g_->order().bit_length()));
+  fill(19);
+  for (const std::size_t i : {0, 3, 8, 9, 18}) xs_[i] = key;
+  const auto fixed_base_exps = [&](const auto& run) {
+    runtime::MetricsBuffer buf;
+    {
+      const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+      run();
+    }
+    runtime::MetricsRegistry reg;
+    reg.absorb(buf);
+    return reg.total(runtime::CryptoOp::kAccelFixedBaseExp);
+  };
+  std::vector<Elem> batch(xs_.size()), loop(xs_.size());
+  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 5u);
+  EXPECT_EQ(fixed_base_exps([&] {
+              for (std::size_t i = 0; i < xs_.size(); ++i)
+                loop[i] = accel.exp(xs_[i], exs_[i]);
+            }),
+            5u);
+  for (std::size_t i = 0; i < xs_.size(); ++i) {
+    expect_same(*g_, batch[i], loop[i], "accel exp_many");
+    expect_same(*g_, batch[i], g_->exp(xs_[i], exs_[i]), "accel vs inner");
+  }
+  // All bases on the table, and none.
+  for (Elem& x : xs_) x = key;
+  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 19u);
+  fill(19);
+  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 0u);
+  for (std::size_t i = 0; i < xs_.size(); ++i)
+    expect_same(*g_, batch[i], g_->exp(xs_[i], exs_[i]), "no table hits");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGroups, BatchExpTest,
+                         ::testing::Values("mock", "schnorr", "dl1024", "p256"),
                          [](const auto& info) { return std::string{info.param}; });
 
 class FixedBaseTest : public MultiExpTest {};
