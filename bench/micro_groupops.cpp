@@ -254,6 +254,27 @@ void BM_GroupInv(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupInv)->Arg(256)->Arg(1024);
 
+// One compare circuit's inversions: 2l = 70 elements in one inv_many
+// (Montgomery's trick, one invmod per batch). Items/s is per element, so it
+// reads directly against BM_GroupInv.
+void BM_GroupInvMany(benchmark::State& state) {
+  constexpr std::size_t kCircuit = 70;
+  const auto& g = schnorr_for(state.range(0));
+  mpz::ChaChaRng rng{12};
+  std::vector<group::Elem> xs, out(kCircuit);
+  for (std::size_t i = 0; i < kCircuit; ++i)
+    xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
+  for (auto _ : state) {
+    g.inv_many(xs, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kCircuit));
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupInvMany)->Arg(256)->Arg(1024);
+
 void BM_NatMul(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   mpz::ChaChaRng rng{6};

@@ -39,10 +39,13 @@
 # ASan watches. The same leg runs the batch ladders' oracles:
 # mpz_modular_test's per-lane GMP oracle (MontCtx::exp_many / dual_exp_many
 # vs mpz_powm on every 4-limb modulus, over batch tails and mixed-width
-# exponents, failing on an IFMA host unless the 8-lane path ran) and
-# multiexp_test's batch-vs-per-element differential and count tests
-# (Group::exp_many / dual_exp_many through MeteredGroup and
-# AcceleratedGroup); building it under -Werror also proves the
+# exponents, failing on an IFMA host unless the 8-lane path ran), its
+# mpz_invert oracle for MontCtx::inv_many, multiexp_test's
+# batch-vs-per-element differential and count tests (Group::exp_many /
+# dual_exp_many / inv_many through MeteredGroup and AcceleratedGroup) and
+# crypto_test's batch-vs-per-element zero test
+# (crypto::count_zero_decryptions on every group family); building it
+# under -Werror also proves the
 # pragma-scoped IFMA kernel compiles warning-free. The leg also runs the
 # mpz_modular suite, whose binary gcd /
 # Jacobi / inverse kernels index fixed stack limb buffers at every width the
@@ -181,7 +184,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)

@@ -95,11 +95,12 @@ OpTally compare_circuit_ops(std::size_t l, std::size_t pop,
     return tally({{CryptoOp::kGroupExp, 3 * l + 2 * pop},
                   {CryptoOp::kGroupExpG, 2 * l + 2 * pop},
                   {CryptoOp::kGroupMul, 7 * l + 2 * pop}});
-  // Executed: γ of a set bit is two inversions, g^1 and a mul; ω is two
-  // inversions, the fused inv(γ.c)^coeff · g^coeff, inv(γ.cp)^coeff and two
-  // muls; τ of a set bit adds g^1 and a mul; then the same
-  // re-randomization and suffix step.
-  return tally({{CryptoOp::kGroupInv, 2 * l + 2 * pop},
+  // Executed: one batched inversion of the peer's 2l components, with γ⁻¹
+  // carried next to γ so no γ is inverted again; γ of a set bit adds g^1 and
+  // a mul; ω is the fused (γ⁻¹.c)^coeff · g^coeff (g^0 for a set bit, whose
+  // γ⁻¹.c carries g⁻¹), (γ⁻¹.cp)^coeff and two muls; τ of a set bit adds g^1
+  // and a mul; then the same re-randomization and suffix step.
+  return tally({{CryptoOp::kGroupInv, 2 * l},
                 {CryptoOp::kGroupDualExp, l},
                 {CryptoOp::kGroupExp, 2 * l},
                 {CryptoOp::kGroupExpG, l + 2 * pop},
@@ -149,12 +150,15 @@ HeOpModel model_he_ops(const ProblemSpec& spec, std::size_t n,
     for (std::size_t j = 0; j < n; ++j)
       p2 += scaled(compare_circuit_ops(l, popcounts[j], profile), n - 1);
     p2 += scaled(hop_ciphertext_ops(profile), n * (n - 1) * set_cts);
-    // Step 9: every party decrypts its returned set — cp^x, c / cp^x.
+    // Step 9: every party decrypts its returned set. Naive: cp^x and
+    // c / cp^x; executed: the zero test c == cp^x, cp^x alone.
     ph[static_cast<std::size_t>(runtime::Phase::kPhase3)] =
-        tally({{CryptoOp::kGroupExp, 1},
-               {CryptoOp::kGroupInv, 1},
-               {CryptoOp::kGroupMul, 1}},
-              n * set_cts);
+        profile == OpProfile::kNaive
+            ? tally({{CryptoOp::kGroupExp, 1},
+                     {CryptoOp::kGroupInv, 1},
+                     {CryptoOp::kGroupMul, 1}},
+                    n * set_cts)
+            : tally({{CryptoOp::kGroupExp, 1}}, n * set_cts);
     return ph;
   };
 

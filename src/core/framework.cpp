@@ -143,10 +143,13 @@ Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
 // ciphertexts and the own bits, which an adversary could test bit by bit
 // (the paper's Lemma-3 simulator implicitly assumes fresh encryptions here;
 // see DESIGN.md). Every element's order divides q, so the exponents q-1 and
-// q-coeff collapse into inversions and coeff-width ladders. The naive
-// ct_scale/ct_add_plain form of the same algebra is the differential oracle
-// in tests/phase2_oracle_test.cpp; benchcore::model_he_ops states the
-// interface calls this evaluation executes.
+// q-coeff collapse into inversions and coeff-width ladders. Each of the 2l
+// peer components is inverted exactly once, in one Group::inv_many
+// (Montgomery's trick on Schnorr groups), and γ⁻¹ is carried next to γ so
+// no γ is inverted again. The naive ct_scale/ct_add_plain form of the same
+// algebra is the differential oracle in tests/phase2_oracle_test.cpp;
+// benchcore::model_he_ops states the interface calls this evaluation
+// executes.
 std::vector<Ciphertext> Participant::compare_against(
     const std::vector<Ciphertext>& peer_bits, Rng& rng) const {
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
@@ -155,29 +158,44 @@ std::vector<Ciphertext> Participant::compare_against(
   if (peer_bits.size() != l)
     throw std::invalid_argument("compare_against: wrong bit count");
 
-  // γ = 1 - peer for an own set bit: E(peer)^(q-1) = E(peer)^{-1}.
-  std::vector<Ciphertext> gamma;
-  gamma.reserve(l);
+  // inv[b] = peer_b.c^{-1} and inv[l + b] = peer_b.cp^{-1}.
+  std::vector<Elem> peer(2 * l), inv(2 * l);
   for (std::size_t b = 0; b < l; ++b) {
+    peer[b] = peer_bits[b].c;
+    peer[l + b] = peer_bits[b].cp;
+  }
+  g.inv_many(peer, inv);
+
+  // γ and γ⁻¹ per bit. An own bit of 0 keeps γ = E(peer), so
+  // γ⁻¹ = (inv(c), inv(cp)). For a set bit, γ = 1 - peer = E(peer)^(q-1) ·
+  // E(1) = (inv(c)·g, inv(cp)), so γ⁻¹ = (c·g⁻¹, cp); gamma_inv stores it
+  // without the g⁻¹, which the ω step below cancels against its g^coeff.
+  std::vector<Ciphertext> gamma(l), gamma_inv(l);
+  for (std::size_t b = 0; b < l; ++b) {
+    Ciphertext flipped{.c = std::move(inv[b]), .cp = std::move(inv[l + b])};
     if (!beta_.bit(b)) {
-      gamma.push_back(peer_bits[b]);
+      gamma[b] = peer_bits[b];
+      gamma_inv[b] = std::move(flipped);
     } else {
-      gamma.push_back(Ciphertext{.c = g.mul(g.inv(peer_bits[b].c),
-                                            g.exp_g(Nat{1})),
-                                 .cp = g.inv(peer_bits[b].cp)});
+      gamma[b] = Ciphertext{.c = g.mul(flipped.c, g.exp_g(Nat{1})),
+                            .cp = std::move(flipped.cp)};
+      gamma_inv[b] = peer_bits[b];
     }
   }
 
+  const Nat zero;
   std::vector<Ciphertext> tau(l);
   Ciphertext suffix{.c = g.identity(), .cp = g.identity()};
   for (std::size_t b = l; b-- > 0;) {
     const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    // γ^(q-coeff) = inv(γ)^coeff, and coeff = l-b is tiny, so the fused
-    // inv(γ.c)^coeff · g^coeff runs a coeff-width Straus ladder.
+    // γ^(q-coeff) = (γ⁻¹)^coeff, and coeff = l-b is tiny, so the fused
+    // (γ⁻¹.c)^coeff · g^coeff runs a coeff-width Straus ladder. For a set
+    // bit γ⁻¹.c = c·g⁻¹ and the g's cancel: the factor is c^coeff · g^0.
+    const Nat& g_coeff = beta_.bit(b) ? zero : coeff;
     const Ciphertext omega{
-        .c = g.mul(g.dual_exp(g.inv(gamma[b].c), coeff, g.generator(), coeff),
+        .c = g.mul(g.dual_exp(gamma_inv[b].c, coeff, g.generator(), g_coeff),
                    suffix.c),
-        .cp = g.mul(g.exp(g.inv(gamma[b].cp), coeff), suffix.cp)};
+        .cp = g.mul(g.exp(gamma_inv[b].cp, coeff), suffix.cp)};
     tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
     tau[b] = rerandomize(g, joint_key_, tau[b], rng);
     suffix = ct_add(g, suffix, gamma[b]);
@@ -234,11 +252,7 @@ void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
 }
 
 std::size_t Participant::count_zeros(std::span<const Ciphertext> cts) const {
-  std::size_t zeros = 0;
-  for (const Ciphertext& ct : cts) {
-    if (crypto::decrypts_to_zero(*cfg_.group, key_.x, ct)) ++zeros;
-  }
-  return zeros;
+  return crypto::count_zero_decryptions(*cfg_.group, key_.x, cts);
 }
 
 std::optional<Initiator::Submission> Participant::submission(

@@ -269,7 +269,9 @@ class Participant {
   /// permutation of the set.
   void shuffle_hop(CipherSet& set, Rng& rng) const;
   /// Step 9: final decryption of (part of) the own returned set; the rank
-  /// is 1 + the zeros of the whole set.
+  /// is 1 + the zeros of the whole set. The span's cp^x run through one
+  /// Group::exp_many (phase 3 hands over kRankChunk ciphertexts at a
+  /// time).
   [[nodiscard]] std::size_t count_zeros(std::span<const Ciphertext> cts) const;
 
   // --- phase 3 ---

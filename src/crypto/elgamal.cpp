@@ -1,5 +1,7 @@
 #include "crypto/elgamal.h"
 
+#include <vector>
+
 #include "runtime/metrics.h"
 
 namespace ppgr::crypto {
@@ -38,8 +40,25 @@ Elem decrypt_exp(const Group& g, const Nat& x, const Ciphertext& ct) {
   return decrypt(g, x, ct);
 }
 
+// g^m = c / cp^x is the identity iff c == cp^x.
 bool decrypts_to_zero(const Group& g, const Nat& x, const Ciphertext& ct) {
-  return g.is_identity(decrypt(g, x, ct));
+  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalDecrypt);
+  return g.eq(ct.c, g.exp(ct.cp, x));
+}
+
+std::size_t count_zero_decryptions(const Group& g, const Nat& x,
+                                   std::span<const Ciphertext> cts) {
+  if (cts.empty()) return 0;
+  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalDecrypt, cts.size());
+  std::vector<Elem> cps, shared(cts.size());
+  cps.reserve(cts.size());
+  for (const Ciphertext& ct : cts) cps.push_back(ct.cp);
+  const std::vector<Nat> xs(cts.size(), x);
+  g.exp_many(cps, xs, shared);
+  std::size_t zeros = 0;
+  for (std::size_t i = 0; i < cts.size(); ++i)
+    if (g.eq(cts[i].c, shared[i])) ++zeros;
+  return zeros;
 }
 
 Ciphertext ct_add(const Group& g, const Ciphertext& a, const Ciphertext& b) {

@@ -51,9 +51,14 @@ struct KeyPair {
 [[nodiscard]] Elem decrypt_exp(const Group& g, const Nat& x,
                                const Ciphertext& ct);
 /// True iff the plaintext is zero (g^m == 1) — the only decryption the
-/// ranking phase needs.
+/// ranking phase needs. Tested as c == cp^x, with no division.
 [[nodiscard]] bool decrypts_to_zero(const Group& g, const Nat& x,
                                     const Ciphertext& ct);
+/// How many of `cts` decrypt to zero: decrypts_to_zero over the whole span,
+/// with every cp^x from one Group::exp_many. Counts kElGamalDecrypt once per
+/// ciphertext and records the span's latency as one histogram sample.
+[[nodiscard]] std::size_t count_zero_decryptions(
+    const Group& g, const Nat& x, std::span<const Ciphertext> cts);
 
 // --- homomorphic operators (exponential form) ---
 /// E(m1) ∘ E(m2) = E(m1+m2).

@@ -11,8 +11,9 @@
 //                    to the comb (and count), the rest to the inner
 //                    group's exp_many as one batch
 //
-// and forwards everything else, dual_exp and dual_exp_many included, so a
-// concrete group's native ladders stay reachable through the decorator.
+// and forwards everything else, dual_exp, dual_exp_many and inv_many
+// included, so a concrete group's native ladders and batched inversion stay
+// reachable through the decorator.
 //
 // Tables are attached after construction because the joint ElGamal key only
 // exists once phase-2 keygen has run; run_framework installs the key table
@@ -118,6 +119,10 @@ class AcceleratedGroup final : public Group {
   }
   [[nodiscard]] Elem inv(const Elem& x) const override {
     return inner_.inv(x);
+  }
+  void inv_many(std::span<const Elem> xs,
+                std::span<Elem> out) const override {
+    inner_.inv_many(xs, out);
   }
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);

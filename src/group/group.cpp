@@ -71,6 +71,12 @@ void Group::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
     out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }
 
+void Group::inv_many(std::span<const Elem> xs, std::span<Elem> out) const {
+  if (xs.size() != out.size())
+    throw std::invalid_argument("Group::inv_many: span sizes differ");
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = inv(xs[i]);
+}
+
 // Default dual_exp: the generic interleaved (Straus) ladder with 4-bit
 // windows, evaluated through this (possibly decorated) group's own mul():
 // one squaring ladder over the wider exponent, and per window at most one

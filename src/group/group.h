@@ -113,6 +113,16 @@ class Group {
                              std::span<const Nat> eys,
                              std::span<Elem> out) const;
 
+  /// Batch form of inv: out[i] = inv(xs[i]), element-identical to the
+  /// one-by-one calls. xs and out have the same size
+  /// (std::invalid_argument otherwise) and must not overlap. The default
+  /// loops, and EcGroup keeps it: its inv is a point negation, cheaper than
+  /// the three products per element of Montgomery's trick. SchnorrGroup
+  /// overrides it with MontCtx::inv_many (one binary invmod per batch);
+  /// MeteredGroup counts out.size() kGroupInv and AcceleratedGroup forwards,
+  /// so the trick stays reachable through the decorators.
+  virtual void inv_many(std::span<const Elem> xs, std::span<Elem> out) const;
+
   // --- conveniences shared by all groups ---
   /// x / y.
   [[nodiscard]] Elem div(const Elem& x, const Elem& y) const {

@@ -5,12 +5,13 @@
 // group_* counters are the calls the protocol actually executed — one
 // count per call, whatever the call costs inside (a dual_exp is one
 // kGroupDualExp, not the ladder's multiplications), and one per element for
-// the batch forms (an exp_many over n bases is n kGroupExp, however the
-// inner group batches them). Counting at the
-// *interface* — not inside the concrete groups — is deliberate: comb-table
-// and ladder internals (SchnorrGroup::exp_g, AcceleratedGroup's tables,
-// dual_exp) stay invisible, so the counts are the same on every group
-// family and benchcore::model_he_ops can state them in closed form.
+// the batch forms (an exp_many over n bases is n kGroupExp and an inv_many
+// over n elements n kGroupInv, however the inner group batches them).
+// Counting at the *interface* — not inside the concrete groups — is
+// deliberate: comb-table and ladder internals (SchnorrGroup::exp_g,
+// AcceleratedGroup's tables, dual_exp, Montgomery's trick) stay invisible,
+// so the counts are the same on every group family and
+// benchcore::model_he_ops can state them in closed form.
 //
 // With no metrics sink installed on the calling thread, each report is a
 // thread-local load plus an untaken branch.
@@ -66,6 +67,12 @@ class MeteredGroup final : public Group {
   [[nodiscard]] Elem inv(const Elem& x) const override {
     runtime::count_op(runtime::CryptoOp::kGroupInv);
     return inner_.inv(x);
+  }
+  /// out.size() kGroupInv, however the inner group batches them.
+  void inv_many(std::span<const Elem> xs,
+                std::span<Elem> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupInv, out.size());
+    inner_.inv_many(xs, out);
   }
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);

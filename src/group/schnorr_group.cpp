@@ -106,6 +106,17 @@ Elem SchnorrGroup::inv(const Elem& x) const {
   return Elem{.a = mont_.to_mont(*s)};
 }
 
+// Montgomery's trick on the raw residues: one invmod for the whole batch.
+void SchnorrGroup::inv_many(std::span<const Elem> xs,
+                            std::span<Elem> out) const {
+  if (xs.size() != out.size())
+    throw std::invalid_argument("SchnorrGroup::inv_many: span sizes differ");
+  std::vector<Nat> r(out.size());
+  mont_.inv_many(residues(xs), r);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = Elem{.a = std::move(r[i])};
+}
+
 // The Montgomery form of -x is p - xR, so the classes of x and y are equal
 // iff xR == yR or xR + yR == p.
 bool SchnorrGroup::eq(const Elem& x, const Elem& y) const {

@@ -50,6 +50,7 @@ class SchnorrGroup final : public Group {
                      std::span<const Elem> ys, std::span<const Nat> eys,
                      std::span<Elem> out) const override;
   [[nodiscard]] Elem inv(const Elem& x) const override;
+  void inv_many(std::span<const Elem> xs, std::span<Elem> out) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override;
 

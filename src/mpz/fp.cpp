@@ -42,18 +42,7 @@ std::vector<Nat> FpCtx::inv_many(std::span<const Nat> xs) const {
                               std::to_string(i) + " has no inverse");
   }
   std::vector<Nat> out(xs.size());
-  if (xs.empty()) return out;
-  // Prefix products: out[i] = x_0 * ... * x_i.
-  out[0] = xs[0];
-  for (std::size_t i = 1; i < xs.size(); ++i) out[i] = mul(out[i - 1], xs[i]);
-  // One real inversion of the running product, then back-substitute:
-  // inv(x_i) = inv(x_0..x_i) * (x_0..x_{i-1}).
-  Nat acc = inv(out.back());
-  for (std::size_t i = xs.size(); i-- > 1;) {
-    out[i] = mul(acc, out[i - 1]);
-    acc = mul(acc, xs[i]);
-  }
-  out[0] = std::move(acc);
+  mont_.inv_many(xs, out);
   return out;
 }
 

@@ -49,9 +49,9 @@ class FpCtx {
   [[nodiscard]] Nat pow(const Nat& a, const Nat& e) const { return mont_.exp(a, e); }
   /// Multiplicative inverse; throws std::domain_error on zero.
   [[nodiscard]] Nat inv(const Nat& a) const;
-  /// Batched inverse (Montgomery's trick): one field inversion plus 3(n-1)
-  /// multiplications for n elements, via prefix products and
-  /// back-substitution. Element i of the result equals inv(xs[i]) exactly.
+  /// Batched inverse (Montgomery's trick, MontCtx::inv_many): one field
+  /// inversion plus 3(n-1) multiplications for n elements. Element i of the
+  /// result equals inv(xs[i]) exactly.
   /// Throws std::domain_error naming the offending index if any input is
   /// zero — the whole batch is rejected, nothing is partially computed.
   [[nodiscard]] std::vector<Nat> inv_many(std::span<const Nat> xs) const;

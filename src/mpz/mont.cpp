@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "mpz/modarith.h"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -617,6 +619,27 @@ void MontCtx::dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
                       {&exs[i], &eys[i]}, &out[i]);
 #endif
   for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
+}
+
+void MontCtx::inv_many(std::span<const Nat> xs, std::span<Nat> out) const {
+  if (xs.size() != out.size())
+    throw std::invalid_argument("MontCtx::inv_many: span sizes differ");
+  if (out.empty()) return;
+  // Prefix products: out[i] = x_0 ... x_i.
+  out[0] = xs[0];
+  for (std::size_t i = 1; i < out.size(); ++i) out[i] = mul(out[i - 1], xs[i]);
+  // One binary inversion of the running product (out of and back into
+  // Montgomery form), then back-substitute:
+  // inv(x_i) = inv(x_0 ... x_i) * (x_0 ... x_{i-1}).
+  const auto s = invmod(from_mont(out.back()), m_);
+  if (!s.has_value())
+    throw std::domain_error("MontCtx::inv_many: element not invertible");
+  Nat acc = to_mont(*s);
+  for (std::size_t i = out.size(); i-- > 1;) {
+    out[i] = mul(acc, out[i - 1]);
+    acc = mul(acc, xs[i]);
+  }
+  out[0] = std::move(acc);
 }
 
 }  // namespace ppgr::mpz

@@ -94,6 +94,16 @@ class MontCtx {
   void dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
                      std::span<const Nat> ys, std::span<const Nat> eys,
                      std::span<Nat> out) const;
+  /// Batch inverse (Montgomery's trick): out[i] = xs[i]^{-1}, in Montgomery
+  /// form, for Montgomery-form xs[i] below the modulus. Prefix products,
+  /// one binary invmod of the whole product, then back-substitution:
+  /// 3(n-1) products and one inversion for n elements, and each out[i] is
+  /// the unique fully reduced inverse, as one-by-one inversion gives it.
+  /// xs and out have the same size (std::invalid_argument otherwise) and
+  /// must not overlap. If any xs[i] shares a factor with the modulus (zero
+  /// included), the product has no inverse: std::domain_error, and out
+  /// holds no inverses.
+  void inv_many(std::span<const Nat> xs, std::span<Nat> out) const;
   /// Ladders the batch forms run per step: 8 on the IFMA path (4-limb
   /// moduli on an IFMA CPU), 1 on the scalar ladders.
   [[nodiscard]] std::size_t batch_lanes() const {

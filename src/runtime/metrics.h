@@ -188,17 +188,18 @@ inline void count_op(CryptoOp op, std::uint64_t delta = 1) {
       .count();
 }
 
-/// Counts `op` once and records its wall-clock latency into the op's
-/// histogram. Reads the sink once at construction; no clock calls when
+/// Counts `op` `count` times (once by default, once per element for a
+/// batch) and records the scope's wall-clock latency as one sample of the
+/// op's histogram. Reads the sink once at construction; no clock calls when
 /// metrics are disabled.
 class ScopedOpTimer {
  public:
-  explicit ScopedOpTimer(CryptoOp op)
-      : sink_(current_metrics_sink()), op_(op),
+  explicit ScopedOpTimer(CryptoOp op, std::uint64_t count = 1)
+      : sink_(current_metrics_sink()), op_(op), count_(count),
         start_(sink_ != nullptr ? metrics_now_seconds() : 0.0) {}
   ~ScopedOpTimer() {
     if (sink_ != nullptr) {
-      sink_->add(op_);
+      sink_->add(op_, count_);
       sink_->add_latency(op_, metrics_now_seconds() - start_);
     }
   }
@@ -208,6 +209,7 @@ class ScopedOpTimer {
  private:
   MetricsBuffer* sink_;
   CryptoOp op_;
+  std::uint64_t count_;
   double start_;
 };
 

@@ -2,8 +2,15 @@
 // proof system, across both group instantiations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "crypto/elgamal.h"
 #include "crypto/schnorr_proof.h"
+#include "group/mock_group.h"
+#include "runtime/metrics.h"
 
 namespace ppgr::crypto {
 namespace {
@@ -65,6 +72,57 @@ TEST_P(ElGamalOverGroups, ZeroTest) {
   const Ciphertext a = encrypt_exp(*g, kp.y, Nat{99}, rng);
   const Ciphertext b = encrypt_exp(*g, kp.y, Nat{99}, rng);
   EXPECT_TRUE(decrypts_to_zero(*g, kp.x, ct_sub(*g, a, b)));
+}
+
+// The batch zero test against the per-element one on every group family —
+// mock, Schnorr at both ladder widths, and both curves, whose ciphertexts
+// are Jacobian points with distinct Z — over a mix of zero and nonzero
+// plaintexts, fresh, homomorphically derived and re-randomized. It counts
+// one decryption per ciphertext and one latency sample per batch.
+TEST(ElGamalBatch, CountZeroDecryptionsMatchesPerElementTest) {
+  std::vector<std::unique_ptr<group::Group>> groups;
+  groups.push_back(std::make_unique<group::MockGroup>("mock"));
+  for (const auto id : {GroupId::kDlTest256, GroupId::kDl1024,
+                        GroupId::kEcP192, GroupId::kEcP256})
+    groups.push_back(make_group(id));
+  ChaChaRng rng{17};
+  for (const auto& g : groups) {
+    const KeyPair kp = keygen(*g, rng);
+    std::vector<Ciphertext> cts;
+    for (std::size_t i = 0; i < 70; ++i) {
+      const Nat m{i % 3 == 0 ? 0u : i};
+      Ciphertext ct = encrypt_exp(*g, kp.y, m, rng);
+      if (i % 4 == 1) ct = rerandomize(*g, kp.y, ct, rng);
+      if (i % 5 == 2) ct = ct_add(*g, ct, encrypt_exp(*g, kp.y, Nat{}, rng));
+      if (i % 7 == 3)
+        ct = exp_randomize(*g, ct, g->random_nonzero_scalar(rng));
+      cts.push_back(std::move(ct));
+    }
+    std::size_t expect = 0;
+    for (const Ciphertext& ct : cts)
+      if (decrypts_to_zero(*g, kp.x, ct)) ++expect;
+    EXPECT_EQ(expect, 24u) << g->name();
+    runtime::MetricsBuffer buf;
+    {
+      const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase3, 1};
+      EXPECT_EQ(count_zero_decryptions(*g, kp.x, cts), expect) << g->name();
+      EXPECT_EQ(count_zero_decryptions(*g, kp.x, {}), 0u);
+      for (const std::size_t lo : {0, 1, 64}) {
+        const auto part = std::span{cts}.subspan(lo, std::min<std::size_t>(
+                                                         7, cts.size() - lo));
+        std::size_t want = 0;
+        for (const Ciphertext& ct : part) want += decrypts_to_zero(*g, kp.x, ct);
+        EXPECT_EQ(count_zero_decryptions(*g, kp.x, part), want) << g->name();
+      }
+    }
+    // 4 batches of 70 + 7 + 7 + 6 ciphertexts, and 7 + 7 + 6 single tests.
+    const auto& hist = buf.histograms()[static_cast<std::size_t>(
+        runtime::CryptoOp::kElGamalDecrypt)];
+    EXPECT_EQ(hist.count(), 24u) << g->name();
+    runtime::MetricsRegistry reg;
+    reg.absorb(buf);
+    EXPECT_EQ(reg.total(runtime::CryptoOp::kElGamalDecrypt), 110u) << g->name();
+  }
 }
 
 TEST_P(ElGamalOverGroups, RerandomizePreservesPlaintext) {

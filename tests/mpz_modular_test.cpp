@@ -462,6 +462,66 @@ TEST(MontBatch, RejectsMismatchedSpans) {
                std::invalid_argument);
 }
 
+// Montgomery's trick against GMP's mpz_invert, element by element, through
+// MontCtx::inv_many and SchnorrGroup::inv_many: batch sizes around the
+// 70-element compare circuit, with the identity's two representatives and
+// the generator among random residues.
+TEST(MontBatch, InvManyMatchesMpzInvertPerElement) {
+  ChaChaRng rng{406};
+  for (const auto id : {group::GroupId::kDlTest256, group::GroupId::kDl1024}) {
+    const auto g = group::make_group(id);
+    const auto& sg = dynamic_cast<const group::SchnorrGroup&>(*g);
+    const Nat& pn = sg.modulus();
+    const MontCtx ctx{pn};
+    const mpz_class p = to_gmp(pn);
+    const Nat one = ctx.one_mont();
+    const std::array<Nat, 3> fixed{one, Nat::sub(pn, one), g->generator().a};
+    for (const std::size_t n : {0, 1, 2, 8, 70, 71}) {
+      std::vector<Nat> xs;
+      for (std::size_t i = 0; i < n; ++i)
+        xs.push_back(i % 5 < fixed.size() && i / 5 % 2 == 0
+                         ? fixed[i % 5]
+                         : ctx.to_mont(rng.nonzero_below(pn)));
+      std::vector<Nat> got(n);
+      ctx.inv_many(xs, got);
+      std::vector<group::Elem> elems, got_elems(n);
+      for (const Nat& x : xs) elems.push_back(group::Elem{.a = x});
+      sg.inv_many(elems, got_elems);
+      for (std::size_t i = 0; i < n; ++i) {
+        mpz_class expect;
+        const mpz_class x = to_gmp(ctx.from_mont(xs[i]));
+        ASSERT_NE(mpz_invert(expect.get_mpz_t(), x.get_mpz_t(), p.get_mpz_t()),
+                  0);
+        ASSERT_LT(to_gmp(got[i]), p);
+        ASSERT_EQ(to_gmp(ctx.from_mont(got[i])), expect)
+            << g->name() << " n=" << n << " element " << i;
+        ASSERT_EQ(got_elems[i].a, got[i]) << g->name() << " element " << i;
+        ASSERT_EQ(got_elems[i].a, sg.inv(elems[i]).a)
+            << g->name() << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(MontBatch, InvManyRejectsMismatchedSpansAndSingularInputs) {
+  const auto g = group::make_group(group::GroupId::kDlTest256);
+  const MontCtx ctx{dynamic_cast<const group::SchnorrGroup&>(*g).modulus()};
+  std::vector<Nat> three(3, ctx.one_mont()), two(2);
+  EXPECT_THROW(ctx.inv_many(three, two), std::invalid_argument);
+  std::vector<group::Elem> elems(3, g->generator()), out(2);
+  EXPECT_THROW(g->inv_many(elems, out), std::invalid_argument);
+  // A zero anywhere leaves the product without an inverse.
+  three[1] = Nat{};
+  std::vector<Nat> out3(3);
+  EXPECT_THROW(ctx.inv_many(three, out3), std::domain_error);
+  // A shared factor with a composite modulus does too.
+  const MontCtx composite{Nat{15}};
+  const std::vector<Nat> xs{composite.to_mont(Nat{2}),
+                            composite.to_mont(Nat{3})};
+  std::vector<Nat> out2(2);
+  EXPECT_THROW(composite.inv_many(xs, out2), std::domain_error);
+}
+
 // ---- the DL wire encoding against GMP ----
 
 // The canonical encoding of the class {v, p - v}: min(v, p - v), read from

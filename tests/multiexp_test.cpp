@@ -10,9 +10,14 @@
 // (exp_many / dual_exp_many) must equal the per-element calls on every
 // family, including SchnorrGroup's 8-lane path (dl-test-256) and its scalar
 // fallback (dl-1024), and the decorators must keep the per-element counts.
+// inv_many (Montgomery's trick on Schnorr groups, the per-element loop
+// elsewhere) must equal per-element inv the same way, and both decorators
+// must forward it.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -217,6 +222,112 @@ TEST_P(BatchExpTest, AcceleratedGroupRoutesKeyTableBasesToTheComb) {
   EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 0u);
   for (std::size_t i = 0; i < xs_.size(); ++i)
     expect_same(*g_, batch[i], g_->exp(xs_[i], exs_[i]), "no table hits");
+}
+
+// inv_many inputs around one compare circuit's 70 elements, with the
+// identity and the generator among random elements.
+std::vector<Elem> inv_inputs(const Group& g, std::size_t n,
+                             const std::function<Elem()>& random) {
+  std::vector<Elem> xs;
+  for (std::size_t i = 0; i < n; ++i)
+    xs.push_back(i % 9 == 2 ? g.identity()
+                 : i % 9 == 5 ? g.generator()
+                              : random());
+  return xs;
+}
+
+TEST_P(BatchExpTest, InvManyEqualsPerElementInv) {
+  for (const std::size_t n : {0, 1, 2, 8, 70, 71}) {
+    const std::vector<Elem> xs =
+        inv_inputs(*g_, n, [&] { return random_elem(); });
+    std::vector<Elem> got(n);
+    g_->inv_many(xs, got);
+    for (std::size_t i = 0; i < n; ++i) {
+      expect_same(*g_, got[i], g_->inv(xs[i]), "inv_many");
+      EXPECT_TRUE(g_->is_identity(g_->mul(xs[i], got[i]))) << "element " << i;
+    }
+  }
+  std::vector<Elem> xs(3, g_->generator()), out(2);
+  EXPECT_THROW(g_->inv_many(xs, out), std::invalid_argument);
+}
+
+TEST_P(BatchExpTest, MeteredGroupCountsEveryInversion) {
+  const MeteredGroup metered{*g_};
+  const std::vector<Elem> xs =
+      inv_inputs(*g_, 70, [&] { return random_elem(); });
+  std::vector<Elem> out(xs.size());
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    metered.inv_many(xs, out);
+    metered.inv_many({}, {});
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupInv), 70u);
+  // Montgomery's trick's products are internal to the inner group.
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    expect_same(*g_, out[i], g_->inv(xs[i]), "metered inv_many");
+}
+
+// Forwards every call to `inner` and records which inversion entry point
+// the caller reached.
+class InvSpy final : public Group {
+ public:
+  explicit InvSpy(const Group& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  const Nat& order() const override { return inner_.order(); }
+  std::size_t field_bits() const override { return inner_.field_bits(); }
+  Elem generator() const override { return inner_.generator(); }
+  Elem identity() const override { return inner_.identity(); }
+  Elem mul(const Elem& x, const Elem& y) const override {
+    return inner_.mul(x, y);
+  }
+  Elem exp(const Elem& b, const Nat& s) const override {
+    return inner_.exp(b, s);
+  }
+  Elem inv(const Elem& x) const override {
+    ++inv_calls;
+    return inner_.inv(x);
+  }
+  void inv_many(std::span<const Elem> xs, std::span<Elem> out) const override {
+    ++inv_many_calls;
+    inner_.inv_many(xs, out);
+  }
+  bool eq(const Elem& x, const Elem& y) const override {
+    return inner_.eq(x, y);
+  }
+  bool is_identity(const Elem& x) const override {
+    return inner_.is_identity(x);
+  }
+  std::vector<std::uint8_t> serialize(const Elem& x) const override {
+    return inner_.serialize(x);
+  }
+  Elem deserialize(std::span<const std::uint8_t> b) const override {
+    return inner_.deserialize(b);
+  }
+  std::size_t element_bytes() const override { return inner_.element_bytes(); }
+
+  mutable std::size_t inv_calls = 0, inv_many_calls = 0;
+
+ private:
+  const Group& inner_;
+};
+
+TEST_P(BatchExpTest, AcceleratedGroupForwardsInvMany) {
+  // The whole batch reaches the inner group's inv_many (SchnorrGroup's
+  // Montgomery's trick), not the per-element default loop.
+  const InvSpy spy{*g_};
+  const AcceleratedGroup accel{spy};
+  const std::vector<Elem> xs =
+      inv_inputs(*g_, 70, [&] { return random_elem(); });
+  std::vector<Elem> out(xs.size());
+  accel.inv_many(xs, out);
+  EXPECT_EQ(spy.inv_many_calls, 1u);
+  EXPECT_EQ(spy.inv_calls, 0u);
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    expect_same(*g_, out[i], g_->inv(xs[i]), "accel inv_many");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGroups, BatchExpTest,
