@@ -1,9 +1,9 @@
 // Ablation: fixed-base (comb) exponentiation vs generic double-and-add,
 // for both fixed bases the protocol exponentiates:
 //   - the generator g: every ElGamal encryption computes g^r;
-//   - the joint public key y (phase 2's shared base): every compare-circuit
-//     re-randomization computes y^r across all n(n-1) circuits, served
-//     since PR 6 by a per-session FixedBaseTable over y.
+//   - the joint public key y (phase 2's shared base): every encryption and
+//     every compare-circuit re-randomization computes y^r, served by the
+//     run's FixedBaseTable over y through Group::exp_fixed.
 // The second table also sweeps the window width to show the memory/speed
 // trade-off documented in group/fixed_base.h.
 #include <chrono>

@@ -42,7 +42,8 @@ int main() {
     const auto g = group::make_group(gid);
     mpz::ChaChaRng rng{9};
     const auto kp = crypto::keygen(*g, rng);
-    auto ct = crypto::encrypt_exp(*g, kp.y, mpz::Nat{1}, rng);
+    const group::FixedBaseTable y{*g, kp.y};
+    auto ct = crypto::encrypt_exp(*g, y, mpz::Nat{1}, rng);
     const mpz::Nat r = g->random_nonzero_scalar(rng);
 
     const double pd =
@@ -50,7 +51,7 @@ int main() {
     const double er =
         time_per_call([&] { (void)crypto::exp_randomize(*g, ct, r); }, 12);
     const double rr = time_per_call(
-        [&] { (void)crypto::rerandomize(*g, kp.y, ct, rng); }, 12);
+        [&] { (void)crypto::rerandomize(*g, y, ct, rng); }, 12);
     const double full = time_per_call(
         [&] {
           (void)crypto::exp_randomize(

@@ -2,10 +2,10 @@
 // a burst of S sessions is submitted at once and driven through a shared
 // thread pool at a fixed admission cap (default load 16), twice —
 //
-//   cold: a fresh PrecomputeCache (the group's generator table is built by
-//         whichever session asks first)
+//   cold: a fresh PrecomputeCache (the group instance, generator table
+//         included, is built by whichever session asks first)
 //   warm: a second engine with the same seed and requests over the same
-//         cache — the table is already resident and setup collapses to
+//         cache — the instance is already resident and setup collapses to
 //         cache lookups. Every session still builds its own joint-key
 //         table and draws its own encryptions of zero, so those costs sit
 //         in both passes' session latencies, not in the setup time
@@ -101,7 +101,7 @@ std::vector<RankingRequest> make_requests(const Preset& preset) {
 
 struct PassStats {
   double wall_seconds = 0.0;
-  double setup_seconds = 0.0;  // sum over sessions of generator-table fetches
+  double setup_seconds = 0.0;  // sum over sessions of group-instance lookups
   double p50 = 0.0;
   double p95 = 0.0;
   std::uint64_t samples = 0;        // telemetry pass only

@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -44,22 +43,6 @@ struct CliInstance {
   core::AttrVec weights;
   std::vector<core::AttrVec> participants;
 };
-
-group::GroupId parse_group(const std::string& name) {
-  static const std::map<std::string, group::GroupId> kNames = {
-      {"dl-1024", group::GroupId::kDl1024},
-      {"dl-2048", group::GroupId::kDl2048},
-      {"dl-3072", group::GroupId::kDl3072},
-      {"ecc-p192", group::GroupId::kEcP192},
-      {"ecc-p224", group::GroupId::kEcP224},
-      {"ecc-p256", group::GroupId::kEcP256},
-      {"dl-test-256", group::GroupId::kDlTest256},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end())
-    throw std::invalid_argument("unknown group '" + name + "'");
-  return it->second;
-}
 
 core::AttrVec parse_values(std::istringstream& line) {
   core::AttrVec values;
@@ -94,7 +77,7 @@ CliInstance parse_file(const std::string& path) {
       } else if (directive == "group") {
         std::string name;
         line >> name;
-        inst.group_id = parse_group(name);
+        inst.group_id = group::parse_group_id(name);
       } else if (directive == "k") {
         if (!(line >> inst.k)) throw std::invalid_argument("k needs a number");
       } else if (directive == "criterion") {

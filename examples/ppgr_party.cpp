@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -44,22 +43,6 @@
 namespace {
 
 using namespace ppgr;
-
-group::GroupId parse_group(const std::string& name) {
-  static const std::map<std::string, group::GroupId> kNames = {
-      {"dl-1024", group::GroupId::kDl1024},
-      {"dl-2048", group::GroupId::kDl2048},
-      {"dl-3072", group::GroupId::kDl3072},
-      {"ecc-p192", group::GroupId::kEcP192},
-      {"ecc-p224", group::GroupId::kEcP224},
-      {"ecc-p256", group::GroupId::kEcP256},
-      {"dl-test-256", group::GroupId::kDlTest256},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end())
-    throw std::invalid_argument("unknown group '" + name + "'");
-  return it->second;
-}
 
 core::AttrVec parse_values(std::istringstream& line) {
   core::AttrVec values;
@@ -109,7 +92,7 @@ SpecFile parse_spec_file(const std::string& path) {
         have_spec = true;
       } else if (directive == "group") {
         line >> group_name;
-        sf.group_id = parse_group(group_name);
+        sf.group_id = group::parse_group_id(group_name);
       } else if (directive == "k") {
         if (!(line >> sf.k)) throw std::invalid_argument("k needs a number");
       } else if (directive == "parties") {

@@ -54,22 +54,6 @@ namespace {
 
 using namespace ppgr;
 
-group::GroupId parse_group(const std::string& name) {
-  static const std::map<std::string, group::GroupId> kNames = {
-      {"dl-1024", group::GroupId::kDl1024},
-      {"dl-2048", group::GroupId::kDl2048},
-      {"dl-3072", group::GroupId::kDl3072},
-      {"ecc-p192", group::GroupId::kEcP192},
-      {"ecc-p224", group::GroupId::kEcP224},
-      {"ecc-p256", group::GroupId::kEcP256},
-      {"dl-test-256", group::GroupId::kDlTest256},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end())
-    throw std::invalid_argument("unknown group '" + name + "'");
-  return it->second;
-}
-
 core::AttrVec parse_values(std::istringstream& line) {
   core::AttrVec values;
   std::uint64_t v;
@@ -123,7 +107,7 @@ ParseOutcome parse_file(const std::string& path) {
       } else if (directive == "group") {
         std::string name;
         line >> name;
-        req.group = parse_group(name);
+        req.group = group::parse_group_id(name);
       } else if (directive == "spec") {
         if (!(line >> req.spec.m >> req.spec.t >> req.spec.d1 >> req.spec.d2 >>
               req.spec.h))

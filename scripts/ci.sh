@@ -30,8 +30,9 @@
 # under TSan, since session isolation is a concurrency property.
 #
 # The `multiexp` mode is the fused-exponentiation crypto leg: the
-# differential suite (Group::dual_exp's Straus ladders and the fixed-base
-# tables vs naive Group::exp on every group family), the batched-inversion
+# differential suite (Group::dual_exp's Straus ladders, the fixed-base
+# tables and Group::exp_fixed vs naive Group::exp on every group family,
+# and exp_fixed vs GMP's mpz_powm on the Schnorr groups), the batched-inversion
 # KATs, the parallel-determinism suite and the phase-2 oracle (the fused
 # comparison circuit and chain hop vs the naive evaluation, value- and
 # byte-identical on every group family) run under ASan+UBSan — index
@@ -42,7 +43,7 @@
 # exponents, failing on an IFMA host unless the 8-lane path ran), its
 # mpz_invert oracle for MontCtx::inv_many, multiexp_test's
 # batch-vs-per-element differential and count tests (Group::exp_many /
-# dual_exp_many / inv_many through MeteredGroup and AcceleratedGroup) and
+# dual_exp_many / inv_many / exp_fixed through MeteredGroup) and
 # crypto_test's batch-vs-per-element zero test
 # (crypto::count_zero_decryptions on every group family); building it
 # under -Werror also proves the
@@ -94,7 +95,14 @@
 # socket E2E tests run again under TSan — per-peer reader threads feeding
 # inboxes while protocol threads send is exactly the surface TSan watches.
 #
-# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|all]
+# The `perfbench` mode builds the repository benchmark (perfbench/, which
+# compiles src/ into its own tree) and smokes both of its workloads for a
+# couple of seconds, he-n16 traced through its timing decorator: the leg
+# fails when the build or a run exits non-zero, or when a run's JSON result
+# does not report "correct": true. It is the only leg that compiles
+# perfbench against the current src/ API.
+#
+# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|perfbench|all]
 #        (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,6 +131,21 @@ bench_regress() {
   python3 scripts/bench_compare.py \
       BENCH_parallel.json "${fresh_parallel}" \
       BENCH_engine.json "${fresh_engine}"
+}
+
+perfbench_smoke() {
+  local workload result
+  for workload in he-n16 engine-mix; do
+    echo "==== [perfbench] ${workload}, 2 s, traced ===="
+    result="$(python3 perfbench/run.py --workload "${workload}" --seconds 2 \
+        --trace 1 | tail -n 1)"
+    echo "${result}"
+    if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' \
+        "${result}"; then
+      echo "perfbench: ${workload} did not report \"correct\": true" >&2
+      exit 1
+    fi
+  done
 }
 
 # Archives forensic bundles from a known-faulting chaos scenario: a crash
@@ -192,6 +215,7 @@ case "${MODE}" in
     run_leg tsan -R 'tcp_transport'
     ;;
   bench-regress) bench_regress ;;
+  perfbench) perfbench_smoke ;;
   all)
     run_leg default
     run_leg asan
@@ -200,9 +224,10 @@ case "${MODE}" in
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'tcp_transport'
     bench_regress
+    perfbench_smoke
     ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -126,7 +126,7 @@ bool Participant::verify_peer_key(const Elem& y,
 
 Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
   const Nat m = beta_.bit(b) ? Nat{1} : Nat{};
-  return encrypt_exp(*cfg_.group, joint_key_, m, rng);
+  return encrypt_exp(*cfg_.group, *joint_key_, m, rng);
 }
 
 // The comparison circuit (DESIGN.md §5e), evaluated through Group::dual_exp
@@ -197,7 +197,7 @@ std::vector<Ciphertext> Participant::compare_against(
                    suffix.c),
         .cp = g.mul(g.exp(gamma_inv[b].cp, coeff), suffix.cp)};
     tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
-    tau[b] = rerandomize(g, joint_key_, tau[b], rng);
+    tau[b] = rerandomize(g, *joint_key_, tau[b], rng);
     suffix = ct_add(g, suffix, gamma[b]);
   }
   return tau;

@@ -99,24 +99,6 @@ class ProtocolFault : public std::runtime_error {
   net::FaultReport report_;
 };
 
-/// Supplier of shared crypto precompute for run_framework (implemented by
-/// the session engine's PrecomputeCache; see src/engine/precompute.h).
-///
-/// Contract: the generator table must be a pure function of the group, so a
-/// run's outputs never depend on whether it was freshly built or reused.
-/// run_framework mutes the metrics funnel around the call for the same
-/// reason: build cost must not leak into the session's counters. Everything
-/// keyed by the session itself (the joint-key table, every encryption of
-/// zero) the run computes on its own.
-class PrecomputeSource {
- public:
-  virtual ~PrecomputeSource() = default;
-  /// Called once at run start with the undecorated FrameworkConfig::group.
-  /// May return null (no generator acceleration).
-  [[nodiscard]] virtual std::shared_ptr<const group::FixedBaseTable>
-  generator_table(const group::Group& base) = 0;
-};
-
 /// Live conformance-audit hook (implemented by engine::ConformanceAuditor;
 /// see src/engine/audit.h). The frameworks call phase_complete(p, ...) at
 /// the boundary where phase p's counters are final (the registries are
@@ -163,11 +145,6 @@ struct FrameworkConfig {
   /// Null (the default) preserves the original behavior: a private pool of
   /// `parallelism` threads per run. When set, `parallelism` is ignored.
   runtime::ThreadPool* shared_pool = nullptr;
-  /// Shared crypto precompute: the generator comb table. Null (the default)
-  /// builds none. Protocol outputs and every group_* counter are identical
-  /// either way; only where the table's build time is spent moves (see
-  /// DESIGN.md §6).
-  PrecomputeSource* precompute = nullptr;
   /// Deterministic fault schedule routed into the run's net::Router; must
   /// outlive the run. Null or disabled: the fault layer is a strict no-op
   /// and every output/export is bit-identical to a build without it.
@@ -231,7 +208,7 @@ class Initiator {
 /// Every randomness-consuming step takes its Rng explicitly: the execution
 /// engine passes each task its own counter-seeded stream so results do not
 /// depend on scheduling (DESIGN.md, "Threading model & determinism").
-/// Group operations go through cfg.group, run_framework's decorator stack.
+/// Group operations go through cfg.group, the run's (metered) group.
 class Participant {
  public:
   Participant(const FrameworkConfig& cfg, std::size_t id, AttrVec info);
@@ -252,8 +229,12 @@ class Participant {
   /// Checks a peer's proof message (h, Σc, z) for its key share y.
   [[nodiscard]] bool verify_peer_key(const Elem& y,
                                      const crypto::SchnorrProof& proof) const;
-  /// Called once all shares are collected.
-  void set_joint_key(const Elem& y) { joint_key_ = y; }
+  /// Called once all shares are collected, with the comb table of the joint
+  /// key y = table->base(). A run builds it once and shares it with every
+  /// participant; every y^r is then a Group::exp_fixed through it.
+  void set_joint_key(std::shared_ptr<const group::FixedBaseTable> table) {
+    joint_key_ = std::move(table);
+  }
   /// Step 6, bitwise encryption of β under the joint key: E(bit b of β)
   /// (bits LSB first). The engine fans this out across the l bits, one Rng
   /// stream per bit.
@@ -287,7 +268,7 @@ class Participant {
   std::optional<dotprod::DotProductBob> dot_;
   Nat beta_;  // unsigned l-bit
   crypto::KeyPair key_;
-  Elem joint_key_;
+  std::shared_ptr<const group::FixedBaseTable> joint_key_;
 };
 
 /// Outputs plus observability data.

@@ -13,7 +13,7 @@
 #include "core/codec.h"
 #include "core/streams.h"
 #include "crypto/codec.h"
-#include "group/accel_group.h"
+#include "group/fixed_base.h"
 #include "group/metered_group.h"
 #include "net/channel.h"
 #include "net/simulator.h"
@@ -67,35 +67,25 @@ ProtocolFault make_fault(const FrameworkConfig& cfg, Phase phase,
                        what);
 }
 
-// What the party programs of a run execute on: the run's one decorator
-// stack (inside-out: an AcceleratedGroup that routes fixed-base
-// exponentiations through comb tables without changing any value — the
-// precompute source's generator table when one is attached, and the
-// joint-key table once the key exists — and, with metrics on, the
-// MeteredGroup outermost, counting every interface call the parties
-// execute), the pool, the substreams, the party timer and the Router. A
-// socket process hosts one party over a transport; an in-process run hosts
-// all n+1 over the Router's mailboxes, adds the baton that schedules them,
-// and keeps the run-wide state below.
+// What the party programs of a run execute on: the run's group (with
+// metrics on, a MeteredGroup over the caller's group, counting every
+// interface call the parties execute), the joint key's comb table once it
+// exists, the pool, the substreams, the party timer and the Router. A socket
+// process hosts one party over a transport; an in-process run hosts all n+1
+// over the Router's mailboxes, adds the baton that schedules them, and keeps
+// the run-wide state below.
 struct Host {
   Host(const FrameworkConfig& cfg, const SsFrameworkConfig* ss, Rng& rng,
        runtime::TraceRecorder& trace, net::Transport* transport)
       : base(*cfg.group),
-        accel(base),
-        metered(accel),
+        metered(base),
         fw(cfg),
         ss(ss),
         pool(cfg.shared_pool != nullptr ? *cfg.shared_pool
                                         : owned_pool.emplace(cfg.parallelism)),
         streams(rng),
         timer(cfg.n + 1) {
-    if (cfg.precompute != nullptr) {
-      // Muted: artifact (re)build cost must not show up in this session's
-      // counters — it would make them depend on prior cache state.
-      const runtime::MetricsMute mute;
-      accel.set_generator_table(cfg.precompute->generator_table(base));
-    }
-    fw.group = cfg.metrics ? static_cast<const Group*>(&metered) : &accel;
+    if (cfg.metrics) fw.group = &metered;
     if (transport == nullptr) baton.emplace(cfg.n + 1);
     // (A transport rejects a fault plan.)
     router.emplace(cfg.n + 1, trace,
@@ -125,10 +115,9 @@ struct Host {
     phase_span.emplace(spans, name, p, runtime::kOrchestratorParty);
   }
 
-  const Group& base;  // undecorated, for precompute builds
-  group::AcceleratedGroup accel;
+  const Group& base;  // the caller's, undecorated: the key table's group
   const group::MeteredGroup metered;
-  FrameworkConfig fw;   // the caller's, bound to the decorator stack
+  FrameworkConfig fw;   // the caller's, bound to the run's group
   const SsFrameworkConfig* ss;  // null: HE phase 2; base is unused
   std::optional<runtime::ThreadPool> owned_pool;
   // Either the caller's long-lived pool (session engine) or a private one.
@@ -143,9 +132,9 @@ struct Host {
   runtime::SpanRecorder* spans = nullptr;
   SsFrameworkResult* result = nullptr;  // receives the sort's costs
   std::vector<std::size_t> dropped;     // participants lost in phase 1
-  // The joint key, set by the first participant to reach the joint-key
-  // step.
-  std::optional<Elem> joint;
+  // The joint key's comb table, built by the first participant to reach
+  // the joint-key step.
+  std::shared_ptr<const group::FixedBaseTable> joint_key;
   Phase phase = Phase::kSetup;
   std::optional<runtime::SpanScope> phase_span;
 };
@@ -587,21 +576,16 @@ class Party {
     }
   }
 
-  // The joint key Π y_j. In-process, the first participant here computes it
-  // and attaches its comb table to the run's one decorator stack; the others
-  // reuse both. Attaching between fork-joins lets the pool's synchronization
-  // publish the table to the workers. Muted, like the generator table's
-  // build: setup cost is not a protocol operation.
-  Elem joint_key(const std::vector<Elem>& keys) {
-    if (host_.joint.has_value()) return *host_.joint;
-    const Elem joint = crypto::joint_public_key(*fw_.group, keys);
-    {
-      const runtime::MetricsMute mute;
-      host_.accel.set_base_table(std::make_shared<const group::FixedBaseTable>(
-          host_.base, joint, host_.base.order().bit_length()));
-    }
-    host_.joint = joint;
-    return joint;
+  // The comb table of the joint key Π y_j. In-process, the first
+  // participant here computes the key and builds its table over the caller's
+  // group; the others share both. Building between fork-joins lets the
+  // pool's synchronization publish the table to the workers.
+  std::shared_ptr<const group::FixedBaseTable> joint_key(
+      const std::vector<Elem>& keys) {
+    if (host_.joint_key == nullptr)
+      host_.joint_key = std::make_shared<const group::FixedBaseTable>(
+          host_.base, crypto::joint_public_key(*fw_.group, keys));
+    return host_.joint_key;
   }
 
   // ---- phase 2 (SS baseline): the sort host ranks every β ----

@@ -21,10 +21,11 @@ Elem joint_public_key(const Group& g, std::span<const Elem> ys) {
   return y;
 }
 
-Ciphertext encrypt(const Group& g, const Elem& y, const Elem& m, Rng& rng) {
+Ciphertext encrypt(const Group& g, const FixedBaseTable& y, const Elem& m,
+                   Rng& rng) {
   const runtime::ScopedOpTimer timer(CryptoOp::kElGamalEncrypt);
   const Nat r = g.random_nonzero_scalar(rng);
-  return Ciphertext{.c = g.mul(m, g.exp(y, r)), .cp = g.exp_g(r)};
+  return Ciphertext{.c = g.mul(m, g.exp_fixed(y, r)), .cp = g.exp_g(r)};
 }
 
 Elem decrypt(const Group& g, const Nat& x, const Ciphertext& ct) {
@@ -32,7 +33,8 @@ Elem decrypt(const Group& g, const Nat& x, const Ciphertext& ct) {
   return g.div(ct.c, g.exp(ct.cp, x));
 }
 
-Ciphertext encrypt_exp(const Group& g, const Elem& y, const Nat& m, Rng& rng) {
+Ciphertext encrypt_exp(const Group& g, const FixedBaseTable& y, const Nat& m,
+                       Rng& rng) {
   return encrypt(g, y, g.exp_g(m), rng);
 }
 
@@ -77,11 +79,11 @@ Ciphertext ct_add_plain(const Group& g, const Ciphertext& ct, const Nat& k) {
   return Ciphertext{.c = g.mul(ct.c, g.exp_g(k)), .cp = ct.cp};
 }
 
-Ciphertext rerandomize(const Group& g, const Elem& y, const Ciphertext& ct,
-                       Rng& rng) {
+Ciphertext rerandomize(const Group& g, const FixedBaseTable& y,
+                       const Ciphertext& ct, Rng& rng) {
   const runtime::ScopedOpTimer timer(CryptoOp::kElGamalRerandomize);
   const Nat r = g.random_nonzero_scalar(rng);
-  return Ciphertext{.c = g.mul(ct.c, g.exp(y, r)),
+  return Ciphertext{.c = g.mul(ct.c, g.exp_fixed(y, r)),
                     .cp = g.mul(ct.cp, g.exp_g(r))};
 }
 

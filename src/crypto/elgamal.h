@@ -12,13 +12,19 @@
 // The distributed variant (Sec. IV-D last paragraph) splits the secret key
 // additively: each party holds x_j, the joint public key is y = Π g^{x_j},
 // and decryption composes per-party partial decryptions c / c'^{x_j}.
+//
+// The functions that raise the public key take it as its comb table
+// (`y.base()` is the key): a run builds the joint key's table once, and
+// every y^r is a Group::exp_fixed through it.
 #pragma once
 
+#include "group/fixed_base.h"
 #include "group/group.h"
 
 namespace ppgr::crypto {
 
 using group::Elem;
+using group::FixedBaseTable;
 using group::Group;
 using mpz::Nat;
 using mpz::Rng;
@@ -40,12 +46,12 @@ struct KeyPair {
 [[nodiscard]] Elem joint_public_key(const Group& g, std::span<const Elem> ys);
 
 // --- standard ElGamal ---
-[[nodiscard]] Ciphertext encrypt(const Group& g, const Elem& y, const Elem& m,
-                                 Rng& rng);
+[[nodiscard]] Ciphertext encrypt(const Group& g, const FixedBaseTable& y,
+                                 const Elem& m, Rng& rng);
 [[nodiscard]] Elem decrypt(const Group& g, const Nat& x, const Ciphertext& ct);
 
 // --- exponential (additive-homomorphic) ElGamal ---
-[[nodiscard]] Ciphertext encrypt_exp(const Group& g, const Elem& y,
+[[nodiscard]] Ciphertext encrypt_exp(const Group& g, const FixedBaseTable& y,
                                      const Nat& m, Rng& rng);
 /// g^m as recovered by decryption (the "m cannot be extracted" form).
 [[nodiscard]] Elem decrypt_exp(const Group& g, const Nat& x,
@@ -74,7 +80,7 @@ struct KeyPair {
 [[nodiscard]] Ciphertext ct_add_plain(const Group& g, const Ciphertext& ct,
                                       const Nat& k);
 /// Multiplies in a fresh encryption of zero, refreshing the randomness.
-[[nodiscard]] Ciphertext rerandomize(const Group& g, const Elem& y,
+[[nodiscard]] Ciphertext rerandomize(const Group& g, const FixedBaseTable& y,
                                      const Ciphertext& ct, Rng& rng);
 
 // --- distributed decryption building blocks (framework step 8) ---

@@ -75,31 +75,6 @@ void append_json_string(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-// Per-session PrecomputeSource: forwards run_framework's generator-table
-// request to the engine's cache, accounting this session's hit or miss and
-// the wall time spent fetching or building.
-class SessionSource final : public core::PrecomputeSource {
- public:
-  explicit SessionSource(PrecomputeCache& cache) : cache_(cache) {}
-
-  [[nodiscard]] std::shared_ptr<const group::FixedBaseTable> generator_table(
-      const group::Group& base) override {
-    const double t0 = runtime::metrics_now_seconds();
-    auto r = cache_.generator_table(base);
-    ++(r.built ? stats_.generator_table.misses : stats_.generator_table.hits);
-    setup_seconds_ += runtime::metrics_now_seconds() - t0;
-    return r.table;
-  }
-
-  [[nodiscard]] const PrecomputeStats& stats() const { return stats_; }
-  [[nodiscard]] double setup_seconds() const { return setup_seconds_; }
-
- private:
-  PrecomputeCache& cache_;
-  PrecomputeStats stats_;
-  double setup_seconds_ = 0.0;
-};
-
 }  // namespace
 
 const char* to_string(FrameworkKind kind) {
@@ -298,11 +273,19 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
   // sessions could perturb.
   mpz::ChaChaRng rng = session_family_.stream(req.session_id);
 
+  // Every session, HE or SS, runs on the cache's instance of its group: one
+  // counted lookup, a miss iff it built the instance.
+  const double setup_t0 = runtime::metrics_now_seconds();
+  const PrecomputeCache::Lookup group = cache_.instance(req.group);
+  out.setup_seconds = runtime::metrics_now_seconds() - setup_t0;
+  ++(group.built ? out.precompute.generator_table.misses
+                 : out.precompute.generator_table.hits);
+
   core::FrameworkConfig fcfg;
   fcfg.spec = req.spec;
   fcfg.n = req.infos.size();
   fcfg.k = req.k;
-  fcfg.group = &group_instance(req.group);
+  fcfg.group = group.group;
   fcfg.dot_field = &core::default_dot_field();
   fcfg.metrics = cfg_.metrics;
   // Progress reporting is observation only — the cell never feeds back into
@@ -345,18 +328,14 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
 
   if (req.framework == FrameworkKind::kHe) {
     fcfg.shared_pool = &pool_;
-    SessionSource source{cache_};
-    fcfg.precompute = &source;
     try {
       out.he = core::run_framework(fcfg, req.v0, req.w, req.infos, rng);
     } catch (const core::ProtocolFault& pf) {
       note_fault(pf);
     }
-    out.setup_seconds = source.setup_seconds();
-    out.precompute = source.stats();
   } else {
     core::SsFrameworkConfig scfg;
-    scfg.base = fcfg;  // serial baseline: no shared pool, no precompute
+    scfg.base = fcfg;  // serial baseline: no shared pool
     scfg.threshold = req.ss_threshold != 0 ? req.ss_threshold
                                            : (req.infos.size() - 1) / 2;
     try {
@@ -368,14 +347,6 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
   if (auditor.has_value()) out.audit = auditor->take_report();
   out.wall_seconds = runtime::metrics_now_seconds() - t0;
   return out;
-}
-
-const group::Group& SessionEngine::group_instance(group::GroupId id) {
-  const std::lock_guard<std::mutex> lock(group_mu_);
-  auto it = groups_.find(id);
-  if (it == groups_.end())
-    it = groups_.emplace(id, group::make_group(id)).first;
-  return *it->second;
 }
 
 SessionResult SessionEngine::take(std::uint64_t session_id) {

@@ -11,9 +11,10 @@
 // Determinism under load — the engine extends the repo's determinism
 // invariant from "any thread count" to "any concurrent load": a session's
 // randomness is derived from (engine seed, session id) via one
-// mpz::StreamFamily draw, the one shared precompute artifact (a group's
-// generator table) is a pure function of its cache key, and nothing a
-// session computes depends on what else is in flight. A given request
+// mpz::StreamFamily draw, the one shared artifact (the PrecomputeCache's
+// group instance, generator comb included) is a pure function of its
+// GroupId, and nothing a session computes depends on what else is in
+// flight. A given request
 // therefore produces bit-identical ranks, betas, traces and deterministic
 // metric exports regardless of max_in_flight, parallelism, or whether the
 // PrecomputeCache was cold or warm.
@@ -111,8 +112,10 @@ struct CacheCounters {
 /// (misses == distinct groups); per-session attribution of a shared build
 /// is schedule-dependent and so never exported.
 struct PrecomputeStats {
+  /// Group-instance lookups, one per session (the instance carries its
+  /// generator comb, hence the name).
   CacheCounters generator_table;
-  /// Always zero: the cache holds generator tables only (DESIGN.md §6).
+  /// Always zero: the cache holds group instances only (DESIGN.md §6).
   /// These two stay because perfbench's report still reads them.
   CacheCounters key_table;
   CacheCounters zero_pool;
@@ -155,7 +158,7 @@ struct SessionResult {
   }
 
   double wall_seconds = 0.0;   // execution start -> completion (noisy)
-  double setup_seconds = 0.0;  // time inside the generator-table fetch (noisy)
+  double setup_seconds = 0.0;  // time inside the group-instance lookup (noisy)
   PrecomputeStats precompute;  // this session's cache interactions
 
   /// Present iff EngineConfig::audit (and metrics): the conformance-audit
@@ -184,10 +187,10 @@ struct EngineConfig {
   std::size_t parallelism = 1;
   /// Per-session observability (FrameworkConfig::metrics).
   bool metrics = true;
-  /// Generator-table cache to share; null = the process-wide one. A fresh
-  /// PrecomputeCache makes the engine's cache private. Outputs are
-  /// bit-identical either way: the cache only moves where setup time is
-  /// spent.
+  /// Group-instance cache to share; null = the process-wide one. A fresh
+  /// PrecomputeCache makes the engine's cache private; it must outlive the
+  /// engine. Outputs are bit-identical either way: the cache only moves
+  /// where setup time is spent.
   PrecomputeCache* cache = nullptr;
   /// Enables the rollup's live-telemetry sections: per-kind queue-wait /
   /// run-duration quantiles and the health summary. Off by default — those
@@ -300,7 +303,6 @@ class SessionEngine {
   void driver_loop();
   [[nodiscard]] SessionResult execute(const RankingRequest& req,
                                       runtime::ProgressCell* progress);
-  [[nodiscard]] const group::Group& group_instance(group::GroupId id);
 
   EngineConfig cfg_;
   PrecomputeCache& cache_;
@@ -334,9 +336,6 @@ class SessionEngine {
   /// and per-session outcome/fault fields — fault-free engines export
   /// byte-identically to the pre-fault-layer golden.
   bool fault_aware_ = false;
-
-  std::mutex group_mu_;
-  std::map<group::GroupId, std::unique_ptr<group::Group>> groups_;
 
   std::vector<std::thread> drivers_;  // last member: joins before teardown
 };

@@ -1,52 +1,47 @@
 #include "engine/precompute.h"
 
+#include "runtime/metrics.h"
+
 namespace ppgr::engine {
 
-namespace {
-
-// Window width of every comb table this cache builds. Part of each table's
-// cache key: two engines (or a future default change) disagreeing on the
-// width must never alias to the same artifact, since the tables' contents
-// differ even though the exps they answer do not.
-constexpr std::size_t kTableWindowBits = 4;
-
-std::string group_key(const group::Group& base) {
-  return base.name() + "|w" + std::to_string(kTableWindowBits);
-}
-
-}  // namespace
-
-PrecomputeCache::TableResult PrecomputeCache::generator_table(
-    const group::Group& base) {
-  const std::string key = group_key(base);
+PrecomputeCache::Lookup PrecomputeCache::instance(group::GroupId id) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    auto it = tables_.find(key);
-    if (it == tables_.end()) break;  // this thread builds
-    if (it->second != nullptr) return TableResult{it->second, false};
+    auto it = groups_.find(id);
+    if (it == groups_.end()) break;  // this thread builds
+    if (it->second != nullptr) return Lookup{it->second.get(), false};
     cv_.wait(lock);  // builder in flight (or just failed: re-check)
   }
-  tables_.emplace(key, nullptr);
+  groups_.emplace(id, nullptr);
   lock.unlock();
-  std::shared_ptr<const group::FixedBaseTable> table;
+  std::unique_ptr<const group::Group> built;
   try {
-    table = std::make_shared<const group::FixedBaseTable>(
-        base, base.generator(), base.order().bit_length(), kTableWindowBits);
+    // Muted: the build's exp_g warm-up is set-up, not a protocol operation,
+    // whatever sink the calling thread has installed.
+    const runtime::MetricsMute mute;
+    built = group::make_group(id);
+    (void)built->exp_g(mpz::Nat{1});
   } catch (...) {
     lock.lock();
-    tables_.erase(key);
+    groups_.erase(id);
     cv_.notify_all();
     throw;
   }
+  const group::Group* g = built.get();
   lock.lock();
-  tables_[key] = table;
+  groups_[id] = std::move(built);
   cv_.notify_all();
-  return TableResult{std::move(table), true};
+  return Lookup{g, true};
+}
+
+PrecomputeCache::Lookup PrecomputeCache::generator_table(
+    const group::Group& base) {
+  return instance(group::parse_group_id(base.name()));
 }
 
 std::size_t PrecomputeCache::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return tables_.size();
+  return groups_.size();
 }
 
 PrecomputeCache& process_precompute_cache() {

@@ -133,8 +133,7 @@ Elem EcGroup::exp(const Elem& base, const Nat& scalar) const {
 
 Elem EcGroup::exp_g(const Nat& scalar) const {
   std::call_once(gen_table_once_, [&] {
-    gen_table_ = std::make_unique<FixedBaseTable>(
-        *this, gen_, params_.order.bit_length());
+    gen_table_ = std::make_unique<FixedBaseTable>(*this, gen_);
   });
   return gen_table_->exp(*this, scalar);
 }

@@ -3,17 +3,17 @@
 // For a fixed base g and window width w, precompute T[k][d] = g^(d * 2^(wk))
 // for every w-bit digit position k of the scalar; then g^s = Π_k
 // T[k][digit_k(s)] — one group multiplication per nonzero digit and zero
-// squarings. Shared by the Schnorr and elliptic-curve groups for their
-// generator (the hottest base in the framework: every ElGamal encryption
-// computes two fixed-base powers) and, since PR 6, by the phase-2
-// accelerator for the joint ElGamal key (every compare-circuit
-// re-randomization exponentiates it).
+// squarings. Two bases get a table: each group's generator (its exp_g, built
+// once per group instance; every ElGamal encryption computes g^r) and the
+// run's joint ElGamal key y, which Group::exp_fixed raises for every
+// encryption and every compare-circuit re-randomization.
 //
-// Memory/speed trade-off: a table costs ceil(bits/w) * (2^w - 1) precomputed
-// elements and answers an exp in ~bits/w multiplications, so widening w by
-// one halves...doubles: w=4 on a 256-bit scalar is 960 elements and <=64
-// muls; w=5 is 1612 elements and <=52 muls. The default w=4 matches the
-// pre-PR-6 tables bit for bit.
+// Memory/speed trade-off: a table holds ceil(bits/w) windows of 2^w - 1
+// non-identity elements and answers an exp in at most ceil(bits/w)
+// multiplications. One more bit of window roughly doubles the table and
+// cuts the products by a factor w/(w+1): on a 256-bit scalar, w=4 is 960
+// elements and <=64 muls; w=5 is 1612 elements and <=52 muls. Both protocol
+// tables use the default w=4 over the group order's bit length.
 #pragma once
 
 #include <vector>
@@ -28,6 +28,9 @@ class FixedBaseTable {
   /// wide digits (2..8; throws std::invalid_argument outside that range).
   FixedBaseTable(const Group& g, const Elem& base, std::size_t max_scalar_bits,
                  std::size_t window_bits = 4);
+  /// The protocol's table: scalars below the group order, w = 4.
+  FixedBaseTable(const Group& g, const Elem& base)
+      : FixedBaseTable(g, base, g.order().bit_length()) {}
 
   /// base^scalar using only multiplications. Falls back to the group's
   /// generic exp for scalars wider than the table.

@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "group/ec_group.h"
+#include "group/fixed_base.h"
 #include "group/schnorr_group.h"
 
 namespace ppgr::group {
@@ -51,7 +54,23 @@ const char* kSafePrime3072 =
 const char* kSafePrimeTest256 =
     "F3831F59EF561EC1F0C3DE1DAFCA953D36133ACA9693A0C63BFFE9BB472ED7C7";
 
+// The one GroupId <-> name table: to_string, parse_group_id and make_group's
+// DL names read it, and group_test checks it against every group's name().
+constexpr std::array<std::pair<GroupId, std::string_view>, 7> kGroupNames{{
+    {GroupId::kDl1024, "dl-1024"},
+    {GroupId::kDl2048, "dl-2048"},
+    {GroupId::kDl3072, "dl-3072"},
+    {GroupId::kEcP192, "ecc-p192"},
+    {GroupId::kEcP224, "ecc-p224"},
+    {GroupId::kEcP256, "ecc-p256"},
+    {GroupId::kDlTest256, "dl-test-256"},
+}};
+
 }  // namespace
+
+Elem Group::exp_fixed(const FixedBaseTable& table, const Nat& scalar) const {
+  return table.exp(*this, scalar);
+}
 
 void Group::exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
                      std::span<Elem> out) const {
@@ -113,29 +132,32 @@ Elem Group::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
 }
 
 std::unique_ptr<Group> make_group(GroupId id) {
+  const auto dl = [id](const char* safe_prime_hex) {
+    return std::make_unique<SchnorrGroup>(to_string(id),
+                                          Nat::from_hex(safe_prime_hex));
+  };
   switch (id) {
-    case GroupId::kDl1024:
-      return std::make_unique<SchnorrGroup>("dl-1024",
-                                            Nat::from_hex(kSafePrime1024));
-    case GroupId::kDl2048:
-      return std::make_unique<SchnorrGroup>("dl-2048",
-                                            Nat::from_hex(kSafePrime2048));
-    case GroupId::kDl3072:
-      return std::make_unique<SchnorrGroup>("dl-3072",
-                                            Nat::from_hex(kSafePrime3072));
-    case GroupId::kEcP192:
-      return std::make_unique<EcGroup>(nist_p192());
-    case GroupId::kEcP224:
-      return std::make_unique<EcGroup>(nist_p224());
-    case GroupId::kEcP256:
-      return std::make_unique<EcGroup>(nist_p256());
-    case GroupId::kDlTest256:
-      return std::make_unique<SchnorrGroup>("dl-test-256",
-                                            Nat::from_hex(kSafePrimeTest256));
+    case GroupId::kDl1024: return dl(kSafePrime1024);
+    case GroupId::kDl2048: return dl(kSafePrime2048);
+    case GroupId::kDl3072: return dl(kSafePrime3072);
+    case GroupId::kEcP192: return std::make_unique<EcGroup>(nist_p192());
+    case GroupId::kEcP224: return std::make_unique<EcGroup>(nist_p224());
+    case GroupId::kEcP256: return std::make_unique<EcGroup>(nist_p256());
+    case GroupId::kDlTest256: return dl(kSafePrimeTest256);
   }
   throw std::invalid_argument("make_group: unknown GroupId");
 }
 
-std::string to_string(GroupId id) { return make_group(id)->name(); }
+std::string to_string(GroupId id) {
+  for (const auto& [gid, name] : kGroupNames)
+    if (gid == id) return std::string{name};
+  throw std::invalid_argument("to_string: unknown GroupId");
+}
+
+GroupId parse_group_id(std::string_view name) {
+  for (const auto& [gid, gname] : kGroupNames)
+    if (gname == name) return gid;
+  throw std::invalid_argument("unknown group '" + std::string{name} + "'");
+}
 
 }  // namespace ppgr::group

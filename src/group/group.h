@@ -7,8 +7,8 @@
 // schnorr_group.h) and "ECC" (a prime-order elliptic-curve group). All
 // protocol code (ElGamal, Schnorr proofs, the unlinkable comparison phase)
 // is written against this interface so the two instantiations — plus the
-// mock group of the benchmark cost model and the metering / acceleration
-// decorators — are interchangeable at runtime.
+// test-only mock group and the metering decorator — are interchangeable at
+// runtime.
 //
 // Group notation is multiplicative throughout, matching the paper: `mul` is
 // the group operation and `exp` is repeated application (scalar
@@ -19,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mpz/nat.h"
@@ -40,6 +41,8 @@ struct Elem {
   Nat c;
   bool infinity = false;
 };
+
+class FixedBaseTable;  // group/fixed_base.h
 
 class Group {
  public:
@@ -102,8 +105,7 @@ class Group {
   /// (std::invalid_argument otherwise), and out must not overlap an input.
   /// The defaults loop. SchnorrGroup hands whole batches to MontCtx's batch
   /// ladders (8 ladders per AVX-512 IFMA vector on 4-limb moduli);
-  /// MeteredGroup counts out.size() calls of kGroupExp / kGroupDualExp, and
-  /// AcceleratedGroup still sends joint-key bases to its comb table.
+  /// MeteredGroup counts out.size() calls of kGroupExp / kGroupDualExp.
   virtual void exp_many(std::span<const Elem> bases,
                         std::span<const Nat> scalars,
                         std::span<Elem> out) const;
@@ -119,8 +121,8 @@ class Group {
   /// loops, and EcGroup keeps it: its inv is a point negation, cheaper than
   /// the three products per element of Montgomery's trick. SchnorrGroup
   /// overrides it with MontCtx::inv_many (one binary invmod per batch);
-  /// MeteredGroup counts out.size() kGroupInv and AcceleratedGroup forwards,
-  /// so the trick stays reachable through the decorators.
+  /// MeteredGroup counts out.size() kGroupInv and forwards, so the trick
+  /// stays reachable through the decorator.
   virtual void inv_many(std::span<const Elem> xs, std::span<Elem> out) const;
 
   // --- conveniences shared by all groups ---
@@ -136,6 +138,14 @@ class Group {
   [[nodiscard]] virtual Elem exp_g(const Nat& scalar) const {
     return exp(generator(), scalar);
   }
+  /// table.base()^scalar through the comb `table`, built over this group or
+  /// the group it decorates — the y^r of every ElGamal encryption and
+  /// re-randomization, whose key table the run builds once. The default
+  /// (group.cpp) is table.exp(*this, scalar), so the comb's products run
+  /// through this group's mul(); no concrete group overrides it, and
+  /// MeteredGroup counts it as one kGroupExp plus one kAccelFixedBaseExp.
+  [[nodiscard]] virtual Elem exp_fixed(const FixedBaseTable& table,
+                                       const Nat& scalar) const;
   /// Uniform scalar in [0, q).
   [[nodiscard]] Nat random_scalar(Rng& rng) const { return rng.below(order()); }
   /// Uniform scalar in [1, q).
@@ -159,6 +169,11 @@ enum class GroupId {
 };
 
 [[nodiscard]] std::unique_ptr<Group> make_group(GroupId id);
+/// The group's name(), e.g. "dl-1024", from a constant table (no group is
+/// built).
 [[nodiscard]] std::string to_string(GroupId id);
+/// Inverse of to_string; throws std::invalid_argument naming `name` when no
+/// GroupId has it.
+[[nodiscard]] GroupId parse_group_id(std::string_view name);
 
 }  // namespace ppgr::group

@@ -6,11 +6,13 @@
 // count per call, whatever the call costs inside (a dual_exp is one
 // kGroupDualExp, not the ladder's multiplications), and one per element for
 // the batch forms (an exp_many over n bases is n kGroupExp and an inv_many
-// over n elements n kGroupInv, however the inner group batches them).
-// Counting at the *interface* — not inside the concrete groups — is
-// deliberate: comb-table and ladder internals (SchnorrGroup::exp_g,
-// AcceleratedGroup's tables, dual_exp, Montgomery's trick) stay invisible,
-// so the counts are the same on every group family and
+// over n elements n kGroupInv, however the inner group batches them). An
+// exp_fixed (the y^r of an ElGamal encryption, through the run's joint-key
+// comb) is one kGroupExp plus one kAccelFixedBaseExp, which marks how many
+// of the exps took the comb. Counting at the *interface* — not inside the
+// concrete groups — is deliberate: comb-table and ladder internals
+// (exp_g's and exp_fixed's products, dual_exp, Montgomery's trick) stay
+// invisible, so the counts are the same on every group family and
 // benchcore::model_he_ops can state them in closed form.
 //
 // With no metrics sink installed on the calling thread, each report is a
@@ -47,6 +49,12 @@ class MeteredGroup final : public Group {
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     runtime::count_op(runtime::CryptoOp::kGroupExpG);
     return inner_.exp_g(scalar);
+  }
+  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
+                               const Nat& scalar) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupExp);
+    runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
+    return inner_.exp_fixed(table, scalar);
   }
   [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                               const Nat& ey) const override {

@@ -47,8 +47,7 @@ Elem SchnorrGroup::generator() const { return Elem{.a = gen_}; }
 
 Elem SchnorrGroup::exp_g(const Nat& scalar) const {
   std::call_once(gen_table_once_, [&] {
-    gen_table_ = std::make_unique<FixedBaseTable>(*this, generator(),
-                                                  q_.bit_length());
+    gen_table_ = std::make_unique<FixedBaseTable>(*this, generator());
   });
   return gen_table_->exp(*this, scalar);
 }

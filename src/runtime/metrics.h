@@ -92,13 +92,12 @@ enum class CryptoOp : std::uint8_t {
   kCompareCircuit,  // one l-bit comparison-circuit evaluation (step 7)
   kShuffleHop,      // one party's hop over one foreign set (step 8)
   // accelerated-execution diagnostics: how often the hot path took a fast
-  // route — fixed-base comb exponentiation through an attached
-  // non-generator table (group::AcceleratedGroup), and batched Montgomery
-  // inversion for affine normalization. Deterministic functions of the run
-  // configuration; they sit below the group-layer counters (a table-served
-  // exp is still one kGroupExp) and depend on the group family and the
-  // attached tables.
-  kAccelFixedBaseExp,  // exps served by a non-generator fixed-base table
+  // route — a Group::exp_fixed through a non-generator comb table (the
+  // joint ElGamal key's, counted by group::MeteredGroup), and batched
+  // Montgomery inversion for affine normalization. Deterministic functions
+  // of the run configuration; they sit below the group-layer counters (an
+  // exp_fixed is still one kGroupExp).
+  kAccelFixedBaseExp,  // Group::exp_fixed calls
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
 inline constexpr std::size_t kOpCount = 26;

@@ -35,9 +35,10 @@ TEST(MockGroup, ElGamalAndProofsWorkOverIt) {
   const MockGroup g{"mock"};
   ChaChaRng rng{501};
   const auto kp = crypto::keygen(g, rng);
-  const auto ct = crypto::encrypt_exp(g, kp.y, Nat{}, rng);
+  const group::FixedBaseTable key{g, kp.y};
+  const auto ct = crypto::encrypt_exp(g, key, Nat{}, rng);
   EXPECT_TRUE(crypto::decrypts_to_zero(g, kp.x, ct));
-  const auto nz = crypto::encrypt_exp(g, kp.y, Nat{3}, rng);
+  const auto nz = crypto::encrypt_exp(g, key, Nat{3}, rng);
   EXPECT_FALSE(crypto::decrypts_to_zero(g, kp.x, nz));
   const auto proof = crypto::schnorr_prove(g, kp.x, 4, rng);
   EXPECT_TRUE(

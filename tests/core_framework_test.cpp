@@ -164,8 +164,9 @@ TEST(Framework, ComparisonCircuitTruthTable) {
   const auto key_a = crypto::keygen(*g, rng);
   // Single-party "joint" key so the test can decrypt: give both parties the
   // same key pair.
-  pa.set_joint_key(key_a.y);
-  pb.set_joint_key(key_a.y);
+  const auto key = std::make_shared<const group::FixedBaseTable>(*g, key_a.y);
+  pa.set_joint_key(key);
+  pb.set_joint_key(key);
 
   const std::size_t l = cfg.spec.beta_bits();
   const auto bits_b = encrypt_bits(pb, l, rng);

@@ -25,9 +25,10 @@ TEST_P(ElGamalOverGroups, StandardEncryptDecryptRoundTrip) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{10};
   const KeyPair kp = keygen(*g, rng);
+  const FixedBaseTable key{*g, kp.y};
   for (int i = 0; i < 5; ++i) {
     const Elem m = g->exp_g(g->random_scalar(rng));
-    const Ciphertext ct = encrypt(*g, kp.y, m, rng);
+    const Ciphertext ct = encrypt(*g, key, m, rng);
     EXPECT_TRUE(g->eq(decrypt(*g, kp.x, ct), m));
   }
 }
@@ -36,9 +37,10 @@ TEST_P(ElGamalOverGroups, EncryptionIsProbabilistic) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{11};
   const KeyPair kp = keygen(*g, rng);
+  const FixedBaseTable key{*g, kp.y};
   const Elem m = g->generator();
-  const Ciphertext a = encrypt(*g, kp.y, m, rng);
-  const Ciphertext b = encrypt(*g, kp.y, m, rng);
+  const Ciphertext a = encrypt(*g, key, m, rng);
+  const Ciphertext b = encrypt(*g, key, m, rng);
   EXPECT_FALSE(g->eq(a.c, b.c));
   EXPECT_FALSE(g->eq(a.cp, b.cp));
 }
@@ -47,9 +49,10 @@ TEST_P(ElGamalOverGroups, ExponentialHomomorphism) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{12};
   const KeyPair kp = keygen(*g, rng);
+  const FixedBaseTable key{*g, kp.y};
   const Nat m1{17}, m2{25};
-  const Ciphertext e1 = encrypt_exp(*g, kp.y, m1, rng);
-  const Ciphertext e2 = encrypt_exp(*g, kp.y, m2, rng);
+  const Ciphertext e1 = encrypt_exp(*g, key, m1, rng);
+  const Ciphertext e2 = encrypt_exp(*g, key, m2, rng);
   // E(17) ∘ E(25) decrypts to g^42.
   EXPECT_TRUE(g->eq(decrypt_exp(*g, kp.x, ct_add(*g, e1, e2)), g->exp_g(Nat{42})));
   // E(25) - E(17) -> g^8.
@@ -66,11 +69,12 @@ TEST_P(ElGamalOverGroups, ZeroTest) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{13};
   const KeyPair kp = keygen(*g, rng);
-  EXPECT_TRUE(decrypts_to_zero(*g, kp.x, encrypt_exp(*g, kp.y, Nat{}, rng)));
-  EXPECT_FALSE(decrypts_to_zero(*g, kp.x, encrypt_exp(*g, kp.y, Nat{1}, rng)));
+  const FixedBaseTable key{*g, kp.y};
+  EXPECT_TRUE(decrypts_to_zero(*g, kp.x, encrypt_exp(*g, key, Nat{}, rng)));
+  EXPECT_FALSE(decrypts_to_zero(*g, kp.x, encrypt_exp(*g, key, Nat{1}, rng)));
   // Subtracting equal plaintexts yields an encryption of zero.
-  const Ciphertext a = encrypt_exp(*g, kp.y, Nat{99}, rng);
-  const Ciphertext b = encrypt_exp(*g, kp.y, Nat{99}, rng);
+  const Ciphertext a = encrypt_exp(*g, key, Nat{99}, rng);
+  const Ciphertext b = encrypt_exp(*g, key, Nat{99}, rng);
   EXPECT_TRUE(decrypts_to_zero(*g, kp.x, ct_sub(*g, a, b)));
 }
 
@@ -88,12 +92,13 @@ TEST(ElGamalBatch, CountZeroDecryptionsMatchesPerElementTest) {
   ChaChaRng rng{17};
   for (const auto& g : groups) {
     const KeyPair kp = keygen(*g, rng);
+    const FixedBaseTable key{*g, kp.y};
     std::vector<Ciphertext> cts;
     for (std::size_t i = 0; i < 70; ++i) {
       const Nat m{i % 3 == 0 ? 0u : i};
-      Ciphertext ct = encrypt_exp(*g, kp.y, m, rng);
-      if (i % 4 == 1) ct = rerandomize(*g, kp.y, ct, rng);
-      if (i % 5 == 2) ct = ct_add(*g, ct, encrypt_exp(*g, kp.y, Nat{}, rng));
+      Ciphertext ct = encrypt_exp(*g, key, m, rng);
+      if (i % 4 == 1) ct = rerandomize(*g, key, ct, rng);
+      if (i % 5 == 2) ct = ct_add(*g, ct, encrypt_exp(*g, key, Nat{}, rng));
       if (i % 7 == 3)
         ct = exp_randomize(*g, ct, g->random_nonzero_scalar(rng));
       cts.push_back(std::move(ct));
@@ -129,8 +134,9 @@ TEST_P(ElGamalOverGroups, RerandomizePreservesPlaintext) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{14};
   const KeyPair kp = keygen(*g, rng);
-  const Ciphertext ct = encrypt_exp(*g, kp.y, Nat{7}, rng);
-  const Ciphertext rr = rerandomize(*g, kp.y, ct, rng);
+  const FixedBaseTable key{*g, kp.y};
+  const Ciphertext ct = encrypt_exp(*g, key, Nat{7}, rng);
+  const Ciphertext rr = rerandomize(*g, key, ct, rng);
   EXPECT_FALSE(g->eq(rr.c, ct.c));  // fresh randomness
   EXPECT_TRUE(g->eq(decrypt_exp(*g, kp.x, rr), g->exp_g(Nat{7})));
 }
@@ -139,12 +145,13 @@ TEST_P(ElGamalOverGroups, ExpRandomizeKeepsZeroKillsNonzero) {
   const auto g = make_group(GetParam());
   ChaChaRng rng{15};
   const KeyPair kp = keygen(*g, rng);
+  const FixedBaseTable key{*g, kp.y};
   const Nat r = g->random_nonzero_scalar(rng);
   // zero stays zero.
-  const Ciphertext z = encrypt_exp(*g, kp.y, Nat{}, rng);
+  const Ciphertext z = encrypt_exp(*g, key, Nat{}, rng);
   EXPECT_TRUE(decrypts_to_zero(*g, kp.x, exp_randomize(*g, z, r)));
   // nonzero m becomes r*m — still nonzero, but no longer g^m.
-  const Ciphertext nz = encrypt_exp(*g, kp.y, Nat{5}, rng);
+  const Ciphertext nz = encrypt_exp(*g, key, Nat{5}, rng);
   const Ciphertext masked = exp_randomize(*g, nz, r);
   EXPECT_FALSE(decrypts_to_zero(*g, kp.x, masked));
   const Nat expected = Nat::mul(Nat{5}, r) % g->order();
@@ -163,7 +170,7 @@ TEST_P(ElGamalOverGroups, DistributedDecryptionChain) {
     keys.push_back(keygen(*g, rng));
     ys.push_back(keys.back().y);
   }
-  const Elem y = joint_public_key(*g, ys);
+  const FixedBaseTable y{*g, joint_public_key(*g, ys)};
 
   Ciphertext ct = encrypt_exp(*g, y, Nat{123}, rng);
   // Parties 1..n-1 partially decrypt (shuffled order), party 0 finishes.
@@ -178,7 +185,7 @@ TEST_P(ElGamalOverGroups, PartialDecryptCommutesWithExpRandomize) {
   ChaChaRng rng{17};
   std::vector<KeyPair> keys{keygen(*g, rng), keygen(*g, rng), keygen(*g, rng)};
   const std::vector<Elem> ys{keys[0].y, keys[1].y, keys[2].y};
-  const Elem y = joint_public_key(*g, ys);
+  const FixedBaseTable y{*g, joint_public_key(*g, ys)};
 
   Ciphertext zero_ct = encrypt_exp(*g, y, Nat{}, rng);
   Ciphertext nz_ct = encrypt_exp(*g, y, Nat{9}, rng);

@@ -1,7 +1,9 @@
 // SessionEngine behavior: admission cap, session isolation, correctness vs
 // the plain reference ranking, the same evaluation as a bare run_framework,
 // determinism under load (bit-identical outputs at load 1 vs 16, cold vs
-// warm cache), exact cold/warm cache hit accounting, and the golden rollup
+// warm cache), exact cold/warm cache hit accounting (one lookup per session,
+// one group instance per group, shared across engines and warmed by a
+// foreign instance), and the golden rollup
 // export (tests/golden/engine_small.json) byte-stable across parallelism
 // 1 / 2 / hardware concurrency.
 //
@@ -15,11 +17,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/precompute.h"
 #include "group/group.h"
+#include "group/metered_group.h"
 #include "mpz/rng.h"
 
 #ifndef PPGR_GOLDEN_DIR
@@ -241,18 +245,99 @@ TEST(SessionEngine, ColdWarmCacheAccountingIsExact) {
     SessionEngine cold{cfg};
     (void)cold.run_batch(small_batch(kSessions, /*n=*/4));
     const PrecomputeStats s = cold.precompute_stats();
-    // One group in play: the generator table is built once and shared.
+    // One group in play: its instance is built once and shared.
     EXPECT_EQ(s.generator_table.misses, 1u);
     EXPECT_EQ(s.generator_table.hits, kSessions - 1);
   }
 
-  // A second engine over the same cache finds the table resident.
+  // A second engine over the same cache finds the instance resident.
   SessionEngine warm{cfg};
   (void)warm.run_batch(small_batch(kSessions, /*n=*/4));
   const PrecomputeStats w = warm.precompute_stats();
   EXPECT_EQ(w.generator_table.hits, kSessions);
   EXPECT_EQ(w.total().misses, 0u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// perfbench's engine set-up warms the cache through generator_table() with
+// a group instance of its own: the cache builds its own instance of that
+// group, and the engine's first session finds it resident.
+TEST(SessionEngine, WarmingByAForeignInstanceMakesTheFirstLookupAHit) {
+  PrecomputeCache cache;
+  const auto foreign = group::make_group(group::GroupId::kDlTest256);
+  const PrecomputeCache::Lookup warmed = cache.generator_table(*foreign);
+  EXPECT_TRUE(warmed.built);
+  EXPECT_NE(warmed.group, foreign.get());
+  EXPECT_FALSE(cache.generator_table(*foreign).built);
+  EXPECT_THROW((void)cache.generator_table(
+                   group::MeteredGroup{*foreign}),  // "dl-test-256+metered"
+               std::invalid_argument);
+
+  EngineConfig cfg;
+  cfg.seed = 77;
+  cfg.max_in_flight = 1;
+  cfg.cache = &cache;
+  SessionEngine engine{cfg};
+  const SessionResult res = engine.take(engine.submit(make_request(1, 4, 2)));
+  ASSERT_EQ(res.outcome, SessionOutcome::kOk);
+  EXPECT_EQ(res.precompute.generator_table.hits, 1u);
+  EXPECT_EQ(res.precompute.generator_table.misses, 0u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// Two engines over one cache share its group instance: the second engine
+// never builds one, and every lookup returns the same object.
+TEST(SessionEngine, EnginesOverOneCacheShareTheGroupInstance) {
+  PrecomputeCache cache;
+  EngineConfig cfg;
+  cfg.seed = 78;
+  cfg.max_in_flight = 2;
+  cfg.cache = &cache;
+  SessionEngine first{cfg};
+  SessionEngine second{cfg};
+  (void)first.run_batch(small_batch(2, /*n=*/4));
+  (void)second.run_batch(small_batch(2, /*n=*/4));
+  EXPECT_EQ(first.precompute_stats().generator_table.misses, 1u);
+  EXPECT_EQ(second.precompute_stats().generator_table.misses, 0u);
+  EXPECT_EQ(second.precompute_stats().generator_table.hits, 2u);
+  const PrecomputeCache::Lookup a = cache.instance(group::GroupId::kDlTest256);
+  const PrecomputeCache::Lookup b = cache.instance(group::GroupId::kDlTest256);
+  EXPECT_FALSE(a.built);
+  EXPECT_EQ(a.group, b.group);
+  EXPECT_EQ(a.group->name(), "dl-test-256");
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// Every session, HE or SS, makes exactly one counted lookup, and the cache
+// builds one instance per distinct group whatever the load.
+TEST(SessionEngine, OneLookupPerSessionOneBuildPerGroup) {
+  PrecomputeCache cache;
+  EngineConfig cfg;
+  cfg.seed = 79;
+  cfg.max_in_flight = 3;
+  cfg.cache = &cache;
+  SessionEngine engine{cfg};
+  std::vector<RankingRequest> reqs;
+  const std::vector<std::pair<FrameworkKind, group::GroupId>> kinds{
+      {FrameworkKind::kHe, group::GroupId::kDlTest256},
+      {FrameworkKind::kSs, group::GroupId::kDlTest256},
+      {FrameworkKind::kSs, group::GroupId::kEcP192},
+      {FrameworkKind::kHe, group::GroupId::kEcP192},
+      {FrameworkKind::kHe, group::GroupId::kDlTest256}};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    reqs.push_back(make_request(i + 1, /*n=*/3, /*k=*/1, kinds[i].first));
+    reqs.back().group = kinds[i].second;
+  }
+  for (const SessionResult& res : engine.run_batch(std::move(reqs))) {
+    EXPECT_EQ(res.outcome, SessionOutcome::kOk);
+    EXPECT_EQ(res.precompute.generator_table.hits +
+                  res.precompute.generator_table.misses,
+              1u);
+  }
+  const PrecomputeStats s = engine.precompute_stats();
+  EXPECT_EQ(s.generator_table.hits + s.generator_table.misses, kinds.size());
+  EXPECT_EQ(s.generator_table.misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 std::string rollup_at(std::size_t in_flight, std::size_t parallelism) {

@@ -1,9 +1,8 @@
 // Tests for the group layer: abstract group laws over every instantiation,
 // safe-prime parameter validation, elliptic-curve specifics, serialization,
-// and the metering / acceleration decorators.
+// the metering decorator and the GroupId name table.
 #include <gtest/gtest.h>
 
-#include "group/accel_group.h"
 #include "group/fixed_base.h"
 #include "group/ec_group.h"
 #include "group/group.h"
@@ -355,44 +354,19 @@ class DualExpSpy final : public Group {
 
 TEST(GroupDecorators, ForwardDualExpToTheInnerGroup) {
   // SchnorrGroup's Montgomery-native dual_exp ladder must stay reachable
-  // through the decorator stack: each decorator hands the call to the inner
-  // group exactly once instead of running the generic ladder over mul().
+  // through MeteredGroup: it hands the call to the inner group exactly once
+  // instead of running the generic ladder over mul().
   const auto inner = make_group(GroupId::kDlTest256);
   const DualExpSpy spy{*inner};
-  const AcceleratedGroup accel{spy};
   const MeteredGroup metered{spy};
   ChaChaRng rng{7};
   const Elem x = inner->exp_g(inner->random_nonzero_scalar(rng));
   const Elem y = inner->exp_g(inner->random_nonzero_scalar(rng));
   const Nat ex = inner->random_scalar(rng);
   const Nat ey = inner->random_scalar(rng);
-  const Elem want = inner->dual_exp(x, ex, y, ey);
-  for (const Group* deco : {static_cast<const Group*>(&accel),
-                            static_cast<const Group*>(&metered)}) {
-    spy.dual_exps = 0;
-    EXPECT_TRUE(inner->eq(deco->dual_exp(x, ex, y, ey), want));
-    EXPECT_EQ(spy.dual_exps, 1u);
-  }
-}
-
-TEST(AcceleratedGroup, BaseTableHitsAreCountedAndValueIdentical) {
-  const auto inner = make_group(GroupId::kDlTest256);
-  AcceleratedGroup accel{*inner};
-  ChaChaRng rng{8};
-  const Elem base = inner->exp_g(inner->random_nonzero_scalar(rng));
-  const Elem other = inner->exp_g(inner->random_nonzero_scalar(rng));
-  accel.set_base_table(std::make_shared<const FixedBaseTable>(
-      *inner, base, inner->order().bit_length()));
-  const Nat s = inner->random_scalar(rng);
-  runtime::MetricsBuffer buf;
-  {
-    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
-    EXPECT_TRUE(inner->eq(accel.exp(base, s), inner->exp(base, s)));
-    EXPECT_TRUE(inner->eq(accel.exp(other, s), inner->exp(other, s)));
-  }
-  runtime::MetricsRegistry reg;
-  reg.absorb(buf);
-  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp), 1u);
+  EXPECT_TRUE(
+      inner->eq(metered.dual_exp(x, ex, y, ey), inner->dual_exp(x, ex, y, ey)));
+  EXPECT_EQ(spy.dual_exps, 1u);
 }
 
 class FixedBaseOverGroups : public ::testing::TestWithParam<GroupId> {};
@@ -440,6 +414,27 @@ TEST(FixedBase, TableDirectUse) {
 TEST(GroupFactory, NamesAreStable) {
   EXPECT_EQ(to_string(GroupId::kDl1024), "dl-1024");
   EXPECT_EQ(to_string(GroupId::kEcP256), "ecc-p256");
+}
+
+TEST(GroupFactory, EveryGroupIdRoundTripsThroughItsName) {
+  for (const GroupId id :
+       {GroupId::kDl1024, GroupId::kDl2048, GroupId::kDl3072,
+        GroupId::kEcP192, GroupId::kEcP224, GroupId::kEcP256,
+        GroupId::kDlTest256}) {
+    const std::string name = to_string(id);
+    EXPECT_EQ(name, make_group(id)->name());
+    EXPECT_EQ(parse_group_id(name), id) << name;
+  }
+  for (const char* bad : {"", "dl-512", "DL-1024", "dl-1024 ", "ecc-p256+metered"}) {
+    try {
+      (void)parse_group_id(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + std::string{bad} + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -9,10 +9,14 @@
 // digit-slice at: 0, 1, 2^w - 1, and order +/- 1. The batch forms
 // (exp_many / dual_exp_many) must equal the per-element calls on every
 // family, including SchnorrGroup's 8-lane path (dl-test-256) and its scalar
-// fallback (dl-1024), and the decorators must keep the per-element counts.
+// fallback (dl-1024), and MeteredGroup must keep the per-element counts.
 // inv_many (Montgomery's trick on Schnorr groups, the per-element loop
-// elsewhere) must equal per-element inv the same way, and both decorators
-// must forward it.
+// elsewhere) must equal per-element inv the same way. Group::exp_fixed (the
+// y^r of every ElGamal encryption, through the joint key's comb) must equal
+// Group::exp, and on the Schnorr groups GMP's mpz_powm as an independent
+// oracle, and MeteredGroup must count it as one kGroupExp plus one
+// kAccelFixedBaseExp.
+#include <gmpxx.h>
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -21,10 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "group/accel_group.h"
 #include "group/fixed_base.h"
 #include "group/metered_group.h"
 #include "group/mock_group.h"
+#include "group/schnorr_group.h"
 #include "runtime/metrics.h"
 
 namespace ppgr::group {
@@ -185,43 +189,64 @@ TEST_P(BatchExpTest, MeteredGroupCountsEveryElement) {
   EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
 }
 
-TEST_P(BatchExpTest, AcceleratedGroupRoutesKeyTableBasesToTheComb) {
-  // A batch mixing the key table's base with other bases: same values and
-  // the same kAccelFixedBaseExp count as the per-element loop.
-  AcceleratedGroup accel{*g_};
+// exp_fixed's scalars: zero, one, the order's neighborhood, a random one,
+// and one wider than the table (the comb's fallback to the group's exp).
+std::vector<Nat> exp_fixed_scalars(const Group& g, ChaChaRng& rng) {
+  return {Nat{},
+          Nat{1},
+          Nat::sub(g.order(), Nat{1}),
+          g.order(),
+          g.random_nonzero_scalar(rng),
+          Nat::add(g.order().shl(3), Nat{5})};
+}
+
+TEST_P(BatchExpTest, ExpFixedEqualsExp) {
   const Elem key = random_elem();
-  accel.set_base_table(std::make_shared<const FixedBaseTable>(
-      *g_, key, g_->order().bit_length()));
-  fill(19);
-  for (const std::size_t i : {0, 3, 8, 9, 18}) xs_[i] = key;
-  const auto fixed_base_exps = [&](const auto& run) {
-    runtime::MetricsBuffer buf;
-    {
-      const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
-      run();
-    }
-    runtime::MetricsRegistry reg;
-    reg.absorb(buf);
-    return reg.total(runtime::CryptoOp::kAccelFixedBaseExp);
+  const FixedBaseTable table{*g_, key};
+  for (const Nat& s : exp_fixed_scalars(*g_, rng_))
+    expect_same(*g_, g_->exp_fixed(table, s), g_->exp(key, s), "exp_fixed");
+}
+
+TEST_P(BatchExpTest, ExpFixedMatchesGmpOnSchnorrGroups) {
+  const auto* schnorr = dynamic_cast<const SchnorrGroup*>(g_.get());
+  if (schnorr == nullptr) GTEST_SKIP() << "no GMP oracle for this family";
+  const auto to_gmp = [](const Nat& n) { return mpz_class{n.to_hex(), 16}; };
+  const mpz_class p = to_gmp(schnorr->modulus());
+  const mpz_class q = to_gmp(schnorr->order());
+  // An element as its canonical |x| = min(x, p - x), the wire encoding.
+  const auto canonical = [&](const Elem& x) {
+    return to_gmp(Nat::from_bytes_be(g_->serialize(x)));
   };
-  std::vector<Elem> batch(xs_.size()), loop(xs_.size());
-  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 5u);
-  EXPECT_EQ(fixed_base_exps([&] {
-              for (std::size_t i = 0; i < xs_.size(); ++i)
-                loop[i] = accel.exp(xs_[i], exs_[i]);
-            }),
-            5u);
-  for (std::size_t i = 0; i < xs_.size(); ++i) {
-    expect_same(*g_, batch[i], loop[i], "accel exp_many");
-    expect_same(*g_, batch[i], g_->exp(xs_[i], exs_[i]), "accel vs inner");
+  const Elem key = random_elem();
+  const FixedBaseTable table{*g_, key};
+  const mpz_class base = canonical(key);
+  for (const Nat& s : exp_fixed_scalars(*g_, rng_)) {
+    mpz_class want;
+    mpz_powm(want.get_mpz_t(), base.get_mpz_t(), to_gmp(s).get_mpz_t(),
+             p.get_mpz_t());
+    if (want > q) want = p - want;
+    EXPECT_EQ(canonical(g_->exp_fixed(table, s)), want) << s.to_dec();
   }
-  // All bases on the table, and none.
-  for (Elem& x : xs_) x = key;
-  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 19u);
-  fill(19);
-  EXPECT_EQ(fixed_base_exps([&] { accel.exp_many(xs_, exs_, batch); }), 0u);
-  for (std::size_t i = 0; i < xs_.size(); ++i)
-    expect_same(*g_, batch[i], g_->exp(xs_[i], exs_[i]), "no table hits");
+}
+
+TEST_P(BatchExpTest, ExpFixedIsCountedOnceByMeteredGroup) {
+  const MeteredGroup metered{*g_};
+  const Elem key = random_elem();
+  const FixedBaseTable table{*g_, key};
+  const std::vector<Nat> scalars = exp_fixed_scalars(*g_, rng_);
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    for (const Nat& s : scalars)
+      expect_same(*g_, metered.exp_fixed(table, s), g_->exp(key, s),
+                  "metered exp_fixed");
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExp), scalars.size());
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp), scalars.size());
+  // The comb's products are internal to the inner group.
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
 }
 
 // inv_many inputs around one compare circuit's 70 elements, with the
@@ -315,19 +340,19 @@ class InvSpy final : public Group {
   const Group& inner_;
 };
 
-TEST_P(BatchExpTest, AcceleratedGroupForwardsInvMany) {
+TEST_P(BatchExpTest, MeteredGroupForwardsInvMany) {
   // The whole batch reaches the inner group's inv_many (SchnorrGroup's
   // Montgomery's trick), not the per-element default loop.
   const InvSpy spy{*g_};
-  const AcceleratedGroup accel{spy};
+  const MeteredGroup metered{spy};
   const std::vector<Elem> xs =
       inv_inputs(*g_, 70, [&] { return random_elem(); });
   std::vector<Elem> out(xs.size());
-  accel.inv_many(xs, out);
+  metered.inv_many(xs, out);
   EXPECT_EQ(spy.inv_many_calls, 1u);
   EXPECT_EQ(spy.inv_calls, 0u);
   for (std::size_t i = 0; i < xs.size(); ++i)
-    expect_same(*g_, out[i], g_->inv(xs[i]), "accel inv_many");
+    expect_same(*g_, out[i], g_->inv(xs[i]), "metered inv_many");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGroups, BatchExpTest,

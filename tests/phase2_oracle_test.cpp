@@ -24,7 +24,7 @@
 
 #include "benchcore/model.h"
 #include "crypto/codec.h"
-#include "group/accel_group.h"
+#include "group/fixed_base.h"
 #include "group/metered_group.h"
 #include "group/mock_group.h"
 
@@ -43,7 +43,8 @@ using runtime::CryptoOp;
 // ---- the oracle: the naive evaluation ----
 
 std::vector<Ciphertext> oracle_compare(const Group& g, const Nat& beta,
-                                       std::size_t l, const Elem& joint_key,
+                                       std::size_t l,
+                                       const group::FixedBaseTable& joint_key,
                                        const std::vector<Ciphertext>& peer_bits,
                                        Rng& rng) {
   const Nat& q = g.order();
@@ -162,10 +163,10 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
   const std::unique_ptr<Group> real =
       GetParam().mock ? nullptr : group::make_group(GetParam().id);
   const Group& g = real != nullptr ? *real : static_cast<const Group&>(mock);
-  // The participant computes through run_framework's decorator stack; the
-  // oracle through a bare metered group.
-  group::AcceleratedGroup accel{g};
-  const group::MeteredGroup metered{accel};
+  // The participant computes through run_framework's metered group, with
+  // the joint key's comb table shared as run_framework shares it; the
+  // oracle through a second metered group.
+  const group::MeteredGroup metered{g};
   const group::MeteredGroup oracle_g{g};
 
   FrameworkConfig cfg;
@@ -182,9 +183,8 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
   const crypto::KeyPair own_key = crypto::keygen(g, key_rng);
   ChaChaRng peer_key_rng{8};
   const std::vector<Elem> shares{own_key.y, peer.public_key(peer_key_rng)};
-  const Elem joint = crypto::joint_public_key(g, shares);
-  accel.set_base_table(std::make_shared<const group::FixedBaseTable>(
-      g, joint, g.order().bit_length()));
+  const auto joint = std::make_shared<const group::FixedBaseTable>(
+      g, crypto::joint_public_key(g, shares));
   peer.set_joint_key(joint);
   std::vector<Ciphertext> peer_bits;
   for (std::size_t b = 0; b < l; ++b)
@@ -204,7 +204,7 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
     const runtime::OpTally fused_ops =
         group_ops_of([&] { tau = own.compare_against(peer_bits, r1); });
     const runtime::OpTally naive_ops = group_ops_of([&] {
-      tau_oracle = oracle_compare(oracle_g, beta, l, joint, peer_bits, r2);
+      tau_oracle = oracle_compare(oracle_g, beta, l, *joint, peer_bits, r2);
     });
     expect_same(g, tau, tau_oracle, "compare_against");
     EXPECT_EQ(r1.below_u64(1u << 30), r2.below_u64(1u << 30))

@@ -120,8 +120,9 @@ TEST(GainHiding, ComparisonSetsCarryNoDeterministicFingerprint) {
     p->receive_gain_answer(init.answer_gain_query(p->id(), q));
   }
   const auto kp = crypto::keygen(*g, rng);
-  a.set_joint_key(kp.y);
-  b.set_joint_key(kp.y);
+  const auto key = std::make_shared<const group::FixedBaseTable>(*g, kp.y);
+  a.set_joint_key(key);
+  b.set_joint_key(key);
   const auto bits_b = encrypt_bits(b, cfg.spec.beta_bits(), rng);
   const auto tau1 = a.compare_against(bits_b, rng);
   const auto tau2 = a.compare_against(bits_b, rng);
@@ -143,7 +144,7 @@ TEST(GainHiding, NonzeroTauValuesAreDestroyedByChain) {
   const auto k1 = crypto::keygen(*g, rng);
   const auto k2 = crypto::keygen(*g, rng);
   const std::vector<group::Elem> ys{k1.y, k2.y};
-  const auto joint = crypto::joint_public_key(*g, ys);
+  const group::FixedBaseTable joint{*g, crypto::joint_public_key(*g, ys)};
   int confirmed = 0;
   for (int iter = 0; iter < 40; ++iter) {
     const Nat m{7};
@@ -167,6 +168,7 @@ TEST(GainHiding, Lemma3SimulatorSetsAreObservationEquivalent) {
   const auto g = make_group(GroupId::kDlTest256);
   ChaChaRng rng{203};
   const auto kp = crypto::keygen(*g, rng);
+  const group::FixedBaseTable key{*g, kp.y};
   const std::size_t l = 12;
 
   // "Real" set: exactly one zero among l values (the τ structure).
@@ -174,14 +176,14 @@ TEST(GainHiding, Lemma3SimulatorSetsAreObservationEquivalent) {
   const std::size_t zero_pos = 5;
   for (std::size_t t = 0; t < l; ++t) {
     const Nat m = (t == zero_pos) ? Nat{} : Nat{static_cast<mpz::Limb>(t + 3)};
-    real_set.push_back(crypto::encrypt_exp(*g, kp.y, m, rng));
+    real_set.push_back(crypto::encrypt_exp(*g, key, m, rng));
   }
   // Simulator set: one zero, random nonzeros, random positions.
   std::vector<Ciphertext> sim_set;
   const std::size_t sim_zero = rng.below_u64(l);
   for (std::size_t t = 0; t < l; ++t) {
     const Nat m = (t == sim_zero) ? Nat{} : g->random_nonzero_scalar(rng);
-    sim_set.push_back(crypto::encrypt_exp(*g, kp.y, m, rng));
+    sim_set.push_back(crypto::encrypt_exp(*g, key, m, rng));
   }
   auto zero_count = [&](const std::vector<Ciphertext>& set) {
     std::size_t zeros = 0;
@@ -204,7 +206,7 @@ std::size_t chain_zero_position(const group::Group& g, std::size_t l,
   const auto k1 = crypto::keygen(g, rng);
   const auto k2 = crypto::keygen(g, rng);
   const std::vector<group::Elem> ys{k1.y, k2.y};
-  const auto joint = crypto::joint_public_key(g, ys);
+  const group::FixedBaseTable joint{g, crypto::joint_public_key(g, ys)};
 
   // P1 compares against P2's bits: zero at the most significant differing
   // bit position iff beta2 > beta1 (DGK circuit, same formulas as
@@ -342,12 +344,13 @@ TEST(IndCpa, BitwiseEncryptionResistsNaiveDistinguishers) {
   const auto g = make_group(GroupId::kDlTest256);
   ChaChaRng rng{207};
   const auto kp = crypto::keygen(*g, rng);
+  const group::FixedBaseTable key{*g, kp.y};
   const int kTrials = 300;
   int wins_parity = 0, wins_sum = 0;
   for (int i = 0; i < kTrials; ++i) {
     const bool b = rng.coin();
     const Nat m = b ? Nat{1} : Nat{};
-    const auto ct = crypto::encrypt_exp(*g, kp.y, m, rng);
+    const auto ct = crypto::encrypt_exp(*g, key, m, rng);
     const auto bytes = g->serialize(ct.c);
     const bool guess_parity = bytes.back() & 1;
     unsigned sum = 0;

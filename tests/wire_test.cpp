@@ -121,7 +121,8 @@ TEST_P(CryptoCodec, ElemAndCiphertextRoundTrip) {
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{120};
   const auto kp = crypto::keygen(*g, rng);
-  const auto ct = crypto::encrypt_exp(*g, kp.y, Nat{5}, rng);
+  const auto ct =
+      crypto::encrypt_exp(*g, group::FixedBaseTable{*g, kp.y}, Nat{5}, rng);
 
   Writer w;
   crypto::write_elem(w, *g, kp.y);
@@ -140,10 +141,10 @@ TEST_P(CryptoCodec, ElemAndCiphertextRoundTrip) {
 TEST_P(CryptoCodec, CiphertextVectorRoundTrip) {
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{121};
-  const auto kp = crypto::keygen(*g, rng);
+  const group::FixedBaseTable key{*g, crypto::keygen(*g, rng).y};
   std::vector<crypto::Ciphertext> cts;
   for (int i = 0; i < 5; ++i)
-    cts.push_back(crypto::encrypt_exp(*g, kp.y, Nat{static_cast<mpz::Limb>(i)}, rng));
+    cts.push_back(crypto::encrypt_exp(*g, key, Nat{static_cast<mpz::Limb>(i)}, rng));
 
   Writer w;
   crypto::write_ciphertexts(w, *g, cts);
@@ -425,11 +426,11 @@ TEST_P(CodecBoundaryGroup, CiphertextSeqFixedWidth) {
   // must be rejected, not mis-framed.
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{321};
-  const auto kp = crypto::keygen(*g, rng);
+  const group::FixedBaseTable key{*g, crypto::keygen(*g, rng).y};
   std::vector<crypto::Ciphertext> cts;
   for (int i = 0; i < 4; ++i)
     cts.push_back(
-        crypto::encrypt_exp(*g, kp.y, Nat{static_cast<mpz::Limb>(i)}, rng));
+        crypto::encrypt_exp(*g, key, Nat{static_cast<mpz::Limb>(i)}, rng));
   Writer w;
   crypto::write_ciphertext_seq(w, *g, cts);
   EXPECT_EQ(w.size(), cts.size() * crypto::ciphertext_wire_bytes(*g));
