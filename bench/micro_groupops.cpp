@@ -58,6 +58,23 @@ void BM_GroupExp(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupExp)->DenseRange(0, 5);
 
+// The shuffle hop's fused shape x^ex · y^ey on full-width scalars: one
+// Group::dual_exp call (one shared run of squarings or doublings).
+void BM_GroupDualExp(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{13};
+  const group::Elem x = g.exp_g(g.random_nonzero_scalar(rng));
+  const group::Elem y = g.exp_g(g.random_nonzero_scalar(rng));
+  const mpz::Nat ex = g.random_nonzero_scalar(rng);
+  const mpz::Nat ey = g.random_nonzero_scalar(rng);
+  for (auto _ : state) {
+    auto r = g.dual_exp(x, ex, y, ey);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupDualExp)->DenseRange(0, 5);
+
 void BM_ElGamalEncryptExp(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{3};

@@ -54,7 +54,12 @@
 # DL decode contract (a range check 1 <= z <= q on the canonical |x|
 # encoding): group_test's accept/reject cases and random-bytes property,
 # mpz_modular_test's GMP oracle for the encoding, and wire_test's
-# corrupted-element case.
+# corrupted-element case. EcGroup's stack-limb point formulas run here at
+# every field width: multiexp_test's EC oracle (textbook affine addition
+# and doubling over GMP, against mul / exp / exp_g / exp_fixed / exp_many /
+# dual_exp / dual_exp_many and the serialized bytes on P-192 at 3 limbs and
+# P-224 / P-256 at 4) and ec_exhaustive_test's full addition table on a
+# 1-limb curve with a = 2 (the general-a doubling).
 #
 # The `telemetry` mode is the live-observability leg: the telemetry suite
 # (sampler lifecycle, concurrent snapshot-vs-absorb races, the telemetry-off
@@ -207,7 +212,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test' ;;
+  multiexp) run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)

@@ -1,7 +1,6 @@
 #include "group/ec_group.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "runtime/metrics.h"
@@ -9,126 +8,314 @@
 namespace ppgr::group {
 
 namespace {
-// Jacobian <-> affine convention: x = X/Z^2, y = Y/Z^3; identity has
-// infinity=true (coordinates unused).
+
+using mpz::Limb;
+using U128 = unsigned __int128;
+
+constexpr std::size_t kWindow = 4;
+constexpr std::size_t kDigits = std::size_t{1} << kWindow;
+
+// The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
+// digit never straddles a limb.
+unsigned nibble(const Nat& e, std::size_t pos) {
+  return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
+}
+
+// The low `bytes` bytes of the little-endian limbs `l`, big-endian, to dst.
+void put_be(std::uint8_t* dst, const Limb* l, std::size_t bytes) {
+  for (std::size_t j = 0; j < bytes; ++j)
+    dst[bytes - 1 - j] = static_cast<std::uint8_t>(l[j / 8] >> (8 * (j % 8)));
+}
+
 }  // namespace
+
+// Jacobian <-> affine convention: x = X/Z^2, y = Y/Z^3; the identity has
+// infinity = true (coordinates unused). Every Fe holds a residue below p, so
+// the limbs above the field's width stay zero and the 4-limb additions
+// below serve every width; only the product takes the field's width.
 
 EcGroup::EcGroup(CurveParams params)
     : params_(std::move(params)), field_(params_.p) {
-  a_mont_ = field_.to(params_.a);
-  b_mont_ = field_.to(params_.b);
-  if (!on_curve(params_.gx, params_.gy))
+  if (field_.mont().limbs() > kLimbs)
+    throw std::invalid_argument("EcGroup: field wider than 256 bits");
+  p_ = load(params_.p);
+  a_ = load(field_.to(params_.a));
+  b_ = load(field_.to(params_.b));
+  one_ = load(field_.one());
+  a_is_minus3_ = params_.a == Nat::sub(params_.p, Nat{3});
+  const Nat gx = field_.to(params_.gx), gy = field_.to(params_.gy);
+  if (!on_curve(load(gx), load(gy)))
     throw std::invalid_argument("EcGroup: base point not on curve");
-  gen_ = Elem{.a = field_.to(params_.gx),
-              .b = field_.to(params_.gy),
-              .c = field_.one()};
+  gen_ = Elem{.a = gx, .b = gy, .c = field_.one()};
 }
 
-bool EcGroup::on_curve(const Nat& x, const Nat& y) const {
-  const Nat xm = field_.to(x), ym = field_.to(y);
-  const Nat lhs = field_.sqr(ym);
-  const Nat rhs = field_.add(
-      field_.add(field_.mul(field_.sqr(xm), xm), field_.mul(a_mont_, xm)),
-      b_mont_);
+// out = a + b mod p, for a, b < p: the sum, minus p unless that borrows
+// past the sum's carry (branch-free).
+void EcGroup::fadd(Fe& out, const Fe& a, const Fe& b) const {
+  Limb s[kLimbs], d[kLimbs];
+  Limb carry = 0, borrow = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const U128 t = static_cast<U128>(a.l[i]) + b.l[i] + carry;
+    s[i] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const U128 t = static_cast<U128>(s[i]) - p_.l[i] - borrow;
+    d[i] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb keep_s = Limb{0} - (borrow & (carry ^ 1));
+  for (std::size_t i = 0; i < kLimbs; ++i)
+    out.l[i] = (s[i] & keep_s) | (d[i] & ~keep_s);
+}
+
+// out = a - b mod p, for a, b < p: the difference, plus p if it borrowed.
+void EcGroup::fsub(Fe& out, const Fe& a, const Fe& b) const {
+  Limb d[kLimbs];
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const U128 t = static_cast<U128>(a.l[i]) - b.l[i] - borrow;
+    d[i] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb mask = Limb{0} - borrow;
+  Limb carry = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const U128 t = static_cast<U128>(d[i]) + (p_.l[i] & mask) + carry;
+    out.l[i] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+}
+
+EcGroup::Fe EcGroup::load(const Nat& residue) const {
+  Fe f;
+  const auto l = residue.limbs();
+  std::copy_n(l.begin(), std::min(l.size(), kLimbs), f.l);
+  return f;
+}
+
+EcGroup::Point EcGroup::load(const Elem& e) const {
+  if (e.infinity) return Point{.inf = true};
+  return Point{.x = load(e.a), .y = load(e.b), .z = load(e.c)};
+}
+
+Elem EcGroup::box(const Point& pt) const {
+  if (pt.inf) return identity();
+  const std::size_t k = field_.mont().limbs();
+  return Elem{.a = Nat::from_limbs({pt.x.l, k}),
+              .b = Nat::from_limbs({pt.y.l, k}),
+              .c = Nat::from_limbs({pt.z.l, k})};
+}
+
+// y^2 == (x^2 + a)x + b on Montgomery residues.
+bool EcGroup::on_curve(const Fe& x, const Fe& y) const {
+  Fe lhs, rhs;
+  fmul(lhs, y, y);
+  fmul(rhs, x, x);
+  fadd(rhs, rhs, a_);
+  fmul(rhs, rhs, x);
+  fadd(rhs, rhs, b_);
   return lhs == rhs;
 }
 
+bool EcGroup::on_curve(const Nat& x, const Nat& y) const {
+  return on_curve(load(field_.to(x)), load(field_.to(y)));
+}
+
 Elem EcGroup::from_affine(const Nat& x, const Nat& y) const {
-  if (!on_curve(x, y))
+  const Nat xm = field_.to(x), ym = field_.to(y);
+  if (!on_curve(load(xm), load(ym)))
     throw std::invalid_argument("EcGroup::from_affine: point not on curve");
-  return Elem{.a = field_.to(x), .b = field_.to(y), .c = field_.one()};
+  return Elem{.a = xm, .b = ym, .c = field_.one()};
+}
+
+void EcGroup::affine(Fe& x, Fe& y, const Point& pt, const Fe& zinv) const {
+  Fe zz;
+  fmul(zz, zinv, zinv);
+  fmul(x, pt.x, zz);
+  fmul(zz, zz, zinv);
+  fmul(y, pt.y, zz);
+}
+
+EcGroup::Fe EcGroup::standard(const Fe& a) const {
+  static constexpr Fe kPlainOne{.l = {1}};  // a·1/R: out of Montgomery form
+  Fe out;
+  fmul(out, a, kPlainOne);
+  return out;
+}
+
+std::vector<Nat> EcGroup::z_inverses(std::span<const Elem> xs) const {
+  std::vector<Nat> zs;
+  zs.reserve(xs.size());
+  for (const Elem& pt : xs)
+    if (!pt.infinity) zs.push_back(pt.c);
+  return field_.inv_many(zs);
 }
 
 std::pair<Nat, Nat> EcGroup::to_affine(const Elem& pt) const {
   if (pt.infinity)
     throw std::domain_error("EcGroup::to_affine: identity has no coordinates");
-  const Nat zinv = field_.inv(pt.c);
-  const Nat zinv2 = field_.sqr(zinv);
-  const Nat x = field_.mul(pt.a, zinv2);
-  const Nat y = field_.mul(pt.b, field_.mul(zinv2, zinv));
-  return {field_.from(x), field_.from(y)};
+  Fe x, y;
+  affine(x, y, load(pt), load(field_.inv(pt.c)));
+  const std::size_t k = field_.mont().limbs();
+  return {Nat::from_limbs({standard(x).l, k}),
+          Nat::from_limbs({standard(y).l, k})};
 }
 
-Elem EcGroup::dbl(const Elem& pt) const {
-  if (pt.infinity || pt.b.is_zero()) return identity();
-  const auto& f = field_;
-  // a = -3 speedup: M = 3(X - Z^2)(X + Z^2).
-  const Nat z2 = f.sqr(pt.c);
-  const Nat m = [&] {
-    if (params_.a == Nat::sub(params_.p, Nat{3})) {
-      const Nat t = f.mul(f.sub(pt.a, z2), f.add(pt.a, z2));
-      return f.add(f.add(t, t), t);
-    }
-    const Nat x2 = f.sqr(pt.a);
-    return f.add(f.add(f.add(x2, x2), x2), f.mul(a_mont_, f.sqr(z2)));
-  }();
-  const Nat y2 = f.sqr(pt.b);
-  const Nat s4 = f.mul(pt.a, y2);
-  const Nat s = f.add(f.add(s4, s4), f.add(s4, s4));  // 4XY^2
-  const Nat x3 = f.sub(f.sqr(m), f.add(s, s));
-  const Nat y4 = f.sqr(y2);
-  Nat y8 = f.add(y4, y4);
-  y8 = f.add(y8, y8);
-  y8 = f.add(y8, y8);  // 8Y^4
-  const Nat y3 = f.sub(f.mul(m, f.sub(s, x3)), y8);
-  const Nat yz = f.mul(pt.b, pt.c);
-  return Elem{.a = x3, .b = y3, .c = f.add(yz, yz)};
+// Jacobian doubling (Z3 = 2YZ, S = 4XY^2, X3 = M^2 - 2S,
+// Y3 = M(S - X3) - 8Y^4) with M = 3(X - Z^2)(X + Z^2) when a = -3 (8
+// products) and M = 3X^2 + aZ^4 otherwise (10). `out` may alias pt.
+void EcGroup::dbl(Point& out, const Point& pt) const {
+  if (pt.inf || pt.y == Fe{}) {
+    out.inf = true;  // 2P = O for P = O and for points of order 2
+    return;
+  }
+  Fe zz, yy, m, s, t;
+  fmul(zz, pt.z, pt.z);
+  fmul(yy, pt.y, pt.y);
+  if (a_is_minus3_) {
+    fsub(t, pt.x, zz);
+    fadd(m, pt.x, zz);
+    fmul(m, m, t);
+  } else {
+    fmul(m, pt.x, pt.x);
+    fmul(t, zz, zz);
+    fmul(t, t, a_);
+  }
+  fadd(s, m, m);
+  fadd(m, s, m);
+  if (!a_is_minus3_) fadd(m, m, t);
+  fmul(s, pt.x, yy);
+  fadd(s, s, s);
+  fadd(s, s, s);
+  fmul(out.z, pt.y, pt.z);  // the last read of pt
+  fadd(out.z, out.z, out.z);
+  fmul(out.x, m, m);
+  fsub(out.x, out.x, s);
+  fsub(out.x, out.x, s);
+  fsub(t, s, out.x);
+  fmul(t, m, t);
+  fmul(yy, yy, yy);
+  fadd(yy, yy, yy);
+  fadd(yy, yy, yy);
+  fadd(yy, yy, yy);
+  fsub(out.y, t, yy);
+  out.inf = false;
+}
+
+// Jacobian addition: U1 = X1 Z2^2, U2 = X2 Z1^2, S1 = Y1 Z2^3, S2 = Y2 Z1^3,
+// H = U2 - U1, R = S2 - S1, X3 = R^2 - H^3 - 2 U1 H^2,
+// Y3 = R(U1 H^2 - X3) - S1 H^3, Z3 = Z1 Z2 H: 16 products, 11 when q has
+// Z = 1 (a decoded point, the generator). Equal representatives go straight
+// to dbl; U1 == U2 is P = Q (dbl) or P = -Q (O). `out` may alias p or q.
+void EcGroup::add(Point& out, const Point& p, const Point& q) const {
+  if (p.inf) {
+    out = q;
+    return;
+  }
+  if (q.inf) {
+    out = p;
+    return;
+  }
+  if (p.x == q.x && p.y == q.y && p.z == q.z) {
+    dbl(out, p);
+    return;
+  }
+  const bool q_affine = q.z == one_;
+  Fe u1, u2, s1, s2, t;
+  if (q_affine) {
+    u1 = p.x;
+    s1 = p.y;
+  } else {
+    fmul(t, q.z, q.z);
+    fmul(u1, p.x, t);
+    fmul(t, t, q.z);
+    fmul(s1, p.y, t);
+  }
+  fmul(t, p.z, p.z);
+  fmul(u2, q.x, t);
+  fmul(t, t, p.z);
+  fmul(s2, q.y, t);
+  if (u1 == u2) {
+    if (s1 == s2)
+      dbl(out, p);
+    else
+      out.inf = true;
+    return;
+  }
+  Fe h, r, hh, hhh, v;
+  fsub(h, u2, u1);
+  fsub(r, s2, s1);
+  fmul(hh, h, h);
+  fmul(hhh, hh, h);
+  fmul(v, u1, hh);
+  if (q_affine) {
+    fmul(out.z, p.z, h);
+  } else {
+    fmul(t, p.z, q.z);
+    fmul(out.z, t, h);  // the last read of p and q
+  }
+  fmul(out.x, r, r);
+  fsub(out.x, out.x, hhh);
+  fsub(out.x, out.x, v);
+  fsub(out.x, out.x, v);
+  fsub(t, v, out.x);
+  fmul(t, r, t);
+  fmul(s1, s1, hhh);
+  fsub(out.y, t, s1);
+  out.inf = false;
 }
 
 Elem EcGroup::mul(const Elem& x, const Elem& y) const {
   if (x.infinity) return y;
   if (y.infinity) return x;
-  const auto& f = field_;
-  const Nat z1sq = f.sqr(x.c), z2sq = f.sqr(y.c);
-  const Nat u1 = f.mul(x.a, z2sq);
-  const Nat u2 = f.mul(y.a, z1sq);
-  const Nat s1 = f.mul(x.b, f.mul(z2sq, y.c));
-  const Nat s2 = f.mul(y.b, f.mul(z1sq, x.c));
-  if (u1 == u2) {
-    if (s1 != s2) return identity();  // P + (-P)
-    return dbl(x);
-  }
-  const Nat h = f.sub(u2, u1);
-  const Nat r = f.sub(s2, s1);
-  const Nat h2 = f.sqr(h);
-  const Nat h3 = f.mul(h2, h);
-  const Nat u1h2 = f.mul(u1, h2);
-  const Nat x3 = f.sub(f.sub(f.sqr(r), h3), f.add(u1h2, u1h2));
-  const Nat y3 = f.sub(f.mul(r, f.sub(u1h2, x3)), f.mul(s1, h3));
-  const Nat z3 = f.mul(h, f.mul(x.c, y.c));
-  return Elem{.a = x3, .b = y3, .c = z3};
+  Point out = load(x);
+  add(out, out, load(y));
+  return box(out);
 }
 
-Elem EcGroup::exp(const Elem& base, const Nat& scalar) const {
-  if (base.infinity || scalar.is_zero()) return identity();
-  // 4-bit left-to-right window.
-  std::array<Elem, 16> table;
-  table[0] = identity();
-  table[1] = base;
-  for (std::size_t i = 2; i < 16; ++i) table[i] = mul(table[i - 1], base);
-
-  const std::size_t nbits = scalar.bit_length();
-  const std::size_t windows = (nbits + 3) / 4;
-  Elem acc = identity();
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      acc = dbl(acc);
-      acc = dbl(acc);
-      acc = dbl(acc);
-      acc = dbl(acc);
-    }
-    std::size_t nib = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      const std::size_t idx = w * 4 + b;
-      if (idx < nbits && scalar.bit(idx)) nib |= (1u << b);
-    }
-    if (nib != 0) {
-      acc = started ? mul(acc, table[nib]) : table[nib];
-      started = true;
+// Product of bases[i]^exps[i] over N = 1 (exp) or 2 (dual_exp) terms:
+// interleaved Straus with 4-bit windows, one run of doublings shared by
+// all terms. Each base's table holds its powers up to the largest digit its
+// exponent uses, so a short exponent builds a short table and a zero
+// exponent (or the identity as base) none.
+template <std::size_t N>
+EcGroup::Point EcGroup::straus(const std::array<const Elem*, N>& bases,
+                               const std::array<const Nat*, N>& exps) const {
+  Point table[N][kDigits];
+  std::array<unsigned, N> top{};  // largest digit of exps[i]; 0 skips base i
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (bases[i]->infinity) continue;
+    const std::size_t ebits = exps[i]->bit_length();
+    for (std::size_t pos = 0; pos < ebits; pos += kWindow)
+      top[i] = std::max(top[i], nibble(*exps[i], pos));
+    if (top[i] == 0) continue;
+    bits = std::max(bits, ebits);
+    table[i][1] = load(*bases[i]);
+    if (top[i] >= 2) dbl(table[i][2], table[i][1]);
+    for (std::size_t d = 3; d <= top[i]; ++d)
+      add(table[i][d], table[i][d - 1], table[i][1]);
+  }
+  Point acc{.inf = true};
+  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+    for (std::size_t s = 0; s < kWindow; ++s) dbl(acc, acc);
+    for (std::size_t i = 0; i < N; ++i) {
+      if (top[i] == 0) continue;
+      const unsigned d = nibble(*exps[i], w * kWindow);
+      if (d != 0) add(acc, acc, table[i][d]);
     }
   }
   return acc;
+}
+
+Elem EcGroup::exp(const Elem& base, const Nat& scalar) const {
+  return box(straus<1>({&base}, {&scalar}));
+}
+
+Elem EcGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                       const Nat& ey) const {
+  return box(straus<2>({&x, &y}, {&ex, &ey}));
 }
 
 Elem EcGroup::exp_g(const Nat& scalar) const {
@@ -140,63 +327,77 @@ Elem EcGroup::exp_g(const Nat& scalar) const {
 
 Elem EcGroup::inv(const Elem& x) const {
   if (x.infinity) return x;
-  return Elem{.a = x.a, .b = field_.neg(x.b), .c = x.c};
+  Fe y;
+  fsub(y, Fe{}, load(x.b));
+  return Elem{.a = x.a,
+              .b = Nat::from_limbs({y.l, field_.mont().limbs()}),
+              .c = x.c};
 }
 
 bool EcGroup::eq(const Elem& x, const Elem& y) const {
   if (x.infinity || y.infinity) return x.infinity == y.infinity;
   // Cross-multiplied Jacobian comparison: X1 Z2^2 == X2 Z1^2 and
   // Y1 Z2^3 == Y2 Z1^3.
-  const auto& f = field_;
-  const Nat z1sq = f.sqr(x.c), z2sq = f.sqr(y.c);
-  if (f.mul(x.a, z2sq) != f.mul(y.a, z1sq)) return false;
-  return f.mul(x.b, f.mul(z2sq, y.c)) == f.mul(y.b, f.mul(z1sq, x.c));
+  const Point p = load(x), q = load(y);
+  Fe z1z1, z2z2, l, r;
+  fmul(z1z1, p.z, p.z);
+  fmul(z2z2, q.z, q.z);
+  fmul(l, p.x, z2z2);
+  fmul(r, q.x, z1z1);
+  if (l != r) return false;
+  fmul(z2z2, z2z2, q.z);
+  fmul(z1z1, z1z1, p.z);
+  fmul(l, p.y, z2z2);
+  fmul(r, q.y, z1z1);
+  return l == r;
 }
 
 std::size_t EcGroup::element_bytes() const {
   return 1 + 2 * ((field_.bits() + 7) / 8);
 }
 
+void EcGroup::write_affine(std::uint8_t* dst, const Point& pt,
+                           const Fe& zinv) const {
+  const std::size_t fb = (field_.bits() + 7) / 8;
+  Fe x, y;
+  affine(x, y, pt, zinv);
+  dst[0] = 0x04;
+  put_be(dst + 1, standard(x).l, fb);
+  put_be(dst + 1 + fb, standard(y).l, fb);
+}
+
 std::vector<std::uint8_t> EcGroup::serialize(const Elem& x) const {
   std::vector<std::uint8_t> out(element_bytes(), 0);
   if (x.infinity) return out;  // all-zero encoding for the identity
-  const auto [ax, ay] = to_affine(x);
-  const std::size_t fb = (field_.bits() + 7) / 8;
-  out[0] = 0x04;
-  const auto xb = ax.to_bytes_be(fb), yb = ay.to_bytes_be(fb);
-  std::copy(xb.begin(), xb.end(), out.begin() + 1);
-  std::copy(yb.begin(), yb.end(), out.begin() + 1 + static_cast<std::ptrdiff_t>(fb));
+  write_affine(out.data(), load(x), load(field_.inv(x.c)));
   return out;
 }
 
 std::vector<std::uint8_t> EcGroup::serialize_many(
     std::span<const Elem> xs) const {
   const std::size_t eb = element_bytes();
-  const std::size_t fb = (field_.bits() + 7) / 8;
   std::vector<std::uint8_t> out(xs.size() * eb, 0);
-  // One batched inversion over every finite point's Z coordinate.
-  std::vector<Nat> zs;
-  zs.reserve(xs.size());
-  for (const Elem& pt : xs)
-    if (!pt.infinity) zs.push_back(pt.c);
-  if (zs.empty()) return out;  // all identities: all-zero encodings
-  const std::vector<Nat> zinvs = field_.inv_many(zs);
+  const std::vector<Nat> zinvs = z_inverses(xs);
+  if (zinvs.empty()) return out;  // all identities: all-zero encodings
   runtime::count_op(runtime::CryptoOp::kAccelBatchInverse, zinvs.size());
   std::size_t zi = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const Elem& pt = xs[i];
-    if (pt.infinity) continue;
-    const Nat& zinv = zinvs[zi++];
-    const Nat zinv2 = field_.sqr(zinv);
-    const Nat ax = field_.from(field_.mul(pt.a, zinv2));
-    const Nat ay = field_.from(field_.mul(pt.b, field_.mul(zinv2, zinv)));
-    std::uint8_t* dst = out.data() + i * eb;
-    dst[0] = 0x04;
-    const auto xb = ax.to_bytes_be(fb), yb = ay.to_bytes_be(fb);
-    std::copy(xb.begin(), xb.end(), dst + 1);
-    std::copy(yb.begin(), yb.end(), dst + 1 + fb);
+    if (xs[i].infinity) continue;
+    write_affine(out.data() + i * eb, load(xs[i]), load(zinvs[zi++]));
   }
   return out;
+}
+
+void EcGroup::normalize_many(std::span<Elem> xs) const {
+  const std::vector<Nat> zinvs = z_inverses(xs);
+  std::size_t zi = 0;
+  for (Elem& e : xs) {
+    if (e.infinity) continue;
+    Point pt = load(e);
+    affine(pt.x, pt.y, pt, load(zinvs[zi++]));
+    pt.z = one_;
+    e = box(pt);
+  }
 }
 
 Elem EcGroup::deserialize(std::span<const std::uint8_t> bytes) const {

@@ -9,8 +9,15 @@
 // kept in Jacobian coordinates (X, Y, Z) with field elements in Montgomery
 // form; serialization is the affine uncompressed SEC1 format 0x04 || x || y
 // (0x00 for the identity).
+//
+// Every point formula runs on stack limb arrays (at most 4 limbs: fields up
+// to 256 bits), with products through the field's MontCtx kernel
+// (MontCtx::mul_limbs) and additions mod p in place; an Elem is loaded at
+// the entry of each call and boxed at its exit. Doubling uses the a = -3
+// form on the NIST curves and the general-a form otherwise.
 #pragma once
 
+#include <array>
 #include <mutex>
 #include <memory>
 
@@ -47,6 +54,10 @@ class EcGroup final : public Group {
   [[nodiscard]] Elem identity() const override { return Elem{.infinity = true}; }
   [[nodiscard]] Elem mul(const Elem& x, const Elem& y) const override;
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override;
+  /// x^ex · y^ey as one Straus ladder on stack points: a 4-bit-window
+  /// table per base and one shared run of doublings.
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override;
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override {
@@ -60,22 +71,61 @@ class EcGroup final : public Group {
   [[nodiscard]] std::vector<std::uint8_t> serialize_many(
       std::span<const Elem> xs) const override;
   [[nodiscard]] Elem deserialize(std::span<const std::uint8_t> bytes) const override;
+  /// Scales every finite point to Z = 1 (one FpCtx::inv_many).
+  void normalize_many(std::span<Elem> xs) const override;
   [[nodiscard]] std::size_t element_bytes() const override;
 
   /// Affine coordinates (standard form). Throws on the identity.
   [[nodiscard]] std::pair<Nat, Nat> to_affine(const Elem& pt) const;
-  /// Point from affine coordinates; validates the curve equation.
+  /// Point from affine coordinates (reduced mod p); validates the curve
+  /// equation on the converted residues, which the point then keeps.
   [[nodiscard]] Elem from_affine(const Nat& x, const Nat& y) const;
   /// Curve-equation check on affine (standard-form) coordinates.
   [[nodiscard]] bool on_curve(const Nat& x, const Nat& y) const;
 
  private:
-  [[nodiscard]] Elem dbl(const Elem& pt) const;
+  static constexpr std::size_t kLimbs = 4;  // widest field: P-256
+  /// A field residue in Montgomery form, zero-padded to kLimbs limbs.
+  struct Fe {
+    mpz::Limb l[kLimbs] = {};
+    friend bool operator==(const Fe&, const Fe&) = default;
+  };
+  /// A Jacobian point: x = X/Z^2, y = Y/Z^3.
+  struct Point {
+    Fe x, y, z;
+    bool inf = false;
+  };
+
+  void fmul(Fe& out, const Fe& a, const Fe& b) const {
+    field_.mont().mul_limbs(out.l, a.l, b.l);
+  }
+  void fadd(Fe& out, const Fe& a, const Fe& b) const;
+  void fsub(Fe& out, const Fe& a, const Fe& b) const;
+  [[nodiscard]] Fe load(const Nat& residue) const;
+  [[nodiscard]] Point load(const Elem& e) const;
+  [[nodiscard]] Elem box(const Point& pt) const;
+  [[nodiscard]] bool on_curve(const Fe& x, const Fe& y) const;
+  void dbl(Point& out, const Point& pt) const;
+  void add(Point& out, const Point& p, const Point& q) const;
+  template <std::size_t N>
+  [[nodiscard]] Point straus(const std::array<const Elem*, N>& bases,
+                             const std::array<const Nat*, N>& exps) const;
+  /// The affine residues x = X·zinv^2, y = Y·zinv^3 of the finite point
+  /// pt, for zinv = 1/Z; all Montgomery form. x and y may alias pt.x, pt.y.
+  void affine(Fe& x, Fe& y, const Point& pt, const Fe& zinv) const;
+  /// The standard form of a Montgomery residue.
+  [[nodiscard]] Fe standard(const Fe& a) const;
+  /// 1/Z of every finite point of xs, in order (one FpCtx::inv_many).
+  [[nodiscard]] std::vector<Nat> z_inverses(std::span<const Elem> xs) const;
+  /// pt's encoding 0x04 || x || y into dst (element_bytes() bytes).
+  void write_affine(std::uint8_t* dst, const Point& pt, const Fe& zinv) const;
 
   CurveParams params_;
   mpz::FpCtx field_;
-  Nat a_mont_;  // curve a in Montgomery form
-  Nat b_mont_;
+  Fe p_;       // the field prime (plain limbs)
+  Fe a_, b_;   // curve coefficients, Montgomery form
+  Fe one_;     // 1 in Montgomery form
+  bool a_is_minus3_ = false;
   Elem gen_;
   // Lazily built comb table for the generator; call_once-guarded so
   // concurrent exp_g calls from the parallel engine are race-free.

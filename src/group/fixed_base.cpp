@@ -13,23 +13,24 @@ FixedBaseTable::FixedBaseTable(const Group& g, const Elem& base,
   const std::size_t w = window_bits;
   const std::size_t digits = std::size_t{1} << w;
   const std::size_t windows = (max_scalar_bits + w - 1) / w;
-  table_.resize(windows);
+  table_.resize(windows * digits);
   Elem window_base = base;  // g^(2^(wk))
   for (std::size_t k = 0; k < windows; ++k) {
-    table_[k].resize(digits);
-    table_[k][0] = g.identity();
-    table_[k][1] = window_base;
+    Elem* row = table_.data() + k * digits;
+    row[0] = g.identity();
+    row[1] = window_base;
     for (std::size_t d = 2; d < digits; ++d)
-      table_[k][d] = g.mul(table_[k][d - 1], window_base);
+      row[d] = g.mul(row[d - 1], window_base);
     // Advance to g^(2^(w(k+1))) = (g^(2^(wk)))^(2^w).
-    window_base = g.mul(table_[k][digits - 1], window_base);
+    window_base = g.mul(row[digits - 1], window_base);
   }
+  g.normalize_many(table_);
 }
 
 Elem FixedBaseTable::exp(const Group& g, const Nat& scalar) const {
   const std::size_t w = window_bits_;
   const std::size_t nbits = scalar.bit_length();
-  if (nbits > table_.size() * w) return g.exp(base_, scalar);  // too wide
+  if (nbits > windows() * w) return g.exp(base_, scalar);  // too wide
   Elem acc = g.identity();
   const std::size_t windows = (nbits + w - 1) / w;
   for (std::size_t k = 0; k < windows; ++k) {
@@ -37,7 +38,7 @@ Elem FixedBaseTable::exp(const Group& g, const Nat& scalar) const {
     for (std::size_t b = 0; b < w; ++b) {
       if (scalar.bit(k * w + b)) digit |= (std::size_t{1} << b);
     }
-    if (digit != 0) acc = g.mul(acc, table_[k][digit]);
+    if (digit != 0) acc = g.mul(acc, table_[(k << w) + digit]);
   }
   return acc;
 }

@@ -36,7 +36,9 @@ class FixedBaseTable {
   /// generic exp for scalars wider than the table.
   [[nodiscard]] Elem exp(const Group& g, const Nat& scalar) const;
 
-  [[nodiscard]] std::size_t windows() const { return table_.size(); }
+  [[nodiscard]] std::size_t windows() const {
+    return table_.size() >> window_bits_;
+  }
   [[nodiscard]] std::size_t window_bits() const { return window_bits_; }
 
   /// The fixed base the table was built for.
@@ -45,7 +47,7 @@ class FixedBaseTable {
  private:
   Elem base_;
   std::size_t window_bits_;
-  std::vector<std::vector<Elem>> table_;  // [window][digit], 2^w digits each
+  std::vector<Elem> table_;  // [window * 2^w + digit]
 };
 
 }  // namespace ppgr::group

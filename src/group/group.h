@@ -91,11 +91,12 @@ class Group {
 
   /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
   /// phase 2. The default (group.cpp) is the generic interleaved Straus
-  /// ladder through this group's mul(); EcGroup and MockGroup use it.
-  /// SchnorrGroup overrides it with MontCtx::dual_exp, the same ladder on raw
-  /// Montgomery residues (no per-step Elem boxing, identical element);
-  /// decorators forward it to the wrapped group so that ladder stays
-  /// reachable (MeteredGroup counts it as one call).
+  /// ladder through this group's mul(); MockGroup uses it. SchnorrGroup
+  /// overrides it with MontCtx::dual_exp, the same ladder on raw Montgomery
+  /// residues (no per-step Elem boxing, identical element), and EcGroup with
+  /// the same schedule on stack Jacobian points, doubling with its doubling
+  /// formula; decorators forward it to the wrapped group so those ladders
+  /// stay reachable (MeteredGroup counts it as one call).
   [[nodiscard]] virtual Elem dual_exp(const Elem& x, const Nat& ex,
                                       const Elem& y, const Nat& ey) const;
 
@@ -124,6 +125,13 @@ class Group {
   /// MeteredGroup counts out.size() kGroupInv and forwards, so the trick
   /// stays reachable through the decorator.
   virtual void inv_many(std::span<const Elem> xs, std::span<Elem> out) const;
+
+  /// Rewrites each xs[i] in place as a representative of the same element
+  /// that later products take most cheaply (eq and serialize unchanged).
+  /// The default leaves them; EcGroup scales every finite point to Z = 1
+  /// with one batched field inversion, so additions of it are mixed
+  /// additions. FixedBaseTable calls it once on its finished table.
+  virtual void normalize_many(std::span<Elem> xs) const { (void)xs; }
 
   // --- conveniences shared by all groups ---
   /// x / y.

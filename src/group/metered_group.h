@@ -82,6 +82,10 @@ class MeteredGroup final : public Group {
     runtime::count_op(runtime::CryptoOp::kGroupInv, out.size());
     inner_.inv_many(xs, out);
   }
+  /// Uncounted: it changes representatives, not elements.
+  void normalize_many(std::span<Elem> xs) const override {
+    inner_.normalize_many(xs);
+  }
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);
   }

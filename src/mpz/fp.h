@@ -1,10 +1,11 @@
 // Prime-field context Z_p.
 //
 // A thin, explicit layer over MontCtx: every element handled through FpCtx is
-// a Nat *in Montgomery form*. This keeps elliptic-curve formulas and
-// secret-sharing polynomial evaluation fast (no per-operation conversions)
-// while staying value-typed. The secure dot-product protocol and the Shamir
-// substrate are both written against this class.
+// a Nat *in Montgomery form*. This keeps secret-sharing polynomial
+// evaluation fast (no per-operation conversions) while staying value-typed.
+// The secure dot-product protocol and the Shamir substrate are both written
+// against this class; EcGroup uses it for conversions and inversions and
+// runs its point formulas on raw limbs through mont().mul_limbs.
 #pragma once
 
 #include <memory>
@@ -26,6 +27,9 @@ class FpCtx {
 
   [[nodiscard]] const Nat& p() const { return mont_.modulus(); }
   [[nodiscard]] std::size_t bits() const { return p().bit_length(); }
+  /// The Montgomery context underneath: its raw-limb product (mul_limbs)
+  /// serves callers that keep field elements on the stack.
+  [[nodiscard]] const MontCtx& mont() const { return mont_; }
 
   // --- conversions (standard <-> Montgomery form) ---
   /// Standard representative (reduced mod p first) -> field element.

@@ -557,6 +557,10 @@ Nat MontCtx::mul(const Nat& a, const Nat& b) const {
   });
 }
 
+void MontCtx::mul_limbs(Limb* out, const Limb* a, const Limb* b) const {
+  with_kernel([&](const auto& kern) { kern(out, a, b); });
+}
+
 // Measured on the 4-limb protocol moduli, a dedicated SOS squaring (halved
 // off-diagonal products, separate reduction pass) LOSES to the fused CIOS
 // multiply: the doubling pass and the extra scratch traffic cost more than

@@ -66,6 +66,11 @@ class MontCtx {
   /// Montgomery product: a*b/R mod m (both in Montgomery form), through the
   /// context's kernel.
   [[nodiscard]] Nat mul(const Nat& a, const Nat& b) const;
+  /// The same product on raw limbs, through the same kernel: out = a*b/R
+  /// mod m on limbs() limbs each, with mont_mul's contract (a < R, b < m,
+  /// result fully reduced, out may alias a or b). For callers that keep
+  /// their residues on the stack (EcGroup's point formulas).
+  void mul_limbs(Limb* out, const Limb* a, const Limb* b) const;
   /// Montgomery square: same value as mul(a, a). A squaring-specific entry
   /// point so call sites express intent; see mont.cpp for why it currently
   /// rides the multiply.

@@ -141,6 +141,34 @@ TEST_F(TinyCurve, EveryPairwiseAdditionMatchesReference) {
   }
 }
 
+TEST_F(TinyCurve, EveryPairwiseAdditionOnScaledRepresentativesMatches) {
+  // The same Cayley table with both operands in Jacobian form with Z != 1:
+  // (x, y) as (l^2 x, l^3 y, l), a different l per operand, so the general
+  // (non-affine) addition runs on every pair.
+  const auto pts = enumerate_curve();
+  const EcGroup curve = make(pts[1], 5);
+  const auto& f = curve.field();
+  auto lift = [&](const AffinePt& p, std::uint64_t l) {
+    if (p.inf) return curve.identity();
+    const std::uint64_t l2 = mulm(l, l);
+    return Elem{.a = f.to(Nat{mulm(l2, p.x)}),
+                .b = f.to(Nat{mulm(mulm(l2, l), p.y)}),
+                .c = f.to(Nat{l})};
+  };
+  auto drop = [&](const Elem& e) {
+    if (curve.is_identity(e)) return AffinePt{.inf = true};
+    const auto [x, y] = curve.to_affine(e);
+    return AffinePt{.x = x.to_limb(), .y = y.to_limb()};
+  };
+  for (const auto& p : pts) {
+    for (const auto& q : pts) {
+      const AffinePt got = drop(curve.mul(lift(p, 5), lift(q, 7)));
+      ASSERT_EQ(got, ref_add(p, q))
+          << "(" << p.x << "," << p.y << ") + (" << q.x << "," << q.y << ")";
+    }
+  }
+}
+
 TEST_F(TinyCurve, ScalarMultiplicationMatchesRepeatedAddition) {
   const auto pts = enumerate_curve();
   // Pick several points; check exp(p, k) against k-fold reference addition
