@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark): the primitive costs that feed the
 // figure models — group multiplication/exponentiation for every group the
-// paper evaluates, bignum kernels, ElGamal operations and the GRR secure
-// multiplication. These are the measured quantities behind
+// paper evaluates, bignum kernels, ElGamal operations and the SS engine's
+// GRR multiplication and comparison. These are the measured quantities behind
 // benchcore::calibrate_*.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "core/ss_framework.h"
 #include "crypto/elgamal.h"
 #include "group/group.h"
 #include "mpz/modarith.h"
@@ -115,7 +116,15 @@ void BM_MontMul(benchmark::State& state) {
     benchmark::DoNotOptimize(a);
   }
 }
-BENCHMARK(BM_MontMul)->Arg(256)->Arg(1024)->Arg(2048)->Arg(3072);
+// 37 and 127 bits run the fixed 1- and 2-limb kernels, 256 the 4-limb one,
+// the rest the runtime-width one.
+BENCHMARK(BM_MontMul)
+    ->Arg(37)
+    ->Arg(127)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(3072);
 
 // The ladder layer between BM_MontMul and BM_GroupExp: MontCtx::exp and
 // dual_exp on full-width exponents, with no Elem boxing or group dispatch.
@@ -305,10 +314,14 @@ void BM_NatMul(benchmark::State& state) {
 // Straddles the Karatsuba threshold (24 limbs = 1536 bits).
 BENCHMARK(BM_NatMul)->Arg(512)->Arg(1024)->Arg(1536)->Arg(3072)->Arg(8192);
 
-void BM_GrrMultiplication(benchmark::State& state) {
+// The SS framework's layers on its own field (35-bit betas, a 37-bit prime
+// on the 1-limb kernel): BM_MontMul/37 is the product, BM_MpcMul one GRR
+// multiplication (every party's product, reshare and recombination) and
+// BM_MpcLessThan one Nishide-Ohta comparison, the unit the sort repeats.
+void BM_MpcMul(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   mpz::ChaChaRng rng{7};
-  static const mpz::FpCtx field{mpz::Nat::from_hex("3ffffffd7")};  // 34-bit
+  const mpz::FpCtx& field = core::ss_field_for_beta_bits(35);
   sss::MpcEngine engine{field, n, (n - 1) / 2, rng};
   const auto a = engine.input(field.to(mpz::Nat{123}));
   const auto b = engine.input(field.to(mpz::Nat{456}));
@@ -318,7 +331,22 @@ void BM_GrrMultiplication(benchmark::State& state) {
   }
   state.SetLabel("all-party cost; divide by n for per-party");
 }
-BENCHMARK(BM_GrrMultiplication)->Arg(5)->Arg(25)->Arg(45)->Arg(70);
+BENCHMARK(BM_MpcMul)->Arg(5)->Arg(7)->Arg(25)->Arg(45)->Arg(70);
+
+void BM_MpcLessThan(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  mpz::ChaChaRng rng{8};
+  const mpz::FpCtx& field = core::ss_field_for_beta_bits(35);
+  sss::MpcEngine engine{field, n, (n - 1) / 2, rng};
+  const auto a = engine.input(field.to(mpz::Nat{123456789}));
+  const auto b = engine.input(field.to(mpz::Nat{987654321}));
+  for (auto _ : state) {
+    auto r = engine.less_than(a, b);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel("all-party cost; divide by n for per-party");
+}
+BENCHMARK(BM_MpcLessThan)->Arg(7);
 
 }  // namespace
 

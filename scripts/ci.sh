@@ -59,7 +59,18 @@
 # and doubling over GMP, against mul / exp / exp_g / exp_fixed / exp_many /
 # dual_exp / dual_exp_many and the serialized bytes on P-192 at 3 limbs and
 # P-224 / P-256 at 4) and ec_exhaustive_test's full addition table on a
-# 1-limb curve with a = 2 (the general-a doubling).
+# 1-limb curve with a = 2 (the general-a doubling). group_test also pins
+# the canonical EC decode (x, y < p; an all-zero identity) with a
+# random-encodings property on P-192 and P-256. The secret-sharing suites
+# run here too (sss_shamir, sss_sort, sss_topk): the Shamir/GRR engine
+# keeps its shares on limb arrays and its scratch residues on the stack,
+# dealt and recombined through MontCtx's add/sub/mul_add limb loops on the
+# fixed 1-limb kernel, so sss_shamir_test's GMP re-evaluation of a sharing,
+# a GRR multiplication and an opening (1-, 2- and 4-limb fields) and
+# sss_sort_test's pinned ranks and costs run with every index checked;
+# mpz_modular_test's oracle for the 1- and 2-limb kernels (mul, exp,
+# dual_exp, exp_many, inv_many and the limb add/sub/mul_add at every
+# kernel width) is part of the leg's mpz_modular run.
 #
 # The `telemetry` mode is the live-observability leg: the telemetry suite
 # (sampler lifecycle, concurrent snapshot-vs-absorb races, the telemetry-off
@@ -212,7 +223,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test' ;;
+  multiexp) run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)

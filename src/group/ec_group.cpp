@@ -403,12 +403,21 @@ void EcGroup::normalize_many(std::span<Elem> xs) const {
 Elem EcGroup::deserialize(std::span<const std::uint8_t> bytes) const {
   if (bytes.size() != element_bytes())
     throw std::invalid_argument("EcGroup::deserialize: bad length");
-  if (bytes[0] == 0x00) return identity();
+  // Only canonical encodings decode, so every element has exactly one: the
+  // identity is all zeros, and a finite point's coordinates are below p.
+  if (bytes[0] == 0x00) {
+    if (std::any_of(bytes.begin() + 1, bytes.end(),
+                    [](std::uint8_t b) { return b != 0; }))
+      throw std::invalid_argument("EcGroup::deserialize: bad identity");
+    return identity();
+  }
   if (bytes[0] != 0x04)
     throw std::invalid_argument("EcGroup::deserialize: bad prefix");
   const std::size_t fb = (field_.bits() + 7) / 8;
   const Nat x = Nat::from_bytes_be(bytes.subspan(1, fb));
   const Nat y = Nat::from_bytes_be(bytes.subspan(1 + fb, fb));
+  if (x >= field_.p() || y >= field_.p())
+    throw std::invalid_argument("EcGroup::deserialize: coordinate not below p");
   return from_affine(x, y);  // validates curve membership
 }
 

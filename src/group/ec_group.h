@@ -70,6 +70,9 @@ class EcGroup final : public Group {
   /// of one per point. Byte-identical to the per-element form.
   [[nodiscard]] std::vector<std::uint8_t> serialize_many(
       std::span<const Elem> xs) const override;
+  /// Accepts only canonical encodings (std::invalid_argument otherwise):
+  /// all zeros for the identity, else 0x04 || x || y with x, y < p on the
+  /// curve, so every accepted encoding re-serializes to itself.
   [[nodiscard]] Elem deserialize(std::span<const std::uint8_t> bytes) const override;
   /// Scales every finite point to Z = 1 (one FpCtx::inv_many).
   void normalize_many(std::span<Elem> xs) const override;

@@ -32,8 +32,10 @@ Limb neg_inv64(Limb x) {
 // Kc is the compile-time limb count (0 = use the runtime k): a constant trip
 // count lets the compiler fully unroll the carry chains — roughly twice the
 // throughput of the rolled loop at k=4 — and shrinks the scratch to k limbs.
-// This is the only kernel on hosts without BMI2/ADX and for every width but
-// 4 limbs.
+// The runtime-width instance (Kc = 0) zero-fills kCiosMaxLimbs + 2 limbs of
+// scratch per product, which dwarfs the arithmetic of a 1- or 2-limb
+// product, so every width up to 4 limbs has a fixed instance. This is the
+// only kernel on hosts without BMI2/ADX and for every width but 4 limbs.
 template <std::size_t Kc>
 [[gnu::always_inline]] inline void cios(Limb* out, const Limb* a,
                                         const Limb* b, const Limb* m,
@@ -181,15 +183,17 @@ inline void cios4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
 #endif
 
 // Kernel functors the ladders are instantiated over: kCap sizes the stack
-// buffers, k is the live width.
+// buffers, k is the live width (a compile-time constant for every kernel
+// but the runtime-width one, so loops over it unroll).
 template <std::size_t Kc>
 struct Cios {
   static constexpr std::size_t kCap = Kc != 0 ? Kc : MontCtx::kCiosMaxLimbs;
   const Limb* m;
   Limb n0inv;
-  std::size_t k;
+  std::size_t k_runtime;
+  [[nodiscard]] std::size_t width() const { return Kc != 0 ? Kc : k_runtime; }
   void operator()(Limb* out, const Limb* a, const Limb* b) const {
-    cios<Kc>(out, a, b, m, n0inv, k);
+    cios<Kc>(out, a, b, m, n0inv, k_runtime);
   }
 };
 
@@ -197,11 +201,55 @@ struct Adx4 {
   static constexpr std::size_t kCap = 4;
   const Limb* m;
   Limb n0inv;
-  std::size_t k = 4;
+  static constexpr std::size_t width() { return 4; }
   void operator()(Limb* out, const Limb* a, const Limb* b) const {
     cios4_adx(out, a, b, m, n0inv);
   }
 };
+
+// out = a + b mod m on the kernel's width, for a, b < m: the sum, minus m
+// unless that borrows past the sum's carry (branch-free). out may alias a
+// or b.
+template <class Kern>
+[[gnu::always_inline]] inline void add_mod(const Kern& kern, Limb* out,
+                                           const Limb* a, const Limb* b) {
+  const std::size_t k = kern.width();
+  Limb s[Kern::kCap] = {};
+  Limb carry = 0, borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(a[j]) + b[j] + carry;
+    s[j] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(s[j]) - kern.m[j] - borrow;
+    out[j] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb keep_s = Limb{0} - (borrow & (carry ^ 1));
+  for (std::size_t j = 0; j < k; ++j)
+    out[j] = (s[j] & keep_s) | (out[j] & ~keep_s);
+}
+
+// out = a - b mod m, for a, b < m: the difference, plus m if it borrowed.
+template <class Kern>
+[[gnu::always_inline]] inline void sub_mod(const Kern& kern, Limb* out,
+                                           const Limb* a, const Limb* b) {
+  const std::size_t k = kern.width();
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(a[j]) - b[j] - borrow;
+    out[j] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb mask = Limb{0} - borrow;
+  Limb carry = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(out[j]) + (kern.m[j] & mask) + carry;
+    out[j] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+}
 
 // dst[0, k) = the low k limbs of x, zero-padded.
 void load(Limb* dst, const Nat& x, std::size_t k) {
@@ -228,7 +276,7 @@ template <std::size_t N, class Kern>
 Nat straus_ladder(const Kern& mul, const std::array<const Nat*, N>& bases,
                   const std::array<const Nat*, N>& exps) {
   constexpr std::size_t kCap = Kern::kCap;
-  const std::size_t k = mul.k;
+  const std::size_t k = mul.width();
   Limb table[N][kDigits][kCap] = {};
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
@@ -471,6 +519,10 @@ void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
 }
 template void mont_mul<0>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
                           std::size_t);
+template void mont_mul<1>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t);
+template void mont_mul<2>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t);
 template void mont_mul<3>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
                           std::size_t);
 template void mont_mul<4>(Limb*, const Limb*, const Limb*, const Limb*, Limb,
@@ -501,6 +553,8 @@ MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
     throw std::length_error("MontCtx: modulus wider than 4096 bits");
   n0inv_ = neg_inv64(m_.limb(0));
   switch (k_) {
+    case 1: kernel_ = Kernel::kCios1; break;
+    case 2: kernel_ = Kernel::kCios2; break;
     case 3: kernel_ = Kernel::kCios3; break;
     case 4: kernel_ = cpu_has_mulx_adx() ? Kernel::kAdx4 : Kernel::kCios4; break;
     default: kernel_ = Kernel::kCiosN; break;
@@ -530,6 +584,8 @@ decltype(auto) MontCtx::with_kernel(F&& f) const {
   const Limb* m = m_.limbs().data();
   switch (kernel_) {
     case Kernel::kAdx4: return f(Adx4{m, n0inv_});
+    case Kernel::kCios1: return f(Cios<1>{m, n0inv_, 1});
+    case Kernel::kCios2: return f(Cios<2>{m, n0inv_, 2});
     case Kernel::kCios3: return f(Cios<3>{m, n0inv_, 3});
     case Kernel::kCios4: return f(Cios<4>{m, n0inv_, 4});
     case Kernel::kCiosN: break;
@@ -559,6 +615,33 @@ Nat MontCtx::mul(const Nat& a, const Nat& b) const {
 
 void MontCtx::mul_limbs(Limb* out, const Limb* a, const Limb* b) const {
   with_kernel([&](const auto& kern) { kern(out, a, b); });
+}
+
+void MontCtx::add_limbs(Limb* out, const Limb* a, const Limb* b,
+                        std::size_t count) const {
+  with_kernel([&](const auto& kern) {
+    for (std::size_t i = 0; i < count * k_; i += k_)
+      add_mod(kern, out + i, a + i, b + i);
+  });
+}
+
+void MontCtx::sub_limbs(Limb* out, const Limb* a, const Limb* b,
+                        std::size_t count) const {
+  with_kernel([&](const auto& kern) {
+    for (std::size_t i = 0; i < count * k_; i += k_)
+      sub_mod(kern, out + i, a + i, b + i);
+  });
+}
+
+void MontCtx::mul_add_limbs(Limb* acc, const Limb* s, const Limb* xs,
+                            std::size_t count) const {
+  with_kernel([&](const auto& kern) {
+    Limb prod[std::remove_cvref_t<decltype(kern)>::kCap] = {};
+    for (std::size_t i = 0; i < count * k_; i += k_) {
+      kern(prod, s, xs + i);
+      add_mod(kern, acc + i, acc + i, prod);
+    }
+  });
 }
 
 // Measured on the 4-limb protocol moduli, a dedicated SOS squaring (halved

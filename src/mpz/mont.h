@@ -27,7 +27,7 @@ namespace ppgr::mpz {
 /// out = a*b*R^{-1} mod m with R = 2^(64k). K is the compile-time width;
 /// K = 0 takes the runtime width k (1 <= k <= MontCtx::kCiosMaxLimbs).
 /// Requires a < R, b < m and n0inv = -m^{-1} mod 2^64; the result is fully
-/// reduced (< m). `out` may alias `a` or `b`. Instantiated for K = 0, 3, 4.
+/// reduced (< m). `out` may alias `a` or `b`. Instantiated for K = 0..4.
 template <std::size_t K>
 void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
               Limb n0inv, std::size_t k = K);
@@ -69,8 +69,22 @@ class MontCtx {
   /// The same product on raw limbs, through the same kernel: out = a*b/R
   /// mod m on limbs() limbs each, with mont_mul's contract (a < R, b < m,
   /// result fully reduced, out may alias a or b). For callers that keep
-  /// their residues on the stack (EcGroup's point formulas).
+  /// their residues on the stack (EcGroup's point formulas, the Shamir
+  /// engine's share arithmetic).
   void mul_limbs(Limb* out, const Limb* a, const Limb* b) const;
+  /// out[i] = a[i] + b[i] mod m and out[i] = a[i] - b[i] mod m for `count`
+  /// consecutive residues of limbs() limbs each, all below m; branch-free,
+  /// and out may alias a or b.
+  void add_limbs(Limb* out, const Limb* a, const Limb* b,
+                 std::size_t count = 1) const;
+  void sub_limbs(Limb* out, const Limb* a, const Limb* b,
+                 std::size_t count = 1) const;
+  /// acc[i] = acc[i] + s * xs[i] mod m for `count` consecutive residues of
+  /// limbs() limbs each: one scalar s times a vector, added in place, all in
+  /// Montgomery form and below m (s may not overlap acc). The inner loop of
+  /// Shamir dealing and GRR recombination.
+  void mul_add_limbs(Limb* acc, const Limb* s, const Limb* xs,
+                     std::size_t count) const;
   /// Montgomery square: same value as mul(a, a). A squaring-specific entry
   /// point so call sites express intent; see mont.cpp for why it currently
   /// rides the multiply.
@@ -125,7 +139,9 @@ class MontCtx {
 
  private:
   // The product kernel, chosen once per context from the width and CPU.
-  enum class Kernel : std::uint8_t { kAdx4, kCios3, kCios4, kCiosN };
+  enum class Kernel : std::uint8_t {
+    kAdx4, kCios1, kCios2, kCios3, kCios4, kCiosN
+  };
 
   template <class F>
   decltype(auto) with_kernel(F&& f) const;

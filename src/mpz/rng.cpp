@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 namespace ppgr::mpz {
 
@@ -112,7 +113,15 @@ std::uint64_t Rng::below_u64(std::uint64_t bound) {
 
 Nat Rng::bits(std::size_t nbits) {
   if (nbits == 0) return Nat{};
-  std::vector<std::uint8_t> buf((nbits + 7) / 8);
+  // Draws up to 4096 bits (every field, scalar and modulus of the library)
+  // fill a stack buffer; only wider ones allocate.
+  std::array<std::uint8_t, 512> stack{};
+  std::vector<std::uint8_t> heap;
+  std::span<std::uint8_t> buf{stack.data(), (nbits + 7) / 8};
+  if (buf.size() > stack.size()) {
+    heap.resize(buf.size());
+    buf = heap;
+  }
   fill(buf);
   // Mask off excess top bits.
   const std::size_t excess = buf.size() * 8 - nbits;

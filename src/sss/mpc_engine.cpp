@@ -26,15 +26,31 @@ MpcCosts operator-(MpcCosts a, const MpcCosts& b) {
   return a;
 }
 
-MpcEngine::MpcEngine(const FpCtx& f, std::size_t n, std::size_t t, Rng& rng,
-                     Mode mode)
-    : f_(f), n_(n), t_(t), rng_(rng), mode_(mode) {
+namespace {
+
+Shamir checked_scheme(const FpCtx& f, std::size_t n, std::size_t t) {
   if (n < 2 || t == 0 || n < 2 * t + 1)
     throw std::invalid_argument("MpcEngine: need n >= 2t+1, t >= 1");
-  std::vector<std::size_t> xs(n);
-  for (std::size_t i = 0; i < n; ++i) xs[i] = i + 1;
-  lambda_all_ = lagrange_at_zero(f_, xs);
+  return Shamir{f, t, n};
 }
+
+// Residue scratch for one field element (the widest a MontCtx takes).
+using Residue = Limb[mpz::MontCtx::kCiosMaxLimbs];
+
+}  // namespace
+
+MpcEngine::MpcEngine(const FpCtx& f, std::size_t n, std::size_t t, Rng& rng,
+                     Mode mode)
+    : f_(f),
+      mont_(f.mont()),
+      n_(n),
+      t_(t),
+      rng_(rng),
+      mode_(mode),
+      scheme_(checked_scheme(f, n, t)),
+      sub_(n * scheme_.width()),
+      two_(f.to(Nat{2})),
+      inv2_(f.inv(two_)) {}
 
 void MpcEngine::charge_round(std::uint64_t messages) {
   costs_.rounds += 1;
@@ -45,67 +61,102 @@ ShareVec MpcEngine::input(const Nat& secret) {
   costs_.deals += 1;
   charge_round(n_ - 1);
   if (counting()) return {};
-  return share_secret(f_, secret, t_, n_, rng_);
+  ShareVec out = blank();
+  Residue s = {};
+  scheme_.load(s, secret);
+  scheme_.deal(out.share(0), s, rng_);
+  return out;
 }
 
 ShareVec MpcEngine::constant(const Nat& value) const {
   if (counting()) return {};
-  return ShareVec(n_, value);
+  ShareVec out = blank();
+  for (std::size_t i = 0; i < n_; ++i) scheme_.load(out.share(i), value);
+  return out;
 }
 
 Nat MpcEngine::open(const ShareVec& x) {
   costs_.opens += 1;
   charge_round(n_ * (n_ - 1));
   if (counting()) return f_.zero();
-  return reconstruct(f_, x, t_);
+  Residue v = {};
+  scheme_.open(v, x.share(0));
+  return Nat::from_limbs({v, scheme_.width()});
 }
 
 ShareVec MpcEngine::add(const ShareVec& a, const ShareVec& b) const {
   if (counting()) return {};
-  ShareVec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_.add(a[i], b[i]);
+  ShareVec out = blank();
+  mont_.add_limbs(out.share(0), a.share(0), b.share(0), n_);
   return out;
 }
 
 ShareVec MpcEngine::sub(const ShareVec& a, const ShareVec& b) const {
   if (counting()) return {};
-  ShareVec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_.sub(a[i], b[i]);
+  ShareVec out = blank();
+  mont_.sub_limbs(out.share(0), a.share(0), b.share(0), n_);
   return out;
 }
 
 ShareVec MpcEngine::add_const(const ShareVec& a, const Nat& c) const {
   if (counting()) return {};
-  ShareVec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_.add(a[i], c);
+  Residue cl = {};
+  scheme_.load(cl, c);
+  ShareVec out = blank();
+  for (std::size_t i = 0; i < n_; ++i)
+    mont_.add_limbs(out.share(i), a.share(i), cl);
   return out;
 }
 
 ShareVec MpcEngine::mul_const(const ShareVec& a, const Nat& c) const {
   if (counting()) return {};
-  ShareVec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_.mul(a[i], c);
+  Residue cl = {};
+  scheme_.load(cl, c);
+  ShareVec out = blank();
+  for (std::size_t i = 0; i < n_; ++i)
+    mont_.mul_limbs(out.share(i), a.share(i), cl);
   return out;
 }
 
 ShareVec MpcEngine::neg(const ShareVec& a) const {
   if (counting()) return {};
-  ShareVec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_.neg(a[i]);
+  ShareVec out = blank();  // zero shares
+  mont_.sub_limbs(out.share(0), out.share(0), a.share(0), n_);
   return out;
 }
 
+ShareVec MpcEngine::one_minus(const ShareVec& x) const {
+  if (counting()) return {};
+  ShareVec out = constant(f_.one());
+  mont_.sub_limbs(out.share(0), out.share(0), x.share(0), n_);
+  return out;
+}
+
+ShareVec MpcEngine::grr(const ShareVec& a, const ShareVec& b) {
+  // GRR: each party multiplies its shares locally (degree 2t), re-shares the
+  // product with degree t, and everyone recombines the sub-shares with the
+  // Lagrange coefficients for x=0 over points 1..n (n >= 2t+1 makes the
+  // degree-2t polynomial determined).
+  ShareVec result = blank();
+  Residue d = {};
+  for (std::size_t i = 0; i < n_; ++i) {
+    mont_.mul_limbs(d, a.share(i), b.share(i));
+    scheme_.deal(sub_.data(), d, rng_);
+    scheme_.recombine(result.share(0), i, sub_.data());
+  }
+  return result;
+}
+
 ShareVec MpcEngine::mul(const ShareVec& a, const ShareVec& b) {
-  const std::pair<ShareVec, ShareVec> p{a, b};
-  return mul_many(std::span{&p, 1})[0];
+  costs_.mults += 1;
+  charge_round(n_ * (n_ - 1));
+  if (counting()) return {};
+  return grr(a, b);
 }
 
 std::vector<ShareVec> MpcEngine::mul_many(
     std::span<const std::pair<ShareVec, ShareVec>> pairs) {
-  // GRR: each party multiplies its shares locally (degree 2t), re-shares the
-  // product with degree t, and everyone recombines the sub-shares with the
-  // Lagrange coefficients for x=0 over points 1..n (n >= 2t+1 makes the
-  // degree-2t polynomial determined). One parallel round for the whole batch.
+  // One parallel round for the whole batch.
   costs_.mults += pairs.size();
   charge_round(pairs.size() * n_ * (n_ - 1));
   std::vector<ShareVec> out;
@@ -114,16 +165,7 @@ std::vector<ShareVec> MpcEngine::mul_many(
     out.resize(pairs.size());
     return out;
   }
-  for (const auto& [a, b] : pairs) {
-    ShareVec result(n_, f_.zero());
-    for (std::size_t i = 0; i < n_; ++i) {
-      const Nat di = f_.mul(a[i], b[i]);
-      const ShareVec sub = share_secret(f_, di, t_, n_, rng_);
-      for (std::size_t j = 0; j < n_; ++j)
-        result[j] = f_.add(result[j], f_.mul(lambda_all_[i], sub[j]));
-    }
-    out.push_back(std::move(result));
-  }
+  for (const auto& [a, b] : pairs) out.push_back(grr(a, b));
   return out;
 }
 
@@ -133,10 +175,12 @@ ShareVec MpcEngine::rand_share() {
   costs_.deals += n_;
   charge_round(n_ * (n_ - 1));
   if (counting()) return {};
-  ShareVec acc(n_, f_.zero());
+  ShareVec acc = blank();
+  Residue secret = {};
   for (std::size_t i = 0; i < n_; ++i) {
-    const ShareVec contrib = share_secret(f_, f_.random(rng_), t_, n_, rng_);
-    for (std::size_t j = 0; j < n_; ++j) acc[j] = f_.add(acc[j], contrib[j]);
+    scheme_.load(secret, f_.random(rng_));
+    scheme_.deal(sub_.data(), secret, rng_);
+    mont_.add_limbs(acc.share(0), acc.share(0), sub_.data(), n_);
   }
   return acc;
 }
@@ -145,7 +189,6 @@ std::vector<ShareVec> MpcEngine::rand_bits_many(std::size_t k) {
   // Square-root trick (Damgård et al.): r random, open r^2 (retry on 0),
   // s = canonical sqrt of the opened square, b = (r/s + 1)/2.
   costs_.rand_bits += k;
-  const Nat inv2 = f_.inv(f_.to(Nat{2}));
   std::vector<ShareVec> bits(k);
   // In counting mode assume first-try success (retry probability 1/p).
   std::vector<ShareVec> rs(k);
@@ -156,9 +199,13 @@ std::vector<ShareVec> MpcEngine::rand_bits_many(std::size_t k) {
     squares.emplace_back(rs[i], rs[i]);
   }
   auto r2 = mul_many(squares);
+  if (counting()) {
+    for (std::size_t i = 0; i < k; ++i) (void)open(r2[i]);
+    return bits;
+  }
+  std::vector<Nat> roots(k);
   for (std::size_t i = 0; i < k; ++i) {
     Nat opened = open(r2[i]);
-    if (counting()) continue;
     while (f_.is_zero(opened)) {  // r == 0: retry this one
       rs[i] = rand_share();
       opened = open(mul(rs[i], rs[i]));
@@ -167,11 +214,14 @@ std::vector<ShareVec> MpcEngine::rand_bits_many(std::size_t k) {
     if (!root) throw std::logic_error("rand_bits_many: square has no root");
     // Canonical root: the one with standard representative <= (p-1)/2, so
     // all parties agree without communication.
-    Nat s = *root;
-    const Nat s_std = f_.from(s);
-    if (s_std > f_.p().shr(1)) s = f_.neg(s);
-    bits[i] = mul_const(add_const(mul_const(rs[i], f_.inv(s)), f_.one()), inv2);
+    roots[i] = *root;
+    if (f_.from(roots[i]) > f_.p().shr(1)) roots[i] = f_.neg(roots[i]);
   }
+  // The roots are public and nonzero: one batched inversion for all k.
+  const std::vector<Nat> inv_roots = f_.inv_many(roots);
+  for (std::size_t i = 0; i < k; ++i)
+    bits[i] = mul_const(add_const(mul_const(rs[i], inv_roots[i]), f_.one()),
+                        inv2_);
   return bits;
 }
 
@@ -215,8 +265,7 @@ ShareVec MpcEngine::bit_lt_public(const Nat& c,
   for (std::size_t i = 0; i < l; ++i) {
     const bool ci = c.bit(i);
     // e_i = 1 - r_i if c_i == 0, else r_i.
-    e[i] = ci ? r_bits[i]
-              : add_const(neg(r_bits[i]), f_.one());
+    e[i] = ci ? r_bits[i] : one_minus(r_bits[i]);
   }
   // suffix[i] = Π_{j > i} e_j, suffix[l-1] = 1.
   std::vector<ShareVec> suffix(l);
@@ -252,10 +301,10 @@ ShareVec MpcEngine::lsb(const ShareVec& x) {
   const Nat c = f_.from(open(add(x, r.value)));
   const ShareVec wrap = bit_lt_public(c, r.bits);
   // t1 = c0 XOR r0 (linear: c0 public).
-  const ShareVec t1 = c.bit(0) ? add_const(neg(r.bits[0]), f_.one()) : r.bits[0];
+  const ShareVec t1 = c.bit(0) ? one_minus(r.bits[0]) : r.bits[0];
   // x0 = t1 XOR wrap = t1 + wrap - 2*t1*wrap.
   const ShareVec prod = mul(t1, wrap);
-  return sub(add(t1, wrap), mul_const(prod, f_.to(Nat{2})));
+  return sub(add(t1, wrap), mul_const(prod, two_));
 }
 
 ShareVec MpcEngine::half_test(const ShareVec& x) {
@@ -264,7 +313,7 @@ ShareVec MpcEngine::half_test(const ShareVec& x) {
     (void)lsb({});
     return {};
   }
-  return add_const(neg(lsb(mul_const(x, f_.to(Nat{2})))), f_.one());
+  return one_minus(lsb(mul_const(x, two_)));
 }
 
 ShareVec MpcEngine::less_than(const ShareVec& a, const ShareVec& b) {
@@ -283,9 +332,8 @@ ShareVec MpcEngine::less_than(const ShareVec& a, const ShareVec& b) {
   const ShareVec y = half_test(sub(a, b));
   const ShareVec wx = mul(w, x);
   // s = w*x + (1-w)*(1-x) = 1 - w - x + 2wx.
-  const ShareVec s = add_const(
-      add(neg(add(w, x)), mul_const(wx, f_.to(Nat{2}))), f_.one());
-  const ShareVec not_y = add_const(neg(y), f_.one());
+  const ShareVec s = one_minus(sub(add(w, x), mul_const(wx, two_)));
+  const ShareVec not_y = one_minus(y);
   const ShareVec first = mul(not_y, s);
   const ShareVec w_not_x = sub(w, wx);
   return add(first, w_not_x);

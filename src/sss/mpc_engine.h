@@ -11,7 +11,11 @@
 // execution sufficient for both correctness tests and cost accounting) and
 // meters everything the paper's Sec. VI-B analysis talks about:
 // multiplication-protocol invocations, openings, communication rounds and
-// bytes.
+// bytes. Every party's local work runs on residues through the engine's
+// Shamir scheme (shamir.h): each party multiplies its shares, reshares the
+// product and recombines the sub-shares it receives, so timing this engine
+// prices the protocol (benchcore::calibrate_ss). Nat appears only in the
+// values passed in (secrets, public constants) and the values opened.
 //
 // Two modes:
 //  - kReal: shares are computed; results are correct; counters are exact for
@@ -108,14 +112,23 @@ class MpcEngine {
  private:
   void charge_round(std::uint64_t messages);
   [[nodiscard]] bool counting() const { return mode_ == Mode::kCountOnly; }
+  [[nodiscard]] ShareVec blank() const { return ShareVec(n_, scheme_.width()); }
+  // One GRR multiplication's share arithmetic (no metering).
+  [[nodiscard]] ShareVec grr(const ShareVec& a, const ShareVec& b);
+  // 1 - x, the negation of a shared bit.
+  [[nodiscard]] ShareVec one_minus(const ShareVec& x) const;
 
   const FpCtx& f_;
+  const mpz::MontCtx& mont_;
   std::size_t n_;
   std::size_t t_;
   Rng& rng_;
   Mode mode_;
   MpcCosts costs_;
-  std::vector<Nat> lambda_all_;  // Lagrange coefficients at 0 for points 1..n
+  Shamir scheme_;
+  std::vector<Limb> sub_;  // one party's n sub-shares during a GRR reshare
+  Nat two_;                // 2 and 1/2 in Montgomery form
+  Nat inv2_;
 };
 
 }  // namespace ppgr::sss

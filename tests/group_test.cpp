@@ -3,6 +3,9 @@
 // the metering decorator and the GroupId name table.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "group/fixed_base.h"
 #include "group/ec_group.h"
 #include "group/group.h"
@@ -276,6 +279,129 @@ TEST(EcGroup, DeserializeRejectsOffCurvePoint) {
   auto bytes = curve.serialize(curve.generator());
   bytes.back() ^= 1;  // corrupt y
   EXPECT_THROW((void)curve.deserialize(bytes), std::invalid_argument);
+}
+
+// ---- canonical EC encodings ----
+//
+// 0x04 || x || y with x, y < p on the curve, or all zeros for the identity,
+// is the only accepted form of an element. A coordinate field holds values
+// up to 2^(8 fb) - 1, so x + p or y + p fits whenever the coordinate is
+// below 2^(8 fb) - p: a second encoding of the same point, which decode
+// must refuse rather than reduce.
+
+std::vector<std::uint8_t> encode_point(const CurveParams& params,
+                                       const Nat& x, const Nat& y) {
+  const std::size_t fb = (params.p.bit_length() + 7) / 8;
+  std::vector<std::uint8_t> out{0x04};
+  for (const Nat& c : {x, y}) {
+    const auto b = c.to_bytes_be(fb);
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
+}
+
+Nat curve_rhs(const CurveParams& params, const Nat& x) {
+  const Nat& p = params.p;
+  return (x * x % p * x + params.a * x + params.b) % p;
+}
+
+// A y on the curve at x (standard form), if x is the abscissa of a point.
+std::optional<Nat> curve_y(const CurveParams& params, const Nat& x) {
+  return mpz::sqrtmod(curve_rhs(params, x), params.p);
+}
+
+TEST(EcGroup, DeserializeRejectsNonCanonicalCoordinates) {
+  // P-192: (0, y) is on the curve and 0 + p fits the 24-byte field.
+  const CurveParams p192 = nist_p192();
+  const EcGroup curve{p192};
+  const Nat y0 = *curve_y(p192, Nat{});
+  const Elem pt = curve.from_affine(Nat{}, y0);
+  EXPECT_TRUE(curve.eq(curve.deserialize(encode_point(p192, Nat{}, y0)), pt));
+  EXPECT_THROW((void)curve.deserialize(encode_point(p192, p192.p, y0)),
+               std::invalid_argument);
+  // Its y + p twin: P-192 leaves room above p only for y <= 2^64, so the
+  // twin is built on y^2 = x^3 + 2x + 3 over F_97 (one-byte coordinates,
+  // room for every y + p), the curve ec_exhaustive_test enumerates.
+  CurveParams tiny{.name = "ecc-f97", .p = Nat{97}, .a = Nat{2}, .b = Nat{3}};
+  tiny.gx = Nat{};
+  tiny.gy = *curve_y(tiny, Nat{});
+  tiny.order = Nat{5};
+  const EcGroup small{tiny};
+  const Elem g = small.generator();
+  EXPECT_TRUE(
+      small.eq(small.deserialize(encode_point(tiny, Nat{}, tiny.gy)), g));
+  EXPECT_THROW(
+      (void)small.deserialize(encode_point(tiny, Nat{}, tiny.gy + tiny.p)),
+      std::invalid_argument);
+  EXPECT_THROW((void)small.deserialize(encode_point(tiny, tiny.p, tiny.gy)),
+               std::invalid_argument);
+  // The identity has one encoding too.
+  auto id = curve.serialize(curve.identity());
+  id.back() = 1;
+  EXPECT_THROW((void)curve.deserialize(id), std::invalid_argument);
+}
+
+TEST(EcGroup, DeserializePropertyOverRandomEncodings) {
+  // Every accepted encoding re-serializes to itself; exactly the canonical
+  // ones (judged here on plain Nat arithmetic) are accepted.
+  ChaChaRng rng{8};
+  for (const CurveParams& params : {nist_p192(), nist_p256()}) {
+    const EcGroup curve{params};
+    const Nat& p = params.p;
+    const std::size_t fb = (p.bit_length() + 7) / 8;
+    const Nat room = Nat::pow2(8 * fb) - p;  // values in [p, 2^(8 fb))
+    const auto on_curve_x = [&](const Nat& bound) {
+      for (;;) {
+        const Nat x = rng.below(bound);
+        if (const auto y = curve_y(params, x)) return std::pair{x, *y};
+      }
+    };
+    int accepted = 0, refused = 0;
+    for (int i = 0; i < 400; ++i) {
+      std::vector<std::uint8_t> bytes(curve.element_bytes());
+      switch (i % 5) {
+        case 0:  // uniform payload under either prefix
+          rng.fill(bytes);
+          bytes[0] = i % 2 == 0 ? 0x04 : 0x00;
+          break;
+        case 1: {  // an on-curve point
+          const auto [x, y] = on_curve_x(p);
+          bytes = encode_point(params, x, y);
+          break;
+        }
+        case 2: {  // the x + p twin of an on-curve point
+          const auto [x, y] = on_curve_x(room < p ? room : p);
+          bytes = encode_point(params, x + p, y);
+          break;
+        }
+        case 3: {  // an on-curve x with a y field at or above p
+          const auto [x, y] = on_curve_x(p);
+          bytes = encode_point(params, x, p + rng.below(room));
+          break;
+        }
+        default:  // a group element, possibly the identity
+          bytes = curve.serialize(
+              i % 10 == 4 ? curve.identity() : curve.exp_g(rng.below(p)));
+      }
+      const Nat x = Nat::from_bytes_be({bytes.data() + 1, fb});
+      const Nat y = Nat::from_bytes_be({bytes.data() + 1 + fb, fb});
+      const bool identity = bytes[0] == 0x00 && x.is_zero() && y.is_zero();
+      const bool canonical =
+          identity || (bytes[0] == 0x04 && x < p && y < p &&
+                       y * y % p == curve_rhs(params, x));
+      if (!canonical) {
+        ++refused;
+        EXPECT_THROW((void)curve.deserialize(bytes), std::invalid_argument)
+            << params.name << " case " << i % 5;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(curve.serialize(curve.deserialize(bytes)), bytes)
+          << params.name << " case " << i % 5;
+    }
+    EXPECT_GE(accepted, 160) << params.name;
+    EXPECT_GE(refused, 160) << params.name;
+  }
 }
 
 TEST(MeteredGroup, CountsAndForwards) {

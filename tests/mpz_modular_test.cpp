@@ -239,11 +239,13 @@ TEST(MontKernel, AdxFourLimbMatchesGmp) {
 }
 
 TEST(MontKernel, RuntimeWidthMatchesFixedWidth) {
-  // The runtime-width instance serves every width but 3 and 4 limbs; at
-  // those two it must agree with the unrolled ones.
+  // The runtime-width instance serves every width above 4 limbs; at 1 to 4
+  // limbs it must agree with the unrolled ones.
   gmp_randclass gr{gmp_randinit_default};
   gr.seed(402);
-  for (const Nat& mn : {ec_field_prime(group::GroupId::kEcP192),
+  for (const Nat& mn : {Nat::sub(Nat::pow2(61), Nat{1}),
+                        Nat::sub(Nat::pow2(127), Nat{1}),
+                        ec_field_prime(group::GroupId::kEcP192),
                         ec_field_prime(group::GroupId::kEcP256)}) {
     const std::size_t k = mn.limb_count();
     const mpz_class m = to_gmp(mn);
@@ -252,10 +254,11 @@ TEST(MontKernel, RuntimeWidthMatchesFixedWidth) {
     for (int i = 0; i < 2000; ++i) {
       const auto al = limbs4(gr.get_z_range(m)), bl = limbs4(gr.get_z_range(m));
       std::array<Limb, 4> fixed{}, runtime{};
-      if (k == 3)
-        mont_mul<3>(fixed.data(), al.data(), bl.data(), ml.data(), n0);
-      else
-        mont_mul<4>(fixed.data(), al.data(), bl.data(), ml.data(), n0);
+      const auto fixed_mul = k == 1   ? mont_mul<1>
+                             : k == 2 ? mont_mul<2>
+                             : k == 3 ? mont_mul<3>
+                                      : mont_mul<4>;
+      fixed_mul(fixed.data(), al.data(), bl.data(), ml.data(), n0, k);
       mont_mul<0>(runtime.data(), al.data(), bl.data(), ml.data(), n0, k);
       ASSERT_EQ(fixed, runtime);
     }
@@ -323,6 +326,145 @@ TEST(MontLadder, ExpAndDualExpMatchPowm) {
               << "limbs=" << ctx.limbs() << " ex=" << ex.to_hex()
               << " ey=" << ey.to_hex();
         }
+  }
+}
+
+// ---- the fixed 1- and 2-limb kernels against GMP ----
+
+// 1-limb moduli: the SS framework's field for 35-bit betas (the 37-bit
+// prime core::ss_field_for_beta_bits(35) draws) and 2^61 - 1; 2-limb:
+// 2^127 - 1.
+std::vector<Nat> narrow_moduli() {
+  return {Nat::from_hex("143d53faa7"), Nat::sub(Nat::pow2(61), Nat{1}),
+          Nat::sub(Nat::pow2(127), Nat{1})};
+}
+
+TEST(MontNarrow, MulExpDualExpMatchGmp) {
+  ChaChaRng rng{407};
+  for (const Nat& mn : narrow_moduli()) {
+    const MontCtx ctx{mn};
+    ASSERT_EQ(ctx.limbs(), mn.bit_length() > 64 ? 2u : 1u);
+    const mpz_class m = to_gmp(mn);
+    const Nat pm1 = Nat::sub(mn, Nat{1});
+    // Operands: the edges 0, 1 and p-1, and random residues.
+    std::vector<Nat> xs{Nat{}, Nat{1}, pm1};
+    for (int i = 0; i < 5; ++i) xs.push_back(rng.below(mn));
+    const std::vector<Nat> exps{Nat{},
+                                Nat{1},
+                                pm1,
+                                Nat::sub(mn, Nat{2}),
+                                rng.bits(mn.bit_length()),
+                                rng.bits(mn.bit_length() + 70)};
+    for (const Nat& a : xs) {
+      const Nat am = ctx.to_mont(a);
+      for (const Nat& b : xs)
+        EXPECT_EQ(to_gmp(ctx.from_mont(ctx.mul(am, ctx.to_mont(b)))),
+                  to_gmp(a) * to_gmp(b) % m)
+            << mn.to_hex() << " " << a.to_hex() << "*" << b.to_hex();
+      for (const Nat& e : exps)
+        EXPECT_EQ(to_gmp(ctx.from_mont(ctx.exp(am, e))),
+                  powm(to_gmp(a), to_gmp(e), m))
+            << mn.to_hex() << " " << a.to_hex() << "^" << e.to_hex();
+      const Nat& y = xs.back();
+      for (const Nat& ex : exps)
+        for (const Nat& ey : {exps[0], exps[2], exps[5]})
+          EXPECT_EQ(to_gmp(ctx.from_mont(
+                        ctx.dual_exp(am, ex, ctx.to_mont(y), ey))),
+                    powm(to_gmp(a), to_gmp(ex), m) *
+                        powm(to_gmp(y), to_gmp(ey), m) % m)
+              << mn.to_hex() << " " << a.to_hex() << "^" << ex.to_hex();
+    }
+  }
+}
+
+TEST(MontNarrow, ExpManyAndInvManyMatchGmp) {
+  ChaChaRng rng{408};
+  for (const Nat& mn : narrow_moduli()) {
+    const MontCtx ctx{mn};
+    const mpz_class m = to_gmp(mn);
+    const Nat pm1 = Nat::sub(mn, Nat{1});
+    // Nonzero residues with the edges 1 and p-1 among them (inv_many's
+    // domain); exp_many also gets zero bases.
+    std::vector<Nat> xs, exps;
+    for (std::size_t i = 0; i < 19; ++i) {
+      const Nat x = i % 6 == 0   ? Nat{1}
+                    : i % 6 == 3 ? pm1
+                                 : rng.nonzero_below(mn);
+      xs.push_back(ctx.to_mont(x));
+      exps.push_back(i % 5 == 0   ? Nat{}
+                     : i % 5 == 1 ? pm1
+                                  : rng.bits(1 + i * 7));
+    }
+    std::vector<Nat> inv(xs.size());
+    ctx.inv_many(xs, inv);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      mpz_class expect;
+      const mpz_class x = to_gmp(ctx.from_mont(xs[i]));
+      ASSERT_NE(mpz_invert(expect.get_mpz_t(), x.get_mpz_t(), m.get_mpz_t()),
+                0);
+      EXPECT_EQ(to_gmp(ctx.from_mont(inv[i])), expect)
+          << mn.to_hex() << " " << i;
+    }
+    xs[4] = Nat{};
+    std::vector<Nat> got(xs.size());
+    ctx.exp_many(xs, exps, got);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      EXPECT_EQ(to_gmp(ctx.from_mont(got[i])),
+                powm(to_gmp(ctx.from_mont(xs[i])), to_gmp(exps[i]), m))
+          << mn.to_hex() << " " << i;
+    EXPECT_THROW(ctx.inv_many(xs, got), std::domain_error);
+  }
+}
+
+// add_limbs / sub_limbs / mul_add_limbs on every kernel width: the fixed 1-
+// to 4-limb ones (and the 4-limb mulx/adx one where the CPU has it) and the
+// runtime-width one at 16 and 48 limbs, over `count` residues at once.
+TEST(MontLimbs, AddSubAndMulAddMatchGmp) {
+  std::vector<Nat> moduli = narrow_moduli();
+  for (const Nat& m : test_moduli())
+    if (m.bit_length() > 64) moduli.push_back(m);
+  ChaChaRng rng{409};
+  for (const Nat& mn : moduli) {
+    const MontCtx ctx{mn};
+    const std::size_t k = ctx.limbs(), count = 6;
+    const mpz_class m = to_gmp(mn);
+    const Nat pm1 = Nat::sub(mn, Nat{1});
+    // Residue i of a and b: the edges 0, 1, p-1 first, random ones after.
+    std::vector<Limb> a(count * k), b(count * k), s(k);
+    std::vector<mpz_class> ga, gb;
+    const auto put = [&](std::vector<Limb>& v, std::size_t i, const Nat& x) {
+      for (std::size_t j = 0; j < k; ++j) v[i * k + j] = x.limb(j);
+      return to_gmp(x);
+    };
+    const Nat edges[] = {Nat{}, Nat{1}, pm1};
+    for (std::size_t i = 0; i < count; ++i) {
+      ga.push_back(put(a, i, i < 3 ? edges[i] : rng.below(mn)));
+      gb.push_back(put(b, i, i < 3 ? edges[2 - i] : rng.below(mn)));
+    }
+    const mpz_class gs = put(s, 0, rng.below(mn));
+    const mpz_class rinv = [&] {
+      mpz_class r = mpz_class{1} << (64 * k), inv;
+      mpz_invert(inv.get_mpz_t(), r.get_mpz_t(), m.get_mpz_t());
+      return inv;
+    }();
+    std::vector<Limb> sum(count * k), diff(count * k), acc = a;
+    ctx.add_limbs(sum.data(), a.data(), b.data(), count);
+    ctx.sub_limbs(diff.data(), a.data(), b.data(), count);
+    ctx.mul_add_limbs(acc.data(), s.data(), b.data(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto at = [&](const std::vector<Limb>& v) {
+        return gmp_from_limbs(&v[i * k], k);
+      };
+      EXPECT_EQ(at(sum), (ga[i] + gb[i]) % m) << mn.to_hex() << " " << i;
+      EXPECT_EQ(at(diff), ((ga[i] - gb[i]) % m + m) % m)
+          << mn.to_hex() << " " << i;
+      // Montgomery form: s * b carries one factor R^{-1}.
+      EXPECT_EQ(at(acc), (ga[i] + gs * gb[i] % m * rinv) % m)
+          << mn.to_hex() << " " << i;
+    }
+    // In place.
+    ctx.add_limbs(a.data(), a.data(), b.data(), count);
+    EXPECT_EQ(a, sum) << mn.to_hex();
   }
 }
 

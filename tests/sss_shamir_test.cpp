@@ -1,5 +1,9 @@
-// Tests for Shamir sharing and the MPC engine primitives.
+// Tests for Shamir sharing and the MPC engine primitives, plus a GMP oracle
+// that re-evaluates the engine's sharing, GRR multiplication and opening.
+#include <gmpxx.h>
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "mpz/prime.h"
 #include "sss/mpc_engine.h"
@@ -77,7 +81,7 @@ TEST(Shamir, RejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW((void)share_secret(f, f.zero(), 0, 0, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)reconstruct(f, ShareVec{f.zero()}, 2),
+  EXPECT_THROW((void)reconstruct(f, ShareVec(1, f.mont().limbs()), 2),
                std::invalid_argument);
 }
 
@@ -251,6 +255,112 @@ TEST(MpcEngine, MultiplicationCountScalesLinearlyInFieldBits) {
                        static_cast<double>(e17.costs().mults);
   EXPECT_GT(ratio, 1.7);
   EXPECT_LT(ratio, 2.3);
+}
+
+
+// ---- independent oracle: GMP re-evaluation from a cloned rng ----
+//
+// f.random(rng) is f.to(rng.below(p)), so a copy of the engine's rng taken
+// just before an operation replays that operation's coefficient draws, in
+// standard form, through clone.below(p). GMP then evaluates the sharing
+// polynomials at 1..n, the Lagrange weights (mpz_invert) and the GRR
+// recombination, sharing no arithmetic with the engine. The fields span
+// one limb (the 17-bit test field and the SS framework's 37-bit field for
+// 35-bit betas), two (2^127 - 1) and four (2^255 - 19).
+
+mpz_class gmp(const Nat& x) { return mpz_class{x.to_hex(), 16}; }
+Nat from_gmp(const mpz_class& x) { return Nat::from_hex(x.get_str(16)); }
+
+struct Oracle {
+  const FpCtx& f;
+  mpz_class p;
+  std::size_t t, n;
+
+  // Shares at x = 1..n of the degree-t polynomial with constant term
+  // `secret` and coefficients drawn from `clone`, in draw order.
+  std::vector<mpz_class> deal(const mpz_class& secret, ChaChaRng& clone) const {
+    std::vector<mpz_class> coeffs{secret};
+    for (std::size_t c = 1; c <= t; ++c)
+      coeffs.push_back(gmp(clone.below(f.p())));
+    std::vector<mpz_class> shares(n);
+    for (std::size_t x = 1; x <= n; ++x) {
+      mpz_class acc = 0, xc = 1;
+      for (const mpz_class& c : coeffs) {
+        acc = (acc + c * xc) % p;
+        xc = xc * x % p;
+      }
+      shares[x - 1] = acc;
+    }
+    return shares;
+  }
+
+  // Lagrange weight of point i among 1..count at x = 0.
+  mpz_class lambda(std::size_t i, std::size_t count) const {
+    mpz_class num = 1, den = 1;
+    for (std::size_t j = 1; j <= count; ++j) {
+      if (j == i) continue;
+      num = num * j % p;
+      den = den * ((mpz_class{j} - mpz_class{i} + p) % p) % p;
+    }
+    mpz_class inv;
+    if (mpz_invert(inv.get_mpz_t(), den.get_mpz_t(), p.get_mpz_t()) == 0)
+      ADD_FAILURE() << "no inverse";
+    return num * inv % p;
+  }
+
+  std::vector<mpz_class> standard(const ShareVec& x) const {
+    std::vector<mpz_class> out;
+    for (std::size_t i = 0; i < x.size(); ++i) out.push_back(gmp(f.from(x[i])));
+    return out;
+  }
+};
+
+TEST(ShamirOracle, SharingGrrMulAndOpenMatchGmp) {
+  const FpCtx f37{Nat::from_hex("143d53faa7")};  // ss_field_for_beta_bits(35)
+  const FpCtx f127{Nat::sub(Nat::pow2(127), Nat{1})};
+  const FpCtx f255{Nat::sub(Nat::pow2(255), Nat{19})};
+  for (const FpCtx* fp : {&small_field(), &f37, &f127, &f255}) {
+    const FpCtx& f = *fp;
+    for (const auto& [n, t] : {std::pair<std::size_t, std::size_t>{5, 2},
+                               std::pair<std::size_t, std::size_t>{7, 3}}) {
+      const std::string at = "p bits=" + std::to_string(f.bits()) +
+                             " n=" + std::to_string(n);
+      const Oracle o{f, gmp(f.p()), t, n};
+      ChaChaRng rng{90 + n};
+      MpcEngine engine{f, n, t, rng};
+      const Nat x = rng.below(f.p()), y = rng.below(f.p());
+
+      // Sharing: the dealt shares are the oracle polynomial's values.
+      ChaChaRng clone = rng;
+      const ShareVec a = engine.input(f.to(x));
+      const auto sa = o.deal(gmp(x), clone);
+      EXPECT_EQ(o.standard(a), sa) << at;
+      const ShareVec b = engine.input(f.to(y));
+      const auto sb = o.deal(gmp(y), clone);
+      EXPECT_EQ(o.standard(b), sb) << at;
+      EXPECT_EQ(ChaChaRng{clone}.next_u64(), ChaChaRng{rng}.next_u64()) << at;
+
+      // GRR: party i reshares a_i * b_i; party j's result share is the
+      // weighted sum of its sub-shares over the weights of all n points.
+      const ShareVec c = engine.mul(a, b);
+      std::vector<mpz_class> sc(n, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto sub = o.deal(sa[i] * sb[i] % o.p, clone);
+        const mpz_class li = o.lambda(i + 1, n);
+        for (std::size_t j = 0; j < n; ++j) sc[j] = (sc[j] + li * sub[j]) % o.p;
+      }
+      EXPECT_EQ(o.standard(c), sc) << at;
+      EXPECT_EQ(ChaChaRng{clone}.next_u64(), ChaChaRng{rng}.next_u64()) << at;
+
+      // Opening: the first t+1 shares under the weights of 1..t+1.
+      mpz_class opened = 0;
+      for (std::size_t i = 0; i <= t; ++i)
+        opened = (opened + o.lambda(i + 1, t + 1) * sc[i]) % o.p;
+      EXPECT_EQ(opened, gmp(x) * gmp(y) % o.p) << at;
+      EXPECT_EQ(gmp(f.from(engine.open(c))), opened) << at;
+      EXPECT_EQ(f.from(reconstruct(f, c, t)), from_gmp(opened)) << at;
+    }
+  }
 }
 
 }  // namespace

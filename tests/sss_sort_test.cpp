@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
+#include "core/ss_framework.h"
 #include "sss/mpc_sort.h"
 #include "sss/sort_network.h"
 
@@ -154,6 +156,58 @@ TEST(MpcRankSort, CountOnlyModeCharges) {
 TEST(MpcRankSort, PlainRankHelperAgreesOnDistinct) {
   // Guard the test helper itself.
   EXPECT_EQ(plain_ranks({10, 30, 20}), (std::vector<std::size_t>{3, 1, 2}));
+}
+
+
+// ---- bit-identity pins on the SS framework's field ----
+//
+// SS sessions sort 35-bit betas on core::ss_field_for_beta_bits(35), a
+// 37-bit prime, at n = 5 (t = 2) and n = 7 (t = 3). The ranks and exact
+// costs below were captured from the Nat-based engine the residue engine
+// replaced: every share, every rejection retry of rand_bitwise (seed 2
+// takes more than seed 1 at both sizes) and every counter must stay as it
+// was.
+
+struct SortPin {
+  std::size_t n, t;
+  std::uint64_t seed;
+  std::vector<std::size_t> ranks;
+  MpcCosts costs;
+};
+
+TEST(MpcRankSort, PinnedRanksAndCostsOnBetaField) {
+  const SortPin pins[] = {
+      {5, 2, 1, {5, 2, 3, 1, 4},
+       {.mults = 6434, .opens = 1552, .deals = 7410, .rounds = 5615,
+        .bytes = 946800, .rand_bits = 1480, .comparisons = 9}},
+      {5, 2, 2, {5, 3, 4, 2, 1},
+       {.mults = 6764, .opens = 1666, .deals = 7965, .rounds = 5954,
+        .bytes = 1002300, .rand_bits = 1591, .comparisons = 9}},
+      {7, 3, 1, {7, 4, 5, 3, 6, 2, 1},
+       {.mults = 11316, .opens = 2715, .deals = 18144, .rounds = 9851,
+        .bytes = 3490830, .rand_bits = 2590, .comparisons = 16}},
+      {7, 3, 2, {7, 5, 6, 3, 2, 1, 4},
+       {.mults = 11866, .opens = 2905, .deals = 19439, .rounds = 10416,
+        .bytes = 3685080, .rand_bits = 2775, .comparisons = 16}},
+  };
+  for (const SortPin& pin : pins) {
+    ChaChaRng rng{pin.seed};
+    std::vector<Nat> values;
+    for (std::size_t i = 0; i < pin.n; ++i)
+      values.emplace_back(rng.below_u64(std::uint64_t{1} << 35));
+    MpcEngine engine{core::ss_field_for_beta_bits(35), pin.n, pin.t, rng};
+    const RankSortResult r = mpc_rank_sort(engine, values);
+    const std::string at =
+        "n=" + std::to_string(pin.n) + " seed=" + std::to_string(pin.seed);
+    EXPECT_EQ(r.ranks, pin.ranks) << at;
+    EXPECT_EQ(r.costs.mults, pin.costs.mults) << at;
+    EXPECT_EQ(r.costs.opens, pin.costs.opens) << at;
+    EXPECT_EQ(r.costs.deals, pin.costs.deals) << at;
+    EXPECT_EQ(r.costs.rounds, pin.costs.rounds) << at;
+    EXPECT_EQ(r.costs.bytes, pin.costs.bytes) << at;
+    EXPECT_EQ(r.costs.rand_bits, pin.costs.rand_bits) << at;
+    EXPECT_EQ(r.costs.comparisons, pin.costs.comparisons) << at;
+  }
 }
 
 }  // namespace
