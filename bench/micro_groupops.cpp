@@ -9,7 +9,9 @@
 
 #include "core/ss_framework.h"
 #include "crypto/elgamal.h"
+#include "group/ec_group.h"
 #include "group/group.h"
+#include "group/schnorr_group.h"
 #include "mpz/modarith.h"
 #include "mpz/mont.h"
 #include "mpz/prime.h"
@@ -88,21 +90,99 @@ void BM_ElGamalEncryptExp(benchmark::State& state) {
 }
 BENCHMARK(BM_ElGamalEncryptExp)->DenseRange(0, 5);
 
-void BM_ElGamalShuffleHopStep(benchmark::State& state) {
-  // One step-8 ciphertext transformation: partial decrypt + exp-randomize.
+// Ladders per step of a group's batch forms: 8 where the group runs lanes
+// (EcGroup on an IFMA CPU, SchnorrGroup's 4-limb moduli there), else 1.
+double batch_lanes(const group::Group& g) {
+  if (const auto* ec = dynamic_cast<const group::EcGroup*>(&g))
+    return static_cast<double>(ec->batch_lanes());
+  if (const auto* dl = dynamic_cast<const group::SchnorrGroup*>(&g))
+    return static_cast<double>(mpz::MontCtx{dl->modulus()}.batch_lanes());
+  return 1.0;
+}
+
+// One shuffle-hop chunk as Participant::shuffle_hop runs it: 64 decoded
+// ciphertexts, a fresh r and e = q - x*r mod q per ciphertext, then
+// dual_exp_many (c^r * cp^e) and exp_many (cp^r). Items/s counts
+// ciphertexts, so 1/items_per_second is one hop ciphertext's cost.
+constexpr std::size_t kHopChunk = 64;
+
+void BM_ShuffleHopChunk(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{4};
   const auto kp = crypto::keygen(g, rng);
-  auto ct =
-      crypto::encrypt_exp(g, group::FixedBaseTable{g, kp.y}, mpz::Nat{1}, rng);
-  const mpz::Nat r = g.random_nonzero_scalar(rng);
-  for (auto _ : state) {
-    auto out = crypto::exp_randomize(g, crypto::partial_decrypt(g, kp.x, ct), r);
-    benchmark::DoNotOptimize(out);
+  const group::FixedBaseTable y{g, kp.y};
+  std::vector<group::Elem> c, cp;
+  for (std::size_t i = 0; i < kHopChunk; ++i) {
+    const auto ct = crypto::encrypt_exp(g, y, mpz::Nat{i % 2}, rng);
+    c.push_back(g.deserialize(g.serialize(ct.c)));
+    cp.push_back(g.deserialize(g.serialize(ct.cp)));
   }
+  const mpz::Nat& q = g.order();
+  std::vector<mpz::Nat> r(kHopChunk), e(kHopChunk);
+  std::vector<group::Elem> c_out(kHopChunk), cp_out(kHopChunk);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kHopChunk; ++i) {
+      r[i] = g.random_nonzero_scalar(rng);
+      e[i] = mpz::Nat::sub(q, mpz::Nat::mul(kp.x, r[i]) % q);
+    }
+    g.dual_exp_many(c, r, cp, e, c_out);
+    g.exp_many(cp, r, cp_out);
+    benchmark::DoNotOptimize(c_out.data());
+    benchmark::DoNotOptimize(cp_out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kHopChunk));
+  state.counters["lanes"] = batch_lanes(g);
   state.SetLabel(g.name());
 }
-BENCHMARK(BM_ElGamalShuffleHopStep)->DenseRange(0, 5);
+BENCHMARK(BM_ShuffleHopChunk)->DenseRange(0, 5);
+
+// The batch forms alone over one hop chunk of full-width scalars, items/s
+// per element: read against BM_GroupExp / BM_GroupDualExp.
+void BM_GroupExpMany(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{14};
+  std::vector<group::Elem> xs, out(kHopChunk);
+  std::vector<mpz::Nat> es;
+  for (std::size_t i = 0; i < kHopChunk; ++i) {
+    xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
+    es.push_back(g.random_nonzero_scalar(rng));
+  }
+  for (auto _ : state) {
+    g.exp_many(xs, es, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kHopChunk));
+  state.counters["lanes"] = batch_lanes(g);
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupExpMany)->DenseRange(3, 5);
+
+void BM_GroupDualExpMany(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{15};
+  std::vector<group::Elem> xs, ys, out(kHopChunk);
+  std::vector<mpz::Nat> exs, eys;
+  for (std::size_t i = 0; i < kHopChunk; ++i) {
+    xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
+    ys.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
+    exs.push_back(g.random_nonzero_scalar(rng));
+    eys.push_back(g.random_nonzero_scalar(rng));
+  }
+  for (auto _ : state) {
+    g.dual_exp_many(xs, exs, ys, eys, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kHopChunk));
+  state.counters["lanes"] = batch_lanes(g);
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_GroupDualExpMany)->DenseRange(3, 5);
 
 void BM_MontMul(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));

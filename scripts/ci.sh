@@ -59,7 +59,16 @@
 # and doubling over GMP, against mul / exp / exp_g / exp_fixed / exp_many /
 # dual_exp / dual_exp_many and the serialized bytes on P-192 at 3 limbs and
 # P-224 / P-256 at 4) and ec_exhaustive_test's full addition table on a
-# 1-limb curve with a = 2 (the general-a doubling). group_test also pins
+# 1-limb curve with a = 2 (the general-a doubling) and its batch forms on
+# every point of that order-100 curve, and multiexp_test's EC
+# lane oracle (EcLaneTest: EcGroup::exp_many / dual_exp_many lane by lane
+# against the GMP oracle and the scalar ladder's exact Jacobian triple, on
+# P-192 / P-224 / P-256 batches of 8, 16, 64 and 67 with identity bases,
+# zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun,
+# failing on an IFMA host unless the 8-lane path ran). After the tests the
+# leg runs micro_groupops' hop-chunk and batch-ladder benchmarks once, so
+# the lane gathers, the rerun and the scalar tails also run under the
+# sanitizers on the protocol's shapes. group_test also pins
 # the canonical EC decode (x, y < p; an all-zero identity) with a
 # random-encodings property on P-192 and P-256. The secret-sharing suites
 # run here too (sss_shamir, sss_sort, sss_topk): the Shamir/GRR engine
@@ -223,7 +232,12 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk' ;;
+  multiexp)
+    run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk'
+    ./build-asan/bench/micro_groupops \
+        --benchmark_filter='ShuffleHopChunk|GroupExpMany|GroupDualExpMany' \
+        --benchmark_min_time=0.01
+    ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)

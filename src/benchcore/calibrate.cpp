@@ -1,5 +1,7 @@
 #include "benchcore/calibrate.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 
 namespace ppgr::benchcore {
@@ -12,14 +14,30 @@ double now_s() {
       .count();
 }
 
-/// Times `body` over enough iterations for a stable estimate.
+/// Seconds per call of `body`: the median over kBatches batches, each
+/// running `body` (after one warm-up call) until at least kMinBatchS has
+/// passed, doubling the calls between clock reads. A burst of host noise
+/// moves one batch, not the estimate.
 template <typename F>
-double time_per_call(F&& body, int iters) {
-  // Warm-up.
+double time_per_call(F&& body) {
+  constexpr std::size_t kBatches = 5;
+  constexpr double kMinBatchS = 0.01;
   body();
-  const double t0 = now_s();
-  for (int i = 0; i < iters; ++i) body();
-  return (now_s() - t0) / iters;
+  std::array<double, kBatches> per_call{};
+  for (double& t : per_call) {
+    std::size_t calls = 0;
+    double elapsed = 0.0;
+    const double t0 = now_s();
+    for (std::size_t step = 1; elapsed < kMinBatchS; step *= 2) {
+      for (std::size_t i = 0; i < step; ++i) body();
+      calls += step;
+      elapsed = now_s() - t0;
+    }
+    t = elapsed / static_cast<double>(calls);
+  }
+  std::nth_element(per_call.begin(), per_call.begin() + kBatches / 2,
+                   per_call.end());
+  return per_call[kBatches / 2];
 }
 
 }  // namespace
@@ -32,11 +50,11 @@ GroupCosts calibrate_group(const group::Group& g, mpz::Rng& rng) {
 
   GroupCosts costs;
   Elem sink = a;
-  costs.mul_s = time_per_call([&] { sink = g.mul(sink, b); }, 400);
-  costs.exp_s = time_per_call([&] { sink = g.exp(a, s); }, 12);
-  costs.gexp_s = time_per_call([&] { sink = g.exp_g(s); }, 24);
-  costs.inv_s = time_per_call([&] { sink = g.inv(a); }, 12);
-  costs.serialize_s = time_per_call([&] { (void)g.serialize(a); }, 50);
+  costs.mul_s = time_per_call([&] { sink = g.mul(sink, b); });
+  costs.exp_s = time_per_call([&] { sink = g.exp(a, s); });
+  costs.gexp_s = time_per_call([&] { sink = g.exp_g(s); });
+  costs.inv_s = time_per_call([&] { sink = g.inv(a); });
+  costs.serialize_s = time_per_call([&] { (void)g.serialize(a); });
   // Keep `sink` alive so the loops aren't optimized away.
   if (g.is_identity(sink) && g.is_identity(a)) costs.mul_s += 0.0;
   return costs;
@@ -54,12 +72,12 @@ SsCosts calibrate_ss(const mpz::FpCtx& field, std::size_t n, std::size_t t,
   // measured time. An opening is work every party repeats in full, and a
   // deal is one party's work in full (price_ss_ops spreads deals over n).
   costs.mult_party_s =
-      time_per_call([&] { (void)engine.mul(a, b); }, 20) / n_d;
-  costs.open_party_s = time_per_call([&] { (void)engine.open(a); }, 40);
+      time_per_call([&] { (void)engine.mul(a, b); }) / n_d;
+  costs.open_party_s = time_per_call([&] { (void)engine.open(a); });
   costs.deal_party_s =
-      time_per_call([&] { (void)engine.input(field.one()); }, 40);
+      time_per_call([&] { (void)engine.input(field.one()); });
   const mpz::Nat sq = field.sqr(field.to(mpz::Nat{987654321}));
-  costs.sqrt_s = time_per_call([&] { (void)field.sqrt(sq); }, 20);
+  costs.sqrt_s = time_per_call([&] { (void)field.sqrt(sq); });
   return costs;
 }
 

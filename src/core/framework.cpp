@@ -212,9 +212,9 @@ std::vector<Ciphertext> Participant::compare_against(
 // because every element's order divides q, so cp^(q-e) = cp^(-e). One
 // random_nonzero_scalar per ciphertext, in set order, then the Fisher–Yates
 // draws with the party's private randomness. The ladders run through the
-// group's batch forms, kHopChunk ciphertexts at a time (MontCtx runs 8
-// ladders per vector), drawing each chunk's r before its ladders: the same
-// draws in the same order, with O(kHopChunk) scratch.
+// group's batch forms, kHopChunk ciphertexts at a time (MontCtx and
+// EcGroup run 8 ladders per IFMA vector), drawing each chunk's r before its
+// ladders: the same draws in the same order, with O(kHopChunk) scratch.
 void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
   constexpr std::size_t kHopChunk = 64;
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);

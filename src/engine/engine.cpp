@@ -199,6 +199,11 @@ void SessionEngine::driver_loop() {
       ls->k = req.k;
       ls->submit_s = q.submit_s;
       ls->start_s = runtime::metrics_now_seconds();
+      if (cfg_.on_progress)
+        ls->progress.set_hook([hook = cfg_.on_progress, id = ls->id](
+                                  runtime::Phase phase, std::size_t round) {
+          hook(id, phase, round);
+        });
       live = ls.get();
       live_.emplace(req.session_id, std::move(ls));
     }

@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -205,6 +206,14 @@ struct EngineConfig {
   /// drift degrades engine health. Off by default: the golden rollup pins
   /// the off state, and sessions take zero audit branches.
   bool audit = false;
+  /// Test seam: called on a session's driver thread after each advance of
+  /// its progress cell (every phase change and round barrier), with the
+  /// session id. A hook that blocks holds that session in flight at a known
+  /// step, so a test can observe it without racing the scheduler. Null by
+  /// default; nothing but tests sets it.
+  std::function<void(std::uint64_t session_id, runtime::Phase phase,
+                     std::size_t round)>
+      on_progress;
 };
 
 class SessionEngine {

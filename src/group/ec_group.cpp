@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mpz/ifma_lanes.h"
 #include "runtime/metrics.h"
 
 namespace ppgr::group {
@@ -27,6 +28,360 @@ void put_be(std::uint8_t* dst, const Limb* l, std::size_t bytes) {
     dst[bytes - 1 - j] = static_cast<std::uint8_t>(l[j / 8] >> (8 * (j % 8)));
 }
 
+// ---- 8-lane batch ladders: AVX-512 IFMA, fields below 2^256 ----
+//
+// Eight independent Straus ladders run side by side on mpz/ifma_lanes.h's
+// lane arithmetic: every coordinate is a radix-2^52 residue in the lane
+// domain, below 2p, and products are amm8's almost-Montgomery products.
+// The schedule is EcGroup::straus's (4-bit windows, a digit table per base,
+// one shared run of doublings) with the same doubling and addition
+// formulas, so each lane's sequence of field operations is the scalar
+// ladder's and its result, fully reduced at exit, is the same Jacobian
+// triple. The scalar ladder's branches become per-lane masks:
+//  - the identity accumulator: a lane whose accumulator is the identity
+//    ignores doublings and takes its first nonzero digit's entry as is;
+//  - a zero digit leaves the lane's accumulator as it is;
+//  - an identity base is replaced by a finite stand-in whose digits are
+//    all zero, which is what skipping it amounts to;
+//  - an addition of P and -P (H = U2 - U1 = 0 mod p, R = S2 - S1 not)
+//    makes the lane's accumulator the identity, as the scalar add does. A hop that finishes decrypting an encryption of zero ends in
+//    exactly this addition.
+// The branches that do not become masks are an addition of P and P
+// (H = R = 0 mod p), where the scalar ladder doubles instead, and a
+// doubling of a point of order 2 (Y = 0 mod p), where it returns the
+// identity: a batch in which any lane meets one returns false, and the
+// caller reruns all eight elements on the scalar ladder. So does a digit
+// table whose building meets H = 0 or Y = 0. On a curve of prime order
+// above 15 (the NIST curves) only the addition of P and P can occur.
+
+using mpz::lanes::kLanes;
+using mpz::lanes::kLimbs52;
+
+// What the lane ladders read of the curve, on plain limbs.
+struct LaneArgs {
+  const mpz::LaneConsts& consts;
+  const Limb* p64;        // p on four limbs, zero-padded
+  const Limb* a_mont;     // the coefficient a in Montgomery form, four limbs
+  bool a_is_minus3;
+  const Elem& stand_in;   // a finite point that replaces identity bases
+  std::size_t k;          // limbs of the field
+};
+
+constexpr Nat Elem::* kElemCoords[3] = {&Elem::a, &Elem::b, &Elem::c};
+
+#if defined(__x86_64__)
+#pragma GCC diagnostic push
+// GCC 12 flags the deliberate self-initialization in _mm512_undefined_epi32,
+// which the gather and shift intrinsics use, as (maybe-)uninitialized (GCC
+// bug 105593).
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+using mpz::lanes::amm8;
+using mpz::lanes::broadcast;
+using mpz::lanes::Lane5;
+using mpz::lanes::LaneTable;
+using mpz::lanes::load5;
+using mpz::lanes::store5;
+
+// A Jacobian point per lane.
+struct LanePoint {
+  Lane5 x, y, z;
+};
+constexpr Lane5 LanePoint::* kLaneCoords[3] = {&LanePoint::x, &LanePoint::y,
+                                               &LanePoint::z};
+// One point per lane, in memory: [coordinate][limb][lane].
+using PointTable = LaneTable[3];
+
+// The field as the lanes see it.
+struct LaneField {
+  Lane5 p;
+  Lane5 two_p;  // 2p limb by limb (not normalized: limbs up to 2^53)
+  __m512i k0;
+  Lane5 a;      // the coefficient a in the lane domain (general-a doubling)
+  bool a_is_minus3;
+};
+
+PPGR_IFMA_INLINE void fmul(Lane5& out, const Lane5& a, const Lane5& b,
+                           const LaneField& f) {
+  amm8(out, a, b, f.p, f.k0);
+}
+
+// s holds a value in [0, 4p) on limbs that may exceed 52 bits or be
+// negative; out = s or s - 2p, whichever lies in [0, 2p), on 52-bit limbs.
+// Both candidates are normalized by arithmetic-shift carry chains, and the
+// sign of s - 2p picks one per lane.
+PPGR_IFMA_INLINE void below_2p(Lane5& out, const Lane5& s,
+                               const LaneField& f) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i mask =
+      _mm512_set1_epi64(static_cast<long long>(mpz::lanes::kMask52));
+  Lane5 keep, sub;
+  __m512i ck = zero, cs = zero;
+  for (std::size_t j = 0; j < kLimbs52; ++j) {
+    const __m512i v = _mm512_add_epi64(s.l[j], ck);
+    const __m512i w =
+        _mm512_add_epi64(_mm512_sub_epi64(s.l[j], f.two_p.l[j]), cs);
+    if (j + 1 < kLimbs52) {
+      ck = _mm512_srai_epi64(v, 52);
+      cs = _mm512_srai_epi64(w, 52);
+      keep.l[j] = _mm512_and_si512(v, mask);
+      sub.l[j] = _mm512_and_si512(w, mask);
+    } else {
+      keep.l[j] = v;
+      sub.l[j] = w;
+    }
+  }
+  const __mmask8 negative = _mm512_cmplt_epi64_mask(sub.l[kLimbs52 - 1], zero);
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    out.l[j] = _mm512_mask_blend_epi64(negative, sub.l[j], keep.l[j]);
+}
+
+// out = a + b and out = a - b mod p, for a, b < 2p; results below 2p.
+PPGR_IFMA_INLINE void fadd(Lane5& out, const Lane5& a, const Lane5& b,
+                           const LaneField& f) {
+  Lane5 s;
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    s.l[j] = _mm512_add_epi64(a.l[j], b.l[j]);
+  below_2p(out, s, f);
+}
+
+PPGR_IFMA_INLINE void fsub(Lane5& out, const Lane5& a, const Lane5& b,
+                           const LaneField& f) {
+  Lane5 s;
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    s.l[j] = _mm512_add_epi64(_mm512_sub_epi64(a.l[j], b.l[j]), f.two_p.l[j]);
+  below_2p(out, s, f);
+}
+
+// The lanes where h (below 2p, 52-bit limbs) is 0 mod p: h == 0 or h == p.
+PPGR_IFMA_INLINE __mmask8 zero_mod_p(const Lane5& h, const LaneField& f) {
+  const __m512i zero = _mm512_setzero_si512();
+  __mmask8 is_zero = 0xFF, is_p = 0xFF;
+  for (std::size_t j = 0; j < kLimbs52; ++j) {
+    is_zero &= _mm512_cmpeq_epi64_mask(h.l[j], zero);
+    is_p &= _mm512_cmpeq_epi64_mask(h.l[j], f.p.l[j]);
+  }
+  return is_zero | is_p;
+}
+
+// EcGroup::dbl's formulas in every lane, for finite points; returns the
+// lanes whose Y is 0 mod p (a point of order 2, which the scalar doubling
+// sends to the identity), where `out` is not 2P. `out` may alias pt.
+PPGR_IFMA __mmask8 lane_dbl(LanePoint& out, const LanePoint& pt,
+                            const LaneField& f) {
+  const __mmask8 order2 = zero_mod_p(pt.y, f);
+  Lane5 zz, yy, m, s, t, x3, z3;
+  fmul(zz, pt.z, pt.z, f);
+  fmul(yy, pt.y, pt.y, f);
+  if (f.a_is_minus3) {
+    fsub(t, pt.x, zz, f);
+    fadd(m, pt.x, zz, f);
+    fmul(m, m, t, f);
+  } else {
+    fmul(m, pt.x, pt.x, f);
+    fmul(t, zz, zz, f);
+    fmul(t, t, f.a, f);
+  }
+  fadd(s, m, m, f);
+  fadd(m, s, m, f);
+  if (!f.a_is_minus3) fadd(m, m, t, f);
+  fmul(s, pt.x, yy, f);
+  fadd(s, s, s, f);
+  fadd(s, s, s, f);
+  fmul(z3, pt.y, pt.z, f);
+  fadd(z3, z3, z3, f);
+  fmul(x3, m, m, f);
+  fsub(x3, x3, s, f);
+  fsub(x3, x3, s, f);
+  fsub(t, s, x3, f);
+  fmul(t, m, t, f);
+  fmul(yy, yy, yy, f);
+  fadd(yy, yy, yy, f);
+  fadd(yy, yy, yy, f);
+  fadd(yy, yy, yy, f);
+  fsub(out.y, t, yy, f);
+  out.x = x3;
+  out.z = z3;
+  return order2;
+}
+
+// The lanes of an addition whose operands are the same point up to sign:
+// H = U2 - U1 is 0 mod p in `same_x`; R = S2 - S1 is also 0 in `same_y`
+// (P = Q), not (P = -Q). The formulas' output in those lanes is not P + Q.
+struct Exceptions {
+  __mmask8 same_x, same_y;
+};
+
+// EcGroup::add's general formulas (16 products) in every lane, for finite
+// points. `out` may alias p or q.
+PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
+                              const LanePoint& q, const LaneField& f) {
+  Lane5 u1, u2, s1, s2, t, h, r, hh, hhh, v, x3, z3;
+  fmul(t, q.z, q.z, f);
+  fmul(u1, p.x, t, f);
+  fmul(t, t, q.z, f);
+  fmul(s1, p.y, t, f);
+  fmul(t, p.z, p.z, f);
+  fmul(u2, q.x, t, f);
+  fmul(t, t, p.z, f);
+  fmul(s2, q.y, t, f);
+  fsub(h, u2, u1, f);
+  fsub(r, s2, s1, f);
+  const Exceptions exceptional{zero_mod_p(h, f), zero_mod_p(r, f)};
+  fmul(hh, h, h, f);
+  fmul(hhh, hh, h, f);
+  fmul(v, u1, hh, f);
+  fmul(t, p.z, q.z, f);
+  fmul(z3, t, h, f);
+  fmul(x3, r, r, f);
+  fsub(x3, x3, hhh, f);
+  fsub(x3, x3, v, f);
+  fsub(x3, x3, v, f);
+  fsub(t, v, x3, f);
+  fmul(t, r, t, f);
+  fmul(s1, s1, hhh, f);
+  fsub(out.y, t, s1, f);
+  out.x = x3;
+  out.z = z3;
+  return exceptional;
+}
+
+// acc = v in the lanes of k.
+PPGR_IFMA_INLINE void blend(LanePoint& acc, __mmask8 k, const LanePoint& v) {
+  for (const auto c : kLaneCoords)
+    for (std::size_t j = 0; j < kLimbs52; ++j)
+      (acc.*c).l[j] = _mm512_mask_blend_epi64(k, (acc.*c).l[j], (v.*c).l[j]);
+}
+
+PPGR_IFMA_INLINE void store_point(PointTable& dst, const LanePoint& pt) {
+  for (std::size_t c = 0; c < 3; ++c) store5(dst[c], pt.*kLaneCoords[c]);
+}
+
+// One batch of eight ladders: lane l sets out[l] to the product over the N
+// terms of bases[i][l]^exps[i][l], where bases[i] and exps[i] each point at
+// eight consecutive values; the same Elem EcGroup::straus returns. Every
+// input is read before out is written. Returns false, with out untouched,
+// when a lane met an addition of a point and itself or a doubling of a
+// point of order 2.
+template <std::size_t N>
+PPGR_IFMA bool straus_lanes(const LaneArgs& args,
+                            const std::array<const Elem*, N>& bases,
+                            const std::array<const Nat*, N>& exps, Elem* out) {
+  const mpz::LaneConsts& c = args.consts;
+  LaneField f{};
+  f.p = broadcast(c.m);
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    f.two_p.l[j] = _mm512_add_epi64(f.p.l[j], f.p.l[j]);
+  f.k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
+  const Lane5 to_lane = broadcast(c.to_lane);
+  f.a_is_minus3 = args.a_is_minus3;
+  if (!f.a_is_minus3)
+    fmul(f.a, broadcast(mpz::lanes::to_radix52(args.a_mont)), to_lane, f);
+
+  // table[i][d]: bases[i]^d in every lane, for digits d = 1..15 (entry 0 is
+  // not used). live[i]: the lanes whose bases[i] is finite.
+  alignas(64) PointTable table[N][kDigits];
+  std::array<__mmask8, N> live{};
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const Elem& b = bases[i][l];
+      if (!b.infinity) {
+        live[i] |= static_cast<__mmask8>(1u << l);
+        bits = std::max(bits, exps[i][l].bit_length());
+      }
+      for (std::size_t k = 0; k < 3; ++k) {
+        const auto x = mpz::lanes::to_radix52(
+            (b.infinity ? args.stand_in : b).*kElemCoords[k]);
+        for (std::size_t j = 0; j < kLimbs52; ++j) table[i][1][k][j][l] = x[j];
+      }
+    }
+    LanePoint base;
+    for (std::size_t k = 0; k < 3; ++k) {
+      Lane5& coord = base.*kLaneCoords[k];
+      coord = load5(table[i][1][k]);
+      fmul(coord, coord, to_lane, f);
+    }
+    store_point(table[i][1], base);
+    LanePoint pd;
+    if (lane_dbl(pd, base, f) != 0) return false;
+    store_point(table[i][2], pd);
+    for (std::size_t d = 3; d < kDigits; ++d) {
+      if (lane_add(pd, pd, base, f).same_x != 0) return false;
+      store_point(table[i][d], pd);
+    }
+  }
+
+  LanePoint acc{};
+  __mmask8 acc_inf = 0xFF;  // lanes whose accumulator is the identity
+  for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
+    if (acc_inf != 0xFF) {
+      __mmask8 order2 = 0;
+      for (std::size_t s = 0; s < kWindow; ++s) order2 |= lane_dbl(acc, acc, f);
+      if ((order2 & static_cast<__mmask8>(~acc_inf)) != 0) return false;
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      // Lane l's entry for digit d starts d * sizeof(PointTable) + l limbs
+      // into table[i]; a zero digit reads entry 1 and is masked off.
+      alignas(64) Limb offset[kLanes];
+      __mmask8 active = 0;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const unsigned d =
+            (live[i] >> l & 1) != 0 ? nibble(exps[i][l], w * kWindow) : 0;
+        if (d != 0) active |= static_cast<__mmask8>(1u << l);
+        offset[l] = std::max(d, 1u) * 3 * kLimbs52 * kLanes + l;
+      }
+      if (active == 0) continue;
+      const __m512i idx = _mm512_load_si512(offset);
+      LanePoint q;
+      for (std::size_t k = 0; k < 3; ++k)
+        for (std::size_t j = 0; j < kLimbs52; ++j)
+          (q.*kLaneCoords[k]).l[j] =
+              _mm512_i64gather_epi64(idx, table[i][0][k][j], 8);
+      const __mmask8 adding = active & static_cast<__mmask8>(~acc_inf);
+      __mmask8 cancelled = 0;
+      if (adding != 0) {
+        LanePoint sum;
+        const Exceptions ex = lane_add(sum, acc, q, f);
+        if ((ex.same_x & ex.same_y & adding) != 0) return false;  // P = Q
+        cancelled = ex.same_x & adding;  // P = -Q: the identity
+        blend(acc, adding & static_cast<__mmask8>(~cancelled), sum);
+      }
+      blend(acc, active & acc_inf, q);
+      acc_inf = (acc_inf & static_cast<__mmask8>(~active)) | cancelled;
+    }
+  }
+
+  // Leave the lane domain, then reduce each lane fully.
+  const Lane5 from_lane = broadcast(c.from_lane);
+  alignas(64) PointTable res;
+  for (std::size_t k = 0; k < 3; ++k) {
+    Lane5 v;
+    fmul(v, acc.*kLaneCoords[k], from_lane, f);
+    store5(res[k], v);
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if ((acc_inf >> l & 1) != 0) {
+      out[l] = Elem{.infinity = true};
+      continue;
+    }
+    Elem e;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const Limb r[kLimbs52] = {res[k][0][l], res[k][1][l], res[k][2][l],
+                                res[k][3][l], res[k][4][l]};
+      Limb x[4] = {};
+      mpz::lanes::from_radix52(x, r, args.p64);
+      e.*kElemCoords[k] = Nat::from_limbs({x, args.k});
+    }
+    out[l] = std::move(e);
+  }
+  return true;
+}
+
+#pragma GCC diagnostic pop
+#endif  // __x86_64__
+
 }  // namespace
 
 // Jacobian <-> affine convention: x = X/Z^2, y = Y/Z^3; the identity has
@@ -47,6 +402,9 @@ EcGroup::EcGroup(CurveParams params)
   if (!on_curve(load(gx), load(gy)))
     throw std::invalid_argument("EcGroup: base point not on curve");
   gen_ = Elem{.a = gx, .b = gy, .c = field_.one()};
+  if (mpz::lanes::cpu_has_avx512ifma())
+    lanes_ = mpz::lanes::lane_consts(params_.p, field_.one(),
+                                     field_.mont().limbs());
 }
 
 // out = a + b mod p, for a, b < p: the sum, minus p unless that borrows
@@ -316,6 +674,46 @@ Elem EcGroup::exp(const Elem& base, const Nat& scalar) const {
 Elem EcGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                        const Nat& ey) const {
   return box(straus<2>({&x, &y}, {&ex, &ey}));
+}
+
+void EcGroup::exp_many(std::span<const Elem> bases,
+                       std::span<const Nat> scalars,
+                       std::span<Elem> out) const {
+  if (bases.size() != out.size() || scalars.size() != out.size())
+    throw std::invalid_argument("EcGroup::exp_many: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (lanes_.has_value()) {
+    const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
+                        field_.mont().limbs()};
+    for (; out.size() - i >= kLanes; i += kLanes)
+      if (!straus_lanes<1>(args, {&bases[i]}, {&scalars[i]}, &out[i]))
+        for (std::size_t l = i; l < i + kLanes; ++l)
+          out[l] = exp(bases[l], scalars[l]);
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = exp(bases[i], scalars[i]);
+}
+
+void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                            std::span<const Elem> ys, std::span<const Nat> eys,
+                            std::span<Elem> out) const {
+  if (xs.size() != out.size() || exs.size() != out.size() ||
+      ys.size() != out.size() || eys.size() != out.size())
+    throw std::invalid_argument("EcGroup::dual_exp_many: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (lanes_.has_value()) {
+    const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
+                        field_.mont().limbs()};
+    for (; out.size() - i >= kLanes; i += kLanes)
+      if (!straus_lanes<2>(args, {&xs[i], &ys[i]}, {&exs[i], &eys[i]},
+                           &out[i]))
+        for (std::size_t l = i; l < i + kLanes; ++l)
+          out[l] = dual_exp(xs[l], exs[l], ys[l], eys[l]);
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }
 
 Elem EcGroup::exp_g(const Nat& scalar) const {

@@ -14,12 +14,16 @@
 // to 256 bits), with products through the field's MontCtx kernel
 // (MontCtx::mul_limbs) and additions mod p in place; an Elem is loaded at
 // the entry of each call and boxed at its exit. Doubling uses the a = -3
-// form on the NIST curves and the general-a form otherwise.
+// form on the NIST curves and the general-a form otherwise. The batch forms
+// (exp_many / dual_exp_many) run 8 ladders per AVX-512 IFMA vector on CPUs
+// that have it, and the scalar ladder otherwise; both return the same Elem
+// (DESIGN.md Sec. 5e).
 #pragma once
 
 #include <array>
-#include <mutex>
 #include <memory>
+#include <mutex>
+#include <optional>
 
 #include "group/fixed_base.h"
 #include "group/group.h"
@@ -58,6 +62,21 @@ class EcGroup final : public Group {
   /// table per base and one shared run of doublings.
   [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                               const Nat& ey) const override;
+  /// Batch forms, element-identical to exp / dual_exp (the same Jacobian
+  /// triple, not only the same point). On an IFMA CPU each full batch of 8
+  /// runs as 8 lane-wise ladders; a batch in which a lane adds a point to
+  /// itself or doubles a point of order 2, and every element past the last
+  /// full batch, runs on the scalar ladder.
+  void exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
+                std::span<Elem> out) const override;
+  void dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
+                     std::span<const Elem> ys, std::span<const Nat> eys,
+                     std::span<Elem> out) const override;
+  /// Ladders the batch forms run per step: 8 on the IFMA path, 1 on the
+  /// scalar ladder. The CPU alone decides (every shipped field qualifies).
+  [[nodiscard]] std::size_t batch_lanes() const {
+    return lanes_.has_value() ? 8 : 1;
+  }
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override {
@@ -130,6 +149,7 @@ class EcGroup final : public Group {
   Fe one_;     // 1 in Montgomery form
   bool a_is_minus3_ = false;
   Elem gen_;
+  std::optional<mpz::LaneConsts> lanes_;  // set iff batch_lanes() == 8
   // Lazily built comb table for the generator; call_once-guarded so
   // concurrent exp_g calls from the parallel engine are race-free.
   mutable std::once_flag gen_table_once_;

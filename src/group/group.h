@@ -105,8 +105,11 @@ class Group {
   /// one-by-one calls. Every span has out.size() elements
   /// (std::invalid_argument otherwise), and out must not overlap an input.
   /// The defaults loop. SchnorrGroup hands whole batches to MontCtx's batch
-  /// ladders (8 ladders per AVX-512 IFMA vector on 4-limb moduli);
-  /// MeteredGroup counts out.size() calls of kGroupExp / kGroupDualExp.
+  /// ladders (8 ladders per AVX-512 IFMA vector on 4-limb moduli), and
+  /// EcGroup overrides both forms with its own 8-lane Jacobian ladders on
+  /// the same CPUs (the same Jacobian triples as its exp / dual_exp);
+  /// MockGroup keeps the loops. MeteredGroup counts out.size() calls of
+  /// kGroupExp / kGroupDualExp and forwards.
   virtual void exp_many(std::span<const Elem> bases,
                         std::span<const Nat> scalars,
                         std::span<Elem> out) const;

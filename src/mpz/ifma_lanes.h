@@ -1,0 +1,167 @@
+// Shared primitives of the 8-lane AVX-512 IFMA ladders. Internal: included
+// by mont.cpp (MontCtx's batch ladders) and group/ec_group.cpp (EcGroup's
+// batch ladders), not part of the library's interface.
+//
+// Eight independent ladders run side by side, one per 64-bit lane of a zmm
+// register: a residue is five registers, register j holding radix-2^52 limb
+// j of all eight lanes. vpmadd52{lo,hi}uq multiply the low 52 bits of two
+// lanes and add the low or high half of the 104-bit product to a 64-bit
+// accumulator, so the accumulators absorb the carries until one final
+// normalization (Gueron-Krasnov, ARITH 2016).
+//
+// The product is an almost-Montgomery multiplication (AMM) with R' = 2^260:
+// for a, b < 2m it returns a*b/R' mod m, below 2m, since
+// (a*b + U*m)/R' < (4m^2 + R'm)/R' < 2m whenever 4m < R' (m < 2^256 here).
+// Residues in the lane domain (x*R' mod m, below 2m) are never fully
+// reduced inside a ladder. A ladder enters the lane domain from a 64-bit
+// Montgomery residue x*2^(64k) (k limbs) by one product with 2^(520-64k)
+// mod m, and leaves it by one product with 2^(64k) mod m and one final
+// subtraction of m, so its result is the fully reduced residue the scalar
+// ladders return.
+#pragma once
+
+#include <array>
+#include <cstddef>
+
+#include "mpz/mont.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+namespace ppgr::mpz::lanes {
+
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kLimbs52 = 5;
+constexpr Limb kMask52 = (Limb{1} << 52) - 1;
+
+/// x < 2^256, given as four 64-bit limbs, as five 52-bit limbs.
+inline std::array<Limb, kLimbs52> to_radix52(const Limb* l) {
+  return {l[0] & kMask52, ((l[0] >> 52) | (l[1] << 12)) & kMask52,
+          ((l[1] >> 40) | (l[2] << 24)) & kMask52,
+          ((l[2] >> 28) | (l[3] << 36)) & kMask52, l[3] >> 16};
+}
+
+/// x < 2^256 as five 52-bit limbs.
+inline std::array<Limb, kLimbs52> to_radix52(const Nat& x) {
+  Limb l[4] = {};
+  const auto src = x.limbs();
+  for (std::size_t j = 0; j < src.size() && j < 4; ++j) l[j] = src[j];
+  return to_radix52(l);
+}
+
+/// The lane-domain value r < 2m (five 52-bit limbs) fully reduced to four
+/// 64-bit limbs: r - m unless that borrows, else r. m64 is m on four limbs,
+/// zero-padded.
+inline void from_radix52(Limb* out, const Limb* r, const Limb* m64) {
+  const Limb x[5] = {r[0] | (r[1] << 52), (r[1] >> 12) | (r[2] << 40),
+                     (r[2] >> 24) | (r[3] << 28), (r[3] >> 36) | (r[4] << 16),
+                     r[4] >> 48};
+  Limb d[4] = {};
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < 4; ++j) {
+    const unsigned __int128 t =
+        static_cast<unsigned __int128>(x[j]) - m64[j] - borrow;
+    d[j] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb* keep = x[4] >= borrow ? d : x;
+  for (std::size_t j = 0; j < 4; ++j) out[j] = keep[j];
+}
+
+/// The lane constants of the odd modulus m < 2^256 for Montgomery residues
+/// on k <= 4 limbs, given r_mod_m = 2^(64k) mod m: one = 2^260, to_lane =
+/// 2^(520-64k) and from_lane = 2^(64k), all mod m, found by modular
+/// doublings (no division). Defined in mont.cpp.
+[[nodiscard]] LaneConsts lane_consts(const Nat& m, const Nat& r_mod_m,
+                                     std::size_t k);
+
+/// True when this CPU supports AVX-512F and AVX-512 IFMA (libgcc reports
+/// them only when the OS saves the zmm state), i.e. can run the lanes.
+inline bool cpu_has_avx512ifma() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512ifma");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+#if defined(__x86_64__)
+// Compiled for AVX-512 IFMA without a global -m flag: lane code runs only
+// after cpu_has_avx512ifma(), so the binary still runs on any x86-64 CPU.
+#define PPGR_IFMA __attribute__((target("avx512f,avx512ifma")))
+#define PPGR_IFMA_INLINE \
+  __attribute__((target("avx512f,avx512ifma"), always_inline)) inline
+
+/// One residue per lane: l[j] holds 52-bit limb j of all eight lanes.
+struct Lane5 {
+  __m512i l[kLimbs52];
+};
+
+/// AMM over all eight lanes: out = a*b/2^260 mod m, below 2m, with 52-bit
+/// limbs, for a, b < 2m with 52-bit limbs. `out` may alias a or b.
+PPGR_IFMA_INLINE void amm8(Lane5& out, const Lane5& a, const Lane5& b,
+                           const Lane5& m, __m512i k0) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i t[kLimbs52 + 1] = {zero, zero, zero, zero, zero, zero};
+#pragma GCC unroll 5
+  for (std::size_t i = 0; i < kLimbs52; ++i) {
+    const __m512i ai = a.l[i];
+    // t += a_i * b; u = t_0 * k0 mod 2^52 (madd52lo of a zero accumulator
+    // is already below 2^52).
+    t[0] = _mm512_madd52lo_epu64(t[0], ai, b.l[0]);
+    const __m512i u = _mm512_madd52lo_epu64(zero, t[0], k0);
+    t[1] = _mm512_madd52hi_epu64(t[1], ai, b.l[0]);
+#pragma GCC unroll 5
+    for (std::size_t j = 1; j < kLimbs52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], ai, b.l[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, b.l[j]);
+    }
+    // t += u * m, which clears t_0's low 52 bits; then t >>= 52.
+#pragma GCC unroll 5
+    for (std::size_t j = 0; j < kLimbs52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], u, m.l[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], u, m.l[j]);
+    }
+    t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
+#pragma GCC unroll 5
+    for (std::size_t j = 0; j < kLimbs52; ++j) t[j] = t[j + 1];
+    t[kLimbs52] = zero;
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+#pragma GCC unroll 5
+  for (std::size_t j = 0; j + 1 < kLimbs52; ++j) {
+    t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64(t[j], 52));
+    out.l[j] = _mm512_and_si512(t[j], mask);
+  }
+  out.l[kLimbs52 - 1] = t[kLimbs52 - 1];
+}
+
+/// x in all eight lanes.
+PPGR_IFMA_INLINE Lane5 broadcast(const std::array<Limb, kLimbs52>& x) {
+  Lane5 v;
+  for (std::size_t j = 0; j < kLimbs52; ++j)
+    v.l[j] = _mm512_set1_epi64(static_cast<long long>(x[j]));
+  return v;
+}
+
+/// One residue per lane, in memory: [limb][lane].
+using LaneTable = Limb[kLimbs52][kLanes];
+
+PPGR_IFMA_INLINE void store5(LaneTable& dst, const Lane5& v) {
+  for (std::size_t j = 0; j < kLimbs52; ++j) _mm512_store_si512(dst[j], v.l[j]);
+}
+
+PPGR_IFMA_INLINE Lane5 load5(const LaneTable& src) {
+  Lane5 v;
+  for (std::size_t j = 0; j < kLimbs52; ++j) v.l[j] = _mm512_load_si512(src[j]);
+  return v;
+}
+#endif  // __x86_64__
+
+}  // namespace ppgr::mpz::lanes

@@ -5,11 +5,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "mpz/ifma_lanes.h"
 #include "mpz/modarith.h"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace ppgr::mpz {
 
@@ -306,52 +303,15 @@ Nat straus_ladder(const Kern& mul, const std::array<const Nat*, N>& bases,
 
 // ---- 8-lane batch ladders: AVX-512 IFMA, 4-limb moduli ----
 //
-// Eight independent ladders run side by side, one per 64-bit lane of a zmm
-// register: a residue is five registers, register j holding radix-2^52 limb
-// j of all eight lanes. vpmadd52{lo,hi}uq multiply the low 52 bits of two
-// lanes and add the low or high half of the 104-bit product to a 64-bit
-// accumulator, so the accumulators absorb the carries until one final
-// normalization (Gueron-Krasnov, ARITH 2016).
-//
-// The product is an almost-Montgomery multiplication (AMM) with R' = 2^260:
-// for a, b < 2p it returns a*b/R' mod p, below 2p, since
-// (a*b + U*p)/R' < (4p^2 + R'p)/R' < 2p whenever 4p < R' (p < 2^256 here).
-// Residues in the lane domain (x*R' mod p, below 2p) are never fully
-// reduced inside the ladder; entry multiplies a 64-bit Montgomery residue
-// (x*2^256) by 2^264 mod p, exit multiplies by 2^256 mod p and subtracts p
-// once, so the result is the fully reduced residue the scalar ladder
-// returns. The schedule is straus_ladder's; every lane looks up its own
-// digit (vpgatherqq), and table entry 0 is the lane domain's one, so a zero
-// digit multiplies by one and all lanes run the same sequence of products.
+// The lane arithmetic (radix-2^52 residues, the almost-Montgomery product
+// amm8 and the lane domain) is shared with EcGroup's ladders; see
+// mpz/ifma_lanes.h. The schedule is straus_ladder's; every lane looks up its
+// own digit (vpgatherqq), and table entry 0 is the lane domain's one, so a
+// zero digit multiplies by one and all lanes run the same sequence of
+// products.
 
-constexpr std::size_t kLanes = 8;
-constexpr std::size_t kLimbs52 = 5;
-constexpr Limb kMask52 = (Limb{1} << 52) - 1;
-
-// x < 2^256 as five 52-bit limbs.
-std::array<Limb, kLimbs52> to_radix52(const Nat& x) {
-  Limb l[4] = {};
-  load(l, x, 4);
-  return {l[0] & kMask52, ((l[0] >> 52) | (l[1] << 12)) & kMask52,
-          ((l[1] >> 40) | (l[2] << 24)) & kMask52,
-          ((l[2] >> 28) | (l[3] << 36)) & kMask52, l[3] >> 16};
-}
-
-// True when this CPU supports AVX-512F and AVX-512 IFMA (libgcc reports
-// them only when the OS saves the zmm state), i.e. can run the 8-lane
-// ladders.
-bool cpu_has_avx512ifma() {
-#if defined(__x86_64__)
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512ifma");
-  }();
-  return has;
-#else
-  return false;
-#endif
-}
+using lanes::kLanes;
+using lanes::kLimbs52;
 
 #if defined(__x86_64__)
 #pragma GCC diagnostic push
@@ -361,74 +321,12 @@ bool cpu_has_avx512ifma() {
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-// Compiled for AVX-512 IFMA without a global -m flag: the code runs only
-// after cpu_has_avx512ifma(), so the binary still runs on any x86-64 CPU.
-#define PPGR_IFMA __attribute__((target("avx512f,avx512ifma")))
-#define PPGR_IFMA_INLINE \
-  __attribute__((target("avx512f,avx512ifma"), always_inline)) inline
-
-struct Lane5 {
-  __m512i l[kLimbs52];
-};
-
-// AMM over all eight lanes: out = a*b/2^260 mod m, below 2m, with 52-bit
-// limbs, for a, b < 2m with 52-bit limbs. `out` may alias a or b.
-PPGR_IFMA_INLINE void amm8(Lane5& out, const Lane5& a, const Lane5& b,
-                           const Lane5& m, __m512i k0) {
-  const __m512i zero = _mm512_setzero_si512();
-  __m512i t[kLimbs52 + 1] = {zero, zero, zero, zero, zero, zero};
-#pragma GCC unroll 5
-  for (std::size_t i = 0; i < kLimbs52; ++i) {
-    const __m512i ai = a.l[i];
-    // t += a_i * b; u = t_0 * k0 mod 2^52 (madd52lo of a zero accumulator
-    // is already below 2^52).
-    t[0] = _mm512_madd52lo_epu64(t[0], ai, b.l[0]);
-    const __m512i u = _mm512_madd52lo_epu64(zero, t[0], k0);
-    t[1] = _mm512_madd52hi_epu64(t[1], ai, b.l[0]);
-#pragma GCC unroll 5
-    for (std::size_t j = 1; j < kLimbs52; ++j) {
-      t[j] = _mm512_madd52lo_epu64(t[j], ai, b.l[j]);
-      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, b.l[j]);
-    }
-    // t += u * m, which clears t_0's low 52 bits; then t >>= 52.
-#pragma GCC unroll 5
-    for (std::size_t j = 0; j < kLimbs52; ++j) {
-      t[j] = _mm512_madd52lo_epu64(t[j], u, m.l[j]);
-      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], u, m.l[j]);
-    }
-    t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
-#pragma GCC unroll 5
-    for (std::size_t j = 0; j < kLimbs52; ++j) t[j] = t[j + 1];
-    t[kLimbs52] = zero;
-  }
-  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
-#pragma GCC unroll 5
-  for (std::size_t j = 0; j + 1 < kLimbs52; ++j) {
-    t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64(t[j], 52));
-    out.l[j] = _mm512_and_si512(t[j], mask);
-  }
-  out.l[kLimbs52 - 1] = t[kLimbs52 - 1];
-}
-
-PPGR_IFMA_INLINE Lane5 broadcast(const std::array<Limb, kLimbs52>& x) {
-  Lane5 v;
-  for (std::size_t j = 0; j < kLimbs52; ++j)
-    v.l[j] = _mm512_set1_epi64(static_cast<long long>(x[j]));
-  return v;
-}
-
-// One lane-domain residue per lane, in memory: [limb][lane].
-using LaneTable = Limb[kLimbs52][kLanes];
-
-PPGR_IFMA_INLINE void store5(LaneTable& dst, const Lane5& v) {
-  for (std::size_t j = 0; j < kLimbs52; ++j) _mm512_store_si512(dst[j], v.l[j]);
-}
-
-PPGR_IFMA_INLINE Lane5 load5(const LaneTable& src) {
-  Lane5 v;
-  for (std::size_t j = 0; j < kLimbs52; ++j) v.l[j] = _mm512_load_si512(src[j]);
-  return v;
-}
+using lanes::amm8;
+using lanes::broadcast;
+using lanes::Lane5;
+using lanes::LaneTable;
+using lanes::load5;
+using lanes::store5;
 
 // One batch of eight ladders: lane l sets out[l] to the product over the N
 // terms of bases[i][l]^exps[i][l], where bases[i] and exps[i] each point at
@@ -446,7 +344,7 @@ PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
     for (std::size_t l = 0; l < kLanes; ++l) {
-      const auto x = to_radix52(bases[i][l]);
+      const auto x = lanes::to_radix52(bases[i][l]);
       for (std::size_t j = 0; j < kLimbs52; ++j) table[i][1][j][l] = x[j];
       bits = std::max(bits, exps[i][l].bit_length());
     }
@@ -487,26 +385,14 @@ PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
   alignas(64) LaneTable res;
   store5(res, acc);
   for (std::size_t l = 0; l < kLanes; ++l) {
-    // Back to 64-bit limbs (the value is below 2m < 2^257), then subtract m
-    // unless that borrows.
-    const Limb r0 = res[0][l], r1 = res[1][l], r2 = res[2][l],
-               r3 = res[3][l], r4 = res[4][l];
-    const Limb x[5] = {r0 | (r1 << 52), (r1 >> 12) | (r2 << 40),
-                       (r2 >> 24) | (r3 << 28), (r3 >> 36) | (r4 << 16),
-                       r4 >> 48};
-    Limb d[4] = {};
-    Limb borrow = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const U128 t = static_cast<U128>(x[j]) - m64[j] - borrow;
-      d[j] = static_cast<Limb>(t);
-      borrow = static_cast<Limb>(t >> 64) & 1;
-    }
-    out[l] = Nat::from_limbs({x[4] >= borrow ? d : x, 4});
+    const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
+                              res[4][l]};
+    Limb x[4] = {};
+    lanes::from_radix52(x, r, m64);
+    out[l] = Nat::from_limbs({x, 4});
   }
 }
 
-#undef PPGR_IFMA
-#undef PPGR_IFMA_INLINE
 #pragma GCC diagnostic pop
 #endif  // __x86_64__
 
@@ -545,6 +431,24 @@ void mont_mul4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
   cios4_adx(out, a, b, m, n0inv);
 }
 
+LaneConsts lanes::lane_consts(const Nat& m, const Nat& r_mod_m,
+                              std::size_t k) {
+  // x * 2^(260 - 64k) mod m by modular doublings of x < m.
+  const auto up = [&](Nat x) {
+    for (std::size_t s = 64 * k; s < 260; ++s) {
+      x = Nat::add(x, x);
+      if (x >= m) x = Nat::sub(x, m);
+    }
+    return x;
+  };
+  const Nat one = up(r_mod_m);
+  return LaneConsts{.m = lanes::to_radix52(m),
+                    .one = lanes::to_radix52(one),
+                    .to_lane = lanes::to_radix52(up(one)),
+                    .from_lane = lanes::to_radix52(r_mod_m),
+                    .k0 = neg_inv64(m.limb(0)) & lanes::kMask52};
+}
+
 MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
   if (m_.is_even() || m_ <= Nat{1})
     throw std::invalid_argument("MontCtx: modulus must be odd and > 1");
@@ -561,22 +465,8 @@ MontCtx::MontCtx(Nat modulus) : m_(std::move(modulus)) {
   }
   r_mod_m_ = Nat::pow2(64 * k_) % m_;
   rr_ = Nat::pow2(128 * k_) % m_;
-  if (k_ == 4 && cpu_has_avx512ifma()) {
-    // 2^260 and 2^264 mod m by doubling 2^256 mod m: no further division.
-    const auto times16 = [&](Nat x) {
-      for (int s = 0; s < 4; ++s) {
-        x = Nat::add(x, x);
-        if (x >= m_) x = Nat::sub(x, m_);
-      }
-      return x;
-    };
-    const Nat one = times16(r_mod_m_);
-    lanes_ = LaneConsts{.m = to_radix52(m_),
-                        .one = to_radix52(one),
-                        .to_lane = to_radix52(times16(one)),
-                        .from_lane = to_radix52(r_mod_m_),
-                        .k0 = n0inv_ & kMask52};
-  }
+  if (k_ == 4 && lanes::cpu_has_avx512ifma())
+    lanes_ = lanes::lane_consts(m_, r_mod_m_, k_);
 }
 
 template <class F>

@@ -41,9 +41,10 @@ void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
 void mont_mul4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
                    Limb n0inv);
 
-/// Radix-2^52 constants of MontCtx's 8-lane ladders, each a 5-limb value:
-/// the modulus, one in the lane domain (2^260 mod m), and the entry and exit
-/// factors 2^264 and 2^256 mod m (see mont.cpp).
+/// Radix-2^52 constants of the 8-lane ladders (MontCtx's and EcGroup's),
+/// each a 5-limb value: the modulus, one in the lane domain (2^260 mod m),
+/// and the entry and exit factors 2^(520-64k) and 2^(64k) mod m for
+/// Montgomery residues on k limbs (see mpz/ifma_lanes.h).
 struct LaneConsts {
   std::array<Limb, 5> m, one, to_lane, from_lane;
   Limb k0;  // -m^{-1} mod 2^52

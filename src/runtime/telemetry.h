@@ -33,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "runtime/metrics.h"
 
@@ -53,11 +54,19 @@ enum class HealthState : std::uint8_t { kOk = 0, kDegraded = 1, kStalled = 2 };
 /// tolerates it being one advance behind.
 class ProgressCell {
  public:
+  /// Called by the writer after each advance is published, on the writer's
+  /// thread. A test seam (EngineConfig::on_progress): a hook that blocks
+  /// holds the session at that step, visible to readers.
+  using Hook = std::function<void(Phase phase, std::size_t round)>;
+
   ProgressCell() : state_(0), last_advance_s_(metrics_now_seconds()) {}
+  /// Set before the writer starts; null = no hook.
+  void set_hook(Hook hook) { hook_ = std::move(hook); }
 
   void advance(Phase phase, std::size_t round) {
     state_.store(pack(phase, round), std::memory_order_relaxed);
     last_advance_s_.store(metrics_now_seconds(), std::memory_order_relaxed);
+    if (hook_) hook_(phase, round);
   }
 
   struct View {
@@ -80,6 +89,7 @@ class ProgressCell {
   }
   std::atomic<std::uint64_t> state_;
   std::atomic<double> last_advance_s_;
+  Hook hook_;
 };
 
 // latency_quantile_seconds (the binade p50/p99 estimator) lives in

@@ -7,11 +7,16 @@
 // y^2 = x^3 + 2x + 3 over F_97 (order 100 = 2^2 * 5^2, subgroup of prime
 // order 5 for the Group wrapper) — compute the full group table by brute
 // force from the curve equation, and check EVERY addition against the
-// implementation.
+// implementation. The batch forms (exp_many / dual_exp_many, 8-lane
+// ladders on IFMA CPUs) run over every point too: small orders make their
+// exceptional cases (P + P, P + (-P), doublings of points of order 2)
+// common here, where the NIST curves almost never meet them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "group/ec_group.h"
 
@@ -200,6 +205,88 @@ TEST_F(TinyCurve, ScalarMultiplicationMatchesRepeatedAddition) {
     if (++tested >= 3) break;
   }
   EXPECT_GT(tested, 0);
+}
+
+TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
+  // exp_many / dual_exp_many over every point of the curve (the identity and
+  // the points of order 2, 4, 5, 10, ... included) in batches of 8: each
+  // element must be the k-fold reference sum and exactly the scalar
+  // ladder's Jacobian triple. On an IFMA CPU the batches run the 8-lane
+  // ladders, where small orders make P + (-P), P + P and doublings of
+  // order-2 points common. A base of order at most 15 sends its batch to
+  // the scalar ladder while its digit table is built, so the points are
+  // sorted by descending order: the first batches hold only bases of order
+  // 20 and above, whose ladders run on the lanes to the end or to a P + P.
+  auto pts = enumerate_curve();
+  auto order = [](const AffinePt& p) {
+    std::uint64_t ord = 1;
+    for (AffinePt acc = p; !acc.inf; acc = ref_add(acc, p)) ++ord;
+    return p.inf ? 1 : ord;
+  };
+  std::stable_sort(pts.begin(), pts.end(),
+                   [&](const AffinePt& a, const AffinePt& b) {
+                     return order(a) > order(b);
+                   });
+  const EcGroup curve = make(pts[1], 5);
+  auto lift = [&](const AffinePt& p) {
+    return p.inf ? curve.identity() : curve.from_affine(Nat{p.x}, Nat{p.y});
+  };
+  auto drop = [&](const Elem& e) {
+    if (curve.is_identity(e)) return AffinePt{.inf = true};
+    const auto [x, y] = curve.to_affine(e);
+    return AffinePt{.x = x.to_limb(), .y = y.to_limb()};
+  };
+  auto ref_mul = [](std::uint64_t k, const AffinePt& p) {
+    AffinePt acc{.inf = true};
+    for (std::uint64_t i = 0; i < k; ++i) acc = ref_add(acc, p);
+    return acc;
+  };
+  auto same = [](const Elem& got, const Elem& want) {
+    return got.infinity == want.infinity && got.a == want.a &&
+           got.b == want.b && got.c == want.c;
+  };
+  const std::size_t n = pts.size() - pts.size() % 8;  // full batches only
+  std::vector<Elem> xs, ys, out(n), dual(n);
+  std::vector<Nat> ks, ls;
+  for (std::size_t i = 0; i < n; ++i) {
+    xs.push_back(lift(pts[i]));
+    ys.push_back(lift(pts[(i * 7 + 3) % pts.size()]));
+    ks.push_back(Nat{(i * 13 + 5) % 53});
+    ls.push_back(Nat{(i * 11) % 47});
+  }
+  curve.exp_many(xs, ks, out);
+  curve.dual_exp_many(xs, ks, ys, ls, dual);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = ks[i].to_limb(), l = ls[i].to_limb();
+    const AffinePt& p = pts[i];
+    const AffinePt& q = pts[(i * 7 + 3) % pts.size()];
+    EXPECT_EQ(drop(out[i]), ref_mul(k, p)) << "exp_many, element " << i;
+    EXPECT_TRUE(same(out[i], curve.exp(xs[i], ks[i])))
+        << "exp_many, element " << i;
+    EXPECT_EQ(drop(dual[i]), ref_add(ref_mul(k, p), ref_mul(l, q)))
+        << "dual_exp_many, element " << i;
+    EXPECT_TRUE(same(dual[i], curve.dual_exp(xs[i], ks[i], ys[i], ls[i])))
+        << "dual_exp_many, element " << i;
+  }
+
+  // One batch whose first lane doubles a point of order 2 mid-ladder: the
+  // scalar (o/2)·16 + 1 on a base of even order o brings the accumulator to
+  // (o/2)·P, of order 2, right before a window's doublings. The other lanes
+  // are single-window scalars, which meet no exceptional operation.
+  const AffinePt& p = pts.front();
+  const std::uint64_t o = order(p);
+  ASSERT_EQ(o % 2, 0u);
+  const std::vector<Elem> same_base(8, lift(p));
+  const std::vector<Nat> scalars{Nat{o / 2 * 16 + 1}, Nat{1}, Nat{2}, Nat{3},
+                                 Nat{5}, Nat{7}, Nat{11}, Nat{13}};
+  std::vector<Elem> batch(8);
+  curve.exp_many(same_base, scalars, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(drop(batch[i]), ref_mul(scalars[i].to_limb(), p))
+        << "order-2 doubling batch, lane " << i;
+    EXPECT_TRUE(same(batch[i], curve.exp(same_base[i], scalars[i])))
+        << "order-2 doubling batch, lane " << i;
+  }
 }
 
 }  // namespace

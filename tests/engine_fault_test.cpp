@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -243,61 +246,73 @@ TEST(EngineFault, RejectionMessagesNameTheSession) {
 // the test uses the `stall_deadline_s <= 0` hook (flags any in-flight
 // session) instead of waiting out a wall-clock deadline.
 TEST(EngineFault, WatchdogReportsCrashSessionStalledThenFault) {
+  // A doomed session is only a few milliseconds of real work before its
+  // phase-2 crash. The on_progress seam holds it at its first phase-2
+  // advance (the crash point activates right after it) until the observer
+  // has taken its snapshot, so the observation never races the scheduler.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false, released = false;
+  const auto release = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  };
   EngineConfig cfg;
   cfg.seed = 59;
   cfg.max_in_flight = 1;
+  cfg.on_progress = [&](std::uint64_t, runtime::Phase phase, std::size_t) {
+    if (phase != runtime::Phase::kPhase2) return;
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
   SessionEngine engine{cfg};
 
-  // A doomed session is only a few milliseconds of real work before its
-  // phase-2 crash, so on a busy/single-core host the scheduler can run it
-  // to completion between two snapshots of the observer thread. Each
-  // attempt observes with high probability; fresh doomed sessions are
-  // submitted until one is caught in flight.
-  bool saw_stalled = false;
-  std::uint64_t sticky_stalls = 0;
-  std::size_t attempts = 0;
-  for (; attempts < 20 && !saw_stalled; ++attempts) {
-    const std::uint64_t sid = 21 + attempts;
-    RankingRequest doomed = make_request(sid, /*n=*/12, /*k=*/2);
-    doomed.fault_plan = net::parse_fault_plan("crash=2@2");
-    doomed.fault_plan.seed = 121 + attempts;
-    engine.submit(std::move(doomed));
+  constexpr std::uint64_t kSid = 21;
+  RankingRequest doomed = make_request(kSid, /*n=*/12, /*k=*/2);
+  doomed.fault_plan = net::parse_fault_plan("crash=2@2");
+  doomed.fault_plan.seed = 121;
+  engine.submit(std::move(doomed));
 
-    for (;;) {
-      const EngineSnapshot s = snapshot(engine, /*stall_deadline_s=*/0.0);
-      if (!s.sessions.empty()) {
-        const SessionTelemetry& t = s.sessions.front();
-        EXPECT_EQ(t.id, sid);
-        EXPECT_TRUE(t.stalled);  // zero deadline flags any live session
-        saw_stalled = true;
-        sticky_stalls = t.stalls;
-        EXPECT_EQ(s.health, runtime::HealthState::kStalled);
-        EXPECT_GE(s.stalls_total, 1u);
-        EXPECT_NE(s.to_jsonl().find("\"stalled\": true"), std::string::npos);
-        EXPECT_NE(s.to_jsonl().find("{\"id\": " + std::to_string(sid) + ","),
-                  std::string::npos);
-        break;
-      }
-      if (s.queued == 0 && s.in_flight == 0) break;  // finished unobserved
-    }
-
-    // Observed or not, the doomed session must surface as a typed fault.
-    const SessionResult res = engine.take(sid);
-    EXPECT_EQ(res.outcome, SessionOutcome::kFault);
-    ASSERT_TRUE(res.fault.has_value());
-    EXPECT_EQ(res.fault->phase, runtime::Phase::kPhase2);
+  bool reached = false;
+  {
+    // Bounded only so that a session that never reaches phase 2 fails the
+    // test instead of hanging it.
+    std::unique_lock<std::mutex> lock(mu);
+    reached = cv.wait_for(lock, std::chrono::minutes(2), [&] { return held; });
   }
-  EXPECT_TRUE(saw_stalled)
-      << "watchdog never observed a doomed session in " << attempts
-      << " attempts";
-  EXPECT_GE(sticky_stalls, 1u);
+  const EngineSnapshot s =
+      reached ? snapshot(engine, /*stall_deadline_s=*/0.0) : EngineSnapshot{};
+  release();
+  ASSERT_TRUE(reached) << "the doomed session never reached phase 2";
 
-  // Post-mortem: nothing live, so no stall verdict — but the faults keep
+  ASSERT_EQ(s.sessions.size(), 1u);
+  const SessionTelemetry& t = s.sessions.front();
+  EXPECT_EQ(t.id, kSid);
+  EXPECT_TRUE(t.stalled);  // zero deadline flags any live session
+  EXPECT_GE(t.stalls, 1u);
+  EXPECT_EQ(s.health, runtime::HealthState::kStalled);
+  EXPECT_GE(s.stalls_total, 1u);
+  EXPECT_NE(s.to_jsonl().find("\"stalled\": true"), std::string::npos);
+  EXPECT_NE(s.to_jsonl().find("{\"id\": " + std::to_string(kSid) + ","),
+            std::string::npos);
+
+  // Released, the doomed session surfaces as a typed fault.
+  const SessionResult res = engine.take(kSid);
+  EXPECT_EQ(res.outcome, SessionOutcome::kFault);
+  ASSERT_TRUE(res.fault.has_value());
+  EXPECT_EQ(res.fault->phase, runtime::Phase::kPhase2);
+
+  // Post-mortem: nothing live, so no stall verdict — but the fault keeps
   // health degraded and the stall total is preserved.
   const EngineSnapshot after = snapshot(engine, /*stall_deadline_s=*/5.0);
   EXPECT_EQ(after.in_flight, 0u);
-  EXPECT_EQ(after.completed, attempts);
-  EXPECT_EQ(after.faulted, attempts);
+  EXPECT_EQ(after.completed, 1u);
+  EXPECT_EQ(after.faulted, 1u);
   EXPECT_EQ(after.health, runtime::HealthState::kDegraded);
   EXPECT_GE(after.stalls_total, 1u);
 }

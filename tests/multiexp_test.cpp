@@ -23,7 +23,12 @@
 // P-192, P-224 and P-256. mul, exp, exp_g, exp_fixed, exp_many, dual_exp
 // and dual_exp_many must produce the oracle's point, compared by the
 // serialized bytes, on Jacobian inputs (Z != 1) and decoded ones (Z = 1)
-// alike.
+// alike. The batch forms' 8-lane ladders (EcLaneTest) are checked lane by
+// lane against the oracle and against the scalar ladder's exact Jacobian
+// triple, on batches of 8, 16, 64 and 67 (a scalar tail) mixing identity
+// bases, zero, one, two, n - 1, short and wide exponents, x == y and
+// y == x^-1, additions of P and -P, and one addition of P and P per batch
+// of 16 or more, which reruns its batch on the scalar ladder.
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -639,6 +644,190 @@ TEST_P(EcOracleTest, DualExpMatchesOracle) {
   }
   EXPECT_EQ(g_.serialize_many(out), all);
 }
+
+// This CPU's AVX-512 IFMA support, read from CPUID independently of the
+// library.
+bool host_has_ifma() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
+
+// Full lane batches (8, 16, 64) and one that leaves a scalar tail (67).
+constexpr std::size_t kLaneBatchSizes[] = {8, 16, 64, 67};
+// The element that forces an addition of a point and itself, in every batch
+// long enough to hold it: its batch of 8 reruns on the scalar ladder, and
+// the first batch never does.
+constexpr std::size_t kDoublingLane = 12;
+
+// The batch forms lane by lane: each element must be the oracle's point and
+// exactly the scalar ladder's Jacobian triple.
+class EcLaneTest : public EcOracleTest {
+ protected:
+  void SetUp() override {
+    // Only this assertion depends on the host; the checks below run on
+    // whichever path the host takes.
+    EXPECT_EQ(g_.batch_lanes(), host_has_ifma() ? 8u : 1u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      pool_.push_back(random_point(false));
+      pool_.push_back(random_point(true));
+    }
+  }
+
+  static Nat from_gmp(const mpz_class& v) { return Nat::from_hex(v.get_str(16)); }
+
+  // A scalar whose ladder adds d·P to an accumulator that already is d·P:
+  // the windows above digit d spell t = d/16 mod n, which four doublings
+  // turn into d·P. Two more digits follow, so the doubling happens
+  // mid-ladder.
+  Nat doubling_scalar(unsigned d) const {
+    const mpz_class n = to_gmp(g_.order());
+    mpz_class inv16;
+    mpz_invert(inv16.get_mpz_t(), mpz_class{16}.get_mpz_t(), n.get_mpz_t());
+    const mpz_class t = mpz_class{d * inv16} % n;
+    return from_gmp(((16 * t + d) << 8) + 0x5a);
+  }
+
+  const Pt& pooled(std::size_t i) const { return pool_[i % pool_.size()]; }
+
+  void expect_elem(const Elem& got, const Elem& want, std::size_t lane,
+                   const char* what) {
+    EXPECT_EQ(got.infinity, want.infinity) << what << ", lane " << lane;
+    EXPECT_EQ(got.a.to_hex(), want.a.to_hex()) << what << ", lane " << lane;
+    EXPECT_EQ(got.b.to_hex(), want.b.to_hex()) << what << ", lane " << lane;
+    EXPECT_EQ(got.c.to_hex(), want.c.to_hex()) << what << ", lane " << lane;
+  }
+
+  std::vector<Pt> pool_;
+};
+
+TEST_P(EcLaneTest, ExpManyMatchesOracleAndScalarLadderPerLane) {
+  const Nat& n = g_.order();
+  const Pt identity{g_.identity(), Affine{.inf = true}};
+  for (const std::size_t size : kLaneBatchSizes) {
+    std::vector<Elem> bases;
+    std::vector<Nat> ks;
+    std::vector<Affine> want;
+    for (std::size_t i = 0; i < size; ++i) {
+      const Pt* base = &pooled(i);
+      Nat k = g_.random_nonzero_scalar(rng_);
+      if (i == kDoublingLane) {
+        k = doubling_scalar(1 + static_cast<unsigned>(i % 15));
+      } else {
+        switch (i % 9) {
+          case 1: base = &identity; break;
+          case 2: k = Nat{}; break;
+          case 3: k = Nat{1}; break;
+          case 4: k = Nat{2}; break;
+          case 5: k = Nat::sub(n, Nat{1}); break;
+          case 6: k = Nat{rng_.below_u64(1u << 20)}; break;  // short
+          case 7: k = n; break;  // ends in P + (-P)
+          case 8: k = Nat::add(Nat::pow2(301), k); break;    // wide
+          default: break;
+        }
+      }
+      bases.push_back(base->e);
+      ks.push_back(k);
+      want.push_back(oracle_.mul(to_gmp(k), base->a));
+    }
+    std::vector<Elem> out(size);
+    g_.exp_many(bases, ks, out);
+    for (std::size_t i = 0; i < size; ++i) {
+      expect_point(out[i], want[i], "exp_many");
+      expect_elem(out[i], g_.exp(bases[i], ks[i]), i, "exp_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, DualExpManyMatchesOracleAndScalarLadderPerLane) {
+  const Nat& n = g_.order();
+  const Pt identity{g_.identity(), Affine{.inf = true}};
+  for (const std::size_t size : kLaneBatchSizes) {
+    std::vector<Elem> xs, ys;
+    std::vector<Nat> exs, eys;
+    std::vector<Affine> want;
+    for (std::size_t i = 0; i < size; ++i) {
+      const Pt& px = pooled(i);
+      Pt x = px, y = pooled(i + 1);
+      Nat ex = g_.random_nonzero_scalar(rng_);
+      Nat ey = g_.random_nonzero_scalar(rng_);
+      if (i == kDoublingLane) {
+        y = x;  // the first nonzero window adds x's entry to itself
+        ey = ex;
+      } else {
+        switch (i % 11) {
+          case 1: x = identity; break;
+          case 2: y = identity; break;
+          case 3: ex = Nat{}; break;
+          case 4: ey = Nat{}; break;
+          case 5: y = x; break;  // x == y
+          case 6:                // y == x^-1, ex == ey: the identity
+            y = Pt{g_.inv(x.e), oracle_.neg(x.a)};
+            ey = ex;
+            break;
+          case 7: y = Pt{g_.inv(x.e), oracle_.neg(x.a)}; break;
+          case 8:
+            ex = Nat{1};
+            ey = Nat{2};
+            break;
+          case 9:
+            ex = Nat::sub(n, Nat{1});
+            ey = Nat{rng_.below_u64(1u << 20)};
+            break;
+          case 10: ey = Nat::add(Nat::pow2(301), ey); break;
+          default: break;
+        }
+      }
+      xs.push_back(x.e);
+      ys.push_back(y.e);
+      exs.push_back(ex);
+      eys.push_back(ey);
+      want.push_back(oracle_.add(oracle_.mul(to_gmp(ex), x.a),
+                                 oracle_.mul(to_gmp(ey), y.a)));
+    }
+    std::vector<Elem> out(size);
+    g_.dual_exp_many(xs, exs, ys, eys, out);
+    for (std::size_t i = 0; i < size; ++i) {
+      expect_point(out[i], want[i], "dual_exp_many");
+      expect_elem(out[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
+                  "dual_exp_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, CancellingLanesMatchScalarLadder) {
+  // n·P ends in (n - d)·P + d·P = P + (-P), which the lanes must turn into
+  // the identity. Their H = U2 - U1 below 2p is then 0 or, a few percent of
+  // the time on P-256 (whose p is within a factor 16 of 2^260), exactly p:
+  // 256 lanes on distinct bases, half of them decoded (Z = 1), make sure
+  // both forms are met.
+  constexpr std::size_t kSize = 256;
+  std::vector<Elem> bases;
+  for (std::size_t i = 0; i < kSize; ++i) {
+    const Elem b = g_.exp_g(g_.random_nonzero_scalar(rng_));
+    bases.push_back(i % 2 == 0 ? b : g_.deserialize(g_.serialize(b)));
+  }
+  const std::vector<Nat> ks(kSize, g_.order());
+  std::vector<Elem> out(kSize);
+  g_.exp_many(bases, ks, out);
+  for (std::size_t i = 0; i < kSize; ++i) {
+    EXPECT_TRUE(g_.is_identity(out[i])) << "lane " << i;
+    expect_elem(out[i], g_.exp(bases[i], ks[i]), i, "exp_many of n");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NistCurves, EcLaneTest,
+                         ::testing::Values(GroupId::kEcP192, GroupId::kEcP224,
+                                           GroupId::kEcP256),
+                         [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 INSTANTIATE_TEST_SUITE_P(NistCurves, EcOracleTest,
                          ::testing::Values(GroupId::kEcP192, GroupId::kEcP224,
