@@ -288,29 +288,14 @@ void BM_MontDualExpMany(benchmark::State& state) {
 }
 BENCHMARK(BM_MontDualExpMany)->Arg(256);
 
-// Binary kernels under the group layer: invmod is SchnorrGroup::inv's; the
-// Jacobi symbol serves only mpz::sqrtmod (FpCtx::sqrt), since a Schnorr
-// decode is a range check.
-// Inputs cycle through 64 random residues so the variable-time loops are
+// The binary kernel under the group layer: invmod is SchnorrGroup::inv's.
+// Inputs cycle through 64 random residues so the variable-time loop is
 // timed on a spread of inputs, not one.
 std::vector<mpz::Nat> residues(const mpz::Nat& m, mpz::ChaChaRng& rng) {
   std::vector<mpz::Nat> xs;
   for (int i = 0; i < 64; ++i) xs.push_back(rng.nonzero_below(m));
   return xs;
 }
-
-void BM_Jacobi(benchmark::State& state) {
-  mpz::ChaChaRng rng{8};
-  const mpz::Nat p =
-      mpz::random_prime(static_cast<std::size_t>(state.range(0)), rng);
-  const auto xs = residues(p, rng);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    auto r = mpz::jacobi(xs[i++ % xs.size()], p);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_Jacobi)->Arg(256)->Arg(1024);
 
 void BM_InvMod(benchmark::State& state) {
   mpz::ChaChaRng rng{9};
@@ -391,13 +376,27 @@ void BM_NatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-// Straddles the Karatsuba threshold (24 limbs = 1536 bits).
-BENCHMARK(BM_NatMul)->Arg(512)->Arg(1024)->Arg(1536)->Arg(3072)->Arg(8192);
+// The shipped q widths: the shuffle hop forms one x·r mod q per ciphertext.
+BENCHMARK(BM_NatMul)->Arg(1024)->Arg(2048)->Arg(3072);
 
 // The SS framework's layers on its own field (35-bit betas, a 37-bit prime
-// on the 1-limb kernel): BM_MontMul/37 is the product, BM_MpcMul one GRR
-// multiplication (every party's product, reshare and recombination) and
-// BM_MpcLessThan one Nishide-Ohta comparison, the unit the sort repeats.
+// on the 1-limb kernel): BM_MontMul/37 is the product, BM_FpSqrt/37 the
+// square root each random bit opens, BM_MpcMul one GRR multiplication
+// (every party's product, reshare and recombination) and BM_MpcLessThan one
+// Nishide-Ohta comparison, the unit the sort repeats.
+void BM_FpSqrt(benchmark::State& state) {
+  const mpz::FpCtx& field = core::ss_field_for_beta_bits(35);
+  mpz::ChaChaRng rng{13};
+  std::vector<mpz::Nat> squares;
+  for (int i = 0; i < 64; ++i) squares.push_back(field.sqr(field.random(rng)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto r = field.sqrt(squares[i++ % squares.size()]);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_FpSqrt)->Arg(37);
+
 void BM_MpcMul(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   mpz::ChaChaRng rng{7};

@@ -48,9 +48,9 @@
 # (crypto::count_zero_decryptions on every group family); building it
 # under -Werror also proves the
 # pragma-scoped IFMA kernel compiles warning-free. The leg also runs the
-# mpz_modular suite, whose binary gcd /
-# Jacobi / inverse kernels index fixed stack limb buffers at every width the
-# GMP differential tests use (1 to 64 limbs), and every suite that pins the
+# mpz_modular suite, whose binary inverse kernel indexes fixed stack limb
+# buffers at every width the GMP differential tests use (1 to 64 limbs),
+# and every suite that pins the
 # DL decode contract (a range check 1 <= z <= q on the canonical |x|
 # encoding): group_test's accept/reject cases and random-bytes property,
 # mpz_modular_test's GMP oracle for the encoding, and wire_test's
@@ -88,6 +88,11 @@
 # watchdog stalled->fault test run under TSan — samplers and watchdogs read
 # engine state while sixteen driver threads mutate it, which is exactly the
 # surface TSan exists for.
+#
+# The `flake` mode hunts intermittent failures in the timing-sensitive
+# threaded suites: telemetry, engine_fault and tcp_transport run under TSan
+# with `ctest --repeat until-fail:20`, so one failure in twenty runs of any
+# of them fails the leg.
 #
 # The `audit` mode is the forensics/conformance leg: the conformance-audit
 # suite (clean runs audit to zero findings, faulted/degraded/tampered runs
@@ -127,7 +132,7 @@
 # does not report "correct": true. It is the only leg that compiles
 # perfbench against the current src/ API.
 #
-# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|perfbench|all]
+# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|flake|audit|sockets|bench-regress|perfbench|all]
 #        (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -239,6 +244,7 @@ case "${MODE}" in
         --benchmark_min_time=0.01
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
+  flake) run_leg tsan -R 'telemetry|engine_fault|tcp_transport' --repeat until-fail:20 ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)
     run_leg asan -R 'tcp_transport|party_launcher'
@@ -253,11 +259,12 @@ case "${MODE}" in
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'tcp_transport'
+    run_leg tsan -R 'telemetry|engine_fault|tcp_transport' --repeat until-fail:20
     bench_regress
     perfbench_smoke
     ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|perfbench|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|flake|audit|sockets|bench-regress|perfbench|all]" >&2
     exit 2
     ;;
 esac

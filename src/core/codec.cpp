@@ -29,7 +29,13 @@ dotprod::BobRound1 read_bob_round1(Reader& r, const FpCtx& f) {
   const std::uint64_t s = r.varint();
   const std::uint64_t d = r.varint();
   const std::size_t fe = field_bytes(f);
-  if (d == 0 || s == 0 || (s + 2) * d * fe > r.remaining() + fe)
+  // s + 2 rows of d elements must fit in the input. The dimensions are
+  // untrusted, so they are bounded by division (d first, then s), never by
+  // a product that could wrap; the bound on s alone keeps s + 2 from wrapping.
+  const std::size_t rem = r.remaining();
+  const bool fits = d != 0 && d <= rem / fe && s <= rem / (d * fe) &&
+                    s + 2 <= rem / (d * fe);
+  if (s == 0 || !fits)
     throw runtime::WireError("bob_round1: bad dimensions");
   dotprod::BobRound1 m;
   m.qx.assign(s, dotprod::FVec(d));

@@ -2,6 +2,17 @@
 
 namespace ppgr::crypto {
 
+namespace {
+
+Ciphertext read_ciphertext(Reader& r, const Group& g) {
+  Ciphertext ct;
+  ct.c = read_elem(r, g);
+  ct.cp = read_elem(r, g);
+  return ct;
+}
+
+}  // namespace
+
 void write_elem(Writer& w, const Group& g, const Elem& e) {
   w.raw(g.serialize(e));
 }
@@ -19,36 +30,6 @@ mpz::Nat read_scalar(Reader& r, const Group& g) {
   if (s >= g.order())
     throw runtime::WireError("scalar out of range");
   return s;
-}
-
-void write_ciphertext(Writer& w, const Group& g, const Ciphertext& ct) {
-  write_elem(w, g, ct.c);
-  write_elem(w, g, ct.cp);
-}
-
-Ciphertext read_ciphertext(Reader& r, const Group& g) {
-  Ciphertext ct;
-  ct.c = read_elem(r, g);
-  ct.cp = read_elem(r, g);
-  return ct;
-}
-
-void write_ciphertexts(Writer& w, const Group& g,
-                       std::span<const Ciphertext> cts) {
-  w.varint(cts.size());
-  for (const auto& ct : cts) write_ciphertext(w, g, ct);
-}
-
-std::vector<Ciphertext> read_ciphertexts(Reader& r, const Group& g) {
-  const std::uint64_t count = r.varint();
-  // Bound by what the input can actually hold — rejects length bombs.
-  if (count > r.remaining() / ciphertext_wire_bytes(g) + 1)
-    throw runtime::WireError("ciphertexts: length prefix exceeds input");
-  std::vector<Ciphertext> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i)
-    out.push_back(read_ciphertext(r, g));
-  return out;
 }
 
 void write_ciphertext_seq(Writer& w, const Group& g,

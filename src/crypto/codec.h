@@ -25,9 +25,6 @@ void write_elem(Writer& w, const Group& g, const Elem& e);
 void write_scalar(Writer& w, const Group& g, const mpz::Nat& s);
 [[nodiscard]] mpz::Nat read_scalar(Reader& r, const Group& g);
 
-void write_ciphertext(Writer& w, const Group& g, const Ciphertext& ct);
-[[nodiscard]] Ciphertext read_ciphertext(Reader& r, const Group& g);
-
 /// Fixed-count ciphertext sequence: no length prefix — the count is implied
 /// by the protocol position (l bits, (n-1)*l comparison outcomes, ...), so
 /// the wire size is exactly count * ciphertext_wire_bytes(g). This framing
@@ -37,11 +34,6 @@ void write_ciphertext_seq(Writer& w, const Group& g,
 [[nodiscard]] std::vector<Ciphertext> read_ciphertext_seq(Reader& r,
                                                           const Group& g,
                                                           std::size_t count);
-
-void write_ciphertexts(Writer& w, const Group& g,
-                       std::span<const Ciphertext> cts);
-[[nodiscard]] std::vector<Ciphertext> read_ciphertexts(Reader& r,
-                                                       const Group& g);
 
 /// The multi-verifier proof message h | Σc | z: one element and two
 /// scalars, elem_wire_bytes(g) + 2·scalar_wire_bytes(g) bytes.

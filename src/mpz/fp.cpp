@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "mpz/modarith.h"
-
 namespace ppgr::mpz {
 
 FpCtx::FpCtx(Nat p) : mont_(std::move(p)) {}
@@ -31,7 +29,7 @@ Nat FpCtx::neg(const Nat& a) const {
 Nat FpCtx::inv(const Nat& a) const {
   if (a.is_zero()) throw std::domain_error("FpCtx::inv: zero has no inverse");
   // Fermat: a^(p-2). Keeps everything in Montgomery form (invmod would need
-  // two conversions plus a general divrem chain; exp is simpler here).
+  // a conversion out and back in around its binary kernel).
   return pow(a, Nat::sub(p(), Nat{2}));
 }
 
@@ -47,9 +45,40 @@ std::vector<Nat> FpCtx::inv_many(std::span<const Nat> xs) const {
 }
 
 std::optional<Nat> FpCtx::sqrt(const Nat& a) const {
-  const auto root = sqrtmod(from(a), p());
-  if (!root) return std::nullopt;
-  return to(*root);
+  if (a.is_zero()) return a;
+  if (p().bit(1)) {
+    // p ≡ 3 (mod 4): a^((p+1)/4) is a root iff a is a square.
+    Nat r = pow(a, Nat::add(p(), Nat{1}).shr(2));
+    if (sqr(r) != a) return std::nullopt;
+    return r;
+  }
+  // Tonelli–Shanks, p - 1 = q·2^s with q odd, around the least non-residue
+  // z >= 2 (Euler's criterion: z^((p-1)/2) = -1).
+  const Nat p1 = Nat::sub(p(), Nat{1});
+  std::size_t s = 1;
+  while (!p1.bit(s)) ++s;
+  const Nat q = p1.shr(s);
+  const Nat half = p1.shr(1);
+  const Nat minus_one = neg(one());
+  Nat z = add(one(), one());
+  while (pow(z, half) != minus_one) z = add(z, one());
+  Nat c = pow(z, q);
+  Nat t = pow(a, q);
+  Nat r = pow(a, Nat::add(q, Nat{1}).shr(1));
+  std::size_t m = s;
+  while (t != one()) {
+    // The least i with t^(2^i) = 1; i reaching m means a is not a square.
+    std::size_t i = 0;
+    for (Nat t2 = t; t2 != one(); t2 = sqr(t2))
+      if (++i == m) return std::nullopt;
+    Nat b = c;  // c^(2^(m-i-1))
+    for (std::size_t j = i + 1; j < m; ++j) b = sqr(b);
+    m = i;
+    c = sqr(b);
+    t = mul(t, c);
+    r = mul(r, b);
+  }
+  return r;
 }
 
 }  // namespace ppgr::mpz

@@ -61,7 +61,9 @@ class FpCtx {
   [[nodiscard]] std::vector<Nat> inv_many(std::span<const Nat> xs) const;
   /// a/b.
   [[nodiscard]] Nat div(const Nat& a, const Nat& b) const { return mul(a, inv(b)); }
-  /// Square root in the field, if one exists.
+  /// Square root in the field, if one exists: a^((p+1)/4) when p ≡ 3
+  /// (mod 4), otherwise Tonelli–Shanks from the least non-residue z >= 2.
+  /// Which of the two roots it returns is pinned by mpz_modular_test.
   [[nodiscard]] std::optional<Nat> sqrt(const Nat& a) const;
 
   [[nodiscard]] bool is_zero(const Nat& a) const { return a.is_zero(); }

@@ -5,9 +5,6 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
-#include <utility>
-
-#include "mpz/mont.h"
 
 namespace ppgr::mpz {
 
@@ -15,21 +12,15 @@ namespace {
 
 using U128 = unsigned __int128;
 
-// Binary kernels (gcd, jacobi, invmod) on fixed stack limb buffers: no
-// division and no allocation. They are variable-time, like the Euclid loops
-// they replaced; their hot inputs are public wire bytes and ciphertext
-// components. kMaxLimbs matches MontCtx's fused CIOS bound (4096 bits; the
-// widest shipped modulus, dl-3072, is 48 limbs).
+// invmod's binary kernel runs on fixed stack limb buffers: no division and
+// no allocation. It is variable-time, like the Euclid loop it replaced; its
+// hot inputs are public wire bytes and ciphertext components. kMaxLimbs
+// matches MontCtx's fused CIOS bound (4096 bits; the widest shipped modulus,
+// dl-3072, is 48 limbs).
 constexpr std::size_t kMaxLimbs = 64;
 // One spare limb: Kaliski's r and s reach 2m.
 using Buf = std::array<Limb, kMaxLimbs + 1>;
 constexpr std::size_t kZero = static_cast<std::size_t>(-1);
-
-void check_width(std::size_t limbs, const char* fn) {
-  if (limbs > kMaxLimbs)
-    throw std::length_error(std::string(fn) + ": operand wider than " +
-                            std::to_string(64 * kMaxLimbs) + " bits");
-}
 
 // dst[0, n) = x, zero-padded above x's top limb.
 void load(Limb* dst, const Nat& x, std::size_t n) {
@@ -109,43 +100,6 @@ std::size_t strip_twos(Limb* a, std::size_t n) {
   return s;
 }
 
-// Stein's binary reduction of (x, y), y odd, both n limbs: strip the twos
-// from x, swap so that x >= y, subtract, until x == 0. y then holds the gcd;
-// the return value is its active width (the operands' width shrinks as they
-// do, and the last limb runs on machine words). `halve(s, y0)` sees each
-// batched shift of x by s bits with y's low limb, `swap(x0, y0)` each swap of
-// the two (then both odd): jacobi folds its sign rules into them.
-template <typename Halve, typename Swap>
-std::size_t stein(Limb*& x, Limb*& y, std::size_t n, Halve halve, Swap swap) {
-  while (n > 1) {
-    if (x[n - 1] == 0 && y[n - 1] == 0) {
-      --n;
-      continue;
-    }
-    const std::size_t s = strip_twos(x, n);
-    if (s == kZero) return n;
-    halve(s, y[0]);
-    if (cmp(x, y, n) < 0) {
-      std::swap(x, y);
-      swap(x[0], y[0]);
-    }
-    sub_in_place(x, y, n);
-  }
-  Limb a = x[0], b = y[0];
-  while (a != 0) {
-    const int s = std::countr_zero(a);
-    a >>= s;
-    halve(static_cast<std::size_t>(s), b);
-    if (a < b) {
-      std::swap(a, b);
-      swap(a, b);
-    }
-    a -= b;
-  }
-  y[0] = b;
-  return 1;
-}
-
 // -m^{-1} mod 2^64 for odd m (Newton: each step doubles the correct bits).
 Limb neg_inv64(Limb m0) {
   Limb inv = m0;  // correct to 3 bits for odd m0
@@ -177,30 +131,14 @@ void div_pow2_mod(Limb* x, const Limb* m, std::size_t k, std::size_t twos) {
 
 }  // namespace
 
-Nat gcd(const Nat& a, const Nat& b) {
-  if (a.is_zero()) return b;
-  if (b.is_zero()) return a;
-  const std::size_t w = std::max(a.limb_count(), b.limb_count());
-  check_width(w, "gcd");
-  Buf xb, yb;
-  load(xb.data(), a, w);
-  load(yb.data(), b, w);
-  // gcd(a, b) = 2^min(twos) · gcd(odd parts).
-  const std::size_t shift =
-      std::min(strip_twos(xb.data(), w), strip_twos(yb.data(), w));
-  Limb* x = xb.data();
-  Limb* y = yb.data();
-  const std::size_t g =
-      stein(x, y, w, [](std::size_t, Limb) {}, [](Limb, Limb) {});
-  return Nat::from_limbs({y, g}).shl(shift);
-}
-
 std::optional<Nat> invmod(const Nat& a, const Nat& m) {
   if (m.is_even() || m.is_one())
     throw std::invalid_argument("invmod: modulus must be odd and > 1");
   const std::size_t k = m.limb_count();
   const std::size_t w = std::max(a.limb_count(), k);
-  check_width(w, "invmod");
+  if (w > kMaxLimbs)
+    throw std::length_error("invmod: operand wider than " +
+                            std::to_string(64 * kMaxLimbs) + " bits");
   // Kaliski's almost-inverse with batched shifts. The pairs (u, s) and
   // (v, r) start at (m, 1) and (a, 0) and keep m = u·s + v·r (so r, s stay
   // <= 2m: k+1 limbs), a·s ≡ v·2^twos and a·r ≡ −u·2^twos (mod m). Each
@@ -246,90 +184,6 @@ std::optional<Nat> invmod(const Nat& a, const Nat& m) {
   sub_in_place(xb.data(), r, rs);  // r != 0: a·r ≡ −2^twos is a unit
   div_pow2_mod(xb.data(), mb.data(), k, twos);
   return Nat::from_limbs({xb.data(), k});
-}
-
-Nat powmod(const Nat& base, const Nat& e, const Nat& m) {
-  if (m.is_zero()) throw std::domain_error("powmod: zero modulus");
-  if (m.is_one()) return Nat{};
-  if (m.is_odd() && m.limb_count() <= MontCtx::kCiosMaxLimbs) {
-    const MontCtx ctx{m};
-    return ctx.from_mont(ctx.exp(ctx.to_mont(base % m), e));
-  }
-  // Plain square-and-multiply with division-based reduction (rare path:
-  // even moduli, and odd ones wider than a Montgomery context takes).
-  Nat acc{1};
-  Nat b = base % m;
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    acc = Nat::mul(acc, acc) % m;
-    if (e.bit(i)) acc = Nat::mul(acc, b) % m;
-  }
-  return acc;
-}
-
-int jacobi(const Nat& a, const Nat& n) {
-  if (n.is_even())
-    throw std::invalid_argument("jacobi: n must be odd and positive");
-  const std::size_t w = std::max(a.limb_count(), n.limb_count());
-  check_width(w, "jacobi");
-  Buf xb, yb;
-  load(xb.data(), a, w);
-  load(yb.data(), n, w);
-  Limb* x = xb.data();
-  Limb* y = yb.data();
-  // (2/y) = −1 iff y ≡ 3, 5 (mod 8); reciprocity flips iff x ≡ y ≡ 3 (mod 4).
-  bool negate = false;
-  const auto halve = [&negate](std::size_t s, Limb y0) {
-    if ((s & 1) != 0 && ((y0 & 7) == 3 || (y0 & 7) == 5)) negate = !negate;
-  };
-  const auto swap = [&negate](Limb x0, Limb y0) {
-    if ((x0 & y0 & 3) == 3) negate = !negate;
-  };
-  const std::size_t g = stein(x, y, w, halve, swap);
-  if (!is_one(y, g)) return 0;
-  return negate ? -1 : 1;
-}
-
-std::optional<Nat> sqrtmod(const Nat& a, const Nat& p) {
-  const Nat a_red = a % p;
-  if (a_red.is_zero()) return Nat{};
-  if (jacobi(a_red, p) != 1) return std::nullopt;
-  const Nat one{1};
-  if ((p.limb(0) & 3u) == 3) {
-    // p ≡ 3 (mod 4): sqrt = a^((p+1)/4).
-    return powmod(a_red, Nat::add(p, one).shr(2), p);
-  }
-  // Tonelli–Shanks. Write p-1 = q * 2^s with q odd.
-  Nat q = Nat::sub(p, one);
-  std::size_t s = 0;
-  while (q.is_even()) {
-    q = q.shr(1);
-    ++s;
-  }
-  // Find a quadratic non-residue z.
-  Nat z{2};
-  while (jacobi(z, p) != -1) z += one;
-
-  Nat m_exp{static_cast<Limb>(s)};
-  std::size_t m = s;
-  Nat c = powmod(z, q, p);
-  Nat t = powmod(a_red, q, p);
-  Nat r = powmod(a_red, Nat::add(q, one).shr(1), p);
-  while (!t.is_one()) {
-    // Find least i in (0, m) with t^(2^i) == 1.
-    std::size_t i = 0;
-    Nat t2 = t;
-    while (!t2.is_one()) {
-      t2 = Nat::mul(t2, t2) % p;
-      ++i;
-      if (i == m) return std::nullopt;  // unreachable for prime p
-    }
-    const Nat b = powmod(c, Nat::pow2(m - i - 1), p);
-    m = i;
-    c = Nat::mul(b, b) % p;
-    t = Nat::mul(t, c) % p;
-    r = Nat::mul(r, b) % p;
-  }
-  return r;
 }
 
 }  // namespace ppgr::mpz

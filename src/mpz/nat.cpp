@@ -119,7 +119,7 @@ Nat Nat::sub(const Nat& a, const Nat& b) {
   return out;
 }
 
-Nat Nat::mul_schoolbook(const Nat& a, const Nat& b) {
+Nat Nat::mul(const Nat& a, const Nat& b) {
   if (a.is_zero() || b.is_zero()) return Nat{};
   Nat out;
   out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
@@ -135,37 +135,6 @@ Nat Nat::mul_schoolbook(const Nat& a, const Nat& b) {
   }
   out.normalize();
   return out;
-}
-
-Nat Nat::mul_karatsuba(const Nat& a, const Nat& b) {
-  const std::size_t half = std::max(a.limbs_.size(), b.limbs_.size()) / 2;
-  auto split = [half](const Nat& x) {
-    Nat lo, hi;
-    if (x.limbs_.size() <= half) {
-      lo = x;
-    } else {
-      lo.limbs_.assign(x.limbs_.begin(),
-                       x.limbs_.begin() + static_cast<std::ptrdiff_t>(half));
-      lo.normalize();
-      hi.limbs_.assign(x.limbs_.begin() + static_cast<std::ptrdiff_t>(half),
-                       x.limbs_.end());
-      hi.normalize();
-    }
-    return std::pair<Nat, Nat>{std::move(lo), std::move(hi)};
-  };
-  auto [a0, a1] = split(a);
-  auto [b0, b1] = split(b);
-  const Nat z0 = mul(a0, b0);
-  const Nat z2 = mul(a1, b1);
-  // z1 = (a0+a1)(b0+b1) - z0 - z2
-  const Nat z1 = sub(sub(mul(add(a0, a1), add(b0, b1)), z0), z2);
-  return add(add(z0, z1.shl(half * kLimbBits)), z2.shl(2 * half * kLimbBits));
-}
-
-Nat Nat::mul(const Nat& a, const Nat& b) {
-  const std::size_t mn = std::min(a.limbs_.size(), b.limbs_.size());
-  if (mn >= kKaratsubaThreshold) return mul_karatsuba(a, b);
-  return mul_schoolbook(a, b);
 }
 
 Nat Nat::shl(std::size_t bits) const {
@@ -288,33 +257,6 @@ Nat::DivRem Nat::divrem(const Nat& a, const Nat& b) {
   r.limbs_.assign(un.begin(), un.begin() + static_cast<std::ptrdiff_t>(n));
   r.normalize();
   return {std::move(q), r.shr(shift)};
-}
-
-Nat Nat::bit_and(const Nat& a, const Nat& b) {
-  Nat out;
-  const std::size_t n = std::min(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.limbs_[i] = a.limbs_[i] & b.limbs_[i];
-  out.normalize();
-  return out;
-}
-
-Nat Nat::bit_or(const Nat& a, const Nat& b) {
-  Nat out;
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.limbs_[i] = a.limb(i) | b.limb(i);
-  out.normalize();
-  return out;
-}
-
-Nat Nat::bit_xor(const Nat& a, const Nat& b) {
-  Nat out;
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.limbs_[i] = a.limb(i) ^ b.limb(i);
-  out.normalize();
-  return out;
 }
 
 Nat Nat::from_hex(std::string_view hex) {

@@ -7,7 +7,9 @@
 //
 // Design notes
 //  - Value semantics throughout; cheap moves.
-//  - Multiplication switches from schoolbook to Karatsuba above a threshold.
+//  - Multiplication is schoolbook. The widest products a ranking run forms
+//    are the shuffle hop's x·r mod q, 32 and 48 limbs on dl-2048 / dl-3072:
+//    one per hop ciphertext, next to that ciphertext's full-width ladders.
 //  - Division is Knuth's Algorithm D with 128-bit trial quotients.
 //  - Subtraction requires lhs >= rhs (checked); signed arithmetic lives in
 //    Int (sint.h).
@@ -106,11 +108,6 @@ class Nat {
   Nat& operator*=(const Nat& b) { return *this = mul(*this, b); }
   Nat& operator%=(const Nat& b);
 
-  /// Bitwise ops (logical, on the common width).
-  [[nodiscard]] static Nat bit_and(const Nat& a, const Nat& b);
-  [[nodiscard]] static Nat bit_or(const Nat& a, const Nat& b);
-  [[nodiscard]] static Nat bit_xor(const Nat& a, const Nat& b);
-
   /// Lowercase hex, no leading zeros ("0" for zero).
   [[nodiscard]] std::string to_hex() const;
   /// Decimal string.
@@ -120,13 +117,8 @@ class Nat {
   /// bytes (throws std::length_error if the value does not fit).
   [[nodiscard]] std::vector<std::uint8_t> to_bytes_be(std::size_t width = 0) const;
 
-  /// Karatsuba cutover, in limbs. Exposed for the ablation benchmark.
-  static constexpr std::size_t kKaratsubaThreshold = 24;
-
  private:
   void normalize();
-  static Nat mul_schoolbook(const Nat& a, const Nat& b);
-  static Nat mul_karatsuba(const Nat& a, const Nat& b);
 
   LimbVec limbs_;
 };

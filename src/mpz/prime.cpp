@@ -3,7 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "mpz/modarith.h"
 #include "mpz/mont.h"
 
 namespace ppgr::mpz {
@@ -67,15 +66,6 @@ Nat random_prime(std::size_t bits, Rng& rng) {
     candidate.set_bit(bits - 1, true);  // exact width
     candidate.set_bit(0, true);         // odd
     if (is_probable_prime(candidate, rng)) return candidate;
-  }
-}
-
-Nat random_safe_prime(std::size_t bits, Rng& rng) {
-  if (bits < 4) throw std::invalid_argument("random_safe_prime: need >= 4 bits");
-  for (;;) {
-    Nat q = random_prime(bits - 1, rng);
-    Nat p = Nat::add(q.shl(1), Nat{1});
-    if (p.bit_length() == bits && is_probable_prime(p, rng)) return p;
   }
 }
 

@@ -1,8 +1,7 @@
 // Primality testing and prime generation.
 //
-// Used to generate the field moduli of the secret-sharing substrate, the
-// dot-product field, and (in tests) small safe primes for the DL group; the
-// production DL groups use the fixed RFC 3526 safe primes in group/.
+// Used to generate the field moduli of the secret-sharing substrate and the
+// dot-product field; the DL groups use fixed safe primes (group/).
 #pragma once
 
 #include "mpz/nat.h"
@@ -17,9 +16,5 @@ namespace ppgr::mpz {
 
 /// Uniform random prime with exactly `bits` bits (top bit set).
 [[nodiscard]] Nat random_prime(std::size_t bits, Rng& rng);
-
-/// Random safe prime p = 2q + 1 with exactly `bits` bits (slow; intended for
-/// tests and small parameters — production sizes use RFC 3526 constants).
-[[nodiscard]] Nat random_safe_prime(std::size_t bits, Rng& rng);
 
 }  // namespace ppgr::mpz

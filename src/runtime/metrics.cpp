@@ -38,11 +38,6 @@ const char* op_name(CryptoOp op) {
     case CryptoOp::kElGamalRerandomize: return "elgamal_rerandomize";
     case CryptoOp::kElGamalPartialDecrypt: return "elgamal_partial_decrypt";
     case CryptoOp::kElGamalExpRandomize: return "elgamal_exp_randomize";
-    case CryptoOp::kPaillierEncrypt: return "paillier_encrypt";
-    case CryptoOp::kPaillierDecrypt: return "paillier_decrypt";
-    case CryptoOp::kPaillierAdd: return "paillier_add";
-    case CryptoOp::kPaillierScale: return "paillier_scale";
-    case CryptoOp::kPaillierRerandomize: return "paillier_rerandomize";
     case CryptoOp::kSchnorrProve: return "schnorr_prove";
     case CryptoOp::kSchnorrVerify: return "schnorr_verify";
     case CryptoOp::kDotprodQuery: return "dotprod_query";

@@ -10,7 +10,7 @@
 // diverge.
 //
 // Instrumentation funnel: hot paths (group ops via group::MeteredGroup,
-// ElGamal/Paillier/Schnorr in src/crypto, the dot product, the comparison
+// ElGamal/Schnorr in src/crypto, the dot product, the comparison
 // circuit and shuffle hops in core/framework.cpp) call count_op() /
 // ScopedOpTimer. Both write through a thread-local MetricsBuffer* sink:
 //
@@ -75,12 +75,6 @@ enum class CryptoOp : std::uint8_t {
   kElGamalRerandomize,
   kElGamalPartialDecrypt,
   kElGamalExpRandomize,
-  // Paillier (src/crypto/paillier.cpp)
-  kPaillierEncrypt,
-  kPaillierDecrypt,
-  kPaillierAdd,
-  kPaillierScale,
-  kPaillierRerandomize,
   // Schnorr proofs (src/crypto/schnorr_proof.cpp)
   kSchnorrProve,
   kSchnorrVerify,
@@ -100,7 +94,7 @@ enum class CryptoOp : std::uint8_t {
   kAccelFixedBaseExp,  // Group::exp_fixed calls
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
-inline constexpr std::size_t kOpCount = 26;
+inline constexpr std::size_t kOpCount = 21;
 [[nodiscard]] const char* op_name(CryptoOp op);
 
 /// Plain counter block, one slot per CryptoOp.

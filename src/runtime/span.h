@@ -111,7 +111,6 @@ class SpanRecorder final : public SpanSink {
   [[nodiscard]] const std::vector<SpanEvent>& events() const {
     return events_;
   }
-  [[nodiscard]] std::size_t span_count() const { return events_.size() / 2; }
 
   /// Total wall seconds of depth-1 spans (the phases) per Phase value —
   /// the per-phase wall-clock breakdown of the run.

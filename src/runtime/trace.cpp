@@ -100,12 +100,4 @@ double PartyTimer::max_participant_seconds() const {
   return best;
 }
 
-double PartyTimer::mean_participant_seconds() const {
-  if (seconds_.size() <= 1) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 1; i < seconds_.size(); ++i)
-    sum += seconds_[i].load(std::memory_order_relaxed);
-  return sum / static_cast<double>(seconds_.size() - 1);
-}
-
 }  // namespace ppgr::runtime

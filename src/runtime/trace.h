@@ -112,8 +112,6 @@ class PartyTimer {
   [[nodiscard]] std::size_t parties() const { return seconds_.size(); }
   /// Max over participants (excluding party 0, the initiator).
   [[nodiscard]] double max_participant_seconds() const;
-  /// Mean over participants (excluding party 0).
-  [[nodiscard]] double mean_participant_seconds() const;
 
  private:
   static double now_seconds();

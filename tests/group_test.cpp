@@ -1,6 +1,7 @@
 // Tests for the group layer: abstract group laws over every instantiation,
 // safe-prime parameter validation, elliptic-curve specifics, serialization,
 // the metering decorator and the GroupId name table.
+#include <gmpxx.h>
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -11,7 +12,7 @@
 #include "group/group.h"
 #include "group/metered_group.h"
 #include "group/schnorr_group.h"
-#include "mpz/modarith.h"
+#include "mpz/fp.h"
 #include "mpz/mont.h"
 #include "mpz/prime.h"
 
@@ -112,7 +113,8 @@ TEST(SchnorrGroup, EmbeddedSafePrimesAreSafePrimes) {
 TEST(SchnorrGroup, GeneratorIsQuadraticResidue) {
   const auto g = make_group(GroupId::kDlTest256);
   auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
-  EXPECT_EQ(mpz::jacobi(Nat{4}, sg->modulus()), 1);
+  const mpz_class p{sg->modulus().to_hex(), 16};
+  EXPECT_EQ(mpz_jacobi(mpz_class{4}.get_mpz_t(), p.get_mpz_t()), 1);
 }
 
 // The DL decode contract: the group is Z_p*/{±1} and the wire carries the
@@ -136,8 +138,11 @@ TEST(SchnorrGroup, DeserializeAcceptsExactlyOneToQ) {
       rejects(z.to_bytes_be(len));
     rejects(std::vector<std::uint8_t>(len, 0xff));
     // In range: 1, q and the least quadratic non-residue.
+    const mpz_class gp{p.to_hex(), 16};
     Nat nonresidue{2};
-    while (mpz::jacobi(nonresidue, p) != -1) nonresidue += Nat{1};
+    while (mpz_jacobi(mpz_class{nonresidue.to_hex(), 16}.get_mpz_t(),
+                      gp.get_mpz_t()) != -1)
+      nonresidue += Nat{1};
     for (const Nat& z : {Nat{1}, q, nonresidue}) {
       const auto bytes = z.to_bytes_be(len);
       const Elem x = g->deserialize(bytes);
@@ -307,7 +312,10 @@ Nat curve_rhs(const CurveParams& params, const Nat& x) {
 
 // A y on the curve at x (standard form), if x is the abscissa of a point.
 std::optional<Nat> curve_y(const CurveParams& params, const Nat& x) {
-  return mpz::sqrtmod(curve_rhs(params, x), params.p);
+  const mpz::FpCtx f{params.p};
+  const auto y = f.sqrt(f.to(curve_rhs(params, x)));
+  if (!y) return std::nullopt;
+  return f.from(*y);
 }
 
 TEST(EcGroup, DeserializeRejectsNonCanonicalCoordinates) {

@@ -1,6 +1,6 @@
-// Tests for modular arithmetic: Montgomery context, gcd/invmod/powmod/
-// jacobi/sqrtmod, primality and the Fp field context, plus a GMP oracle for
-// the DL group's canonical wire encoding.
+// Tests for modular arithmetic: Montgomery context, invmod, primality and
+// the Fp field context (its square roots pinned and checked against GMP),
+// plus a GMP oracle for the DL group's canonical wire encoding.
 #include <array>
 #include <random>
 #include <utility>
@@ -116,13 +116,6 @@ TEST(Mont, ExpEdgeCases) {
 TEST(Mont, RejectsModulusWiderThanKernels) {
   const Nat wide = Nat::add(Nat::pow2(64 * MontCtx::kCiosMaxLimbs), Nat{1});
   EXPECT_THROW(MontCtx{wide}, std::length_error);
-  // powmod still serves it, on the plain path.
-  const Nat b = Nat::from_hex("123456789abcdef0123456789");
-  const Nat e = Nat{65537};
-  mpz_class expect;
-  const mpz_class gb = to_gmp(b), ge = to_gmp(e), gm = to_gmp(wide);
-  mpz_powm(expect.get_mpz_t(), gb.get_mpz_t(), ge.get_mpz_t(), gm.get_mpz_t());
-  EXPECT_EQ(to_gmp(powmod(b, e, wide)), expect);
 }
 
 // ---- Raw 4-limb product kernels against GMP ----
@@ -721,21 +714,6 @@ TEST(SchnorrEncodingOracle, SerializeIsCanonicalAbsoluteValue) {
   }
 }
 
-TEST(ModArith, Gcd) {
-  EXPECT_EQ(gcd(Nat{12}, Nat{18}), Nat{6});
-  EXPECT_EQ(gcd(Nat{}, Nat{5}), Nat{5});
-  EXPECT_EQ(gcd(Nat{5}, Nat{}), Nat{5});
-  EXPECT_EQ(gcd(Nat{7}, Nat{13}), Nat{1});
-  ChaChaRng rng{11};
-  for (int i = 0; i < 30; ++i) {
-    const Nat a = rng.bits(200), b = rng.bits(180);
-    mpz_class g;
-    const mpz_class ga = to_gmp(a), gb = to_gmp(b);
-    mpz_gcd(g.get_mpz_t(), ga.get_mpz_t(), gb.get_mpz_t());
-    EXPECT_EQ(to_gmp(gcd(a, b)), g);
-  }
-}
-
 TEST(ModArith, InvMod) {
   ChaChaRng rng{12};
   for (const Nat& m : test_moduli()) {
@@ -751,61 +729,15 @@ TEST(ModArith, InvMod) {
   EXPECT_FALSE(invmod(Nat{}, Nat{9}).has_value());
 }
 
-TEST(ModArith, PowmodEvenModulus) {
-  ChaChaRng rng{13};
-  const Nat m = Nat::from_hex("10000000000000000000000");  // even
-  for (int i = 0; i < 10; ++i) {
-    const Nat b = rng.below(m), e = rng.bits(90);
-    mpz_class expect;
-    const mpz_class gb = to_gmp(b), ge = to_gmp(e), gm = to_gmp(m);
-    mpz_powm(expect.get_mpz_t(), gb.get_mpz_t(), ge.get_mpz_t(), gm.get_mpz_t());
-    EXPECT_EQ(to_gmp(powmod(b, e, m)), expect);
-  }
-}
-
-TEST(ModArith, Jacobi) {
-  // (a/p) for prime p equals Legendre; spot-check with Euler's criterion.
-  ChaChaRng rng{14};
-  const Nat p = Nat::from_hex("ffffffffffffffc5");
-  for (int i = 0; i < 40; ++i) {
-    const Nat a = rng.nonzero_below(p);
-    const Nat euler = powmod(a, Nat::sub(p, Nat{1}).shr(1), p);
-    const int expect = euler.is_one() ? 1 : -1;
-    EXPECT_EQ(jacobi(a, p), expect);
-  }
-  EXPECT_EQ(jacobi(Nat{}, Nat{7}), 0);
-  EXPECT_EQ(jacobi(Nat{14}, Nat{7}), 0);
-  EXPECT_THROW((void)jacobi(Nat{3}, Nat{8}), std::invalid_argument);
-}
-
-TEST(ModArith, SqrtMod) {
-  ChaChaRng rng{15};
-  // Covers both p%4==3 (fast path) and p%4==1 (full Tonelli–Shanks).
-  for (const char* ps : {"ffffffffffffffc5", "f7e75fdc469067ffdc4e847c51f452df"}) {
-    const Nat p = Nat::from_hex(ps);
-    for (int i = 0; i < 25; ++i) {
-      const Nat x = rng.below(p);
-      const Nat sq = Nat::mul(x, x) % p;
-      const auto root = sqrtmod(sq, p);
-      ASSERT_TRUE(root.has_value());
-      EXPECT_EQ(Nat::mul(*root, *root) % p, sq);
-    }
-    // A non-residue has no root.
-    Nat z{2};
-    while (jacobi(z, p) != -1) z += Nat{1};
-    EXPECT_FALSE(sqrtmod(z, p).has_value());
-  }
-}
-
-// ---- Binary kernels (gcd / jacobi / invmod) against GMP ----
+// ---- The binary invmod kernel against GMP ----
 
 // Odd moduli: a random odd composite at every width from 1 to 48 limbs,
-// random primes, a product of two primes and a prime square (so gcd > 1
+// random primes, a product of two primes and a prime square (so non-unit
 // inputs are plentiful), and the shipped dl-test-256, P-256, dl-1024 and
 // dl-3072 primes.
 std::vector<Nat> kernel_moduli() {
   ChaChaRng rng{201};
-  std::vector<Nat> out{Nat{1}, Nat{3}, Nat{9}, Nat{15}};
+  std::vector<Nat> out{Nat{3}, Nat{9}, Nat{15}};
   for (std::size_t limbs = 1; limbs <= 48; ++limbs) {
     Nat c = rng.bits(64 * limbs);
     c.set_bit(64 * limbs - 1, true);
@@ -839,7 +771,7 @@ std::vector<Nat> kernel_inputs(const Nat& n, ChaChaRng& rng) {
   return out;
 }
 
-TEST(ModArithOracle, JacobiInvModAndGcdMatchGmp) {
+TEST(ModArithOracle, InvModMatchesGmp) {
   ChaChaRng rng{202};
   std::size_t inverses = 0, non_units = 0;
   for (const Nat& n : kernel_moduli()) {
@@ -847,11 +779,6 @@ TEST(ModArithOracle, JacobiInvModAndGcdMatchGmp) {
     for (const Nat& a : kernel_inputs(n, rng)) {
       const mpz_class ga = to_gmp(a);
       SCOPED_TRACE("a=" + a.to_hex() + " n=" + n.to_hex());
-      EXPECT_EQ(jacobi(a, n), mpz_jacobi(ga.get_mpz_t(), gn.get_mpz_t()));
-      mpz_class g;
-      mpz_gcd(g.get_mpz_t(), ga.get_mpz_t(), gn.get_mpz_t());
-      EXPECT_EQ(to_gmp(gcd(a, n)), g);
-      if (n.is_one()) continue;  // outside invmod's contract
       mpz_class inv;
       const bool unit =
           mpz_invert(inv.get_mpz_t(), ga.get_mpz_t(), gn.get_mpz_t()) != 0;
@@ -869,32 +796,15 @@ TEST(ModArithOracle, JacobiInvModAndGcdMatchGmp) {
   EXPECT_GT(non_units, 100u);
 }
 
-TEST(ModArithOracle, GcdOfEvenOperandsMatchesGmp) {
-  ChaChaRng rng{203};
-  for (int i = 0; i < 60; ++i) {
-    const Nat a = rng.bits(1 + rng.below_u64(700)).shl(rng.below_u64(130));
-    const Nat b = rng.bits(1 + rng.below_u64(700)).shl(rng.below_u64(130));
-    mpz_class g;
-    const mpz_class ga = to_gmp(a), gb = to_gmp(b);
-    mpz_gcd(g.get_mpz_t(), ga.get_mpz_t(), gb.get_mpz_t());
-    EXPECT_EQ(to_gmp(gcd(a, b)), g);
-  }
-}
-
 TEST(ModArithOracle, KernelContracts) {
   EXPECT_THROW((void)invmod(Nat{3}, Nat{10}), std::invalid_argument);
   EXPECT_THROW((void)invmod(Nat{3}, Nat{1}), std::invalid_argument);
   EXPECT_THROW((void)invmod(Nat{3}, Nat{}), std::invalid_argument);
-  EXPECT_THROW((void)jacobi(Nat{3}, Nat{}), std::invalid_argument);
-  EXPECT_EQ(jacobi(Nat::from_hex("123456789abcdef0123"), Nat{1}), 1);
   // 64 limbs is the widest operand the stack buffers hold.
   const Nat widest = Nat::sub(Nat::pow2(64 * 64), Nat{1});
   EXPECT_EQ(invmod(Nat{2}, widest), Nat::pow2(64 * 64 - 1));
-  EXPECT_EQ(jacobi(Nat{1}, widest), 1);
   const Nat wider = Nat::pow2(64 * 64);
-  EXPECT_THROW((void)jacobi(wider, Nat{3}), std::length_error);
   EXPECT_THROW((void)invmod(wider, Nat{3}), std::length_error);
-  EXPECT_THROW((void)gcd(wider, Nat{3}), std::length_error);
 }
 
 TEST(Prime, SmallKnownValues) {
@@ -923,15 +833,6 @@ TEST(Prime, RandomPrimeHasExactWidthAndIsPrime) {
     EXPECT_EQ(p.bit_length(), bits);
     EXPECT_TRUE(is_probable_prime(p, rng));
   }
-}
-
-TEST(Prime, SafePrimeStructure) {
-  ChaChaRng rng{18};
-  const Nat p = random_safe_prime(64, rng);
-  EXPECT_EQ(p.bit_length(), 64u);
-  EXPECT_TRUE(is_probable_prime(p, rng));
-  const Nat q = Nat::sub(p, Nat{1}).shr(1);
-  EXPECT_TRUE(is_probable_prime(q, rng));
 }
 
 // ---- Fp field context ----
@@ -992,6 +893,77 @@ TEST(Fp, SqrtInField) {
     const auto r = f.sqrt(f.sqr(x));
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(f.sqr(*r), f.sqr(x));
+  }
+}
+
+// Square-root fields: the secret-sharing sort's 37-bit field (p ≡ 7 mod 8,
+// ss_field_for_beta_bits(35)), the 1-limb 2^64 - 2^32 + 1 (p - 1 = 2^32·q),
+// P-224's field (p - 1 = 2^96·q, the deepest Tonelli–Shanks loop) and
+// P-256's (p ≡ 3 mod 4).
+std::vector<Nat> sqrt_fields() {
+  return {Nat::from_hex("143d53faa7"), Nat::from_hex("ffffffff00000001"),
+          group::nist_p224().p, group::nist_p256().p};
+}
+
+// Which of the two roots FpCtx::sqrt returns is pinned, per field, as
+// {a, sqrt(a)} in standard form: a change of algorithm must return the same
+// roots.
+TEST(Fp, SqrtReturnsPinnedRoots) {
+  const std::vector<std::vector<std::pair<const char*, const char*>>> pins = {
+      {{"d29a79cab", "4b1ab2eee"},
+       {"673314d15", "bf02eb4e3"},
+       {"1d6934c69", "bd775e06b"}},
+      {{"6f0fc90642c36e53", "bc4fe693dccf9df8"},
+       {"fd84c4cd51ab6f40", "b599d0ee3f2513ce"},
+       {"ae576984f71fc19d", "cb4483f49174f9a3"}},
+      {{"43f0d6edc1a24f44e51ed5e90d6f881bcc95bfd81a61d5e90dbab6e1",
+        "3a2cf5831e13ee6c8737b0b78288a579bd0ec131dc756baa17dd6179"},
+       {"4bf2be95c7699a81174de7be543bcbc6820435de276e69b4843e06b1",
+        "7217a442d6149c2f5e85a46664ad25dc41bfdc14f89df5ab09059529"},
+       {"539da51b9e710bdf5227e1a58403500be1a76f45b8091d792f2d102f",
+        "8c848e14fb9b253fef09a9192e02aaf9c1af3b78a366cf5cc092fd9e"}},
+      {{"d80a88eb147b83e06000e41a289b7f0d79adc2bc726e2ea5efd526cd8483e329",
+        "c05d119325acbe15dbbd7503d51ac9c7f66ddc0dc44bb1bc0c2a0163b5b2bfe9"},
+       {"23b91c5bf014dff6d7d1b899d6e1a83b17551a6ea5112d76e6dd420fe9375036",
+        "482f82c06a0cbc651aea9698227e42bca02a7dac1705bc3cba353fa57d19a73"},
+       {"a9f0e5c575a45ab441fcdc931a0f4926b722534f2da880265ae64f257296127b",
+        "a6ce0ebba9b5fa8be2a01bd56bf6023ae7549e74e3114c9705ba34de41ee306a"}}};
+  // The least non-residue of each field has no root.
+  const std::array<Limb, 4> least_nonresidue = {7, 7, 11, 3};
+  const auto fields = sqrt_fields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const FpCtx f{fields[i]};
+    for (const auto& [a, root] : pins[i]) {
+      const auto r = f.sqrt(f.to(Nat::from_hex(a)));
+      ASSERT_TRUE(r.has_value()) << f.p().to_hex() << " a=" << a;
+      EXPECT_EQ(f.from(*r), Nat::from_hex(root)) << f.p().to_hex() << " a=" << a;
+    }
+    for (Limb z = 2; z < least_nonresidue[i]; ++z)
+      EXPECT_TRUE(f.sqrt(f.to(Nat{z})).has_value()) << f.p().to_hex();
+    EXPECT_FALSE(f.sqrt(f.to(Nat{least_nonresidue[i]})).has_value())
+        << f.p().to_hex();
+    EXPECT_EQ(f.sqrt(f.zero()), f.zero());
+  }
+}
+
+TEST(Fp, SqrtMatchesGmp) {
+  ChaChaRng rng{78};
+  for (const Nat& p : sqrt_fields()) {
+    const FpCtx f{p};
+    const mpz_class gp = to_gmp(p);
+    std::size_t roots = 0;
+    for (int i = 0; i < 200; ++i) {
+      const Nat a = rng.below(p);
+      const mpz_class ga = to_gmp(a);
+      const auto r = f.sqrt(f.to(a));
+      SCOPED_TRACE("p=" + p.to_hex() + " a=" + a.to_hex());
+      ASSERT_EQ(r.has_value(), mpz_jacobi(ga.get_mpz_t(), gp.get_mpz_t()) != -1);
+      if (!r) continue;
+      const mpz_class root = to_gmp(f.from(*r));
+      EXPECT_EQ(root * root % gp, ga);
+      ++roots;
+    }
+    EXPECT_GT(roots, 60u) << p.to_hex();
   }
 }
 

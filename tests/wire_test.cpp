@@ -126,43 +126,26 @@ TEST_P(CryptoCodec, ElemAndCiphertextRoundTrip) {
 
   Writer w;
   crypto::write_elem(w, *g, kp.y);
-  crypto::write_ciphertext(w, *g, ct);
+  crypto::write_ciphertext_seq(w, *g, {&ct, 1});
   EXPECT_EQ(w.size(), crypto::elem_wire_bytes(*g) +
                           crypto::ciphertext_wire_bytes(*g));
 
   Reader r{w.data()};
   EXPECT_TRUE(g->eq(crypto::read_elem(r, *g), kp.y));
-  const auto ct2 = crypto::read_ciphertext(r, *g);
+  const auto ct2 = crypto::read_ciphertext_seq(r, *g, 1).at(0);
   EXPECT_TRUE(g->eq(ct2.c, ct.c));
   EXPECT_TRUE(g->eq(ct2.cp, ct.cp));
   r.finish();
 }
 
-TEST_P(CryptoCodec, CiphertextVectorRoundTrip) {
-  const auto g = group::make_group(GetParam());
-  ChaChaRng rng{121};
-  const group::FixedBaseTable key{*g, crypto::keygen(*g, rng).y};
-  std::vector<crypto::Ciphertext> cts;
-  for (int i = 0; i < 5; ++i)
-    cts.push_back(crypto::encrypt_exp(*g, key, Nat{static_cast<mpz::Limb>(i)}, rng));
-
-  Writer w;
-  crypto::write_ciphertexts(w, *g, cts);
-  Reader r{w.data()};
-  const auto back = crypto::read_ciphertexts(r, *g);
-  r.finish();
-  ASSERT_EQ(back.size(), cts.size());
-  for (std::size_t i = 0; i < cts.size(); ++i) {
-    EXPECT_TRUE(g->eq(back[i].c, cts[i].c));
-  }
-}
-
-TEST_P(CryptoCodec, CiphertextVectorRejectsLengthBomb) {
+TEST_P(CryptoCodec, CiphertextSeqRejectsCountBomb) {
+  // A count the input cannot hold is rejected before anything is reserved.
   const auto g = group::make_group(GetParam());
   Writer w;
-  w.varint(1 << 30);
+  w.raw(std::vector<std::uint8_t>(16, 0));
   Reader r{w.data()};
-  EXPECT_THROW((void)crypto::read_ciphertexts(r, *g), WireError);
+  EXPECT_THROW((void)crypto::read_ciphertext_seq(r, *g, std::size_t{1} << 30),
+               WireError);
 }
 
 TEST_P(CryptoCodec, ProofMessageRoundTripAndValidation) {
@@ -293,6 +276,19 @@ TEST(CoreCodec, DotProductMessagesRoundTrip) {
   EXPECT_EQ(reply2.h, reply.h);
 }
 
+TEST(CoreCodec, BobRound1DimensionsCannotWrap) {
+  // (s + 2)·d·fe = 2^62 · 4 · 32 = 2^69 wraps to 0 in 64 bits: the check
+  // must reject these dimensions before sizing anything by them.
+  const auto& f = core::default_dot_field();
+  ASSERT_EQ((f.bits() + 7) / 8, 32u);
+  Writer w;
+  w.varint((std::uint64_t{1} << 62) - 2);
+  w.varint(4);
+  w.raw(std::vector<std::uint8_t>(64, 0));
+  Reader r{w.data()};
+  EXPECT_THROW((void)core::read_bob_round1(r, f), WireError);
+}
+
 TEST(CoreCodec, FieldElementRangeValidated) {
   const auto& f = core::default_dot_field();
   Writer w;
@@ -393,10 +389,10 @@ TEST_P(CodecBoundaryGroup, IdentityElementRoundTrip) {
 
   const crypto::Ciphertext zero_ct{.c = g->identity(), .cp = g->identity()};
   Writer w2;
-  crypto::write_ciphertext(w2, *g, zero_ct);
+  crypto::write_ciphertext_seq(w2, *g, {&zero_ct, 1});
   EXPECT_EQ(w2.size(), crypto::ciphertext_wire_bytes(*g));
   Reader r2{w2.data()};
-  const auto back = crypto::read_ciphertext(r2, *g);
+  const auto back = crypto::read_ciphertext_seq(r2, *g, 1).at(0);
   r2.finish();
   EXPECT_TRUE(g->eq(back.c, zero_ct.c));
   EXPECT_TRUE(g->eq(back.cp, zero_ct.cp));
@@ -455,9 +451,9 @@ INSTANTIATE_TEST_SUITE_P(Groups, CodecBoundaryGroup,
                          });
 
 TEST(CodecBoundary, MaxWidthNatRoundTrip) {
-  // The length-prefixed nat codec must survive ciphertext-sized integers
-  // (a Paillier ciphertext modulo N^2 is ~2·|N| — take 4096 bits, every
-  // byte 0xFF) as well as the minimal-encoding edge next to it.
+  // The length-prefixed nat codec must survive 4096-bit integers (the
+  // widest modulus a MontCtx takes; every byte 0xFF) as well as the
+  // minimal-encoding edge next to it.
   std::vector<std::uint8_t> big(512, 0xFF);
   const Nat huge = Nat::from_bytes_be(big);
   Writer w;
