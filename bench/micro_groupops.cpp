@@ -7,7 +7,9 @@
 
 #include <vector>
 
+#include "core/framework.h"
 #include "core/ss_framework.h"
+#include "crypto/codec.h"
 #include "crypto/elgamal.h"
 #include "group/ec_group.h"
 #include "group/group.h"
@@ -30,6 +32,7 @@ const group::Group& group_for(int id) {
     gs.push_back(group::make_group(group::GroupId::kEcP192));
     gs.push_back(group::make_group(group::GroupId::kEcP224));
     gs.push_back(group::make_group(group::GroupId::kEcP256));
+    gs.push_back(group::make_group(group::GroupId::kDlTest256));  // he-n16's
     return gs;
   }();
   return *groups[static_cast<std::size_t>(id)];
@@ -100,30 +103,47 @@ double batch_lanes(const group::Group& g) {
   return 1.0;
 }
 
-// One shuffle-hop chunk as Participant::shuffle_hop runs it: 64 decoded
-// ciphertexts, a fresh r and e = q - x*r mod q per ciphertext, then
-// dual_exp_many (c^r * cp^e) and exp_many (cp^r). Items/s counts
-// ciphertexts, so 1/items_per_second is one hop ciphertext's cost.
-constexpr std::size_t kHopChunk = 64;
+// One shuffle-hop chunk as the hop's ladder tasks run it: 64 decoded
+// ciphertexts, a fresh r and e = q - x*r mod q per ciphertext (a Montgomery
+// product mod q with x·R), then dual_exp_many (c^r * cp^e) and exp_many
+// (cp^r). Items/s counts ciphertexts, so 1/items_per_second is one hop
+// ciphertext's cost; BM_HopScalars and BM_HopCodec price the work around
+// the ladders.
+using core::kHopChunk;
+
+// kHopChunk ciphertexts as a hop receives them: decoded, so every residue
+// is a canonical one (and every EC point has Z = 1).
+std::vector<crypto::Ciphertext> hop_chunk(const group::Group& g,
+                                          const crypto::KeyPair& kp,
+                                          mpz::Rng& rng) {
+  const group::FixedBaseTable y{g, kp.y};
+  std::vector<crypto::Ciphertext> cts;
+  for (std::size_t i = 0; i < kHopChunk; ++i) {
+    const auto ct = crypto::encrypt_exp(g, y, mpz::Nat{i % 2}, rng);
+    cts.push_back({.c = g.deserialize(g.serialize(ct.c)),
+                   .cp = g.deserialize(g.serialize(ct.cp))});
+  }
+  return cts;
+}
 
 void BM_ShuffleHopChunk(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{4};
   const auto kp = crypto::keygen(g, rng);
-  const group::FixedBaseTable y{g, kp.y};
   std::vector<group::Elem> c, cp;
-  for (std::size_t i = 0; i < kHopChunk; ++i) {
-    const auto ct = crypto::encrypt_exp(g, y, mpz::Nat{i % 2}, rng);
-    c.push_back(g.deserialize(g.serialize(ct.c)));
-    cp.push_back(g.deserialize(g.serialize(ct.cp)));
+  for (const auto& ct : hop_chunk(g, kp, rng)) {
+    c.push_back(ct.c);
+    cp.push_back(ct.cp);
   }
   const mpz::Nat& q = g.order();
+  const mpz::MontCtx zq{q};
+  const mpz::Nat x_mont = zq.to_mont(kp.x);
   std::vector<mpz::Nat> r(kHopChunk), e(kHopChunk);
   std::vector<group::Elem> c_out(kHopChunk), cp_out(kHopChunk);
   for (auto _ : state) {
     for (std::size_t i = 0; i < kHopChunk; ++i) {
       r[i] = g.random_nonzero_scalar(rng);
-      e[i] = mpz::Nat::sub(q, mpz::Nat::mul(kp.x, r[i]) % q);
+      e[i] = mpz::Nat::sub(q, zq.mul(x_mont, r[i]));
     }
     g.dual_exp_many(c, r, cp, e, c_out);
     g.exp_many(cp, r, cp_out);
@@ -136,7 +156,49 @@ void BM_ShuffleHopChunk(benchmark::State& state) {
   state.counters["lanes"] = batch_lanes(g);
   state.SetLabel(g.name());
 }
-BENCHMARK(BM_ShuffleHopChunk)->DenseRange(0, 5);
+BENCHMARK(BM_ShuffleHopChunk)->DenseRange(0, 6);
+
+// The hop's scalars per ciphertext: the r draw from a ChaCha stream, then
+// e = q - x·r mod q as a Montgomery product with x·R mod q.
+void BM_HopScalars(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{16};
+  const auto kp = crypto::keygen(g, rng);
+  const mpz::Nat& q = g.order();
+  const mpz::MontCtx zq{q};
+  const mpz::Nat x_mont = zq.to_mont(kp.x);
+  for (auto _ : state) {
+    const mpz::Nat r = g.random_nonzero_scalar(rng);
+    auto e = mpz::Nat::sub(q, zq.mul(x_mont, r));
+    benchmark::DoNotOptimize(e);
+  }
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_HopScalars)->Arg(0)->Arg(5)->Arg(6);
+
+// One hop set's codec per ciphertext: kHopChunk ciphertexts encoded into
+// their slice of a payload (one Group::serialize_into) and decoded back
+// from it (one Group::deserialize_into), as the hop's transport tasks do.
+void BM_HopCodec(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{17};
+  const auto cts = hop_chunk(g, crypto::keygen(g, rng), rng);
+  const std::size_t slice = cts.size() * crypto::ciphertext_wire_bytes(g);
+  std::vector<std::uint8_t> payload(2 * slice);
+  const std::span<std::uint8_t> mine = std::span{payload}.subspan(slice, slice);
+  std::vector<crypto::Ciphertext> back(cts.size());
+  for (auto _ : state) {
+    crypto::write_ciphertext_seq(mine, g, cts);
+    runtime::Reader r{mine};
+    crypto::read_ciphertext_seq(r, g, back);
+    benchmark::DoNotOptimize(back.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * cts.size()));
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_HopCodec)->Arg(0)->Arg(5)->Arg(6);
 
 // The batch forms alone over one hop chunk of full-width scalars, items/s
 // per element: read against BM_GroupExp / BM_GroupDualExp.

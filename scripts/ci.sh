@@ -35,7 +35,9 @@
 # and exp_fixed vs GMP's mpz_powm on the Schnorr groups), the batched-inversion
 # KATs, the parallel-determinism suite and the phase-2 oracle (the fused
 # comparison circuit and chain hop vs the naive evaluation, value- and
-# byte-identical on every group family) run under ASan+UBSan — index
+# byte-identical on every group family, and the hop split into draw,
+# 64-ciphertext ladder and permutation tasks over sets of 1 to 130
+# ciphertexts) run under ASan+UBSan — index
 # arithmetic over window digits and digit tables is exactly the surface
 # ASan watches. The same leg runs the batch ladders' oracles:
 # mpz_modular_test's per-lane GMP oracle (MontCtx::exp_many / dual_exp_many
@@ -54,7 +56,9 @@
 # DL decode contract (a range check 1 <= z <= q on the canonical |x|
 # encoding): group_test's accept/reject cases and random-bytes property,
 # mpz_modular_test's GMP oracle for the encoding, and wire_test's
-# corrupted-element case. EcGroup's stack-limb point formulas run here at
+# corrupted-element and batch-decode cases (the limb-level batch decode
+# fails on the same element with the same error as one-by-one
+# deserialize). EcGroup's stack-limb point formulas run here at
 # every field width: multiexp_test's EC oracle (textbook affine addition
 # and doubling over GMP, against mul / exp / exp_g / exp_fixed / exp_many /
 # dual_exp / dual_exp_many and the serialized bytes on P-192 at 3 limbs and
@@ -227,9 +231,11 @@ case "${MODE}" in
   # in-process run schedules n+1 party coroutines with one baton while
   # their fan-outs run on the pool: baton_test pins the scheduler, and the
   # framework suites (core_framework, chaos, framework_property,
-  # parallel_determinism, metrics_export) drive it end to end. Pass extra
-  # ctest args (e.g. -R '.') to widen.
-  tsan) run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos' ;;
+  # parallel_determinism, metrics_export) drive it end to end;
+  # phase2_oracle's split-hop test runs the hop's draw, ladder-chunk and
+  # permutation tasks on pools of 1, 3 and 4 threads. Pass extra ctest args
+  # (e.g. -R '.') to widen.
+  tsan) run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos|phase2_oracle' ;;
   engine) run_leg tsan -R 'engine' ;;
   metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test|tcp_transport|^fault_test$' ;;
   chaos)
@@ -240,7 +246,7 @@ case "${MODE}" in
   multiexp)
     run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk'
     ./build-asan/bench/micro_groupops \
-        --benchmark_filter='ShuffleHopChunk|GroupExpMany|GroupDualExpMany' \
+        --benchmark_filter='ShuffleHopChunk|HopCodec|HopScalars|GroupExpMany|GroupDualExpMany' \
         --benchmark_min_time=0.01
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
@@ -255,7 +261,7 @@ case "${MODE}" in
   all)
     run_leg default
     run_leg asan
-    run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos'
+    run_leg tsan -R 'baton|parallel_determinism|runtime_pool|framework_property|metrics_export|core_framework|chaos|phase2_oracle'
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'tcp_transport'

@@ -110,6 +110,11 @@ void Participant::receive_gain_answer(const dotprod::AliceRound2& answer) {
 
 const Elem& Participant::public_key(Rng& rng) {
   key_ = crypto::keygen(*cfg_.group, rng);
+  const Nat& q = cfg_.group->order();
+  if (q.is_odd()) {
+    order_mont_.emplace(q);
+    x_mont_ = order_mont_->to_mont(key_.x);
+  }
   return key_.y;
 }
 
@@ -213,42 +218,55 @@ std::vector<Ciphertext> Participant::compare_against(
 // random_nonzero_scalar per ciphertext, in set order, then the Fisher–Yates
 // draws with the party's private randomness. The ladders run through the
 // group's batch forms, kHopChunk ciphertexts at a time (MontCtx and
-// EcGroup run 8 ladders per IFMA vector), drawing each chunk's r before its
-// ladders: the same draws in the same order, with O(kHopChunk) scratch.
+// EcGroup run 8 ladders per IFMA vector).
 void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
-  constexpr std::size_t kHopChunk = 64;
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
+  std::vector<Nat> r(set.size());
+  std::vector<std::uint64_t> swaps(set.size());
+  draw_hop(rng, r, swaps);
+  for (std::size_t lo = 0; lo < set.size(); lo += kHopChunk) {
+    const std::size_t len = std::min(kHopChunk, set.size() - lo);
+    hop_ladders(std::span{set}.subspan(lo, len),
+                std::span<const Nat>{r}.subspan(lo, len));
+  }
+  permute_hop(set, swaps);
+}
+
+void Participant::draw_hop(Rng& rng, std::span<Nat> r,
+                           std::span<std::uint64_t> swaps) const {
+  if (swaps.size() != r.size())
+    throw std::invalid_argument("draw_hop: span sizes differ");
+  const Group& g = *cfg_.group;
+  for (Nat& ri : r) ri = g.random_nonzero_scalar(rng);
+  for (std::size_t i = r.size(); i-- > 1;) swaps[i] = rng.below_u64(i + 1);
+}
+
+void Participant::hop_ladders(std::span<Ciphertext> cts,
+                              std::span<const Nat> r) const {
+  if (r.size() != cts.size())
+    throw std::invalid_argument("hop_ladders: span sizes differ");
   const Group& g = *cfg_.group;
   const Nat& q = g.order();
-  std::vector<Nat> r, e;
-  std::vector<Elem> c, cp, out;
-  r.reserve(kHopChunk);
-  e.reserve(kHopChunk);
-  c.reserve(kHopChunk);
-  cp.reserve(kHopChunk);
-  for (std::size_t lo = 0; lo < set.size(); lo += kHopChunk) {
-    const std::span<Ciphertext> chunk =
-        std::span{set}.subspan(lo, std::min(kHopChunk, set.size() - lo));
-    r.clear();
-    e.clear();
-    c.clear();
-    cp.clear();
-    for (Ciphertext& ct : chunk) {
-      r.push_back(g.random_nonzero_scalar(rng));
-      e.push_back(Nat::sub(q, Nat::mul(key_.x, r.back()) % q));
-      c.push_back(std::move(ct.c));
-      cp.push_back(std::move(ct.cp));
-    }
-    out.resize(chunk.size());
-    g.dual_exp_many(c, r, cp, e, out);
-    for (std::size_t i = 0; i < chunk.size(); ++i)
-      chunk[i].c = std::move(out[i]);
-    g.exp_many(cp, r, out);
-    for (std::size_t i = 0; i < chunk.size(); ++i)
-      chunk[i].cp = std::move(out[i]);
+  std::vector<Nat> e(cts.size());
+  std::vector<Elem> c(cts.size()), cp(cts.size()), out(cts.size());
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    // e = q - x·r mod q: one Montgomery product of x·R mod q with r.
+    e[i] = Nat::sub(q, order_mont_ ? order_mont_->mul(x_mont_, r[i])
+                                   : Nat::mul(key_.x, r[i]) % q);
+    c[i] = std::move(cts[i].c);
+    cp[i] = std::move(cts[i].cp);
   }
-  for (std::size_t i = set.size(); i-- > 1;)
-    std::swap(set[i], set[rng.below_u64(i + 1)]);
+  g.dual_exp_many(c, r, cp, e, out);
+  for (std::size_t i = 0; i < cts.size(); ++i) cts[i].c = std::move(out[i]);
+  g.exp_many(cp, r, out);
+  for (std::size_t i = 0; i < cts.size(); ++i) cts[i].cp = std::move(out[i]);
+}
+
+void Participant::permute_hop(std::span<Ciphertext> set,
+                              std::span<const std::uint64_t> swaps) {
+  if (swaps.size() != set.size())
+    throw std::invalid_argument("permute_hop: span sizes differ");
+  for (std::size_t i = set.size(); i-- > 1;) std::swap(set[i], set[swaps[i]]);
 }
 
 std::size_t Participant::count_zeros(std::span<const Ciphertext> cts) const {

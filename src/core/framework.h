@@ -40,6 +40,7 @@
 #include "dotprod/dot_product.h"
 #include "group/fixed_base.h"
 #include "group/group.h"
+#include "mpz/mont.h"
 #include "mpz/rng.h"
 #include "net/fault.h"
 #include "runtime/comm.h"
@@ -62,6 +63,10 @@ using mpz::Rng;
 /// A participant's flattened comparison set travelling the shuffle chain
 /// ((n-1)·l ciphertexts; the paper's script-E_j).
 using CipherSet = std::vector<Ciphertext>;
+
+/// Ciphertexts per shuffle-hop ladder batch: fixed, so the engine's task
+/// split (and with it the span stream) does not depend on the pool size.
+inline constexpr std::size_t kHopChunk = 64;
 
 /// Party id for a fault not attributable to one party.
 inline constexpr std::size_t kNoParty = static_cast<std::size_t>(-1);
@@ -247,8 +252,22 @@ class Participant {
       const std::vector<Ciphertext>& peer_bits, Rng& rng) const;
   /// Step 8: one chain hop over a peer's set — partial decryption with this
   /// party's key share, per-ciphertext exponent randomization, and a uniform
-  /// permutation of the set.
+  /// permutation of the set: draw_hop, hop_ladders over kHopChunk
+  /// ciphertexts at a time, then permute_hop, counted as one kShuffleHop.
   void shuffle_hop(CipherSet& set, Rng& rng) const;
+  /// The hop's three steps, which the engine fans out separately
+  /// (DESIGN.md §5b). draw_hop draws all of one set's randomness from its
+  /// stream: r[i] in [1, q) for every ciphertext in set order, then the
+  /// Fisher–Yates indices swaps[i] for i = size-1 down to 1 (r and swaps
+  /// have the set's size; swaps[0] is unused).
+  void draw_hop(Rng& rng, std::span<Nat> r,
+                std::span<std::uint64_t> swaps) const;
+  /// Partially decrypts and randomizes cts[i] with r[i], through one
+  /// dual_exp_many and one exp_many; cts may span several sets.
+  void hop_ladders(std::span<Ciphertext> cts, std::span<const Nat> r) const;
+  /// Applies draw_hop's Fisher–Yates swaps to its set.
+  static void permute_hop(std::span<Ciphertext> set,
+                          std::span<const std::uint64_t> swaps);
   /// Step 9: final decryption of (part of) the own returned set; the rank
   /// is 1 + the zeros of the whole set. The span's cp^x run through one
   /// Group::exp_many (phase 3 hands over kRankChunk ciphertexts at a
@@ -268,6 +287,10 @@ class Participant {
   std::optional<dotprod::DotProductBob> dot_;
   Nat beta_;  // unsigned l-bit
   crypto::KeyPair key_;
+  // Z_q's Montgomery context and x·R mod q, for the hop's
+  // e = q - x·r mod q; unset for an even q (MockGroup's).
+  std::optional<mpz::MontCtx> order_mont_;
+  Nat x_mont_;
   std::shared_ptr<const group::FixedBaseTable> joint_key_;
 };
 

@@ -296,28 +296,43 @@ class Party {
 
   // ---- parallelism ----
 
-  // Runs fn(i), i in [0, count), on the pool, each task timed as this
-  // party's computation. With observability on, task i counts into its own
-  // metrics buffer and opens a `name` span with argument arg(i); both are
-  // absorbed in index order, so the exports do not depend on the pool size.
-  // A null name marks transport work (the payload decodes): untimed and
-  // without spans.
+  // Runs fn(i), i in [0, count), on the pool. With observability on, task
+  // i counts into its own metrics buffer and, when `name` is set, opens a
+  // `name` span with argument arg(i); both are absorbed in index order, so
+  // the exports do not depend on the pool size. Timed tasks count as this
+  // party's computation.
   template <typename Arg, typename Fn>
-  void fan_out(const char* name, std::size_t count, Arg arg, Fn fn) {
+  void run_tasks(const char* name, bool timed, std::size_t count, Arg arg,
+                 Fn fn) {
     std::vector<runtime::MetricsBuffer> mbufs(obs() ? count : 0);
     std::vector<runtime::SpanBuffer> sbufs(obs() && name ? count : 0);
     host_.pool.parallel_for(count, [&](std::size_t i) {
       std::optional<runtime::MetricsScope> metrics;
       std::optional<runtime::SpanScope> span;
-      std::optional<runtime::PartyTimer::Scope> timed;
+      std::optional<runtime::PartyTimer::Scope> time;
       if (obs()) metrics.emplace(&mbufs[i], phase_, party_id());
       if (obs() && name)
         span.emplace(&sbufs[i], name, phase_, party_id(), arg(i));
-      if (name) timed.emplace(host_.timer, me_);
+      if (timed) time.emplace(host_.timer, me_);
       fn(i);
     });
     for (auto& b : sbufs) host_.spans->absorb(b);
     for (auto& b : mbufs) host_.metrics->absorb(b);
+  }
+  // Timed tasks, each with a `name` span.
+  template <typename Arg, typename Fn>
+  void fan_out(const char* name, std::size_t count, Arg arg, Fn fn) {
+    run_tasks(name, true, count, arg, fn);
+  }
+  // Timed tasks without spans.
+  template <typename Fn>
+  void compute_all(std::size_t count, Fn fn) {
+    run_tasks(nullptr, true, count, [](std::size_t) { return 0; }, fn);
+  }
+  // Transport work (payload encodes and decodes): untimed, without spans.
+  template <typename Fn>
+  void transport_all(std::size_t count, Fn fn) {
+    run_tasks(nullptr, false, count, [](std::size_t) { return 0; }, fn);
   }
   // A protocol step of one task.
   template <typename Fn>
@@ -326,24 +341,22 @@ class Party {
     fan_out(name, 1, [](std::size_t) { return 0; },
             [&](std::size_t) { fn(); });
   }
-  template <typename Fn>
-  void decode_all(std::size_t count, Fn fn) {
-    fan_out(nullptr, count, [](std::size_t) { return 0; }, fn);
-  }
   [[nodiscard]] runtime::SpanScope step(const char* name,
                                         std::uint64_t arg = 0) const {
     return runtime::SpanScope{host_.spans, name, phase_, party_id(), arg};
   }
-  [[nodiscard]] CipherSet decode_set(std::span<const std::uint8_t> bytes,
-                                     std::size_t count) const {
-    return decode(bytes, [&](runtime::Reader& r) {
-      return crypto::read_ciphertext_seq(r, *fw_.group, count);
-    });
+  void decode_set(std::span<const std::uint8_t> bytes,
+                  std::span<Ciphertext> out) const {
+    runtime::Reader r{bytes};
+    crypto::read_ciphertext_seq(r, *fw_.group, out);
+    r.finish();
   }
-  [[nodiscard]] Payload encode_set(const CipherSet& set) const {
-    return encode([&](runtime::Writer& w) {
-      crypto::write_ciphertext_seq(w, *fw_.group, set);
-    });
+  [[nodiscard]] Payload encode_set(std::span<const Ciphertext> set) const {
+    const Group& g = *fw_.group;
+    auto bytes = std::make_shared<std::vector<std::uint8_t>>(
+        set.size() * crypto::ciphertext_wire_bytes(g));
+    crypto::write_ciphertext_seq(*bytes, g, set);
+    return bytes;
   }
 
   // ---- phase 1: secure gain computation ----
@@ -495,8 +508,9 @@ class Party {
       for (std::size_t p = 1; p <= n_; ++p)
         if (p != me_) bits_rx[p] = co_await receive(p);
       std::vector<CipherSet> peer_bits(n_ + 1);
-      decode_all(n_ - 1, [&](std::size_t s) {
-        peer_bits[peer(s)] = decode_set(*bits_rx[peer(s)], l_);
+      transport_all(n_ - 1, [&](std::size_t s) {
+        peer_bits[peer(s)].resize(l_);
+        decode_set(*bits_rx[peer(s)], peer_bits[peer(s)]);
       });
       const auto span = step("p2.compare");
       fan_out("task.compare", n_ - 1,
@@ -523,56 +537,106 @@ class Party {
     }
     if (me_ != n_) {
       const Payload rx = co_await receive(n_);
-      decode_all(1, [&](std::size_t) {
-        own_set = decode_set(*rx, (n_ - 1) * l_);
-      });
+      own_set.resize((n_ - 1) * l_);
+      transport_all(1, [&](std::size_t) { decode_set(*rx, own_set); });
     }
     own_set_ = std::move(own_set);
   }
 
+  // One chain hop. V arrives as n sets, one per owner; this party's own set
+  // travels untouched, and the n-1 foreign ones sit side by side in
+  // `foreign` (slot s holds peer(s)'s set), so the ladder tasks run fixed
+  // kHopChunk-ciphertext chunks across set boundaries. Each step is its own
+  // fan-out: the per-set draws, the ladder chunks, the per-set
+  // permutations, then the encode of V (one transport task per set, each
+  // writing its slice of one payload).
   net::Task<> shuffle_hop(CipherSet& own_set) {
     const Group& g = *fw_.group;
     const std::size_t set_size = (n_ - 1) * l_;
-    std::vector<CipherSet> v(n_);
+    const std::size_t slice = set_size * crypto::ciphertext_wire_bytes(g);
+    CipherSet foreign((n_ - 1) * set_size);
+    // Slot s of a per-foreign-ciphertext array: peer(s)'s set.
+    const auto slot = [&](auto& xs, std::size_t s) {
+      return std::span{xs}.subspan(s * set_size, set_size);
+    };
+    // Owner o's set (1-based): the own set or its foreign slot.
+    const auto set_of = [&](std::size_t o) {
+      if (o == me_) return std::span{own_set};
+      return slot(foreign, o < me_ ? o - 1 : o - 2);
+    };
     if (me_ == 1) {
       std::vector<Payload> rx(n_ + 1);
       for (std::size_t q = 2; q <= n_; ++q) rx[q] = co_await receive(q);
-      decode_all(n_ - 1, [&](std::size_t s) {
-        v[s + 1] = decode_set(*rx[s + 2], set_size);
+      transport_all(n_ - 1, [&](std::size_t s) {
+        decode_set(*rx[s + 2], slot(foreign, s));
       });
-      v[0] = std::move(own_set);  // P1's own set stays put
     } else {
       // One fixed-size slice per set, the last taking any remainder, so a
       // short or long payload fails on the same set with the same error as
       // one sequential read.
       const Payload rx = co_await receive(me_ - 1);
       const std::span<const std::uint8_t> bytes{*rx};
-      const std::size_t slice = set_size * crypto::ciphertext_wire_bytes(g);
-      decode_all(n_, [&](std::size_t s) {
+      own_set.resize(set_size);
+      transport_all(n_, [&](std::size_t s) {
         const std::size_t off = std::min(s * slice, bytes.size());
         const std::size_t rest = bytes.size() - off;
         const std::size_t len = s + 1 < n_ ? std::min(slice, rest) : rest;
-        v[s] = decode_set(bytes.subspan(off, len), set_size);
+        decode_set(bytes.subspan(off, len), set_of(s + 1));
       });
     }
     {
       const auto span = step("p2.shuffle", me_ - 1);
-      fan_out("task.shuffle_hop", n_ - 1,
-              [&](std::size_t s) { return peer(s) - 1; },
-              [&](std::size_t s) {
-                const std::size_t owner = peer(s) - 1;
-                ChaChaRng rng = stream(StreamKind::kShuffle, me_, owner);
-                part_->shuffle_hop(v[owner], rng);
+      // With observability on, each set's kShuffleHop sample is its draw
+      // and permutation plus an equal share of the ladder seconds.
+      const auto now = [&] {
+        return obs() ? runtime::metrics_now_seconds() : 0.0;
+      };
+      std::vector<Nat> r(foreign.size());
+      std::vector<std::uint64_t> swaps(foreign.size());
+      std::vector<double> draw_s(n_ - 1);
+      compute_all(n_ - 1, [&](std::size_t s) {
+        const double t0 = now();
+        ChaChaRng rng = stream(StreamKind::kShuffle, me_, peer(s) - 1);
+        part_->draw_hop(rng, slot(r, s), slot(swaps, s));
+        draw_s[s] = now() - t0;
+      });
+      const std::size_t chunks = (foreign.size() + kHopChunk - 1) / kHopChunk;
+      std::vector<double> chunk_s(chunks);
+      fan_out("task.shuffle_hop", chunks, [](std::size_t c) { return c; },
+              [&](std::size_t c) {
+                const double t0 = now();
+                const std::size_t lo = c * kHopChunk;
+                const std::size_t len =
+                    std::min(kHopChunk, foreign.size() - lo);
+                part_->hop_ladders(std::span{foreign}.subspan(lo, len),
+                                   std::span<const Nat>{r}.subspan(lo, len));
+                chunk_s[c] = now() - t0;
               });
+      double ladder_s = 0.0;
+      for (const double t : chunk_s) ladder_s += t;
+      compute_all(n_ - 1, [&](std::size_t s) {
+        const double t0 = now();
+        Participant::permute_hop(slot(foreign, s), slot(swaps, s));
+        runtime::record_op(runtime::CryptoOp::kShuffleHop,
+                           draw_s[s] + ladder_s / static_cast<double>(n_ - 1) +
+                               (now() - t0));
+      });
     }
     if (me_ < n_) {
-      send(me_ + 1, encode([&](runtime::Writer& w) {
-             for (const auto& s : v) crypto::write_ciphertext_seq(w, g, s);
-           }));
+      auto payload = std::make_shared<std::vector<std::uint8_t>>(n_ * slice);
+      transport_all(n_, [&](std::size_t s) {
+        crypto::write_ciphertext_seq(
+            std::span{*payload}.subspan(s * slice, slice), g, set_of(s + 1));
+      });
+      own_set = CipherSet{};  // it travels on in the payload
+      send(me_ + 1, payload);
     } else {
-      for (std::size_t owner = 1; owner < n_; ++owner)
-        send(owner, encode_set(v[owner - 1]));
-      own_set = std::move(v[n_ - 1]);  // Pn's own set stays put
+      // Pn returns each foreign set to its owner and keeps its own.
+      std::vector<Payload> back(n_ - 1);
+      transport_all(n_ - 1, [&](std::size_t s) {
+        back[s] = encode_set(slot(foreign, s));
+      });
+      for (std::size_t s = 0; s + 1 < n_; ++s) send(peer(s), back[s]);
     }
   }
 

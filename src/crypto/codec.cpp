@@ -1,17 +1,8 @@
 #include "crypto/codec.h"
 
+#include <algorithm>
+
 namespace ppgr::crypto {
-
-namespace {
-
-Ciphertext read_ciphertext(Reader& r, const Group& g) {
-  Ciphertext ct;
-  ct.c = read_elem(r, g);
-  ct.cp = read_elem(r, g);
-  return ct;
-}
-
-}  // namespace
 
 void write_elem(Writer& w, const Group& g, const Elem& e) {
   w.raw(g.serialize(e));
@@ -32,29 +23,33 @@ mpz::Nat read_scalar(Reader& r, const Group& g) {
   return s;
 }
 
-void write_ciphertext_seq(Writer& w, const Group& g,
+void write_ciphertext_seq(std::span<std::uint8_t> out, const Group& g,
                           std::span<const Ciphertext> cts) {
-  // Batch the whole set through serialize_many: identical bytes and the
-  // same logical serialization count, but elliptic-curve groups normalize
-  // all 2·|cts| points to affine with a single batched field inversion.
-  std::vector<group::Elem> elems;
+  // One batch for the whole set: identical bytes and the same logical
+  // serialization count, but elliptic-curve groups normalize all 2·|cts|
+  // points to affine with a single batched field inversion.
+  std::vector<const group::Elem*> elems;
   elems.reserve(2 * cts.size());
   for (const auto& ct : cts) {
-    elems.push_back(ct.c);
-    elems.push_back(ct.cp);
+    elems.push_back(&ct.c);
+    elems.push_back(&ct.cp);
   }
-  w.raw(g.serialize_many(elems));
+  g.serialize_into(elems, out);
 }
 
-std::vector<Ciphertext> read_ciphertext_seq(Reader& r, const Group& g,
-                                            std::size_t count) {
-  if (count > r.remaining() / ciphertext_wire_bytes(g) + 1)
+void read_ciphertext_seq(Reader& r, const Group& g, std::span<Ciphertext> out) {
+  // A count the input cannot hold fails before anything decodes.
+  if (out.size() > r.remaining() / ciphertext_wire_bytes(g) + 1)
     throw runtime::WireError("ciphertext_seq: count exceeds input");
-  std::vector<Ciphertext> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out.push_back(read_ciphertext(r, g));
-  return out;
+  const std::size_t eb = g.element_bytes();
+  // The whole elements the input holds, at most 2·|out|, decode as one
+  // batch; a truncated one after them fails as reading it alone does.
+  const std::size_t whole = std::min(2 * out.size(), r.remaining() / eb);
+  std::vector<group::Elem*> elems(whole);
+  for (std::size_t i = 0; i < whole; ++i)
+    elems[i] = i % 2 == 0 ? &out[i / 2].c : &out[i / 2].cp;
+  g.deserialize_into(r.raw(whole * eb), elems);
+  if (whole < 2 * out.size()) (void)r.raw(eb);
 }
 
 void write_schnorr_proof(Writer& w, const Group& g, const SchnorrProof& p) {

@@ -29,11 +29,18 @@ void write_scalar(Writer& w, const Group& g, const mpz::Nat& s);
 /// by the protocol position (l bits, (n-1)*l comparison outcomes, ...), so
 /// the wire size is exactly count * ciphertext_wire_bytes(g). This framing
 /// carries the bulk phase-2 traffic.
-void write_ciphertext_seq(Writer& w, const Group& g,
+///
+/// The writer fills `out`, exactly cts.size() * ciphertext_wire_bytes(g)
+/// bytes (std::invalid_argument otherwise), with one Group::serialize_into
+/// over all 2·|cts| elements: a caller encodes each set of a message
+/// straight into its slice of one payload.
+void write_ciphertext_seq(std::span<std::uint8_t> out, const Group& g,
                           std::span<const Ciphertext> cts);
-[[nodiscard]] std::vector<Ciphertext> read_ciphertext_seq(Reader& r,
-                                                          const Group& g,
-                                                          std::size_t count);
+/// Reads out.size() ciphertexts through one Group::deserialize_into. A
+/// count the input cannot hold fails first (WireError); otherwise elements
+/// decode in order and the first malformed one fails as reading it alone
+/// would (its deserialize error, or WireError on truncation).
+void read_ciphertext_seq(Reader& r, const Group& g, std::span<Ciphertext> out);
 
 /// The multi-verifier proof message h | Σc | z: one element and two
 /// scalars, elem_wire_bytes(g) + 2·scalar_wire_bytes(g) bytes.

@@ -22,12 +22,6 @@ unsigned nibble(const Nat& e, std::size_t pos) {
   return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
 }
 
-// The low `bytes` bytes of the little-endian limbs `l`, big-endian, to dst.
-void put_be(std::uint8_t* dst, const Limb* l, std::size_t bytes) {
-  for (std::size_t j = 0; j < bytes; ++j)
-    dst[bytes - 1 - j] = static_cast<std::uint8_t>(l[j / 8] >> (8 * (j % 8)));
-}
-
 // ---- 8-lane batch ladders: AVX-512 IFMA, fields below 2^256 ----
 //
 // Eight independent Straus ladders run side by side on mpz/ifma_lanes.h's
@@ -447,8 +441,7 @@ void EcGroup::fsub(Fe& out, const Fe& a, const Fe& b) const {
 
 EcGroup::Fe EcGroup::load(const Nat& residue) const {
   Fe f;
-  const auto l = residue.limbs();
-  std::copy_n(l.begin(), std::min(l.size(), kLimbs), f.l);
+  residue.to_limbs(f.l, kLimbs);
   return f;
 }
 
@@ -502,11 +495,11 @@ EcGroup::Fe EcGroup::standard(const Fe& a) const {
   return out;
 }
 
-std::vector<Nat> EcGroup::z_inverses(std::span<const Elem> xs) const {
+std::vector<Nat> EcGroup::z_inverses(std::span<const Elem* const> xs) const {
   std::vector<Nat> zs;
   zs.reserve(xs.size());
-  for (const Elem& pt : xs)
-    if (!pt.infinity) zs.push_back(pt.c);
+  for (const Elem* pt : xs)
+    if (!pt->infinity) zs.push_back(pt->c);
   return field_.inv_many(zs);
 }
 
@@ -760,8 +753,8 @@ void EcGroup::write_affine(std::uint8_t* dst, const Point& pt,
   Fe x, y;
   affine(x, y, pt, zinv);
   dst[0] = 0x04;
-  put_be(dst + 1, standard(x).l, fb);
-  put_be(dst + 1 + fb, standard(y).l, fb);
+  mpz::limbs_to_be({dst + 1, fb}, standard(x).l);
+  mpz::limbs_to_be({dst + 1 + fb, fb}, standard(y).l);
 }
 
 std::vector<std::uint8_t> EcGroup::serialize(const Elem& x) const {
@@ -771,23 +764,26 @@ std::vector<std::uint8_t> EcGroup::serialize(const Elem& x) const {
   return out;
 }
 
-std::vector<std::uint8_t> EcGroup::serialize_many(
-    std::span<const Elem> xs) const {
+void EcGroup::serialize_into(std::span<const Elem* const> xs,
+                             std::span<std::uint8_t> out) const {
   const std::size_t eb = element_bytes();
-  std::vector<std::uint8_t> out(xs.size() * eb, 0);
+  if (out.size() != xs.size() * eb)
+    throw std::invalid_argument("EcGroup::serialize_into: output size");
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
   const std::vector<Nat> zinvs = z_inverses(xs);
-  if (zinvs.empty()) return out;  // all identities: all-zero encodings
+  if (zinvs.empty()) return;  // all identities: all-zero encodings
   runtime::count_op(runtime::CryptoOp::kAccelBatchInverse, zinvs.size());
   std::size_t zi = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i].infinity) continue;
-    write_affine(out.data() + i * eb, load(xs[i]), load(zinvs[zi++]));
+    if (xs[i]->infinity) continue;
+    write_affine(out.data() + i * eb, load(*xs[i]), load(zinvs[zi++]));
   }
-  return out;
 }
 
 void EcGroup::normalize_many(std::span<Elem> xs) const {
-  const std::vector<Nat> zinvs = z_inverses(xs);
+  std::vector<const Elem*> ptrs(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
+  const std::vector<Nat> zinvs = z_inverses(ptrs);
   std::size_t zi = 0;
   for (Elem& e : xs) {
     if (e.infinity) continue;

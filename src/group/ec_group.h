@@ -87,8 +87,8 @@ class EcGroup final : public Group {
   /// Batched serialization: normalizes every non-identity point to affine
   /// with ONE field inversion (FpCtx::inv_many, Montgomery's trick) instead
   /// of one per point. Byte-identical to the per-element form.
-  [[nodiscard]] std::vector<std::uint8_t> serialize_many(
-      std::span<const Elem> xs) const override;
+  void serialize_into(std::span<const Elem* const> xs,
+                      std::span<std::uint8_t> out) const override;
   /// Accepts only canonical encodings (std::invalid_argument otherwise):
   /// all zeros for the identity, else 0x04 || x || y with x, y < p on the
   /// curve, so every accepted encoding re-serializes to itself.
@@ -138,7 +138,8 @@ class EcGroup final : public Group {
   /// The standard form of a Montgomery residue.
   [[nodiscard]] Fe standard(const Fe& a) const;
   /// 1/Z of every finite point of xs, in order (one FpCtx::inv_many).
-  [[nodiscard]] std::vector<Nat> z_inverses(std::span<const Elem> xs) const;
+  [[nodiscard]] std::vector<Nat> z_inverses(
+      std::span<const Elem* const> xs) const;
   /// pt's encoding 0x04 || x || y into dst (element_bytes() bytes).
   void write_affine(std::uint8_t* dst, const Point& pt, const Fe& zinv) const;
 

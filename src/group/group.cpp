@@ -90,6 +90,35 @@ void Group::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
     out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }
 
+void Group::serialize_into(std::span<const Elem* const> xs,
+                           std::span<std::uint8_t> out) const {
+  const std::size_t eb = element_bytes();
+  if (out.size() != xs.size() * eb)
+    throw std::invalid_argument("Group::serialize_into: output size");
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto one = serialize(*xs[i]);
+    std::copy(one.begin(), one.end(), out.begin() + i * eb);
+  }
+}
+
+std::vector<std::uint8_t> Group::serialize_many(
+    std::span<const Elem> xs) const {
+  std::vector<const Elem*> ptrs(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
+  std::vector<std::uint8_t> out(xs.size() * element_bytes());
+  serialize_into(ptrs, out);
+  return out;
+}
+
+void Group::deserialize_into(std::span<const std::uint8_t> bytes,
+                             std::span<Elem* const> out) const {
+  const std::size_t eb = element_bytes();
+  if (bytes.size() != out.size() * eb)
+    throw std::invalid_argument("Group::deserialize_into: input size");
+  for (std::size_t i = 0; i < out.size(); ++i)
+    *out[i] = deserialize(bytes.subspan(i * eb, eb));
+}
+
 void Group::inv_many(std::span<const Elem> xs, std::span<Elem> out) const {
   if (xs.size() != out.size())
     throw std::invalid_argument("Group::inv_many: span sizes differ");

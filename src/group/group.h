@@ -66,25 +66,32 @@ class Group {
 
   /// Canonical byte encoding (fixed length element_bytes()).
   [[nodiscard]] virtual std::vector<std::uint8_t> serialize(const Elem& x) const = 0;
-  /// Batch form of serialize: the concatenated canonical encodings of `xs`
-  /// (element_bytes() each), byte-identical to serializing one by one. The
-  /// default loops; EcGroup overrides it with a batched-inversion affine
-  /// normalization (one field inversion for the whole batch instead of one
-  /// per point), and MeteredGroup overrides it to keep reporting xs.size()
-  /// serializations. exp_many / dual_exp_many below follow the same pattern.
+  /// Batch form of serialize: writes the concatenated canonical encodings
+  /// of *xs[i] (element_bytes() each) into `out`, which must be exactly
+  /// xs.size() * element_bytes() long (std::invalid_argument otherwise);
+  /// byte-identical to serializing one by one. The default loops.
+  /// SchnorrGroup converts each residue out of Montgomery form on limbs
+  /// and writes |x| in place; EcGroup normalizes the whole batch to affine
+  /// with one field inversion instead of one per point; MeteredGroup counts
+  /// xs.size() serializations and forwards. Pointers, so a caller's
+  /// ciphertexts serialize without copying their elements. exp_many /
+  /// dual_exp_many below follow the same pattern.
+  virtual void serialize_into(std::span<const Elem* const> xs,
+                              std::span<std::uint8_t> out) const;
+  /// serialize_into over `xs`, into a fresh buffer.
   [[nodiscard]] virtual std::vector<std::uint8_t> serialize_many(
-      std::span<const Elem> xs) const {
-    std::vector<std::uint8_t> out;
-    out.reserve(xs.size() * element_bytes());
-    for (const Elem& x : xs) {
-      const auto one = serialize(x);
-      out.insert(out.end(), one.begin(), one.end());
-    }
-    return out;
-  }
+      std::span<const Elem> xs) const;
   /// Inverse of serialize; throws std::invalid_argument on malformed input
   /// (including points off the curve, and Schnorr encodings outside [1, q]).
   [[nodiscard]] virtual Elem deserialize(std::span<const std::uint8_t> bytes) const = 0;
+  /// Batch form of deserialize: *out[i] = deserialize of the i-th
+  /// element_bytes() of `bytes`, whose size must be exactly out.size() *
+  /// element_bytes() (std::invalid_argument otherwise). Elements decode in
+  /// order, and the first malformed one throws what deserialize throws on
+  /// it. The default loops; SchnorrGroup decodes on limbs, and
+  /// MeteredGroup counts out.size() deserializations and forwards.
+  virtual void deserialize_into(std::span<const std::uint8_t> bytes,
+                                std::span<Elem* const> out) const;
   /// Length of the canonical encoding in bytes. Drives the communication
   /// accounting (S_c in the paper's Sec. VI-B is 2 * element_bytes()).
   [[nodiscard]] virtual std::size_t element_bytes() const = 0;

@@ -97,17 +97,22 @@ class MeteredGroup final : public Group {
     runtime::count_op(runtime::CryptoOp::kGroupSerialize);
     return inner_.serialize(x);
   }
-  [[nodiscard]] std::vector<std::uint8_t> serialize_many(
-      std::span<const Elem> xs) const override {
+  void serialize_into(std::span<const Elem* const> xs,
+                      std::span<std::uint8_t> out) const override {
     // Still xs.size() logical serializations, however the inner group
     // batches the work (the model prices encodings, not inversions).
     runtime::count_op(runtime::CryptoOp::kGroupSerialize, xs.size());
-    return inner_.serialize_many(xs);
+    inner_.serialize_into(xs, out);
   }
   [[nodiscard]] Elem deserialize(
       std::span<const std::uint8_t> bytes) const override {
     runtime::count_op(runtime::CryptoOp::kGroupDeserialize);
     return inner_.deserialize(bytes);
+  }
+  void deserialize_into(std::span<const std::uint8_t> bytes,
+                        std::span<Elem* const> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupDeserialize, out.size());
+    inner_.deserialize_into(bytes, out);
   }
   [[nodiscard]] std::size_t element_bytes() const override {
     return inner_.element_bytes();

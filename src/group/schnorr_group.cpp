@@ -1,5 +1,6 @@
 #include "group/schnorr_group.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +8,8 @@
 
 namespace ppgr::group {
 namespace {
+
+using mpz::Limb;
 
 // a + b == m, for residues a, b < m, on the limbs (no allocation).
 bool sums_to(const Nat& a, const Nat& b, const Nat& m) {
@@ -18,6 +21,24 @@ bool sums_to(const Nat& a, const Nat& b, const Nat& m) {
     carry = s >> 64;
   }
   return carry == 0;
+}
+
+// v > b, for v on k limbs and b below 2^(64k).
+bool greater(const Limb* v, const Nat& b, std::size_t k) {
+  for (std::size_t i = k; i-- > 0;)
+    if (v[i] != b.limb(i)) return v[i] > b.limb(i);
+  return false;
+}
+
+// v = m - v on k limbs, for v <= m.
+void sub_from(Limb* v, const Limb* m, std::size_t k) {
+  unsigned __int128 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const unsigned __int128 d =
+        static_cast<unsigned __int128>(m[i]) - v[i] - borrow;
+    v[i] = static_cast<Limb>(d);
+    borrow = (d >> 64) & 1;
+  }
 }
 
 // The residues of `xs`, for MontCtx's batch ladders.
@@ -131,21 +152,53 @@ std::size_t SchnorrGroup::element_bytes() const {
 }
 
 std::vector<std::uint8_t> SchnorrGroup::serialize(const Elem& x) const {
-  // The canonical representative |x| = min(v, p - v).
-  Nat v = mont_.from_mont(x.a);
-  if (v > q_) v = Nat::sub(mont_.modulus(), v);
-  return v.to_bytes_be(element_bytes());
+  std::vector<std::uint8_t> out(element_bytes());
+  const Elem* const one[] = {&x};
+  serialize_into(one, out);
+  return out;
+}
+
+void SchnorrGroup::serialize_into(std::span<const Elem* const> xs,
+                                  std::span<std::uint8_t> out) const {
+  const std::size_t eb = element_bytes(), k = mont_.limbs();
+  if (out.size() != xs.size() * eb)
+    throw std::invalid_argument("SchnorrGroup::serialize_into: output size");
+  const Limb* p = mont_.modulus().limbs().data();
+  Limb v[mpz::MontCtx::kCiosMaxLimbs];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i]->a.to_limbs(v, k);
+    mont_.from_mont_limbs(v, v);
+    // The canonical representative |x| = min(v, p - v).
+    if (greater(v, q_, k)) sub_from(v, p, k);
+    mpz::limbs_to_be(out.subspan(i * eb, eb), v);
+  }
 }
 
 Elem SchnorrGroup::deserialize(std::span<const std::uint8_t> bytes) const {
   if (bytes.size() != element_bytes())
     throw std::invalid_argument("SchnorrGroup::deserialize: bad length");
-  // Every z in [1, q] is the canonical representative of exactly one class,
-  // so this range check is the whole membership test.
-  const Nat v = Nat::from_bytes_be(bytes);
-  if (v.is_zero() || v > q_)
-    throw std::invalid_argument("SchnorrGroup::deserialize: out of range");
-  return Elem{.a = mont_.to_mont(v)};
+  Elem x;
+  Elem* const one[] = {&x};
+  deserialize_into(bytes, one);
+  return x;
+}
+
+void SchnorrGroup::deserialize_into(std::span<const std::uint8_t> bytes,
+                                    std::span<Elem* const> out) const {
+  const std::size_t eb = element_bytes(), k = mont_.limbs();
+  if (bytes.size() != out.size() * eb)
+    throw std::invalid_argument("SchnorrGroup::deserialize_into: input size");
+  Limb v[mpz::MontCtx::kCiosMaxLimbs];
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    mpz::limbs_from_be(v, k, bytes.subspan(i * eb, eb));
+    // Every z in [1, q] is the canonical representative of exactly one
+    // class, so this range check is the whole membership test.
+    if (std::all_of(v, v + k, [](Limb l) { return l == 0; }) ||
+        greater(v, q_, k))
+      throw std::invalid_argument("SchnorrGroup::deserialize: out of range");
+    mont_.to_mont_limbs(v, v);
+    *out[i] = Elem{.a = Nat::from_limbs({v, k})};
+  }
 }
 
 }  // namespace ppgr::group

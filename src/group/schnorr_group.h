@@ -55,7 +55,15 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] bool is_identity(const Elem& x) const override;
 
   [[nodiscard]] std::vector<std::uint8_t> serialize(const Elem& x) const override;
+  /// Each residue leaves Montgomery form through the kernel and |x| is
+  /// written big-endian in place: no Nat and no buffer per element.
+  void serialize_into(std::span<const Elem* const> xs,
+                      std::span<std::uint8_t> out) const override;
   [[nodiscard]] Elem deserialize(std::span<const std::uint8_t> bytes) const override;
+  /// The range check 1 <= z <= q and the conversion into Montgomery form,
+  /// on limbs.
+  void deserialize_into(std::span<const std::uint8_t> bytes,
+                        std::span<Elem* const> out) const override;
   [[nodiscard]] std::size_t element_bytes() const override;
 
  private:

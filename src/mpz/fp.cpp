@@ -8,6 +8,26 @@ namespace ppgr::mpz {
 
 FpCtx::FpCtx(Nat p) : mont_(std::move(p)) {}
 
+void FpCtx::random_limbs(Rng& rng, Limb* out) const {
+  rng.below_limbs(p().limbs(), {out, mont_.limbs()});
+  mont_.to_mont_limbs(out, out);
+}
+
+Nat FpCtx::random(Rng& rng) const {
+  Limb r[MontCtx::kCiosMaxLimbs];
+  random_limbs(rng, r);
+  return Nat::from_limbs({r, mont_.limbs()});
+}
+
+Nat FpCtx::random_nonzero(Rng& rng) const {
+  // 0 is the only value whose residue is 0, so this redraws exactly the
+  // draws Rng::nonzero_below redraws.
+  for (;;) {
+    Nat x = random(rng);
+    if (!x.is_zero()) return x;
+  }
+}
+
 Nat FpCtx::to(const Nat& standard) const {
   return mont_.to_mont(standard >= p() ? standard % p() : standard);
 }

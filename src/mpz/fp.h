@@ -70,11 +70,13 @@ class FpCtx {
   [[nodiscard]] bool eq(const Nat& a, const Nat& b) const { return a == b; }
 
   /// Uniform random field element.
-  [[nodiscard]] Nat random(Rng& rng) const { return to(rng.below(p())); }
+  [[nodiscard]] Nat random(Rng& rng) const;
   /// Uniform random nonzero field element.
-  [[nodiscard]] Nat random_nonzero(Rng& rng) const {
-    return to(rng.nonzero_below(p()));
-  }
+  [[nodiscard]] Nat random_nonzero(Rng& rng) const;
+  /// random() on raw limbs: the same draw (Rng::below_limbs on p's limbs,
+  /// the bytes rng.below(p()) draws), landed in Montgomery form in
+  /// out[0, mont().limbs()) with one kernel product.
+  void random_limbs(Rng& rng, Limb* out) const;
 
  private:
   MontCtx mont_;

@@ -44,9 +44,8 @@ inline std::array<Limb, kLimbs52> to_radix52(const Limb* l) {
 
 /// x < 2^256 as five 52-bit limbs.
 inline std::array<Limb, kLimbs52> to_radix52(const Nat& x) {
-  Limb l[4] = {};
-  const auto src = x.limbs();
-  for (std::size_t j = 0; j < src.size() && j < 4; ++j) l[j] = src[j];
+  Limb l[4];
+  x.to_limbs(l, 4);
   return to_radix52(l);
 }
 

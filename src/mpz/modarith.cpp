@@ -22,13 +22,6 @@ constexpr std::size_t kMaxLimbs = 64;
 using Buf = std::array<Limb, kMaxLimbs + 1>;
 constexpr std::size_t kZero = static_cast<std::size_t>(-1);
 
-// dst[0, n) = x, zero-padded above x's top limb.
-void load(Limb* dst, const Nat& x, std::size_t n) {
-  const auto l = x.limbs();
-  std::copy(l.begin(), l.end(), dst);
-  std::fill(dst + l.size(), dst + n, Limb{0});
-}
-
 int cmp(const Limb* a, const Limb* b, std::size_t n) {
   for (std::size_t i = n; i-- > 0;)
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -152,8 +145,8 @@ std::optional<Nat> invmod(const Nat& a, const Nat& m) {
   Limb* v = vb.data();
   Limb* r = rb.data();
   Limb* s = sb.data();
-  load(u, m, w);
-  load(v, a, w);
+  m.to_limbs(u, w);
+  a.to_limbs(v, w);
   std::fill(r, r + rs, Limb{0});
   std::fill(s, s + rs, Limb{0});
   s[0] = 1;
@@ -178,9 +171,9 @@ std::optional<Nat> invmod(const Nat& a, const Nat& m) {
   if (!is_one(u, n)) return std::nullopt;
   // r in (0, 2m]: reduce, negate, then divide out 2^twos.
   Buf mb, xb;
-  load(mb.data(), m, rs);
+  m.to_limbs(mb.data(), rs);
   while (cmp(r, mb.data(), rs) >= 0) sub_in_place(r, mb.data(), rs);
-  load(xb.data(), m, rs);
+  m.to_limbs(xb.data(), rs);
   sub_in_place(xb.data(), r, rs);  // r != 0: a·r ≡ −2^twos is a unit
   div_pow2_mod(xb.data(), mb.data(), k, twos);
   return Nat::from_limbs({xb.data(), k});

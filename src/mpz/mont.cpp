@@ -248,14 +248,6 @@ template <class Kern>
   }
 }
 
-// dst[0, k) = the low k limbs of x, zero-padded.
-void load(Limb* dst, const Nat& x, std::size_t k) {
-  const auto l = x.limbs();
-  const std::size_t n = std::min(l.size(), k);
-  std::copy_n(l.begin(), n, dst);
-  std::fill(dst + n, dst + k, Limb{0});
-}
-
 // The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
 // digit never straddles a limb.
 unsigned nibble(const Nat& e, std::size_t pos) {
@@ -277,7 +269,7 @@ Nat straus_ladder(const Kern& mul, const std::array<const Nat*, N>& bases,
   Limb table[N][kDigits][kCap] = {};
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
-    load(table[i][1], *bases[i], k);
+    bases[i]->to_limbs(table[i][1], k);
     for (std::size_t d = 2; d < kDigits; ++d)
       mul(table[i][d], table[i][d - 1], table[i][1]);
     bits = std::max(bits, exps[i]->bit_length());
@@ -496,8 +488,8 @@ Nat MontCtx::mul(const Nat& a, const Nat& b) const {
   return with_kernel([&](const auto& kern) {
     constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
     Limb al[kCap] = {}, bl[kCap] = {}, out[kCap] = {};
-    load(al, a, k_);
-    load(bl, b, k_);
+    a.to_limbs(al, k_);
+    b.to_limbs(bl, k_);
     kern(out, al, bl);
     return Nat::from_limbs({out, k_});
   });
@@ -505,6 +497,21 @@ Nat MontCtx::mul(const Nat& a, const Nat& b) const {
 
 void MontCtx::mul_limbs(Limb* out, const Limb* a, const Limb* b) const {
   with_kernel([&](const auto& kern) { kern(out, a, b); });
+}
+
+void MontCtx::to_mont_limbs(Limb* out, const Limb* a) const {
+  with_kernel([&](const auto& kern) {
+    Limb rr[std::remove_cvref_t<decltype(kern)>::kCap] = {};
+    rr_.to_limbs(rr, k_);
+    kern(out, a, rr);
+  });
+}
+
+void MontCtx::from_mont_limbs(Limb* out, const Limb* a) const {
+  with_kernel([&](const auto& kern) {
+    Limb one[std::remove_cvref_t<decltype(kern)>::kCap] = {1};
+    kern(out, a, one);
+  });
 }
 
 void MontCtx::add_limbs(Limb* out, const Limb* a, const Limb* b,

@@ -73,6 +73,11 @@ class MontCtx {
   /// their residues on the stack (EcGroup's point formulas, the Shamir
   /// engine's share arithmetic).
   void mul_limbs(Limb* out, const Limb* a, const Limb* b) const;
+  /// to_mont / from_mont on limbs() raw limbs, each one product through
+  /// the same kernel: out = a·R mod m for a < m, and out = a/R mod m for
+  /// a < R. out may alias a.
+  void to_mont_limbs(Limb* out, const Limb* a) const;
+  void from_mont_limbs(Limb* out, const Limb* a) const;
   /// out[i] = a[i] + b[i] mod m and out[i] = a[i] - b[i] mod m for `count`
   /// consecutive residues of limbs() limbs each, all below m; branch-free,
   /// and out may alias a or b.

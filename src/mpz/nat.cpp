@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cstring>
 #include <stdexcept>
 
 namespace ppgr::mpz {
@@ -289,13 +290,51 @@ Nat Nat::from_dec(std::string_view dec) {
 
 Nat Nat::from_bytes_be(std::span<const std::uint8_t> bytes) {
   Nat out;
-  out.limbs_.assign((bytes.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const std::size_t bit_pos = (bytes.size() - 1 - i) * 8;
-    out.limbs_[bit_pos / 64] |= static_cast<Limb>(bytes[i]) << (bit_pos % 64);
-  }
+  out.limbs_.resize((bytes.size() + 7) / 8);
+  limbs_from_be(out.limbs_.data(), out.limbs_.size(), bytes);
   out.normalize();
   return out;
+}
+
+namespace {
+
+// Eight big-endian bytes as a limb, and back.
+Limb load_be64(const std::uint8_t* p) {
+  Limb v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+void store_be64(std::uint8_t* p, Limb v) {
+  if constexpr (std::endian::native == std::endian::little)
+    v = __builtin_bswap64(v);
+  std::memcpy(p, &v, 8);
+}
+
+}  // namespace
+
+void limbs_from_be(Limb* out, std::size_t k,
+                   std::span<const std::uint8_t> be) {
+  std::size_t n = be.size(), i = 0;
+  for (; n >= 8; n -= 8) out[i++] = load_be64(be.data() + n - 8);
+  if (n > 0) {
+    Limb v = 0;
+    for (std::size_t j = 0; j < n; ++j) v = (v << 8) | be[j];
+    out[i++] = v;
+  }
+  std::fill(out + i, out + k, Limb{0});
+}
+
+void limbs_to_be(std::span<std::uint8_t> be, const Limb* limbs) {
+  std::size_t n = be.size(), i = 0;
+  for (; n >= 8; n -= 8) store_be64(be.data() + n - 8, limbs[i++]);
+  if (n > 0) {
+    Limb v = limbs[i];
+    for (std::size_t j = n; j-- > 0; v >>= 8)
+      be[j] = static_cast<std::uint8_t>(v);
+  }
 }
 
 std::string Nat::to_hex() const {
@@ -337,11 +376,7 @@ std::vector<std::uint8_t> Nat::to_bytes_be(std::size_t width) const {
   if (width == 0) width = need;
   if (need > width) throw std::length_error("Nat::to_bytes_be: value too wide");
   std::vector<std::uint8_t> out(width, 0);
-  for (std::size_t i = 0; i < need; ++i) {
-    const std::size_t bit_pos = i * 8;
-    out[width - 1 - i] =
-        static_cast<std::uint8_t>(limbs_[bit_pos / 64] >> (bit_pos % 64));
-  }
+  limbs_to_be(std::span{out}.subspan(width - need), limbs_.data());
   return out;
 }
 

@@ -68,6 +68,13 @@ class Nat {
   [[nodiscard]] std::span<const Limb> limbs() const {
     return {limbs_.data(), limbs_.size()};
   }
+  /// out[0, k) = the low k limbs, zero-padded above the top limb: the
+  /// fixed-width form the raw-limb kernels take.
+  void to_limbs(Limb* out, std::size_t k) const {
+    const std::size_t n = std::min(limbs_.size(), k);
+    std::copy_n(limbs_.data(), n, out);
+    std::fill(out + n, out + k, Limb{0});
+  }
 
   /// Truncating conversion to a machine word (low 64 bits).
   [[nodiscard]] Limb to_limb() const { return limbs_.empty() ? 0 : limbs_[0]; }
@@ -131,5 +138,12 @@ struct Nat::DivRem {
 inline Nat operator/(const Nat& a, const Nat& b) { return Nat::divrem(a, b).quot; }
 inline Nat operator%(const Nat& a, const Nat& b) { return Nat::divrem(a, b).rem; }
 inline Nat& Nat::operator%=(const Nat& b) { return *this = divrem(*this, b).rem; }
+
+/// Big-endian bytes -> k little-endian limbs, zero-extended:
+/// Nat::from_bytes_be without the Nat. Requires be.size() <= 8k.
+void limbs_from_be(Limb* out, std::size_t k, std::span<const std::uint8_t> be);
+/// The low be.size() bytes of the limbs, big-endian: to_bytes_be into a
+/// caller's buffer, for values known to fit.
+void limbs_to_be(std::span<std::uint8_t> be, const Limb* limbs);
 
 }  // namespace ppgr::mpz

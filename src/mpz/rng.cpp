@@ -131,10 +131,46 @@ Nat Rng::bits(std::size_t nbits) {
 
 Nat Rng::below(const Nat& bound) {
   if (bound.is_zero()) throw std::domain_error("Rng::below: zero bound");
-  const std::size_t nbits = bound.bit_length();
+  // Bounds up to 4 limbs (every group order and field but dl-1024 and up)
+  // draw into a stack buffer.
+  std::array<Limb, 4> stack{};
+  std::vector<Limb> heap;
+  std::span<Limb> out{stack.data(), bound.limb_count()};
+  if (out.size() > stack.size()) {
+    heap.resize(out.size());
+    out = heap;
+  }
+  below_limbs(bound.limbs(), out);
+  return Nat::from_limbs(out);
+}
+
+void Rng::below_limbs(std::span<const Limb> bound, std::span<Limb> out) {
+  if (bound.empty() || bound.back() == 0)
+    throw std::domain_error("Rng::below_limbs: bound not normalized nonzero");
+  if (out.size() != bound.size())
+    throw std::invalid_argument("Rng::below_limbs: width mismatch");
+  const std::size_t nbits =
+      64 * bound.size() -
+      static_cast<std::size_t>(std::countl_zero(bound.back()));
+  std::array<std::uint8_t, 32> stack{};
+  std::vector<std::uint8_t> heap;
+  std::span<std::uint8_t> buf{stack.data(), (nbits + 7) / 8};
+  if (buf.size() > stack.size()) {
+    heap.resize(buf.size());
+    buf = heap;
+  }
+  const auto top = static_cast<std::uint8_t>(0xFFu >> (buf.size() * 8 - nbits));
   for (;;) {
-    Nat candidate = bits(nbits);
-    if (candidate < bound) return candidate;
+    fill(buf);
+    buf[0] &= top;
+    limbs_from_be(out.data(), out.size(), buf);
+    // out < bound, compared from the top limb down.
+    for (std::size_t i = out.size(); i-- > 0;) {
+      if (out[i] != bound[i]) {
+        if (out[i] < bound[i]) return;
+        break;
+      }
+    }
   }
 }
 

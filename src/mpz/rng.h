@@ -30,7 +30,14 @@ class Rng {
   /// Uniform Nat with exactly `bits` random bits (top bit may be 0).
   Nat bits(std::size_t bits);
   /// Uniform Nat in [0, bound) via rejection sampling; bound must be nonzero.
+  /// Runs below_limbs, so it draws exactly the bytes bits() would.
   Nat below(const Nat& bound);
+  /// below() on raw limbs: out = a uniform value in [0, bound) on
+  /// bound.size() limbs, where bound is a normalized nonzero limb vector
+  /// (top limb nonzero) and out.size() == bound.size(). Each attempt fills
+  /// the bound's bit length rounded up to bytes, big-endian with the excess
+  /// top bits masked off, exactly as bits() does.
+  void below_limbs(std::span<const Limb> bound, std::span<Limb> out);
   /// Uniform Nat in [1, bound).
   Nat nonzero_below(const Nat& bound);
   /// Uniform random bool.

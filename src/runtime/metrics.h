@@ -175,6 +175,16 @@ inline void count_op(CryptoOp op, std::uint64_t delta = 1) {
   if (MetricsBuffer* sink = detail::tl_sink) sink->add(op, delta);
 }
 
+/// Counts `op` once with `seconds` as its latency sample, for a step whose
+/// time the caller sums over several tasks (the shuffle hop's per-set
+/// share of its fan-outs). A no-op without a sink.
+inline void record_op(CryptoOp op, double seconds) {
+  if (MetricsBuffer* sink = detail::tl_sink) {
+    sink->add(op);
+    sink->add_latency(op, seconds);
+  }
+}
+
 [[nodiscard]] inline double metrics_now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

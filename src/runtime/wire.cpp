@@ -18,16 +18,9 @@ void Writer::varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void Writer::bytes(std::span<const std::uint8_t> data) {
-  varint(data.size());
-  raw(data);
-}
-
 void Writer::raw(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
-
-void Writer::nat(const mpz::Nat& n) { bytes(n.to_bytes_be()); }
 
 void Reader::need(std::size_t n) const {
   if (remaining() < n) throw WireError("wire: truncated input");
@@ -67,25 +60,11 @@ std::uint64_t Reader::varint() {
   throw WireError("wire: varint too long");
 }
 
-std::vector<std::uint8_t> Reader::bytes() {
-  const std::uint64_t len = varint();
-  if (len > remaining()) throw WireError("wire: truncated byte string");
-  return raw(static_cast<std::size_t>(len));
-}
-
-std::vector<std::uint8_t> Reader::raw(std::size_t len) {
+std::span<const std::uint8_t> Reader::raw(std::size_t len) {
   need(len);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+  const auto out = data_.subspan(pos_, len);
   pos_ += len;
   return out;
-}
-
-mpz::Nat Reader::nat() {
-  const auto b = bytes();
-  if (!b.empty() && b.front() == 0)
-    throw WireError("wire: non-minimal Nat encoding");
-  return mpz::Nat::from_bytes_be(b);
 }
 
 void Reader::finish() const {

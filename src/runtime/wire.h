@@ -3,15 +3,13 @@
 // Deployments of the framework run parties on separate machines; everything
 // a party sends must have a canonical byte encoding. This module provides
 // the primitive Writer/Reader (little-endian fixed integers, LEB128
-// varints, length-prefixed byte strings and Nat values) used by the codec
-// functions next to each message type (crypto/codec.h, core/codec.h). The
-// trace recorder's byte accounting is cross-checked against these encodings
-// by tests/wire_test.cpp.
+// varints and raw fixed-size fields) used by the codec functions next to
+// each message type (crypto/codec.h, core/codec.h). The trace recorder's
+// byte accounting is cross-checked against these encodings by
+// tests/wire_test.cpp.
 //
 // Format invariants:
-//  - all lengths are varints; values up to 2^64-1;
-//  - Nat is a varint length followed by big-endian magnitude bytes
-//    (minimal: no leading zero byte);
+//  - varints carry values up to 2^64-1, minimally encoded;
 //  - readers validate eagerly and throw WireError on truncation or
 //    non-canonical input; a Reader must be fully consumed (finish()).
 #pragma once
@@ -22,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "mpz/nat.h"
 
 namespace ppgr::runtime {
 
@@ -49,11 +46,8 @@ class Writer {
   void u64(std::uint64_t v);
   /// LEB128.
   void varint(std::uint64_t v);
-  /// Length-prefixed bytes.
-  void bytes(std::span<const std::uint8_t> data);
   /// Raw bytes, no length prefix (fixed-size fields).
   void raw(std::span<const std::uint8_t> data);
-  void nat(const mpz::Nat& n);
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -71,9 +65,8 @@ class Reader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::uint64_t varint();
-  [[nodiscard]] std::vector<std::uint8_t> bytes();
-  [[nodiscard]] std::vector<std::uint8_t> raw(std::size_t len);
-  [[nodiscard]] mpz::Nat nat();
+  /// The next `len` bytes, as a view into the input (valid while it is).
+  [[nodiscard]] std::span<const std::uint8_t> raw(std::size_t len);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   /// Throws WireError if any input is left unconsumed.

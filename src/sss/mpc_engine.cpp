@@ -178,7 +178,7 @@ ShareVec MpcEngine::rand_share() {
   ShareVec acc = blank();
   Residue secret = {};
   for (std::size_t i = 0; i < n_; ++i) {
-    scheme_.load(secret, f_.random(rng_));
+    f_.random_limbs(rng_, secret);
     scheme_.deal(sub_.data(), secret, rng_);
     mont_.add_limbs(acc.share(0), acc.share(0), sub_.data(), n_);
   }

@@ -10,12 +10,6 @@ namespace {
 // Scratch for one residue: the widest field a MontCtx takes.
 using Residue = Limb[mpz::MontCtx::kCiosMaxLimbs];
 
-void load_residue(Limb* out, const Nat& x, std::size_t k) {
-  const auto l = x.limbs();
-  std::copy_n(l.begin(), l.size(), out);
-  std::fill(out + l.size(), out + k, Limb{0});
-}
-
 // Lagrange weights at 0 of the points xs (1-based party indices), one
 // residue each: λ_i = Π_{j != i} x_j / (x_j - x_i), the denominators
 // inverted in one batch. Repeated points leave a zero denominator:
@@ -27,11 +21,11 @@ std::vector<Limb> lagrange_at_zero(const FpCtx& f,
   std::vector<Limb> pts(m * k), num(m * k);
   std::vector<Nat> den(m);
   for (std::size_t i = 0; i < m; ++i)
-    load_residue(&pts[i * k], f.to(Nat{xs[i]}), k);
+    f.to(Nat{xs[i]}).to_limbs(&pts[i * k], k);
   for (std::size_t i = 0; i < m; ++i) {
     Residue n = {}, d = {}, diff = {};
-    load_residue(n, f.one(), k);
-    load_residue(d, f.one(), k);
+    f.one().to_limbs(n, k);
+    f.one().to_limbs(d, k);
     for (std::size_t j = 0; j < m; ++j) {
       if (j == i) continue;
       mont.mul_limbs(n, n, &pts[j * k]);
@@ -44,7 +38,7 @@ std::vector<Limb> lagrange_at_zero(const FpCtx& f,
   const std::vector<Nat> inv = f.inv_many(den);
   for (std::size_t i = 0; i < m; ++i) {
     Residue di = {};
-    load_residue(di, inv[i], k);
+    inv[i].to_limbs(di, k);
     mont.mul_limbs(&num[i * k], &num[i * k], di);
   }
   return num;
@@ -75,7 +69,7 @@ Shamir::Shamir(const FpCtx& f, std::size_t t, std::size_t n)
   lambda_open_ = lagrange_at_zero(f_, first_points(t_ + 1));
 }
 
-void Shamir::load(Limb* out, const Nat& x) const { load_residue(out, x, k_); }
+void Shamir::load(Limb* out, const Nat& x) const { x.to_limbs(out, k_); }
 
 void Shamir::deal(Limb* out, const Limb* secret, Rng& rng) const {
   // Σ_c c_c x^c over the precomputed powers: the same t products per point
@@ -83,7 +77,7 @@ void Shamir::deal(Limb* out, const Limb* secret, Rng& rng) const {
   for (std::size_t j = 0; j < n_; ++j) std::copy_n(secret, k_, &out[j * k_]);
   Residue coeff = {};
   for (std::size_t c = 0; c < t_; ++c) {
-    load(coeff, f_.random(rng));
+    f_.random_limbs(rng, coeff);
     mont_.mul_add_limbs(out, coeff, &powers_[c * n_ * k_], n_);
   }
 }
@@ -132,7 +126,7 @@ Nat reconstruct_subset(const FpCtx& f,
   const std::size_t k = mont.limbs();
   Residue acc = {}, share = {}, prod = {};
   for (std::size_t i = 0; i < points.size(); ++i) {
-    load_residue(share, points[i].second, k);
+    points[i].second.to_limbs(share, k);
     mont.mul_limbs(prod, &lambda[i * k], share);
     mont.add_limbs(acc, acc, prod);
   }

@@ -77,6 +77,9 @@ TEST(ParallelDeterminism, ThreadCountDoesNotChangeOutputs) {
   const auto serial = run_at(1, 2024);
   const auto two = run_at(2, 2024);
   expect_identical(serial, two, "threads=1 vs threads=2");
+  // Three threads split the fan-outs unevenly (hop chunks, per-set tasks).
+  const auto three = run_at(3, 2024);
+  expect_identical(serial, three, "threads=1 vs threads=3");
 
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 2;

@@ -16,9 +16,15 @@
 //  - metered, the oracle performs exactly model_he_ops' naive profile and
 //    the participant exactly its executed profile, per circuit and per hop
 //    ciphertext.
+//
+// SplitHop runs the hop as the engine splits it (per-set draws, ladder
+// chunks across set boundaries, per-set permutations) on thread pools of
+// several sizes against the same oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "group/fixed_base.h"
 #include "group/metered_group.h"
 #include "group/mock_group.h"
+#include "runtime/thread_pool.h"
 
 namespace ppgr::core {
 namespace {
@@ -119,9 +126,9 @@ runtime::OpTally group_ops_of(Fn&& fn) {
 
 std::vector<std::uint8_t> wire(const Group& g,
                                const std::vector<Ciphertext>& cts) {
-  runtime::Writer w;
-  crypto::write_ciphertext_seq(w, g, cts);
-  return std::move(w).take();
+  std::vector<std::uint8_t> out(cts.size() * crypto::ciphertext_wire_bytes(g));
+  crypto::write_ciphertext_seq(out, g, cts);
+  return out;
 }
 
 void expect_same(const Group& g, const std::vector<Ciphertext>& got,
@@ -243,6 +250,84 @@ INSTANTIATE_TEST_SUITE_P(
                       Family{"ecc_p192", GroupId::kEcP192, false},
                       Family{"mock", GroupId::kDlTest256, true}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// ---- the hop as the engine splits it ----
+
+// The three fan-outs of a chain hop as the party driver runs them — one
+// draw task per set, kHopChunk-ciphertext ladder tasks over the sets laid
+// side by side (so chunks straddle set boundaries), one permutation task
+// per set — against oracle_hop set by set, value for value and byte for
+// byte, at uneven set sizes around the chunk size and several pool sizes.
+class SplitHop : public ::testing::TestWithParam<GroupId> {};
+
+TEST_P(SplitHop, ChunkedTasksMatchTheOracleAtEveryPoolSize) {
+  const std::unique_ptr<Group> g = group::make_group(GetParam());
+  FrameworkConfig cfg;
+  cfg.spec = ProblemSpec{.m = 2, .t = 1, .d1 = 3, .d2 = 2, .h = 3};
+  cfg.n = 2;
+  cfg.k = 1;
+  cfg.group = g.get();
+  cfg.dot_field = &default_dot_field();
+  Participant own{cfg, 1, AttrVec(cfg.spec.m, 0)};
+  ChaChaRng key_rng{7}, oracle_key_rng{7};
+  const Elem y = own.public_key(key_rng);
+  const crypto::KeyPair key = crypto::keygen(*g, oracle_key_rng);
+  ASSERT_TRUE(g->eq(y, key.y));
+
+  const std::vector<std::size_t> sizes{1, 63, 64, 65, 130};
+  std::vector<std::size_t> offsets{0};
+  for (const std::size_t n : sizes) offsets.push_back(offsets.back() + n);
+  const std::size_t total = offsets.back();
+  ChaChaRng rng{61};
+  const group::FixedBaseTable table{*g, y};
+  CipherSet input;
+  for (std::size_t i = 0; i < total; ++i)
+    input.push_back(crypto::encrypt_exp(*g, table, Nat{rng.below_u64(2)}, rng));
+
+  std::vector<CipherSet> want(sizes.size());
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    want[s].assign(input.begin() + offsets[s], input.begin() + offsets[s + 1]);
+    ChaChaRng set_rng{100 + s};
+    oracle_hop(*g, key.x, want[s], set_rng);
+  }
+
+  for (const std::size_t threads : {1, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << g->name() << " threads=" << threads);
+    runtime::ThreadPool pool{threads};
+    CipherSet v = input;
+    std::vector<Nat> r(total);
+    std::vector<std::uint64_t> swaps(total);
+    const auto of = [&](auto& xs, std::size_t s) {
+      return std::span{xs}.subspan(offsets[s], sizes[s]);
+    };
+    pool.parallel_for(sizes.size(), [&](std::size_t s) {
+      ChaChaRng set_rng{100 + s};
+      own.draw_hop(set_rng, of(r, s), of(swaps, s));
+    });
+    pool.parallel_for((total + kHopChunk - 1) / kHopChunk, [&](std::size_t c) {
+      const std::size_t lo = c * kHopChunk;
+      const std::size_t len = std::min(kHopChunk, total - lo);
+      own.hop_ladders(std::span{v}.subspan(lo, len),
+                      std::span<const Nat>{r}.subspan(lo, len));
+    });
+    pool.parallel_for(sizes.size(), [&](std::size_t s) {
+      Participant::permute_hop(of(v, s), of(swaps, s));
+    });
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+      expect_same(*g, CipherSet(of(v, s).begin(), of(v, s).end()), want[s],
+                  "split hop");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, SplitHop,
+                         ::testing::Values(GroupId::kDlTest256,
+                                           GroupId::kEcP256),
+                         [](const auto& info) {
+                           std::string n = group::to_string(info.param);
+                           for (auto& ch : n)
+                             if (ch == '-') ch = '_';
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace ppgr::core

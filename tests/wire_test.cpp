@@ -3,7 +3,10 @@
 // agreement between codec sizes and the trace byte-accounting formulas.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
+#include <typeinfo>
 
 #include "core/codec.h"
 #include "crypto/codec.h"
@@ -30,8 +33,7 @@ TEST(Wire, PrimitiveRoundTrips) {
   w.varint(128);
   w.varint(UINT64_MAX);
   const std::vector<std::uint8_t> blob{1, 2, 3};
-  w.bytes(blob);
-  w.nat(Nat::from_hex("deadbeefcafebabe123456"));
+  w.raw(blob);
 
   Reader r{w.data()};
   EXPECT_EQ(r.u8(), 0xAB);
@@ -41,8 +43,8 @@ TEST(Wire, PrimitiveRoundTrips) {
   EXPECT_EQ(r.varint(), 127u);
   EXPECT_EQ(r.varint(), 128u);
   EXPECT_EQ(r.varint(), UINT64_MAX);
-  EXPECT_EQ(r.bytes(), blob);
-  EXPECT_EQ(r.nat(), Nat::from_hex("deadbeefcafebabe123456"));
+  const auto back = r.raw(blob.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(back.begin(), back.end()), blob);
   EXPECT_NO_THROW(r.finish());
 }
 
@@ -80,14 +82,6 @@ TEST(Wire, RejectsOverlongVarint) {
   EXPECT_THROW((void)r.varint(), WireError);
 }
 
-TEST(Wire, RejectsNonMinimalNat) {
-  Writer w;
-  const std::vector<std::uint8_t> padded{0x00, 0x01};  // leading zero
-  w.bytes(padded);
-  Reader r{w.data()};
-  EXPECT_THROW((void)r.nat(), WireError);
-}
-
 TEST(Wire, RejectsTrailingBytes) {
   Writer w;
   w.u8(1);
@@ -97,23 +91,23 @@ TEST(Wire, RejectsTrailingBytes) {
   EXPECT_THROW(r.finish(), WireError);
 }
 
-TEST(Wire, RejectsLengthBombByteString) {
-  Writer w;
-  w.varint(1ULL << 40);  // claims a terabyte
-  w.u8(0);
-  Reader r{w.data()};
-  EXPECT_THROW((void)r.bytes(), WireError);
-}
-
-TEST(Wire, ZeroNatRoundTrip) {
-  Writer w;
-  w.nat(Nat{});
-  Reader r{w.data()};
-  EXPECT_TRUE(r.nat().is_zero());
-  r.finish();
-}
-
 // ---- crypto codecs ----
+
+// The fixed-count encoding of `cts`, as its own buffer.
+std::vector<std::uint8_t> seq_bytes(const group::Group& g,
+                                    std::span<const crypto::Ciphertext> cts) {
+  std::vector<std::uint8_t> out(cts.size() * crypto::ciphertext_wire_bytes(g));
+  crypto::write_ciphertext_seq(out, g, cts);
+  return out;
+}
+
+// The next `count` ciphertexts of r.
+std::vector<crypto::Ciphertext> read_seq(Reader& r, const group::Group& g,
+                                         std::size_t count) {
+  std::vector<crypto::Ciphertext> out(count);
+  crypto::read_ciphertext_seq(r, g, out);
+  return out;
+}
 
 class CryptoCodec : public ::testing::TestWithParam<group::GroupId> {};
 
@@ -126,26 +120,27 @@ TEST_P(CryptoCodec, ElemAndCiphertextRoundTrip) {
 
   Writer w;
   crypto::write_elem(w, *g, kp.y);
-  crypto::write_ciphertext_seq(w, *g, {&ct, 1});
+  w.raw(seq_bytes(*g, {&ct, 1}));
   EXPECT_EQ(w.size(), crypto::elem_wire_bytes(*g) +
                           crypto::ciphertext_wire_bytes(*g));
 
   Reader r{w.data()};
   EXPECT_TRUE(g->eq(crypto::read_elem(r, *g), kp.y));
-  const auto ct2 = crypto::read_ciphertext_seq(r, *g, 1).at(0);
+  const auto ct2 = read_seq(r, *g, 1).at(0);
   EXPECT_TRUE(g->eq(ct2.c, ct.c));
   EXPECT_TRUE(g->eq(ct2.cp, ct.cp));
   r.finish();
 }
 
-TEST_P(CryptoCodec, CiphertextSeqRejectsCountBomb) {
-  // A count the input cannot hold is rejected before anything is reserved.
+TEST_P(CryptoCodec, CiphertextSeqRejectsCountBeyondInput) {
+  // A count the input cannot hold is rejected before anything decodes.
   const auto g = group::make_group(GetParam());
   Writer w;
   w.raw(std::vector<std::uint8_t>(16, 0));
   Reader r{w.data()};
-  EXPECT_THROW((void)crypto::read_ciphertext_seq(r, *g, std::size_t{1} << 30),
-               WireError);
+  std::vector<crypto::Ciphertext> out(3);
+  EXPECT_THROW(crypto::read_ciphertext_seq(r, *g, out), WireError);
+  EXPECT_EQ(r.remaining(), 16u);
 }
 
 TEST_P(CryptoCodec, ProofMessageRoundTripAndValidation) {
@@ -389,10 +384,10 @@ TEST_P(CodecBoundaryGroup, IdentityElementRoundTrip) {
 
   const crypto::Ciphertext zero_ct{.c = g->identity(), .cp = g->identity()};
   Writer w2;
-  crypto::write_ciphertext_seq(w2, *g, {&zero_ct, 1});
+  w2.raw(seq_bytes(*g, {&zero_ct, 1}));
   EXPECT_EQ(w2.size(), crypto::ciphertext_wire_bytes(*g));
   Reader r2{w2.data()};
-  const auto back = crypto::read_ciphertext_seq(r2, *g, 1).at(0);
+  const auto back = read_seq(r2, *g, 1).at(0);
   r2.finish();
   EXPECT_TRUE(g->eq(back.c, zero_ct.c));
   EXPECT_TRUE(g->eq(back.cp, zero_ct.cp));
@@ -428,16 +423,84 @@ TEST_P(CodecBoundaryGroup, CiphertextSeqFixedWidth) {
     cts.push_back(
         crypto::encrypt_exp(*g, key, Nat{static_cast<mpz::Limb>(i)}, rng));
   Writer w;
-  crypto::write_ciphertext_seq(w, *g, cts);
+  w.raw(seq_bytes(*g, cts));
   EXPECT_EQ(w.size(), cts.size() * crypto::ciphertext_wire_bytes(*g));
   Reader r{w.data()};
-  const auto back = crypto::read_ciphertext_seq(r, *g, cts.size());
+  const auto back = read_seq(r, *g, cts.size());
   r.finish();
   for (std::size_t i = 0; i < cts.size(); ++i)
     EXPECT_TRUE(g->eq(back[i].c, cts[i].c));
   Reader r2{w.data()};
-  EXPECT_THROW((void)crypto::read_ciphertext_seq(r2, *g, cts.size() + 2),
+  EXPECT_THROW((void)read_seq(r2, *g, cts.size() + 2),
                WireError);
+}
+
+// The batch decode of a V slice (read_ciphertext_seq: one
+// Group::deserialize_into) against the one-by-one reference (read_elem per
+// element, then finish): a bad element at the first, a middle or the last
+// position, and a slice one byte short or one byte long, must each fail
+// with the same exception type and message.
+std::string decode_error(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return "decoded";
+}
+
+TEST_P(CodecBoundaryGroup, BatchDecodeFailsAsOneByOneDeserialize) {
+  const auto g = group::make_group(GetParam());
+  ChaChaRng rng{322};
+  const group::FixedBaseTable key{*g, crypto::keygen(*g, rng).y};
+  std::vector<crypto::Ciphertext> cts;
+  for (int i = 0; i < 5; ++i)
+    cts.push_back(crypto::encrypt_exp(*g, key, Nat{rng.below_u64(2)}, rng));
+  const std::vector<std::uint8_t> good = seq_bytes(*g, cts);
+  const std::size_t eb = g->element_bytes(), elems = 2 * cts.size();
+
+  const auto expect_same_error = [&](const std::vector<std::uint8_t>& bytes,
+                                     const std::string& what) {
+    const std::string batch = decode_error([&] {
+      std::vector<crypto::Ciphertext> out(cts.size());
+      Reader r{bytes};
+      crypto::read_ciphertext_seq(r, *g, out);
+      r.finish();
+    });
+    const std::string one_by_one = decode_error([&] {
+      Reader r{bytes};
+      for (std::size_t i = 0; i < elems; ++i) (void)crypto::read_elem(r, *g);
+      r.finish();
+    });
+    EXPECT_NE(batch, "decoded") << what;
+    EXPECT_EQ(batch, one_by_one) << what;
+  };
+
+  // Out-of-range DL encodings: 0, q + 1 and p - 1 (the class of -1 has the
+  // canonical encoding 1, so p - 1 is never canonical).
+  std::vector<std::vector<std::uint8_t>> bad;
+  if (const auto* dl = dynamic_cast<const group::SchnorrGroup*>(g.get())) {
+    for (const Nat& z : {Nat{}, Nat::add(dl->order(), Nat{1}),
+                         Nat::sub(dl->modulus(), Nat{1})})
+      bad.push_back(z.to_bytes_be(eb));
+  } else {
+    std::vector<std::uint8_t> prefix(eb, 0x11);
+    prefix[0] = 0x05;  // neither the identity nor an uncompressed point
+    bad.push_back(prefix);
+  }
+  for (std::size_t e = 0; e < bad.size(); ++e)
+    for (const std::size_t pos : {std::size_t{0}, elems / 2, elems - 1}) {
+      auto bytes = good;
+      std::copy(bad[e].begin(), bad[e].end(), bytes.begin() + pos * eb);
+      expect_same_error(bytes, "encoding " + std::to_string(e) +
+                                   " at element " + std::to_string(pos));
+    }
+  auto shorter = good;
+  shorter.pop_back();
+  expect_same_error(shorter, "one byte short");
+  auto longer = good;
+  longer.push_back(0);
+  expect_same_error(longer, "one byte long");
 }
 
 INSTANTIATE_TEST_SUITE_P(Groups, CodecBoundaryGroup,
@@ -449,28 +512,6 @@ INSTANTIATE_TEST_SUITE_P(Groups, CodecBoundaryGroup,
                              if (ch == '-') ch = '_';
                            return n;
                          });
-
-TEST(CodecBoundary, MaxWidthNatRoundTrip) {
-  // The length-prefixed nat codec must survive 4096-bit integers (the
-  // widest modulus a MontCtx takes; every byte 0xFF) as well as the
-  // minimal-encoding edge next to it.
-  std::vector<std::uint8_t> big(512, 0xFF);
-  const Nat huge = Nat::from_bytes_be(big);
-  Writer w;
-  w.nat(huge);
-  Reader r{w.data()};
-  EXPECT_EQ(r.nat(), huge);
-  r.finish();
-
-  // One leading zero byte on the same value must be rejected (canonical
-  // minimal encoding).
-  Writer w2;
-  std::vector<std::uint8_t> padded(513, 0xFF);
-  padded[0] = 0x00;
-  w2.bytes(padded);
-  Reader r2{w2.data()};
-  EXPECT_THROW((void)r2.nat(), WireError);
-}
 
 // ---- Fault-layer frame codec hardening ----
 // The CRC32 frame that carries payloads under a fault plan sits below the
