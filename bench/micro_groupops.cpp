@@ -5,6 +5,7 @@
 // benchcore::calibrate_*.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/framework.h"
@@ -14,6 +15,7 @@
 #include "group/ec_group.h"
 #include "group/group.h"
 #include "group/schnorr_group.h"
+#include "mpz/ifma_lanes.h"
 #include "mpz/modarith.h"
 #include "mpz/mont.h"
 #include "mpz/prime.h"
@@ -349,6 +351,77 @@ void BM_MontDualExpMany(benchmark::State& state) {
   state.counters["lanes"] = static_cast<double>(ctx.batch_lanes());
 }
 BENCHMARK(BM_MontDualExpMany)->Arg(256);
+
+// The kernel layer under BM_MontExpMany: one 8-lane product on the
+// dl-test-256 modulus, amm8(x, x, x) (arg 0 = 0) or asq8(x) (arg 0 = 1),
+// run as 1 or 2 independent chains (arg 1) of kLaneSteps dependent
+// products. per_product is one 8-lane product's wall time: on one chain
+// each product waits on the previous one's vpmadd52 latency, on two the
+// chains' products overlap, which is what the batch ladders' two batches
+// per call buy.
+#if defined(__x86_64__)
+#pragma GCC diagnostic push
+// GCC 12 flags the deliberate self-initialization in _mm512_undefined_epi32,
+// which the shift intrinsics use (GCC bug 105593).
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+constexpr std::size_t kLaneSteps = 256;
+
+template <bool kSquare, std::size_t kChains>
+PPGR_IFMA void lane_chains(const mpz::LaneConsts& c,
+                           mpz::lanes::LaneTable* state) {
+  using namespace mpz::lanes;
+  const Lane5 m = broadcast(c.m);
+  const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
+  Lane5 x[kChains];
+  for (std::size_t ch = 0; ch < kChains; ++ch) x[ch] = load5(state[ch]);
+  for (std::size_t s = 0; s < kLaneSteps; ++s)
+    for (std::size_t ch = 0; ch < kChains; ++ch) {
+      if constexpr (kSquare) asq8(x[ch], x[ch], m, k0);
+      else amm8(x[ch], x[ch], x[ch], m, k0);
+    }
+  for (std::size_t ch = 0; ch < kChains; ++ch) store5(state[ch], x[ch]);
+}
+
+void BM_LaneProduct(benchmark::State& state) {
+  if (!mpz::lanes::cpu_has_avx512ifma()) {
+    state.SkipWithError("CPU lacks AVX-512 IFMA");
+    return;
+  }
+  const bool square = state.range(0) != 0;
+  const std::size_t chains = static_cast<std::size_t>(state.range(1));
+  const auto& g = dynamic_cast<const group::SchnorrGroup&>(group_for(6));
+  const mpz::MontCtx ctx{g.modulus()};
+  const mpz::LaneConsts c =
+      mpz::lanes::lane_consts(g.modulus(), ctx.one_mont(), 4);
+  // Distinct residues below m in every lane of every chain.
+  mpz::ChaChaRng rng{18};
+  alignas(64) mpz::lanes::LaneTable x[2];
+  for (auto& t : x)
+    for (std::size_t l = 0; l < mpz::lanes::kLanes; ++l) {
+      const auto v = mpz::lanes::to_radix52(rng.below(g.modulus()));
+      for (std::size_t j = 0; j < mpz::lanes::kLimbs52; ++j) t[j][l] = v[j];
+    }
+  const auto run = square ? (chains == 1 ? lane_chains<true, 1>
+                                         : lane_chains<true, 2>)
+                          : (chains == 1 ? lane_chains<false, 1>
+                                         : lane_chains<false, 2>);
+  for (auto _ : state) {
+    run(c, x);
+    benchmark::DoNotOptimize(x);
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_product"] = benchmark::Counter(
+      static_cast<double>(kLaneSteps * chains),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(std::string(square ? "asq8" : "amm8") + " x" +
+                 std::to_string(chains));
+}
+BENCHMARK(BM_LaneProduct)->ArgsProduct({{0, 1}, {1, 2}});
+#pragma GCC diagnostic pop
+#endif  // __x86_64__
 
 // The binary kernel under the group layer: invmod is SchnorrGroup::inv's.
 // Inputs cycle through 64 random residues so the variable-time loop is

@@ -41,9 +41,10 @@
 # arithmetic over window digits and digit tables is exactly the surface
 # ASan watches. The same leg runs the batch ladders' oracles:
 # mpz_modular_test's per-lane GMP oracle (MontCtx::exp_many / dual_exp_many
-# vs mpz_powm on every 4-limb modulus, over batch tails and mixed-width
-# exponents, failing on an IFMA host unless the 8-lane path ran), its
-# mpz_invert oracle for MontCtx::inv_many, multiexp_test's
+# vs mpz_powm on every 4-limb modulus, over every split into batch pairs,
+# single batches and scalar tails and mixed-width exponents, failing on an
+# IFMA host unless the 8-lane path ran), its lane-squaring oracle (asq8 vs
+# GMP and amm8), its mpz_invert oracle for MontCtx::inv_many, multiexp_test's
 # batch-vs-per-element differential and count tests (Group::exp_many /
 # dual_exp_many / inv_many / exp_fixed through MeteredGroup) and
 # crypto_test's batch-vs-per-element zero test
@@ -70,8 +71,9 @@
 # P-192 / P-224 / P-256 batches of 8, 16, 64 and 67 with identity bases,
 # zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun,
 # failing on an IFMA host unless the 8-lane path ran). After the tests the
-# leg runs micro_groupops' hop-chunk and batch-ladder benchmarks once, so
-# the lane gathers, the rerun and the scalar tails also run under the
+# leg runs micro_groupops' hop-chunk, batch-ladder and lane-product
+# benchmarks once, so the lane gathers, the rerun, the paired 8-lane
+# batches, the lane squaring and the scalar tails also run under the
 # sanitizers on the protocol's shapes. group_test also pins
 # the canonical EC decode (x, y < p; an all-zero identity) with a
 # random-encodings property on P-192 and P-256. The secret-sharing suites
@@ -246,7 +248,7 @@ case "${MODE}" in
   multiexp)
     run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk'
     ./build-asan/bench/micro_groupops \
-        --benchmark_filter='ShuffleHopChunk|HopCodec|HopScalars|GroupExpMany|GroupDualExpMany' \
+        --benchmark_filter='ShuffleHopChunk|HopCodec|HopScalars|GroupExpMany|GroupDualExpMany|MontExpMany|MontDualExpMany|LaneProduct' \
         --benchmark_min_time=0.01
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;

@@ -18,6 +18,20 @@
 // mod m, and leaves it by one product with 2^(64k) mod m and one final
 // subtraction of m, so its result is the fully reduced residue the scalar
 // ladders return.
+//
+// The squaring asq8 forms the whole 10-column square first (each cross
+// product a_i*a_j, i < j, once, then every column doubled and the five
+// squares a_i^2 added) and then runs the five word-by-word reduction steps:
+// 85 vpmadd52 where amm8(a, a) issues 105. Its bound is amm8's with b = a:
+// a^2 < 4m^2, so (a^2 + U*m)/R' < 2m. It returns amm8(a, a) exactly, not
+// only modulo m: reduction step i picks u_i from the low 52 bits of
+// (a^2 + sum_{k<i} u_k*m*2^(52k)) / 2^(52i), which is the same integer
+// whether the partial products are added before the reduction (asq8) or
+// interleaved with it (amm8), so both add the same U*m. The column
+// accumulators stay below 2^57: before the reduction a column holds at
+// most four doubled 52-bit halves of cross products and one half of a
+// square (below 9 * 2^52), and the reduction adds at most ten 52-bit
+// halves and a small carry.
 #pragma once
 
 #include <array>
@@ -139,6 +153,54 @@ PPGR_IFMA_INLINE void amm8(Lane5& out, const Lane5& a, const Lane5& b,
     out.l[j] = _mm512_and_si512(t[j], mask);
   }
   out.l[kLimbs52 - 1] = t[kLimbs52 - 1];
+}
+
+/// AMM squaring over all eight lanes: out = amm8(a, a), bit for bit (see
+/// above), in 85 vpmadd52 instead of 105. `out` may alias a.
+PPGR_IFMA_INLINE void asq8(Lane5& out, const Lane5& a, const Lane5& m,
+                           __m512i k0) {
+  const __m512i zero = _mm512_setzero_si512();
+  // t[c] accumulates column c (weight 2^(52c)) of the square.
+  __m512i t[2 * kLimbs52];
+#pragma GCC unroll 10
+  for (std::size_t c = 0; c < 2 * kLimbs52; ++c) t[c] = zero;
+#pragma GCC unroll 5
+  for (std::size_t i = 0; i < kLimbs52; ++i)
+#pragma GCC unroll 5
+    for (std::size_t j = i + 1; j < kLimbs52; ++j) {
+      t[i + j] = _mm512_madd52lo_epu64(t[i + j], a.l[i], a.l[j]);
+      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], a.l[i], a.l[j]);
+    }
+  // Columns 0 and 9 hold no cross product.
+#pragma GCC unroll 8
+  for (std::size_t c = 1; c + 1 < 2 * kLimbs52; ++c)
+    t[c] = _mm512_add_epi64(t[c], t[c]);
+#pragma GCC unroll 5
+  for (std::size_t i = 0; i < kLimbs52; ++i) {
+    t[2 * i] = _mm512_madd52lo_epu64(t[2 * i], a.l[i], a.l[i]);
+    t[2 * i + 1] = _mm512_madd52hi_epu64(t[2 * i + 1], a.l[i], a.l[i]);
+  }
+  // Step i: u = t_i * k0 mod 2^52, t += u * m * 2^(52i), which clears
+  // t_i's low 52 bits; its high bits carry into t_(i+1).
+#pragma GCC unroll 5
+  for (std::size_t i = 0; i < kLimbs52; ++i) {
+    const __m512i u = _mm512_madd52lo_epu64(zero, t[i], k0);
+#pragma GCC unroll 5
+    for (std::size_t j = 0; j < kLimbs52; ++j) {
+      t[i + j] = _mm512_madd52lo_epu64(t[i + j], u, m.l[j]);
+      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], u, m.l[j]);
+    }
+    t[i + 1] = _mm512_add_epi64(t[i + 1], _mm512_srli_epi64(t[i], 52));
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+#pragma GCC unroll 5
+  for (std::size_t j = 0; j + 1 < kLimbs52; ++j) {
+    t[kLimbs52 + j + 1] =
+        _mm512_add_epi64(t[kLimbs52 + j + 1],
+                         _mm512_srli_epi64(t[kLimbs52 + j], 52));
+    out.l[j] = _mm512_and_si512(t[kLimbs52 + j], mask);
+  }
+  out.l[kLimbs52 - 1] = t[2 * kLimbs52 - 1];
 }
 
 /// x in all eight lanes.

@@ -320,69 +320,107 @@ using lanes::LaneTable;
 using lanes::load5;
 using lanes::store5;
 
-// One batch of eight ladders: lane l sets out[l] to the product over the N
-// terms of bases[i][l]^exps[i][l], where bases[i] and exps[i] each point at
-// eight consecutive values and the bases are fully reduced 64-bit-limb
-// Montgomery residues. Every input is read before out is written.
-template <std::size_t N>
+// B batches of eight ladders: lane l of batch b sets out[8b + l] to the
+// product over the N terms of bases[i][8b + l]^exps[i][8b + l], where
+// bases[i] and exps[i] each point at 8B consecutive values and the bases are
+// fully reduced 64-bit-limb Montgomery residues. Every input is read before
+// out is written. One lane product is a dependent chain of vpmadd52s, so a
+// single batch leaves the multiplier waiting on its latency; the batches'
+// products are independent and issued side by side, step by step, which
+// keeps the pipeline busy at B = 2 (three or four chains measured no
+// better; BM_LaneProduct). The window squarings run asq8.
+template <std::size_t N, std::size_t B>
 PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
                             const std::array<const Nat*, N>& bases,
                             const std::array<const Nat*, N>& exps, Nat* out) {
-  // table[i][d][j][l]: limb j of bases[i][l]^d in the lane domain.
-  alignas(64) LaneTable table[N][kDigits];
+  // table[b][i][d][j][l]: limb j of bases[i][8b + l]^d in the lane domain.
+  alignas(64) LaneTable table[B][N][kDigits];
   const Lane5 m = broadcast(c.m);
   const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
   const Lane5 one = broadcast(c.one);
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const auto x = lanes::to_radix52(bases[i][l]);
-      for (std::size_t j = 0; j < kLimbs52; ++j) table[i][1][j][l] = x[j];
-      bits = std::max(bits, exps[i][l].bit_length());
+    Lane5 x[B], xd[B];
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const auto v = lanes::to_radix52(bases[i][b * kLanes + l]);
+        for (std::size_t j = 0; j < kLimbs52; ++j) table[b][i][1][j][l] = v[j];
+        bits = std::max(bits, exps[i][b * kLanes + l].bit_length());
+      }
+      x[b] = load5(table[b][i][1]);
+      amm8(x[b], x[b], broadcast(c.to_lane), m, k0);
+      store5(table[b][i][0], one);
+      store5(table[b][i][1], x[b]);
+      xd[b] = x[b];
     }
-    Lane5 x = load5(table[i][1]);
-    amm8(x, x, broadcast(c.to_lane), m, k0);
-    store5(table[i][0], one);
-    store5(table[i][1], x);
-    Lane5 xd = x;
-    for (std::size_t d = 2; d < kDigits; ++d) {
-      amm8(xd, xd, x, m, k0);
-      store5(table[i][d], xd);
-    }
+    for (std::size_t d = 2; d < kDigits; ++d)
+      for (std::size_t b = 0; b < B; ++b) {
+        amm8(xd[b], xd[b], x[b], m, k0);
+        store5(table[b][i][d], xd[b]);
+      }
   }
-  Lane5 acc = one;
+  Lane5 acc[B];
+  for (std::size_t b = 0; b < B; ++b) acc[b] = one;
   bool started = false;
   for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
     if (started)
-      for (std::size_t s = 0; s < kWindow; ++s) amm8(acc, acc, acc, m, k0);
+      for (std::size_t s = 0; s < kWindow; ++s)
+        for (std::size_t b = 0; b < B; ++b) lanes::asq8(acc[b], acc[b], m, k0);
     for (std::size_t i = 0; i < N; ++i) {
-      // Lane l's entry for digit d starts d * sizeof(LaneTable) + l limbs
-      // into the table.
-      alignas(64) Limb offset[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l)
-        offset[l] = nibble(exps[i][l], w * kWindow) * kLimbs52 * kLanes + l;
-      const __m512i idx = _mm512_load_si512(offset);
-      Lane5 g;
-      for (std::size_t j = 0; j < kLimbs52; ++j)
-        g.l[j] = _mm512_i64gather_epi64(idx, table[i][0][j], 8);
-      if (started) {
-        amm8(acc, acc, g, m, k0);
-      } else {
-        acc = g;
-        started = true;
+      Lane5 g[B];
+      for (std::size_t b = 0; b < B; ++b) {
+        // Lane l's entry for digit d starts d * sizeof(LaneTable) + l limbs
+        // into the table.
+        alignas(64) Limb offset[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l)
+          offset[l] = nibble(exps[i][b * kLanes + l], w * kWindow) * kLimbs52 *
+                          kLanes +
+                      l;
+        const __m512i idx = _mm512_load_si512(offset);
+        for (std::size_t j = 0; j < kLimbs52; ++j)
+          g[b].l[j] = _mm512_i64gather_epi64(idx, table[b][i][0][j], 8);
       }
+      for (std::size_t b = 0; b < B; ++b)
+        if (started) amm8(acc[b], acc[b], g[b], m, k0);
+        else acc[b] = g[b];
+      started = true;
     }
   }
-  amm8(acc, acc, broadcast(c.from_lane), m, k0);
-  alignas(64) LaneTable res;
-  store5(res, acc);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
-                              res[4][l]};
-    Limb x[4] = {};
-    lanes::from_radix52(x, r, m64);
-    out[l] = Nat::from_limbs({x, 4});
+  for (std::size_t b = 0; b < B; ++b) {
+    amm8(acc[b], acc[b], broadcast(c.from_lane), m, k0);
+    alignas(64) LaneTable res;
+    store5(res, acc[b]);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
+                                res[4][l]};
+      Limb x[4] = {};
+      lanes::from_radix52(x, r, m64);
+      out[b * kLanes + l] = Nat::from_limbs({x, 4});
+    }
   }
+}
+
+// Runs the lanes over the first elements of a batch of n: pairs of batches
+// while 16 elements remain, then one batch of eight if 8 do. Returns how
+// many elements it set; the rest (fewer than 8) are left to the scalar
+// ladders.
+template <std::size_t N>
+std::size_t lanes_prefix(const LaneConsts& c, const Limb* m64, std::size_t n,
+                         const std::array<const Nat*, N>& bases,
+                         const std::array<const Nat*, N>& exps, Nat* out) {
+  const auto from = [](const std::array<const Nat*, N>& p, std::size_t i) {
+    std::array<const Nat*, N> q;
+    for (std::size_t t = 0; t < N; ++t) q[t] = p[t] + i;
+    return q;
+  };
+  std::size_t i = 0;
+  for (; n - i >= 2 * kLanes; i += 2 * kLanes)
+    straus_lanes<N, 2>(c, m64, from(bases, i), from(exps, i), out + i);
+  if (n - i >= kLanes) {
+    straus_lanes<N, 1>(c, m64, from(bases, i), from(exps, i), out + i);
+    i += kLanes;
+  }
+  return i;
 }
 
 #pragma GCC diagnostic pop
@@ -541,12 +579,17 @@ void MontCtx::mul_add_limbs(Limb* acc, const Limb* s, const Limb* xs,
   });
 }
 
-// Measured on the 4-limb protocol moduli, a dedicated SOS squaring (halved
-// off-diagonal products, separate reduction pass) LOSES to the fused CIOS
-// multiply: the doubling pass and the extra scratch traffic cost more than
-// the k(k-1)/2 saved limb products at these widths. sqr() therefore rides
-// the multiply; the entry point stays so callers express intent and wider-
-// limb specializations can slot in without touching call sites.
+// For the 64-bit scalar CIOS kernel, measured on the 4-limb protocol
+// moduli, a dedicated SOS squaring (halved off-diagonal products, separate
+// reduction pass) LOSES to the fused CIOS multiply: the doubling pass and
+// the extra scratch traffic cost more than the k(k-1)/2 saved limb products
+// at these widths. sqr() therefore rides the multiply; the entry point
+// stays so callers express intent and wider-limb specializations can slot
+// in without touching call sites. The 8-lane ladders are another matter:
+// their window squarings run lanes::asq8, which saves 20 of amm8's 105
+// vpmadd52, and that saving shows because two interleaved batches keep the
+// multiplier's pipeline full, so the ladder is bound by issued
+// instructions rather than by one product's latency.
 Nat MontCtx::sqr(const Nat& a) const { return mul(a, a); }
 
 Nat MontCtx::add(const Nat& a, const Nat& b) const {
@@ -582,9 +625,8 @@ void MontCtx::exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
   std::size_t i = 0;
 #if defined(__x86_64__)
   if (lanes_.has_value())
-    for (; out.size() - i >= kLanes; i += kLanes)
-      straus_lanes<1>(*lanes_, m_.limbs().data(), {&bases[i]}, {&exps[i]},
-                      &out[i]);
+    i = lanes_prefix<1>(*lanes_, m_.limbs().data(), out.size(),
+                        {bases.data()}, {exps.data()}, out.data());
 #endif
   for (; i < out.size(); ++i) out[i] = exp(bases[i], exps[i]);
 }
@@ -598,9 +640,9 @@ void MontCtx::dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
   std::size_t i = 0;
 #if defined(__x86_64__)
   if (lanes_.has_value())
-    for (; out.size() - i >= kLanes; i += kLanes)
-      straus_lanes<2>(*lanes_, m_.limbs().data(), {&xs[i], &ys[i]},
-                      {&exs[i], &eys[i]}, &out[i]);
+    i = lanes_prefix<2>(*lanes_, m_.limbs().data(), out.size(),
+                        {xs.data(), ys.data()}, {exs.data(), eys.data()},
+                        out.data());
 #endif
   for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }

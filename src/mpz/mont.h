@@ -9,8 +9,8 @@
 // entirely on those kernels and touch Nat only at entry and exit. MontCtx
 // picks its kernel once, at construction (see DESIGN.md Sec. 5e). Its batch
 // ladders (exp_many / dual_exp_many) run 8 independent ladders per AVX-512
-// IFMA vector for 4-limb moduli on CPUs that have it, and the scalar
-// ladders otherwise; both paths return the same fully reduced residues.
+// IFMA vector, two vectors side by side, for 4-limb moduli on CPUs that
+// have it, and the scalar ladders otherwise; both paths return the same fully reduced residues.
 #pragma once
 
 #include <array>

@@ -13,6 +13,7 @@
 #include "group/group.h"
 #include "group/schnorr_group.h"
 #include "mpz/fp.h"
+#include "mpz/ifma_lanes.h"
 #include "mpz/modarith.h"
 #include "mpz/mont.h"
 #include "mpz/prime.h"
@@ -566,7 +567,11 @@ TEST(MontBatch, ExpManyAndDualExpManyMatchPowmPerLane) {
       ctx.dual_exp_many(inplace, exs, ys, eys, inplace);
       EXPECT_EQ(inplace, got2);
     };
-    for (const std::size_t n : {0, 1, 7, 8, 9, 16, 17, 525}) {
+    // Sizes around the splits into pairs of 8-lane batches, one batch and
+    // a scalar tail (15 = 8 + 7, 23 = 16 + 7, 24 = 16 + 8, 31 = 16 + 8 + 7,
+    // 33 = 32 + 1).
+    for (const std::size_t n :
+         {0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 525}) {
       std::vector<Nat> xs, ys, exs, eys;
       for (std::size_t i = 0; i < n; ++i) {
         xs.push_back(base(i));
@@ -587,6 +592,74 @@ TEST(MontBatch, ExpManyAndDualExpManyMatchPowmPerLane) {
       check(xs, std::vector<Nat>(9), ys, std::vector<Nat>(9));
     }
   }
+}
+
+#if defined(__x86_64__)
+#pragma GCC diagnostic push
+// GCC 12 flags the deliberate self-initialization in _mm512_undefined_epi32,
+// which the shift intrinsics use (GCC bug 105593).
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// Eight lane values through asq8 and through amm8(a, a).
+PPGR_IFMA void lane_square(const LaneConsts& c, const lanes::LaneTable& a,
+                           lanes::LaneTable& sq, lanes::LaneTable& prod) {
+  const lanes::Lane5 m = lanes::broadcast(c.m);
+  const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
+  const lanes::Lane5 x = lanes::load5(a);
+  lanes::Lane5 r;
+  lanes::asq8(r, x, m, k0);
+  lanes::store5(sq, r);
+  lanes::amm8(r, x, x, m, k0);
+  lanes::store5(prod, r);
+}
+#pragma GCC diagnostic pop
+#endif
+
+// asq8 against GMP: for a < 2m it returns a value below 2m, congruent to
+// a^2 * 2^-260 mod m, with limbs 0-3 below 2^52, and the same limbs as
+// amm8(a, a). Random a < 2m and the edges 0, 1, m - 1, m, 2m - 1, on every
+// 4-limb modulus that runs the lanes.
+TEST(MontBatch, LaneSquareMatchesGmp) {
+  if (!host_has_ifma()) GTEST_SKIP() << "CPU lacks AVX-512 IFMA";
+#if defined(__x86_64__)
+  ChaChaRng rng{405};
+  for (const auto& [mn, q] : batch_moduli()) {
+    const MontCtx ctx{mn};
+    ASSERT_EQ(ctx.batch_lanes(), 8u);
+    const LaneConsts c = lanes::lane_consts(mn, ctx.one_mont(), 4);
+    const mpz_class m = to_gmp(mn);
+    const mpz_class two_m = 2 * m;
+    mpz_class r_inv;  // 2^-260 mod m
+    const mpz_class r = mpz_class{1} << 260;
+    ASSERT_NE(mpz_invert(r_inv.get_mpz_t(), r.get_mpz_t(), m.get_mpz_t()), 0);
+    std::vector<mpz_class> as{0, 1, m - 1, m, two_m - 1};
+    while (as.size() < 8 * 40) as.push_back(to_gmp(rng.below(from_gmp(two_m))));
+    for (std::size_t v = 0; v < as.size(); v += lanes::kLanes) {
+      alignas(64) lanes::LaneTable a = {}, sq, prod;
+      for (std::size_t l = 0; l < lanes::kLanes && v + l < as.size(); ++l)
+        for (std::size_t j = 0; j < lanes::kLimbs52; ++j) {
+          const mpz_class limb = (as[v + l] >> (52 * j)) & lanes::kMask52;
+          a[j][l] = limb.get_ui();
+        }
+      lane_square(c, a, sq, prod);
+      for (std::size_t l = 0; l < lanes::kLanes && v + l < as.size(); ++l) {
+        const mpz_class& x = as[v + l];
+        mpz_class got = 0;
+        for (std::size_t j = lanes::kLimbs52; j-- > 0;) {
+          if (j < 4) {
+            ASSERT_LE(sq[j][l], lanes::kMask52) << "limb " << j;
+          }
+          got = (got << 52) + sq[j][l];
+          ASSERT_EQ(sq[j][l], prod[j][l]) << "a=" << x.get_str(16);
+        }
+        ASSERT_LT(got, two_m) << "a=" << x.get_str(16);
+        ASSERT_EQ(mpz_class{got % m}, mpz_class{x * x * r_inv % m})
+            << "m=" << mn.to_hex() << " a=" << x.get_str(16);
+      }
+    }
+  }
+#endif
 }
 
 TEST(MontBatch, RejectsMismatchedSpans) {

@@ -171,7 +171,9 @@ class BatchExpTest : public MultiExpTest {
 };
 
 TEST_P(BatchExpTest, BatchFormsEqualPerElementCalls) {
-  for (const std::size_t n : {0, 1, 7, 8, 9, 17, 64}) {
+  // Sizes around the lane splits: pairs of 8-lane batches, one batch and a
+  // scalar tail.
+  for (const std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 64}) {
     fill(n);
     std::vector<Elem> got(n), got2(n);
     g_->exp_many(xs_, exs_, got);
