@@ -12,6 +12,7 @@
 #include "core/ss_framework.h"
 #include "crypto/codec.h"
 #include "crypto/elgamal.h"
+#include "dotprod/dot_product.h"
 #include "group/ec_group.h"
 #include "group/group.h"
 #include "group/schnorr_group.h"
@@ -95,6 +96,11 @@ void BM_ElGamalEncryptExp(benchmark::State& state) {
 }
 BENCHMARK(BM_ElGamalEncryptExp)->DenseRange(0, 5);
 
+// The comparison circuit of he-n16's spec: l = 35 bits.
+core::ProblemSpec circuit_spec() {
+  return core::ProblemSpec{.m = 4, .t = 2, .d1 = 8, .d2 = 6, .h = 8};
+}
+
 // Ladders per step of a group's batch forms: 8 where the group runs lanes
 // (EcGroup on an IFMA CPU, SchnorrGroup's 4-limb moduli there), else 1.
 double batch_lanes(const group::Group& g) {
@@ -104,6 +110,86 @@ double batch_lanes(const group::Group& g) {
     return static_cast<double>(mpz::MontCtx{dl->modulus()}.batch_lanes());
   return 1.0;
 }
+
+// y^r through a key's comb table, one exp_fixed per scalar
+// (BM_FixedBaseExp) and as one circuit's batch of l scalars
+// (BM_FixedBaseExpMany, exp_fixed_many); items/s counts scalars, so
+// 1/items_per_second is one comb's cost on either path.
+void BM_FixedBaseExp(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{20};
+  const group::FixedBaseTable y{g, crypto::keygen(g, rng).y};
+  const mpz::Nat r = g.random_nonzero_scalar(rng);
+  for (auto _ : state) {
+    auto e = g.exp_fixed(y, r);
+    benchmark::DoNotOptimize(e);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_FixedBaseExp)->Arg(5)->Arg(6);
+
+void BM_FixedBaseExpMany(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  mpz::ChaChaRng rng{21};
+  const group::FixedBaseTable y{g, crypto::keygen(g, rng).y};
+  const std::size_t l = circuit_spec().beta_bits();
+  std::vector<mpz::Nat> r;
+  for (std::size_t i = 0; i < l; ++i) r.push_back(g.random_nonzero_scalar(rng));
+  std::vector<group::Elem> out(l);
+  for (auto _ : state) {
+    g.exp_fixed_many(y, r, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * l));
+  state.counters["lanes"] = batch_lanes(g);
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_FixedBaseExpMany)->Arg(5)->Arg(6);
+
+// One Participant::compare_against at l = 35 against a peer's encrypted
+// bits (inversion, the ω ladders, the re-randomizations); one iteration is
+// one circuit.
+void BM_CompareCircuit(benchmark::State& state) {
+  const auto& g = group_for(static_cast<int>(state.range(0)));
+  core::FrameworkConfig cfg;
+  cfg.spec = circuit_spec();
+  cfg.n = 2;
+  cfg.k = 1;
+  cfg.group = &g;
+  cfg.dot_field = &core::default_dot_field();
+  const std::size_t l = cfg.spec.beta_bits();
+  mpz::ChaChaRng rng{22};
+  // A participant after phase 1 with masked gain β: its vector ends in a
+  // constant 1, so answering with (0, ..., 0, β - 2^(l-1)) makes the dot
+  // product the signed form of β.
+  const auto with_beta = [&](std::size_t id, const mpz::Nat& beta) {
+    core::Participant p{cfg, id, core::AttrVec(cfg.spec.m, 0)};
+    const auto& query = p.gain_query(rng);
+    const mpz::FpCtx& f = *cfg.dot_field;
+    std::vector<mpz::Nat> v(cfg.spec.m + cfg.spec.t + 1, f.zero());
+    v.back() = f.sub(f.to(beta), f.to(mpz::Nat::pow2(l - 1)));
+    p.receive_gain_answer(dotprod::dot_product_alice(f, query, v));
+    return p;
+  };
+  core::Participant own = with_beta(1, rng.bits(l));
+  core::Participant peer = with_beta(2, rng.bits(l));
+  const std::vector<group::Elem> shares{own.public_key(rng),
+                                        peer.public_key(rng)};
+  const auto joint = std::make_shared<const group::FixedBaseTable>(
+      g, crypto::joint_public_key(g, shares));
+  own.set_joint_key(joint);
+  peer.set_joint_key(joint);
+  const auto peer_bits = peer.encrypt_beta(std::vector<mpz::Rng*>(l, &rng));
+  for (auto _ : state) {
+    auto tau = own.compare_against(peer_bits, rng);
+    benchmark::DoNotOptimize(tau.data());
+  }
+  state.counters["lanes"] = batch_lanes(g);
+  state.SetLabel(g.name());
+}
+BENCHMARK(BM_CompareCircuit)->Arg(5)->Arg(6);
 
 // One shuffle-hop chunk as the hop's ladder tasks run it: 64 decoded
 // ciphertexts, a fresh r and e = q - x*r mod q per ciphertext (a Montgomery

@@ -70,11 +70,20 @@
 # against the GMP oracle and the scalar ladder's exact Jacobian triple, on
 # P-192 / P-224 / P-256 batches of 8, 16, 64 and 67 with identity bases,
 # zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun,
-# failing on an IFMA host unless the 8-lane path ran). After the tests the
-# leg runs micro_groupops' hop-chunk, batch-ladder and lane-product
-# benchmarks once, so the lane gathers, the rerun, the paired 8-lane
-# batches, the lane squaring and the scalar tails also run under the
-# sanitizers on the protocol's shapes. group_test also pins
+# failing on an IFMA host unless the 8-lane path ran). The fixed-base
+# combs' batch forms run here too: multiexp_test's comb tests
+# (exp_fixed_many / exp_g_many against per-element exp_fixed / exp_g, GMP's
+# mpz_powm on dl-test-256 and dl-1024 and the EC oracle on the three
+# curves, at sizes 0 to 67 with all-zero and all-0xF windows and scalars
+# wider than the table, a P = P rerun through a table wider than the
+# order, and MeteredGroup's forwarding and counting), ec_exhaustive_test's
+# combs over a table of every point of its order-100 curve, and the phase-2
+# oracle's batched compare circuit and β encryption. After the tests the
+# leg runs micro_groupops' hop-chunk, batch-ladder, lane-product,
+# fixed-base and compare-circuit benchmarks once, so the lane gathers
+# (ladder tables and comb tables), the reruns, the paired 8-lane batches,
+# the lane squaring and the scalar tails also run under the sanitizers on
+# the protocol's shapes. group_test also pins
 # the canonical EC decode (x, y < p; an all-zero identity) with a
 # random-encodings property on P-192 and P-256. The secret-sharing suites
 # run here too (sss_shamir, sss_sort, sss_topk): the Shamir/GRR engine
@@ -248,7 +257,7 @@ case "${MODE}" in
   multiexp)
     run_leg asan -R 'multiexp|ec_exhaustive|batch_inverse|parallel_determinism|phase2_oracle|mpz_modular|group_test|wire_test|crypto_test|sss_shamir|sss_sort|sss_topk'
     ./build-asan/bench/micro_groupops \
-        --benchmark_filter='ShuffleHopChunk|HopCodec|HopScalars|GroupExpMany|GroupDualExpMany|MontExpMany|MontDualExpMany|LaneProduct' \
+        --benchmark_filter='ShuffleHopChunk|HopCodec|HopScalars|GroupExpMany|GroupDualExpMany|MontExpMany|MontDualExpMany|LaneProduct|FixedBaseExp|CompareCircuit' \
         --benchmark_min_time=0.01
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;

@@ -11,8 +11,6 @@ namespace ppgr::core {
 
 using crypto::ct_add;
 using crypto::ct_add_plain;
-using crypto::encrypt_exp;
-using crypto::rerandomize;
 
 void FrameworkConfig::validate() const {
   spec.validate();
@@ -129,9 +127,20 @@ bool Participant::verify_peer_key(const Elem& y,
   return crypto::schnorr_verify(*cfg_.group, y, proof);
 }
 
-Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
-  const Nat m = beta_.bit(b) ? Nat{1} : Nat{};
-  return encrypt_exp(*cfg_.group, *joint_key_, m, rng);
+std::vector<Ciphertext> Participant::encrypt_beta(
+    std::span<Rng* const> bit_rngs) const {
+  const Group& g = *cfg_.group;
+  const std::size_t l = cfg_.spec.beta_bits();
+  if (bit_rngs.size() != l)
+    throw std::invalid_argument("encrypt_beta: wrong stream count");
+  std::vector<Nat> m(l), r(l);
+  for (std::size_t b = 0; b < l; ++b) {
+    if (beta_.bit(b)) m[b] = Nat{1};
+    r[b] = g.random_nonzero_scalar(*bit_rngs[b]);
+  }
+  std::vector<Ciphertext> out(l);
+  crypto::encrypt_exp_many(g, *joint_key_, m, r, out);
+  return out;
 }
 
 // The comparison circuit (DESIGN.md §5e), evaluated through Group::dual_exp
@@ -151,8 +160,12 @@ Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng) const {
 // q-coeff collapse into inversions and coeff-width ladders. Each of the 2l
 // peer components is inverted exactly once, in one Group::inv_many
 // (Montgomery's trick on Schnorr groups), and γ⁻¹ is carried next to γ so
-// no γ is inverted again. The naive ct_scale/ct_add_plain form of the same
-// algebra is the differential oracle in tests/phase2_oracle_test.cpp;
+// no γ is inverted again. Every group exponentiation of the circuit runs in
+// a batch: the l short ladders of the ω's as one dual_exp_many and one
+// exp_many, and the l re-randomizations' combs as one exp_fixed_many and
+// one exp_g_many (8 lanes per IFMA vector on SchnorrGroup and EcGroup).
+// The naive ct_scale/ct_add_plain form of the same algebra is the
+// differential oracle in tests/phase2_oracle_test.cpp;
 // benchcore::model_he_ops states the interface calls this evaluation
 // executes.
 std::vector<Ciphertext> Participant::compare_against(
@@ -188,23 +201,33 @@ std::vector<Ciphertext> Participant::compare_against(
     }
   }
 
-  const Nat zero;
+  // γ^(q-coeff) = (γ⁻¹)^coeff with coeff = l-b, tiny, so the fused
+  // (γ⁻¹.c)^coeff · g^coeff runs a coeff-width Straus ladder. For a set
+  // bit γ⁻¹.c = c·g⁻¹ and the g's cancel: the factor is c^coeff · g^0.
+  std::vector<Elem> cs(l), cps(l), gens(l, g.generator()), c_pow(l),
+      cp_pow(l);
+  std::vector<Nat> coeff(l), g_coeff(l);
+  for (std::size_t b = 0; b < l; ++b) {
+    cs[b] = std::move(gamma_inv[b].c);
+    cps[b] = std::move(gamma_inv[b].cp);
+    coeff[b] = Nat{static_cast<mpz::Limb>(l - b)};
+    if (!beta_.bit(b)) g_coeff[b] = coeff[b];
+  }
+  g.dual_exp_many(cs, coeff, gens, g_coeff, c_pow);
+  g.exp_many(cps, coeff, cp_pow);
+
   std::vector<Ciphertext> tau(l);
   Ciphertext suffix{.c = g.identity(), .cp = g.identity()};
   for (std::size_t b = l; b-- > 0;) {
-    const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    // γ^(q-coeff) = (γ⁻¹)^coeff, and coeff = l-b is tiny, so the fused
-    // (γ⁻¹.c)^coeff · g^coeff runs a coeff-width Straus ladder. For a set
-    // bit γ⁻¹.c = c·g⁻¹ and the g's cancel: the factor is c^coeff · g^0.
-    const Nat& g_coeff = beta_.bit(b) ? zero : coeff;
-    const Ciphertext omega{
-        .c = g.mul(g.dual_exp(gamma_inv[b].c, coeff, g.generator(), g_coeff),
-                   suffix.c),
-        .cp = g.mul(g.exp(gamma_inv[b].cp, coeff), suffix.cp)};
+    const Ciphertext omega{.c = g.mul(c_pow[b], suffix.c),
+                           .cp = g.mul(cp_pow[b], suffix.cp)};
     tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
-    tau[b] = rerandomize(g, *joint_key_, tau[b], rng);
     suffix = ct_add(g, suffix, gamma[b]);
   }
+  // The randomizers in the order a per-bit rerandomize draws them.
+  std::vector<Nat> r(l);
+  for (std::size_t b = l; b-- > 0;) r[b] = g.random_nonzero_scalar(rng);
+  crypto::rerandomize_many(g, *joint_key_, tau, r);
   return tau;
 }
 

@@ -241,13 +241,18 @@ class Participant {
     joint_key_ = std::move(table);
   }
   /// Step 6, bitwise encryption of β under the joint key: E(bit b of β)
-  /// (bits LSB first). The engine fans this out across the l bits, one Rng
-  /// stream per bit.
-  [[nodiscard]] Ciphertext encrypt_beta_bit(std::size_t b, Rng& rng) const;
+  /// for b = 0..l-1 (LSB first), bit b's randomizer drawn from
+  /// *bit_rngs[b] (the engine passes one stream per bit; l pointers,
+  /// std::invalid_argument otherwise). The l encryptions run as one
+  /// crypto::encrypt_exp_many.
+  [[nodiscard]] std::vector<Ciphertext> encrypt_beta(
+      std::span<Rng* const> bit_rngs) const;
   /// Step 7: homomorphic comparison of own (plaintext) bits against another
   /// participant's encrypted bits; returns E(τ^1..τ^l), each τ_b
-  /// re-randomized with a fresh encryption of zero drawn from `rng`. A zero
-  /// among the τ plaintexts means the peer's β is larger.
+  /// re-randomized with a fresh encryption of zero drawn from `rng` (bit
+  /// l-1 first). A zero among the τ plaintexts means the peer's β is
+  /// larger. The circuit's ladders run as batches: one dual_exp_many and
+  /// one exp_many for every ω, then one crypto::rerandomize_many.
   [[nodiscard]] std::vector<Ciphertext> compare_against(
       const std::vector<Ciphertext>& peer_bits, Rng& rng) const;
   /// Step 8: one chain hop over a peer's set — partial decryption with this

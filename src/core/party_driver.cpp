@@ -488,15 +488,17 @@ class Party {
     co_await next_round();
 
     // Step 6: bitwise β encryption, broadcast.
-    CipherSet own_bits(l_);
-    {
-      const auto span = step("p2.encrypt_bits");
-      fan_out("task.encrypt_bit", l_, [](std::size_t b) { return b; },
-              [&](std::size_t b) {
-                ChaChaRng rng = stream(StreamKind::kEncryptBit, me_, b);
-                own_bits[b] = part_->encrypt_beta_bit(b, rng);
-              });
-    }
+    CipherSet own_bits;
+    single_task("p2.encrypt_bits", "task.encrypt_bits", [&] {
+      std::vector<ChaChaRng> rngs;
+      rngs.reserve(l_);
+      std::vector<Rng*> bit_rngs;
+      for (std::size_t b = 0; b < l_; ++b) {
+        rngs.push_back(stream(StreamKind::kEncryptBit, me_, b));
+        bit_rngs.push_back(&rngs.back());
+      }
+      own_bits = part_->encrypt_beta(bit_rngs);
+    });
     broadcast(encode_set(own_bits));
     co_await next_round();
 

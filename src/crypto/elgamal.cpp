@@ -1,5 +1,6 @@
 #include "crypto/elgamal.h"
 
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -36,6 +37,22 @@ Elem decrypt(const Group& g, const Nat& x, const Ciphertext& ct) {
 Ciphertext encrypt_exp(const Group& g, const FixedBaseTable& y, const Nat& m,
                        Rng& rng) {
   return encrypt(g, y, g.exp_g(m), rng);
+}
+
+void encrypt_exp_many(const Group& g, const FixedBaseTable& y,
+                      std::span<const Nat> ms, std::span<const Nat> r,
+                      std::span<Ciphertext> out) {
+  if (ms.size() != out.size() || r.size() != out.size())
+    throw std::invalid_argument("encrypt_exp_many: span sizes differ");
+  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalEncrypt, out.size(),
+                                     runtime::ScopedOpTimer::Samples::kPerOp);
+  std::vector<Elem> gm(out.size()), yr(out.size());
+  g.exp_g_many(ms, gm);
+  g.exp_fixed_many(y, r, yr);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i].c = g.mul(gm[i], yr[i]);
+  g.exp_g_many(r, gm);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i].cp = std::move(gm[i]);
 }
 
 Elem decrypt_exp(const Group& g, const Nat& x, const Ciphertext& ct) {
@@ -85,6 +102,22 @@ Ciphertext rerandomize(const Group& g, const FixedBaseTable& y,
   const Nat r = g.random_nonzero_scalar(rng);
   return Ciphertext{.c = g.mul(ct.c, g.exp_fixed(y, r)),
                     .cp = g.mul(ct.cp, g.exp_g(r))};
+}
+
+void rerandomize_many(const Group& g, const FixedBaseTable& y,
+                      std::span<Ciphertext> cts, std::span<const Nat> r) {
+  if (r.size() != cts.size())
+    throw std::invalid_argument("rerandomize_many: span sizes differ");
+  const runtime::ScopedOpTimer timer(CryptoOp::kElGamalRerandomize,
+                                     cts.size(),
+                                     runtime::ScopedOpTimer::Samples::kPerOp);
+  std::vector<Elem> pow(cts.size());
+  g.exp_fixed_many(y, r, pow);
+  for (std::size_t i = 0; i < cts.size(); ++i)
+    cts[i].c = g.mul(cts[i].c, pow[i]);
+  g.exp_g_many(r, pow);
+  for (std::size_t i = 0; i < cts.size(); ++i)
+    cts[i].cp = g.mul(cts[i].cp, pow[i]);
 }
 
 Ciphertext partial_decrypt(const Group& g, const Nat& x_j,

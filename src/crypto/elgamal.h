@@ -53,6 +53,16 @@ struct KeyPair {
 // --- exponential (additive-homomorphic) ElGamal ---
 [[nodiscard]] Ciphertext encrypt_exp(const Group& g, const FixedBaseTable& y,
                                      const Nat& m, Rng& rng);
+/// encrypt_exp over a batch with caller-drawn randomizers: out[i] =
+/// (g^ms[i] · y^r[i], g^r[i]), the ciphertext encrypt_exp forms when it
+/// draws r[i] (each in [1, q)). Every g^m, y^r and g^r of the batch comes
+/// from one Group::exp_g_many, one exp_fixed_many and one exp_g_many. All
+/// spans have out.size() elements (std::invalid_argument otherwise).
+/// Records kElGamalEncrypt once per ciphertext, each sample an equal share
+/// of the batch's latency.
+void encrypt_exp_many(const Group& g, const FixedBaseTable& y,
+                      std::span<const Nat> ms, std::span<const Nat> r,
+                      std::span<Ciphertext> out);
 /// g^m as recovered by decryption (the "m cannot be extracted" form).
 [[nodiscard]] Elem decrypt_exp(const Group& g, const Nat& x,
                                const Ciphertext& ct);
@@ -82,6 +92,14 @@ struct KeyPair {
 /// Multiplies in a fresh encryption of zero, refreshing the randomness.
 [[nodiscard]] Ciphertext rerandomize(const Group& g, const FixedBaseTable& y,
                                      const Ciphertext& ct, Rng& rng);
+/// rerandomize over a batch with caller-drawn randomizers: cts[i] becomes
+/// (c · y^r[i], cp · g^r[i]), what rerandomize returns when it draws r[i].
+/// The batch's y^r and g^r come from one Group::exp_fixed_many and one
+/// exp_g_many. cts and r have the same size (std::invalid_argument
+/// otherwise). Records kElGamalRerandomize once per ciphertext, each sample
+/// an equal share of the batch's latency.
+void rerandomize_many(const Group& g, const FixedBaseTable& y,
+                      std::span<Ciphertext> cts, std::span<const Nat> r);
 
 // --- distributed decryption building blocks (framework step 8) ---
 /// Removes one key layer: (c / c'^{x_j}, c'). After every holder of a key

@@ -207,15 +207,23 @@ struct Exceptions {
   __mmask8 same_x, same_y;
 };
 
-// EcGroup::add's general formulas (16 products) in every lane, for finite
-// points. `out` may alias p or q.
+// EcGroup::add's formulas in every lane, for finite points: the general
+// ones (16 products), or with kAffineQ, for q with Z = 1, its mixed
+// addition (11 products; the same residues, since the skipped products
+// multiply by one). `out` may alias p or q.
+template <bool kAffineQ = false>
 PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
                               const LanePoint& q, const LaneField& f) {
   Lane5 u1, u2, s1, s2, t, h, r, hh, hhh, v, x3, z3;
-  fmul(t, q.z, q.z, f);
-  fmul(u1, p.x, t, f);
-  fmul(t, t, q.z, f);
-  fmul(s1, p.y, t, f);
+  if constexpr (kAffineQ) {
+    u1 = p.x;
+    s1 = p.y;
+  } else {
+    fmul(t, q.z, q.z, f);
+    fmul(u1, p.x, t, f);
+    fmul(t, t, q.z, f);
+    fmul(s1, p.y, t, f);
+  }
   fmul(t, p.z, p.z, f);
   fmul(u2, q.x, t, f);
   fmul(t, t, p.z, f);
@@ -226,8 +234,12 @@ PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
   fmul(hh, h, h, f);
   fmul(hhh, hh, h, f);
   fmul(v, u1, hh, f);
-  fmul(t, p.z, q.z, f);
-  fmul(z3, t, h, f);
+  if constexpr (kAffineQ) {
+    fmul(z3, p.z, h, f);
+  } else {
+    fmul(t, p.z, q.z, f);
+    fmul(z3, t, h, f);
+  }
   fmul(x3, r, r, f);
   fsub(x3, x3, hhh, f);
   fsub(x3, x3, v, f);
@@ -258,20 +270,77 @@ PPGR_IFMA_INLINE void store_point(PointTable& dst, const LanePoint& pt) {
 // input is read before out is written. Returns false, with out untouched,
 // when a lane met an addition of a point and itself or a doubling of a
 // point of order 2.
-template <std::size_t N>
-PPGR_IFMA bool straus_lanes(const LaneArgs& args,
-                            const std::array<const Elem*, N>& bases,
-                            const std::array<const Nat*, N>& exps, Elem* out) {
+PPGR_IFMA_INLINE LaneField lane_field(const LaneArgs& args) {
   const mpz::LaneConsts& c = args.consts;
   LaneField f{};
   f.p = broadcast(c.m);
   for (std::size_t j = 0; j < kLimbs52; ++j)
     f.two_p.l[j] = _mm512_add_epi64(f.p.l[j], f.p.l[j]);
   f.k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
-  const Lane5 to_lane = broadcast(c.to_lane);
   f.a_is_minus3 = args.a_is_minus3;
   if (!f.a_is_minus3)
-    fmul(f.a, broadcast(mpz::lanes::to_radix52(args.a_mont)), to_lane, f);
+    fmul(f.a, broadcast(mpz::lanes::to_radix52(args.a_mont)),
+         broadcast(c.to_lane), f);
+  return f;
+}
+
+// out[l] = lane l's point: the identity in the lanes of acc_inf, else acc
+// taken out of the lane domain and fully reduced.
+PPGR_IFMA void leave_lanes(const LanePoint& acc, __mmask8 acc_inf,
+                           const LaneArgs& args, const LaneField& f,
+                           Elem* out) {
+  const Lane5 from_lane = broadcast(args.consts.from_lane);
+  alignas(64) PointTable res;
+  for (std::size_t k = 0; k < 3; ++k) {
+    Lane5 v;
+    fmul(v, acc.*kLaneCoords[k], from_lane, f);
+    store5(res[k], v);
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if ((acc_inf >> l & 1) != 0) {
+      out[l] = Elem{.infinity = true};
+      continue;
+    }
+    Elem e;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const Limb r[kLimbs52] = {res[k][0][l], res[k][1][l], res[k][2][l],
+                                res[k][3][l], res[k][4][l]};
+      Limb x[4] = {};
+      mpz::lanes::from_radix52(x, r, args.p64);
+      e.*kElemCoords[k] = Nat::from_limbs({x, args.k});
+    }
+    out[l] = std::move(e);
+  }
+}
+
+// acc = acc + q in the lanes of `active` (q's lanes there are finite), as
+// the scalar ladder adds: a lane whose accumulator is the identity takes q
+// as it is, an addition of P and -P leaves the identity. Returns false when
+// an adding lane met P + P.
+template <bool kAffineQ>
+PPGR_IFMA_INLINE bool add_into(LanePoint& acc, __mmask8& acc_inf,
+                               __mmask8 active, const LanePoint& q,
+                               const LaneField& f) {
+  const __mmask8 adding = active & static_cast<__mmask8>(~acc_inf);
+  __mmask8 cancelled = 0;
+  if (adding != 0) {
+    LanePoint sum;
+    const Exceptions ex = lane_add<kAffineQ>(sum, acc, q, f);
+    if ((ex.same_x & ex.same_y & adding) != 0) return false;  // P = Q
+    cancelled = ex.same_x & adding;  // P = -Q: the identity
+    blend(acc, adding & static_cast<__mmask8>(~cancelled), sum);
+  }
+  blend(acc, active & acc_inf, q);
+  acc_inf = (acc_inf & static_cast<__mmask8>(~active)) | cancelled;
+  return true;
+}
+
+template <std::size_t N>
+PPGR_IFMA bool straus_lanes(const LaneArgs& args,
+                            const std::array<const Elem*, N>& bases,
+                            const std::array<const Nat*, N>& exps, Elem* out) {
+  const LaneField f = lane_field(args);
+  const Lane5 to_lane = broadcast(args.consts.to_lane);
 
   // table[i][d]: bases[i]^d in every lane, for digits d = 1..15 (entry 0 is
   // not used). live[i]: the lanes whose bases[i] is finite.
@@ -333,43 +402,55 @@ PPGR_IFMA bool straus_lanes(const LaneArgs& args,
         for (std::size_t j = 0; j < kLimbs52; ++j)
           (q.*kLaneCoords[k]).l[j] =
               _mm512_i64gather_epi64(idx, table[i][0][k][j], 8);
-      const __mmask8 adding = active & static_cast<__mmask8>(~acc_inf);
-      __mmask8 cancelled = 0;
-      if (adding != 0) {
-        LanePoint sum;
-        const Exceptions ex = lane_add(sum, acc, q, f);
-        if ((ex.same_x & ex.same_y & adding) != 0) return false;  // P = Q
-        cancelled = ex.same_x & adding;  // P = -Q: the identity
-        blend(acc, adding & static_cast<__mmask8>(~cancelled), sum);
-      }
-      blend(acc, active & acc_inf, q);
-      acc_inf = (acc_inf & static_cast<__mmask8>(~active)) | cancelled;
+      if (!add_into<false>(acc, acc_inf, active, q, f)) return false;
     }
   }
+  leave_lanes(acc, acc_inf, args, f, out);
+  return true;
+}
 
-  // Leave the lane domain, then reduce each lane fully.
-  const Lane5 from_lane = broadcast(c.from_lane);
-  alignas(64) PointTable res;
-  for (std::size_t k = 0; k < 3; ++k) {
-    Lane5 v;
-    fmul(v, acc.*kLaneCoords[k], from_lane, f);
-    store5(res[k], v);
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    if ((acc_inf >> l & 1) != 0) {
-      out[l] = Elem{.infinity = true};
-      continue;
+// One batch of eight fixed-base combs: lane l sets out[l] to the product of
+// the table entries of scalars[l]'s w-bit digits, over the windows of the
+// batch's widest scalar, the same Elem EcGroup::exp_fixed returns. The table is
+// EcGroup::pack_table's: per entry x then y on four limbs, Montgomery form,
+// Z = 1, all zeros for the identity. Each window gathers every lane's entry,
+// takes it into the lane domain (two products) and adds it with the mixed
+// addition in the lanes whose digit and entry are nonzero. Returns false,
+// with out untouched, when a lane met an addition of a point and itself.
+PPGR_IFMA bool comb_lanes(const LaneArgs& args, const Limb* table,
+                          std::size_t w, const Nat* scalars, Elem* out) {
+  const LaneField f = lane_field(args);
+  const Lane5 to_lane = broadcast(args.consts.to_lane);
+  __m512i s[mpz::lanes::kCombLimbs + 1];
+  mpz::lanes::load_scalars(s, scalars);
+  std::size_t bits = 0;
+  for (std::size_t l = 0; l < kLanes; ++l)
+    bits = std::max(bits, scalars[l].bit_length());
+  LanePoint acc{}, q;
+  q.z = broadcast(args.consts.one);
+  __mmask8 acc_inf = 0xFF;
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::size_t k = 0; k < (bits + w - 1) / w; ++k) {
+    const __m512i d = mpz::lanes::comb_digits(s, k, w);
+    __mmask8 active = _mm512_test_epi64_mask(d, d);
+    if (active == 0) continue;
+    // Entry (k << w) + d starts 8 * ((k << w) + d) limbs into the table.
+    const __m512i idx = _mm512_slli_epi64(
+        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(k << w)), d),
+        3);
+    __m512i x[4], y[4], any = zero;
+    for (std::size_t j = 0; j < 4; ++j) {
+      x[j] = _mm512_i64gather_epi64(idx, table + j, 8);
+      y[j] = _mm512_i64gather_epi64(idx, table + 4 + j, 8);
+      any = _mm512_or_si512(any, _mm512_or_si512(x[j], y[j]));
     }
-    Elem e;
-    for (std::size_t k = 0; k < 3; ++k) {
-      const Limb r[kLimbs52] = {res[k][0][l], res[k][1][l], res[k][2][l],
-                                res[k][3][l], res[k][4][l]};
-      Limb x[4] = {};
-      mpz::lanes::from_radix52(x, r, args.p64);
-      e.*kElemCoords[k] = Nat::from_limbs({x, args.k});
-    }
-    out[l] = std::move(e);
+    active &= _mm512_test_epi64_mask(any, any);  // adding O changes nothing
+    if (active == 0) continue;
+    fmul(q.x, mpz::lanes::radix52(x), to_lane, f);
+    fmul(q.y, mpz::lanes::radix52(y), to_lane, f);
+    if (!add_into<true>(acc, acc_inf, active, q, f)) return false;
   }
+  leave_lanes(acc, acc_inf, args, f, out);
   return true;
 }
 
@@ -709,11 +790,70 @@ void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
   for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
 }
 
-Elem EcGroup::exp_g(const Nat& scalar) const {
+const FixedBaseTable& EcGroup::gen_table() const {
   std::call_once(gen_table_once_, [&] {
     gen_table_ = std::make_unique<FixedBaseTable>(*this, gen_);
   });
-  return gen_table_->exp(*this, scalar);
+  return *gen_table_;
+}
+
+Elem EcGroup::exp_g(const Nat& scalar) const {
+  return exp_fixed(gen_table(), scalar);
+}
+
+void EcGroup::exp_g_many(std::span<const Nat> scalars,
+                         std::span<Elem> out) const {
+  exp_fixed_many(gen_table(), scalars, out);
+}
+
+Elem EcGroup::exp_fixed(const FixedBaseTable& table, const Nat& scalar) const {
+  if (!table.fits(scalar)) return exp(table.base(), scalar);
+  Point acc{.inf = true};
+  for (std::size_t w = 0; w < table.windows_of(scalar); ++w)
+    if (const unsigned d = table.digit(scalar, w); d != 0)
+      add(acc, acc, load(table.entry(w, d)));
+  return box(acc);
+}
+
+void EcGroup::exp_fixed_many(const FixedBaseTable& table,
+                             std::span<const Nat> scalars,
+                             std::span<Elem> out) const {
+  if (scalars.size() != out.size())
+    throw std::invalid_argument("EcGroup::exp_fixed_many: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  const bool lanes =
+      !table.packed().empty() &&
+      std::all_of(scalars.begin(), scalars.end(), [&](const Nat& s) {
+        return table.fits(s) &&
+               s.bit_length() <= 64 * mpz::lanes::kCombLimbs;
+      });
+  if (lanes) {
+    const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
+                        field_.mont().limbs()};
+    for (; out.size() - i >= kLanes; i += kLanes)
+      if (!comb_lanes(args, table.packed().data(), table.window_bits(),
+                      &scalars[i], &out[i]))
+        for (std::size_t l = i; l < i + kLanes; ++l)
+          out[l] = exp_fixed(table, scalars[l]);
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = exp_fixed(table, scalars[i]);
+}
+
+std::vector<Limb> EcGroup::pack_table(std::span<const Elem> entries) const {
+  if (!lanes_.has_value()) return {};
+  std::vector<Limb> out(entries.size() * 8, 0);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Elem& e = entries[i];
+    if (e.infinity) continue;
+    // The lanes add entries with the mixed addition, and read all zeros as
+    // the identity.
+    if (load(e.c) != one_ || (e.a.is_zero() && e.b.is_zero())) return {};
+    e.a.to_limbs(&out[8 * i], 4);
+    e.b.to_limbs(&out[8 * i + 4], 4);
+  }
+  return out;
 }
 
 Elem EcGroup::inv(const Elem& x) const {

@@ -15,9 +15,10 @@
 // (MontCtx::mul_limbs) and additions mod p in place; an Elem is loaded at
 // the entry of each call and boxed at its exit. Doubling uses the a = -3
 // form on the NIST curves and the general-a form otherwise. The batch forms
-// (exp_many / dual_exp_many) run 8 ladders per AVX-512 IFMA vector on CPUs
-// that have it, and the scalar ladder otherwise; both return the same Elem
-// (DESIGN.md Sec. 5e).
+// (exp_many / dual_exp_many, and the combs' exp_fixed_many / exp_g_many)
+// run 8 ladders or combs per AVX-512 IFMA vector on CPUs that have it, and
+// the scalar ladder or comb otherwise; both return the same Elem (DESIGN.md
+// Sec. 5e).
 #pragma once
 
 #include <array>
@@ -54,7 +55,26 @@ class EcGroup final : public Group {
   [[nodiscard]] const mpz::FpCtx& field() const { return field_; }
 
   [[nodiscard]] Elem generator() const override { return gen_; }
+  /// The comb over the generator's table (built on first use), through
+  /// exp_fixed / exp_fixed_many.
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override;
+  void exp_g_many(std::span<const Nat> scalars,
+                  std::span<Elem> out) const override;
+  /// The comb on stack points: one addition per nonzero digit (the mixed
+  /// addition, the entries having Z = 1), starting from the identity.
+  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
+                               const Nat& scalar) const override;
+  /// Element-identical to exp_fixed (the same Jacobian triple). On an IFMA
+  /// CPU each full batch of 8 runs as 8 lane-wise combs over the packed
+  /// table; a batch in which a lane adds a point to itself, and every
+  /// element past the last full batch, runs exp_fixed.
+  void exp_fixed_many(const FixedBaseTable& table,
+                      std::span<const Nat> scalars,
+                      std::span<Elem> out) const override;
+  /// Each entry's x and y on four limbs each (all zeros for the identity)
+  /// on IFMA CPUs, when every finite entry has Z = 1.
+  [[nodiscard]] std::vector<mpz::Limb> pack_table(
+      std::span<const Elem> entries) const override;
   [[nodiscard]] Elem identity() const override { return Elem{.infinity = true}; }
   [[nodiscard]] Elem mul(const Elem& x, const Elem& y) const override;
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override;
@@ -142,6 +162,7 @@ class EcGroup final : public Group {
       std::span<const Elem* const> xs) const;
   /// pt's encoding 0x04 || x || y into dst (element_bytes() bytes).
   void write_affine(std::uint8_t* dst, const Point& pt, const Fe& zinv) const;
+  [[nodiscard]] const FixedBaseTable& gen_table() const;
 
   CurveParams params_;
   mpz::FpCtx field_;

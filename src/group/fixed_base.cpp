@@ -13,33 +13,35 @@ FixedBaseTable::FixedBaseTable(const Group& g, const Elem& base,
   const std::size_t w = window_bits;
   const std::size_t digits = std::size_t{1} << w;
   const std::size_t windows = (max_scalar_bits + w - 1) / w;
-  table_.resize(windows * digits);
+  table_.reserve(windows * digits);  // no reallocation: back() stays valid
   Elem window_base = base;  // g^(2^(wk))
   for (std::size_t k = 0; k < windows; ++k) {
-    Elem* row = table_.data() + k * digits;
-    row[0] = g.identity();
-    row[1] = window_base;
+    table_.push_back(g.identity());
+    table_.push_back(window_base);
     for (std::size_t d = 2; d < digits; ++d)
-      row[d] = g.mul(row[d - 1], window_base);
+      table_.push_back(g.mul(table_.back(), window_base));
     // Advance to g^(2^(w(k+1))) = (g^(2^(wk)))^(2^w).
-    window_base = g.mul(row[digits - 1], window_base);
+    window_base = g.mul(table_.back(), window_base);
   }
   g.normalize_many(table_);
+  packed_ = g.pack_table(table_);
+}
+
+unsigned FixedBaseTable::digit(const Nat& scalar, std::size_t k) const {
+  // A digit straddles two limbs when w does not divide 64.
+  const std::size_t pos = k * window_bits_, shift = pos % 64;
+  unsigned __int128 v = scalar.limb(pos / 64);
+  v |= static_cast<unsigned __int128>(scalar.limb(pos / 64 + 1)) << 64;
+  return static_cast<unsigned>(v >> shift) &
+         ((1u << window_bits_) - 1);
 }
 
 Elem FixedBaseTable::exp(const Group& g, const Nat& scalar) const {
-  const std::size_t w = window_bits_;
-  const std::size_t nbits = scalar.bit_length();
-  if (nbits > windows() * w) return g.exp(base_, scalar);  // too wide
+  if (!fits(scalar)) return g.exp(base_, scalar);
   Elem acc = g.identity();
-  const std::size_t windows = (nbits + w - 1) / w;
-  for (std::size_t k = 0; k < windows; ++k) {
-    std::size_t digit = 0;
-    for (std::size_t b = 0; b < w; ++b) {
-      if (scalar.bit(k * w + b)) digit |= (std::size_t{1} << b);
-    }
-    if (digit != 0) acc = g.mul(acc, table_[(k << w) + digit]);
-  }
+  for (std::size_t k = 0; k < windows_of(scalar); ++k)
+    if (const unsigned d = digit(scalar, k); d != 0)
+      acc = g.mul(acc, entry(k, d));
   return acc;
 }
 

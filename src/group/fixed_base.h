@@ -8,6 +8,15 @@
 // run's joint ElGamal key y, which Group::exp_fixed raises for every
 // encryption and every compare-circuit re-randomization.
 //
+// The scalar combs (exp below, and SchnorrGroup's and EcGroup's exp_fixed)
+// skip zero digits. The 8-lane combs of the batch forms (exp_fixed_many /
+// exp_g_many on AVX-512 IFMA CPUs, DESIGN.md Sec. 5e) multiply on every
+// window up to the batch's widest scalar instead: each lane gathers its own
+// digit's entry, and on SchnorrGroup a zero digit gathers entry 0, the
+// group's one, so all eight lanes run the same products; EcGroup masks
+// zero-digit lanes off. They gather from packed(), the group's copy of the
+// entries on plain limbs (Group::pack_table).
+//
 // Memory/speed trade-off: a table holds ceil(bits/w) windows of 2^w - 1
 // non-identity elements and answers an exp in at most ceil(bits/w)
 // multiplications. One more bit of window roughly doubles the table and
@@ -16,6 +25,7 @@
 // tables use the default w=4 over the group order's bit length.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "group/group.h"
@@ -40,6 +50,24 @@ class FixedBaseTable {
     return table_.size() >> window_bits_;
   }
   [[nodiscard]] std::size_t window_bits() const { return window_bits_; }
+  /// The windows a comb over `scalar` reads: ceil(bits / w).
+  [[nodiscard]] std::size_t windows_of(const Nat& scalar) const {
+    return (scalar.bit_length() + window_bits_ - 1) / window_bits_;
+  }
+  /// True iff the table covers every digit of `scalar`; wider scalars take
+  /// the group's generic exp.
+  [[nodiscard]] bool fits(const Nat& scalar) const {
+    return windows_of(scalar) <= windows();
+  }
+  /// The w-bit digit of `scalar` in window k.
+  [[nodiscard]] unsigned digit(const Nat& scalar, std::size_t k) const;
+  /// T[k][d], for d < 2^w; T[k][0] is the identity.
+  [[nodiscard]] const Elem& entry(std::size_t k, unsigned d) const {
+    return table_[(k << window_bits_) + d];
+  }
+  /// Group::pack_table of the entries, [k * 2^w + d] in the group's layout;
+  /// empty when the group packs none.
+  [[nodiscard]] std::span<const mpz::Limb> packed() const { return packed_; }
 
   /// The fixed base the table was built for.
   [[nodiscard]] const Elem& base() const { return base_; }
@@ -48,6 +76,7 @@ class FixedBaseTable {
   Elem base_;
   std::size_t window_bits_;
   std::vector<Elem> table_;  // [window * 2^w + digit]
+  std::vector<mpz::Limb> packed_;
 };
 
 }  // namespace ppgr::group

@@ -72,6 +72,22 @@ Elem Group::exp_fixed(const FixedBaseTable& table, const Nat& scalar) const {
   return table.exp(*this, scalar);
 }
 
+void Group::exp_fixed_many(const FixedBaseTable& table,
+                           std::span<const Nat> scalars,
+                           std::span<Elem> out) const {
+  if (scalars.size() != out.size())
+    throw std::invalid_argument("Group::exp_fixed_many: span sizes differ");
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = exp_fixed(table, scalars[i]);
+}
+
+void Group::exp_g_many(std::span<const Nat> scalars,
+                       std::span<Elem> out) const {
+  if (scalars.size() != out.size())
+    throw std::invalid_argument("Group::exp_g_many: span sizes differ");
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = exp_g(scalars[i]);
+}
+
 void Group::exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
                      std::span<Elem> out) const {
   if (bases.size() != out.size() || scalars.size() != out.size())

@@ -160,10 +160,37 @@ class Group {
   /// the group it decorates — the y^r of every ElGamal encryption and
   /// re-randomization, whose key table the run builds once. The default
   /// (group.cpp) is table.exp(*this, scalar), so the comb's products run
-  /// through this group's mul(); no concrete group overrides it, and
-  /// MeteredGroup counts it as one kGroupExp plus one kAccelFixedBaseExp.
+  /// through this group's mul(); MockGroup keeps it. SchnorrGroup and
+  /// EcGroup override it with the same comb on stack residues and stack
+  /// points (one product per nonzero digit, no Elem per step, the same
+  /// element), and MeteredGroup counts it as one kGroupExp plus one
+  /// kAccelFixedBaseExp.
   [[nodiscard]] virtual Elem exp_fixed(const FixedBaseTable& table,
                                        const Nat& scalar) const;
+  /// Batch forms of exp_fixed and exp_g: out[i] = exp_fixed(table,
+  /// scalars[i]), resp. exp_g(scalars[i]), element-identical to the
+  /// one-by-one calls (on EC the same Jacobian triple). scalars and out have
+  /// the same size (std::invalid_argument otherwise). The defaults loop.
+  /// SchnorrGroup runs full batches of 8 as lane-wise combs on AVX-512 IFMA
+  /// CPUs (4-limb moduli) and EcGroup does the same on its lane point
+  /// arithmetic (DESIGN.md Sec. 5e); MeteredGroup counts out.size()
+  /// kGroupExp plus out.size() kAccelFixedBaseExp, resp. out.size()
+  /// kGroupExpG, and forwards.
+  virtual void exp_fixed_many(const FixedBaseTable& table,
+                              std::span<const Nat> scalars,
+                              std::span<Elem> out) const;
+  virtual void exp_g_many(std::span<const Nat> scalars,
+                          std::span<Elem> out) const;
+  /// The copy of a finished comb table (entries() of FixedBaseTable) that
+  /// this group's batch combs gather from, or empty when they gather from
+  /// none (the default). FixedBaseTable calls it once, after
+  /// normalize_many, and keeps the result as its packed(); decorators
+  /// forward it uncounted.
+  [[nodiscard]] virtual std::vector<mpz::Limb> pack_table(
+      std::span<const Elem> entries) const {
+    (void)entries;
+    return {};
+  }
   /// Uniform scalar in [0, q).
   [[nodiscard]] Nat random_scalar(Rng& rng) const { return rng.below(order()); }
   /// Uniform scalar in [1, q).

@@ -9,8 +9,9 @@
 // over n elements n kGroupInv, however the inner group batches them). An
 // exp_fixed (the y^r of an ElGamal encryption, through the run's joint-key
 // comb) is one kGroupExp plus one kAccelFixedBaseExp, which marks how many
-// of the exps took the comb. Counting at the *interface* — not inside the
-// concrete groups — is deliberate: comb-table and ladder internals
+// of the exps took the comb; an exp_fixed_many over n scalars is n of each,
+// and an exp_g_many n kGroupExpG. Counting at the *interface* — not inside
+// the concrete groups — is deliberate: comb-table and ladder internals
 // (exp_g's and exp_fixed's products, dual_exp, Montgomery's trick) stay
 // invisible, so the counts are the same on every group family and
 // benchcore::model_he_ops can state them in closed form.
@@ -55,6 +56,23 @@ class MeteredGroup final : public Group {
     runtime::count_op(runtime::CryptoOp::kGroupExp);
     runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
     return inner_.exp_fixed(table, scalar);
+  }
+  void exp_fixed_many(const FixedBaseTable& table,
+                      std::span<const Nat> scalars,
+                      std::span<Elem> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupExp, out.size());
+    runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp, out.size());
+    inner_.exp_fixed_many(table, scalars, out);
+  }
+  void exp_g_many(std::span<const Nat> scalars,
+                  std::span<Elem> out) const override {
+    runtime::count_op(runtime::CryptoOp::kGroupExpG, out.size());
+    inner_.exp_g_many(scalars, out);
+  }
+  /// Uncounted: table set-up, not a protocol operation.
+  [[nodiscard]] std::vector<mpz::Limb> pack_table(
+      std::span<const Elem> entries) const override {
+    return inner_.pack_table(entries);
   }
   [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
                               const Nat& ey) const override {

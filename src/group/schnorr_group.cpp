@@ -66,11 +66,58 @@ SchnorrGroup::SchnorrGroup(std::string name, Nat safe_prime)
 
 Elem SchnorrGroup::generator() const { return Elem{.a = gen_}; }
 
-Elem SchnorrGroup::exp_g(const Nat& scalar) const {
+const FixedBaseTable& SchnorrGroup::gen_table() const {
   std::call_once(gen_table_once_, [&] {
     gen_table_ = std::make_unique<FixedBaseTable>(*this, generator());
   });
-  return gen_table_->exp(*this, scalar);
+  return *gen_table_;
+}
+
+Elem SchnorrGroup::exp_g(const Nat& scalar) const {
+  return exp_fixed(gen_table(), scalar);
+}
+
+void SchnorrGroup::exp_g_many(std::span<const Nat> scalars,
+                              std::span<Elem> out) const {
+  exp_fixed_many(gen_table(), scalars, out);
+}
+
+Elem SchnorrGroup::exp_fixed(const FixedBaseTable& table,
+                             const Nat& scalar) const {
+  if (!table.fits(scalar)) return exp(table.base(), scalar);
+  const std::size_t k = mont_.limbs();
+  Limb acc[mpz::MontCtx::kCiosMaxLimbs], entry[mpz::MontCtx::kCiosMaxLimbs];
+  mont_.one_mont().to_limbs(acc, k);
+  for (std::size_t w = 0; w < table.windows_of(scalar); ++w)
+    if (const unsigned d = table.digit(scalar, w); d != 0) {
+      table.entry(w, d).a.to_limbs(entry, k);
+      mont_.mul_limbs(acc, acc, entry);
+    }
+  return Elem{.a = Nat::from_limbs({acc, k})};
+}
+
+void SchnorrGroup::exp_fixed_many(const FixedBaseTable& table,
+                                  std::span<const Nat> scalars,
+                                  std::span<Elem> out) const {
+  if (scalars.size() != out.size())
+    throw std::invalid_argument(
+        "SchnorrGroup::exp_fixed_many: span sizes differ");
+  std::size_t i = 0;
+  if (!table.packed().empty() && out.size() >= mont_.batch_lanes()) {
+    std::vector<Nat> r(out.size());
+    i = mont_.comb_lanes(table.packed(), table.window_bits(), scalars, r);
+    for (std::size_t j = 0; j < i; ++j) out[j] = Elem{.a = std::move(r[j])};
+  }
+  for (; i < out.size(); ++i) out[i] = exp_fixed(table, scalars[i]);
+}
+
+std::vector<Limb> SchnorrGroup::pack_table(
+    std::span<const Elem> entries) const {
+  if (mont_.batch_lanes() != 8) return {};
+  std::vector<Limb> out(entries.size() * 4);
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    entries[i].a.to_limbs(&out[4 * i], 4);
+  return out;
 }
 
 Elem SchnorrGroup::identity() const { return Elem{.a = mont_.one_mont()}; }

@@ -1,6 +1,6 @@
-// Shared primitives of the 8-lane AVX-512 IFMA ladders. Internal: included
-// by mont.cpp (MontCtx's batch ladders) and group/ec_group.cpp (EcGroup's
-// batch ladders), not part of the library's interface.
+// Shared primitives of the 8-lane AVX-512 IFMA ladders and combs. Internal:
+// included by mont.cpp (MontCtx's batch ladders and combs) and
+// group/ec_group.cpp (EcGroup's), not part of the library's interface.
 //
 // Eight independent ladders run side by side, one per 64-bit lane of a zmm
 // register: a residue is five registers, register j holding radix-2^52 limb
@@ -201,6 +201,59 @@ PPGR_IFMA_INLINE void asq8(Lane5& out, const Lane5& a, const Lane5& m,
     out.l[j] = _mm512_and_si512(t[kLimbs52 + j], mask);
   }
   out.l[kLimbs52 - 1] = t[2 * kLimbs52 - 1];
+}
+
+/// Eight values below 2^256, given as their four 64-bit limbs (x[j] holds
+/// limb j of every lane; a gathered table entry), as five 52-bit limbs:
+/// to_radix52 lane-wise.
+PPGR_IFMA_INLINE Lane5 radix52(const __m512i (&x)[4]) {
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  Lane5 v;
+  v.l[0] = _mm512_and_si512(x[0], mask);
+  v.l[1] = _mm512_and_si512(
+      _mm512_or_si512(_mm512_srli_epi64(x[0], 52), _mm512_slli_epi64(x[1], 12)),
+      mask);
+  v.l[2] = _mm512_and_si512(
+      _mm512_or_si512(_mm512_srli_epi64(x[1], 40), _mm512_slli_epi64(x[2], 24)),
+      mask);
+  v.l[3] = _mm512_and_si512(
+      _mm512_or_si512(_mm512_srli_epi64(x[2], 28), _mm512_slli_epi64(x[3], 36)),
+      mask);
+  v.l[4] = _mm512_srli_epi64(x[3], 16);
+  return v;
+}
+
+/// Widest scalar of the lane combs, in 64-bit limbs (512 bits).
+constexpr std::size_t kCombLimbs = 8;
+
+/// The comb digits of window k for eight scalars: bits [k*w, k*w + w) of
+/// each lane, where s[j] holds limb j of every lane's scalar and s[8] is
+/// zero (a digit may straddle limbs j and j + 1 when w does not divide 64).
+/// Requires k*w < 512.
+PPGR_IFMA_INLINE __m512i comb_digits(const __m512i (&s)[kCombLimbs + 1],
+                                     std::size_t k, std::size_t w) {
+  const std::size_t pos = k * w, j = pos / 64, shift = pos % 64;
+  const auto count = [](std::size_t c) {
+    return _mm_cvtsi64_si128(static_cast<long long>(c));
+  };
+  __m512i d = _mm512_srl_epi64(s[j], count(shift));
+  if (shift + w > 64)
+    d = _mm512_or_si512(d, _mm512_sll_epi64(s[j + 1], count(64 - shift)));
+  return _mm512_and_si512(
+      d, _mm512_set1_epi64(static_cast<long long>((Limb{1} << w) - 1)));
+}
+
+/// Eight scalars below 2^512 as comb_digits' operand: limb j of
+/// scalars[l] in lane l of s[j], s[8] zero.
+PPGR_IFMA_INLINE void load_scalars(__m512i (&s)[kCombLimbs + 1],
+                                   const Nat* scalars) {
+  alignas(64) Limb t[kCombLimbs + 1][kLanes] = {};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    Limb x[kCombLimbs];
+    scalars[l].to_limbs(x, kCombLimbs);
+    for (std::size_t j = 0; j < kCombLimbs; ++j) t[j][l] = x[j];
+  }
+  for (std::size_t j = 0; j <= kCombLimbs; ++j) s[j] = _mm512_load_si512(t[j]);
 }
 
 /// x in all eight lanes.

@@ -320,6 +320,23 @@ using lanes::LaneTable;
 using lanes::load5;
 using lanes::store5;
 
+// out[l] = lane l of amm8(acc, f), fully reduced to four limbs: the exit of
+// every lane ladder, f the factor that takes the lane result to a 64-bit
+// Montgomery residue.
+PPGR_IFMA_INLINE void leave_lanes(Lane5 acc, const Lane5& f, const Lane5& m,
+                                  __m512i k0, const Limb* m64, Nat* out) {
+  amm8(acc, acc, f, m, k0);
+  alignas(64) LaneTable res;
+  store5(res, acc);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
+                              res[4][l]};
+    Limb x[4] = {};
+    lanes::from_radix52(x, r, m64);
+    out[l] = Nat::from_limbs({x, 4});
+  }
+}
+
 // B batches of eight ladders: lane l of batch b sets out[8b + l] to the
 // product over the N terms of bases[i][8b + l]^exps[i][8b + l], where
 // bases[i] and exps[i] each point at 8B consecutive values and the bases are
@@ -386,18 +403,52 @@ PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
       started = true;
     }
   }
-  for (std::size_t b = 0; b < B; ++b) {
-    amm8(acc[b], acc[b], broadcast(c.from_lane), m, k0);
-    alignas(64) LaneTable res;
-    store5(res, acc[b]);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
-                                res[4][l]};
-      Limb x[4] = {};
-      lanes::from_radix52(x, r, m64);
-      out[b * kLanes + l] = Nat::from_limbs({x, 4});
+  for (std::size_t b = 0; b < B; ++b)
+    leave_lanes(acc[b], broadcast(c.from_lane), m, k0, m64, out + b * kLanes);
+}
+
+// B batches of eight fixed-base combs: lane l of batch b sets out[8b + l]
+// to the product of table[k][digit_k(scalars[8b + l])] over the first
+// `windows` windows, the table holding 2^w entries per window on four
+// 64-bit limbs each, fully reduced, entry 0 the Montgomery one R mod m
+// (R = 2^256). Each window's entries are gathered (vpgatherqq, one lane's
+// digit each) and multiplied in as stored: the first window's entry is the
+// accumulator's start, and every later window is one amm8, so after
+// `windows` entries x_k R the accumulator holds (prod x_k) R^W / R'^(W-1)
+// with W = windows and R' = 2^260. Every lane runs the same products, a zero
+// digit multiplying by the stored one, so the drift is the same fixed power
+// of two in every lane; `exit` = 2^(4W) R mod m removes it in one last
+// amm8, leaving (prod x_k) R, the scalar comb's Montgomery product.
+template <std::size_t B>
+PPGR_IFMA void fixed_base_lanes(const LaneConsts& c, const Limb* m64,
+                                const Limb* table, std::size_t w,
+                                std::size_t windows,
+                                const std::array<Limb, kLimbs52>& exit,
+                                const Nat* scalars, Nat* out) {
+  const Lane5 m = broadcast(c.m);
+  const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
+  __m512i s[B][lanes::kCombLimbs + 1];
+  for (std::size_t b = 0; b < B; ++b)
+    lanes::load_scalars(s[b], scalars + b * kLanes);
+  Lane5 acc[B];
+  for (std::size_t k = 0; k < windows; ++k) {
+    const __m512i row = _mm512_set1_epi64(static_cast<long long>(k << w));
+    Lane5 e[B];
+    for (std::size_t b = 0; b < B; ++b) {
+      // Entry (k << w) + d starts 4 * ((k << w) + d) limbs into the table.
+      const __m512i idx = _mm512_slli_epi64(
+          _mm512_add_epi64(row, lanes::comb_digits(s[b], k, w)), 2);
+      __m512i x[4];
+      for (std::size_t j = 0; j < 4; ++j)
+        x[j] = _mm512_i64gather_epi64(idx, table + j, 8);
+      e[b] = lanes::radix52(x);
     }
+    for (std::size_t b = 0; b < B; ++b)
+      if (k == 0) acc[b] = e[b];
+      else amm8(acc[b], acc[b], e[b], m, k0);
   }
+  for (std::size_t b = 0; b < B; ++b)
+    leave_lanes(acc[b], broadcast(exit), m, k0, m64, out + b * kLanes);
 }
 
 // Runs the lanes over the first elements of a batch of n: pairs of batches
@@ -645,6 +696,49 @@ void MontCtx::dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
                         out.data());
 #endif
   for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
+}
+
+std::size_t MontCtx::comb_lanes(std::span<const Limb> table, std::size_t w,
+                               std::span<const Nat> scalars,
+                               std::span<Nat> out) const {
+  if (scalars.size() != out.size())
+    throw std::invalid_argument("MontCtx::comb_lanes: span sizes differ");
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (!lanes_.has_value()) return 0;
+  const std::size_t windows = table.size() >> (w + 2);
+  const auto width = [&](std::size_t from, std::size_t to) {
+    std::size_t bits = 0;
+    for (std::size_t j = from; j < to; ++j)
+      bits = std::max(bits, scalars[j].bit_length());
+    return bits;
+  };
+  if (const std::size_t bits = width(0, out.size());
+      bits > 64 * lanes::kCombLimbs || (bits + w - 1) / w > windows)
+    return 0;
+  std::size_t exit_windows = 0;
+  std::array<Limb, kLimbs52> exit{};
+  // Runs B batches from element i over the windows of their widest scalar.
+  const auto run = [&]<std::size_t B>() {
+    const std::size_t used =
+        std::max<std::size_t>((width(i, i + B * kLanes) + w - 1) / w, 1);
+    if (used != exit_windows) {
+      Nat v = Nat::pow2(4 * used);
+      if (v >= m_) v = v % m_;
+      exit = lanes::to_radix52(to_mont(v));
+      exit_windows = used;
+    }
+    fixed_base_lanes<B>(*lanes_, m_.limbs().data(), table.data(), w, used,
+                        exit, scalars.data() + i, out.data() + i);
+    i += B * kLanes;
+  };
+  while (out.size() - i >= 2 * kLanes) run.template operator()<2>();
+  if (out.size() - i >= kLanes) run.template operator()<1>();
+#else
+  (void)table;
+  (void)w;
+#endif
+  return i;
 }
 
 void MontCtx::inv_many(std::span<const Nat> xs, std::span<Nat> out) const {

@@ -10,7 +10,9 @@
 // picks its kernel once, at construction (see DESIGN.md Sec. 5e). Its batch
 // ladders (exp_many / dual_exp_many) run 8 independent ladders per AVX-512
 // IFMA vector, two vectors side by side, for 4-limb moduli on CPUs that
-// have it, and the scalar ladders otherwise; both paths return the same fully reduced residues.
+// have it, and the scalar ladders otherwise; both paths return the same
+// fully reduced residues. comb_lanes runs fixed-base combs on the same
+// lanes.
 #pragma once
 
 #include <array>
@@ -119,6 +121,19 @@ class MontCtx {
   void dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
                      std::span<const Nat> ys, std::span<const Nat> eys,
                      std::span<Nat> out) const;
+  /// The 8-lane fixed-base comb (DESIGN.md Sec. 5e) over a prefix of a
+  /// batch: out[i] = the product over the windows k < ceil(bits_i / w) of
+  /// table[k][digit_k(scalars[i])], the fully reduced residue the scalar
+  /// comb forms with mul. `table` holds 2^w consecutive Montgomery residues
+  /// per window, each on four limbs and fully reduced, with entry 0 of
+  /// every window one_mont(). Runs pairs of 8-lane batches while 16
+  /// elements remain, then one batch if 8 do, and returns how many elements
+  /// it set: 0 unless batch_lanes() == 8, and 0 when a scalar is wider than
+  /// 512 bits or has more digits than the table has windows
+  /// (table.size() / 2^(w+2)). The caller finishes the rest.
+  std::size_t comb_lanes(std::span<const Limb> table, std::size_t w,
+                         std::span<const Nat> scalars,
+                         std::span<Nat> out) const;
   /// Batch inverse (Montgomery's trick): out[i] = xs[i]^{-1}, in Montgomery
   /// form, for Montgomery-form xs[i] below the modulus. Prefix products,
   /// one binary invmod of the whole product, then back-substitution:

@@ -193,18 +193,28 @@ inline void record_op(CryptoOp op, double seconds) {
 
 /// Counts `op` `count` times (once by default, once per element for a
 /// batch) and records the scope's wall-clock latency as one sample of the
-/// op's histogram. Reads the sink once at construction; no clock calls when
-/// metrics are disabled.
+/// op's histogram, or with Samples::kPerOp as `count` samples of an equal
+/// share each, the samples `count` one-by-one timers would have recorded.
+/// Reads the sink once at construction; no clock calls when metrics are
+/// disabled.
 class ScopedOpTimer {
  public:
-  explicit ScopedOpTimer(CryptoOp op, std::uint64_t count = 1)
+  enum class Samples : std::uint8_t { kOne, kPerOp };
+  explicit ScopedOpTimer(CryptoOp op, std::uint64_t count = 1,
+                         Samples samples = Samples::kOne)
       : sink_(current_metrics_sink()), op_(op), count_(count),
+        samples_(samples),
         start_(sink_ != nullptr ? metrics_now_seconds() : 0.0) {}
   ~ScopedOpTimer() {
-    if (sink_ != nullptr) {
-      sink_->add(op_, count_);
-      sink_->add_latency(op_, metrics_now_seconds() - start_);
+    if (sink_ == nullptr) return;
+    sink_->add(op_, count_);
+    const double seconds = metrics_now_seconds() - start_;
+    if (samples_ == Samples::kOne) {
+      sink_->add_latency(op_, seconds);
+      return;
     }
+    for (std::uint64_t i = 0; i < count_; ++i)
+      sink_->add_latency(op_, seconds / static_cast<double>(count_));
   }
   ScopedOpTimer(const ScopedOpTimer&) = delete;
   ScopedOpTimer& operator=(const ScopedOpTimer&) = delete;
@@ -213,6 +223,7 @@ class ScopedOpTimer {
   MetricsBuffer* sink_;
   CryptoOp op_;
   std::uint64_t count_;
+  Samples samples_;
   double start_;
 };
 

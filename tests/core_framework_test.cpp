@@ -34,13 +34,12 @@ FrameworkConfig make_config(const group::Group& g, std::size_t n,
   return cfg;
 }
 
-// Step 6 for one party: E(β) bit by bit, LSB first.
+// Step 6 for one party: E(β) bit by bit, LSB first, every bit's
+// randomizer drawn from `rng` in turn.
 std::vector<Ciphertext> encrypt_bits(const Participant& p, std::size_t l,
                                      mpz::Rng& rng) {
-  std::vector<Ciphertext> bits;
-  for (std::size_t b = 0; b < l; ++b)
-    bits.push_back(p.encrypt_beta_bit(b, rng));
-  return bits;
+  const std::vector<mpz::Rng*> bit_rngs(l, &rng);
+  return p.encrypt_beta(bit_rngs);
 }
 
 AttrVec random_attrs(const ProblemSpec& s, mpz::Rng& rng, std::size_t bits) {

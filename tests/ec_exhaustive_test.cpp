@@ -8,9 +8,10 @@
 // order 5 for the Group wrapper) — compute the full group table by brute
 // force from the curve equation, and check EVERY addition against the
 // implementation. The batch forms (exp_many / dual_exp_many, 8-lane
-// ladders on IFMA CPUs) run over every point too: small orders make their
-// exceptional cases (P + P, P + (-P), doublings of points of order 2)
-// common here, where the NIST curves almost never meet them.
+// ladders on IFMA CPUs, and exp_fixed_many's 8-lane combs) run over every
+// point too: small orders make their exceptional cases (P + P, P + (-P),
+// doublings of points of order 2, the identity as a comb entry) common
+// here, where the NIST curves almost never meet them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "group/ec_group.h"
+#include "group/fixed_base.h"
 
 namespace ppgr::group {
 namespace {
@@ -82,6 +84,18 @@ std::vector<AffinePt> enumerate_curve() {
   return pts;
 }
 
+std::uint64_t order_of(const AffinePt& p) {
+  std::uint64_t ord = 1;
+  for (AffinePt acc = p; !acc.inf; acc = ref_add(acc, p)) ++ord;
+  return p.inf ? 1 : ord;
+}
+
+AffinePt ref_mul(std::uint64_t k, const AffinePt& p) {
+  AffinePt acc{.inf = true};
+  for (std::uint64_t i = 0; i < k; ++i) acc = ref_add(acc, p);
+  return acc;
+}
+
 // Find a point of prime order 5 to anchor the Group wrapper. (Curve order
 // is enumerated, not assumed.)
 class TinyCurve : public ::testing::Test {
@@ -94,6 +108,19 @@ class TinyCurve : public ::testing::Test {
                                .gx = Nat{gen.x},
                                .gy = Nat{gen.y},
                                .order = Nat{order}}};
+  }
+  static Elem lift(const EcGroup& curve, const AffinePt& p) {
+    return p.inf ? curve.identity() : curve.from_affine(Nat{p.x}, Nat{p.y});
+  }
+  static AffinePt drop(const EcGroup& curve, const Elem& e) {
+    if (curve.is_identity(e)) return AffinePt{.inf = true};
+    const auto [x, y] = curve.to_affine(e);
+    return AffinePt{.x = x.to_limb(), .y = y.to_limb()};
+  }
+  // The same Jacobian triple.
+  static bool same(const Elem& got, const Elem& want) {
+    return got.infinity == want.infinity && got.a == want.a &&
+           got.b == want.b && got.c == want.c;
   }
 };
 
@@ -218,33 +245,15 @@ TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
   // sorted by descending order: the first batches hold only bases of order
   // 20 and above, whose ladders run on the lanes to the end or to a P + P.
   auto pts = enumerate_curve();
-  auto order = [](const AffinePt& p) {
-    std::uint64_t ord = 1;
-    for (AffinePt acc = p; !acc.inf; acc = ref_add(acc, p)) ++ord;
-    return p.inf ? 1 : ord;
-  };
   std::stable_sort(pts.begin(), pts.end(),
                    [&](const AffinePt& a, const AffinePt& b) {
-                     return order(a) > order(b);
+                     return order_of(a) > order_of(b);
                    });
   const EcGroup curve = make(pts[1], 5);
-  auto lift = [&](const AffinePt& p) {
-    return p.inf ? curve.identity() : curve.from_affine(Nat{p.x}, Nat{p.y});
+  const auto lift = [&](const AffinePt& p) {
+    return TinyCurve::lift(curve, p);
   };
-  auto drop = [&](const Elem& e) {
-    if (curve.is_identity(e)) return AffinePt{.inf = true};
-    const auto [x, y] = curve.to_affine(e);
-    return AffinePt{.x = x.to_limb(), .y = y.to_limb()};
-  };
-  auto ref_mul = [](std::uint64_t k, const AffinePt& p) {
-    AffinePt acc{.inf = true};
-    for (std::uint64_t i = 0; i < k; ++i) acc = ref_add(acc, p);
-    return acc;
-  };
-  auto same = [](const Elem& got, const Elem& want) {
-    return got.infinity == want.infinity && got.a == want.a &&
-           got.b == want.b && got.c == want.c;
-  };
+  const auto drop = [&](const Elem& e) { return TinyCurve::drop(curve, e); };
   const std::size_t n = pts.size() - pts.size() % 8;  // full batches only
   std::vector<Elem> xs, ys, out(n), dual(n);
   std::vector<Nat> ks, ls;
@@ -274,7 +283,7 @@ TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
   // (o/2)·P, of order 2, right before a window's doublings. The other lanes
   // are single-window scalars, which meet no exceptional operation.
   const AffinePt& p = pts.front();
-  const std::uint64_t o = order(p);
+  const std::uint64_t o = order_of(p);
   ASSERT_EQ(o % 2, 0u);
   const std::vector<Elem> same_base(8, lift(p));
   const std::vector<Nat> scalars{Nat{o / 2 * 16 + 1}, Nat{1}, Nat{2}, Nat{3},
@@ -286,6 +295,31 @@ TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
         << "order-2 doubling batch, lane " << i;
     EXPECT_TRUE(same(batch[i], curve.exp(same_base[i], scalars[i])))
         << "order-2 doubling batch, lane " << i;
+  }
+}
+
+TEST_F(TinyCurve, CombBatchesEqualScalarCombOnEveryPoint) {
+  // exp_fixed_many through an 8-bit comb table of every point of the curve,
+  // one batch of 8 scalars per table, against the k-fold reference sum and
+  // exactly the scalar comb's Jacobian triple. Small orders put the
+  // identity among the entries of nonzero digits (order 5: T[0][5] = O),
+  // and make the accumulator meet its own entry (P + P: the batch reruns
+  // on the scalar comb) or its negation (P + (-P)).
+  const auto pts = enumerate_curve();
+  const EcGroup curve = make(pts[1], 5);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const FixedBaseTable table{curve, lift(curve, pts[i]), 8};
+    std::vector<Nat> ks;
+    for (std::uint64_t j = 0; j < 8; ++j)
+      ks.push_back(Nat{(i * 37 + j * 29) % 256});
+    std::vector<Elem> out(ks.size());
+    curve.exp_fixed_many(table, ks, out);
+    for (std::size_t j = 0; j < ks.size(); ++j) {
+      EXPECT_EQ(drop(curve, out[j]), ref_mul(ks[j].to_limb(), pts[i]))
+          << "point " << i << ", lane " << j;
+      EXPECT_TRUE(same(out[j], curve.exp_fixed(table, ks[j])))
+          << "point " << i << ", lane " << j;
+    }
   }
 }
 

@@ -16,7 +16,14 @@
 // y^r of every ElGamal encryption, through the joint key's comb) must equal
 // Group::exp, and on the Schnorr groups GMP's mpz_powm as an independent
 // oracle, and MeteredGroup must count it as one kGroupExp plus one
-// kAccelFixedBaseExp.
+// kAccelFixedBaseExp. The comb's batch forms (exp_fixed_many / exp_g_many:
+// SchnorrGroup's and EcGroup's 8-lane combs on IFMA hosts) must return
+// exactly the per-element exp_fixed / exp_g element, and on the Schnorr
+// groups mpz_powm's, at sizes around the lane splits, with zero, one,
+// q - 1, all-zero and all-0xF windows and scalars wider than the table;
+// on an IFMA host the tables the lanes gather from must exist and
+// MontCtx's lane comb must set every full batch, and MeteredGroup must
+// forward both forms and count every element.
 //
 // EcGroup's point arithmetic (stack-limb Jacobian formulas) has its own
 // independent oracle: textbook affine addition and doubling over GMP, on
@@ -28,7 +35,10 @@
 // triple, on batches of 8, 16, 64 and 67 (a scalar tail) mixing identity
 // bases, zero, one, two, n - 1, short and wide exponents, x == y and
 // y == x^-1, additions of P and -P, and one addition of P and P per batch
-// of 16 or more, which reruns its batch on the scalar ladder.
+// of 16 or more, which reruns its batch on the scalar ladder. The lane
+// combs (exp_fixed_many / exp_g_many) are checked the same way against the
+// oracle and the scalar comb's exact triple, including an addition of P
+// and -P and, through a table wider than the order, one of P and P.
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -44,6 +54,7 @@
 #include "group/metered_group.h"
 #include "group/mock_group.h"
 #include "group/schnorr_group.h"
+#include "mpz/mont.h"
 #include "runtime/metrics.h"
 
 namespace ppgr::group {
@@ -51,6 +62,18 @@ namespace {
 
 using mpz::ChaChaRng;
 using mpz::Nat;
+
+// This CPU's AVX-512 IFMA support, read from CPUID independently of the
+// library.
+bool host_has_ifma() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
 
 /// Naive reference: x^ex · y^ey one exp at a time.
 Elem naive_product(const Group& g, const Elem& x, const Nat& ex, const Elem& y,
@@ -266,6 +289,136 @@ TEST_P(BatchExpTest, ExpFixedIsCountedOnceByMeteredGroup) {
   EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
 }
 
+// Sizes around the comb's lane splits (pairs of 8-lane batches, one batch,
+// scalar tails) up to two compare circuits' worth.
+constexpr std::size_t kCombSizes[] = {0, 1, 7, 8, 9, 15, 16, 17, 35, 67};
+
+// n comb scalars: random ones mixed with 0, 1, q - 1, one whose windows are
+// all zero below the top one, and the widest the table holds (every window
+// 0xF for w = 4).
+std::vector<Nat> comb_scalars(const Group& g, const FixedBaseTable& t,
+                              std::size_t n, ChaChaRng& rng) {
+  const std::vector<Nat> edges{
+      Nat{}, Nat{1}, Nat::sub(g.order(), Nat{1}),
+      Nat::pow2(g.order().bit_length() - 1),
+      Nat::sub(Nat::pow2(t.windows() * t.window_bits()), Nat{1})};
+  std::vector<Nat> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(i % 3 == 1 ? edges[(i / 3) % edges.size()]
+                             : g.random_nonzero_scalar(rng));
+  return out;
+}
+
+// The exact element: the same residue, or the same Jacobian triple.
+void expect_identical(const Elem& got, const Elem& want, const char* what,
+                      std::size_t i) {
+  EXPECT_EQ(got.infinity, want.infinity) << what << " [" << i << "]";
+  EXPECT_EQ(got.a.to_hex(), want.a.to_hex()) << what << " [" << i << "]";
+  EXPECT_EQ(got.b.to_hex(), want.b.to_hex()) << what << " [" << i << "]";
+  EXPECT_EQ(got.c.to_hex(), want.c.to_hex()) << what << " [" << i << "]";
+}
+
+// True when this group's batch combs run on lanes on this host: 4-limb
+// Schnorr groups and the curves, on AVX-512 IFMA CPUs.
+bool lane_combs_expected(const Group& g) {
+  if (const auto* dl = dynamic_cast<const SchnorrGroup*>(&g))
+    return host_has_ifma() && dl->modulus().limb_count() == 4;
+  return host_has_ifma() && dynamic_cast<const EcGroup*>(&g) != nullptr;
+}
+
+TEST_P(BatchExpTest, CombBatchFormsEqualPerElementCalls) {
+  const Elem key = random_elem();
+  const FixedBaseTable table{*g_, key};
+  // The lanes gather from the packed table; without it they cannot run.
+  EXPECT_EQ(!table.packed().empty(), lane_combs_expected(*g_));
+  const Nat wide = Nat::add(g_->order().shl(3), Nat{5});
+  for (const std::size_t n : kCombSizes) {
+    for (const bool with_wide : {false, true}) {
+      if (with_wide && n == 0) continue;
+      std::vector<Nat> scalars = comb_scalars(*g_, table, n, rng_);
+      if (with_wide) scalars[n / 2] = wide;  // the whole batch falls back
+      std::vector<Elem> got(n), got_g(n);
+      g_->exp_fixed_many(table, scalars, got);
+      g_->exp_g_many(scalars, got_g);
+      for (std::size_t i = 0; i < n; ++i) {
+        expect_identical(got[i], g_->exp_fixed(table, scalars[i]),
+                         "exp_fixed_many", i);
+        expect_identical(got_g[i], g_->exp_g(scalars[i]), "exp_g_many", i);
+        expect_same(*g_, got[i], g_->exp(key, scalars[i]), "exp_fixed_many");
+      }
+    }
+  }
+  std::vector<Nat> two(2);
+  std::vector<Elem> one(1);
+  EXPECT_THROW(g_->exp_fixed_many(table, two, one), std::invalid_argument);
+  EXPECT_THROW(g_->exp_g_many(two, one), std::invalid_argument);
+}
+
+TEST_P(BatchExpTest, CombBatchFormsMatchGmpOnSchnorrGroups) {
+  const auto* schnorr = dynamic_cast<const SchnorrGroup*>(g_.get());
+  if (schnorr == nullptr) GTEST_SKIP() << "no GMP oracle for this family";
+  const auto to_gmp = [](const Nat& n) { return mpz_class{n.to_hex(), 16}; };
+  const mpz_class p = to_gmp(schnorr->modulus());
+  const mpz_class q = to_gmp(schnorr->order());
+  const auto canonical = [&](const Elem& x) {
+    return to_gmp(Nat::from_bytes_be(g_->serialize(x)));
+  };
+  const auto powm = [&](const mpz_class& base, const Nat& e) {
+    mpz_class r;
+    mpz_powm(r.get_mpz_t(), base.get_mpz_t(), to_gmp(e).get_mpz_t(),
+             p.get_mpz_t());
+    return r > q ? mpz_class{p - r} : r;
+  };
+  const Elem key = random_elem();
+  const FixedBaseTable table{*g_, key};
+  const mpz_class base = canonical(key);
+  // The lanes run: on an IFMA host MontCtx::comb_lanes sets every full
+  // batch of a 4-limb modulus's comb (32 of 35 elements), elsewhere none.
+  const mpz::MontCtx mont{schnorr->modulus()};
+  const std::vector<Nat> lane_scalars = comb_scalars(*g_, table, 35, rng_);
+  std::vector<Nat> lane_out(lane_scalars.size());
+  const std::size_t ran = mont.comb_lanes(table.packed(), table.window_bits(),
+                                          lane_scalars, lane_out);
+  EXPECT_EQ(ran, lane_combs_expected(*g_) ? 32u : 0u);
+  for (std::size_t i = 0; i < ran; ++i)
+    EXPECT_EQ(lane_out[i], g_->exp_fixed(table, lane_scalars[i]).a) << i;
+  for (const std::size_t n : {8, 35, 67}) {
+    const std::vector<Nat> scalars = comb_scalars(*g_, table, n, rng_);
+    std::vector<Elem> got(n), got_g(n);
+    g_->exp_fixed_many(table, scalars, got);
+    g_->exp_g_many(scalars, got_g);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(canonical(got[i]), powm(base, scalars[i])) << i;
+      EXPECT_EQ(canonical(got_g[i]), powm(4, scalars[i])) << i;
+    }
+  }
+}
+
+TEST_P(BatchExpTest, MeteredGroupCountsEveryCombElement) {
+  const MeteredGroup metered{*g_};
+  const FixedBaseTable table{*g_, random_elem()};
+  const std::vector<Nat> scalars = comb_scalars(*g_, table, 17, rng_);
+  std::vector<Elem> out(17), want(17);
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    metered.exp_fixed_many(table, scalars, out);
+    metered.exp_g_many(scalars, out);
+    metered.exp_fixed_many(table, {}, {});
+    metered.exp_g_many({}, {});
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExp), 17u);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp), 17u);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExpG), 17u);
+  // The combs' products are internal to the inner group.
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
+  g_->exp_g_many(scalars, want);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    expect_identical(out[i], want[i], "metered exp_g_many", i);
+}
+
 // inv_many inputs around one compare circuit's 70 elements, with the
 // identity and the generator among random elements.
 std::vector<Elem> inv_inputs(const Group& g, std::size_t n,
@@ -313,11 +466,11 @@ TEST_P(BatchExpTest, MeteredGroupCountsEveryInversion) {
     expect_same(*g_, out[i], g_->inv(xs[i]), "metered inv_many");
 }
 
-// Forwards every call to `inner` and records which inversion entry point
-// the caller reached.
-class InvSpy final : public Group {
+// Forwards every call to `inner` and records which inversion and comb
+// entry points the caller reached.
+class BatchSpy final : public Group {
  public:
-  explicit InvSpy(const Group& inner) : inner_(inner) {}
+  explicit BatchSpy(const Group& inner) : inner_(inner) {}
   std::string name() const override { return inner_.name(); }
   const Nat& order() const override { return inner_.order(); }
   std::size_t field_bits() const override { return inner_.field_bits(); }
@@ -337,6 +490,23 @@ class InvSpy final : public Group {
     ++inv_many_calls;
     inner_.inv_many(xs, out);
   }
+  Elem exp_g(const Nat& s) const override {
+    ++exp_g_calls;
+    return inner_.exp_g(s);
+  }
+  void exp_g_many(std::span<const Nat> s, std::span<Elem> out) const override {
+    ++exp_g_many_calls;
+    inner_.exp_g_many(s, out);
+  }
+  Elem exp_fixed(const FixedBaseTable& t, const Nat& s) const override {
+    ++exp_fixed_calls;
+    return inner_.exp_fixed(t, s);
+  }
+  void exp_fixed_many(const FixedBaseTable& t, std::span<const Nat> s,
+                      std::span<Elem> out) const override {
+    ++exp_fixed_many_calls;
+    inner_.exp_fixed_many(t, s, out);
+  }
   bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);
   }
@@ -352,6 +522,8 @@ class InvSpy final : public Group {
   std::size_t element_bytes() const override { return inner_.element_bytes(); }
 
   mutable std::size_t inv_calls = 0, inv_many_calls = 0;
+  mutable std::size_t exp_g_calls = 0, exp_g_many_calls = 0;
+  mutable std::size_t exp_fixed_calls = 0, exp_fixed_many_calls = 0;
 
  private:
   const Group& inner_;
@@ -360,7 +532,7 @@ class InvSpy final : public Group {
 TEST_P(BatchExpTest, MeteredGroupForwardsInvMany) {
   // The whole batch reaches the inner group's inv_many (SchnorrGroup's
   // Montgomery's trick), not the per-element default loop.
-  const InvSpy spy{*g_};
+  const BatchSpy spy{*g_};
   const MeteredGroup metered{spy};
   const std::vector<Elem> xs =
       inv_inputs(*g_, 70, [&] { return random_elem(); });
@@ -370,6 +542,37 @@ TEST_P(BatchExpTest, MeteredGroupForwardsInvMany) {
   EXPECT_EQ(spy.inv_calls, 0u);
   for (std::size_t i = 0; i < xs.size(); ++i)
     expect_same(*g_, out[i], g_->inv(xs[i]), "metered inv_many");
+}
+
+TEST_P(BatchExpTest, MeteredGroupForwardsCombBatches) {
+  // Each batch reaches the inner group's batch form once (SchnorrGroup's
+  // and EcGroup's lane combs), not the per-element default loop, and is
+  // counted once per element.
+  const BatchSpy spy{*g_};
+  const MeteredGroup metered{spy};
+  const FixedBaseTable table{*g_, random_elem()};
+  const std::vector<Nat> scalars = comb_scalars(*g_, table, 35, rng_);
+  std::vector<Elem> out(scalars.size()), out_g(scalars.size());
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    metered.exp_fixed_many(table, scalars, out);
+    metered.exp_g_many(scalars, out_g);
+  }
+  EXPECT_EQ(spy.exp_fixed_many_calls, 1u);
+  EXPECT_EQ(spy.exp_fixed_calls, 0u);
+  EXPECT_EQ(spy.exp_g_many_calls, 1u);
+  EXPECT_EQ(spy.exp_g_calls, 0u);
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExp), scalars.size());
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp), scalars.size());
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExpG), scalars.size());
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    expect_identical(out[i], g_->exp_fixed(table, scalars[i]),
+                     "metered exp_fixed_many", i);
+    expect_identical(out_g[i], g_->exp_g(scalars[i]), "metered exp_g_many", i);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGroups, BatchExpTest,
@@ -647,18 +850,6 @@ TEST_P(EcOracleTest, DualExpMatchesOracle) {
   EXPECT_EQ(g_.serialize_many(out), all);
 }
 
-// This CPU's AVX-512 IFMA support, read from CPUID independently of the
-// library.
-bool host_has_ifma() {
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512ifma");
-#else
-  return false;
-#endif
-}
-
 // Full lane batches (8, 16, 64) and one that leaves a scalar tail (67).
 constexpr std::size_t kLaneBatchSizes[] = {8, 16, 64, 67};
 // The element that forces an addition of a point and itself, in every batch
@@ -819,6 +1010,64 @@ TEST_P(EcLaneTest, CancellingLanesMatchScalarLadder) {
   for (std::size_t i = 0; i < kSize; ++i) {
     EXPECT_TRUE(g_.is_identity(out[i])) << "lane " << i;
     expect_elem(out[i], g_.exp(bases[i], ks[i]), i, "exp_many of n");
+  }
+}
+
+TEST_P(EcLaneTest, CombBatchesMatchOracleAndScalarCombPerLane) {
+  const Nat& n = g_.order();
+  const Pt& p = pooled(0);  // a Jacobian base; the table normalizes it
+  const FixedBaseTable table{g_, p.e};
+  EXPECT_EQ(!table.packed().empty(), host_has_ifma());
+  const Nat all_f =
+      Nat::sub(Nat::pow2(table.windows() * table.window_bits()), Nat{1});
+  for (const std::size_t size : kCombSizes) {
+    std::vector<Nat> ks;
+    for (std::size_t i = 0; i < size; ++i) {
+      Nat k = g_.random_nonzero_scalar(rng_);
+      switch (i % 9) {
+        case 1: k = Nat{}; break;
+        case 2: k = Nat{1}; break;
+        case 3: k = Nat::sub(n, Nat{1}); break;
+        case 4: k = n; break;  // ends in P + (-P)
+        case 5: k = Nat{rng_.below_u64(1u << 20)}; break;  // short
+        case 6: k = all_f; break;
+        case 7: k = Nat::pow2(n.bit_length() - 1); break;  // zero windows
+        default: break;
+      }
+      ks.push_back(k);
+    }
+    std::vector<Elem> out(size), out_g(size);
+    g_.exp_fixed_many(table, ks, out);
+    g_.exp_g_many(ks, out_g);
+    for (std::size_t i = 0; i < size; ++i) {
+      const mpz_class k = to_gmp(ks[i]);
+      expect_point(out[i], oracle_.mul(k, p.a), "exp_fixed_many");
+      expect_elem(out[i], g_.exp_fixed(table, ks[i]), i, "exp_fixed_many");
+      expect_point(out_g[i], oracle_.mul(k, oracle_.generator()),
+                   "exp_g_many");
+      expect_elem(out_g[i], g_.exp_g(ks[i]), i, "exp_g_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, CombLaneAddingPointToItselfRerunsItsBatch) {
+  // A table wider than the order wraps: with s = 2^280 + (2^280 mod n) the
+  // comb reaches window 70 holding (2^280 mod n)·P and adds its entry
+  // 2^280·P, the same point. That lane's batch of 8 reruns on the scalar
+  // comb; the other batch runs on the lanes.
+  const Pt& p = pooled(1);
+  const FixedBaseTable table{g_, p.e, 300};
+  const Nat top = Nat::pow2(280);
+  const Nat doubling = Nat::add(top, top % g_.order());
+  std::vector<Nat> ks;
+  for (std::size_t i = 0; i < 16; ++i)
+    ks.push_back(i == kDoublingLane ? doubling
+                                    : Nat::add(top, g_.random_nonzero_scalar(rng_)));
+  std::vector<Elem> out(ks.size());
+  g_.exp_fixed_many(table, ks, out);
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    expect_point(out[i], oracle_.mul(to_gmp(ks[i]), p.a), "exp_fixed_many");
+    expect_elem(out[i], g_.exp_fixed(table, ks[i]), i, "exp_fixed_many");
   }
 }
 

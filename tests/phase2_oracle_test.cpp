@@ -1,21 +1,27 @@
 // Differential oracle for phase 2's one evaluation path.
 //
 // Participant::compare_against and ::shuffle_hop compute the comparison
-// circuit and the chain hop through dual_exp fusions and inversions. The
-// oracle below is the same algebra written the naive way — plain ct_scale /
-// ct_add_plain / ct_add / rerandomize per bit, partial_decrypt +
-// exp_randomize per hop ciphertext — which is how the paper states it and
-// how its Sec. VI-B cost analysis counts it. Both run on the same streams
-// over every group family, at the extreme β patterns
-// (0, all ones) and a random one, and must agree:
+// circuit and the chain hop through dual_exp fusions, inversions and batch
+// ladders, and Participant::encrypt_beta encrypts β's bits as one batch.
+// The oracle below is the same algebra written the naive way — plain
+// ct_scale / ct_add_plain / ct_add / rerandomize per bit, partial_decrypt +
+// exp_randomize per hop ciphertext, one encrypt_exp per β bit — which is
+// how the paper states it and how its Sec. VI-B cost analysis counts it.
+// Both run on the same streams over every group family, at the extreme β
+// patterns (0, all ones) and a random one, and must agree:
 //
-//  - τ sets and hop outputs are eq-identical element by element and
-//    serialize to identical bytes (EC points may differ in their Jacobian
-//    representative, never in value);
-//  - both consume the same randomness in the same order;
+//  - β encryptions, τ sets and hop outputs are eq-identical element by
+//    element and serialize to identical bytes (EC points may differ in
+//    their Jacobian representative, never in value);
+//  - both consume the same randomness in the same order, the β
+//    encryptions one stream per bit;
 //  - metered, the oracle performs exactly model_he_ops' naive profile and
 //    the participant exactly its executed profile, per circuit and per hop
-//    ciphertext.
+//    ciphertext, and the batched β encryption exactly the per-bit calls'.
+//
+// The circuit has l = 25 bits, so its batches run a pair of 8-lane
+// batches, one single batch and a scalar tail on IFMA hosts (SchnorrGroup
+// and EcGroup).
 //
 // SplitHop runs the hop as the engine splits it (per-set draws, ladder
 // chunks across set boundaries, per-set permutations) on thread pools of
@@ -177,12 +183,13 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
   const group::MeteredGroup oracle_g{g};
 
   FrameworkConfig cfg;
-  cfg.spec = ProblemSpec{.m = 2, .t = 1, .d1 = 3, .d2 = 2, .h = 3};
+  cfg.spec = ProblemSpec{.m = 2, .t = 1, .d1 = 3, .d2 = 2, .h = 13};
   cfg.n = 2;
   cfg.k = 1;
   cfg.group = &metered;
   cfg.dot_field = &default_dot_field();
   const std::size_t l = cfg.spec.beta_bits();
+  ASSERT_EQ(l, 25u);
 
   ChaChaRng rng{2024};
   Participant peer = with_beta(cfg, 2, rng.bits(l), rng);
@@ -193,9 +200,8 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
   const auto joint = std::make_shared<const group::FixedBaseTable>(
       g, crypto::joint_public_key(g, shares));
   peer.set_joint_key(joint);
-  std::vector<Ciphertext> peer_bits;
-  for (std::size_t b = 0; b < l; ++b)
-    peer_bits.push_back(peer.encrypt_beta_bit(b, rng));
+  const std::vector<Ciphertext> peer_bits =
+      peer.encrypt_beta(std::vector<Rng*>(l, &rng));
 
   const Nat all_ones = Nat::sub(Nat::pow2(l), Nat{1});
   for (const Nat& beta : {Nat{}, all_ones, rng.bits(l)}) {
@@ -205,6 +211,30 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
     own.set_joint_key(joint);
     const std::size_t pop = benchcore::beta_popcounts({beta}).front();
     SCOPED_TRACE(testing::Message() << g.name() << " pop=" << pop);
+
+    // Step 6: the batched encryption against one encrypt_exp per bit, both
+    // drawing bit b's randomizer from its own stream.
+    std::vector<ChaChaRng> streams, oracle_streams;
+    for (std::size_t b = 0; b < l; ++b) {
+      streams.emplace_back(900 + b);
+      oracle_streams.emplace_back(900 + b);
+    }
+    std::vector<Rng*> bit_rngs;
+    for (ChaChaRng& st : streams) bit_rngs.push_back(&st);
+    std::vector<Ciphertext> enc, enc_oracle;
+    const runtime::OpTally fused_enc =
+        group_ops_of([&] { enc = own.encrypt_beta(bit_rngs); });
+    const runtime::OpTally naive_enc = group_ops_of([&] {
+      for (std::size_t b = 0; b < l; ++b)
+        enc_oracle.push_back(crypto::encrypt_exp(
+            oracle_g, *joint, beta.bit(b) ? Nat{1} : Nat{}, oracle_streams[b]));
+    });
+    expect_same(g, enc, enc_oracle, "encrypt_beta");
+    for (std::size_t b = 0; b < l; ++b)
+      EXPECT_EQ(streams[b].below_u64(1u << 30),
+                oracle_streams[b].below_u64(1u << 30))
+          << "bit " << b << " randomness diverged";
+    EXPECT_EQ(fused_enc.v, naive_enc.v);
 
     ChaChaRng r1{31}, r2{31};
     std::vector<Ciphertext> tau, tau_oracle;
@@ -248,6 +278,7 @@ INSTANTIATE_TEST_SUITE_P(
     Groups, Phase2Oracle,
     ::testing::Values(Family{"dl_test_256", GroupId::kDlTest256, false},
                       Family{"ecc_p192", GroupId::kEcP192, false},
+                      Family{"ecc_p256", GroupId::kEcP256, false},
                       Family{"mock", GroupId::kDlTest256, true}),
     [](const auto& info) { return std::string(info.param.name); });
 
