@@ -5,18 +5,14 @@
 // phase 1. The paper (citing [2]) notes s "is not necessary to be a big
 // number"; this ablation quantifies the cost of growing it: computation is
 // O(s^2 + s·d) for Bob and the round-1 message is (s+2)·d field elements.
-#include <chrono>
 #include <cstdio>
 
 #include "benchcore/model.h"
 #include "dotprod/dot_product.h"
+#include "runtime/metrics.h"
 
 namespace {
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
 }  // namespace
 
 int main() {

@@ -6,18 +6,14 @@
 //     run's FixedBaseTable over y through Group::exp_fixed.
 // The second table also sweeps the window width to show the memory/speed
 // trade-off documented in group/fixed_base.h.
-#include <chrono>
 #include <cstdio>
 
 #include "benchcore/model.h"
 #include "group/fixed_base.h"
+#include "runtime/metrics.h"
 
 namespace {
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
 }  // namespace
 
 int main() {

@@ -6,19 +6,15 @@
 //     adds (fresh randomness before a comparison set leaves its computing
 //     party; see DESIGN.md) against the rest of the comparison, quantifying
 //     the cost of that security fix.
-#include <chrono>
 #include <cstdio>
 
 #include "benchcore/model.h"
 #include "crypto/elgamal.h"
+#include "runtime/metrics.h"
 
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
 
 template <typename F>
 double time_per_call(F&& body, int iters) {

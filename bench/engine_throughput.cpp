@@ -34,7 +34,6 @@
 //                          [--out FILE]
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -44,6 +43,7 @@
 #include "engine/engine.h"
 #include "engine/introspect.h"
 #include "net/tcp/transport.h"
+#include "runtime/metrics.h"
 
 namespace {
 
@@ -56,11 +56,7 @@ using engine::RankingRequest;
 using engine::SessionEngine;
 using engine::SessionResult;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
 
 struct Preset {
   const char* name;

@@ -14,22 +14,18 @@
 // Usage: parallel_speedup [--n N] [--threads "1,2,4"] [--out FILE]
 #include <cstdio>
 #include <cstring>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/framework.h"
+#include "runtime/metrics.h"
 
 namespace {
 
 using namespace ppgr;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
 
 struct RunResult {
   std::size_t parallelism;

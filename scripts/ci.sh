@@ -105,9 +105,10 @@
 # surface TSan exists for.
 #
 # The `flake` mode hunts intermittent failures in the timing-sensitive
-# threaded suites: telemetry, engine_fault and tcp_transport run under TSan
-# with `ctest --repeat until-fail:20`, so one failure in twenty runs of any
-# of them fails the leg.
+# threaded suites: telemetry, engine_fault, tcp_transport and runtime_pool
+# (the thread pool's job-lifetime stress cases) run under TSan with
+# `ctest --repeat until-fail:20`, so one failure in twenty runs of any of
+# them fails the leg.
 #
 # The `audit` mode is the forensics/conformance leg: the conformance-audit
 # suite (clean runs audit to zero findings, faulted/degraded/tampered runs
@@ -261,7 +262,7 @@ case "${MODE}" in
         --benchmark_min_time=0.01
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
-  flake) run_leg tsan -R 'telemetry|engine_fault|tcp_transport' --repeat until-fail:20 ;;
+  flake) run_leg tsan -R 'telemetry|engine_fault|tcp_transport|runtime_pool' --repeat until-fail:20 ;;
   audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
   sockets)
     run_leg asan -R 'tcp_transport|party_launcher'
@@ -276,7 +277,7 @@ case "${MODE}" in
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
     run_leg tsan -R 'tcp_transport'
-    run_leg tsan -R 'telemetry|engine_fault|tcp_transport' --repeat until-fail:20
+    run_leg tsan -R 'telemetry|engine_fault|tcp_transport|runtime_pool' --repeat until-fail:20
     bench_regress
     perfbench_smoke
     ;;

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
+
+#include "runtime/metrics.h"
 
 namespace ppgr::benchcore {
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Seconds per call of `body`: the median over kBatches batches, each
 /// running `body` (after one warm-up call) until at least kMinBatchS has
@@ -27,11 +22,11 @@ double time_per_call(F&& body) {
   for (double& t : per_call) {
     std::size_t calls = 0;
     double elapsed = 0.0;
-    const double t0 = now_s();
+    const double t0 = runtime::metrics_now_seconds();
     for (std::size_t step = 1; elapsed < kMinBatchS; step *= 2) {
       for (std::size_t i = 0; i < step; ++i) body();
       calls += step;
-      elapsed = now_s() - t0;
+      elapsed = runtime::metrics_now_seconds() - t0;
     }
     t = elapsed / static_cast<double>(calls);
   }

@@ -1,7 +1,6 @@
 #include "benchcore/model.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <initializer_list>
@@ -12,18 +11,9 @@
 #include "crypto/codec.h"
 #include "dotprod/dot_product.h"
 #include "group/mock_group.h"
+#include "runtime/metrics.h"
 
 namespace ppgr::benchcore {
-
-namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 ProblemSpec paper_default_spec() {
   return ProblemSpec{.m = 10, .t = 5, .d1 = 15, .d2 = 15, .h = 15};
@@ -297,12 +287,13 @@ HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
   cfg.dot_field = &core::default_dot_field();
   const Instance inst = random_instance(spec, n, seed);
   mpz::ChaChaRng rng{seed + 1};
-  const double t0 = now_s();
+  const double t0 = runtime::metrics_now_seconds();
   const std::vector<mpz::Nat> betas =
       core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, rng);
 
   HeCounts counts;
-  counts.phase1_seconds = (now_s() - t0) / static_cast<double>(n);
+  counts.phase1_seconds =
+      (runtime::metrics_now_seconds() - t0) / static_cast<double>(n);
   // The initiator performs no group operations, so the totals are all
   // participant work; the per-participant share is totals / n (integer
   // division — comparison-circuit cost varies slightly with each party's
@@ -387,9 +378,10 @@ SsPoint price_ss_framework(const ProblemSpec& spec, std::size_t n,
   point.totals = result.sort_costs;
   point.parallel_rounds = result.parallel_rounds;
   point.participant_seconds = price_ss_ops(result.sort_costs, costs, n);
-  const double t1 = now_s();
+  const double t1 = runtime::metrics_now_seconds();
   (void)core::phase1_betas(cfg.base, inst.v0, inst.w, inst.infos, rng);
-  point.phase1_seconds = (now_s() - t1) / static_cast<double>(n);
+  point.phase1_seconds =
+      (runtime::metrics_now_seconds() - t1) / static_cast<double>(n);
   point.trace = std::move(result.trace);
   return point;
 }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "benchcore/model.h"
+#include "engine/json_append.h"
 
 namespace ppgr::engine {
 
@@ -13,23 +14,6 @@ namespace {
 
 using runtime::CryptoOp;
 using runtime::Phase;
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 }  // namespace
 
@@ -55,30 +39,24 @@ std::string AuditReport::to_json() const {
   out += "  \"framework\": \"";
   out += ss ? "ss" : "he";
   out += "\",\n";
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "  \"checkpoints\": %zu,\n  \"checks\": %zu,\n", checkpoints,
-                checks);
-  out += buf;
+  appendf(out, "  \"checkpoints\": %zu,\n  \"checks\": %zu,\n", checkpoints,
+          checks);
   out += "  \"verdict\": \"";
   out += verdict();
   out += "\",\n  \"findings\": [";
   bool first = true;
   for (const AuditFinding& f : findings) {
     out += first ? "\n" : ",\n";
-    std::snprintf(buf, sizeof(buf), "    {\"kind\": \"%s\", \"phase\": \"%s\", ",
-                  to_string(f.kind), runtime::phase_name(f.phase));
-    out += buf;
+    appendf(out, "    {\"kind\": \"%s\", \"phase\": \"%s\", ",
+            to_string(f.kind), runtime::phase_name(f.phase));
     out += "\"key\": ";
-    append_escaped(out, f.key);
-    std::snprintf(buf, sizeof(buf),
-                  ", \"expected\": %llu, \"measured\": %llu, \"exact\": %s, ",
-                  static_cast<unsigned long long>(f.expected),
-                  static_cast<unsigned long long>(f.measured),
-                  f.exact ? "true" : "false");
-    out += buf;
+    append_json_string(out, f.key);
+    appendf(out, ", \"expected\": %llu, \"measured\": %llu, \"exact\": %s, ",
+            static_cast<unsigned long long>(f.expected),
+            static_cast<unsigned long long>(f.measured),
+            f.exact ? "true" : "false");
     out += "\"detail\": ";
-    append_escaped(out, f.detail);
+    append_json_string(out, f.detail);
     out += "}";
     first = false;
   }

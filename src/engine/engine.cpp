@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 #include <vector>
+
+#include "engine/json_append.h"
 
 namespace ppgr::engine {
 
@@ -13,15 +13,6 @@ namespace {
 
 using runtime::CryptoOp;
 using runtime::Phase;
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 void append_index_list(std::string& out, const std::vector<std::size_t>& v) {
   out.push_back('[');
@@ -56,23 +47,6 @@ void append_counters(std::string& out, const CacheCounters& c) {
 double quantile(std::vector<double>& v, double q) {
   std::sort(v.begin(), v.end());
   return runtime::sample_quantile_seconds(v, q);
-}
-
-// Fault causes embed channel-error text; escape the JSON specials so the
-// rollup stays well-formed whatever the message contains.
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      appendf(out, "\\u%04x", static_cast<unsigned>(c));
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace

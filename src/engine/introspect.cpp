@@ -1,9 +1,9 @@
 #include "engine/introspect.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
+
+#include "engine/json_append.h"
 
 namespace ppgr::engine {
 
@@ -12,15 +12,6 @@ namespace {
 using runtime::HealthState;
 using runtime::LatencyHistogram;
 using runtime::OpenMetricsBuilder;
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[320];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 // The JSONL latency block for one kind: histogram-derived quantiles (one
 // binade of resolution — a live readout, not the deterministic rollup).

@@ -2,37 +2,14 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
+
+#include "engine/json_append.h"
 
 namespace ppgr::engine {
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      appendf(out, "\\u%04x", static_cast<unsigned>(c));
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 std::uint64_t retry_count(const SessionResult& res) {
   // A completed faulted-plan run carries its fault report; a run that
@@ -54,7 +31,7 @@ std::string session_wide_event_json(const SessionResult& res,
   appendf(out, ", \"id\": %llu", static_cast<unsigned long long>(res.id));
   appendf(out, ", \"framework\": \"%s\"", to_string(res.framework));
   out += ", \"group\": ";
-  append_escaped(out, info.group_name);
+  append_json_string(out, info.group_name);
   appendf(out, ", \"n\": %zu, \"k\": %zu", info.n, info.k);
   appendf(out, ", \"outcome\": \"%s\"", to_string(res.outcome));
   appendf(out, ", \"wall_seconds\": %.6f, \"setup_seconds\": %.6f",
@@ -117,7 +94,7 @@ std::string session_wide_event_json(const SessionResult& res,
     appendf(out, "\"party\": %lld, \"cause\": ",
             f.party == core::kNoParty ? -1LL
                                       : static_cast<long long>(f.party));
-    append_escaped(out, f.cause);
+    append_json_string(out, f.cause);
     out += "}";
   }
   out += "}";
@@ -131,7 +108,7 @@ std::string postmortem_json(const SessionResult& res,
   out += "{\n  \"schema\": \"ppgr.postmortem.v1\",\n";
   appendf(out, "  \"id\": %llu,\n", static_cast<unsigned long long>(res.id));
   out += "  \"what\": ";
-  append_escaped(out, res.fault_what);
+  append_json_string(out, res.fault_what);
   out += ",\n  \"event\": ";
   out += session_wide_event_json(res, info);
   out += ",\n  \"fault_report\": ";

@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "mpz/ifma_lanes.h"
 #include "mpz/modarith.h"
@@ -745,21 +746,33 @@ void MontCtx::inv_many(std::span<const Nat> xs, std::span<Nat> out) const {
   if (xs.size() != out.size())
     throw std::invalid_argument("MontCtx::inv_many: span sizes differ");
   if (out.empty()) return;
-  // Prefix products: out[i] = x_0 ... x_i.
-  out[0] = xs[0];
-  for (std::size_t i = 1; i < out.size(); ++i) out[i] = mul(out[i - 1], xs[i]);
-  // One binary inversion of the running product (out of and back into
-  // Montgomery form), then back-substitute:
-  // inv(x_i) = inv(x_0 ... x_i) * (x_0 ... x_{i-1}).
-  const auto s = invmod(from_mont(out.back()), m_);
-  if (!s.has_value())
-    throw std::domain_error("MontCtx::inv_many: element not invertible");
-  Nat acc = to_mont(*s);
-  for (std::size_t i = out.size(); i-- > 1;) {
-    out[i] = mul(acc, out[i - 1]);
-    acc = mul(acc, xs[i]);
-  }
-  out[0] = std::move(acc);
+  const std::size_t n = out.size();
+  with_kernel([&](const auto& kern) {
+    // x_i on limbs, then the prefix products x_0 ... x_i, in one buffer.
+    std::vector<Limb> buf(2 * n * k_);
+    Limb* x = buf.data();
+    Limb* pre = x + n * k_;
+    for (std::size_t i = 0; i < n; ++i) xs[i].to_limbs(x + i * k_, k_);
+    std::copy_n(x, k_, pre);
+    for (std::size_t i = 1; i < n; ++i)
+      kern(pre + i * k_, pre + (i - 1) * k_, x + i * k_);
+    // One binary inversion of the running product (out of and back into
+    // Montgomery form), then back-substitute:
+    // inv(x_i) = inv(x_0 ... x_i) * (x_0 ... x_{i-1}).
+    const auto s =
+        invmod(from_mont(Nat::from_limbs({pre + (n - 1) * k_, k_})), m_);
+    if (!s.has_value())
+      throw std::domain_error("MontCtx::inv_many: element not invertible");
+    constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
+    Limb acc[kCap] = {}, inv[kCap] = {};
+    to_mont(*s).to_limbs(acc, k_);
+    for (std::size_t i = n; i-- > 1;) {
+      kern(inv, acc, pre + (i - 1) * k_);
+      out[i] = Nat::from_limbs({inv, k_});
+      kern(acc, acc, x + i * k_);
+    }
+    out[0] = Nat::from_limbs({acc, k_});
+  });
 }
 
 }  // namespace ppgr::mpz

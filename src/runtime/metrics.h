@@ -185,6 +185,8 @@ inline void record_op(CryptoOp op, double seconds) {
   }
 }
 
+/// Steady-clock seconds since an arbitrary origin: the one clock every
+/// timer, latency sample and span in the program reads.
 [[nodiscard]] inline double metrics_now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

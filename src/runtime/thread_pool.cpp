@@ -1,8 +1,8 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -10,32 +10,26 @@
 
 namespace ppgr::runtime {
 
-// A parallel_for invocation. Indices are claimed with a single atomic
-// fetch-add; completion is tracked with a second counter so the submitting
-// thread can block until every claimed index has actually finished (a worker
-// may still be inside fn when next_ runs past count_).
+// A parallel_for invocation, owned jointly by the queue, its submitter and
+// every worker that picked it. Indices are claimed with a single atomic
+// fetch-add; `done` counts the claimed indices that have finished, so the
+// submitter can block until none is still inside fn.
 struct ThreadPool::Job {
-  explicit Job(std::size_t count, const std::function<void(std::size_t)>& fn)
+  Job(std::size_t count, const std::function<void(std::size_t)>& fn)
       : count(count), fn(&fn) {}
 
   const std::size_t count;
+  // Read only for claimed indices (< count), and every claimed index
+  // finishes before parallel_for returns, so the caller's fn outlives
+  // every read.
   const std::function<void(std::size_t)>* fn;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  // Workers currently inside run_job for this job. Incremented under
-  // State::mu at selection time, so the submitter can wait for every worker
-  // holding a pointer to this (stack-allocated) job to let go before
-  // destroying it — done == count alone only proves all indices finished,
-  // not that a freshly-woken worker isn't about to touch the job.
-  std::atomic<std::size_t> active{0};
   std::atomic<bool> cancelled{false};
 
   std::mutex err_mu;
   std::size_t err_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr err;
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
 
   [[nodiscard]] bool exhausted() const {
     return next.load(std::memory_order_relaxed) >= count;
@@ -44,8 +38,9 @@ struct ThreadPool::Job {
 
 struct ThreadPool::State {
   std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Job*> jobs;  // live jobs; removed by their submitter
+  std::condition_variable cv;       // a job arrived, or the pool stops
+  std::condition_variable done_cv;  // some job's last index finished
+  std::deque<std::shared_ptr<Job>> jobs;  // removed by their submitter
   bool stop = false;
 };
 
@@ -73,35 +68,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    Job* job = nullptr;
+    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(state_->mu);
       state_->cv.wait(lock, [&] {
-        if (state_->stop) return true;
-        for (Job* j : state_->jobs)
-          if (!j->exhausted()) return true;
-        return false;
-      });
-      for (Job* j : state_->jobs) {
-        if (!j->exhausted()) {
-          job = j;
-          break;
+        for (const auto& j : state_->jobs) {
+          if (!j->exhausted()) {
+            job = j;
+            return true;
+          }
         }
-      }
-      if (job == nullptr) {
-        if (state_->stop) return;
-        continue;
-      }
-      job->active.fetch_add(1, std::memory_order_relaxed);
+        return state_->stop;
+      });
     }
+    if (job == nullptr) return;
+    // A job picked after its last index was claimed finds nothing left to
+    // run; the copy keeps it alive until this worker drops it.
     run_job(*job);
-    {
-      // Decrement under done_mu so the submitter cannot observe active == 0
-      // (and free the job) until this worker has fully let go of it.
-      std::lock_guard<std::mutex> lock(job->done_mu);
-      job->active.fetch_sub(1, std::memory_order_acq_rel);
-      job->done_cv.notify_all();
-    }
   }
 }
 
@@ -124,8 +107,10 @@ void ThreadPool::run_job(Job& job) {
       }
     }
     if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.count) {
-      std::lock_guard<std::mutex> lock(job.done_mu);
-      job.done_cv.notify_all();
+      // Under mu, so a submitter between its check and its wait cannot
+      // miss the wake-up.
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->done_cv.notify_all();
     }
   }
 }
@@ -140,33 +125,29 @@ void ThreadPool::parallel_for(std::size_t count,
     return;
   }
 
-  Job job{count, fn};
+  const auto job = std::make_shared<Job>(count, fn);
   {
     std::lock_guard<std::mutex> lock(state_->mu);
-    state_->jobs.push_back(&job);
+    state_->jobs.push_back(job);
   }
   state_->cv.notify_all();
 
   // The submitter helps until the index space is drained, then waits for
   // stragglers still inside fn on other workers.
-  run_job(job);
+  run_job(*job);
   {
-    std::unique_lock<std::mutex> lock(job.done_mu);
-    job.done_cv.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) == count &&
-             job.active.load(std::memory_order_acquire) == 0;
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->done_cv.wait(lock, [&] {
+      return job->done.load(std::memory_order_acquire) == count;
     });
+    state_->jobs.erase(
+        std::find(state_->jobs.begin(), state_->jobs.end(), job));
   }
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    for (auto it = state_->jobs.begin(); it != state_->jobs.end(); ++it) {
-      if (*it == &job) {
-        state_->jobs.erase(it);
-        break;
-      }
-    }
-  }
-  if (job.err) std::rethrow_exception(job.err);
+  // The exception leaves the job first: a worker may drop the job's last
+  // reference, and the caller, not that worker, should free the exception
+  // it is handling (libstdc++ counts exception references where TSan
+  // cannot see them).
+  if (std::exception_ptr err = std::move(job->err)) std::rethrow_exception(err);
 }
 
 }  // namespace ppgr::runtime

@@ -45,14 +45,6 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Ordered map: out[i] = fn(i). Requires T default-constructible.
-  template <typename F>
-  auto map(std::size_t count, F&& fn) -> std::vector<decltype(fn(std::size_t{0}))> {
-    std::vector<decltype(fn(std::size_t{0}))> out(count);
-    parallel_for(count, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
  private:
   struct Job;
   void worker_loop();
@@ -61,9 +53,8 @@ class ThreadPool {
   std::size_t threads_ = 1;
   std::vector<std::thread> workers_;
 
-  // Queue of live jobs (owned by the parallel_for invocations that pushed
-  // them). Guarded by mu_; cv_ wakes workers when a job arrives or the pool
-  // shuts down.
+  // Queue of live jobs, shared with the workers that picked them (see
+  // thread_pool.cpp). Guarded by State::mu.
   struct State;
   std::unique_ptr<State> state_;
 };

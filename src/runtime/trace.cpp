@@ -1,6 +1,5 @@
 #include "runtime/trace.h"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace ppgr::runtime {
@@ -82,16 +81,12 @@ std::size_t TraceRecorder::message_count() const {
   return transfers_.size();
 }
 
-double PartyTimer::now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 PartyTimer::Scope::Scope(PartyTimer& timer, std::size_t party)
-    : timer_(timer), party_(party), start_(now_seconds()) {}
+    : timer_(timer), party_(party), start_(metrics_now_seconds()) {}
 
-PartyTimer::Scope::~Scope() { timer_.add(party_, now_seconds() - start_); }
+PartyTimer::Scope::~Scope() {
+  timer_.add(party_, metrics_now_seconds() - start_);
+}
 
 double PartyTimer::max_participant_seconds() const {
   double best = 0.0;

@@ -114,7 +114,6 @@ class PartyTimer {
   [[nodiscard]] double max_participant_seconds() const;
 
  private:
-  static double now_seconds();
   std::vector<std::atomic<double>> seconds_;
 };
 

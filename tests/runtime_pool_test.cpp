@@ -2,24 +2,19 @@
 // thread-safety guarantees of TraceRecorder / PartyTimer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "runtime/trace.h"
 
 namespace ppgr::runtime {
 namespace {
-
-TEST(ThreadPool, OrderedMapResults) {
-  ThreadPool pool{4};
-  const auto out = pool.map(100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
 
 TEST(ThreadPool, InlineModeRunsOnCaller) {
   // threads <= 1: no workers; every index executes on the calling thread in
@@ -98,17 +93,47 @@ TEST(ThreadPool, ManyTasksStress) {
 }
 
 TEST(ThreadPool, RapidShortJobsDoNotRaceJobTeardown) {
-  // Regression: the submitter used to free its stack-allocated job as soon
-  // as done == count, while a freshly-woken worker could still hold a
-  // pointer it had just selected from the deque — a use-after-free that
-  // turned into an unbounded spin on garbage memory. Thousands of tiny jobs
-  // maximize that select/teardown window.
+  // Thousands of tiny jobs: a worker often picks a job just as its
+  // submitter claims the last index and returns. The worker's copy of the
+  // job must keep it alive, and it must find no index left to run.
   ThreadPool pool{4};
   std::atomic<std::size_t> total{0};
   for (int round = 0; round < 5000; ++round) {
     pool.parallel_for(2, [&](std::size_t i) { total += i + 1; });
   }
   EXPECT_EQ(total.load(), 5000u * 3);
+}
+
+TEST(ThreadPool, ConcurrentSubmittersShortJobs) {
+  // Three submitters share one pool, as the engine's drivers do, and each
+  // issues thousands of 2- and 3-index jobs. Workers keep picking jobs
+  // whose last index another thread has just claimed, so a job that is
+  // torn down under a worker shows as a hang, an index run twice or run
+  // for the wrong job.
+  ThreadPool pool{4};
+  constexpr std::size_t kSubmitters = 3;
+  constexpr std::size_t kJobs = 3000;
+  std::array<std::size_t, kSubmitters> ran_once{}, wrong{};
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (std::size_t round = 0; round < kJobs; ++round) {
+        const std::size_t count = 2 + round % 2;
+        std::array<std::atomic<int>, 3> hits{};
+        pool.parallel_for(count, [&](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+          const int want = i < count ? 1 : 0;
+          if (hits[i].load() != want) ++wrong[s];
+          if (want == 1 && hits[i].load() == 1) ++ran_once[s];
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  for (std::size_t s = 0; s < kSubmitters; ++s) {
+    EXPECT_EQ(wrong[s], 0u) << "submitter " << s;
+    EXPECT_EQ(ran_once[s], kJobs / 2 * 5) << "submitter " << s;
+  }
 }
 
 TEST(ThreadPool, EmptyAndSingleCounts) {
