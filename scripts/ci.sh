@@ -144,8 +144,9 @@
 # The `perfbench` mode builds the repository benchmark (perfbench/, which
 # compiles src/ into its own tree) and smokes both of its workloads for a
 # couple of seconds, he-n16 traced through its timing decorator: the leg
-# fails when the build or a run exits non-zero, or when a run's JSON result
-# does not report "correct": true. It is the only leg that compiles
+# fails when the build or a run exits non-zero, when a run's JSON result
+# does not report "correct": true, or when traced he-n16 reports more than
+# 100,000 group.mul.calls per session. It is the only leg that compiles
 # perfbench against the current src/ API.
 #
 # Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|flake|audit|sockets|bench-regress|perfbench|all]
@@ -180,18 +181,27 @@ bench_regress() {
 }
 
 perfbench_smoke() {
-  local workload result
+  local workload result he_result
   for workload in he-n16 engine-mix; do
     echo "==== [perfbench] ${workload}, 2 s, traced ===="
     result="$(python3 perfbench/run.py --workload "${workload}" --seconds 2 \
         --trace 1 | tail -n 1)"
     echo "${result}"
+    if [[ "${workload}" == he-n16 ]]; then he_result="${result}"; fi
     if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' \
         "${result}"; then
       echo "perfbench: ${workload} did not report \"correct\": true" >&2
       exit 1
     fi
   done
+  # A session executes ~58k products. A comb that runs through Group::mul
+  # again (the Elem-boxed comb once issued ~538k per traced session) would
+  # make the traced run time a different program from the untraced one.
+  if ! python3 -c 'import json, sys; m = json.loads(sys.argv[1])["metrics"]; sys.exit(m["group.mul.calls"]["value"] > 100000)' \
+      "${he_result}"; then
+    echo "perfbench: traced he-n16 ran more than 100,000 group.mul calls per session" >&2
+    exit 1
+  fi
 }
 
 # Archives forensic bundles from a known-faulting chaos scenario: a crash

@@ -231,30 +231,6 @@ std::vector<Ciphertext> Participant::compare_against(
   return tau;
 }
 
-// One chain hop. Partial decryption and exponent randomization fuse into
-// one fused dual_exp per ciphertext —
-//
-//   c1 = c / cp^x;  out = (c1^r, cp^r)
-//      = (c^r · cp^(q - x·r mod q), cp^r)
-//
-// because every element's order divides q, so cp^(q-e) = cp^(-e). One
-// random_nonzero_scalar per ciphertext, in set order, then the Fisher–Yates
-// draws with the party's private randomness. The ladders run through the
-// group's batch forms, kHopChunk ciphertexts at a time (MontCtx and
-// EcGroup run 8 ladders per IFMA vector).
-void Participant::shuffle_hop(CipherSet& set, Rng& rng) const {
-  const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
-  std::vector<Nat> r(set.size());
-  std::vector<std::uint64_t> swaps(set.size());
-  draw_hop(rng, r, swaps);
-  for (std::size_t lo = 0; lo < set.size(); lo += kHopChunk) {
-    const std::size_t len = std::min(kHopChunk, set.size() - lo);
-    hop_ladders(std::span{set}.subspan(lo, len),
-                std::span<const Nat>{r}.subspan(lo, len));
-  }
-  permute_hop(set, swaps);
-}
-
 void Participant::draw_hop(Rng& rng, std::span<Nat> r,
                            std::span<std::uint64_t> swaps) const {
   if (swaps.size() != r.size())
@@ -264,6 +240,15 @@ void Participant::draw_hop(Rng& rng, std::span<Nat> r,
   for (std::size_t i = r.size(); i-- > 1;) swaps[i] = rng.below_u64(i + 1);
 }
 
+// The chain hop's ladders. Partial decryption and exponent randomization
+// fuse into one dual_exp per ciphertext —
+//
+//   c1 = c / cp^x;  out = (c1^r, cp^r)
+//      = (c^r · cp^(q - x·r mod q), cp^r)
+//
+// because every element's order divides q, so cp^(q-e) = cp^(-e). The
+// ladders run through the group's batch forms (MontCtx and EcGroup run 8
+// ladders per IFMA vector).
 void Participant::hop_ladders(std::span<Ciphertext> cts,
                               std::span<const Nat> r) const {
   if (r.size() != cts.size())

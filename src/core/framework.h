@@ -255,16 +255,15 @@ class Participant {
   /// one exp_many for every ω, then one crypto::rerandomize_many.
   [[nodiscard]] std::vector<Ciphertext> compare_against(
       const std::vector<Ciphertext>& peer_bits, Rng& rng) const;
-  /// Step 8: one chain hop over a peer's set — partial decryption with this
-  /// party's key share, per-ciphertext exponent randomization, and a uniform
-  /// permutation of the set: draw_hop, hop_ladders over kHopChunk
-  /// ciphertexts at a time, then permute_hop, counted as one kShuffleHop.
-  void shuffle_hop(CipherSet& set, Rng& rng) const;
-  /// The hop's three steps, which the engine fans out separately
-  /// (DESIGN.md §5b). draw_hop draws all of one set's randomness from its
-  /// stream: r[i] in [1, q) for every ciphertext in set order, then the
-  /// Fisher–Yates indices swaps[i] for i = size-1 down to 1 (r and swaps
-  /// have the set's size; swaps[0] is unused).
+  /// Step 8, one chain hop over a peer's set — partial decryption with this
+  /// party's key share, per-ciphertext exponent randomization, and a
+  /// uniform permutation of the set — as three steps, which the party
+  /// driver fans out separately (DESIGN.md §5b): draw_hop, hop_ladders over
+  /// kHopChunk ciphertexts at a time, then permute_hop. draw_hop draws all
+  /// of one set's randomness from its stream: r[i] in [1, q) for every
+  /// ciphertext in set order, then the Fisher–Yates indices swaps[i] for
+  /// i = size-1 down to 1 (r and swaps have the set's size; swaps[0] is
+  /// unused).
   void draw_hop(Rng& rng, std::span<Nat> r,
                 std::span<std::uint64_t> swaps) const;
   /// Partially decrypts and randomizes cts[i] with r[i], through one

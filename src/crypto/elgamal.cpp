@@ -131,6 +131,4 @@ Ciphertext exp_randomize(const Group& g, const Ciphertext& ct, const Nat& r) {
   return Ciphertext{.c = g.exp(ct.c, r), .cp = g.exp(ct.cp, r)};
 }
 
-std::size_t ciphertext_bytes(const Group& g) { return 2 * g.element_bytes(); }
-
 }  // namespace ppgr::crypto

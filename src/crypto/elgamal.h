@@ -112,7 +112,4 @@ void rerandomize_many(const Group& g, const FixedBaseTable& y,
 [[nodiscard]] Ciphertext exp_randomize(const Group& g, const Ciphertext& ct,
                                        const Nat& r);
 
-/// Serialized size of a ciphertext (the S_c of Sec. VI-B).
-[[nodiscard]] std::size_t ciphertext_bytes(const Group& g);
-
 }  // namespace ppgr::crypto

@@ -411,12 +411,13 @@ PPGR_IFMA bool straus_lanes(const LaneArgs& args,
 
 // One batch of eight fixed-base combs: lane l sets out[l] to the product of
 // the table entries of scalars[l]'s w-bit digits, over the windows of the
-// batch's widest scalar, the same Elem EcGroup::exp_fixed returns. The table is
-// EcGroup::pack_table's: per entry x then y on four limbs, Montgomery form,
-// Z = 1, all zeros for the identity. Each window gathers every lane's entry,
-// takes it into the lane domain (two products) and adds it with the mixed
-// addition in the lanes whose digit and entry are nonzero. Returns false,
-// with out untouched, when a lane met an addition of a point and itself.
+// batch's widest scalar, the same Elem EcGroup::comb returns. The table is
+// EcGroup::pack_table's: per entry the affine x then y on four limbs,
+// Montgomery form, all zeros for the identity. Each window gathers every
+// lane's entry, takes it into the lane domain (two products) and adds it
+// with the mixed addition in the lanes whose digit and entry are nonzero.
+// Returns false, with out untouched, when a lane met an addition of a point
+// and itself.
 PPGR_IFMA bool comb_lanes(const LaneArgs& args, const Limb* table,
                           std::size_t w, const Nat* scalars, Elem* out) {
   const LaneField f = lane_field(args);
@@ -471,6 +472,8 @@ EcGroup::EcGroup(CurveParams params)
   p_ = load(params_.p);
   a_ = load(field_.to(params_.a));
   b_ = load(field_.to(params_.b));
+  if (b_ == Fe{})
+    throw std::invalid_argument("EcGroup: b = 0 (the curve has order-2 points)");
   one_ = load(field_.one());
   a_is_minus3_ = params_.a == Nat::sub(params_.p, Nat{3});
   const Nat gx = field_.to(params_.gx), gy = field_.to(params_.gy);
@@ -798,7 +801,7 @@ const FixedBaseTable& EcGroup::gen_table() const {
 }
 
 Elem EcGroup::exp_g(const Nat& scalar) const {
-  return exp_fixed(gen_table(), scalar);
+  return comb(gen_table(), scalar);
 }
 
 void EcGroup::exp_g_many(std::span<const Nat> scalars,
@@ -806,12 +809,19 @@ void EcGroup::exp_g_many(std::span<const Nat> scalars,
   exp_fixed_many(gen_table(), scalars, out);
 }
 
-Elem EcGroup::exp_fixed(const FixedBaseTable& table, const Nat& scalar) const {
+Elem EcGroup::comb(const FixedBaseTable& table, const Nat& scalar) const {
   if (!table.fits(scalar)) return exp(table.base(), scalar);
-  Point acc{.inf = true};
-  for (std::size_t w = 0; w < table.windows_of(scalar); ++w)
-    if (const unsigned d = table.digit(scalar, w); d != 0)
-      add(acc, acc, load(table.entry(w, d)));
+  Point acc{.inf = true}, entry{.z = one_};
+  for (std::size_t w = 0; w < table.windows_of(scalar); ++w) {
+    const unsigned d = table.digit(scalar, w);
+    if (d == 0) continue;
+    const Limb* xy =
+        table.packed().data() + 2 * kLimbs * ((w << table.window_bits()) + d);
+    std::copy_n(xy, kLimbs, entry.x.l);
+    std::copy_n(xy + kLimbs, kLimbs, entry.y.l);
+    if (entry.x == Fe{} && entry.y == Fe{}) continue;  // the identity
+    add(acc, acc, entry);
+  }
   return box(acc);
 }
 
@@ -820,10 +830,13 @@ void EcGroup::exp_fixed_many(const FixedBaseTable& table,
                              std::span<Elem> out) const {
   if (scalars.size() != out.size())
     throw std::invalid_argument("EcGroup::exp_fixed_many: span sizes differ");
+  if (table.packed().size() != table.entries() * 2 * kLimbs)
+    throw std::invalid_argument(
+        "EcGroup::exp_fixed_many: table not packed by this group");
   std::size_t i = 0;
 #if defined(__x86_64__)
   const bool lanes =
-      !table.packed().empty() &&
+      lanes_.has_value() && out.size() >= kLanes &&
       std::all_of(scalars.begin(), scalars.end(), [&](const Nat& s) {
         return table.fits(s) &&
                s.bit_length() <= 64 * mpz::lanes::kCombLimbs;
@@ -835,23 +848,26 @@ void EcGroup::exp_fixed_many(const FixedBaseTable& table,
       if (!comb_lanes(args, table.packed().data(), table.window_bits(),
                       &scalars[i], &out[i]))
         for (std::size_t l = i; l < i + kLanes; ++l)
-          out[l] = exp_fixed(table, scalars[l]);
+          out[l] = comb(table, scalars[l]);
   }
 #endif
-  for (; i < out.size(); ++i) out[i] = exp_fixed(table, scalars[i]);
+  for (; i < out.size(); ++i) out[i] = comb(table, scalars[i]);
 }
 
 std::vector<Limb> EcGroup::pack_table(std::span<const Elem> entries) const {
-  if (!lanes_.has_value()) return {};
-  std::vector<Limb> out(entries.size() * 8, 0);
+  std::vector<const Elem*> ptrs(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) ptrs[i] = &entries[i];
+  const std::vector<Nat> zinvs = z_inverses(ptrs);
+  // The combs add entries with the mixed addition (Z = 1), and read all
+  // zeros as the identity: with b != 0, (0, 0) is not on the curve.
+  std::vector<Limb> out(entries.size() * 2 * kLimbs, 0);
+  std::size_t zi = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Elem& e = entries[i];
-    if (e.infinity) continue;
-    // The lanes add entries with the mixed addition, and read all zeros as
-    // the identity.
-    if (load(e.c) != one_ || (e.a.is_zero() && e.b.is_zero())) return {};
-    e.a.to_limbs(&out[8 * i], 4);
-    e.b.to_limbs(&out[8 * i + 4], 4);
+    if (entries[i].infinity) continue;
+    Fe x, y;
+    affine(x, y, load(entries[i]), load(zinvs[zi++]));
+    std::copy_n(x.l, kLimbs, &out[2 * kLimbs * i]);
+    std::copy_n(y.l, kLimbs, &out[2 * kLimbs * i + kLimbs]);
   }
   return out;
 }
@@ -917,20 +933,6 @@ void EcGroup::serialize_into(std::span<const Elem* const> xs,
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (xs[i]->infinity) continue;
     write_affine(out.data() + i * eb, load(*xs[i]), load(zinvs[zi++]));
-  }
-}
-
-void EcGroup::normalize_many(std::span<Elem> xs) const {
-  std::vector<const Elem*> ptrs(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
-  const std::vector<Nat> zinvs = z_inverses(ptrs);
-  std::size_t zi = 0;
-  for (Elem& e : xs) {
-    if (e.infinity) continue;
-    Point pt = load(e);
-    affine(pt.x, pt.y, pt, load(zinvs[zi++]));
-    pt.z = one_;
-    e = box(pt);
   }
 }
 

@@ -45,6 +45,9 @@ struct CurveParams {
 
 class EcGroup final : public Group {
  public:
+  /// Throws std::invalid_argument when the field is wider than 256 bits, the
+  /// base point is off the curve, or b = 0 (such a curve has the point (0, 0)
+  /// of order 2, so it is not of prime order).
   explicit EcGroup(CurveParams params);
 
   [[nodiscard]] std::string name() const override { return params_.name; }
@@ -55,24 +58,22 @@ class EcGroup final : public Group {
   [[nodiscard]] const mpz::FpCtx& field() const { return field_; }
 
   [[nodiscard]] Elem generator() const override { return gen_; }
-  /// The comb over the generator's table (built on first use), through
-  /// exp_fixed / exp_fixed_many.
+  /// The comb over the generator's table (built on first use).
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override;
   void exp_g_many(std::span<const Nat> scalars,
                   std::span<Elem> out) const override;
-  /// The comb on stack points: one addition per nonzero digit (the mixed
-  /// addition, the entries having Z = 1), starting from the identity.
-  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
-                               const Nat& scalar) const override;
-  /// Element-identical to exp_fixed (the same Jacobian triple). On an IFMA
-  /// CPU each full batch of 8 runs as 8 lane-wise combs over the packed
-  /// table; a batch in which a lane adds a point to itself, and every
-  /// element past the last full batch, runs exp_fixed.
+  /// The scalar comb on stack points, one mixed addition per nonzero digit
+  /// starting from the identity, or on an IFMA CPU 8 lane-wise combs per
+  /// full batch; each element is the scalar comb's Jacobian triple. A batch
+  /// in which a lane adds a point to itself, and every element past the
+  /// last full batch, runs the scalar comb. The table must be packed by this
+  /// group (std::invalid_argument otherwise).
   void exp_fixed_many(const FixedBaseTable& table,
                       std::span<const Nat> scalars,
                       std::span<Elem> out) const override;
-  /// Each entry's x and y on four limbs each (all zeros for the identity)
-  /// on IFMA CPUs, when every finite entry has Z = 1.
+  /// Each entry's affine x and y, Montgomery form, on four limbs each (all
+  /// zeros for the identity), after one batched field inversion of every
+  /// entry's Z.
   [[nodiscard]] std::vector<mpz::Limb> pack_table(
       std::span<const Elem> entries) const override;
   [[nodiscard]] Elem identity() const override { return Elem{.infinity = true}; }
@@ -113,8 +114,6 @@ class EcGroup final : public Group {
   /// all zeros for the identity, else 0x04 || x || y with x, y < p on the
   /// curve, so every accepted encoding re-serializes to itself.
   [[nodiscard]] Elem deserialize(std::span<const std::uint8_t> bytes) const override;
-  /// Scales every finite point to Z = 1 (one FpCtx::inv_many).
-  void normalize_many(std::span<Elem> xs) const override;
   [[nodiscard]] std::size_t element_bytes() const override;
 
   /// Affine coordinates (standard form). Throws on the identity.
@@ -163,6 +162,8 @@ class EcGroup final : public Group {
   /// pt's encoding 0x04 || x || y into dst (element_bytes() bytes).
   void write_affine(std::uint8_t* dst, const Point& pt, const Fe& zinv) const;
   [[nodiscard]] const FixedBaseTable& gen_table() const;
+  /// exp_fixed_many's scalar comb.
+  [[nodiscard]] Elem comb(const FixedBaseTable& table, const Nat& scalar) const;
 
   CurveParams params_;
   mpz::FpCtx field_;

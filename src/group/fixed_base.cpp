@@ -12,19 +12,19 @@ FixedBaseTable::FixedBaseTable(const Group& g, const Elem& base,
     throw std::invalid_argument("FixedBaseTable: window_bits must be in [2,8]");
   const std::size_t w = window_bits;
   const std::size_t digits = std::size_t{1} << w;
-  const std::size_t windows = (max_scalar_bits + w - 1) / w;
-  table_.reserve(windows * digits);  // no reallocation: back() stays valid
+  windows_ = (max_scalar_bits + w - 1) / w;
+  std::vector<Elem> table;  // [window * 2^w + digit]
+  table.reserve(entries());  // no reallocation: back() stays valid
   Elem window_base = base;  // g^(2^(wk))
-  for (std::size_t k = 0; k < windows; ++k) {
-    table_.push_back(g.identity());
-    table_.push_back(window_base);
+  for (std::size_t k = 0; k < windows_; ++k) {
+    table.push_back(g.identity());
+    table.push_back(window_base);
     for (std::size_t d = 2; d < digits; ++d)
-      table_.push_back(g.mul(table_.back(), window_base));
+      table.push_back(g.mul(table.back(), window_base));
     // Advance to g^(2^(w(k+1))) = (g^(2^(wk)))^(2^w).
-    window_base = g.mul(table_.back(), window_base);
+    window_base = g.mul(table.back(), window_base);
   }
-  g.normalize_many(table_);
-  packed_ = g.pack_table(table_);
+  packed_ = g.pack_table(table);
 }
 
 unsigned FixedBaseTable::digit(const Nat& scalar, std::size_t k) const {
@@ -34,15 +34,6 @@ unsigned FixedBaseTable::digit(const Nat& scalar, std::size_t k) const {
   v |= static_cast<unsigned __int128>(scalar.limb(pos / 64 + 1)) << 64;
   return static_cast<unsigned>(v >> shift) &
          ((1u << window_bits_) - 1);
-}
-
-Elem FixedBaseTable::exp(const Group& g, const Nat& scalar) const {
-  if (!fits(scalar)) return g.exp(base_, scalar);
-  Elem acc = g.identity();
-  for (std::size_t k = 0; k < windows_of(scalar); ++k)
-    if (const unsigned d = digit(scalar, k); d != 0)
-      acc = g.mul(acc, entry(k, d));
-  return acc;
 }
 
 }  // namespace ppgr::group

@@ -8,14 +8,18 @@
 // run's joint ElGamal key y, which Group::exp_fixed raises for every
 // encryption and every compare-circuit re-randomization.
 //
-// The scalar combs (exp below, and SchnorrGroup's and EcGroup's exp_fixed)
-// skip zero digits. The 8-lane combs of the batch forms (exp_fixed_many /
-// exp_g_many on AVX-512 IFMA CPUs, DESIGN.md Sec. 5e) multiply on every
-// window up to the batch's widest scalar instead: each lane gathers its own
-// digit's entry, and on SchnorrGroup a zero digit gathers entry 0, the
-// group's one, so all eight lanes run the same products; EcGroup masks
-// zero-digit lanes off. They gather from packed(), the group's copy of the
-// entries on plain limbs (Group::pack_table).
+// A table is its group's packed limbs and nothing else: it builds the
+// entries through the group's mul, hands them to Group::pack_table and
+// keeps only the result, packed(). Each group family reads that layout with
+// one scalar comb and one 8-lane comb (DESIGN.md Sec. 5e): SchnorrGroup
+// packs each residue on its modulus's limbs, EcGroup each affine x, y on
+// four limbs (all zeros for the identity). The scalar combs skip zero
+// digits. The lane combs of the batch form (exp_fixed_many on AVX-512 IFMA
+// CPUs) multiply on every window up to the batch's widest scalar instead:
+// each lane gathers its own digit's entry, and on SchnorrGroup a zero digit
+// gathers entry 0, the group's one, so all eight lanes run the same
+// products; EcGroup masks zero-digit lanes off. A group that packs nothing
+// (MockGroup) answers exp_fixed with its exp.
 //
 // Memory/speed trade-off: a table holds ceil(bits/w) windows of 2^w - 1
 // non-identity elements and answers an exp in at most ceil(bits/w)
@@ -42,31 +46,25 @@ class FixedBaseTable {
   FixedBaseTable(const Group& g, const Elem& base)
       : FixedBaseTable(g, base, g.order().bit_length()) {}
 
-  /// base^scalar using only multiplications. Falls back to the group's
-  /// generic exp for scalars wider than the table.
-  [[nodiscard]] Elem exp(const Group& g, const Nat& scalar) const;
-
-  [[nodiscard]] std::size_t windows() const {
-    return table_.size() >> window_bits_;
-  }
+  [[nodiscard]] std::size_t windows() const { return windows_; }
   [[nodiscard]] std::size_t window_bits() const { return window_bits_; }
   /// The windows a comb over `scalar` reads: ceil(bits / w).
   [[nodiscard]] std::size_t windows_of(const Nat& scalar) const {
     return (scalar.bit_length() + window_bits_ - 1) / window_bits_;
   }
   /// True iff the table covers every digit of `scalar`; wider scalars take
-  /// the group's generic exp.
+  /// the group's exp.
   [[nodiscard]] bool fits(const Nat& scalar) const {
     return windows_of(scalar) <= windows();
   }
   /// The w-bit digit of `scalar` in window k.
   [[nodiscard]] unsigned digit(const Nat& scalar, std::size_t k) const;
-  /// T[k][d], for d < 2^w; T[k][0] is the identity.
-  [[nodiscard]] const Elem& entry(std::size_t k, unsigned d) const {
-    return table_[(k << window_bits_) + d];
+  /// Entries in the table: windows() * 2^w.
+  [[nodiscard]] std::size_t entries() const {
+    return windows_ << window_bits_;
   }
-  /// Group::pack_table of the entries, [k * 2^w + d] in the group's layout;
-  /// empty when the group packs none.
+  /// Group::pack_table of the entries T[k][d] (T[k][0] the identity), at
+  /// k * 2^w + d in the group's layout; empty when the group packs none.
   [[nodiscard]] std::span<const mpz::Limb> packed() const { return packed_; }
 
   /// The fixed base the table was built for.
@@ -75,7 +73,7 @@ class FixedBaseTable {
  private:
   Elem base_;
   std::size_t window_bits_;
-  std::vector<Elem> table_;  // [window * 2^w + digit]
+  std::size_t windows_;
   std::vector<mpz::Limb> packed_;
 };
 

@@ -97,15 +97,13 @@ class Group {
   [[nodiscard]] virtual std::size_t element_bytes() const = 0;
 
   /// Fused x^ex · y^ey — the shape of every ElGamal ciphertext fold in
-  /// phase 2. The default (group.cpp) is the generic interleaved Straus
-  /// ladder through this group's mul(); MockGroup uses it. SchnorrGroup
-  /// overrides it with MontCtx::dual_exp, the same ladder on raw Montgomery
-  /// residues (no per-step Elem boxing, identical element), and EcGroup with
-  /// the same schedule on stack Jacobian points, doubling with its doubling
-  /// formula; decorators forward it to the wrapped group so those ladders
-  /// stay reachable (MeteredGroup counts it as one call).
+  /// phase 2. SchnorrGroup runs MontCtx::dual_exp, an interleaved Straus
+  /// ladder on raw Montgomery residues, and EcGroup the same schedule on
+  /// stack Jacobian points; MockGroup multiplies two exps. Decorators
+  /// forward it to the wrapped group so those ladders stay reachable
+  /// (MeteredGroup counts it as one call).
   [[nodiscard]] virtual Elem dual_exp(const Elem& x, const Nat& ex,
-                                      const Elem& y, const Nat& ey) const;
+                                      const Elem& y, const Nat& ey) const = 0;
 
   /// Batch forms of exp and dual_exp: out[i] = exp(bases[i], scalars[i]),
   /// resp. dual_exp(xs[i], exs[i], ys[i], eys[i]), element-identical to the
@@ -136,20 +134,13 @@ class Group {
   /// stays reachable through the decorator.
   virtual void inv_many(std::span<const Elem> xs, std::span<Elem> out) const;
 
-  /// Rewrites each xs[i] in place as a representative of the same element
-  /// that later products take most cheaply (eq and serialize unchanged).
-  /// The default leaves them; EcGroup scales every finite point to Z = 1
-  /// with one batched field inversion, so additions of it are mixed
-  /// additions. FixedBaseTable calls it once on its finished table.
-  virtual void normalize_many(std::span<Elem> xs) const { (void)xs; }
-
   // --- conveniences shared by all groups ---
   /// x / y.
   [[nodiscard]] Elem div(const Elem& x, const Elem& y) const {
     return mul(x, inv(y));
   }
-  /// g^scalar. Concrete groups override this with fixed-base (comb)
-  /// exponentiation — the framework's phase 2 evaluates g^r thousands of
+  /// g^scalar. Concrete groups override this with their comb over a
+  /// generator table — the framework's phase 2 evaluates g^r thousands of
   /// times per run (every encryption and re-randomization), and a
   /// precomputed generator table removes all squarings from that path
   /// (bench/ablation_fixedbase quantifies the gain).
@@ -158,34 +149,31 @@ class Group {
   }
   /// table.base()^scalar through the comb `table`, built over this group or
   /// the group it decorates — the y^r of every ElGamal encryption and
-  /// re-randomization, whose key table the run builds once. The default
-  /// (group.cpp) is table.exp(*this, scalar), so the comb's products run
-  /// through this group's mul(); MockGroup keeps it. SchnorrGroup and
-  /// EcGroup override it with the same comb on stack residues and stack
-  /// points (one product per nonzero digit, no Elem per step, the same
-  /// element), and MeteredGroup counts it as one kGroupExp plus one
-  /// kAccelFixedBaseExp.
-  [[nodiscard]] virtual Elem exp_fixed(const FixedBaseTable& table,
-                                       const Nat& scalar) const;
+  /// re-randomization, whose key table the run builds once. exp_fixed_many
+  /// over one scalar.
+  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
+                               const Nat& scalar) const;
   /// Batch forms of exp_fixed and exp_g: out[i] = exp_fixed(table,
-  /// scalars[i]), resp. exp_g(scalars[i]), element-identical to the
-  /// one-by-one calls (on EC the same Jacobian triple). scalars and out have
-  /// the same size (std::invalid_argument otherwise). The defaults loop.
-  /// SchnorrGroup runs full batches of 8 as lane-wise combs on AVX-512 IFMA
-  /// CPUs (4-limb moduli) and EcGroup does the same on its lane point
-  /// arithmetic (DESIGN.md Sec. 5e); MeteredGroup counts out.size()
-  /// kGroupExp plus out.size() kAccelFixedBaseExp, resp. out.size()
-  /// kGroupExpG, and forwards.
+  /// scalars[i]), resp. exp_g(scalars[i]). scalars and out have the same
+  /// size (std::invalid_argument otherwise). The exp_fixed_many default is
+  /// exp(table.base(), scalars[i]), the same element; it serves groups that
+  /// pack no table (MockGroup) and decorators that forward no comb form.
+  /// The exp_g_many default loops over exp_g. SchnorrGroup and EcGroup run
+  /// one comb over the packed table: full batches of 8 as lane-wise combs on
+  /// AVX-512 IFMA CPUs (4-limb moduli, resp. every shipped curve), the rest
+  /// on a scalar comb with one product per nonzero digit, each element the
+  /// same residue, resp. Jacobian triple, whichever runs it (DESIGN.md
+  /// Sec. 5e). MeteredGroup counts out.size() kGroupExp plus out.size()
+  /// kAccelFixedBaseExp, resp. out.size() kGroupExpG, and forwards.
   virtual void exp_fixed_many(const FixedBaseTable& table,
                               std::span<const Nat> scalars,
                               std::span<Elem> out) const;
   virtual void exp_g_many(std::span<const Nat> scalars,
                           std::span<Elem> out) const;
-  /// The copy of a finished comb table (entries() of FixedBaseTable) that
-  /// this group's batch combs gather from, or empty when they gather from
-  /// none (the default). FixedBaseTable calls it once, after
-  /// normalize_many, and keeps the result as its packed(); decorators
-  /// forward it uncounted.
+  /// A finished comb table's entries (T[k][d] at k * 2^w + d) in the layout
+  /// this group's combs read, or empty when it runs no comb (the default).
+  /// FixedBaseTable calls it once and keeps only the result, as its
+  /// packed(); decorators forward it uncounted.
   [[nodiscard]] virtual std::vector<mpz::Limb> pack_table(
       std::span<const Elem> entries) const {
     (void)entries;

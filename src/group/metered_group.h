@@ -7,14 +7,17 @@
 // kGroupDualExp, not the ladder's multiplications), and one per element for
 // the batch forms (an exp_many over n bases is n kGroupExp and an inv_many
 // over n elements n kGroupInv, however the inner group batches them). An
-// exp_fixed (the y^r of an ElGamal encryption, through the run's joint-key
-// comb) is one kGroupExp plus one kAccelFixedBaseExp, which marks how many
-// of the exps took the comb; an exp_fixed_many over n scalars is n of each,
-// and an exp_g_many n kGroupExpG. Counting at the *interface* — not inside
-// the concrete groups — is deliberate: comb-table and ladder internals
-// (exp_g's and exp_fixed's products, dual_exp, Montgomery's trick) stay
-// invisible, so the counts are the same on every group family and
-// benchcore::model_he_ops can state them in closed form.
+// exp_fixed_many over n scalars (the y^r of ElGamal encryptions, through
+// the run's joint-key comb) is n kGroupExp plus n kAccelFixedBaseExp, which
+// marks how many of the exps took the comb — one of each for an exp_fixed,
+// Group's wrapper over a batch of one — and an exp_g_many n kGroupExpG.
+// Counting at the *interface* — not inside the concrete groups — is
+// deliberate: comb-table and ladder internals (the combs' products,
+// dual_exp, Montgomery's trick) stay invisible, and so does the fallback
+// to exp of an inner group that runs no comb, so the counts are the same
+// on every group family and benchcore::model_he_ops can state them in
+// closed form. Building a comb table over this decorator counts its
+// products as kGroupMul; packing it counts nothing.
 //
 // With no metrics sink installed on the calling thread, each report is a
 // thread-local load plus an untaken branch.
@@ -50,12 +53,6 @@ class MeteredGroup final : public Group {
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     runtime::count_op(runtime::CryptoOp::kGroupExpG);
     return inner_.exp_g(scalar);
-  }
-  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
-                               const Nat& scalar) const override {
-    runtime::count_op(runtime::CryptoOp::kGroupExp);
-    runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
-    return inner_.exp_fixed(table, scalar);
   }
   void exp_fixed_many(const FixedBaseTable& table,
                       std::span<const Nat> scalars,
@@ -99,10 +96,6 @@ class MeteredGroup final : public Group {
                 std::span<Elem> out) const override {
     runtime::count_op(runtime::CryptoOp::kGroupInv, out.size());
     inner_.inv_many(xs, out);
-  }
-  /// Uncounted: it changes representatives, not elements.
-  void normalize_many(std::span<Elem> xs) const override {
-    inner_.normalize_many(xs);
   }
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);

@@ -47,6 +47,11 @@ Elem MockGroup::exp(const Elem& base, const Nat& scalar) const {
   return Elem{.a = Nat{powmod61(base.a.to_limb(), e)}};
 }
 
+Elem MockGroup::dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                         const Nat& ey) const {
+  return mul(exp(x, ex), exp(y, ey));
+}
+
 Elem MockGroup::inv(const Elem& x) const {
   return Elem{.a = Nat{powmod61(x.a.to_limb(), kP - 2)}};
 }

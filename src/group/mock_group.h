@@ -6,7 +6,10 @@
 // The multi-exp, batch-inverse and phase-2 oracle tests use it as a third
 // group family next to the Schnorr and EC groups, and the benchmark model
 // hands it to the SS baseline, which needs no DDH group but a configured
-// one. It is NOT secure and must never leave bench and test code.
+// one. It runs no ladder or comb of its own: dual_exp multiplies two
+// exps, and having no packed comb table it answers exp_fixed with Group's
+// default, an exp of the table's base. It is NOT secure and must never
+// leave bench and test code.
 #pragma once
 
 #include "group/group.h"
@@ -25,6 +28,8 @@ class MockGroup final : public Group {
   [[nodiscard]] Elem identity() const override;
   [[nodiscard]] Elem mul(const Elem& x, const Elem& y) const override;
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override;
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override;
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
   [[nodiscard]] bool is_identity(const Elem& x) const override;

@@ -74,7 +74,7 @@ const FixedBaseTable& SchnorrGroup::gen_table() const {
 }
 
 Elem SchnorrGroup::exp_g(const Nat& scalar) const {
-  return exp_fixed(gen_table(), scalar);
+  return comb(gen_table(), scalar);
 }
 
 void SchnorrGroup::exp_g_many(std::span<const Nat> scalars,
@@ -82,17 +82,16 @@ void SchnorrGroup::exp_g_many(std::span<const Nat> scalars,
   exp_fixed_many(gen_table(), scalars, out);
 }
 
-Elem SchnorrGroup::exp_fixed(const FixedBaseTable& table,
-                             const Nat& scalar) const {
+Elem SchnorrGroup::comb(const FixedBaseTable& table, const Nat& scalar) const {
   if (!table.fits(scalar)) return exp(table.base(), scalar);
   const std::size_t k = mont_.limbs();
-  Limb acc[mpz::MontCtx::kCiosMaxLimbs], entry[mpz::MontCtx::kCiosMaxLimbs];
+  const Limb* entries = table.packed().data();
+  Limb acc[mpz::MontCtx::kCiosMaxLimbs];
   mont_.one_mont().to_limbs(acc, k);
   for (std::size_t w = 0; w < table.windows_of(scalar); ++w)
-    if (const unsigned d = table.digit(scalar, w); d != 0) {
-      table.entry(w, d).a.to_limbs(entry, k);
-      mont_.mul_limbs(acc, acc, entry);
-    }
+    if (const unsigned d = table.digit(scalar, w); d != 0)
+      mont_.mul_limbs(acc, acc,
+                      entries + ((w << table.window_bits()) + d) * k);
   return Elem{.a = Nat::from_limbs({acc, k})};
 }
 
@@ -102,21 +101,24 @@ void SchnorrGroup::exp_fixed_many(const FixedBaseTable& table,
   if (scalars.size() != out.size())
     throw std::invalid_argument(
         "SchnorrGroup::exp_fixed_many: span sizes differ");
+  if (table.packed().size() != table.entries() * mont_.limbs())
+    throw std::invalid_argument(
+        "SchnorrGroup::exp_fixed_many: table not packed by this group");
   std::size_t i = 0;
-  if (!table.packed().empty() && out.size() >= mont_.batch_lanes()) {
+  if (mont_.batch_lanes() == 8 && out.size() >= 8) {
     std::vector<Nat> r(out.size());
     i = mont_.comb_lanes(table.packed(), table.window_bits(), scalars, r);
     for (std::size_t j = 0; j < i; ++j) out[j] = Elem{.a = std::move(r[j])};
   }
-  for (; i < out.size(); ++i) out[i] = exp_fixed(table, scalars[i]);
+  for (; i < out.size(); ++i) out[i] = comb(table, scalars[i]);
 }
 
 std::vector<Limb> SchnorrGroup::pack_table(
     std::span<const Elem> entries) const {
-  if (mont_.batch_lanes() != 8) return {};
-  std::vector<Limb> out(entries.size() * 4);
+  const std::size_t k = mont_.limbs();
+  std::vector<Limb> out(entries.size() * k);
   for (std::size_t i = 0; i < entries.size(); ++i)
-    entries[i].a.to_limbs(&out[4 * i], 4);
+    entries[i].a.to_limbs(&out[k * i], k);
   return out;
 }
 

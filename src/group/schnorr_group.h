@@ -38,21 +38,17 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] const Nat& modulus() const { return mont_.modulus(); }
 
   [[nodiscard]] Elem generator() const override;
-  /// The comb over the generator's table (built on first use), through
-  /// exp_fixed / exp_fixed_many.
+  /// The comb over the generator's table (built on first use).
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override;
   void exp_g_many(std::span<const Nat> scalars,
                   std::span<Elem> out) const override;
-  /// The comb on stack residues: one Montgomery product per nonzero digit,
-  /// starting from one, with the group's kernel.
-  [[nodiscard]] Elem exp_fixed(const FixedBaseTable& table,
-                               const Nat& scalar) const override;
   /// Full batches of 8 run MontCtx::comb_lanes over the packed table (on
-  /// AVX-512 IFMA CPUs, 4-limb moduli), the rest exp_fixed.
+  /// AVX-512 IFMA CPUs, 4-limb moduli), the rest the scalar comb. The table
+  /// must be packed by this group (std::invalid_argument otherwise).
   void exp_fixed_many(const FixedBaseTable& table,
                       std::span<const Nat> scalars,
                       std::span<Elem> out) const override;
-  /// Each entry's residue on four limbs, when the batch combs run on lanes.
+  /// Each entry's residue on limbs() limbs.
   [[nodiscard]] std::vector<mpz::Limb> pack_table(
       std::span<const Elem> entries) const override;
   [[nodiscard]] Elem identity() const override;
@@ -89,6 +85,9 @@ class SchnorrGroup final : public Group {
   Nat gen_;      // 4, in Montgomery form
   Nat neg_one_;  // -1 (p - R), the identity's other Montgomery representative
   [[nodiscard]] const FixedBaseTable& gen_table() const;
+  /// The scalar comb on stack residues: one Montgomery product per nonzero
+  /// digit, starting from one, with the group's kernel.
+  [[nodiscard]] Elem comb(const FixedBaseTable& table, const Nat& scalar) const;
 
   // Lazily built comb table for the generator; call_once-guarded so
   // concurrent exp_g calls from the parallel engine are race-free.

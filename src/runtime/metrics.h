@@ -86,12 +86,14 @@ enum class CryptoOp : std::uint8_t {
   kCompareCircuit,  // one l-bit comparison-circuit evaluation (step 7)
   kShuffleHop,      // one party's hop over one foreign set (step 8)
   // accelerated-execution diagnostics: how often the hot path took a fast
-  // route — a Group::exp_fixed through a non-generator comb table (the
-  // joint ElGamal key's, counted by group::MeteredGroup), and batched
-  // Montgomery inversion for affine normalization. Deterministic functions
-  // of the run configuration; they sit below the group-layer counters (an
-  // exp_fixed is still one kGroupExp).
-  kAccelFixedBaseExp,  // Group::exp_fixed calls
+  // route — an exp through a non-generator comb table (the joint ElGamal
+  // key's: one per element of a Group::exp_fixed_many, an exp_fixed being
+  // a batch of one, counted by group::MeteredGroup whether or not the inner
+  // group packs the table), and batched Montgomery inversion for affine
+  // normalization. Deterministic functions of the run configuration; they
+  // sit below the group-layer counters (each such exp is still one
+  // kGroupExp).
+  kAccelFixedBaseExp,  // exp_fixed_many elements
   kAccelBatchInverse,  // elements inverted through a batched inversion
 };
 inline constexpr std::size_t kOpCount = 21;

@@ -207,7 +207,7 @@ TEST(Framework, TraceShape) {
   EXPECT_GE(result.trace.rounds(), n);
   // The chain dominates: each forward message carries n*(n-1)*l ciphertexts.
   const std::size_t l = cfg.spec.beta_bits();
-  const std::size_t chain_msg = n * (n - 1) * l * crypto::ciphertext_bytes(*g);
+  const std::size_t chain_msg = n * (n - 1) * l * crypto::ciphertext_wire_bytes(*g);
   std::size_t max_msg = 0;
   for (const auto& t : result.trace.transfers())
     max_msg = std::max(max_msg, t.bytes);

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/codec.h"
 #include "crypto/elgamal.h"
 #include "crypto/schnorr_proof.h"
 #include "group/mock_group.h"
@@ -201,7 +202,7 @@ TEST_P(ElGamalOverGroups, PartialDecryptCommutesWithExpRandomize) {
 
 TEST_P(ElGamalOverGroups, CiphertextBytes) {
   const auto g = make_group(GetParam());
-  EXPECT_EQ(ciphertext_bytes(*g), 2 * g->element_bytes());
+  EXPECT_EQ(ciphertext_wire_bytes(*g), 2 * g->element_bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(Groups, ElGamalOverGroups,

@@ -246,6 +246,20 @@ TEST(EcGroup, FromAffineValidates) {
   EXPECT_THROW((void)curve.from_affine(Nat{1}, Nat{1}), std::invalid_argument);
 }
 
+TEST(EcGroup, RejectsCurvesWithZeroB) {
+  // y^2 = x^3 + 2x over F_97 holds (0, 0), a point of order 2: no b = 0
+  // curve has prime order, and the comb tables read all zeros as the
+  // identity.
+  const CurveParams params{.name = "b0-f97",
+                           .p = Nat{97},
+                           .a = Nat{2},
+                           .b = Nat{},
+                           .gx = Nat{},
+                           .gy = Nat{},
+                           .order = Nat{2}};
+  EXPECT_THROW(EcGroup{params}, std::invalid_argument);
+}
+
 TEST(EcGroup, AdditionSpecialCases) {
   const EcGroup curve{nist_p192()};
   const Elem g = curve.generator();
@@ -538,11 +552,11 @@ TEST(FixedBase, TableDirectUse) {
   const FixedBaseTable table{*g, base, g->order().bit_length()};
   EXPECT_EQ(table.windows(), (g->order().bit_length() + 3) / 4);
   const Nat s = g->random_scalar(rng);
-  EXPECT_TRUE(g->eq(table.exp(*g, s), g->exp(base, s)));
+  EXPECT_TRUE(g->eq(g->exp_fixed(table, s), g->exp(base, s)));
   // Scalar wider than the table falls back to generic exp.
   const FixedBaseTable narrow{*g, base, 8};
   const Nat wide = Nat::from_hex("1ffff");
-  EXPECT_TRUE(g->eq(narrow.exp(*g, wide), g->exp(base, wide)));
+  EXPECT_TRUE(g->eq(g->exp_fixed(narrow, wide), g->exp(base, wide)));
 }
 
 TEST(GroupFactory, NamesAreStable) {

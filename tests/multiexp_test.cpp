@@ -1,8 +1,8 @@
 // Differential crypto harness for the fused exponentiations phase 2 runs:
 // Group::dual_exp (SchnorrGroup's residue-native ladder, EcGroup's ladder
-// on stack Jacobian points, and the default Straus ladder MockGroup uses)
-// and the windowed FixedBaseTable must agree bit-for-bit with the naive
-// per-term Group::exp evaluation, on
+// on stack Jacobian points, and MockGroup's product of two exps) and the
+// combs over a windowed FixedBaseTable must agree bit-for-bit with the
+// naive per-term Group::exp evaluation, on
 // every group family the framework runs over — mock (composite order),
 // Schnorr (unique Montgomery representation) and elliptic-curve (non-unique
 // Jacobian representation, compared through eq() and the canonical
@@ -21,9 +21,13 @@
 // exactly the per-element exp_fixed / exp_g element, and on the Schnorr
 // groups mpz_powm's, at sizes around the lane splits, with zero, one,
 // q - 1, all-zero and all-0xF windows and scalars wider than the table;
-// on an IFMA host the tables the lanes gather from must exist and
-// MontCtx's lane comb must set every full batch, and MeteredGroup must
-// forward both forms and count every element.
+// every Schnorr and EC table must be its group's packed limbs on every
+// host (MockGroup's empty), on an IFMA host MontCtx's lane comb must set
+// every full batch, and MeteredGroup must forward both forms and count
+// every element. A decorator that forwards no comb form must get the same
+// elements and counts through Group's default. FixedBaseTest runs both
+// comb forms at every window width 2..8 on every family, in batches the
+// lanes take.
 //
 // EcGroup's point arithmetic (stack-limb Jacobian formulas) has its own
 // independent oracle: textbook affine addition and doubling over GMP, on
@@ -329,8 +333,6 @@ bool lane_combs_expected(const Group& g) {
 TEST_P(BatchExpTest, CombBatchFormsEqualPerElementCalls) {
   const Elem key = random_elem();
   const FixedBaseTable table{*g_, key};
-  // The lanes gather from the packed table; without it they cannot run.
-  EXPECT_EQ(!table.packed().empty(), lane_combs_expected(*g_));
   const Nat wide = Nat::add(g_->order().shl(3), Nat{5});
   for (const std::size_t n : kCombSizes) {
     for (const bool with_wide : {false, true}) {
@@ -466,11 +468,13 @@ TEST_P(BatchExpTest, MeteredGroupCountsEveryInversion) {
     expect_same(*g_, out[i], g_->inv(xs[i]), "metered inv_many");
 }
 
-// Forwards every call to `inner` and records which inversion and comb
-// entry points the caller reached.
-class BatchSpy final : public Group {
+// Forwards to `inner` the operations every Group must implement, and
+// counts the inversions and dual_exps it forwards. It forwards no batch or
+// comb form (perfbench's timing decorator is such a group): those take
+// Group's defaults, and tables built over it are not packed.
+class Forwarder : public Group {
  public:
-  explicit BatchSpy(const Group& inner) : inner_(inner) {}
+  explicit Forwarder(const Group& inner) : inner_(inner) {}
   std::string name() const override { return inner_.name(); }
   const Nat& order() const override { return inner_.order(); }
   std::size_t field_bits() const override { return inner_.field_bits(); }
@@ -482,30 +486,14 @@ class BatchSpy final : public Group {
   Elem exp(const Elem& b, const Nat& s) const override {
     return inner_.exp(b, s);
   }
+  Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                const Nat& ey) const override {
+    ++dual_exp_calls;
+    return inner_.dual_exp(x, ex, y, ey);
+  }
   Elem inv(const Elem& x) const override {
     ++inv_calls;
     return inner_.inv(x);
-  }
-  void inv_many(std::span<const Elem> xs, std::span<Elem> out) const override {
-    ++inv_many_calls;
-    inner_.inv_many(xs, out);
-  }
-  Elem exp_g(const Nat& s) const override {
-    ++exp_g_calls;
-    return inner_.exp_g(s);
-  }
-  void exp_g_many(std::span<const Nat> s, std::span<Elem> out) const override {
-    ++exp_g_many_calls;
-    inner_.exp_g_many(s, out);
-  }
-  Elem exp_fixed(const FixedBaseTable& t, const Nat& s) const override {
-    ++exp_fixed_calls;
-    return inner_.exp_fixed(t, s);
-  }
-  void exp_fixed_many(const FixedBaseTable& t, std::span<const Nat> s,
-                      std::span<Elem> out) const override {
-    ++exp_fixed_many_calls;
-    inner_.exp_fixed_many(t, s, out);
   }
   bool eq(const Elem& x, const Elem& y) const override {
     return inner_.eq(x, y);
@@ -521,12 +509,38 @@ class BatchSpy final : public Group {
   }
   std::size_t element_bytes() const override { return inner_.element_bytes(); }
 
-  mutable std::size_t inv_calls = 0, inv_many_calls = 0;
-  mutable std::size_t exp_g_calls = 0, exp_g_many_calls = 0;
-  mutable std::size_t exp_fixed_calls = 0, exp_fixed_many_calls = 0;
+  mutable std::size_t dual_exp_calls = 0, inv_calls = 0;
 
- private:
+ protected:
   const Group& inner_;
+};
+
+// A Forwarder that also forwards the batch inversion and the comb forms,
+// and records which of those entry points the caller reached.
+class BatchSpy final : public Forwarder {
+ public:
+  using Forwarder::Forwarder;
+  void inv_many(std::span<const Elem> xs, std::span<Elem> out) const override {
+    ++inv_many_calls;
+    inner_.inv_many(xs, out);
+  }
+  Elem exp_g(const Nat& s) const override {
+    ++exp_g_calls;
+    return inner_.exp_g(s);
+  }
+  void exp_g_many(std::span<const Nat> s, std::span<Elem> out) const override {
+    ++exp_g_many_calls;
+    inner_.exp_g_many(s, out);
+  }
+  void exp_fixed_many(const FixedBaseTable& t, std::span<const Nat> s,
+                      std::span<Elem> out) const override {
+    ++exp_fixed_many_calls;
+    inner_.exp_fixed_many(t, s, out);
+  }
+
+  mutable std::size_t inv_many_calls = 0;
+  mutable std::size_t exp_g_calls = 0, exp_g_many_calls = 0;
+  mutable std::size_t exp_fixed_many_calls = 0;
 };
 
 TEST_P(BatchExpTest, MeteredGroupForwardsInvMany) {
@@ -560,7 +574,6 @@ TEST_P(BatchExpTest, MeteredGroupForwardsCombBatches) {
     metered.exp_g_many(scalars, out_g);
   }
   EXPECT_EQ(spy.exp_fixed_many_calls, 1u);
-  EXPECT_EQ(spy.exp_fixed_calls, 0u);
   EXPECT_EQ(spy.exp_g_many_calls, 1u);
   EXPECT_EQ(spy.exp_g_calls, 0u);
   runtime::MetricsRegistry reg;
@@ -575,22 +588,109 @@ TEST_P(BatchExpTest, MeteredGroupForwardsCombBatches) {
   }
 }
 
+TEST_P(BatchExpTest, ForwarderReachesTheInnerDualExp) {
+  // dual_exp has no default: every decorator forwards it, and the inner
+  // group's own ladder runs, once per call.
+  const BatchSpy spy{*g_};
+  const MeteredGroup metered{spy};
+  fill(3);
+  for (std::size_t i = 0; i < 3; ++i)
+    expect_identical(metered.dual_exp(xs_[i], exs_[i], ys_[i], eys_[i]),
+                     g_->dual_exp(xs_[i], exs_[i], ys_[i], eys_[i]),
+                     "forwarded dual_exp", i);
+  EXPECT_EQ(spy.dual_exp_calls, 3u);
+}
+
+TEST_P(BatchExpTest, TableIsPackedByItsGroupOnEveryHost) {
+  // A table keeps only its group's packed entries, whatever the CPU: a
+  // Schnorr residue on the modulus's limbs, an EC point's affine x and y on
+  // four limbs each; MockGroup packs none.
+  const FixedBaseTable table{*g_, random_elem()};
+  std::size_t limbs_per_entry = 0;
+  if (const auto* dl = dynamic_cast<const SchnorrGroup*>(g_.get()))
+    limbs_per_entry = dl->modulus().limb_count();
+  else if (dynamic_cast<const EcGroup*>(g_.get()) != nullptr)
+    limbs_per_entry = 8;
+  EXPECT_EQ(table.entries(), table.windows() << table.window_bits());
+  EXPECT_EQ(table.packed().size(), table.entries() * limbs_per_entry);
+  // A table is read only by the group that packed it.
+  if (limbs_per_entry != 0) {
+    const MockGroup mock{"mock"};
+    const FixedBaseTable unpacked{mock, mock.generator()};
+    std::vector<Elem> out(1);
+    EXPECT_THROW(g_->exp_fixed_many(unpacked, std::vector<Nat>{Nat{1}}, out),
+                 std::invalid_argument);
+  }
+}
+
+TEST_P(BatchExpTest, DefaultCombServesADecoratorThatForwardsNone) {
+  // A decorator that forwards no comb form reaches Group's exp_fixed_many
+  // default, an exp of the table's base per scalar: the same elements as
+  // the inner group's comb, and MeteredGroup's counts unchanged.
+  const Forwarder plain{*g_};
+  const MeteredGroup metered{plain};
+  const Elem key = random_elem();
+  const FixedBaseTable table{plain, key};
+  EXPECT_TRUE(table.packed().empty());
+  const FixedBaseTable packed{*g_, key};
+  const std::vector<Nat> scalars = comb_scalars(*g_, packed, 17, rng_);
+  std::vector<Elem> out(scalars.size()), want(scalars.size());
+  g_->exp_fixed_many(packed, scalars, want);
+  runtime::MetricsBuffer buf;
+  Elem one;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    metered.exp_fixed_many(table, scalars, out);
+    one = metered.exp_fixed(table, scalars[1]);
+  }
+  runtime::MetricsRegistry reg;
+  reg.absorb(buf);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupExp), scalars.size() + 1);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kAccelFixedBaseExp),
+            scalars.size() + 1);
+  EXPECT_EQ(reg.total(runtime::CryptoOp::kGroupMul), 0u);
+  for (std::size_t i = 0; i < scalars.size(); ++i)
+    expect_same(*g_, out[i], want[i], "default exp_fixed_many");
+  expect_same(*g_, one, want[1], "default exp_fixed");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllGroups, BatchExpTest,
                          ::testing::Values("mock", "schnorr", "dl1024", "p256"),
                          [](const auto& info) { return std::string{info.param}; });
 
 class FixedBaseTest : public MultiExpTest {};
 
-TEST_P(FixedBaseTest, TableMatchesGenericExpAcrossWidths) {
+TEST_P(FixedBaseTest, CombsMatchGenericExpAcrossWidths) {
+  // Both comb forms at every window width: exp_fixed (the scalar comb) and
+  // one exp_fixed_many over 18 scalars, which on an IFMA host runs the
+  // MontCtx and EcGroup lane combs on two batches (the lanes take every
+  // scalar: each fits the table). Each element is exp's value, and the
+  // batch's the scalar comb's exact element.
   const Elem base = g_->exp_g(g_->random_nonzero_scalar(rng_));
   const std::size_t bits = g_->order().bit_length();
   std::vector<Nat> scalars = edge_exponents(*g_);
-  for (int i = 0; i < 4; ++i) scalars.push_back(g_->random_nonzero_scalar(rng_));
+  while (scalars.size() < 18)
+    scalars.push_back(g_->random_nonzero_scalar(rng_));
+  const auto* dl = dynamic_cast<const SchnorrGroup*>(g_.get());
   for (std::size_t w = 2; w <= 8; ++w) {
+    SCOPED_TRACE(testing::Message() << "w = " << w);
     const FixedBaseTable table{*g_, base, bits, w};
     EXPECT_EQ(table.window_bits(), w);
-    for (const Nat& s : scalars)
-      expect_same(*g_, table.exp(*g_, s), g_->exp(base, s), "fixed-base");
+    std::vector<Elem> many(scalars.size());
+    g_->exp_fixed_many(table, scalars, many);
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      const Elem one = g_->exp_fixed(table, scalars[i]);
+      expect_same(*g_, one, g_->exp(base, scalars[i]), "exp_fixed");
+      expect_same(*g_, many[i], g_->exp(base, scalars[i]), "exp_fixed_many");
+      expect_identical(many[i], one, "exp_fixed_many", i);
+    }
+    if (dl != nullptr) {
+      // MontCtx's lane comb sets both full batches on an IFMA host.
+      const mpz::MontCtx mont{dl->modulus()};
+      std::vector<Nat> lanes(scalars.size());
+      EXPECT_EQ(mont.comb_lanes(table.packed(), w, scalars, lanes),
+                lane_combs_expected(*g_) ? 16u : 0u);
+    }
   }
 }
 
@@ -600,7 +700,14 @@ TEST_P(FixedBaseTest, WiderScalarFallsBackToGenericExp) {
   const Elem base = g_->exp_g(g_->random_nonzero_scalar(rng_));
   const FixedBaseTable table{*g_, base, 16};
   const Nat wide = Nat::add(g_->order(), Nat{2});
-  expect_same(*g_, table.exp(*g_, wide), g_->exp(base, wide), "fallback");
+  expect_same(*g_, g_->exp_fixed(table, wide), g_->exp(base, wide),
+              "fallback");
+  std::vector<Nat> scalars(9, Nat{7});
+  scalars[4] = wide;  // the whole batch leaves the lanes
+  std::vector<Elem> out(scalars.size());
+  g_->exp_fixed_many(table, scalars, out);
+  for (std::size_t i = 0; i < scalars.size(); ++i)
+    expect_same(*g_, out[i], g_->exp(base, scalars[i]), "batch fallback");
 }
 
 TEST_P(FixedBaseTest, RejectsOutOfRangeWindow) {
@@ -1017,7 +1124,7 @@ TEST_P(EcLaneTest, CombBatchesMatchOracleAndScalarCombPerLane) {
   const Nat& n = g_.order();
   const Pt& p = pooled(0);  // a Jacobian base; the table normalizes it
   const FixedBaseTable table{g_, p.e};
-  EXPECT_EQ(!table.packed().empty(), host_has_ifma());
+  EXPECT_EQ(table.packed().size(), table.entries() * 8);
   const Nat all_f =
       Nat::sub(Nat::pow2(table.windows() * table.window_bits()), Nat{1});
   for (const std::size_t size : kCombSizes) {

@@ -1,8 +1,10 @@
 // Differential oracle for phase 2's one evaluation path.
 //
-// Participant::compare_against and ::shuffle_hop compute the comparison
-// circuit and the chain hop through dual_exp fusions, inversions and batch
-// ladders, and Participant::encrypt_beta encrypts β's bits as one batch.
+// Participant::compare_against computes the comparison circuit, and the
+// chain hop's three steps (draw_hop, hop_ladders, permute_hop, composed here
+// as the party driver runs them) the hop, through dual_exp fusions,
+// inversions and batch ladders; Participant::encrypt_beta encrypts β's bits
+// as one batch.
 // The oracle below is the same algebra written the naive way — plain
 // ct_scale / ct_add_plain / ct_add / rerandomize per bit, partial_decrypt +
 // exp_randomize per hop ciphertext, one encrypt_exp per β bit — which is
@@ -254,11 +256,16 @@ TEST_P(Phase2Oracle, FusedPathMatchesTheNaiveEvaluation) {
     CipherSet hop = tau;
     CipherSet hop_oracle = tau;
     ChaChaRng h1{53}, h2{53};
-    const runtime::OpTally fused_hop =
-        group_ops_of([&] { own.shuffle_hop(hop, h1); });
+    const runtime::OpTally fused_hop = group_ops_of([&] {
+      std::vector<Nat> r(hop.size());
+      std::vector<std::uint64_t> swaps(hop.size());
+      own.draw_hop(h1, r, swaps);
+      own.hop_ladders(hop, r);
+      Participant::permute_hop(hop, swaps);
+    });
     const runtime::OpTally naive_hop = group_ops_of(
         [&] { oracle_hop(oracle_g, own_key.x, hop_oracle, h2); });
-    expect_same(g, hop, hop_oracle, "shuffle_hop");
+    expect_same(g, hop, hop_oracle, "chain hop");
     EXPECT_EQ(h1.below_u64(1u << 30), h2.below_u64(1u << 30))
         << "hop randomness diverged";
     const runtime::OpTally per_ct_fused =
