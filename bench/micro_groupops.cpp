@@ -111,10 +111,24 @@ double batch_lanes(const group::Group& g) {
   return 1.0;
 }
 
+// The share of a batch benchmark's elements that EcGroup's lanes set (the
+// rest ran on the scalar path), from its lane_elements() diagnostic; 0 for
+// the other groups.
+template <class Body>
+double lane_share(const group::Group& g, std::size_t elements,
+                  const Body& body) {
+  const auto* ec = dynamic_cast<const group::EcGroup*>(&g);
+  const std::size_t before = ec != nullptr ? ec->lane_elements() : 0;
+  body();
+  return ec != nullptr ? static_cast<double>(ec->lane_elements() - before) /
+                             static_cast<double>(elements)
+                       : 0.0;
+}
+
 // y^r through a key's comb table, one exp_fixed per scalar
-// (BM_FixedBaseExp) and as one circuit's batch of l scalars
-// (BM_FixedBaseExpMany, exp_fixed_many); items/s counts scalars, so
-// 1/items_per_second is one comb's cost on either path.
+// (BM_FixedBaseExp) and as one exp_fixed_many of the second argument's
+// scalars (BM_FixedBaseExpMany; 35 is one circuit's l); items/s counts
+// scalars, so 1/items_per_second is one comb's cost on either path.
 void BM_FixedBaseExp(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{20};
@@ -133,7 +147,7 @@ void BM_FixedBaseExpMany(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{21};
   const group::FixedBaseTable y{g, crypto::keygen(g, rng).y};
-  const std::size_t l = circuit_spec().beta_bits();
+  const auto l = static_cast<std::size_t>(state.range(1));
   std::vector<mpz::Nat> r;
   for (std::size_t i = 0; i < l; ++i) r.push_back(g.random_nonzero_scalar(rng));
   std::vector<group::Elem> out(l);
@@ -144,9 +158,20 @@ void BM_FixedBaseExpMany(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * l));
   state.counters["lanes"] = batch_lanes(g);
+  state.counters["lane_share"] =
+      lane_share(g, l, [&] { g.exp_fixed_many(y, r, out); });
   state.SetLabel(g.name());
 }
-BENCHMARK(BM_FixedBaseExpMany)->Arg(5)->Arg(6);
+// The EC batch sizes: one batch (8), one pair (16), a circuit's l (35: two
+// pairs and a padded batch of 3), a hop's last chunk at n = 4 (59: three
+// pairs, one batch and a padded 3) and a full hop chunk (64).
+void ec_batch_sizes(benchmark::internal::Benchmark* b, int group) {
+  for (const int n : {8, 16, 35, 59, 64}) b->Args({group, n});
+}
+
+BENCHMARK(BM_FixedBaseExpMany)
+    ->Apply([](auto* b) { ec_batch_sizes(b, 5); })
+    ->Args({6, 35});
 
 // One Participant::compare_against at l = 35 against a peer's encrypted
 // bits (inversion, the ω ladders, the re-randomizations); one iteration is
@@ -288,14 +313,16 @@ void BM_HopCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_HopCodec)->Arg(0)->Arg(5)->Arg(6);
 
-// The batch forms alone over one hop chunk of full-width scalars, items/s
-// per element: read against BM_GroupExp / BM_GroupDualExp.
+// The batch forms alone over the second argument's elements (64: one hop
+// chunk) of full-width scalars, items/s per element: read against
+// BM_GroupExp / BM_GroupDualExp.
 void BM_GroupExpMany(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{14};
-  std::vector<group::Elem> xs, out(kHopChunk);
+  const auto n = static_cast<std::size_t>(state.range(1));
+  std::vector<group::Elem> xs, out(n);
   std::vector<mpz::Nat> es;
-  for (std::size_t i = 0; i < kHopChunk; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
     es.push_back(g.random_nonzero_scalar(rng));
   }
@@ -304,19 +331,24 @@ void BM_GroupExpMany(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kHopChunk));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
   state.counters["lanes"] = batch_lanes(g);
+  state.counters["lane_share"] =
+      lane_share(g, n, [&] { g.exp_many(xs, es, out); });
   state.SetLabel(g.name());
 }
-BENCHMARK(BM_GroupExpMany)->DenseRange(3, 5);
+BENCHMARK(BM_GroupExpMany)
+    ->Args({3, 64})
+    ->Args({4, 64})
+    ->Apply([](auto* b) { ec_batch_sizes(b, 5); });
 
 void BM_GroupDualExpMany(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
   mpz::ChaChaRng rng{15};
-  std::vector<group::Elem> xs, ys, out(kHopChunk);
+  const auto n = static_cast<std::size_t>(state.range(1));
+  std::vector<group::Elem> xs, ys, out(n);
   std::vector<mpz::Nat> exs, eys;
-  for (std::size_t i = 0; i < kHopChunk; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     xs.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
     ys.push_back(g.exp_g(g.random_nonzero_scalar(rng)));
     exs.push_back(g.random_nonzero_scalar(rng));
@@ -327,12 +359,16 @@ void BM_GroupDualExpMany(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kHopChunk));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
   state.counters["lanes"] = batch_lanes(g);
+  state.counters["lane_share"] =
+      lane_share(g, n, [&] { g.dual_exp_many(xs, exs, ys, eys, out); });
   state.SetLabel(g.name());
 }
-BENCHMARK(BM_GroupDualExpMany)->DenseRange(3, 5);
+BENCHMARK(BM_GroupDualExpMany)
+    ->Args({3, 64})
+    ->Args({4, 64})
+    ->Apply([](auto* b) { ec_batch_sizes(b, 5); });
 
 void BM_MontMul(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));

@@ -65,12 +65,20 @@
 # dual_exp / dual_exp_many and the serialized bytes on P-192 at 3 limbs and
 # P-224 / P-256 at 4) and ec_exhaustive_test's full addition table on a
 # 1-limb curve with a = 2 (the general-a doubling) and its batch forms on
-# every point of that order-100 curve, and multiexp_test's EC
+# every point of that order-100 curve, in calls of 16, 13, 9 and 5 (a
+# pair, a padded pair, a batch with a scalar remainder, a padded batch)
+# with an order-2 doubling in a pair's second batch, and multiexp_test's EC
 # lane oracle (EcLaneTest: EcGroup::exp_many / dual_exp_many lane by lane
 # against the GMP oracle and the scalar ladder's exact Jacobian triple, on
 # P-192 / P-224 / P-256 batches of 8, 16, 64 and 67 with identity bases,
-# zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun,
-# failing on an IFMA host unless the 8-lane path ran). The fixed-base
+# zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun;
+# its batch-split test runs all four EC batch forms at sizes 1-7, 9, 15,
+# 16, 17, 23, 24, 31, 33, 35, 59 and 67 into an output span between
+# sentinel elements, its pair test puts a P = Q lane in a pair's first and
+# second batch, its padding test checks that padded lanes read no input
+# past the call, and on an IFMA host EcGroup::lane_elements() must show the
+# lanes set every element but a remainder below the padding threshold).
+# The fixed-base
 # combs' batch forms run here too: multiexp_test's comb tests
 # (exp_fixed_many / exp_g_many against per-element exp_fixed / exp_g, GMP's
 # mpz_powm on dl-test-256 and dl-1024 and the EC oracle on the three
@@ -83,7 +91,10 @@
 # fixed-base and compare-circuit benchmarks once, so the lane gathers
 # (ladder tables and comb tables), the reruns, the paired 8-lane batches,
 # the lane squaring and the scalar tails also run under the sanitizers on
-# the protocol's shapes. group_test also pins
+# the protocol's shapes, EC batches of 8, 16, 35, 59 and 64 included (the
+# padded pairs and batches). The EC lane ladders keep their digit tables
+# on the stack: a P-256 dual_exp_many pair's frame is ~62 KB (DESIGN.md
+# Sec. 5e), well inside the default thread stack under ASan. group_test also pins
 # the canonical EC decode (x, y < p; an all-zero identity) with a
 # random-encodings property on P-192 and P-256. The secret-sharing suites
 # run here too (sss_shamir, sss_sort, sss_topk): the Shamir/GRR engine

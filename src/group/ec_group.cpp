@@ -26,27 +26,35 @@ unsigned nibble(const Nat& e, std::size_t pos) {
 //
 // Eight independent Straus ladders run side by side on mpz/ifma_lanes.h's
 // lane arithmetic: every coordinate is a radix-2^52 residue in the lane
-// domain, below 2p, and products are amm8's almost-Montgomery products.
-// The schedule is EcGroup::straus's (4-bit windows, a digit table per base,
+// domain, below 2p (Z, and the sums that only products read, below 4p),
+// and products are amm8's and asq8's almost-Montgomery products. The
+// schedule is EcGroup::straus's (4-bit windows, a digit table per base,
 // one shared run of doublings) with the same doubling and addition
-// formulas, so each lane's sequence of field operations is the scalar
-// ladder's and its result, fully reduced at exit, is the same Jacobian
-// triple. The scalar ladder's branches become per-lane masks:
+// formulas, so each lane computes the scalar ladder's field values and
+// its result, fully reduced at exit, is the same Jacobian triple. The
+// scalar ladder's branches become per-lane masks:
 //  - the identity accumulator: a lane whose accumulator is the identity
 //    ignores doublings and takes its first nonzero digit's entry as is;
 //  - a zero digit leaves the lane's accumulator as it is;
 //  - an identity base is replaced by a finite stand-in whose digits are
 //    all zero, which is what skipping it amounts to;
 //  - an addition of P and -P (H = U2 - U1 = 0 mod p, R = S2 - S1 not)
-//    makes the lane's accumulator the identity, as the scalar add does. A hop that finishes decrypting an encryption of zero ends in
-//    exactly this addition.
+//    makes the lane's accumulator the identity, as the scalar add does.
+//    A hop that finishes decrypting an encryption of zero ends in exactly
+//    this addition.
 // The branches that do not become masks are an addition of P and P
 // (H = R = 0 mod p), where the scalar ladder doubles instead, and a
 // doubling of a point of order 2 (Y = 0 mod p), where it returns the
-// identity: a batch in which any lane meets one returns false, and the
-// caller reruns all eight elements on the scalar ladder. So does a digit
+// identity: a call in which any lane meets one returns false, and the
+// caller reruns all its elements on the scalar ladder. So does a digit
 // table whose building meets H = 0 or Y = 0. On a curve of prime order
 // above 15 (the NIST curves) only the addition of P and P can occur.
+//
+// Every formula runs on B batches of eight lanes at once (B = 1 or 2), one
+// field step for batch 0 and then for batch 1, so each amm8 has an
+// independent twin beside it and the multiplier does not wait on vpmadd52
+// latency (Drucker-Gueron 2019), as MontCtx's ladders do. A lane mask
+// covers all B batches: bit 8b + l is lane l of batch b.
 
 using mpz::lanes::kLanes;
 using mpz::lanes::kLimbs52;
@@ -63,6 +71,33 @@ struct LaneArgs {
 
 constexpr Nat Elem::* kElemCoords[3] = {&Elem::a, &Elem::b, &Elem::c};
 
+// The lane calls over n elements, up to 16 elements (two batches) per call.
+// A call's last batch is padded to eight lanes when it holds at least
+// pad_from elements; a shorter remainder goes to the scalar path. So 35
+// elements run as two pairs and a padded batch of 3, and 59 as three pairs
+// and a pair padded from 11. lanes.template operator()<B>(i, count) runs
+// one call over elements [i, i + count) in B batches and returns false
+// when they must rerun on the scalar path; scalar(j) sets element j there,
+// as it does for the tail. Returns the elements the lanes set.
+template <class LaneCall, class ScalarCall>
+std::size_t split_lanes(std::size_t n, std::size_t pad_from,
+                        const LaneCall& lanes, const ScalarCall& scalar) {
+  std::size_t i = 0, set = 0;
+  for (;;) {
+    std::size_t count = std::min(n - i, 2 * kLanes);
+    if (count % kLanes < pad_from) count -= count % kLanes;
+    if (count == 0) break;
+    const bool ok = count > kLanes ? lanes.template operator()<2>(i, count)
+                                   : lanes.template operator()<1>(i, count);
+    if (ok) set += count;
+    else
+      for (std::size_t j = i; j < i + count; ++j) scalar(j);
+    i += count;
+  }
+  for (; i < n; ++i) scalar(i);
+  return set;
+}
+
 #if defined(__x86_64__)
 #pragma GCC diagnostic push
 // GCC 12 flags the deliberate self-initialization in _mm512_undefined_epi32,
@@ -78,27 +113,61 @@ using mpz::lanes::LaneTable;
 using mpz::lanes::load5;
 using mpz::lanes::store5;
 
-// A Jacobian point per lane.
-struct LanePoint {
-  Lane5 x, y, z;
+// Lane l of batch b: bit 8b + l.
+using Mask = unsigned;
+template <std::size_t B>
+constexpr Mask kAllLanes = (Mask{1} << (kLanes * B)) - 1;
+
+PPGR_IFMA_INLINE __mmask8 batch_mask(Mask m, std::size_t b) {
+  return static_cast<__mmask8>(m >> (kLanes * b));
+}
+
+// One residue per lane of B batches.
+template <std::size_t B>
+struct Lanes {
+  Lane5 v[B];
 };
-constexpr Lane5 LanePoint::* kLaneCoords[3] = {&LanePoint::x, &LanePoint::y,
-                                               &LanePoint::z};
-// One point per lane, in memory: [coordinate][limb][lane].
+
+// A Jacobian point per lane.
+template <std::size_t B>
+struct LanePoint {
+  Lanes<B> x, y, z;
+};
+template <std::size_t B>
+constexpr Lanes<B> LanePoint<B>::* kLaneCoords[3] = {
+    &LanePoint<B>::x, &LanePoint<B>::y, &LanePoint<B>::z};
+// One point per lane of one batch, in memory: [coordinate][limb][lane].
 using PointTable = LaneTable[3];
 
 // The field as the lanes see it.
 struct LaneField {
   Lane5 p;
   Lane5 two_p;  // 2p limb by limb (not normalized: limbs up to 2^53)
+  Lanes<2> p_times;  // 2p and 3p on 52-bit limbs
   __m512i k0;
   Lane5 a;      // the coefficient a in the lane domain (general-a doubling)
   bool a_is_minus3;
 };
 
-PPGR_IFMA_INLINE void fmul(Lane5& out, const Lane5& a, const Lane5& b,
+template <std::size_t B>
+PPGR_IFMA_INLINE Lanes<B> splat(const Lane5& x) {
+  Lanes<B> v;
+  for (std::size_t b = 0; b < B; ++b) v.v[b] = x;
+  return v;
+}
+
+template <std::size_t B>
+PPGR_IFMA_INLINE void fmul(Lanes<B>& out, const Lanes<B>& a,
+                           const Lanes<B>& b, const LaneField& f) {
+  for (std::size_t i = 0; i < B; ++i) amm8(out.v[i], a.v[i], b.v[i], f.p, f.k0);
+}
+
+// fmul(out, a, a, f) bit for bit, through the lane squaring.
+template <std::size_t B>
+PPGR_IFMA_INLINE void fsqr(Lanes<B>& out, const Lanes<B>& a,
                            const LaneField& f) {
-  amm8(out, a, b, f.p, f.k0);
+  for (std::size_t i = 0; i < B; ++i)
+    mpz::lanes::asq8(out.v[i], a.v[i], f.p, f.k0);
 }
 
 // s holds a value in [0, 4p) on limbs that may exceed 52 bits or be
@@ -132,67 +201,130 @@ PPGR_IFMA_INLINE void below_2p(Lane5& out, const Lane5& s,
 }
 
 // out = a + b and out = a - b mod p, for a, b < 2p; results below 2p.
-PPGR_IFMA_INLINE void fadd(Lane5& out, const Lane5& a, const Lane5& b,
-                           const LaneField& f) {
-  Lane5 s;
-  for (std::size_t j = 0; j < kLimbs52; ++j)
-    s.l[j] = _mm512_add_epi64(a.l[j], b.l[j]);
-  below_2p(out, s, f);
-}
-
-PPGR_IFMA_INLINE void fsub(Lane5& out, const Lane5& a, const Lane5& b,
-                           const LaneField& f) {
-  Lane5 s;
-  for (std::size_t j = 0; j < kLimbs52; ++j)
-    s.l[j] = _mm512_add_epi64(_mm512_sub_epi64(a.l[j], b.l[j]), f.two_p.l[j]);
-  below_2p(out, s, f);
-}
-
-// The lanes where h (below 2p, 52-bit limbs) is 0 mod p: h == 0 or h == p.
-PPGR_IFMA_INLINE __mmask8 zero_mod_p(const Lane5& h, const LaneField& f) {
-  const __m512i zero = _mm512_setzero_si512();
-  __mmask8 is_zero = 0xFF, is_p = 0xFF;
-  for (std::size_t j = 0; j < kLimbs52; ++j) {
-    is_zero &= _mm512_cmpeq_epi64_mask(h.l[j], zero);
-    is_p &= _mm512_cmpeq_epi64_mask(h.l[j], f.p.l[j]);
+template <std::size_t B>
+PPGR_IFMA_INLINE void fadd(Lanes<B>& out, const Lanes<B>& a,
+                           const Lanes<B>& b, const LaneField& f) {
+  for (std::size_t i = 0; i < B; ++i) {
+    Lane5 s;
+    for (std::size_t j = 0; j < kLimbs52; ++j)
+      s.l[j] = _mm512_add_epi64(a.v[i].l[j], b.v[i].l[j]);
+    below_2p(out.v[i], s, f);
   }
-  return is_zero | is_p;
+}
+
+template <std::size_t B>
+PPGR_IFMA_INLINE void fsub(Lanes<B>& out, const Lanes<B>& a,
+                           const Lanes<B>& b, const LaneField& f) {
+  for (std::size_t i = 0; i < B; ++i) {
+    Lane5 s;
+    for (std::size_t j = 0; j < kLimbs52; ++j)
+      s.l[j] = _mm512_add_epi64(_mm512_sub_epi64(a.v[i].l[j], b.v[i].l[j]),
+                                f.two_p.l[j]);
+    below_2p(out.v[i], s, f);
+  }
+}
+
+// The same sums and differences left below 4p (normalized to 52-bit limbs,
+// not reduced), for values that feed only products: amm8 and asq8 take
+// operands below 4p to a result below 2p, since 16p < 2^260.
+template <std::size_t B>
+PPGR_IFMA_INLINE void normalize(Lanes<B>& out, const Lane5 (&s)[B]) {
+  const __m512i mask =
+      _mm512_set1_epi64(static_cast<long long>(mpz::lanes::kMask52));
+  for (std::size_t i = 0; i < B; ++i) {
+    __m512i c = _mm512_setzero_si512();
+    for (std::size_t j = 0; j + 1 < kLimbs52; ++j) {
+      const __m512i v = _mm512_add_epi64(s[i].l[j], c);
+      c = _mm512_srai_epi64(v, 52);
+      out.v[i].l[j] = _mm512_and_si512(v, mask);
+    }
+    out.v[i].l[kLimbs52 - 1] = _mm512_add_epi64(s[i].l[kLimbs52 - 1], c);
+  }
+}
+
+template <std::size_t B>
+PPGR_IFMA_INLINE void fadd_lazy(Lanes<B>& out, const Lanes<B>& a,
+                                const Lanes<B>& b) {
+  Lane5 s[B];
+  for (std::size_t i = 0; i < B; ++i)
+    for (std::size_t j = 0; j < kLimbs52; ++j)
+      s[i].l[j] = _mm512_add_epi64(a.v[i].l[j], b.v[i].l[j]);
+  normalize(out, s);
+}
+
+template <std::size_t B>
+PPGR_IFMA_INLINE void fsub_lazy(Lanes<B>& out, const Lanes<B>& a,
+                                const Lanes<B>& b, const LaneField& f) {
+  Lane5 s[B];
+  for (std::size_t i = 0; i < B; ++i)
+    for (std::size_t j = 0; j < kLimbs52; ++j)
+      s[i].l[j] = _mm512_add_epi64(_mm512_sub_epi64(a.v[i].l[j], b.v[i].l[j]),
+                                   f.two_p.l[j]);
+  normalize(out, s);
+}
+
+// The lanes where h (below 4p, 52-bit limbs) is 0 mod p: h is 0, p, 2p or
+// 3p.
+template <std::size_t B>
+PPGR_IFMA_INLINE Mask zero_mod_p(const Lanes<B>& h, const LaneField& f) {
+  const __m512i zero = _mm512_setzero_si512();
+  Mask out = 0;
+  for (std::size_t b = 0; b < B; ++b) {
+    __mmask8 is_zero = 0xFF, is_p = 0xFF, is_2p = 0xFF, is_3p = 0xFF;
+    for (std::size_t j = 0; j < kLimbs52; ++j) {
+      const __m512i x = h.v[b].l[j];
+      is_zero &= _mm512_cmpeq_epi64_mask(x, zero);
+      is_p &= _mm512_cmpeq_epi64_mask(x, f.p.l[j]);
+      is_2p &= _mm512_cmpeq_epi64_mask(x, f.p_times.v[0].l[j]);
+      is_3p &= _mm512_cmpeq_epi64_mask(x, f.p_times.v[1].l[j]);
+    }
+    out |= Mask{static_cast<__mmask8>(is_zero | is_p | is_2p | is_3p)}
+           << (kLanes * b);
+  }
+  return out;
 }
 
 // EcGroup::dbl's formulas in every lane, for finite points; returns the
 // lanes whose Y is 0 mod p (a point of order 2, which the scalar doubling
-// sends to the identity), where `out` is not 2P. `out` may alias pt.
-PPGR_IFMA __mmask8 lane_dbl(LanePoint& out, const LanePoint& pt,
-                            const LaneField& f) {
-  const __mmask8 order2 = zero_mod_p(pt.y, f);
-  Lane5 zz, yy, m, s, t, x3, z3;
-  fmul(zz, pt.z, pt.z, f);
-  fmul(yy, pt.y, pt.y, f);
+// sends to the identity), where `out` is not 2P. `out` may alias pt. The
+// products are the scalar doubling's, with the small factors moved into
+// them where that saves a reduction (S = 4XY^2 as (2X)(2Y^2), 8Y^4 as
+// 2(2Y^2)^2): the same residues mod p, so the same triple at exit. X3 and
+// Y3 leave below 2p; Z3 = 2YZ below 4p, which only products read.
+template <std::size_t B>
+PPGR_IFMA Mask lane_dbl(LanePoint<B>& out, const LanePoint<B>& pt,
+                        const LaneField& f) {
+  const Mask order2 = zero_mod_p(pt.y, f);
+  Lanes<B> zz, yy, m, s, t, x3, z3;
+  fsqr(zz, pt.z, f);
+  fsqr(yy, pt.y, f);
   if (f.a_is_minus3) {
-    fsub(t, pt.x, zz, f);
-    fadd(m, pt.x, zz, f);
+    fsub_lazy(t, pt.x, zz, f);
+    fadd_lazy(m, pt.x, zz);
     fmul(m, m, t, f);
   } else {
-    fmul(m, pt.x, pt.x, f);
-    fmul(t, zz, zz, f);
-    fmul(t, t, f.a, f);
+    fsqr(m, pt.x, f);
+    fsqr(t, zz, f);
+    fmul(t, t, splat<B>(f.a), f);
   }
   fadd(s, m, m, f);
-  fadd(m, s, m, f);
-  if (!f.a_is_minus3) fadd(m, m, t, f);
-  fmul(s, pt.x, yy, f);
-  fadd(s, s, s, f);
-  fadd(s, s, s, f);
+  if (f.a_is_minus3) {
+    fadd_lazy(m, s, m);
+  } else {
+    fadd(m, s, m, f);
+    fadd_lazy(m, m, t);
+  }
+  fadd_lazy(s, pt.x, pt.x);
+  fadd_lazy(yy, yy, yy);
+  fmul(s, s, yy, f);  // S = (2X)(2Y^2)
   fmul(z3, pt.y, pt.z, f);
-  fadd(z3, z3, z3, f);
-  fmul(x3, m, m, f);
+  fadd_lazy(z3, z3, z3);
+  fsqr(x3, m, f);
   fsub(x3, x3, s, f);
   fsub(x3, x3, s, f);
-  fsub(t, s, x3, f);
+  fsub_lazy(t, s, x3, f);
   fmul(t, m, t, f);
-  fmul(yy, yy, yy, f);
-  fadd(yy, yy, yy, f);
-  fadd(yy, yy, yy, f);
+  fsqr(yy, yy, f);  // (2Y^2)^2 = 4Y^4
   fadd(yy, yy, yy, f);
   fsub(out.y, t, yy, f);
   out.x = x3;
@@ -204,34 +336,34 @@ PPGR_IFMA __mmask8 lane_dbl(LanePoint& out, const LanePoint& pt,
 // H = U2 - U1 is 0 mod p in `same_x`; R = S2 - S1 is also 0 in `same_y`
 // (P = Q), not (P = -Q). The formulas' output in those lanes is not P + Q.
 struct Exceptions {
-  __mmask8 same_x, same_y;
+  Mask same_x, same_y;
 };
 
 // EcGroup::add's formulas in every lane, for finite points: the general
 // ones (16 products), or with kAffineQ, for q with Z = 1, its mixed
 // addition (11 products; the same residues, since the skipped products
 // multiply by one). `out` may alias p or q.
-template <bool kAffineQ = false>
-PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
-                              const LanePoint& q, const LaneField& f) {
-  Lane5 u1, u2, s1, s2, t, h, r, hh, hhh, v, x3, z3;
+template <bool kAffineQ, std::size_t B>
+PPGR_IFMA Exceptions lane_add(LanePoint<B>& out, const LanePoint<B>& p,
+                              const LanePoint<B>& q, const LaneField& f) {
+  Lanes<B> u1, u2, s1, s2, t, h, r, hh, hhh, v, x3, z3;
   if constexpr (kAffineQ) {
     u1 = p.x;
     s1 = p.y;
   } else {
-    fmul(t, q.z, q.z, f);
+    fsqr(t, q.z, f);
     fmul(u1, p.x, t, f);
     fmul(t, t, q.z, f);
     fmul(s1, p.y, t, f);
   }
-  fmul(t, p.z, p.z, f);
+  fsqr(t, p.z, f);
   fmul(u2, q.x, t, f);
   fmul(t, t, p.z, f);
   fmul(s2, q.y, t, f);
-  fsub(h, u2, u1, f);
-  fsub(r, s2, s1, f);
+  fsub_lazy(h, u2, u1, f);
+  fsub_lazy(r, s2, s1, f);
   const Exceptions exceptional{zero_mod_p(h, f), zero_mod_p(r, f)};
-  fmul(hh, h, h, f);
+  fsqr(hh, h, f);
   fmul(hhh, hh, h, f);
   fmul(v, u1, hh, f);
   if constexpr (kAffineQ) {
@@ -240,11 +372,11 @@ PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
     fmul(t, p.z, q.z, f);
     fmul(z3, t, h, f);
   }
-  fmul(x3, r, r, f);
+  fsqr(x3, r, f);
   fsub(x3, x3, hhh, f);
   fsub(x3, x3, v, f);
   fsub(x3, x3, v, f);
-  fsub(t, v, x3, f);
+  fsub_lazy(t, v, x3, f);
   fmul(t, r, t, f);
   fmul(s1, s1, hhh, f);
   fsub(out.y, t, s1, f);
@@ -254,62 +386,68 @@ PPGR_IFMA Exceptions lane_add(LanePoint& out, const LanePoint& p,
 }
 
 // acc = v in the lanes of k.
-PPGR_IFMA_INLINE void blend(LanePoint& acc, __mmask8 k, const LanePoint& v) {
-  for (const auto c : kLaneCoords)
-    for (std::size_t j = 0; j < kLimbs52; ++j)
-      (acc.*c).l[j] = _mm512_mask_blend_epi64(k, (acc.*c).l[j], (v.*c).l[j]);
+template <std::size_t B>
+PPGR_IFMA_INLINE void blend(LanePoint<B>& acc, Mask k,
+                            const LanePoint<B>& v) {
+  for (std::size_t b = 0; b < B; ++b) {
+    const __mmask8 kb = batch_mask(k, b);
+    for (const auto c : kLaneCoords<B>)
+      for (std::size_t j = 0; j < kLimbs52; ++j)
+        (acc.*c).v[b].l[j] =
+            _mm512_mask_blend_epi64(kb, (acc.*c).v[b].l[j], (v.*c).v[b].l[j]);
+  }
 }
 
-PPGR_IFMA_INLINE void store_point(PointTable& dst, const LanePoint& pt) {
-  for (std::size_t c = 0; c < 3; ++c) store5(dst[c], pt.*kLaneCoords[c]);
-}
-
-// One batch of eight ladders: lane l sets out[l] to the product over the N
-// terms of bases[i][l]^exps[i][l], where bases[i] and exps[i] each point at
-// eight consecutive values; the same Elem EcGroup::straus returns. Every
-// input is read before out is written. Returns false, with out untouched,
-// when a lane met an addition of a point and itself or a doubling of a
-// point of order 2.
 PPGR_IFMA_INLINE LaneField lane_field(const LaneArgs& args) {
   const mpz::LaneConsts& c = args.consts;
   LaneField f{};
   f.p = broadcast(c.m);
   for (std::size_t j = 0; j < kLimbs52; ++j)
     f.two_p.l[j] = _mm512_add_epi64(f.p.l[j], f.p.l[j]);
+  Lane5 multiples[2];
+  for (std::size_t j = 0; j < kLimbs52; ++j) {
+    multiples[0].l[j] = f.two_p.l[j];
+    multiples[1].l[j] = _mm512_add_epi64(f.two_p.l[j], f.p.l[j]);
+  }
+  normalize(f.p_times, multiples);
   f.k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
   f.a_is_minus3 = args.a_is_minus3;
   if (!f.a_is_minus3)
-    fmul(f.a, broadcast(mpz::lanes::to_radix52(args.a_mont)),
-         broadcast(c.to_lane), f);
+    amm8(f.a, broadcast(mpz::lanes::to_radix52(args.a_mont)),
+         broadcast(c.to_lane), f.p, f.k0);
   return f;
 }
 
-// out[l] = lane l's point: the identity in the lanes of acc_inf, else acc
-// taken out of the lane domain and fully reduced.
-PPGR_IFMA void leave_lanes(const LanePoint& acc, __mmask8 acc_inf,
+// out[i] = lane i's point for i < count: the identity in the lanes of
+// acc_inf, else acc taken out of the lane domain and fully reduced. Lanes
+// from count on are padding and write nothing.
+template <std::size_t B>
+PPGR_IFMA void leave_lanes(const LanePoint<B>& acc, Mask acc_inf,
                            const LaneArgs& args, const LaneField& f,
-                           Elem* out) {
-  const Lane5 from_lane = broadcast(args.consts.from_lane);
-  alignas(64) PointTable res;
+                           std::size_t count, Elem* out) {
+  const Lanes<B> from_lane = splat<B>(broadcast(args.consts.from_lane));
+  alignas(64) PointTable res[B];
   for (std::size_t k = 0; k < 3; ++k) {
-    Lane5 v;
-    fmul(v, acc.*kLaneCoords[k], from_lane, f);
-    store5(res[k], v);
+    Lanes<B> v;
+    fmul(v, acc.*kLaneCoords<B>[k], from_lane, f);
+    for (std::size_t b = 0; b < B; ++b) store5(res[b][k], v.v[b]);
   }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    if ((acc_inf >> l & 1) != 0) {
-      out[l] = Elem{.infinity = true};
+  for (std::size_t i = 0; i < count; ++i) {
+    if ((acc_inf >> i & 1) != 0) {
+      out[i] = Elem{.infinity = true};
       continue;
     }
+    const std::size_t b = i / kLanes, l = i % kLanes;
     Elem e;
     for (std::size_t k = 0; k < 3; ++k) {
-      const Limb r[kLimbs52] = {res[k][0][l], res[k][1][l], res[k][2][l],
-                                res[k][3][l], res[k][4][l]};
+      const Limb r[kLimbs52] = {res[b][k][0][l], res[b][k][1][l],
+                                res[b][k][2][l], res[b][k][3][l],
+                                res[b][k][4][l]};
       Limb x[4] = {};
       mpz::lanes::from_radix52(x, r, args.p64);
       e.*kElemCoords[k] = Nat::from_limbs({x, args.k});
     }
-    out[l] = std::move(e);
+    out[i] = std::move(e);
   }
 }
 
@@ -317,141 +455,187 @@ PPGR_IFMA void leave_lanes(const LanePoint& acc, __mmask8 acc_inf,
 // the scalar ladder adds: a lane whose accumulator is the identity takes q
 // as it is, an addition of P and -P leaves the identity. Returns false when
 // an adding lane met P + P.
-template <bool kAffineQ>
-PPGR_IFMA_INLINE bool add_into(LanePoint& acc, __mmask8& acc_inf,
-                               __mmask8 active, const LanePoint& q,
-                               const LaneField& f) {
-  const __mmask8 adding = active & static_cast<__mmask8>(~acc_inf);
-  __mmask8 cancelled = 0;
+template <bool kAffineQ, std::size_t B>
+PPGR_IFMA_INLINE bool add_into(LanePoint<B>& acc, Mask& acc_inf, Mask active,
+                               const LanePoint<B>& q, const LaneField& f) {
+  const Mask adding = active & ~acc_inf;
+  Mask cancelled = 0;
   if (adding != 0) {
-    LanePoint sum;
+    LanePoint<B> sum;
     const Exceptions ex = lane_add<kAffineQ>(sum, acc, q, f);
     if ((ex.same_x & ex.same_y & adding) != 0) return false;  // P = Q
     cancelled = ex.same_x & adding;  // P = -Q: the identity
-    blend(acc, adding & static_cast<__mmask8>(~cancelled), sum);
+    blend(acc, adding & ~cancelled, sum);
   }
   blend(acc, active & acc_inf, q);
-  acc_inf = (acc_inf & static_cast<__mmask8>(~active)) | cancelled;
+  acc_inf = (acc_inf & ~active) | cancelled;
   return true;
 }
 
-template <std::size_t N>
+// table[b][i][d] = batch b's lanes of pt.
+template <std::size_t N, std::size_t B>
+PPGR_IFMA_INLINE void store_entry(PointTable (&table)[B][N][kDigits],
+                                  std::size_t i, std::size_t d,
+                                  const LanePoint<B>& pt) {
+  for (std::size_t b = 0; b < B; ++b)
+    for (std::size_t k = 0; k < 3; ++k)
+      store5(table[b][i][d][k], (pt.*kLaneCoords<B>[k]).v[b]);
+}
+
+// B batches of eight ladders: lane i (bit i of the masks, batch i / 8) sets
+// out[i] to the product over the N terms of bases[i]^exps[i], where
+// bases[t] and exps[t] point at the call's consecutive values; the same
+// Elem EcGroup::straus returns. Only the first `count` lanes (more than
+// 8(B - 1)) read an input or write out[i]; the rest are padding, with the
+// identity as base (the stand-in with live = 0). Every input is read before out is written.
+// Returns false, with out untouched, when a lane of any batch met an
+// addition of a point and itself or a doubling of a point of order 2.
+template <std::size_t N, std::size_t B>
 PPGR_IFMA bool straus_lanes(const LaneArgs& args,
                             const std::array<const Elem*, N>& bases,
-                            const std::array<const Nat*, N>& exps, Elem* out) {
+                            const std::array<const Nat*, N>& exps,
+                            std::size_t count, Elem* out) {
   const LaneField f = lane_field(args);
-  const Lane5 to_lane = broadcast(args.consts.to_lane);
+  const Lanes<B> to_lane = splat<B>(broadcast(args.consts.to_lane));
 
-  // table[i][d]: bases[i]^d in every lane, for digits d = 1..15 (entry 0 is
-  // not used). live[i]: the lanes whose bases[i] is finite.
-  alignas(64) PointTable table[N][kDigits];
-  std::array<__mmask8, N> live{};
+  // table[b][i][d]: bases[i]^d in every lane of batch b, for digits
+  // d = 1..15 (entry 0 is not used). live[i]: the lanes whose bases[i] is
+  // finite.
+  alignas(64) PointTable table[B][N][kDigits];
+  std::array<Mask, N> live{};
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const Elem& b = bases[i][l];
-      if (!b.infinity) {
-        live[i] |= static_cast<__mmask8>(1u << l);
-        bits = std::max(bits, exps[i][l].bit_length());
+    LanePoint<B> base;
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::size_t lane = b * kLanes + l;
+        const bool finite = lane < count && !bases[i][lane].infinity;
+        if (finite) {
+          live[i] |= Mask{1} << lane;
+          bits = std::max(bits, exps[i][lane].bit_length());
+        }
+        const Elem& pt = finite ? bases[i][lane] : args.stand_in;
+        for (std::size_t k = 0; k < 3; ++k) {
+          const auto x = mpz::lanes::to_radix52(pt.*kElemCoords[k]);
+          for (std::size_t j = 0; j < kLimbs52; ++j)
+            table[b][i][1][k][j][l] = x[j];
+        }
       }
-      for (std::size_t k = 0; k < 3; ++k) {
-        const auto x = mpz::lanes::to_radix52(
-            (b.infinity ? args.stand_in : b).*kElemCoords[k]);
-        for (std::size_t j = 0; j < kLimbs52; ++j) table[i][1][k][j][l] = x[j];
-      }
+      for (std::size_t k = 0; k < 3; ++k)
+        (base.*kLaneCoords<B>[k]).v[b] = load5(table[b][i][1][k]);
     }
-    LanePoint base;
-    for (std::size_t k = 0; k < 3; ++k) {
-      Lane5& coord = base.*kLaneCoords[k];
-      coord = load5(table[i][1][k]);
-      fmul(coord, coord, to_lane, f);
-    }
-    store_point(table[i][1], base);
-    LanePoint pd;
+    for (const auto c : kLaneCoords<B>) fmul(base.*c, base.*c, to_lane, f);
+    store_entry(table, i, 1, base);
+    LanePoint<B> pd;
     if (lane_dbl(pd, base, f) != 0) return false;
-    store_point(table[i][2], pd);
+    store_entry(table, i, 2, pd);
     for (std::size_t d = 3; d < kDigits; ++d) {
-      if (lane_add(pd, pd, base, f).same_x != 0) return false;
-      store_point(table[i][d], pd);
+      if (lane_add<false>(pd, pd, base, f).same_x != 0) return false;
+      store_entry(table, i, d, pd);
     }
   }
 
-  LanePoint acc{};
-  __mmask8 acc_inf = 0xFF;  // lanes whose accumulator is the identity
+  LanePoint<B> acc{};
+  Mask acc_inf = kAllLanes<B>;  // lanes whose accumulator is the identity
   for (std::size_t w = (bits + kWindow - 1) / kWindow; w-- > 0;) {
-    if (acc_inf != 0xFF) {
-      __mmask8 order2 = 0;
+    if (acc_inf != kAllLanes<B>) {
+      Mask order2 = 0;
       for (std::size_t s = 0; s < kWindow; ++s) order2 |= lane_dbl(acc, acc, f);
-      if ((order2 & static_cast<__mmask8>(~acc_inf)) != 0) return false;
+      if ((order2 & ~acc_inf) != 0) return false;
     }
     for (std::size_t i = 0; i < N; ++i) {
       // Lane l's entry for digit d starts d * sizeof(PointTable) + l limbs
-      // into table[i]; a zero digit reads entry 1 and is masked off.
-      alignas(64) Limb offset[kLanes];
-      __mmask8 active = 0;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const unsigned d =
-            (live[i] >> l & 1) != 0 ? nibble(exps[i][l], w * kWindow) : 0;
-        if (d != 0) active |= static_cast<__mmask8>(1u << l);
-        offset[l] = std::max(d, 1u) * 3 * kLimbs52 * kLanes + l;
+      // into table[b][i]; a zero digit reads entry 1 and is masked off.
+      Mask active = 0;
+      __m512i idx[B];
+      for (std::size_t b = 0; b < B; ++b) {
+        alignas(64) Limb offset[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t lane = b * kLanes + l;
+          const unsigned d = (live[i] >> lane & 1) != 0
+                                 ? nibble(exps[i][lane], w * kWindow)
+                                 : 0;
+          if (d != 0) active |= Mask{1} << lane;
+          offset[l] = std::max(d, 1u) * 3 * kLimbs52 * kLanes + l;
+        }
+        idx[b] = _mm512_load_si512(offset);
       }
       if (active == 0) continue;
-      const __m512i idx = _mm512_load_si512(offset);
-      LanePoint q;
-      for (std::size_t k = 0; k < 3; ++k)
-        for (std::size_t j = 0; j < kLimbs52; ++j)
-          (q.*kLaneCoords[k]).l[j] =
-              _mm512_i64gather_epi64(idx, table[i][0][k][j], 8);
+      LanePoint<B> q;
+      for (std::size_t b = 0; b < B; ++b)
+        for (std::size_t k = 0; k < 3; ++k)
+          for (std::size_t j = 0; j < kLimbs52; ++j)
+            (q.*kLaneCoords<B>[k]).v[b].l[j] =
+                _mm512_i64gather_epi64(idx[b], table[b][i][0][k][j], 8);
       if (!add_into<false>(acc, acc_inf, active, q, f)) return false;
     }
   }
-  leave_lanes(acc, acc_inf, args, f, out);
+  leave_lanes(acc, acc_inf, args, f, count, out);
   return true;
 }
 
-// One batch of eight fixed-base combs: lane l sets out[l] to the product of
-// the table entries of scalars[l]'s w-bit digits, over the windows of the
-// batch's widest scalar, the same Elem EcGroup::comb returns. The table is
+// B batches of eight fixed-base combs: lane i sets out[i] to the product of
+// the table entries of scalars[i]'s w-bit digits, over the windows of the
+// call's widest scalar, the same Elem EcGroup::comb returns. Only the first
+// `count` lanes (more than 8(B - 1)) read a scalar or write out[i]; the
+// rest are padding with a zero scalar, so no digit of theirs is ever
+// active. The table is
 // EcGroup::pack_table's: per entry the affine x then y on four limbs,
 // Montgomery form, all zeros for the identity. Each window gathers every
 // lane's entry, takes it into the lane domain (two products) and adds it
 // with the mixed addition in the lanes whose digit and entry are nonzero.
 // Returns false, with out untouched, when a lane met an addition of a point
 // and itself.
+template <std::size_t B>
 PPGR_IFMA bool comb_lanes(const LaneArgs& args, const Limb* table,
-                          std::size_t w, const Nat* scalars, Elem* out) {
+                          std::size_t w, const Nat* scalars, std::size_t count,
+                          Elem* out) {
   const LaneField f = lane_field(args);
-  const Lane5 to_lane = broadcast(args.consts.to_lane);
-  __m512i s[mpz::lanes::kCombLimbs + 1];
-  mpz::lanes::load_scalars(s, scalars);
+  const Lanes<B> to_lane = splat<B>(broadcast(args.consts.to_lane));
+  __m512i s[B][mpz::lanes::kCombLimbs + 1];
+  for (std::size_t b = 0; b < B; ++b)
+    mpz::lanes::load_scalars(s[b], scalars + b * kLanes,
+                             std::min(count - b * kLanes, kLanes));
   std::size_t bits = 0;
-  for (std::size_t l = 0; l < kLanes; ++l)
-    bits = std::max(bits, scalars[l].bit_length());
-  LanePoint acc{}, q;
-  q.z = broadcast(args.consts.one);
-  __mmask8 acc_inf = 0xFF;
+  for (std::size_t i = 0; i < count; ++i)
+    bits = std::max(bits, scalars[i].bit_length());
+  LanePoint<B> acc{}, q;
+  q.z = splat<B>(broadcast(args.consts.one));
+  Mask acc_inf = kAllLanes<B>;
   const __m512i zero = _mm512_setzero_si512();
   for (std::size_t k = 0; k < (bits + w - 1) / w; ++k) {
-    const __m512i d = mpz::lanes::comb_digits(s, k, w);
-    __mmask8 active = _mm512_test_epi64_mask(d, d);
-    if (active == 0) continue;
-    // Entry (k << w) + d starts 8 * ((k << w) + d) limbs into the table.
-    const __m512i idx = _mm512_slli_epi64(
-        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(k << w)), d),
-        3);
-    __m512i x[4], y[4], any = zero;
-    for (std::size_t j = 0; j < 4; ++j) {
-      x[j] = _mm512_i64gather_epi64(idx, table + j, 8);
-      y[j] = _mm512_i64gather_epi64(idx, table + 4 + j, 8);
-      any = _mm512_or_si512(any, _mm512_or_si512(x[j], y[j]));
+    const __m512i row = _mm512_set1_epi64(static_cast<long long>(k << w));
+    __m512i d[B];
+    Mask active = 0;
+    for (std::size_t b = 0; b < B; ++b) {
+      d[b] = mpz::lanes::comb_digits(s[b], k, w);
+      active |= Mask{_mm512_test_epi64_mask(d[b], d[b])} << (kLanes * b);
     }
-    active &= _mm512_test_epi64_mask(any, any);  // adding O changes nothing
     if (active == 0) continue;
-    fmul(q.x, mpz::lanes::radix52(x), to_lane, f);
-    fmul(q.y, mpz::lanes::radix52(y), to_lane, f);
+    __m512i x[B][4], y[B][4];
+    Mask entries = 0;  // lanes whose entry is not the identity
+    for (std::size_t b = 0; b < B; ++b) {
+      // Entry (k << w) + d starts 8 * ((k << w) + d) limbs into the table.
+      const __m512i idx = _mm512_slli_epi64(_mm512_add_epi64(row, d[b]), 3);
+      __m512i any = zero;
+      for (std::size_t j = 0; j < 4; ++j) {
+        x[b][j] = _mm512_i64gather_epi64(idx, table + j, 8);
+        y[b][j] = _mm512_i64gather_epi64(idx, table + 4 + j, 8);
+        any = _mm512_or_si512(any, _mm512_or_si512(x[b][j], y[b][j]));
+      }
+      entries |= Mask{_mm512_test_epi64_mask(any, any)} << (kLanes * b);
+    }
+    active &= entries;  // adding O changes nothing
+    if (active == 0) continue;
+    for (std::size_t b = 0; b < B; ++b) {
+      q.x.v[b] = mpz::lanes::radix52(x[b]);
+      q.y.v[b] = mpz::lanes::radix52(y[b]);
+    }
+    fmul(q.x, q.x, to_lane, f);
+    fmul(q.y, q.y, to_lane, f);
     if (!add_into<true>(acc, acc_inf, active, q, f)) return false;
   }
-  leave_lanes(acc, acc_inf, args, f, out);
+  leave_lanes(acc, acc_inf, args, f, count, out);
   return true;
 }
 
@@ -758,18 +942,24 @@ void EcGroup::exp_many(std::span<const Elem> bases,
                        std::span<Elem> out) const {
   if (bases.size() != out.size() || scalars.size() != out.size())
     throw std::invalid_argument("EcGroup::exp_many: span sizes differ");
-  std::size_t i = 0;
+  const auto scalar = [&](std::size_t j) {
+    out[j] = exp(bases[j], scalars[j]);
+  };
 #if defined(__x86_64__)
   if (lanes_.has_value()) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    for (; out.size() - i >= kLanes; i += kLanes)
-      if (!straus_lanes<1>(args, {&bases[i]}, {&scalars[i]}, &out[i]))
-        for (std::size_t l = i; l < i + kLanes; ++l)
-          out[l] = exp(bases[l], scalars[l]);
+    count_lanes(split_lanes(
+        out.size(), kLadderPadFrom,
+        [&]<std::size_t B>(std::size_t i, std::size_t count) {
+          return straus_lanes<1, B>(args, {&bases[i]}, {&scalars[i]}, count,
+                                    &out[i]);
+        },
+        scalar));
+    return;
   }
 #endif
-  for (; i < out.size(); ++i) out[i] = exp(bases[i], scalars[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
 }
 
 void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
@@ -778,19 +968,29 @@ void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
   if (xs.size() != out.size() || exs.size() != out.size() ||
       ys.size() != out.size() || eys.size() != out.size())
     throw std::invalid_argument("EcGroup::dual_exp_many: span sizes differ");
-  std::size_t i = 0;
+  const auto scalar = [&](std::size_t j) {
+    out[j] = dual_exp(xs[j], exs[j], ys[j], eys[j]);
+  };
 #if defined(__x86_64__)
   if (lanes_.has_value()) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    for (; out.size() - i >= kLanes; i += kLanes)
-      if (!straus_lanes<2>(args, {&xs[i], &ys[i]}, {&exs[i], &eys[i]},
-                           &out[i]))
-        for (std::size_t l = i; l < i + kLanes; ++l)
-          out[l] = dual_exp(xs[l], exs[l], ys[l], eys[l]);
+    count_lanes(split_lanes(
+        out.size(), kLadderPadFrom,
+        [&]<std::size_t B>(std::size_t i, std::size_t count) {
+          return straus_lanes<2, B>(args, {&xs[i], &ys[i]},
+                                    {&exs[i], &eys[i]}, count, &out[i]);
+        },
+        scalar));
+    return;
   }
 #endif
-  for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
+}
+
+void EcGroup::count_lanes(std::size_t elements) const {
+  if (elements != 0)
+    lane_elements_.fetch_add(elements, std::memory_order_relaxed);
 }
 
 const FixedBaseTable& EcGroup::gen_table() const {
@@ -833,10 +1033,10 @@ void EcGroup::exp_fixed_many(const FixedBaseTable& table,
   if (table.packed().size() != table.entries() * 2 * kLimbs)
     throw std::invalid_argument(
         "EcGroup::exp_fixed_many: table not packed by this group");
-  std::size_t i = 0;
+  const auto scalar = [&](std::size_t j) { out[j] = comb(table, scalars[j]); };
 #if defined(__x86_64__)
   const bool lanes =
-      lanes_.has_value() && out.size() >= kLanes &&
+      lanes_.has_value() &&
       std::all_of(scalars.begin(), scalars.end(), [&](const Nat& s) {
         return table.fits(s) &&
                s.bit_length() <= 64 * mpz::lanes::kCombLimbs;
@@ -844,14 +1044,17 @@ void EcGroup::exp_fixed_many(const FixedBaseTable& table,
   if (lanes) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    for (; out.size() - i >= kLanes; i += kLanes)
-      if (!comb_lanes(args, table.packed().data(), table.window_bits(),
-                      &scalars[i], &out[i]))
-        for (std::size_t l = i; l < i + kLanes; ++l)
-          out[l] = comb(table, scalars[l]);
+    count_lanes(split_lanes(
+        out.size(), kCombPadFrom,
+        [&]<std::size_t B>(std::size_t i, std::size_t count) {
+          return comb_lanes<B>(args, table.packed().data(), table.window_bits(),
+                               &scalars[i], count, &out[i]);
+        },
+        scalar));
+    return;
   }
 #endif
-  for (; i < out.size(); ++i) out[i] = comb(table, scalars[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
 }
 
 std::vector<Limb> EcGroup::pack_table(std::span<const Elem> entries) const {

@@ -244,11 +244,13 @@ PPGR_IFMA_INLINE __m512i comb_digits(const __m512i (&s)[kCombLimbs + 1],
 }
 
 /// Eight scalars below 2^512 as comb_digits' operand: limb j of
-/// scalars[l] in lane l of s[j], s[8] zero.
+/// scalars[l] in lane l of s[j], s[8] zero. Only the first `count` lanes
+/// read a scalar; the others are zero.
 PPGR_IFMA_INLINE void load_scalars(__m512i (&s)[kCombLimbs + 1],
-                                   const Nat* scalars) {
+                                   const Nat* scalars,
+                                   std::size_t count = kLanes) {
   alignas(64) Limb t[kCombLimbs + 1][kLanes] = {};
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < count; ++l) {
     Limb x[kCombLimbs];
     scalars[l].to_limbs(x, kCombLimbs);
     for (std::size_t j = 0; j < kCombLimbs; ++j) t[j][l] = x[j];

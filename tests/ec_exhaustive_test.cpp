@@ -9,13 +9,15 @@
 // force from the curve equation, and check EVERY addition against the
 // implementation. The batch forms (exp_many / dual_exp_many, 8-lane
 // ladders on IFMA CPUs, and exp_fixed_many's 8-lane combs) run over every
-// point too: small orders make their exceptional cases (P + P, P + (-P),
-// doublings of points of order 2, the identity as a comb entry) common
-// here, where the NIST curves almost never meet them.
+// point too, in pairs of batches, single batches and padded last batches:
+// small orders make their exceptional cases (P + P, P + (-P), doublings of
+// points of order 2, the identity as a comb entry) common here, where the
+// NIST curves almost never meet them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -234,16 +236,22 @@ TEST_F(TinyCurve, ScalarMultiplicationMatchesRepeatedAddition) {
   EXPECT_GT(tested, 0);
 }
 
+// The call sizes every point passes through: a pair of batches (16), a
+// pair padded from 13, a batch with one scalar remainder (9) and one batch
+// padded from 5.
+constexpr std::size_t kCallSizes[] = {16, 13, 9, 5};
+
 TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
   // exp_many / dual_exp_many over every point of the curve (the identity and
-  // the points of order 2, 4, 5, 10, ... included) in batches of 8: each
-  // element must be the k-fold reference sum and exactly the scalar
-  // ladder's Jacobian triple. On an IFMA CPU the batches run the 8-lane
-  // ladders, where small orders make P + (-P), P + P and doublings of
-  // order-2 points common. A base of order at most 15 sends its batch to
-  // the scalar ladder while its digit table is built, so the points are
-  // sorted by descending order: the first batches hold only bases of order
-  // 20 and above, whose ladders run on the lanes to the end or to a P + P.
+  // the points of order 2, 4, 5, 10, ... included), in calls of each size
+  // of kCallSizes: each element must be the k-fold reference sum and
+  // exactly the scalar ladder's Jacobian triple. On an IFMA CPU the calls
+  // run the lane ladders, where small orders make P + (-P), P + P and
+  // doublings of order-2 points common. A base of order at most 15 sends
+  // its call to the scalar ladder while its digit table is built, so the
+  // points are sorted by descending order: the first calls hold only bases
+  // of order 20 and above, whose ladders run on the lanes to the end or to
+  // a P + P.
   auto pts = enumerate_curve();
   std::stable_sort(pts.begin(), pts.end(),
                    [&](const AffinePt& a, const AffinePt& b) {
@@ -254,71 +262,120 @@ TEST_F(TinyCurve, BatchFormsEqualScalarLadderOnEveryPoint) {
     return TinyCurve::lift(curve, p);
   };
   const auto drop = [&](const Elem& e) { return TinyCurve::drop(curve, e); };
-  const std::size_t n = pts.size() - pts.size() % 8;  // full batches only
-  std::vector<Elem> xs, ys, out(n), dual(n);
+  const std::size_t n = pts.size();
+  std::vector<Elem> xs, ys;
   std::vector<Nat> ks, ls;
   for (std::size_t i = 0; i < n; ++i) {
     xs.push_back(lift(pts[i]));
-    ys.push_back(lift(pts[(i * 7 + 3) % pts.size()]));
+    ys.push_back(lift(pts[(i * 7 + 3) % n]));
     ks.push_back(Nat{(i * 13 + 5) % 53});
     ls.push_back(Nat{(i * 11) % 47});
   }
-  curve.exp_many(xs, ks, out);
-  curve.dual_exp_many(xs, ks, ys, ls, dual);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = ks[i].to_limb(), l = ls[i].to_limb();
-    const AffinePt& p = pts[i];
-    const AffinePt& q = pts[(i * 7 + 3) % pts.size()];
-    EXPECT_EQ(drop(out[i]), ref_mul(k, p)) << "exp_many, element " << i;
-    EXPECT_TRUE(same(out[i], curve.exp(xs[i], ks[i])))
-        << "exp_many, element " << i;
-    EXPECT_EQ(drop(dual[i]), ref_add(ref_mul(k, p), ref_mul(l, q)))
-        << "dual_exp_many, element " << i;
-    EXPECT_TRUE(same(dual[i], curve.dual_exp(xs[i], ks[i], ys[i], ls[i])))
-        << "dual_exp_many, element " << i;
+  for (const std::size_t call : kCallSizes) {
+    std::vector<Elem> out(n), dual(n);
+    for (std::size_t i = 0; i < n; i += call) {
+      const std::size_t c = std::min(call, n - i);
+      const auto in = [&](const auto& v) { return std::span(v).subspan(i, c); };
+      curve.exp_many(in(xs), in(ks), std::span(out).subspan(i, c));
+      curve.dual_exp_many(in(xs), in(ks), in(ys), in(ls),
+                          std::span(dual).subspan(i, c));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = ks[i].to_limb(), l = ls[i].to_limb();
+      const AffinePt& p = pts[i];
+      const AffinePt& q = pts[(i * 7 + 3) % n];
+      EXPECT_EQ(drop(out[i]), ref_mul(k, p))
+          << "exp_many, calls of " << call << ", element " << i;
+      EXPECT_TRUE(same(out[i], curve.exp(xs[i], ks[i])))
+          << "exp_many, calls of " << call << ", element " << i;
+      EXPECT_EQ(drop(dual[i]), ref_add(ref_mul(k, p), ref_mul(l, q)))
+          << "dual_exp_many, calls of " << call << ", element " << i;
+      EXPECT_TRUE(same(dual[i], curve.dual_exp(xs[i], ks[i], ys[i], ls[i])))
+          << "dual_exp_many, calls of " << call << ", element " << i;
+    }
   }
 
-  // One batch whose first lane doubles a point of order 2 mid-ladder: the
-  // scalar (o/2)·16 + 1 on a base of even order o brings the accumulator to
-  // (o/2)·P, of order 2, right before a window's doublings. The other lanes
-  // are single-window scalars, which meet no exceptional operation.
+  // One pair whose second batch doubles a point of order 2 mid-ladder in
+  // lane 11: the scalar (o/2)·16 + 1 on a base of even order o brings the
+  // accumulator to (o/2)·P, of order 2, right before a window's doublings.
+  // The other lanes are single-window scalars, which meet no exceptional
+  // operation; the whole pair reruns on the scalar ladder.
   const AffinePt& p = pts.front();
   const std::uint64_t o = order_of(p);
   ASSERT_EQ(o % 2, 0u);
-  const std::vector<Elem> same_base(8, lift(p));
-  const std::vector<Nat> scalars{Nat{o / 2 * 16 + 1}, Nat{1}, Nat{2}, Nat{3},
-                                 Nat{5}, Nat{7}, Nat{11}, Nat{13}};
-  std::vector<Elem> batch(8);
+  const std::vector<Elem> same_base(16, lift(p));
+  std::vector<Nat> scalars;
+  for (std::uint64_t i = 0; i < 16; ++i)
+    scalars.push_back(i == 11 ? Nat{o / 2 * 16 + 1} : Nat{1 + i % 15});
+  std::vector<Elem> batch(16);
   curve.exp_many(same_base, scalars, batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(drop(batch[i]), ref_mul(scalars[i].to_limb(), p))
-        << "order-2 doubling batch, lane " << i;
+        << "order-2 doubling pair, lane " << i;
     EXPECT_TRUE(same(batch[i], curve.exp(same_base[i], scalars[i])))
-        << "order-2 doubling batch, lane " << i;
+        << "order-2 doubling pair, lane " << i;
+  }
+}
+
+// True when the 8-bit comb over p (two 4-bit windows) adds an entry to an
+// accumulator that already holds it: k's low digit gives d0·p, and its
+// high digit's entry 16·d1·p is the same finite point.
+bool comb_meets_p_plus_p(std::uint64_t k, const AffinePt& p) {
+  const AffinePt acc = ref_mul(k & 0xF, p), entry = ref_mul(16 * (k >> 4), p);
+  return !acc.inf && !entry.inf && acc == entry;
+}
+
+// The elements EcGroup's lanes set over one call of the scalars ks through
+// a comb over p: the call's lane chunks (up to 16 elements; a last batch
+// padded from kCombPadFrom elements, a shorter remainder scalar), less
+// every chunk holding a lane that meets P + P, which reruns.
+std::size_t comb_lane_elements(const std::vector<Nat>& ks,
+                               const AffinePt& p) {
+  std::size_t i = 0, set = 0;
+  for (;;) {
+    std::size_t count = std::min<std::size_t>(ks.size() - i, 16);
+    if (count % 8 < EcGroup::kCombPadFrom) count -= count % 8;
+    if (count == 0) return set;
+    if (std::none_of(ks.begin() + i, ks.begin() + i + count,
+                     [&](const Nat& k) {
+                       return comb_meets_p_plus_p(k.to_limb(), p);
+                     }))
+      set += count;
+    i += count;
   }
 }
 
 TEST_F(TinyCurve, CombBatchesEqualScalarCombOnEveryPoint) {
   // exp_fixed_many through an 8-bit comb table of every point of the curve,
-  // one batch of 8 scalars per table, against the k-fold reference sum and
-  // exactly the scalar comb's Jacobian triple. Small orders put the
-  // identity among the entries of nonzero digits (order 5: T[0][5] = O),
-  // and make the accumulator meet its own entry (P + P: the batch reruns
-  // on the scalar comb) or its negation (P + (-P)).
+  // in one call of each size of kCallSizes per table, against the k-fold
+  // reference sum and exactly the scalar comb's Jacobian triple. Small
+  // orders put the identity among the entries of nonzero digits (order 5:
+  // T[0][5] = O), and make the accumulator meet its own entry (P + P: the
+  // call's lanes rerun on the scalar comb) or its negation (P + (-P)). On
+  // an IFMA CPU the lanes must set every element of every lane chunk whose
+  // scalars meet no P + P. A padded lane that adds anything can send its
+  // chunk there: on a point of order 5, where 16·P = P, any scalar whose two
+  // digits agree mod 5 and are nonzero (0x11, say) meets P + P.
   const auto pts = enumerate_curve();
   const EcGroup curve = make(pts[1], 5);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const FixedBaseTable table{curve, lift(curve, pts[i]), 8};
-    std::vector<Nat> ks;
-    for (std::uint64_t j = 0; j < 8; ++j)
-      ks.push_back(Nat{(i * 37 + j * 29) % 256});
-    std::vector<Elem> out(ks.size());
-    curve.exp_fixed_many(table, ks, out);
-    for (std::size_t j = 0; j < ks.size(); ++j) {
-      EXPECT_EQ(drop(curve, out[j]), ref_mul(ks[j].to_limb(), pts[i]))
-          << "point " << i << ", lane " << j;
-      EXPECT_TRUE(same(out[j], curve.exp_fixed(table, ks[j])))
-          << "point " << i << ", lane " << j;
+    for (const std::size_t call : kCallSizes) {
+      std::vector<Nat> ks;
+      for (std::uint64_t j = 0; j < call; ++j)
+        ks.push_back(Nat{(i * 37 + j * 29 + call) % 256});
+      std::vector<Elem> out(ks.size());
+      const std::size_t before = curve.lane_elements();
+      curve.exp_fixed_many(table, ks, out);
+      EXPECT_EQ(curve.lane_elements() - before,
+                curve.batch_lanes() == 8 ? comb_lane_elements(ks, pts[i]) : 0)
+          << "point " << i << ", call of " << call;
+      for (std::size_t j = 0; j < ks.size(); ++j) {
+        EXPECT_EQ(drop(curve, out[j]), ref_mul(ks[j].to_limb(), pts[i]))
+            << "point " << i << ", call of " << call << ", lane " << j;
+        EXPECT_TRUE(same(out[j], curve.exp_fixed(table, ks[j])))
+            << "point " << i << ", call of " << call << ", lane " << j;
+      }
     }
   }
 }

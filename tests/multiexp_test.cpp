@@ -36,13 +36,20 @@
 // serialized bytes, on Jacobian inputs (Z != 1) and decoded ones (Z = 1)
 // alike. The batch forms' 8-lane ladders (EcLaneTest) are checked lane by
 // lane against the oracle and against the scalar ladder's exact Jacobian
-// triple, on batches of 8, 16, 64 and 67 (a scalar tail) mixing identity
+// triple, on batches of 8, 16, 64 and 67 (a padded batch of 3) mixing identity
 // bases, zero, one, two, n - 1, short and wide exponents, x == y and
 // y == x^-1, additions of P and -P, and one addition of P and P per batch
-// of 16 or more, which reruns its batch on the scalar ladder. The lane
+// of 16 or more, which reruns its pair of batches on the scalar ladder,
+// whether the lane sits in the pair's first batch or its second. The lane
 // combs (exp_fixed_many / exp_g_many) are checked the same way against the
 // oracle and the scalar comb's exact triple, including an addition of P
-// and -P and, through a table wider than the order, one of P and P.
+// and -P and, through a table wider than the order, one of P and P. Every
+// batch form runs at sizes 1-7, 9, 15-17, 23, 24, 31, 33, 35, 59 and 67,
+// which take the split's pairs, single batches, padded last batches and
+// scalar remainders, into an output span whose neighbours must stay
+// untouched; padded lanes must read no input past the call; and on an
+// IFMA host EcGroup::lane_elements() must show the lanes set every element
+// but a remainder below the padding threshold.
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -957,12 +964,28 @@ TEST_P(EcOracleTest, DualExpMatchesOracle) {
   EXPECT_EQ(g_.serialize_many(out), all);
 }
 
-// Full lane batches (8, 16, 64) and one that leaves a scalar tail (67).
+// One batch (8), one pair (16), four pairs (64) and four pairs with a padded
+// batch of 3 (67).
 constexpr std::size_t kLaneBatchSizes[] = {8, 16, 64, 67};
 // The element that forces an addition of a point and itself, in every batch
-// long enough to hold it: its batch of 8 reruns on the scalar ladder, and
-// the first batch never does.
+// long enough to hold it: its pair of batches reruns on the scalar ladder,
+// and the other calls never do.
 constexpr std::size_t kDoublingLane = 12;
+// Sizes that take every form of the lane split: one batch's remainder,
+// padded or scalar (1-7); a batch and a scalar remainder (9, 17, 33); a
+// pair padded from a remainder of 7 (15) or 9 (59: three pairs first);
+// pairs (16, 24: a pair and a batch); and pairs followed by padded batches
+// or pairs (23, 31, 35, 67).
+constexpr std::size_t kSplitSizes[] = {1,  2,  3,  4,  5,  6,  7,  9,  15,
+                                       16, 17, 23, 24, 31, 33, 35, 59, 67};
+// Elements on each side of a call's output that must keep their value.
+constexpr std::size_t kGuard = 16;
+
+// The elements a call of n sets on the lanes when no lane reruns: all but
+// a last batch's remainder shorter than pad_from.
+std::size_t lane_count(std::size_t n, std::size_t pad_from) {
+  return n % 8 >= pad_from ? n : n - n % 8;
+}
 
 // The batch forms lane by lane: each element must be the oracle's point and
 // exactly the scalar ladder's Jacobian triple.
@@ -993,6 +1016,31 @@ class EcLaneTest : public EcOracleTest {
   }
 
   const Pt& pooled(std::size_t i) const { return pool_[i % pool_.size()]; }
+
+  // run(out) on an n-element span in the middle of a larger vector; the
+  // kGuard elements on each side must keep their value. Returns the span's
+  // elements.
+  template <class Run>
+  std::vector<Elem> guarded(std::size_t n, const Run& run) {
+    const Elem sentinel = g_.exp_g(Nat{0x5e5e});
+    std::vector<Elem> buf(n + 2 * kGuard, sentinel);
+    run(std::span<Elem>(buf).subspan(kGuard, n));
+    for (std::size_t i = 0; i < kGuard; ++i) {
+      expect_elem(buf[i], sentinel, i, "guard before out");
+      expect_elem(buf[kGuard + n + i], sentinel, i, "guard after out");
+    }
+    return {buf.begin() + kGuard, buf.begin() + kGuard + n};
+  }
+
+  // On an IFMA host, the elements the lanes set while run() ran must be
+  // `want`; elsewhere the lanes set none.
+  template <class Run>
+  void expect_lanes_set(std::size_t want, const Run& run, const char* what) {
+    const std::size_t before = g_.lane_elements();
+    run();
+    EXPECT_EQ(g_.lane_elements() - before, host_has_ifma() ? want : 0u)
+        << what;
+  }
 
   void expect_elem(const Elem& got, const Elem& want, std::size_t lane,
                    const char* what) {
@@ -1157,24 +1205,167 @@ TEST_P(EcLaneTest, CombBatchesMatchOracleAndScalarCombPerLane) {
   }
 }
 
-TEST_P(EcLaneTest, CombLaneAddingPointToItselfRerunsItsBatch) {
+TEST_P(EcLaneTest, CombLaneAddingPointToItselfRerunsItsPair) {
   // A table wider than the order wraps: with s = 2^280 + (2^280 mod n) the
   // comb reaches window 70 holding (2^280 mod n)·P and adds its entry
-  // 2^280·P, the same point. That lane's batch of 8 reruns on the scalar
-  // comb; the other batch runs on the lanes.
+  // 2^280·P, the same point. The call holding that lane, a pair of
+  // batches, reruns on the scalar comb whether the lane is in its first
+  // batch or its second; the next call, a batch of 8, runs on the lanes.
   const Pt& p = pooled(1);
   const FixedBaseTable table{g_, p.e, 300};
   const Nat top = Nat::pow2(280);
   const Nat doubling = Nat::add(top, top % g_.order());
-  std::vector<Nat> ks;
-  for (std::size_t i = 0; i < 16; ++i)
-    ks.push_back(i == kDoublingLane ? doubling
-                                    : Nat::add(top, g_.random_nonzero_scalar(rng_)));
-  std::vector<Elem> out(ks.size());
-  g_.exp_fixed_many(table, ks, out);
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    expect_point(out[i], oracle_.mul(to_gmp(ks[i]), p.a), "exp_fixed_many");
-    expect_elem(out[i], g_.exp_fixed(table, ks[i]), i, "exp_fixed_many");
+  for (const std::size_t lane : {std::size_t{3}, kDoublingLane}) {
+    std::vector<Nat> ks;
+    for (std::size_t i = 0; i < 24; ++i)
+      ks.push_back(i == lane ? doubling
+                             : Nat::add(top, g_.random_nonzero_scalar(rng_)));
+    std::vector<Elem> out(ks.size());
+    expect_lanes_set(8, [&] { g_.exp_fixed_many(table, ks, out); },
+                     "exp_fixed_many");
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      expect_point(out[i], oracle_.mul(to_gmp(ks[i]), p.a), "exp_fixed_many");
+      expect_elem(out[i], g_.exp_fixed(table, ks[i]), i, "exp_fixed_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, PairRerunsWhenEitherBatchAddsAPointToItself) {
+  // 16 elements are one pair of batches; one lane of either batch adds a
+  // point to itself, so the whole pair reruns on the scalar ladder and
+  // every element is still exactly its per-element triple.
+  for (const std::size_t lane : {std::size_t{3}, kDoublingLane}) {
+    std::vector<Elem> bases, xs, ys;
+    std::vector<Nat> ks, exs, eys;
+    for (std::size_t i = 0; i < 16; ++i) {
+      bases.push_back(pooled(i).e);
+      ks.push_back(i == lane ? doubling_scalar(7)
+                             : g_.random_nonzero_scalar(rng_));
+      xs.push_back(pooled(i).e);
+      ys.push_back(i == lane ? xs.back() : pooled(i + 1).e);
+      exs.push_back(g_.random_nonzero_scalar(rng_));
+      eys.push_back(i == lane ? exs.back() : g_.random_nonzero_scalar(rng_));
+    }
+    std::vector<Elem> out(16), dual(16);
+    expect_lanes_set(0, [&] { g_.exp_many(bases, ks, out); }, "exp_many");
+    expect_lanes_set(0, [&] { g_.dual_exp_many(xs, exs, ys, eys, dual); },
+                     "dual_exp_many");
+    for (std::size_t i = 0; i < 16; ++i) {
+      expect_point(out[i], oracle_.mul(to_gmp(ks[i]), pooled(i).a),
+                   "exp_many");
+      expect_elem(out[i], g_.exp(bases[i], ks[i]), i, "exp_many");
+      expect_elem(dual[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
+                  "dual_exp_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, BatchSplitsMatchOracleAndScalarPathPerElement) {
+  // Every batch form at every size of kSplitSizes, on mixed inputs that
+  // meet no P + P (y == x^+-1 would, in a few percent of the lanes, in the
+  // ladder's first windows): each element is the oracle's point and exactly the
+  // per-element call's triple, nothing outside the output span is written,
+  // and on an IFMA host the lanes set every element but a remainder below
+  // the padding threshold.
+  const Nat& n = g_.order();
+  const Pt identity{g_.identity(), Affine{.inf = true}};
+  const Pt& p = pooled(0);
+  const FixedBaseTable table{g_, p.e};
+  for (const std::size_t size : kSplitSizes) {
+    std::vector<Elem> xs, ys;
+    std::vector<Nat> exs, eys;
+    std::vector<Affine> want_exp, want_dual;
+    for (std::size_t i = 0; i < size; ++i) {
+      Pt x = pooled(i), y = pooled(i + 1);
+      Nat ex = g_.random_nonzero_scalar(rng_);
+      Nat ey = g_.random_nonzero_scalar(rng_);
+      switch (i % 7) {
+        case 1: x = identity; break;
+        case 2: ex = Nat{}; break;
+        case 3: ex = n; break;  // ends in P + (-P)
+        case 4: y = identity; break;
+        case 5: ex = Nat{rng_.below_u64(1u << 20)}; break;  // short
+        default: break;
+      }
+      xs.push_back(x.e);
+      ys.push_back(y.e);
+      exs.push_back(ex);
+      eys.push_back(ey);
+      want_exp.push_back(oracle_.mul(to_gmp(ex), x.a));
+      want_dual.push_back(
+          oracle_.add(want_exp.back(), oracle_.mul(to_gmp(ey), y.a)));
+    }
+    std::vector<Elem> out, dual, fixed, with_g;
+    expect_lanes_set(lane_count(size, EcGroup::kLadderPadFrom), [&] {
+      out = guarded(size, [&](std::span<Elem> o) { g_.exp_many(xs, exs, o); });
+    }, "exp_many");
+    expect_lanes_set(lane_count(size, EcGroup::kLadderPadFrom), [&] {
+      dual = guarded(size, [&](std::span<Elem> o) {
+        g_.dual_exp_many(xs, exs, ys, eys, o);
+      });
+    }, "dual_exp_many");
+    expect_lanes_set(lane_count(size, EcGroup::kCombPadFrom), [&] {
+      fixed = guarded(size, [&](std::span<Elem> o) {
+        g_.exp_fixed_many(table, exs, o);
+      });
+    }, "exp_fixed_many");
+    expect_lanes_set(lane_count(size, EcGroup::kCombPadFrom), [&] {
+      with_g = guarded(size, [&](std::span<Elem> o) { g_.exp_g_many(exs, o); });
+    }, "exp_g_many");
+    for (std::size_t i = 0; i < size; ++i) {
+      SCOPED_TRACE(size);
+      const mpz_class k = to_gmp(exs[i]);
+      expect_point(out[i], want_exp[i], "exp_many");
+      expect_elem(out[i], g_.exp(xs[i], exs[i]), i, "exp_many");
+      expect_point(dual[i], want_dual[i], "dual_exp_many");
+      expect_elem(dual[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
+                  "dual_exp_many");
+      expect_point(fixed[i], oracle_.mul(k, p.a), "exp_fixed_many");
+      expect_elem(fixed[i], g_.exp_fixed(table, exs[i]), i, "exp_fixed_many");
+      expect_point(with_g[i], oracle_.mul(k, oracle_.generator()),
+                   "exp_g_many");
+      expect_elem(with_g[i], g_.exp_g(exs[i]), i, "exp_g_many");
+    }
+  }
+}
+
+TEST_P(EcLaneTest, PaddedLanesReadNoInputPastTheCall) {
+  // Each call's inputs are the first 5 elements of longer vectors whose
+  // next elements would make a lane add a point to itself (the ladders'
+  // doubling scalar, x == y with ex == ey, and the wide table's wrapping
+  // scalar). A padded lane that read past the call would send it to the
+  // scalar path: on an IFMA host the lanes must set all 5 elements.
+  constexpr std::size_t kCall = 5;
+  const Pt& p = pooled(1);
+  const FixedBaseTable wide{g_, p.e, 300};
+  const Nat top = Nat::pow2(280);
+  std::vector<Elem> xs, ys;
+  std::vector<Nat> exs, eys, cs;
+  for (std::size_t i = 0; i < kCall + 8; ++i) {
+    const bool poison = i >= kCall;
+    xs.push_back(pooled(i).e);
+    ys.push_back(poison ? xs.back() : pooled(i + 1).e);
+    exs.push_back(poison ? doubling_scalar(5) : g_.random_nonzero_scalar(rng_));
+    eys.push_back(poison ? exs.back() : g_.random_nonzero_scalar(rng_));
+    cs.push_back(poison ? Nat::add(top, top % g_.order())
+                        : Nat::add(top, g_.random_nonzero_scalar(rng_)));
+  }
+  const auto first = [](const auto& v) {
+    return std::span(v).first(kCall);
+  };
+  std::vector<Elem> out(kCall), dual(kCall), fixed(kCall);
+  expect_lanes_set(kCall, [&] { g_.exp_many(first(xs), first(exs), out); },
+                   "exp_many");
+  expect_lanes_set(kCall, [&] {
+    g_.dual_exp_many(first(xs), first(exs), first(ys), first(eys), dual);
+  }, "dual_exp_many");
+  expect_lanes_set(kCall, [&] { g_.exp_fixed_many(wide, first(cs), fixed); },
+                   "exp_fixed_many");
+  for (std::size_t i = 0; i < kCall; ++i) {
+    expect_elem(out[i], g_.exp(xs[i], exs[i]), i, "exp_many");
+    expect_elem(dual[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
+                "dual_exp_many");
+    expect_elem(fixed[i], g_.exp_fixed(wide, cs[i]), i, "exp_fixed_many");
   }
 }
 
