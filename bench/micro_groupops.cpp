@@ -111,18 +111,15 @@ double batch_lanes(const group::Group& g) {
   return 1.0;
 }
 
-// The share of a batch benchmark's elements that EcGroup's lanes set (the
-// rest ran on the scalar path), from its lane_elements() diagnostic; 0 for
-// the other groups.
+// The share of a batch benchmark's elements that the group's lanes set (the
+// rest ran on the scalar path), from its lane_elements() diagnostic.
 template <class Body>
 double lane_share(const group::Group& g, std::size_t elements,
                   const Body& body) {
-  const auto* ec = dynamic_cast<const group::EcGroup*>(&g);
-  const std::size_t before = ec != nullptr ? ec->lane_elements() : 0;
+  const std::size_t before = g.lane_elements();
   body();
-  return ec != nullptr ? static_cast<double>(ec->lane_elements() - before) /
-                             static_cast<double>(elements)
-                       : 0.0;
+  return static_cast<double>(g.lane_elements() - before) /
+         static_cast<double>(elements);
 }
 
 // y^r through a key's comb table, one exp_fixed per scalar
@@ -162,16 +159,17 @@ void BM_FixedBaseExpMany(benchmark::State& state) {
       lane_share(g, l, [&] { g.exp_fixed_many(y, r, out); });
   state.SetLabel(g.name());
 }
-// The EC batch sizes: one batch (8), one pair (16), a circuit's l (35: two
-// pairs and a padded batch of 3), a hop's last chunk at n = 4 (59: three
-// pairs, one batch and a padded 3) and a full hop chunk (64).
-void ec_batch_sizes(benchmark::internal::Benchmark* b, int group) {
-  for (const int n : {8, 16, 35, 59, 64}) b->Args({group, n});
+// The lane batch sizes of both families, on P-256 (5) and dl-test-256 (6):
+// the smallest padded batch (2), the largest (7), one batch (8), one pair
+// (16), a circuit's l (35: two pairs and a padded batch of 3), a hop's last
+// chunk at n = 4 (59: three pairs and a pair padded from 11) and a full hop
+// chunk (64).
+void lane_batch_sizes(benchmark::internal::Benchmark* b) {
+  for (const int group : {5, 6})
+    for (const int n : {2, 7, 8, 16, 35, 59, 64}) b->Args({group, n});
 }
 
-BENCHMARK(BM_FixedBaseExpMany)
-    ->Apply([](auto* b) { ec_batch_sizes(b, 5); })
-    ->Args({6, 35});
+BENCHMARK(BM_FixedBaseExpMany)->Apply(lane_batch_sizes);
 
 // One Participant::compare_against at l = 35 against a peer's encrypted
 // bits (inversion, the ω ladders, the re-randomizations); one iteration is
@@ -340,7 +338,7 @@ void BM_GroupExpMany(benchmark::State& state) {
 BENCHMARK(BM_GroupExpMany)
     ->Args({3, 64})
     ->Args({4, 64})
-    ->Apply([](auto* b) { ec_batch_sizes(b, 5); });
+    ->Apply(lane_batch_sizes);
 
 void BM_GroupDualExpMany(benchmark::State& state) {
   const auto& g = group_for(static_cast<int>(state.range(0)));
@@ -368,7 +366,7 @@ void BM_GroupDualExpMany(benchmark::State& state) {
 BENCHMARK(BM_GroupDualExpMany)
     ->Args({3, 64})
     ->Args({4, 64})
-    ->Apply([](auto* b) { ec_batch_sizes(b, 5); });
+    ->Apply(lane_batch_sizes);
 
 void BM_MontMul(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));

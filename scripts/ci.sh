@@ -39,11 +39,15 @@
 # 64-ciphertext ladder and permutation tasks over sets of 1 to 130
 # ciphertexts) run under ASan+UBSan — index
 # arithmetic over window digits and digit tables is exactly the surface
-# ASan watches. The same leg runs the batch ladders' oracles:
+# ASan watches. Both group families cut a batch into lane calls by one
+# split (lanes::split_lanes: pairs of 8-lane batches, a last batch of two
+# or more padded, one leftover element scalar), so the same leg runs the
+# batch ladders' oracles on both:
 # mpz_modular_test's per-lane GMP oracle (MontCtx::exp_many / dual_exp_many
 # vs mpz_powm on every 4-limb modulus, over every split into batch pairs,
-# single batches and scalar tails and mixed-width exponents, failing on an
-# IFMA host unless the 8-lane path ran), its lane-squaring oracle (asq8 vs
+# single and padded batches and scalar remainders and mixed-width
+# exponents, into a span between sentinels, failing on an IFMA host unless
+# the lanes set the elements the split assigns them), its lane-squaring oracle (asq8 vs
 # GMP and amm8), its mpz_invert oracle for MontCtx::inv_many, multiexp_test's
 # batch-vs-per-element differential and count tests (Group::exp_many /
 # dual_exp_many / inv_many / exp_fixed through MeteredGroup) and
@@ -72,12 +76,15 @@
 # against the GMP oracle and the scalar ladder's exact Jacobian triple, on
 # P-192 / P-224 / P-256 batches of 8, 16, 64 and 67 with identity bases,
 # zero and edge exponents, x == y, y == x^-1 and the P = Q scalar rerun;
-# its batch-split test runs all four EC batch forms at sizes 1-7, 9, 15,
-# 16, 17, 23, 24, 31, 33, 35, 59 and 67 into an output span between
-# sentinel elements, its pair test puts a P = Q lane in a pair's first and
-# second batch, its padding test checks that padded lanes read no input
-# past the call, and on an IFMA host EcGroup::lane_elements() must show the
-# lanes set every element but a remainder below the padding threshold).
+# its pair test puts a P = Q lane in a pair's first and second batch and
+# its padding test checks that padded lanes read no input past the call),
+# and BatchSplitTest, which runs all four batch forms of the three curves
+# and of dl-test-256 at sizes 1-7, 9, 15, 16, 17, 23, 24, 31, 33, 35, 59
+# and 67 from inputs exactly as long as the call (so a padded lane that
+# reads past it reads past an allocation, which ASan reports) into an
+# output span between sentinel elements; on an IFMA host
+# Group::lane_elements() must show the lanes set every element but a
+# remainder below lanes::kPadFrom.
 # The fixed-base
 # combs' batch forms run here too: multiexp_test's comb tests
 # (exp_fixed_many / exp_g_many against per-element exp_fixed / exp_g, GMP's
@@ -91,8 +98,8 @@
 # fixed-base and compare-circuit benchmarks once, so the lane gathers
 # (ladder tables and comb tables), the reruns, the paired 8-lane batches,
 # the lane squaring and the scalar tails also run under the sanitizers on
-# the protocol's shapes, EC batches of 8, 16, 35, 59 and 64 included (the
-# padded pairs and batches). The EC lane ladders keep their digit tables
+# the protocol's shapes, batches of 2, 7, 8, 16, 35, 59 and 64 on P-256 and
+# dl-test-256 included (the padded pairs and batches). The EC lane ladders keep their digit tables
 # on the stack: a P-256 dual_exp_many pair's frame is ~62 KB (DESIGN.md
 # Sec. 5e), well inside the default thread stack under ASan. group_test also pins
 # the canonical EC decode (x, y < p; an all-zero identity) with a

@@ -11,16 +11,9 @@ namespace ppgr::group {
 namespace {
 
 using mpz::Limb;
-using U128 = unsigned __int128;
-
-constexpr std::size_t kWindow = 4;
-constexpr std::size_t kDigits = std::size_t{1} << kWindow;
-
-// The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
-// digit never straddles a limb.
-unsigned nibble(const Nat& e, std::size_t pos) {
-  return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
-}
+using mpz::lanes::kDigits;
+using mpz::lanes::kWindow;
+using mpz::lanes::nibble;
 
 // ---- 8-lane batch ladders: AVX-512 IFMA, fields below 2^256 ----
 //
@@ -70,33 +63,6 @@ struct LaneArgs {
 };
 
 constexpr Nat Elem::* kElemCoords[3] = {&Elem::a, &Elem::b, &Elem::c};
-
-// The lane calls over n elements, up to 16 elements (two batches) per call.
-// A call's last batch is padded to eight lanes when it holds at least
-// pad_from elements; a shorter remainder goes to the scalar path. So 35
-// elements run as two pairs and a padded batch of 3, and 59 as three pairs
-// and a pair padded from 11. lanes.template operator()<B>(i, count) runs
-// one call over elements [i, i + count) in B batches and returns false
-// when they must rerun on the scalar path; scalar(j) sets element j there,
-// as it does for the tail. Returns the elements the lanes set.
-template <class LaneCall, class ScalarCall>
-std::size_t split_lanes(std::size_t n, std::size_t pad_from,
-                        const LaneCall& lanes, const ScalarCall& scalar) {
-  std::size_t i = 0, set = 0;
-  for (;;) {
-    std::size_t count = std::min(n - i, 2 * kLanes);
-    if (count % kLanes < pad_from) count -= count % kLanes;
-    if (count == 0) break;
-    const bool ok = count > kLanes ? lanes.template operator()<2>(i, count)
-                                   : lanes.template operator()<1>(i, count);
-    if (ok) set += count;
-    else
-      for (std::size_t j = i; j < i + count; ++j) scalar(j);
-    i += count;
-  }
-  for (; i < n; ++i) scalar(i);
-  return set;
-}
 
 #if defined(__x86_64__)
 #pragma GCC diagnostic push
@@ -584,12 +550,13 @@ PPGR_IFMA bool straus_lanes(const LaneArgs& args,
 // Montgomery form, all zeros for the identity. Each window gathers every
 // lane's entry, takes it into the lane domain (two products) and adds it
 // with the mixed addition in the lanes whose digit and entry are nonzero.
-// Returns false, with out untouched, when a lane met an addition of a point
-// and itself.
+// Returns false, with out untouched, when a scalar is wider than 512 bits or
+// than the table's `windows` windows cover, or when a lane met an addition
+// of a point and itself.
 template <std::size_t B>
 PPGR_IFMA bool comb_lanes(const LaneArgs& args, const Limb* table,
-                          std::size_t w, const Nat* scalars, std::size_t count,
-                          Elem* out) {
+                          std::size_t w, std::size_t windows,
+                          const Nat* scalars, std::size_t count, Elem* out) {
   const LaneField f = lane_field(args);
   const Lanes<B> to_lane = splat<B>(broadcast(args.consts.to_lane));
   __m512i s[B][mpz::lanes::kCombLimbs + 1];
@@ -599,6 +566,8 @@ PPGR_IFMA bool comb_lanes(const LaneArgs& args, const Limb* table,
   std::size_t bits = 0;
   for (std::size_t i = 0; i < count; ++i)
     bits = std::max(bits, scalars[i].bit_length());
+  if (bits > 64 * mpz::lanes::kCombLimbs || (bits + w - 1) / w > windows)
+    return false;
   LanePoint<B> acc{}, q;
   q.z = splat<B>(broadcast(args.consts.one));
   Mask acc_inf = kAllLanes<B>;
@@ -667,44 +636,6 @@ EcGroup::EcGroup(CurveParams params)
   if (mpz::lanes::cpu_has_avx512ifma())
     lanes_ = mpz::lanes::lane_consts(params_.p, field_.one(),
                                      field_.mont().limbs());
-}
-
-// out = a + b mod p, for a, b < p: the sum, minus p unless that borrows
-// past the sum's carry (branch-free).
-void EcGroup::fadd(Fe& out, const Fe& a, const Fe& b) const {
-  Limb s[kLimbs], d[kLimbs];
-  Limb carry = 0, borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const U128 t = static_cast<U128>(a.l[i]) + b.l[i] + carry;
-    s[i] = static_cast<Limb>(t);
-    carry = static_cast<Limb>(t >> 64);
-  }
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const U128 t = static_cast<U128>(s[i]) - p_.l[i] - borrow;
-    d[i] = static_cast<Limb>(t);
-    borrow = static_cast<Limb>(t >> 64) & 1;
-  }
-  const Limb keep_s = Limb{0} - (borrow & (carry ^ 1));
-  for (std::size_t i = 0; i < kLimbs; ++i)
-    out.l[i] = (s[i] & keep_s) | (d[i] & ~keep_s);
-}
-
-// out = a - b mod p, for a, b < p: the difference, plus p if it borrowed.
-void EcGroup::fsub(Fe& out, const Fe& a, const Fe& b) const {
-  Limb d[kLimbs];
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const U128 t = static_cast<U128>(a.l[i]) - b.l[i] - borrow;
-    d[i] = static_cast<Limb>(t);
-    borrow = static_cast<Limb>(t >> 64) & 1;
-  }
-  const Limb mask = Limb{0} - borrow;
-  Limb carry = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const U128 t = static_cast<U128>(d[i]) + (p_.l[i] & mask) + carry;
-    out.l[i] = static_cast<Limb>(t);
-    carry = static_cast<Limb>(t >> 64);
-  }
 }
 
 EcGroup::Fe EcGroup::load(const Nat& residue) const {
@@ -949,8 +880,8 @@ void EcGroup::exp_many(std::span<const Elem> bases,
   if (lanes_.has_value()) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    count_lanes(split_lanes(
-        out.size(), kLadderPadFrom,
+    count_lanes(mpz::lanes::split_lanes(
+        out.size(),
         [&]<std::size_t B>(std::size_t i, std::size_t count) {
           return straus_lanes<1, B>(args, {&bases[i]}, {&scalars[i]}, count,
                                     &out[i]);
@@ -975,8 +906,8 @@ void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
   if (lanes_.has_value()) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    count_lanes(split_lanes(
-        out.size(), kLadderPadFrom,
+    count_lanes(mpz::lanes::split_lanes(
+        out.size(),
         [&]<std::size_t B>(std::size_t i, std::size_t count) {
           return straus_lanes<2, B>(args, {&xs[i], &ys[i]},
                                     {&exs[i], &eys[i]}, count, &out[i]);
@@ -986,11 +917,6 @@ void EcGroup::dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
   }
 #endif
   for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
-}
-
-void EcGroup::count_lanes(std::size_t elements) const {
-  if (elements != 0)
-    lane_elements_.fetch_add(elements, std::memory_order_relaxed);
 }
 
 const FixedBaseTable& EcGroup::gen_table() const {
@@ -1035,20 +961,14 @@ void EcGroup::exp_fixed_many(const FixedBaseTable& table,
         "EcGroup::exp_fixed_many: table not packed by this group");
   const auto scalar = [&](std::size_t j) { out[j] = comb(table, scalars[j]); };
 #if defined(__x86_64__)
-  const bool lanes =
-      lanes_.has_value() &&
-      std::all_of(scalars.begin(), scalars.end(), [&](const Nat& s) {
-        return table.fits(s) &&
-               s.bit_length() <= 64 * mpz::lanes::kCombLimbs;
-      });
-  if (lanes) {
+  if (lanes_.has_value()) {
     const LaneArgs args{*lanes_, p_.l, a_.l, a_is_minus3_, gen_,
                         field_.mont().limbs()};
-    count_lanes(split_lanes(
-        out.size(), kCombPadFrom,
+    count_lanes(mpz::lanes::split_lanes(
+        out.size(),
         [&]<std::size_t B>(std::size_t i, std::size_t count) {
           return comb_lanes<B>(args, table.packed().data(), table.window_bits(),
-                               &scalars[i], count, &out[i]);
+                               table.windows(), &scalars[i], count, &out[i]);
         },
         scalar));
     return;

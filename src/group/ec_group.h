@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,13 +63,13 @@ class EcGroup final : public Group {
   void exp_g_many(std::span<const Nat> scalars,
                   std::span<Elem> out) const override;
   /// The scalar comb on stack points, one mixed addition per nonzero digit
-  /// starting from the identity, or on an IFMA CPU lane-wise combs, two
-  /// batches of 8 per call while 16 elements remain; each element is the
-  /// scalar comb's Jacobian triple. A last batch of at least kCombPadFrom
-  /// elements runs padded with zero scalars, a shorter remainder on the
-  /// scalar comb, and so does a call in which a lane adds a point to
-  /// itself. The table must be packed by this group (std::invalid_argument
-  /// otherwise).
+  /// starting from the identity, or on an IFMA CPU lane-wise combs in the
+  /// calls lanes::split_lanes cuts (a last batch padded with zero scalars,
+  /// a remainder below lanes::kPadFrom on the scalar comb); each element is
+  /// the scalar comb's Jacobian triple. A call holding a scalar the table
+  /// does not cover, or in which a lane adds a point to itself, reruns on
+  /// the scalar comb. The table must be packed by this group
+  /// (std::invalid_argument otherwise).
   void exp_fixed_many(const FixedBaseTable& table,
                       std::span<const Nat> scalars,
                       std::span<Elem> out) const override;
@@ -88,33 +87,19 @@ class EcGroup final : public Group {
                               const Nat& ey) const override;
   /// Batch forms, element-identical to exp / dual_exp (the same Jacobian
   /// triple, not only the same point). On an IFMA CPU they run lane-wise
-  /// ladders, two batches of 8 per call while 16 elements remain; a last
-  /// batch of at least kLadderPadFrom elements runs padded with identity
-  /// bases, a shorter remainder on the scalar ladder. A call in which a lane
-  /// adds a point to itself or doubles a point of order 2 reruns all its
-  /// elements on the scalar ladder.
+  /// ladders in the calls lanes::split_lanes cuts (a last batch padded with
+  /// identity bases, a remainder below lanes::kPadFrom on the scalar
+  /// ladder). A call in which a lane adds a point to itself or doubles a
+  /// point of order 2 reruns all its elements on the scalar ladder.
   void exp_many(std::span<const Elem> bases, std::span<const Nat> scalars,
                 std::span<Elem> out) const override;
   void dual_exp_many(std::span<const Elem> xs, std::span<const Nat> exs,
                      std::span<const Elem> ys, std::span<const Nat> eys,
                      std::span<Elem> out) const override;
-  /// The fewest elements a lane call's last batch holds when it is padded
-  /// to eight lanes (the identity as base for the ladders, a zero scalar
-  /// for the combs) rather than left to the scalar path: a padded batch
-  /// costs a full one, so it pays from the remainder whose scalar calls
-  /// cost more (DESIGN.md Sec. 5e).
-  static constexpr std::size_t kLadderPadFrom = 2;
-  static constexpr std::size_t kCombPadFrom = 2;
   /// Ladders the batch forms run per step: 8 on the IFMA path, 1 on the
   /// scalar ladder. The CPU alone decides (every shipped field qualifies).
   [[nodiscard]] std::size_t batch_lanes() const {
     return lanes_.has_value() ? 8 : 1;
-  }
-  /// Elements the batch forms have set on the lanes since construction
-  /// (not those rerun on the scalar path): a diagnostic that shows which
-  /// path a call took.
-  [[nodiscard]] std::size_t lane_elements() const {
-    return lane_elements_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] Elem inv(const Elem& x) const override;
   [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override;
@@ -158,8 +143,12 @@ class EcGroup final : public Group {
   void fmul(Fe& out, const Fe& a, const Fe& b) const {
     field_.mont().mul_limbs(out.l, a.l, b.l);
   }
-  void fadd(Fe& out, const Fe& a, const Fe& b) const;
-  void fsub(Fe& out, const Fe& a, const Fe& b) const;
+  void fadd(Fe& out, const Fe& a, const Fe& b) const {
+    mpz::add_mod<kLimbs>(out.l, a.l, b.l, p_.l);
+  }
+  void fsub(Fe& out, const Fe& a, const Fe& b) const {
+    mpz::sub_mod<kLimbs>(out.l, a.l, b.l, p_.l);
+  }
   [[nodiscard]] Fe load(const Nat& residue) const;
   [[nodiscard]] Point load(const Elem& e) const;
   [[nodiscard]] Elem box(const Point& pt) const;
@@ -182,7 +171,6 @@ class EcGroup final : public Group {
   [[nodiscard]] const FixedBaseTable& gen_table() const;
   /// exp_fixed_many's scalar comb.
   [[nodiscard]] Elem comb(const FixedBaseTable& table, const Nat& scalar) const;
-  void count_lanes(std::size_t elements) const;
 
   CurveParams params_;
   mpz::FpCtx field_;
@@ -192,7 +180,6 @@ class EcGroup final : public Group {
   bool a_is_minus3_ = false;
   Elem gen_;
   std::optional<mpz::LaneConsts> lanes_;  // set iff batch_lanes() == 8
-  alignas(64) mutable std::atomic<std::size_t> lane_elements_{0};
   // Lazily built comb table for the generator; call_once-guarded so
   // concurrent exp_g calls from the parallel engine are race-free.
   mutable std::once_flag gen_table_once_;

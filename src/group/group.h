@@ -15,6 +15,7 @@
 // multiplication for curves).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -159,12 +160,13 @@ class Group {
   /// exp(table.base(), scalars[i]), the same element; it serves groups that
   /// pack no table (MockGroup) and decorators that forward no comb form.
   /// The exp_g_many default loops over exp_g. SchnorrGroup and EcGroup run
-  /// one comb over the packed table: full batches of 8 as lane-wise combs on
-  /// AVX-512 IFMA CPUs (4-limb moduli, resp. every shipped curve), the rest
-  /// on a scalar comb with one product per nonzero digit, each element the
-  /// same residue, resp. Jacobian triple, whichever runs it (DESIGN.md
-  /// Sec. 5e). MeteredGroup counts out.size() kGroupExp plus out.size()
-  /// kAccelFixedBaseExp, resp. out.size() kGroupExpG, and forwards.
+  /// one comb over the packed table: lane-wise combs on AVX-512 IFMA CPUs
+  /// (4-limb moduli, resp. every shipped curve), a last batch padded with
+  /// zero scalars, and a remainder of one on a scalar comb with one product
+  /// per nonzero digit, each element the same residue, resp. Jacobian
+  /// triple, whichever runs it (DESIGN.md Sec. 5e). MeteredGroup counts
+  /// out.size() kGroupExp plus out.size() kAccelFixedBaseExp, resp.
+  /// out.size() kGroupExpG, and forwards.
   virtual void exp_fixed_many(const FixedBaseTable& table,
                               std::span<const Nat> scalars,
                               std::span<Elem> out) const;
@@ -185,6 +187,21 @@ class Group {
   [[nodiscard]] Nat random_nonzero_scalar(Rng& rng) const {
     return rng.nonzero_below(order());
   }
+  /// Elements this group's batch forms have set on 8-lane IFMA paths (not
+  /// those run or rerun on a scalar path): a diagnostic of which path a call
+  /// took. Groups without lanes, decorators included, read 0.
+  [[nodiscard]] std::size_t lane_elements() const {
+    return lane_elements_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  void count_lanes(std::size_t elements) const {
+    if (elements != 0)
+      lane_elements_.fetch_add(elements, std::memory_order_relaxed);
+  }
+
+ private:
+  alignas(64) mutable std::atomic<std::size_t> lane_elements_{0};
 };
 
 /// Named constructors for the configurations evaluated in the paper

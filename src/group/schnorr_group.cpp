@@ -1,9 +1,11 @@
 #include "group/schnorr_group.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
+#include "mpz/ifma_lanes.h"
 #include "mpz/modarith.h"
 
 namespace ppgr::group {
@@ -104,13 +106,24 @@ void SchnorrGroup::exp_fixed_many(const FixedBaseTable& table,
   if (table.packed().size() != table.entries() * mont_.limbs())
     throw std::invalid_argument(
         "SchnorrGroup::exp_fixed_many: table not packed by this group");
-  std::size_t i = 0;
-  if (mont_.batch_lanes() == 8 && out.size() >= 8) {
-    std::vector<Nat> r(out.size());
-    i = mont_.comb_lanes(table.packed(), table.window_bits(), scalars, r);
-    for (std::size_t j = 0; j < i; ++j) out[j] = Elem{.a = std::move(r[j])};
+  const auto scalar = [&](std::size_t j) { out[j] = comb(table, scalars[j]); };
+  if (mont_.batch_lanes() == 8) {
+    count_lanes(mpz::lanes::split_lanes(
+        out.size(),
+        [&]<std::size_t>(std::size_t i, std::size_t count) {
+          std::array<Nat, 2 * mpz::lanes::kLanes> r;
+          if (!mont_.comb_lanes(table.packed(), table.window_bits(),
+                                scalars.subspan(i, count),
+                                std::span(r).first(count)))
+            return false;
+          for (std::size_t j = 0; j < count; ++j)
+            out[i + j] = Elem{.a = std::move(r[j])};
+          return true;
+        },
+        scalar));
+    return;
   }
-  for (; i < out.size(); ++i) out[i] = comb(table, scalars[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
 }
 
 std::vector<Limb> SchnorrGroup::pack_table(
@@ -145,7 +158,7 @@ void SchnorrGroup::exp_many(std::span<const Elem> bases,
   if (bases.size() != out.size())
     throw std::invalid_argument("SchnorrGroup::exp_many: span sizes differ");
   std::vector<Nat> r = residues(bases);
-  mont_.exp_many(r, scalars, r);
+  count_lanes(mont_.exp_many(r, scalars, r));
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = Elem{.a = std::move(r[i])};
 }
@@ -159,7 +172,7 @@ void SchnorrGroup::dual_exp_many(std::span<const Elem> xs,
     throw std::invalid_argument(
         "SchnorrGroup::dual_exp_many: span sizes differ");
   std::vector<Nat> r = residues(xs);
-  mont_.dual_exp_many(r, exs, residues(ys), eys, r);
+  count_lanes(mont_.dual_exp_many(r, exs, residues(ys), eys, r));
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = Elem{.a = std::move(r[i])};
 }

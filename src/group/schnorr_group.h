@@ -42,9 +42,11 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override;
   void exp_g_many(std::span<const Nat> scalars,
                   std::span<Elem> out) const override;
-  /// Full batches of 8 run MontCtx::comb_lanes over the packed table (on
-  /// AVX-512 IFMA CPUs, 4-limb moduli), the rest the scalar comb. The table
-  /// must be packed by this group (std::invalid_argument otherwise).
+  /// On AVX-512 IFMA CPUs (4-limb moduli) MontCtx::comb_lanes over the
+  /// packed table in the calls lanes::split_lanes cuts, as EcGroup's, else
+  /// (and for a call holding a scalar the table does not cover) the scalar
+  /// comb; each element is the same residue. The table must be packed by
+  /// this group (std::invalid_argument otherwise).
   void exp_fixed_many(const FixedBaseTable& table,
                       std::span<const Nat> scalars,
                       std::span<Elem> out) const override;

@@ -1,6 +1,6 @@
-// Shared primitives of the 8-lane AVX-512 IFMA ladders and combs. Internal:
-// included by mont.cpp (MontCtx's batch ladders and combs) and
-// group/ec_group.cpp (EcGroup's), not part of the library's interface.
+// What both group families' ladders and combs share: the 4-bit window, the
+// split of a batch into lane calls and the 8-lane AVX-512 IFMA primitives.
+// Internal (mont.cpp and group/), not part of the library's interface.
 //
 // Eight independent ladders run side by side, one per 64-bit lane of a zmm
 // register: a residue is five registers, register j holding radix-2^52 limb
@@ -34,6 +34,7 @@
 // halves and a small carry.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -48,6 +49,51 @@ namespace ppgr::mpz::lanes {
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kLimbs52 = 5;
 constexpr Limb kMask52 = (Limb{1} << 52) - 1;
+
+/// The variable-base ladders' (scalar and lane) fixed window: 4 bits, so a
+/// digit table holds 16 powers.
+constexpr std::size_t kWindow = 4;
+constexpr std::size_t kDigits = std::size_t{1} << kWindow;
+
+/// The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
+/// digit never straddles a limb.
+inline unsigned nibble(const Nat& e, std::size_t pos) {
+  return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
+}
+
+/// The fewest elements a lane call's last batch holds when it is padded to
+/// eight lanes rather than left to the scalar path: a padded batch costs a
+/// full one, and two scalar calls cost more on both families (DESIGN.md
+/// Sec. 5e).
+constexpr std::size_t kPadFrom = 2;
+
+/// The lane calls over a batch of n elements, the one rule of both
+/// families: up to 16 elements (two batches of eight) per call, and a
+/// call's last batch padded to eight lanes when it holds at least kPadFrom
+/// elements; a shorter remainder goes to the scalar path. So 35 elements
+/// run as two pairs and a padded batch of 3, and 59 as three pairs and a
+/// pair padded from 11. lanes.template operator()<B>(i, count) runs one
+/// call over elements [i, i + count) in B batches and returns false when
+/// they must rerun on the scalar path; scalar(j) sets element j there, as
+/// it does for the tail. Returns the elements the lanes set.
+template <class LaneCall, class ScalarCall>
+std::size_t split_lanes(std::size_t n, const LaneCall& lanes,
+                        const ScalarCall& scalar) {
+  std::size_t i = 0, set = 0;
+  for (;;) {
+    std::size_t count = std::min(n - i, 2 * kLanes);
+    if (count % kLanes < kPadFrom) count -= count % kLanes;
+    if (count == 0) break;
+    const bool ok = count > kLanes ? lanes.template operator()<2>(i, count)
+                                   : lanes.template operator()<1>(i, count);
+    if (ok) set += count;
+    else
+      for (std::size_t j = i; j < i + count; ++j) scalar(j);
+    i += count;
+  }
+  for (; i < n; ++i) scalar(i);
+  return set;
+}
 
 /// x < 2^256, given as four 64-bit limbs, as five 52-bit limbs.
 inline std::array<Limb, kLimbs52> to_radix52(const Limb* l) {
@@ -247,8 +293,7 @@ PPGR_IFMA_INLINE __m512i comb_digits(const __m512i (&s)[kCombLimbs + 1],
 /// scalars[l] in lane l of s[j], s[8] zero. Only the first `count` lanes
 /// read a scalar; the others are zero.
 PPGR_IFMA_INLINE void load_scalars(__m512i (&s)[kCombLimbs + 1],
-                                   const Nat* scalars,
-                                   std::size_t count = kLanes) {
+                                   const Nat* scalars, std::size_t count) {
   alignas(64) Limb t[kCombLimbs + 1][kLanes] = {};
   for (std::size_t l = 0; l < count; ++l) {
     Limb x[kCombLimbs];

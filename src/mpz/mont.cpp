@@ -205,58 +205,9 @@ struct Adx4 {
   }
 };
 
-// out = a + b mod m on the kernel's width, for a, b < m: the sum, minus m
-// unless that borrows past the sum's carry (branch-free). out may alias a
-// or b.
-template <class Kern>
-[[gnu::always_inline]] inline void add_mod(const Kern& kern, Limb* out,
-                                           const Limb* a, const Limb* b) {
-  const std::size_t k = kern.width();
-  Limb s[Kern::kCap] = {};
-  Limb carry = 0, borrow = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const U128 t = static_cast<U128>(a[j]) + b[j] + carry;
-    s[j] = static_cast<Limb>(t);
-    carry = static_cast<Limb>(t >> 64);
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    const U128 t = static_cast<U128>(s[j]) - kern.m[j] - borrow;
-    out[j] = static_cast<Limb>(t);
-    borrow = static_cast<Limb>(t >> 64) & 1;
-  }
-  const Limb keep_s = Limb{0} - (borrow & (carry ^ 1));
-  for (std::size_t j = 0; j < k; ++j)
-    out[j] = (s[j] & keep_s) | (out[j] & ~keep_s);
-}
-
-// out = a - b mod m, for a, b < m: the difference, plus m if it borrowed.
-template <class Kern>
-[[gnu::always_inline]] inline void sub_mod(const Kern& kern, Limb* out,
-                                           const Limb* a, const Limb* b) {
-  const std::size_t k = kern.width();
-  Limb borrow = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const U128 t = static_cast<U128>(a[j]) - b[j] - borrow;
-    out[j] = static_cast<Limb>(t);
-    borrow = static_cast<Limb>(t >> 64) & 1;
-  }
-  const Limb mask = Limb{0} - borrow;
-  Limb carry = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const U128 t = static_cast<U128>(out[j]) + (kern.m[j] & mask) + carry;
-    out[j] = static_cast<Limb>(t);
-    carry = static_cast<Limb>(t >> 64);
-  }
-}
-
-// The 4-bit digit of e at bit offset pos; offsets are multiples of 4, so a
-// digit never straddles a limb.
-unsigned nibble(const Nat& e, std::size_t pos) {
-  return static_cast<unsigned>(e.limb(pos / 64) >> (pos % 64)) & 0xFu;
-}
-
-constexpr std::size_t kWindow = 4;
-constexpr std::size_t kDigits = std::size_t{1} << kWindow;
+using lanes::kDigits;
+using lanes::kWindow;
+using lanes::nibble;
 
 // Product of bases[i]^exps[i] over N = 1 (exp) or 2 (dual_exp) terms, at
 // least one exponent nonzero: interleaved Straus with 4-bit windows, one
@@ -321,15 +272,17 @@ using lanes::LaneTable;
 using lanes::load5;
 using lanes::store5;
 
-// out[l] = lane l of amm8(acc, f), fully reduced to four limbs: the exit of
-// every lane ladder, f the factor that takes the lane result to a 64-bit
-// Montgomery residue.
+// out[l] = lane l of amm8(acc, f), fully reduced to four limbs, for
+// l < count: the exit of every lane ladder, f the factor that takes the lane
+// result to a 64-bit Montgomery residue. Lanes from count on are padding and
+// write nothing.
 PPGR_IFMA_INLINE void leave_lanes(Lane5 acc, const Lane5& f, const Lane5& m,
-                                  __m512i k0, const Limb* m64, Nat* out) {
+                                  __m512i k0, const Limb* m64,
+                                  std::size_t count, Nat* out) {
   amm8(acc, acc, f, m, k0);
   alignas(64) LaneTable res;
   store5(res, acc);
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < kLanes && l < count; ++l) {
     const Limb r[kLimbs52] = {res[0][l], res[1][l], res[2][l], res[3][l],
                               res[4][l]};
     Limb x[4] = {};
@@ -340,8 +293,10 @@ PPGR_IFMA_INLINE void leave_lanes(Lane5 acc, const Lane5& f, const Lane5& m,
 
 // B batches of eight ladders: lane l of batch b sets out[8b + l] to the
 // product over the N terms of bases[i][8b + l]^exps[i][8b + l], where
-// bases[i] and exps[i] each point at 8B consecutive values and the bases are
-// fully reduced 64-bit-limb Montgomery residues. Every input is read before
+// bases[i] and exps[i] point at the call's consecutive values and the bases
+// are fully reduced 64-bit-limb Montgomery residues. Only the first `count`
+// lanes (more than 8(B - 1)) read an input or write out; the rest are
+// padding, with one as base and a zero exponent. Every input is read before
 // out is written. One lane product is a dependent chain of vpmadd52s, so a
 // single batch leaves the multiplier waiting on its latency; the batches'
 // products are independent and issued side by side, step by step, which
@@ -350,20 +305,28 @@ PPGR_IFMA_INLINE void leave_lanes(Lane5 acc, const Lane5& f, const Lane5& m,
 template <std::size_t N, std::size_t B>
 PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
                             const std::array<const Nat*, N>& bases,
-                            const std::array<const Nat*, N>& exps, Nat* out) {
+                            const std::array<const Nat*, N>& exps,
+                            std::size_t count, Nat* out) {
   // table[b][i][d][j][l]: limb j of bases[i][8b + l]^d in the lane domain.
   alignas(64) LaneTable table[B][N][kDigits];
   const Lane5 m = broadcast(c.m);
   const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
   const Lane5 one = broadcast(c.one);
+  // e[i][lane]: the lane's exponent, zero on a padded lane.
+  static const Nat kZero;
+  std::array<const Nat*, B * kLanes> e[N];
   std::size_t bits = 0;
   for (std::size_t i = 0; i < N; ++i) {
     Lane5 x[B], xd[B];
     for (std::size_t b = 0; b < B; ++b) {
       for (std::size_t l = 0; l < kLanes; ++l) {
-        const auto v = lanes::to_radix52(bases[i][b * kLanes + l]);
+        const std::size_t lane = b * kLanes + l;
+        // c.from_lane is R mod m: one, as a 64-bit Montgomery residue.
+        const auto v =
+            lane < count ? lanes::to_radix52(bases[i][lane]) : c.from_lane;
         for (std::size_t j = 0; j < kLimbs52; ++j) table[b][i][1][j][l] = v[j];
-        bits = std::max(bits, exps[i][b * kLanes + l].bit_length());
+        e[i][lane] = lane < count ? &exps[i][lane] : &kZero;
+        bits = std::max(bits, e[i][lane]->bit_length());
       }
       x[b] = load5(table[b][i][1]);
       amm8(x[b], x[b], broadcast(c.to_lane), m, k0);
@@ -391,7 +354,7 @@ PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
         // into the table.
         alignas(64) Limb offset[kLanes];
         for (std::size_t l = 0; l < kLanes; ++l)
-          offset[l] = nibble(exps[i][b * kLanes + l], w * kWindow) * kLimbs52 *
+          offset[l] = nibble(*e[i][b * kLanes + l], w * kWindow) * kLimbs52 *
                           kLanes +
                       l;
         const __m512i idx = _mm512_load_si512(offset);
@@ -405,12 +368,15 @@ PPGR_IFMA void straus_lanes(const LaneConsts& c, const Limb* m64,
     }
   }
   for (std::size_t b = 0; b < B; ++b)
-    leave_lanes(acc[b], broadcast(c.from_lane), m, k0, m64, out + b * kLanes);
+    leave_lanes(acc[b], broadcast(c.from_lane), m, k0, m64, count - b * kLanes,
+                out + b * kLanes);
 }
 
 // B batches of eight fixed-base combs: lane l of batch b sets out[8b + l]
 // to the product of table[k][digit_k(scalars[8b + l])] over the first
-// `windows` windows, the table holding 2^w entries per window on four
+// `windows` windows, for the first `count` lanes (more than 8(B - 1)); the
+// rest are padding with a zero scalar and write nothing. The table holds
+// 2^w entries per window on four
 // 64-bit limbs each, fully reduced, entry 0 the Montgomery one R mod m
 // (R = 2^256). Each window's entries are gathered (vpgatherqq, one lane's
 // digit each) and multiplied in as stored: the first window's entry is the
@@ -425,12 +391,14 @@ PPGR_IFMA void fixed_base_lanes(const LaneConsts& c, const Limb* m64,
                                 const Limb* table, std::size_t w,
                                 std::size_t windows,
                                 const std::array<Limb, kLimbs52>& exit,
-                                const Nat* scalars, Nat* out) {
+                                const Nat* scalars, std::size_t count,
+                                Nat* out) {
   const Lane5 m = broadcast(c.m);
   const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
   __m512i s[B][lanes::kCombLimbs + 1];
   for (std::size_t b = 0; b < B; ++b)
-    lanes::load_scalars(s[b], scalars + b * kLanes);
+    lanes::load_scalars(s[b], scalars + b * kLanes,
+                        std::min(count - b * kLanes, kLanes));
   Lane5 acc[B];
   for (std::size_t k = 0; k < windows; ++k) {
     const __m512i row = _mm512_set1_epi64(static_cast<long long>(k << w));
@@ -449,30 +417,8 @@ PPGR_IFMA void fixed_base_lanes(const LaneConsts& c, const Limb* m64,
       else amm8(acc[b], acc[b], e[b], m, k0);
   }
   for (std::size_t b = 0; b < B; ++b)
-    leave_lanes(acc[b], broadcast(exit), m, k0, m64, out + b * kLanes);
-}
-
-// Runs the lanes over the first elements of a batch of n: pairs of batches
-// while 16 elements remain, then one batch of eight if 8 do. Returns how
-// many elements it set; the rest (fewer than 8) are left to the scalar
-// ladders.
-template <std::size_t N>
-std::size_t lanes_prefix(const LaneConsts& c, const Limb* m64, std::size_t n,
-                         const std::array<const Nat*, N>& bases,
-                         const std::array<const Nat*, N>& exps, Nat* out) {
-  const auto from = [](const std::array<const Nat*, N>& p, std::size_t i) {
-    std::array<const Nat*, N> q;
-    for (std::size_t t = 0; t < N; ++t) q[t] = p[t] + i;
-    return q;
-  };
-  std::size_t i = 0;
-  for (; n - i >= 2 * kLanes; i += 2 * kLanes)
-    straus_lanes<N, 2>(c, m64, from(bases, i), from(exps, i), out + i);
-  if (n - i >= kLanes) {
-    straus_lanes<N, 1>(c, m64, from(bases, i), from(exps, i), out + i);
-    i += kLanes;
-  }
-  return i;
+    leave_lanes(acc[b], broadcast(exit), m, k0, m64, count - b * kLanes,
+                out + b * kLanes);
 }
 
 #pragma GCC diagnostic pop
@@ -607,26 +553,29 @@ void MontCtx::from_mont_limbs(Limb* out, const Limb* a) const {
 void MontCtx::add_limbs(Limb* out, const Limb* a, const Limb* b,
                         std::size_t count) const {
   with_kernel([&](const auto& kern) {
+    constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
     for (std::size_t i = 0; i < count * k_; i += k_)
-      add_mod(kern, out + i, a + i, b + i);
+      add_mod<kCap>(out + i, a + i, b + i, kern.m, kern.width());
   });
 }
 
 void MontCtx::sub_limbs(Limb* out, const Limb* a, const Limb* b,
                         std::size_t count) const {
   with_kernel([&](const auto& kern) {
+    constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
     for (std::size_t i = 0; i < count * k_; i += k_)
-      sub_mod(kern, out + i, a + i, b + i);
+      sub_mod<kCap>(out + i, a + i, b + i, kern.m, kern.width());
   });
 }
 
 void MontCtx::mul_add_limbs(Limb* acc, const Limb* s, const Limb* xs,
                             std::size_t count) const {
   with_kernel([&](const auto& kern) {
-    Limb prod[std::remove_cvref_t<decltype(kern)>::kCap] = {};
+    constexpr std::size_t kCap = std::remove_cvref_t<decltype(kern)>::kCap;
+    Limb prod[kCap] = {};
     for (std::size_t i = 0; i < count * k_; i += k_) {
       kern(prod, s, xs + i);
-      add_mod(kern, acc + i, acc + i, prod);
+      add_mod<kCap>(acc + i, acc + i, prod, kern.m, kern.width());
     }
   });
 }
@@ -670,76 +619,87 @@ Nat MontCtx::dual_exp(const Nat& x, const Nat& ex, const Nat& y,
   });
 }
 
-void MontCtx::exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
-                       std::span<Nat> out) const {
+std::size_t MontCtx::exp_many(std::span<const Nat> bases,
+                              std::span<const Nat> exps,
+                              std::span<Nat> out) const {
   if (bases.size() != out.size() || exps.size() != out.size())
     throw std::invalid_argument("MontCtx::exp_many: span sizes differ");
-  std::size_t i = 0;
+  const auto scalar = [&](std::size_t j) { out[j] = exp(bases[j], exps[j]); };
 #if defined(__x86_64__)
   if (lanes_.has_value())
-    i = lanes_prefix<1>(*lanes_, m_.limbs().data(), out.size(),
-                        {bases.data()}, {exps.data()}, out.data());
+    return lanes::split_lanes(
+        out.size(),
+        [&]<std::size_t B>(std::size_t i, std::size_t count) {
+          straus_lanes<1, B>(*lanes_, m_.limbs().data(), {&bases[i]},
+                             {&exps[i]}, count, &out[i]);
+          return true;
+        },
+        scalar);
 #endif
-  for (; i < out.size(); ++i) out[i] = exp(bases[i], exps[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
+  return 0;
 }
 
-void MontCtx::dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
-                            std::span<const Nat> ys, std::span<const Nat> eys,
-                            std::span<Nat> out) const {
+std::size_t MontCtx::dual_exp_many(std::span<const Nat> xs,
+                                   std::span<const Nat> exs,
+                                   std::span<const Nat> ys,
+                                   std::span<const Nat> eys,
+                                   std::span<Nat> out) const {
   if (xs.size() != out.size() || exs.size() != out.size() ||
       ys.size() != out.size() || eys.size() != out.size())
     throw std::invalid_argument("MontCtx::dual_exp_many: span sizes differ");
-  std::size_t i = 0;
+  const auto scalar = [&](std::size_t j) {
+    out[j] = dual_exp(xs[j], exs[j], ys[j], eys[j]);
+  };
 #if defined(__x86_64__)
   if (lanes_.has_value())
-    i = lanes_prefix<2>(*lanes_, m_.limbs().data(), out.size(),
-                        {xs.data(), ys.data()}, {exs.data(), eys.data()},
-                        out.data());
+    return lanes::split_lanes(
+        out.size(),
+        [&]<std::size_t B>(std::size_t i, std::size_t count) {
+          straus_lanes<2, B>(*lanes_, m_.limbs().data(), {&xs[i], &ys[i]},
+                             {&exs[i], &eys[i]}, count, &out[i]);
+          return true;
+        },
+        scalar);
 #endif
-  for (; i < out.size(); ++i) out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) scalar(i);
+  return 0;
 }
 
-std::size_t MontCtx::comb_lanes(std::span<const Limb> table, std::size_t w,
-                               std::span<const Nat> scalars,
-                               std::span<Nat> out) const {
-  if (scalars.size() != out.size())
-    throw std::invalid_argument("MontCtx::comb_lanes: span sizes differ");
-  std::size_t i = 0;
+bool MontCtx::comb_lanes(std::span<const Limb> table, std::size_t w,
+                         std::span<const Nat> scalars,
+                         std::span<Nat> out) const {
+  if (scalars.size() != out.size() || out.empty() ||
+      out.size() > 2 * kLanes)
+    throw std::invalid_argument(
+        "MontCtx::comb_lanes: 1 to 16 scalars and as many outputs");
+  if (!lanes_.has_value())
+    throw std::logic_error("MontCtx::comb_lanes: no lanes on this context");
 #if defined(__x86_64__)
-  if (!lanes_.has_value()) return 0;
-  const std::size_t windows = table.size() >> (w + 2);
-  const auto width = [&](std::size_t from, std::size_t to) {
-    std::size_t bits = 0;
-    for (std::size_t j = from; j < to; ++j)
-      bits = std::max(bits, scalars[j].bit_length());
-    return bits;
-  };
-  if (const std::size_t bits = width(0, out.size());
-      bits > 64 * lanes::kCombLimbs || (bits + w - 1) / w > windows)
-    return 0;
-  std::size_t exit_windows = 0;
-  std::array<Limb, kLimbs52> exit{};
-  // Runs B batches from element i over the windows of their widest scalar.
-  const auto run = [&]<std::size_t B>() {
-    const std::size_t used =
-        std::max<std::size_t>((width(i, i + B * kLanes) + w - 1) / w, 1);
-    if (used != exit_windows) {
-      Nat v = Nat::pow2(4 * used);
-      if (v >= m_) v = v % m_;
-      exit = lanes::to_radix52(to_mont(v));
-      exit_windows = used;
-    }
-    fixed_base_lanes<B>(*lanes_, m_.limbs().data(), table.data(), w, used,
-                        exit, scalars.data() + i, out.data() + i);
-    i += B * kLanes;
-  };
-  while (out.size() - i >= 2 * kLanes) run.template operator()<2>();
-  if (out.size() - i >= kLanes) run.template operator()<1>();
+  std::size_t bits = 0;
+  for (const Nat& s : scalars) bits = std::max(bits, s.bit_length());
+  const std::size_t windows = (bits + w - 1) / w;
+  if (bits > 64 * lanes::kCombLimbs || windows > table.size() >> (w + 2))
+    return false;
+  // The comb runs over the widest scalar's windows (at least one); `exit`
+  // = 2^(4 used) R mod m removes the drift of that many products (see
+  // fixed_base_lanes). With 4 used = 256a + t, t < 256, it is 2^t R^(a+1):
+  // 2^t (below R) times R^2 mod m, a + 1 times, through the kernel.
+  const std::size_t used = std::max<std::size_t>(windows, 1);
+  Limb x[4] = {}, rr[4];
+  x[4 * used % 256 / 64] = Limb{1} << (4 * used % 64);
+  rr_.to_limbs(rr, 4);
+  for (std::size_t a = 0; a <= 4 * used / 256; ++a) mul_limbs(x, x, rr);
+  const auto exit = lanes::to_radix52(x);
+  (out.size() > kLanes ? fixed_base_lanes<2> : fixed_base_lanes<1>)(
+      *lanes_, m_.limbs().data(), table.data(), w, used, exit,
+      scalars.data(), out.size(), out.data());
+  return true;
 #else
   (void)table;
   (void)w;
+  return false;
 #endif
-  return i;
 }
 
 void MontCtx::inv_many(std::span<const Nat> xs, std::span<Nat> out) const {

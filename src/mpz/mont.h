@@ -11,8 +11,8 @@
 // ladders (exp_many / dual_exp_many) run 8 independent ladders per AVX-512
 // IFMA vector, two vectors side by side, for 4-limb moduli on CPUs that
 // have it, and the scalar ladders otherwise; both paths return the same
-// fully reduced residues. comb_lanes runs fixed-base combs on the same
-// lanes.
+// fully reduced residues. comb_lanes runs one call of fixed-base combs on
+// the same lanes.
 #pragma once
 
 #include <array>
@@ -42,6 +42,53 @@ void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
 /// it is the portable kernel.
 void mont_mul4_adx(Limb* out, const Limb* a, const Limb* b, const Limb* m,
                    Limb n0inv);
+
+/// out = a + b mod m on k <= Cap raw limbs, for a, b < m: the sum, minus m
+/// unless that borrows past the sum's carry, chosen branch-free (k = Cap
+/// unrolls). out may alias a or b.
+template <std::size_t Cap>
+[[gnu::always_inline]] inline void add_mod(Limb* out, const Limb* a,
+                                           const Limb* b, const Limb* m,
+                                           std::size_t k = Cap) {
+  using U128 = unsigned __int128;
+  Limb s[Cap];
+  Limb carry = 0, borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(a[j]) + b[j] + carry;
+    s[j] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(s[j]) - m[j] - borrow;
+    out[j] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb keep_s = Limb{0} - (borrow & (carry ^ 1));
+  for (std::size_t j = 0; j < k; ++j)
+    out[j] = (s[j] & keep_s) | (out[j] & ~keep_s);
+}
+
+/// out = a - b mod m with add_mod's contract: the difference, plus m if it
+/// borrowed.
+template <std::size_t Cap>
+[[gnu::always_inline]] inline void sub_mod(Limb* out, const Limb* a,
+                                           const Limb* b, const Limb* m,
+                                           std::size_t k = Cap) {
+  using U128 = unsigned __int128;
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(a[j]) - b[j] - borrow;
+    out[j] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1;
+  }
+  const Limb mask = Limb{0} - borrow;
+  Limb carry = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const U128 t = static_cast<U128>(out[j]) + (m[j] & mask) + carry;
+    out[j] = static_cast<Limb>(t);
+    carry = static_cast<Limb>(t >> 64);
+  }
+}
 
 /// Radix-2^52 constants of the 8-lane ladders (MontCtx's and EcGroup's),
 /// each a 5-limb value: the modulus, one in the lane domain (2^260 mod m),
@@ -113,27 +160,29 @@ class MontCtx {
   /// contract (bases in Montgomery form, below the modulus). All spans have
   /// out.size() elements (std::invalid_argument otherwise); out[i] may be
   /// the same object as bases[i] or exps[i], but must not overlap any other
-  /// input element.
-  void exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
-                std::span<Nat> out) const;
+  /// input element. Returns the elements the lanes set, in the calls
+  /// lanes::split_lanes cuts (0 on the scalar ladders).
+  std::size_t exp_many(std::span<const Nat> bases, std::span<const Nat> exps,
+                       std::span<Nat> out) const;
   /// Batch dual_exp: out[i] = dual_exp(xs[i], exs[i], ys[i], eys[i]), with
-  /// exp_many's size and aliasing rules.
-  void dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
-                     std::span<const Nat> ys, std::span<const Nat> eys,
-                     std::span<Nat> out) const;
-  /// The 8-lane fixed-base comb (DESIGN.md Sec. 5e) over a prefix of a
-  /// batch: out[i] = the product over the windows k < ceil(bits_i / w) of
+  /// exp_many's size and aliasing rules, split and return value.
+  std::size_t dual_exp_many(std::span<const Nat> xs, std::span<const Nat> exs,
+                            std::span<const Nat> ys, std::span<const Nat> eys,
+                            std::span<Nat> out) const;
+  /// One lane call of the 8-lane fixed-base comb (DESIGN.md Sec. 5e) over
+  /// 1 to 16 scalars, the last batch padded with zero scalars
+  /// (std::invalid_argument on another count, or when out has another
+  /// size): out[i] = the product over the windows k < ceil(bits_i / w) of
   /// table[k][digit_k(scalars[i])], the fully reduced residue the scalar
   /// comb forms with mul. `table` holds 2^w consecutive Montgomery residues
   /// per window, each on four limbs and fully reduced, with entry 0 of
-  /// every window one_mont(). Runs pairs of 8-lane batches while 16
-  /// elements remain, then one batch if 8 do, and returns how many elements
-  /// it set: 0 unless batch_lanes() == 8, and 0 when a scalar is wider than
-  /// 512 bits or has more digits than the table has windows
-  /// (table.size() / 2^(w+2)). The caller finishes the rest.
-  std::size_t comb_lanes(std::span<const Limb> table, std::size_t w,
-                         std::span<const Nat> scalars,
-                         std::span<Nat> out) const;
+  /// every window one_mont(). Requires batch_lanes() == 8
+  /// (std::logic_error otherwise). Returns false, with out untouched, when
+  /// a scalar is wider than 512 bits or than the table's
+  /// table.size() / 2^(w+2) windows cover.
+  [[nodiscard]] bool comb_lanes(std::span<const Limb> table, std::size_t w,
+                                std::span<const Nat> scalars,
+                                std::span<Nat> out) const;
   /// Batch inverse (Montgomery's trick): out[i] = xs[i]^{-1}, in Montgomery
   /// form, for Montgomery-form xs[i] below the modulus. Prefix products,
   /// one binary invmod of the whole product, then back-substitution:

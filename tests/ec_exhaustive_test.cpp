@@ -23,6 +23,7 @@
 
 #include "group/ec_group.h"
 #include "group/fixed_base.h"
+#include "mpz/ifma_lanes.h"
 
 namespace ppgr::group {
 namespace {
@@ -327,14 +328,14 @@ bool comb_meets_p_plus_p(std::uint64_t k, const AffinePt& p) {
 
 // The elements EcGroup's lanes set over one call of the scalars ks through
 // a comb over p: the call's lane chunks (up to 16 elements; a last batch
-// padded from kCombPadFrom elements, a shorter remainder scalar), less
+// padded from lanes::kPadFrom elements, a shorter remainder scalar), less
 // every chunk holding a lane that meets P + P, which reruns.
 std::size_t comb_lane_elements(const std::vector<Nat>& ks,
                                const AffinePt& p) {
   std::size_t i = 0, set = 0;
   for (;;) {
     std::size_t count = std::min<std::size_t>(ks.size() - i, 16);
-    if (count % 8 < EcGroup::kCombPadFrom) count -= count % 8;
+    if (count % 8 < mpz::lanes::kPadFrom) count -= count % 8;
     if (count == 0) return set;
     if (std::none_of(ks.begin() + i, ks.begin() + i + count,
                      [&](const Nat& k) {

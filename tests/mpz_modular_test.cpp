@@ -3,6 +3,7 @@
 // plus a GMP oracle for the DL group's canonical wire encoding.
 #include <array>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -534,14 +535,33 @@ TEST(MontBatch, ExpManyAndDualExpManyMatchPowmPerLane) {
       if (i % 11 == 5) return minus_one;
       return ctx.to_mont(rng.nonzero_below(mn));
     };
+    // Each call writes into a span between sentinel residues, which must
+    // keep their value, and reports the elements its lanes set: on the
+    // lanes all but a last remainder below kPadFrom.
+    const auto guarded = [&](std::size_t n, const auto& run) {
+      constexpr std::size_t kGuard = 16;
+      const Nat sentinel{0x5e5e};
+      std::vector<Nat> buf(n + 2 * kGuard, sentinel);
+      const std::size_t set = run(std::span<Nat>(buf).subspan(kGuard, n));
+      const std::size_t on_lanes = n % 8 >= lanes::kPadFrom ? n : n - n % 8;
+      EXPECT_EQ(set, ctx.batch_lanes() == 8 ? on_lanes : 0u) << "n=" << n;
+      for (std::size_t i = 0; i < kGuard; ++i) {
+        EXPECT_EQ(buf[i], sentinel) << "guard before out, " << i;
+        EXPECT_EQ(buf[kGuard + n + i], sentinel) << "guard after out, " << i;
+      }
+      return std::vector<Nat>(buf.begin() + kGuard, buf.begin() + kGuard + n);
+    };
     const auto check = [&](const std::vector<Nat>& xs,
                            const std::vector<Nat>& exs,
                            const std::vector<Nat>& ys,
                            const std::vector<Nat>& eys) {
       const std::size_t n = xs.size();
-      std::vector<Nat> got(n), got2(n);
-      ctx.exp_many(xs, exs, got);
-      ctx.dual_exp_many(xs, exs, ys, eys, got2);
+      const std::vector<Nat> got = guarded(n, [&](std::span<Nat> out) {
+        return ctx.exp_many(xs, exs, out);
+      });
+      const std::vector<Nat> got2 = guarded(n, [&](std::span<Nat> out) {
+        return ctx.dual_exp_many(xs, exs, ys, eys, out);
+      });
       for (std::size_t i = 0; i < n; ++i) {
         const mpz_class x = to_gmp(ctx.from_mont(xs[i]));
         const mpz_class y = to_gmp(ctx.from_mont(ys[i]));
@@ -567,11 +587,12 @@ TEST(MontBatch, ExpManyAndDualExpManyMatchPowmPerLane) {
       ctx.dual_exp_many(inplace, exs, ys, eys, inplace);
       EXPECT_EQ(inplace, got2);
     };
-    // Sizes around the splits into pairs of 8-lane batches, one batch and
-    // a scalar tail (15 = 8 + 7, 23 = 16 + 7, 24 = 16 + 8, 31 = 16 + 8 + 7,
-    // 33 = 32 + 1).
+    // Sizes around the split into pairs of 8-lane batches, single batches,
+    // padded last batches and a scalar remainder of one (2 and 7 padded,
+    // 15 = a pair padded from 7, 23 = 16 + a padded 7, 24 = 16 + 8,
+    // 33 = 32 + 1, 35 = 32 + a padded 3).
     for (const std::size_t n :
-         {0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 525}) {
+         {0, 1, 2, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 35, 525}) {
       std::vector<Nat> xs, ys, exs, eys;
       for (std::size_t i = 0; i < n; ++i) {
         xs.push_back(base(i));

@@ -22,10 +22,13 @@
 // groups mpz_powm's, at sizes around the lane splits, with zero, one,
 // q - 1, all-zero and all-0xF windows and scalars wider than the table;
 // every Schnorr and EC table must be its group's packed limbs on every
-// host (MockGroup's empty), on an IFMA host MontCtx's lane comb must set
-// every full batch, and MeteredGroup must forward both forms and count
-// every element. A decorator that forwards no comb form must get the same
-// elements and counts through Group's default. FixedBaseTest runs both
+// host (MockGroup's empty), on an IFMA host the lanes must set every
+// element of a 4-limb modulus's batches and one MontCtx::comb_lanes call
+// of 3 or 11 scalars must equal the scalar comb, write nothing outside its
+// span and refuse a scalar wider than the table, and MeteredGroup must
+// forward both forms and count every element. A decorator that forwards
+// no comb form must get the same elements and counts through Group's
+// default. FixedBaseTest runs both
 // comb forms at every window width 2..8 on every family, in batches the
 // lanes take.
 //
@@ -43,13 +46,15 @@
 // whether the lane sits in the pair's first batch or its second. The lane
 // combs (exp_fixed_many / exp_g_many) are checked the same way against the
 // oracle and the scalar comb's exact triple, including an addition of P
-// and -P and, through a table wider than the order, one of P and P. Every
-// batch form runs at sizes 1-7, 9, 15-17, 23, 24, 31, 33, 35, 59 and 67,
-// which take the split's pairs, single batches, padded last batches and
-// scalar remainders, into an output span whose neighbours must stay
-// untouched; padded lanes must read no input past the call; and on an
-// IFMA host EcGroup::lane_elements() must show the lanes set every element
-// but a remainder below the padding threshold.
+// and -P and, through a table wider than the order, one of P and P; padded
+// lanes must read no input past the call. BatchSplitTest runs every batch
+// form of the three curves and of dl-test-256 (GMP's mpz_powm as oracle)
+// at sizes 1-7, 9, 15-17, 23, 24, 31, 33, 35, 59 and 67, which take the
+// one split's pairs, single batches, padded last batches and scalar
+// remainders, into an output span whose neighbours must stay untouched,
+// from inputs exactly as long as the call; on an IFMA host
+// Group::lane_elements() must show the lanes set every element but a
+// remainder below lanes::kPadFrom.
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -65,6 +70,7 @@
 #include "group/metered_group.h"
 #include "group/mock_group.h"
 #include "group/schnorr_group.h"
+#include "mpz/ifma_lanes.h"
 #include "mpz/mont.h"
 #include "runtime/metrics.h"
 
@@ -329,12 +335,45 @@ void expect_identical(const Elem& got, const Elem& want, const char* what,
   EXPECT_EQ(got.c.to_hex(), want.c.to_hex()) << what << " [" << i << "]";
 }
 
-// True when this group's batch combs run on lanes on this host: 4-limb
+// True when this group's batch forms run on lanes on this host: 4-limb
 // Schnorr groups and the curves, on AVX-512 IFMA CPUs.
-bool lane_combs_expected(const Group& g) {
+bool runs_lanes(const Group& g) {
   if (const auto* dl = dynamic_cast<const SchnorrGroup*>(&g))
     return host_has_ifma() && dl->modulus().limb_count() == 4;
   return host_has_ifma() && dynamic_cast<const EcGroup*>(&g) != nullptr;
+}
+
+// Where the group runs lanes on this host, the elements its lanes set
+// while run() ran must be `want`; elsewhere the lanes set none.
+template <class Run>
+void expect_lanes_set(const Group& g, std::size_t want, const Run& run,
+                      const char* what) {
+  const std::size_t before = g.lane_elements();
+  run();
+  EXPECT_EQ(g.lane_elements() - before, runs_lanes(g) ? want : 0u) << what;
+}
+
+// Elements on each side of a call's output that must keep their value.
+constexpr std::size_t kGuard = 16;
+
+bool identical(const Nat& x, const Nat& y) { return x == y; }
+bool identical(const Elem& x, const Elem& y) {
+  return x.infinity == y.infinity && x.a == y.a && x.b == y.b && x.c == y.c;
+}
+
+// run(out) on an n-element span in the middle of a larger vector; the
+// kGuard elements on each side must keep their value. Returns the span's
+// elements.
+template <class T, class Run>
+std::vector<T> guarded(std::size_t n, const T& sentinel, const Run& run) {
+  std::vector<T> buf(n + 2 * kGuard, sentinel);
+  run(std::span<T>(buf).subspan(kGuard, n));
+  for (std::size_t i = 0; i < kGuard; ++i) {
+    EXPECT_TRUE(identical(buf[i], sentinel)) << "guard before out, " << i;
+    EXPECT_TRUE(identical(buf[kGuard + n + i], sentinel))
+        << "guard after out, " << i;
+  }
+  return {buf.begin() + kGuard, buf.begin() + kGuard + n};
 }
 
 TEST_P(BatchExpTest, CombBatchFormsEqualPerElementCalls) {
@@ -381,20 +420,51 @@ TEST_P(BatchExpTest, CombBatchFormsMatchGmpOnSchnorrGroups) {
   const Elem key = random_elem();
   const FixedBaseTable table{*g_, key};
   const mpz_class base = canonical(key);
-  // The lanes run: on an IFMA host MontCtx::comb_lanes sets every full
-  // batch of a 4-limb modulus's comb (32 of 35 elements), elsewhere none.
+  // One MontCtx::comb_lanes call sets all of its 1 to 16 scalars, the last
+  // batch padded (3 and 11 elements), and writes nothing outside its
+  // output; with a scalar wider than the table it returns false and writes
+  // nothing. A context without lanes refuses the call.
   const mpz::MontCtx mont{schnorr->modulus()};
-  const std::vector<Nat> lane_scalars = comb_scalars(*g_, table, 35, rng_);
-  std::vector<Nat> lane_out(lane_scalars.size());
-  const std::size_t ran = mont.comb_lanes(table.packed(), table.window_bits(),
-                                          lane_scalars, lane_out);
-  EXPECT_EQ(ran, lane_combs_expected(*g_) ? 32u : 0u);
-  for (std::size_t i = 0; i < ran; ++i)
-    EXPECT_EQ(lane_out[i], g_->exp_fixed(table, lane_scalars[i]).a) << i;
+  const Nat sentinel{0x5e5e};
+  for (const std::size_t n : {3, 11}) {
+    std::vector<Nat> scalars = comb_scalars(*g_, table, n, rng_);
+    if (!runs_lanes(*g_)) {
+      std::vector<Nat> out(n);
+      EXPECT_THROW((void)mont.comb_lanes(table.packed(), table.window_bits(),
+                                         scalars, out),
+                   std::logic_error);
+      continue;
+    }
+    const std::vector<Nat> got = guarded(n, sentinel, [&](std::span<Nat> out) {
+      EXPECT_TRUE(
+          mont.comb_lanes(table.packed(), table.window_bits(), scalars, out));
+    });
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(got[i], g_->exp_fixed(table, scalars[i]).a) << i;
+    scalars[n - 1] = Nat::add(g_->order().shl(3), Nat{5});
+    for (const Nat& untouched :
+         guarded(n, sentinel, [&](std::span<Nat> out) {
+           EXPECT_FALSE(mont.comb_lanes(table.packed(), table.window_bits(),
+                                        scalars, out));
+         }))
+      EXPECT_EQ(untouched, sentinel);
+  }
+  if (runs_lanes(*g_)) {
+    std::vector<Nat> none, many(17);
+    EXPECT_THROW((void)mont.comb_lanes(table.packed(), table.window_bits(),
+                                       none, none),
+                 std::invalid_argument);
+    EXPECT_THROW((void)mont.comb_lanes(table.packed(), table.window_bits(),
+                                       many, many),
+                 std::invalid_argument);
+  }
+  // The batch forms take the lanes for every element but a last remainder
+  // below kPadFrom: all of 8, 35 and 67.
   for (const std::size_t n : {8, 35, 67}) {
     const std::vector<Nat> scalars = comb_scalars(*g_, table, n, rng_);
     std::vector<Elem> got(n), got_g(n);
-    g_->exp_fixed_many(table, scalars, got);
+    expect_lanes_set(*g_, n, [&] { g_->exp_fixed_many(table, scalars, got); },
+                     "exp_fixed_many");
     g_->exp_g_many(scalars, got_g);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(canonical(got[i]), powm(base, scalars[i])) << i;
@@ -670,33 +740,27 @@ class FixedBaseTest : public MultiExpTest {};
 TEST_P(FixedBaseTest, CombsMatchGenericExpAcrossWidths) {
   // Both comb forms at every window width: exp_fixed (the scalar comb) and
   // one exp_fixed_many over 18 scalars, which on an IFMA host runs the
-  // MontCtx and EcGroup lane combs on two batches (the lanes take every
-  // scalar: each fits the table). Each element is exp's value, and the
-  // batch's the scalar comb's exact element.
+  // MontCtx and EcGroup lane combs on a pair of batches and a batch padded
+  // from 2 (the lanes take every scalar: each fits the table). Each element
+  // is exp's value, and the batch's the scalar comb's exact element.
   const Elem base = g_->exp_g(g_->random_nonzero_scalar(rng_));
   const std::size_t bits = g_->order().bit_length();
   std::vector<Nat> scalars = edge_exponents(*g_);
   while (scalars.size() < 18)
     scalars.push_back(g_->random_nonzero_scalar(rng_));
-  const auto* dl = dynamic_cast<const SchnorrGroup*>(g_.get());
   for (std::size_t w = 2; w <= 8; ++w) {
     SCOPED_TRACE(testing::Message() << "w = " << w);
     const FixedBaseTable table{*g_, base, bits, w};
     EXPECT_EQ(table.window_bits(), w);
     std::vector<Elem> many(scalars.size());
-    g_->exp_fixed_many(table, scalars, many);
+    expect_lanes_set(*g_, scalars.size(),
+                     [&] { g_->exp_fixed_many(table, scalars, many); },
+                     "exp_fixed_many");
     for (std::size_t i = 0; i < scalars.size(); ++i) {
       const Elem one = g_->exp_fixed(table, scalars[i]);
       expect_same(*g_, one, g_->exp(base, scalars[i]), "exp_fixed");
       expect_same(*g_, many[i], g_->exp(base, scalars[i]), "exp_fixed_many");
       expect_identical(many[i], one, "exp_fixed_many", i);
-    }
-    if (dl != nullptr) {
-      // MontCtx's lane comb sets both full batches on an IFMA host.
-      const mpz::MontCtx mont{dl->modulus()};
-      std::vector<Nat> lanes(scalars.size());
-      EXPECT_EQ(mont.comb_lanes(table.packed(), w, scalars, lanes),
-                lane_combs_expected(*g_) ? 16u : 0u);
     }
   }
 }
@@ -736,9 +800,24 @@ struct Affine {
   bool inf = false;
 };
 
+// A group's independent model over GMP: the group law, k-fold powers and
+// the canonical encoding, on the curves' affine points or (GmpDl) on
+// residues held in x.
+class GmpModel {
+ public:
+  virtual ~GmpModel() = default;
+  [[nodiscard]] virtual Affine identity() const = 0;
+  [[nodiscard]] virtual Affine generator() const = 0;
+  [[nodiscard]] virtual Affine add(const Affine& p, const Affine& q) const = 0;
+  [[nodiscard]] virtual Affine mul(const mpz_class& k,
+                                   const Affine& pt) const = 0;
+  [[nodiscard]] virtual std::vector<std::uint8_t> encode(
+      const Affine& pt) const = 0;
+};
+
 // Textbook affine arithmetic on y^2 = x^3 + ax + b over F_p: the chord and
 // tangent rules with one field inversion each, and double-and-add.
-class GmpCurve {
+class GmpCurve final : public GmpModel {
  public:
   explicit GmpCurve(const CurveParams& c)
       : p_(to_gmp(c.p)),
@@ -746,14 +825,15 @@ class GmpCurve {
         g_{to_gmp(c.gx), to_gmp(c.gy)},
         bytes_((c.p.bit_length() + 7) / 8) {}
 
-  [[nodiscard]] const Affine& generator() const { return g_; }
+  [[nodiscard]] Affine identity() const override { return Affine{.inf = true}; }
+  [[nodiscard]] Affine generator() const override { return g_; }
 
   [[nodiscard]] Affine neg(const Affine& pt) const {
     if (pt.inf) return pt;
     return Affine{pt.x, mod(-pt.y)};
   }
 
-  [[nodiscard]] Affine add(const Affine& p, const Affine& q) const {
+  [[nodiscard]] Affine add(const Affine& p, const Affine& q) const override {
     if (p.inf) return q;
     if (q.inf) return p;
     mpz_class lambda;
@@ -768,7 +848,8 @@ class GmpCurve {
   }
 
   // k·pt for any k >= 0, most significant bit first.
-  [[nodiscard]] Affine mul(const mpz_class& k, const Affine& pt) const {
+  [[nodiscard]] Affine mul(const mpz_class& k,
+                           const Affine& pt) const override {
     Affine acc{.inf = true};
     for (std::size_t i = mpz_sizeinbase(k.get_mpz_t(), 2); i-- > 0;) {
       acc = add(acc, acc);
@@ -778,7 +859,8 @@ class GmpCurve {
   }
 
   // SEC1 uncompressed 0x04 || x || y, all zeros for the point at infinity.
-  [[nodiscard]] std::vector<std::uint8_t> encode(const Affine& pt) const {
+  [[nodiscard]] std::vector<std::uint8_t> encode(
+      const Affine& pt) const override {
     std::vector<std::uint8_t> out(1 + 2 * bytes_, 0);
     if (pt.inf) return out;
     out[0] = 0x04;
@@ -812,24 +894,59 @@ class GmpCurve {
   std::size_t bytes_;
 };
 
+// The DL group Z_p*/{+-1} over GMP: residues mod p in x, products and
+// mpz_powm, and the canonical |x| = min(x, p - x) big-endian.
+class GmpDl final : public GmpModel {
+ public:
+  explicit GmpDl(const SchnorrGroup& g)
+      : p_(to_gmp(g.modulus())), q_(to_gmp(g.order())),
+        bytes_(g.element_bytes()) {}
+
+  [[nodiscard]] Affine identity() const override { return Affine{1, 0}; }
+  [[nodiscard]] Affine generator() const override { return Affine{4, 0}; }
+  [[nodiscard]] Affine add(const Affine& p, const Affine& q) const override {
+    return Affine{mpz_class{p.x * q.x % p_}, 0};
+  }
+  [[nodiscard]] Affine mul(const mpz_class& k,
+                           const Affine& pt) const override {
+    Affine r{0, 0};
+    mpz_powm(r.x.get_mpz_t(), pt.x.get_mpz_t(), k.get_mpz_t(), p_.get_mpz_t());
+    return r;
+  }
+  [[nodiscard]] std::vector<std::uint8_t> encode(
+      const Affine& pt) const override {
+    const mpz_class v = pt.x > q_ ? mpz_class{p_ - pt.x} : pt.x;
+    std::vector<std::uint8_t> out(bytes_, 0);
+    std::size_t n = 0;
+    std::vector<std::uint8_t> be(bytes_);
+    mpz_export(be.data(), &n, 1, 1, 1, 0, v.get_mpz_t());
+    std::copy_n(be.begin(), n, out.end() - static_cast<std::ptrdiff_t>(n));
+    return out;
+  }
+
+ private:
+  mpz_class p_, q_;
+  std::size_t bytes_;
+};
+
 // An element with its oracle twin.
 struct Pt {
   Elem e;
   Affine a;
 };
 
+CurveParams curve_params(GroupId id) {
+  switch (id) {
+    case GroupId::kEcP192: return nist_p192();
+    case GroupId::kEcP224: return nist_p224();
+    default: return nist_p256();
+  }
+}
+
 class EcOracleTest : public ::testing::TestWithParam<GroupId> {
  protected:
   EcOracleTest()
-      : params_(params_for(GetParam())), g_(params_), oracle_(params_) {}
-
-  static CurveParams params_for(GroupId id) {
-    switch (id) {
-      case GroupId::kEcP192: return nist_p192();
-      case GroupId::kEcP224: return nist_p224();
-      default: return nist_p256();
-    }
-  }
+      : params_(curve_params(GetParam())), g_(params_), oracle_(params_) {}
 
   // s·G as a comb output (Jacobian, Z != 1 in general) or, with affine
   // set, decoded from the oracle's encoding (Z = 1).
@@ -978,13 +1095,11 @@ constexpr std::size_t kDoublingLane = 12;
 // or pairs (23, 31, 35, 67).
 constexpr std::size_t kSplitSizes[] = {1,  2,  3,  4,  5,  6,  7,  9,  15,
                                        16, 17, 23, 24, 31, 33, 35, 59, 67};
-// Elements on each side of a call's output that must keep their value.
-constexpr std::size_t kGuard = 16;
 
 // The elements a call of n sets on the lanes when no lane reruns: all but
-// a last batch's remainder shorter than pad_from.
-std::size_t lane_count(std::size_t n, std::size_t pad_from) {
-  return n % 8 >= pad_from ? n : n - n % 8;
+// a last batch's remainder shorter than kPadFrom.
+std::size_t lane_count(std::size_t n) {
+  return n % 8 >= mpz::lanes::kPadFrom ? n : n - n % 8;
 }
 
 // The batch forms lane by lane: each element must be the oracle's point and
@@ -1016,31 +1131,6 @@ class EcLaneTest : public EcOracleTest {
   }
 
   const Pt& pooled(std::size_t i) const { return pool_[i % pool_.size()]; }
-
-  // run(out) on an n-element span in the middle of a larger vector; the
-  // kGuard elements on each side must keep their value. Returns the span's
-  // elements.
-  template <class Run>
-  std::vector<Elem> guarded(std::size_t n, const Run& run) {
-    const Elem sentinel = g_.exp_g(Nat{0x5e5e});
-    std::vector<Elem> buf(n + 2 * kGuard, sentinel);
-    run(std::span<Elem>(buf).subspan(kGuard, n));
-    for (std::size_t i = 0; i < kGuard; ++i) {
-      expect_elem(buf[i], sentinel, i, "guard before out");
-      expect_elem(buf[kGuard + n + i], sentinel, i, "guard after out");
-    }
-    return {buf.begin() + kGuard, buf.begin() + kGuard + n};
-  }
-
-  // On an IFMA host, the elements the lanes set while run() ran must be
-  // `want`; elsewhere the lanes set none.
-  template <class Run>
-  void expect_lanes_set(std::size_t want, const Run& run, const char* what) {
-    const std::size_t before = g_.lane_elements();
-    run();
-    EXPECT_EQ(g_.lane_elements() - before, host_has_ifma() ? want : 0u)
-        << what;
-  }
 
   void expect_elem(const Elem& got, const Elem& want, std::size_t lane,
                    const char* what) {
@@ -1221,7 +1311,7 @@ TEST_P(EcLaneTest, CombLaneAddingPointToItselfRerunsItsPair) {
       ks.push_back(i == lane ? doubling
                              : Nat::add(top, g_.random_nonzero_scalar(rng_)));
     std::vector<Elem> out(ks.size());
-    expect_lanes_set(8, [&] { g_.exp_fixed_many(table, ks, out); },
+    expect_lanes_set(g_, 8, [&] { g_.exp_fixed_many(table, ks, out); },
                      "exp_fixed_many");
     for (std::size_t i = 0; i < ks.size(); ++i) {
       expect_point(out[i], oracle_.mul(to_gmp(ks[i]), p.a), "exp_fixed_many");
@@ -1247,8 +1337,8 @@ TEST_P(EcLaneTest, PairRerunsWhenEitherBatchAddsAPointToItself) {
       eys.push_back(i == lane ? exs.back() : g_.random_nonzero_scalar(rng_));
     }
     std::vector<Elem> out(16), dual(16);
-    expect_lanes_set(0, [&] { g_.exp_many(bases, ks, out); }, "exp_many");
-    expect_lanes_set(0, [&] { g_.dual_exp_many(xs, exs, ys, eys, dual); },
+    expect_lanes_set(g_, 0, [&] { g_.exp_many(bases, ks, out); }, "exp_many");
+    expect_lanes_set(g_, 0, [&] { g_.dual_exp_many(xs, exs, ys, eys, dual); },
                      "dual_exp_many");
     for (std::size_t i = 0; i < 16; ++i) {
       expect_point(out[i], oracle_.mul(to_gmp(ks[i]), pooled(i).a),
@@ -1256,75 +1346,6 @@ TEST_P(EcLaneTest, PairRerunsWhenEitherBatchAddsAPointToItself) {
       expect_elem(out[i], g_.exp(bases[i], ks[i]), i, "exp_many");
       expect_elem(dual[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
                   "dual_exp_many");
-    }
-  }
-}
-
-TEST_P(EcLaneTest, BatchSplitsMatchOracleAndScalarPathPerElement) {
-  // Every batch form at every size of kSplitSizes, on mixed inputs that
-  // meet no P + P (y == x^+-1 would, in a few percent of the lanes, in the
-  // ladder's first windows): each element is the oracle's point and exactly the
-  // per-element call's triple, nothing outside the output span is written,
-  // and on an IFMA host the lanes set every element but a remainder below
-  // the padding threshold.
-  const Nat& n = g_.order();
-  const Pt identity{g_.identity(), Affine{.inf = true}};
-  const Pt& p = pooled(0);
-  const FixedBaseTable table{g_, p.e};
-  for (const std::size_t size : kSplitSizes) {
-    std::vector<Elem> xs, ys;
-    std::vector<Nat> exs, eys;
-    std::vector<Affine> want_exp, want_dual;
-    for (std::size_t i = 0; i < size; ++i) {
-      Pt x = pooled(i), y = pooled(i + 1);
-      Nat ex = g_.random_nonzero_scalar(rng_);
-      Nat ey = g_.random_nonzero_scalar(rng_);
-      switch (i % 7) {
-        case 1: x = identity; break;
-        case 2: ex = Nat{}; break;
-        case 3: ex = n; break;  // ends in P + (-P)
-        case 4: y = identity; break;
-        case 5: ex = Nat{rng_.below_u64(1u << 20)}; break;  // short
-        default: break;
-      }
-      xs.push_back(x.e);
-      ys.push_back(y.e);
-      exs.push_back(ex);
-      eys.push_back(ey);
-      want_exp.push_back(oracle_.mul(to_gmp(ex), x.a));
-      want_dual.push_back(
-          oracle_.add(want_exp.back(), oracle_.mul(to_gmp(ey), y.a)));
-    }
-    std::vector<Elem> out, dual, fixed, with_g;
-    expect_lanes_set(lane_count(size, EcGroup::kLadderPadFrom), [&] {
-      out = guarded(size, [&](std::span<Elem> o) { g_.exp_many(xs, exs, o); });
-    }, "exp_many");
-    expect_lanes_set(lane_count(size, EcGroup::kLadderPadFrom), [&] {
-      dual = guarded(size, [&](std::span<Elem> o) {
-        g_.dual_exp_many(xs, exs, ys, eys, o);
-      });
-    }, "dual_exp_many");
-    expect_lanes_set(lane_count(size, EcGroup::kCombPadFrom), [&] {
-      fixed = guarded(size, [&](std::span<Elem> o) {
-        g_.exp_fixed_many(table, exs, o);
-      });
-    }, "exp_fixed_many");
-    expect_lanes_set(lane_count(size, EcGroup::kCombPadFrom), [&] {
-      with_g = guarded(size, [&](std::span<Elem> o) { g_.exp_g_many(exs, o); });
-    }, "exp_g_many");
-    for (std::size_t i = 0; i < size; ++i) {
-      SCOPED_TRACE(size);
-      const mpz_class k = to_gmp(exs[i]);
-      expect_point(out[i], want_exp[i], "exp_many");
-      expect_elem(out[i], g_.exp(xs[i], exs[i]), i, "exp_many");
-      expect_point(dual[i], want_dual[i], "dual_exp_many");
-      expect_elem(dual[i], g_.dual_exp(xs[i], exs[i], ys[i], eys[i]), i,
-                  "dual_exp_many");
-      expect_point(fixed[i], oracle_.mul(k, p.a), "exp_fixed_many");
-      expect_elem(fixed[i], g_.exp_fixed(table, exs[i]), i, "exp_fixed_many");
-      expect_point(with_g[i], oracle_.mul(k, oracle_.generator()),
-                   "exp_g_many");
-      expect_elem(with_g[i], g_.exp_g(exs[i]), i, "exp_g_many");
     }
   }
 }
@@ -1354,12 +1375,12 @@ TEST_P(EcLaneTest, PaddedLanesReadNoInputPastTheCall) {
     return std::span(v).first(kCall);
   };
   std::vector<Elem> out(kCall), dual(kCall), fixed(kCall);
-  expect_lanes_set(kCall, [&] { g_.exp_many(first(xs), first(exs), out); },
+  expect_lanes_set(g_, kCall, [&] { g_.exp_many(first(xs), first(exs), out); },
                    "exp_many");
-  expect_lanes_set(kCall, [&] {
+  expect_lanes_set(g_, kCall, [&] {
     g_.dual_exp_many(first(xs), first(exs), first(ys), first(eys), dual);
   }, "dual_exp_many");
-  expect_lanes_set(kCall, [&] { g_.exp_fixed_many(wide, first(cs), fixed); },
+  expect_lanes_set(g_, kCall, [&] { g_.exp_fixed_many(wide, first(cs), fixed); },
                    "exp_fixed_many");
   for (std::size_t i = 0; i < kCall; ++i) {
     expect_elem(out[i], g_.exp(xs[i], exs[i]), i, "exp_many");
@@ -1368,6 +1389,123 @@ TEST_P(EcLaneTest, PaddedLanesReadNoInputPastTheCall) {
     expect_elem(fixed[i], g_.exp_fixed(wide, cs[i]), i, "exp_fixed_many");
   }
 }
+
+// The batch split of both families (lanes::split_lanes): the curves, with
+// GmpCurve as oracle, and dl-test-256 (MontCtx's lanes), with GmpDl.
+class BatchSplitTest : public ::testing::TestWithParam<GroupId> {
+ protected:
+  BatchSplitTest() : g_(make_group(GetParam())) {
+    if (const auto* dl = dynamic_cast<const SchnorrGroup*>(g_.get()))
+      model_ = std::make_unique<GmpDl>(*dl);
+    else
+      model_ = std::make_unique<GmpCurve>(curve_params(GetParam()));
+  }
+
+  void SetUp() override {
+    // s·G as a comb output or decoded from the oracle's encoding.
+    for (std::size_t i = 0; i < 6; ++i) {
+      const Nat s = g_->random_nonzero_scalar(rng_);
+      const Affine a = model_->mul(to_gmp(s), model_->generator());
+      pool_.push_back(
+          Pt{i % 2 == 0 ? g_->exp_g(s) : g_->deserialize(model_->encode(a)),
+             a});
+    }
+  }
+
+  void expect_point(const Elem& got, const Affine& want, const char* what) {
+    EXPECT_EQ(g_->serialize(got), model_->encode(want)) << what;
+  }
+
+  std::unique_ptr<Group> g_;
+  std::unique_ptr<GmpModel> model_;
+  std::vector<Pt> pool_;
+  ChaChaRng rng_{7};
+};
+
+TEST_P(BatchSplitTest, BatchSplitsMatchOracleAndScalarPathPerElement) {
+  // Every batch form at every size of kSplitSizes, on mixed inputs that
+  // meet no P + P (y == x^+-1 would, in a few percent of the EC lanes, in
+  // the ladder's first windows): each element is the oracle's element and
+  // exactly the per-element call's, nothing outside the output span is
+  // written, and where the group runs lanes the lanes set every element but
+  // a remainder below kPadFrom. Each input vector holds exactly the call's
+  // elements, so a padded lane that reads past the call reads past an
+  // allocation, which the sanitizer leg catches.
+  const Group& g = *g_;
+  const Nat& n = g.order();
+  const Pt identity{g.identity(), model_->identity()};
+  const Pt& p = pool_[0];
+  const FixedBaseTable table{g, p.e};
+  const Elem sentinel = g.exp_g(Nat{0x5e5e});
+  for (const std::size_t size : kSplitSizes) {
+    SCOPED_TRACE(size);
+    std::vector<Elem> xs(size), ys(size);
+    std::vector<Nat> exs(size), eys(size);
+    std::vector<Affine> want_exp(size), want_dual(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      Pt x = pool_[i % pool_.size()], y = pool_[(i + 1) % pool_.size()];
+      Nat ex = g.random_nonzero_scalar(rng_);
+      Nat ey = g.random_nonzero_scalar(rng_);
+      switch (i % 7) {
+        case 1: x = identity; break;
+        case 2: ex = Nat{}; break;
+        case 3: ex = n; break;  // ends in P + (-P) on the curves
+        case 4: y = identity; break;
+        case 5: ex = Nat{rng_.below_u64(1u << 20)}; break;  // short
+        default: break;
+      }
+      xs[i] = x.e;
+      ys[i] = y.e;
+      exs[i] = ex;
+      eys[i] = ey;
+      want_exp[i] = model_->mul(to_gmp(ex), x.a);
+      want_dual[i] = model_->add(want_exp[i], model_->mul(to_gmp(ey), y.a));
+    }
+    std::vector<Elem> out, dual, fixed, with_g;
+    expect_lanes_set(g, lane_count(size), [&] {
+      out = guarded(size, sentinel,
+                    [&](std::span<Elem> o) { g.exp_many(xs, exs, o); });
+    }, "exp_many");
+    expect_lanes_set(g, lane_count(size), [&] {
+      dual = guarded(size, sentinel, [&](std::span<Elem> o) {
+        g.dual_exp_many(xs, exs, ys, eys, o);
+      });
+    }, "dual_exp_many");
+    expect_lanes_set(g, lane_count(size), [&] {
+      fixed = guarded(size, sentinel, [&](std::span<Elem> o) {
+        g.exp_fixed_many(table, exs, o);
+      });
+    }, "exp_fixed_many");
+    expect_lanes_set(g, lane_count(size), [&] {
+      with_g = guarded(size, sentinel,
+                       [&](std::span<Elem> o) { g.exp_g_many(exs, o); });
+    }, "exp_g_many");
+    for (std::size_t i = 0; i < size; ++i) {
+      const mpz_class k = to_gmp(exs[i]);
+      expect_point(out[i], want_exp[i], "exp_many");
+      expect_identical(out[i], g.exp(xs[i], exs[i]), "exp_many", i);
+      expect_point(dual[i], want_dual[i], "dual_exp_many");
+      expect_identical(dual[i], g.dual_exp(xs[i], exs[i], ys[i], eys[i]),
+                       "dual_exp_many", i);
+      expect_point(fixed[i], model_->mul(k, p.a), "exp_fixed_many");
+      expect_identical(fixed[i], g.exp_fixed(table, exs[i]), "exp_fixed_many",
+                       i);
+      expect_point(with_g[i], model_->mul(k, model_->generator()),
+                   "exp_g_many");
+      expect_identical(with_g[i], g.exp_g(exs[i]), "exp_g_many", i);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothFamilies, BatchSplitTest,
+                         ::testing::Values(GroupId::kEcP192, GroupId::kEcP224,
+                                           GroupId::kEcP256,
+                                           GroupId::kDlTest256),
+                         [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 INSTANTIATE_TEST_SUITE_P(NistCurves, EcLaneTest,
                          ::testing::Values(GroupId::kEcP192, GroupId::kEcP224,
