@@ -12,7 +12,11 @@
 //
 // — and BENCH_engine.json records sessions/sec and p50/p95 session latency
 // per pass, alongside the deterministic leaves (cache hit/miss counts,
-// outputs_identical) that the bench-regress CI leg gates exactly.
+// outputs_identical) that the bench-regress CI leg gates exactly. Each
+// preset runs its cold-warm pair kPassReps times, every pair on a fresh
+// cache, and the wall, throughput and latency leaves are the medians over
+// the repeats: a single few-millisecond pass swings by more than the
+// bench-regress tolerance from one run to the next.
 //
 // Each preset also records the set-up a session pays for its group
 // instance, measured outside the passes: in a pass the sessions that ask
@@ -34,7 +38,8 @@
 // The final "tcp_loopback" block measures the real-socket transport
 // (net::tcp, DESIGN.md §5f): framed round trips over a loopback
 // TcpTransport pair — p50/p95 round-trip latency for a protocol-sized
-// payload. Frame and byte counts are exact leaves; the latencies are
+// payload, each the median over kTcpReps measurements. Frame and byte
+// counts (of one measurement) are exact leaves; the latencies are
 // wall-clock and classified noisy by bench_compare.
 //
 // Usage: engine_throughput [--load N] [--parallelism N] [--seed S]
@@ -43,6 +48,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,6 +119,22 @@ struct PassStats {
 };
 
 constexpr double kTelemetryPeriodS = 0.1;  // operator default (100 ms)
+constexpr std::size_t kPassReps = 5;        // cold-warm pairs per preset
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// A pass's wall time and latency quantiles, collected over the repeats.
+struct PassTimes {
+  std::vector<double> wall, p50, p95;
+  void add(const PassStats& s) {
+    wall.push_back(s.wall_seconds);
+    p50.push_back(s.p50);
+    p95.push_back(s.p95);
+  }
+};
 
 PassStats run_pass(const Preset& preset, PrecomputeCache& cache,
                    std::size_t load, std::size_t parallelism,
@@ -182,9 +204,7 @@ SetupStats measure_setup() {
     for (std::size_t i = 0; i < kWarmLookups; ++i) (void)cache.instance(id);
     warm.push_back((now_s() - t0) / kWarmLookups);
   }
-  std::sort(cold.begin(), cold.end());
-  std::sort(warm.begin(), warm.end());
-  return {cold[kSetupReps / 2], warm[kSetupReps / 2]};
+  return {median(cold), median(warm)};
 }
 
 bool passes_identical(const PassStats& a, const PassStats& b) {
@@ -208,15 +228,16 @@ bool passes_identical(const PassStats& a, const PassStats& b) {
 struct TcpLoopbackStats {
   std::uint64_t frames = 0;       // frames on the wire (2 per round trip)
   std::size_t payload_bytes = 0;  // per-frame payload size
-  double p50 = 0.0, p95 = 0.0, wall = 0.0;
+  double p50 = 0.0, p95 = 0.0, wall = 0.0;  // medians over kTcpReps
 };
 
 TcpLoopbackStats measure_tcp_loopback() {
   using net::tcp::Endpoint;
   using net::tcp::TcpTransport;
   using net::tcp::TcpTransportConfig;
-  constexpr std::size_t kRoundTrips = 256;
+  constexpr std::size_t kRoundTrips = 256;  // per measurement
   constexpr std::size_t kPayloadBytes = 4096;
+  constexpr std::size_t kTcpReps = 5;
 
   std::vector<std::unique_ptr<TcpTransport>> mesh;
   for (std::size_t p = 0; p < 2; ++p) {
@@ -235,27 +256,33 @@ TcpLoopbackStats measure_tcp_loopback() {
   dial.join();
 
   std::thread echo{[&] {
-    for (std::size_t i = 0; i < kRoundTrips; ++i)
+    for (std::size_t i = 0; i < kTcpReps * kRoundTrips; ++i)
       mesh[1]->send(1, 0, mesh[1]->receive(0, 1));
   }};
   const std::vector<std::uint8_t> payload(kPayloadBytes, 0xA5);
-  std::vector<double> latencies;
-  latencies.reserve(kRoundTrips);
-  const double wall0 = now_s();
-  for (std::size_t i = 0; i < kRoundTrips; ++i) {
-    const double t0 = now_s();
-    mesh[0]->send(0, 1, payload);
-    (void)mesh[0]->receive(1, 0);
-    latencies.push_back(now_s() - t0);
+  std::vector<double> walls, p50s, p95s;
+  for (std::size_t rep = 0; rep < kTcpReps; ++rep) {
+    std::vector<double> latencies;
+    latencies.reserve(kRoundTrips);
+    const double wall0 = now_s();
+    for (std::size_t i = 0; i < kRoundTrips; ++i) {
+      const double t0 = now_s();
+      mesh[0]->send(0, 1, payload);
+      (void)mesh[0]->receive(1, 0);
+      latencies.push_back(now_s() - t0);
+    }
+    walls.push_back(now_s() - wall0);
+    std::sort(latencies.begin(), latencies.end());
+    p50s.push_back(latencies[latencies.size() / 2]);
+    p95s.push_back(latencies[latencies.size() * 95 / 100]);
   }
-  TcpLoopbackStats stats;
-  stats.wall = now_s() - wall0;
   echo.join();
-  std::sort(latencies.begin(), latencies.end());
+  TcpLoopbackStats stats;
   stats.frames = 2 * kRoundTrips;
   stats.payload_bytes = kPayloadBytes;
-  stats.p50 = latencies[latencies.size() / 2];
-  stats.p95 = latencies[latencies.size() * 95 / 100];
+  stats.p50 = median(p50s);
+  stats.p95 = median(p95s);
+  stats.wall = median(walls);
   return stats;
 }
 
@@ -313,17 +340,34 @@ int main(int argc, char** argv) {
   std::uint64_t tele_samples = 0;
   for (std::size_t pi = 0; pi < std::size(kPresets); ++pi) {
     const Preset& preset = kPresets[pi];
-    PrecomputeCache cache;
-    const PassStats cold = run_pass(preset, cache, load, parallelism, seed);
-    const PassStats warm = run_pass(preset, cache, load, parallelism, seed);
-    bool identical = passes_identical(cold, warm);
+    // Each repeat is a fresh cache's cold pass and the warm pass after it;
+    // the first cold pass's outputs are every other pass's reference.
+    PassStats cold;
+    PrecomputeStats warm_cache;
+    PassTimes cold_times, warm_times;
+    bool identical = true;
+    auto cache = std::make_unique<PrecomputeCache>();
+    for (std::size_t rep = 0; rep < kPassReps; ++rep) {
+      if (rep > 0) cache = std::make_unique<PrecomputeCache>();
+      PassStats c = run_pass(preset, *cache, load, parallelism, seed);
+      const PassStats w = run_pass(preset, *cache, load, parallelism, seed);
+      cold_times.add(c);
+      warm_times.add(w);
+      if (rep == 0) {
+        cold = std::move(c);
+        warm_cache = w.cache;
+      } else {
+        identical = identical && passes_identical(cold, c);
+      }
+      identical = identical && passes_identical(cold, w);
+    }
 
     if (pi == 0) {
       // Sampler overhead gate on the small preset: a third warm pass with
       // the 100 ms sampler attached must stay bit-identical and spend <1%
       // of the pass inside sampler callbacks.
       const PassStats tele =
-          run_pass(preset, cache, load, parallelism, seed,
+          run_pass(preset, *cache, load, parallelism, seed,
                    /*with_telemetry=*/true);
       identical = identical && passes_identical(cold, tele);
       tele_wall = tele.wall_seconds;
@@ -341,8 +385,10 @@ int main(int argc, char** argv) {
     }
     all_identical = all_identical && identical;
 
-    const double cold_tput = preset.sessions / cold.wall_seconds;
-    const double warm_tput = preset.sessions / warm.wall_seconds;
+    const double cold_wall = median(cold_times.wall);
+    const double warm_wall = median(warm_times.wall);
+    const double cold_tput = preset.sessions / cold_wall;
+    const double warm_tput = preset.sessions / warm_wall;
     const SetupStats setup = measure_setup();
     const double setup_speedup = setup.warm_seconds > 0.0
                                      ? setup.cold_seconds / setup.warm_seconds
@@ -361,7 +407,7 @@ int main(int argc, char** argv) {
                  identical ? "true" : "false");
     print_counters(out, "cold_cache", cold.cache);
     std::fprintf(out, ",\n");
-    print_counters(out, "warm_cache", warm.cache);
+    print_counters(out, "warm_cache", warm_cache);
     std::fprintf(out,
                  ",\n"
                  "     \"cold_wall_seconds\": %.6f, "
@@ -375,9 +421,10 @@ int main(int argc, char** argv) {
                  "     \"cold_setup_wall_seconds\": %.9f, "
                  "\"warm_setup_wall_seconds\": %.9f,\n"
                  "     \"setup_speedup_cold_vs_warm\": %.2f}%s\n",
-                 cold.wall_seconds, warm.wall_seconds, cold_tput, warm_tput,
-                 cold.p50, cold.p95, warm.p50, warm.p95, setup.cold_seconds,
-                 setup.warm_seconds, setup_speedup,
+                 cold_wall, warm_wall, cold_tput, warm_tput,
+                 median(cold_times.p50), median(cold_times.p95),
+                 median(warm_times.p50), median(warm_times.p95),
+                 setup.cold_seconds, setup.warm_seconds, setup_speedup,
                  pi + 1 < std::size(kPresets) ? "," : "");
   }
   std::fprintf(out, "  ],\n");

@@ -9,11 +9,17 @@
 // limited by the serial trace/merge epilogues, which are O(n) bookkeeping).
 //
 // The per-phase group_* counts in the report are executed Group interface
-// calls (benchcore::model_he_ops states them in closed form).
+// calls (benchcore::model_he_ops states them in closed form). Every wall
+// time in it is the median of kReps runs: phases 1 and 3 last a few
+// milliseconds, and a single sample of them swings by more than the
+// bench-regress tolerance from one run to the next.
 //
 // Usage: parallel_speedup [--n N] [--threads "1,2,4"] [--out FILE]
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,12 +32,33 @@ namespace {
 using namespace ppgr;
 
 constexpr auto now_s = ppgr::runtime::metrics_now_seconds;
+constexpr std::size_t kReps = 5;  // runs per thread count
+
+using PhaseWalls = std::array<double, runtime::kPhaseCount>;
 
 struct RunResult {
   std::size_t parallelism;
-  double wall_seconds;
-  core::FrameworkResult result;
+  double wall_seconds;  // medians over kReps runs
+  PhaseWalls phase_wall_seconds;
 };
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Every output of a run that must not depend on the thread count.
+bool identical(const core::FrameworkResult& a,
+               const core::FrameworkResult& b) {
+  return a.ranks == b.ranks && a.submitted_ids == b.submitted_ids &&
+         a.trace.total_bytes() == b.trace.total_bytes() &&
+         a.metrics->to_json(/*include_timing=*/false) ==
+             b.metrics->to_json(/*include_timing=*/false) &&
+         a.spans->chrome_trace_json(/*deterministic=*/true) ==
+             b.spans->chrome_trace_json(/*deterministic=*/true) &&
+         a.comm->to_json() == b.comm->to_json() &&
+         a.comm->chrome_trace_json() == b.comm->chrome_trace_json();
+}
 
 }  // namespace
 
@@ -88,35 +115,37 @@ int main(int argc, char** argv) {
   std::printf("%12s %14s %10s %12s\n", "parallelism", "wall[s]", "speedup",
               "identical");
 
+  // The first run's outputs; every later run must reproduce them.
+  std::optional<core::FrameworkResult> serial;
   std::vector<RunResult> runs;
   for (const std::size_t p : thread_counts) {
     cfg.parallelism = p;
-    // Fresh protocol rng per run: determinism must come from the seed, not
-    // from shared state.
-    mpz::ChaChaRng rng{777};
-    const double t0 = now_s();
-    auto result = core::run_framework(cfg, v0, w, infos, rng);
-    const double wall = now_s() - t0;
-    runs.push_back(RunResult{p, wall, std::move(result)});
-
-    const auto& base = runs.front().result;
-    const auto& cur = runs.back().result;
-    const bool identical =
-        base.ranks == cur.ranks && base.submitted_ids == cur.submitted_ids &&
-        base.trace.total_bytes() == cur.trace.total_bytes() &&
-        base.metrics->to_json(/*include_timing=*/false) ==
-            cur.metrics->to_json(/*include_timing=*/false) &&
-        base.spans->chrome_trace_json(/*deterministic=*/true) ==
-            cur.spans->chrome_trace_json(/*deterministic=*/true) &&
-        base.comm->to_json() == cur.comm->to_json() &&
-        base.comm->chrome_trace_json() == cur.comm->chrome_trace_json();
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FATAL: parallelism=%zu output differs from serial\n", p);
-      return 1;
+    std::vector<double> walls;
+    std::array<std::vector<double>, runtime::kPhaseCount> phase_walls;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      // Fresh protocol rng per run: determinism must come from the seed,
+      // not from shared state.
+      mpz::ChaChaRng rng{777};
+      const double t0 = now_s();
+      auto result = core::run_framework(cfg, v0, w, infos, rng);
+      walls.push_back(now_s() - t0);
+      const auto phases = result.spans->phase_wall_seconds();
+      for (std::size_t ph = 0; ph < runtime::kPhaseCount; ++ph)
+        phase_walls[ph].push_back(phases[ph]);
+      if (!serial) {
+        serial = std::move(result);
+      } else if (!identical(*serial, result)) {
+        std::fprintf(stderr,
+                     "FATAL: parallelism=%zu output differs from serial\n", p);
+        return 1;
+      }
     }
-    std::printf("%12zu %14.3f %9.2fx %12s\n", p, wall,
-                runs.front().wall_seconds / wall, "yes");
+    RunResult run{p, median(walls), {}};
+    for (std::size_t ph = 0; ph < runtime::kPhaseCount; ++ph)
+      run.phase_wall_seconds[ph] = median(phase_walls[ph]);
+    runs.push_back(run);
+    std::printf("%12zu %14.3f %9.2fx %12s\n", p, run.wall_seconds,
+                runs.front().wall_seconds / run.wall_seconds, "yes");
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -145,10 +174,10 @@ int main(int argc, char** argv) {
     // Per-phase breakdown: wall seconds from the depth-1 phase spans, op
     // counters from the metrics registry (counters are identical across
     // runs by the bit-identity check above; wall time is not).
-    const auto walls = runs[i].result.spans->phase_wall_seconds();
+    const PhaseWalls& walls = runs[i].phase_wall_seconds;
     for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {
-      const auto ops = runs[i].result.metrics->phase_totals(
-          static_cast<runtime::Phase>(p));
+      const auto ops =
+          serial->metrics->phase_totals(static_cast<runtime::Phase>(p));
       const auto c = [&ops](runtime::CryptoOp op) {
         return static_cast<unsigned long long>(ops[op]);
       };
@@ -176,7 +205,7 @@ int main(int argc, char** argv) {
   // from the serial run's CommRegistry. Virtual seconds come from the
   // deterministic network simulation, so they are exact, not sampled.
   {
-    const runtime::CommRegistry& comm = *runs.front().result.comm;
+    const runtime::CommRegistry& comm = *serial->comm;
     const auto links = comm.links();
     std::fprintf(out,
                  "  \"comm\": {\n"

@@ -119,7 +119,7 @@ int run_check_comm() {
 
   int failures = 0;
   const auto schedule = benchcore::model_he_schedule(
-      spec, n, *g, *cfg.dot_field, cfg.dot_s, real.submitted_ids);
+      spec, n, *g, *cfg.dot_field, real.submitted_ids);
   const auto& trace = real.trace.transfers();
   for (std::size_t i = 0; i < std::min(trace.size(), schedule.transfers.size());
        ++i) {
@@ -148,7 +148,7 @@ int run_check_comm() {
 
   const auto measured = real.comm->links();
   const auto modeled = benchcore::model_he_comm(
-      spec, n, *g, *cfg.dot_field, cfg.dot_s, real.submitted_ids);
+      spec, n, *g, *cfg.dot_field, real.submitted_ids);
   const auto link_name = [](const runtime::CommLink& lk) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s %zu->%zu",

@@ -24,12 +24,11 @@
 //   participant 35 121 40 40
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "core/framework.h"
+#include "directive_file.h"
 
 namespace {
 
@@ -44,65 +43,36 @@ struct CliInstance {
   std::vector<core::AttrVec> participants;
 };
 
-core::AttrVec parse_values(std::istringstream& line) {
-  core::AttrVec values;
-  std::uint64_t v;
-  while (line >> v) values.push_back(v);
-  if (!line.eof())
-    throw std::invalid_argument("non-numeric attribute value");
-  return values;
-}
-
 CliInstance parse_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
   CliInstance inst;
   bool have_spec = false;
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto comment = raw.find('#');
-    if (comment != std::string::npos) raw.resize(comment);
-    std::istringstream line{raw};
-    std::string directive;
-    if (!(line >> directive)) continue;  // blank line
-    try {
-      if (directive == "spec") {
-        if (!(line >> inst.spec.m >> inst.spec.t >> inst.spec.d1 >>
-              inst.spec.d2 >> inst.spec.h))
-          throw std::invalid_argument("spec needs: m t d1 d2 h");
-        inst.spec.validate();
-        have_spec = true;
-      } else if (directive == "group") {
-        std::string name;
-        line >> name;
-        inst.group_id = group::parse_group_id(name);
-      } else if (directive == "k") {
-        if (!(line >> inst.k)) throw std::invalid_argument("k needs a number");
-      } else if (directive == "criterion") {
-        inst.criterion = parse_values(line);
-      } else if (directive == "weights") {
-        inst.weights = parse_values(line);
-      } else if (directive == "participant") {
-        inst.participants.push_back(parse_values(line));
-      } else {
-        throw std::invalid_argument("unknown directive '" + directive + "'");
-      }
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
+  cli::read_directives(path, [&](const std::string& directive,
+                                 std::istringstream& line) {
+    if (directive == "spec") {
+      inst.spec = cli::parse_spec(line);
+      inst.spec.validate();
+      have_spec = true;
+    } else if (directive == "group") {
+      std::string name;
+      line >> name;
+      inst.group_id = group::parse_group_id(name);
+    } else if (directive == "k") {
+      inst.k = cli::parse_count(line, directive);
+    } else if (directive == "criterion") {
+      inst.criterion = cli::parse_values(line);
+    } else if (directive == "weights") {
+      inst.weights = cli::parse_values(line);
+    } else if (directive == "participant") {
+      inst.participants.push_back(cli::parse_values(line));
+    } else {
+      cli::unknown_directive(directive);
     }
-  }
+  });
   if (!have_spec) throw std::runtime_error(path + ": missing 'spec' line");
   if (inst.participants.size() < 2)
     throw std::runtime_error(path + ": need at least 2 participants");
   return inst;
 }
-
-}  // namespace
-
-namespace {
 
 void print_usage(const char* prog, std::FILE* out) {
   std::fprintf(
@@ -144,15 +114,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "                     before phase-2 commitment instead of aborting\n"
       "  --help             show this message\n",
       prog);
-}
-
-/// Opens an output path for writing, failing fast (before the protocol
-/// runs) so a typo'd directory doesn't cost a full run.
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out{path};
-  if (!out)
-    throw std::runtime_error("cannot open '" + path + "' for writing");
-  return out;
 }
 
 }  // namespace
@@ -236,10 +197,11 @@ int main(int argc, char** argv) {
     std::optional<std::ofstream> trace_out;
     std::optional<std::ofstream> comm_out;
     std::optional<std::ofstream> comm_trace_out;
-    if (!metrics_path.empty()) metrics_out = open_out(metrics_path);
-    if (!trace_path.empty()) trace_out = open_out(trace_path);
-    if (!comm_path.empty()) comm_out = open_out(comm_path);
-    if (!comm_trace_path.empty()) comm_trace_out = open_out(comm_trace_path);
+    if (!metrics_path.empty()) metrics_out = cli::open_out(metrics_path);
+    if (!trace_path.empty()) trace_out = cli::open_out(trace_path);
+    if (!comm_path.empty()) comm_out = cli::open_out(comm_path);
+    if (!comm_trace_path.empty())
+      comm_trace_out = cli::open_out(comm_trace_path);
 
     const auto group = group::make_group(inst.group_id);
     core::FrameworkConfig cfg;
@@ -259,7 +221,7 @@ int main(int argc, char** argv) {
       cfg.degrade_on_dropout = degrade_on_dropout;
     }
     std::optional<std::ofstream> fault_out;
-    if (!fault_path.empty()) fault_out = open_out(fault_path);
+    if (!fault_path.empty()) fault_out = cli::open_out(fault_path);
 
     mpz::ChaChaRng rng = seeded ? mpz::ChaChaRng{seed}
                                 : mpz::ChaChaRng::from_os();

@@ -38,19 +38,12 @@
 #include <string>
 
 #include "core/party_driver.h"
+#include "directive_file.h"
 #include "net/tcp/transport.h"
 
 namespace {
 
 using namespace ppgr;
-
-core::AttrVec parse_values(std::istringstream& line) {
-  core::AttrVec values;
-  std::uint64_t v;
-  while (line >> v) values.push_back(v);
-  if (!line.eof()) throw std::invalid_argument("non-numeric attribute value");
-  return values;
-}
 
 /// The public agreement (spec file) — identical for every process.
 struct SpecFile {
@@ -69,43 +62,26 @@ struct InputFile {
 };
 
 SpecFile parse_spec_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
   SpecFile sf;
   bool have_spec = false;
   std::string group_name = "ecc-p192";
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto comment = raw.find('#');
-    if (comment != std::string::npos) raw.resize(comment);
-    std::istringstream line{raw};
-    std::string directive;
-    if (!(line >> directive)) continue;
-    try {
-      if (directive == "spec") {
-        if (!(line >> sf.spec.m >> sf.spec.t >> sf.spec.d1 >> sf.spec.d2 >>
-              sf.spec.h))
-          throw std::invalid_argument("spec needs: m t d1 d2 h");
-        sf.spec.validate();
-        have_spec = true;
-      } else if (directive == "group") {
-        line >> group_name;
-        sf.group_id = group::parse_group_id(group_name);
-      } else if (directive == "k") {
-        if (!(line >> sf.k)) throw std::invalid_argument("k needs a number");
-      } else if (directive == "parties") {
-        if (!(line >> sf.parties))
-          throw std::invalid_argument("parties needs a number");
-      } else {
-        throw std::invalid_argument("unknown directive '" + directive + "'");
-      }
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
+  cli::read_directives(path, [&](const std::string& directive,
+                                 std::istringstream& line) {
+    if (directive == "spec") {
+      sf.spec = cli::parse_spec(line);
+      sf.spec.validate();
+      have_spec = true;
+    } else if (directive == "group") {
+      line >> group_name;
+      sf.group_id = group::parse_group_id(group_name);
+    } else if (directive == "k") {
+      sf.k = cli::parse_count(line, directive);
+    } else if (directive == "parties") {
+      sf.parties = cli::parse_count(line, directive);
+    } else {
+      cli::unknown_directive(directive);
     }
-  }
+  });
   if (!have_spec) throw std::runtime_error(path + ": missing 'spec' line");
   if (sf.parties < 2)
     throw std::runtime_error(path + ": need 'parties' >= 2");
@@ -118,33 +94,19 @@ SpecFile parse_spec_file(const std::string& path) {
 }
 
 InputFile parse_input_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
   InputFile f;
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto comment = raw.find('#');
-    if (comment != std::string::npos) raw.resize(comment);
-    std::istringstream line{raw};
-    std::string directive;
-    if (!(line >> directive)) continue;
-    try {
-      if (directive == "criterion") {
-        f.criterion = parse_values(line);
-      } else if (directive == "weights") {
-        f.weights = parse_values(line);
-      } else if (directive == "participant") {
-        f.participants.push_back(parse_values(line));
-      } else {
-        throw std::invalid_argument("unknown directive '" + directive + "'");
-      }
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
+  cli::read_directives(path, [&](const std::string& directive,
+                                 std::istringstream& line) {
+    if (directive == "criterion") {
+      f.criterion = cli::parse_values(line);
+    } else if (directive == "weights") {
+      f.weights = cli::parse_values(line);
+    } else if (directive == "participant") {
+      f.participants.push_back(cli::parse_values(line));
+    } else {
+      cli::unknown_directive(directive);
     }
-  }
+  });
   return f;
 }
 
@@ -223,13 +185,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "  --quiet            suppress the participant's own-rank line\n"
       "  --help             show this message\n",
       prog);
-}
-
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out{path};
-  if (!out)
-    throw std::runtime_error("cannot open '" + path + "' for writing");
-  return out;
 }
 
 }  // namespace
@@ -340,8 +295,8 @@ int main(int argc, char** argv) {
     }
     std::optional<std::ofstream> fault_out;
     std::optional<std::ofstream> comm_out;
-    if (!fault_path.empty()) fault_out = open_out(fault_path);
-    if (!comm_path.empty()) comm_out = open_out(comm_path);
+    if (!fault_path.empty()) fault_out = cli::open_out(fault_path);
+    if (!comm_path.empty()) comm_out = cli::open_out(comm_path);
 
     const auto group = group::make_group(sf.group_id);
     core::PartyConfig cfg;

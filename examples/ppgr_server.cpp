@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "bench/bench_flags.h"
+#include "directive_file.h"
 #include "engine/engine.h"
 #include "engine/introspect.h"
 #include "engine/session_log.h"
@@ -53,14 +54,6 @@
 namespace {
 
 using namespace ppgr;
-
-core::AttrVec parse_values(std::istringstream& line) {
-  core::AttrVec values;
-  std::uint64_t v;
-  while (line >> v) values.push_back(v);
-  if (!line.eof()) throw std::invalid_argument("non-numeric attribute value");
-  return values;
-}
 
 /// parse_file never aborts on a malformed entry: the offending request is
 /// dropped (every bad line reported in `errors`) and the rest of the batch
@@ -72,75 +65,61 @@ struct ParseOutcome {
 };
 
 ParseOutcome parse_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
   ParseOutcome out;
   std::vector<char> bad;  // parallel to out.reqs
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto comment = raw.find('#');
-    if (comment != std::string::npos) raw.resize(comment);
-    std::istringstream line{raw};
-    std::string directive;
-    if (!(line >> directive)) continue;  // blank line
-    try {
-      if (directive == "session") {
-        engine::RankingRequest req;
-        const bool ok = static_cast<bool>(line >> req.session_id);
-        out.reqs.push_back(std::move(req));
-        bad.push_back(ok ? 0 : 1);
-        if (!ok) throw std::invalid_argument("session needs an id");
-        continue;
-      }
-      if (out.reqs.empty())
-        throw std::invalid_argument("'" + directive +
-                                    "' before the first 'session' line");
-      engine::RankingRequest& req = out.reqs.back();
-      if (directive == "framework") {
-        std::string name;
-        line >> name;
-        if (name == "he") req.framework = engine::FrameworkKind::kHe;
-        else if (name == "ss") req.framework = engine::FrameworkKind::kSs;
-        else throw std::invalid_argument("framework must be 'he' or 'ss'");
-      } else if (directive == "group") {
-        std::string name;
-        line >> name;
-        req.group = group::parse_group_id(name);
-      } else if (directive == "spec") {
-        if (!(line >> req.spec.m >> req.spec.t >> req.spec.d1 >> req.spec.d2 >>
-              req.spec.h))
-          throw std::invalid_argument("spec needs: m t d1 d2 h");
-      } else if (directive == "k") {
-        if (!(line >> req.k)) throw std::invalid_argument("k needs a number");
-      } else if (directive == "threshold") {
-        if (!(line >> req.ss_threshold))
-          throw std::invalid_argument("threshold needs a number");
-      } else if (directive == "criterion") {
-        req.v0 = parse_values(line);
-      } else if (directive == "weights") {
-        req.w = parse_values(line);
-      } else if (directive == "participant") {
-        req.infos.push_back(parse_values(line));
-      } else if (directive == "fault-plan") {
-        std::string spec;
-        std::getline(line, spec);
-        const auto start = spec.find_first_not_of(" \t");
-        if (start == std::string::npos)
-          throw std::invalid_argument("fault-plan needs a spec string");
-        req.fault_plan = net::parse_fault_plan(spec.substr(start));
-      } else if (directive == "degrade-on-dropout") {
-        req.degrade_on_dropout = true;
-      } else {
-        throw std::invalid_argument("unknown directive '" + directive + "'");
-      }
-    } catch (const std::exception& e) {
-      out.errors.push_back(path + ":" + std::to_string(lineno) + ": " +
-                           e.what());
-      if (!bad.empty()) bad.back() = 1;
+  const auto handle = [&](const std::string& directive,
+                          std::istringstream& line) {
+    if (directive == "session") {
+      engine::RankingRequest req;
+      const bool ok = static_cast<bool>(line >> req.session_id);
+      out.reqs.push_back(std::move(req));
+      bad.push_back(ok ? 0 : 1);
+      if (!ok) throw std::invalid_argument("session needs an id");
+      return;
     }
-  }
+    if (out.reqs.empty())
+      throw std::invalid_argument("'" + directive +
+                                  "' before the first 'session' line");
+    engine::RankingRequest& req = out.reqs.back();
+    if (directive == "framework") {
+      std::string name;
+      line >> name;
+      if (name == "he") req.framework = engine::FrameworkKind::kHe;
+      else if (name == "ss") req.framework = engine::FrameworkKind::kSs;
+      else throw std::invalid_argument("framework must be 'he' or 'ss'");
+    } else if (directive == "group") {
+      std::string name;
+      line >> name;
+      req.group = group::parse_group_id(name);
+    } else if (directive == "spec") {
+      req.spec = cli::parse_spec(line);
+    } else if (directive == "k") {
+      req.k = cli::parse_count(line, directive);
+    } else if (directive == "threshold") {
+      req.ss_threshold = cli::parse_count(line, directive);
+    } else if (directive == "criterion") {
+      req.v0 = cli::parse_values(line);
+    } else if (directive == "weights") {
+      req.w = cli::parse_values(line);
+    } else if (directive == "participant") {
+      req.infos.push_back(cli::parse_values(line));
+    } else if (directive == "fault-plan") {
+      std::string spec;
+      std::getline(line, spec);
+      const auto start = spec.find_first_not_of(" \t");
+      if (start == std::string::npos)
+        throw std::invalid_argument("fault-plan needs a spec string");
+      req.fault_plan = net::parse_fault_plan(spec.substr(start));
+    } else if (directive == "degrade-on-dropout") {
+      req.degrade_on_dropout = true;
+    } else {
+      cli::unknown_directive(directive);
+    }
+  };
+  cli::read_directives(path, handle, [&](const std::string& message) {
+    out.errors.push_back(message);
+    if (!bad.empty()) bad.back() = 1;
+  });
   if (out.reqs.empty() && out.errors.empty())
     throw std::runtime_error(path + ": no 'session' lines");
   std::vector<engine::RankingRequest> good;

@@ -131,7 +131,8 @@
 # The `audit` mode is the forensics/conformance leg: the conformance-audit
 # suite (clean runs audit to zero findings, faulted/degraded/tampered runs
 # to typed ones, postmortem atomicity and determinism), the ppgr_server
-# exit-contract integration test and — because the audit's expectations
+# exit-contract integration test, the ppgr_cli / ppgr_party directive-file
+# error test (cli_parse_test) and — because the audit's expectations
 # are the closed-form model — the model suites (benchcore_test,
 # model_validation, comm_validation) run under ASan+UBSan.
 #
@@ -291,7 +292,7 @@ case "${MODE}" in
     ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   flake) run_leg tsan -R 'telemetry|engine_fault|tcp_transport|runtime_pool' --repeat until-fail:20 ;;
-  audit) run_leg asan -R 'audit_test|server_cli|benchcore|model_validation|comm_validation' ;;
+  audit) run_leg asan -R 'audit_test|server_cli|cli_parse|benchcore|model_validation|comm_validation' ;;
   sockets)
     run_leg asan -R 'tcp_transport|party_launcher'
     run_leg tsan -R 'tcp_transport'

@@ -12,6 +12,7 @@
 #include "dotprod/dot_product.h"
 #include "group/mock_group.h"
 #include "runtime/metrics.h"
+#include "sss/mpc_sort.h"
 
 namespace ppgr::benchcore {
 
@@ -211,7 +212,6 @@ std::size_t HeSchedule::message_rounds() const {
 
 HeSchedule model_he_schedule(const ProblemSpec& spec, std::size_t n,
                              const group::Group& g, const mpz::FpCtx& dot_field,
-                             std::size_t dot_s,
                              const std::vector<std::size_t>& submitted_ids) {
   using runtime::Phase;
   HeSchedule s;
@@ -233,7 +233,7 @@ HeSchedule model_he_schedule(const ProblemSpec& spec, std::size_t n,
   // s x d matrix plus two masking d-vectors) to the initiator, then one
   // (a, h) pair back. Dimensions follow Participant::gain_query.
   const std::size_t d = spec.m + spec.t + 1;
-  const std::size_t sd = std::max(dot_s, dotprod::recommended_s(d));
+  const std::size_t sd = dotprod::disguise_dim(d);
   for (std::size_t j = 1; j <= n; ++j)
     send(j, 0, dotprod::bob_message_bytes(dot_field, sd, d));
   ++s.rounds;
@@ -302,7 +302,7 @@ HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
       model_he_ops(spec, n, beta_popcounts(betas)).naive;
   counts.totals = priced(naive, 1);
   counts.per_participant = priced(naive, n);
-  counts.schedule = model_he_schedule(spec, n, g, *cfg.dot_field, cfg.dot_s,
+  counts.schedule = model_he_schedule(spec, n, g, *cfg.dot_field,
                                       top_k_ids(beta_ranks(betas), k));
   return counts;
 }
@@ -321,10 +321,9 @@ HePoint price_he_counts(const HeCounts& counts, const std::string& name,
 
 std::vector<runtime::CommLink> model_he_comm(
     const ProblemSpec& spec, std::size_t n, const group::Group& g,
-    const mpz::FpCtx& dot_field, std::size_t dot_s,
+    const mpz::FpCtx& dot_field,
     const std::vector<std::size_t>& submitted_ids) {
-  const HeSchedule s =
-      model_he_schedule(spec, n, g, dot_field, dot_s, submitted_ids);
+  const HeSchedule s = model_he_schedule(spec, n, g, dot_field, submitted_ids);
   // Aggregation keyed exactly like CommRegistry::links() sorts.
   std::map<std::tuple<runtime::Phase, std::size_t, std::size_t>,
            std::pair<std::uint64_t, std::uint64_t>>
@@ -349,40 +348,40 @@ std::vector<runtime::CommLink> model_he_comm(
 
 SsPoint price_ss_framework(const ProblemSpec& spec, std::size_t n,
                            std::size_t k, std::uint64_t seed) {
-  const std::size_t l = spec.beta_bits();
-  const mpz::FpCtx& field = core::ss_field_for_beta_bits(l);
-  const std::size_t t = (n - 1) / 2;  // max tolerable colluders, n >= 2t+1
+  const mpz::FpCtx& field = core::ss_field_for_beta_bits(spec.beta_bits());
+  // Max tolerable colluders, n >= 2t+1.
+  const std::size_t t = std::max<std::size_t>(1, (n - 1) / 2);
 
-  // Counted run.
-  core::SsFrameworkConfig cfg;
-  cfg.base.spec = spec;
-  cfg.base.n = n;
-  cfg.base.k = k;
-  // The SS framework needs no DDH group, but FrameworkConfig validation
-  // does; use a mock.
-  static const group::MockGroup dummy{"ss-dummy"};
-  cfg.base.group = &dummy;
-  cfg.base.dot_field = &core::default_dot_field();
-  cfg.threshold = std::max<std::size_t>(1, t);
-  cfg.mode = sss::MpcEngine::Mode::kCountOnly;
-
-  const Instance inst = random_instance(spec, n, seed);
+  // The sort host's phase 2 on a count-only engine, which ignores the
+  // values it sorts.
   mpz::ChaChaRng rng{seed + 2};
-  auto result = core::run_ss_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+  sss::MpcEngine engine{field, n, t, rng, sss::MpcEngine::Mode::kCountOnly};
+  const sss::RankSortResult sorted =
+      sss::mpc_rank_sort(engine, std::vector<mpz::Nat>(n));
 
   // Calibrate the substrate at this exact (n, t, field).
   mpz::ChaChaRng crng{seed + 3};
-  const SsCosts costs = calibrate_ss(field, n, cfg.threshold, crng);
+  const SsCosts costs = calibrate_ss(field, n, t, crng);
 
   SsPoint point;
-  point.totals = result.sort_costs;
-  point.parallel_rounds = result.parallel_rounds;
-  point.participant_seconds = price_ss_ops(result.sort_costs, costs, n);
+  point.totals = sorted.costs;
+  point.parallel_rounds = sorted.parallel_rounds;
+  point.participant_seconds = price_ss_ops(sorted.costs, costs, n);
+
+  // Phase 1 needs no DDH group, but FrameworkConfig validation does; use a
+  // mock.
+  static const group::MockGroup dummy{"ss-dummy"};
+  core::FrameworkConfig cfg;
+  cfg.spec = spec;
+  cfg.n = n;
+  cfg.k = k;
+  cfg.group = &dummy;
+  cfg.dot_field = &core::default_dot_field();
+  const Instance inst = random_instance(spec, n, seed);
   const double t1 = runtime::metrics_now_seconds();
-  (void)core::phase1_betas(cfg.base, inst.v0, inst.w, inst.infos, rng);
+  (void)core::phase1_betas(cfg, inst.v0, inst.w, inst.infos, rng);
   point.phase1_seconds =
       (runtime::metrics_now_seconds() - t1) / static_cast<double>(n);
-  point.trace = std::move(result.trace);
   return point;
 }
 

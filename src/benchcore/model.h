@@ -11,8 +11,9 @@
 //  - HE frameworks (the paper's DL-xxxx and ECC-xxx): the naive op counts
 //    per participant, priced with calibrated real-group costs
 //    (benchcore/calibrate.h), plus the real measured phase-1 time;
-//  - SS framework: exact counts from an MpcEngine::kCountOnly run, priced
-//    per participant.
+//  - SS framework: the sort's exact counts — sss::mpc_rank_sort on an
+//    MpcEngine::kCountOnly engine, the calls the sort host makes in a real
+//    run — priced per participant, plus the real measured phase-1 time.
 #pragma once
 
 #include <array>
@@ -127,7 +128,7 @@ struct HeSchedule {
 /// ids are an input; everything else is data-independent.
 [[nodiscard]] HeSchedule model_he_schedule(
     const ProblemSpec& spec, std::size_t n, const group::Group& g,
-    const mpz::FpCtx& dot_field, std::size_t dot_s,
+    const mpz::FpCtx& dot_field,
     const std::vector<std::size_t>& submitted_ids);
 
 /// Counts for one sweep point, reusable across price points: DL and ECC
@@ -161,7 +162,7 @@ struct HeCounts {
 /// to the simulator, not the model.
 [[nodiscard]] std::vector<runtime::CommLink> model_he_comm(
     const ProblemSpec& spec, std::size_t n, const group::Group& g,
-    const mpz::FpCtx& dot_field, std::size_t dot_s,
+    const mpz::FpCtx& dot_field,
     const std::vector<std::size_t>& submitted_ids);
 
 /// One priced SS data point.
@@ -170,12 +171,14 @@ struct SsPoint {
   double phase1_seconds = 0;
   sss::MpcCosts totals;
   std::uint64_t parallel_rounds = 0;
-  runtime::TraceRecorder trace;
   [[nodiscard]] double total_seconds() const {
     return participant_seconds + phase1_seconds;
   }
 };
 
+/// The SS point at (spec, n): the sort of n values on the β field with
+/// t = max(1, (n-1)/2), counted by a count-only engine and priced with
+/// calibrate_ss costs, plus phase 1 timed for real (k configures that run).
 [[nodiscard]] SsPoint price_ss_framework(const ProblemSpec& spec,
                                          std::size_t n, std::size_t k,
                                          std::uint64_t seed);

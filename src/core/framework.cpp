@@ -18,7 +18,6 @@ void FrameworkConfig::validate() const {
   if (k < 1 || k > n) throw std::invalid_argument("FrameworkConfig: bad k");
   if (group == nullptr || dot_field == nullptr)
     throw std::invalid_argument("FrameworkConfig: group/dot_field not set");
-  if (dot_s < 2) throw std::invalid_argument("FrameworkConfig: dot_s >= 2");
   // The dot-product field must exactly represent every β (plus slack for
   // the signed centering).
   if (spec.beta_bits() + 2 > dot_field->bits())
@@ -92,8 +91,7 @@ const dotprod::BobRound1& Participant::gain_query(Rng& rng) {
   auto w_prime = participant_vector(*cfg_.dot_field, cfg_.spec, info_);
   // Scale the disguise dimension with the vector so the initiator's linear
   // system stays under-determined (dotprod::recommended_s).
-  const std::size_t s =
-      std::max(cfg_.dot_s, dotprod::recommended_s(w_prime.size()));
+  const std::size_t s = dotprod::disguise_dim(w_prime.size());
   dot_.emplace(*cfg_.dot_field, std::move(w_prime), s, rng);
   return dot_->round1();
 }

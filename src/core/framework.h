@@ -132,7 +132,6 @@ struct FrameworkConfig {
   std::size_t k = 1;  // top-k
   const Group* group = nullptr;        // DDH group for phase 2
   const FpCtx* dot_field = nullptr;    // prime field for phase 1
-  std::size_t dot_s = 8;               // disguise dimension of the dot product
   /// Execution-engine concurrency for run_framework: 1 = serial (default),
   /// 0 = hardware concurrency, N = N-way fork-join. Outputs are
   /// bit-identical for every value (see DESIGN.md, "Threading model &

@@ -172,11 +172,8 @@ class Party {
         co_await ss_phase2();
       else
         co_await he_phase2();
-      // A count-only SS sort produces no ranks: nothing to submit.
-      if (host_.ss == nullptr || !count_only()) {
-        co_await set_phase(Phase::kPhase3);
-        co_await phase3();
-      }
+      co_await set_phase(Phase::kPhase3);
+      co_await phase3();
     } catch (const ProtocolFault&) {
       throw;
     } catch (const net::ChannelError& e) {
@@ -202,9 +199,6 @@ class Party {
   [[nodiscard]] ChaChaRng stream(StreamKind kind, std::size_t party,
                                  std::size_t index) const {
     return host_.streams.stream(stream_id(kind, party, index));
-  }
-  [[nodiscard]] bool count_only() const {
-    return host_.ss->mode == sss::MpcEngine::Mode::kCountOnly;
   }
   // 1-based id of the slot-th participant other than this one.
   [[nodiscard]] std::size_t peer(std::size_t slot) const {
@@ -665,7 +659,7 @@ class Party {
     co_await next_round();
     if (me_ == 1) {
       co_await sort_host(field);
-    } else if (me_ > 1 && !count_only()) {
+    } else if (me_ > 1) {
       out_.rank = decode(*co_await receive(1),
                          [](runtime::Reader& r) { return r.u32(); });
       if (out_.rank == 0 || out_.rank > n_)
@@ -684,7 +678,7 @@ class Party {
       });
     ChaChaRng rng = stream(StreamKind::kSsSort, 1, 0);
     const double t0 = runtime::metrics_now_seconds();
-    sss::MpcEngine engine{field, n_, host_.ss->threshold, rng, host_.ss->mode};
+    sss::MpcEngine engine{field, n_, host_.ss->threshold, rng};
     const sss::RankSortResult sorted = sss::mpc_rank_sort(engine, betas);
     // The engine simulates all n share-holders in this process; attribute an
     // equal per-party slice of the measured time.
@@ -715,7 +709,6 @@ class Party {
           if (a != b) router_.transmit(a, b, per_msg);
       router_.next_round();
     }
-    if (count_only()) co_return;
     out_.rank = sorted.ranks[0];
     for (std::size_t q = 2; q <= n_; ++q)
       send(q, encode([&](runtime::Writer& w) {

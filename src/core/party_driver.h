@@ -120,10 +120,10 @@ template <typename Result, typename Rerun>
   sub.degrade_on_dropout = false;
   sub.audit = nullptr;
   Result out = rerun(sub, sub_infos);
-  std::vector<std::size_t> ranks(out.ranks.empty() ? 0 : infos.size(), 0);
+  std::vector<std::size_t> ranks(infos.size(), 0);
   std::vector<Nat> betas(infos.size());
   for (std::size_t i = 0; i < survivors.size(); ++i) {
-    if (!ranks.empty()) ranks[survivors[i] - 1] = out.ranks[i];
+    ranks[survivors[i] - 1] = out.ranks[i];
     betas[survivors[i] - 1] = std::move(out.betas[i]);
   }
   out.ranks = std::move(ranks);

@@ -28,7 +28,6 @@ SsFrameworkResult run_ss_framework(const SsFrameworkConfig& cfg,
                                    Rng& rng) {
   const FrameworkConfig& base = cfg.base;
   SsFrameworkResult run = launch(base, &cfg, v0, w, infos, rng);
-  if (cfg.mode == sss::MpcEngine::Mode::kCountOnly) run.ranks.clear();
   if (run.dropped_parties.empty()) return run;
   // The SS sort additionally needs the threshold to stay feasible:
   // n' >= 2t'+1.
@@ -37,8 +36,7 @@ SsFrameworkResult run_ss_framework(const SsFrameworkConfig& cfg,
       [&](const FrameworkConfig& sub, const std::vector<AttrVec>& sub_infos) {
         return run_ss_framework(
             {.base = sub,
-             .threshold = std::min(cfg.threshold, (sub.n - 1) / 2),
-             .mode = cfg.mode},
+             .threshold = std::min(cfg.threshold, (sub.n - 1) / 2)},
             v0, w, sub_infos, rng);
       });
 }

@@ -33,7 +33,6 @@ struct SsFrameworkResult : FrameworkResult {
 struct SsFrameworkConfig {
   FrameworkConfig base;     // group is unused; dot_field/spec/n/k are
   std::size_t threshold;    // SS threshold t (max colluders), n >= 2t+1
-  sss::MpcEngine::Mode mode = sss::MpcEngine::Mode::kReal;
 };
 
 /// Prime field sized for comparing l-bit β values (p > 2^(l+1), so that the

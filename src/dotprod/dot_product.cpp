@@ -122,6 +122,10 @@ std::size_t recommended_s(std::size_t d) {
   return s;
 }
 
+std::size_t disguise_dim(std::size_t d) {
+  return std::max<std::size_t>(8, recommended_s(d));
+}
+
 std::size_t bob_message_bytes(const FpCtx& field, std::size_t s,
                               std::size_t d) {
   const std::size_t fe = (field.bits() + 7) / 8;

@@ -84,8 +84,11 @@ class DotProductBob {
 /// Smallest disguise dimension that keeps Alice's system of equations
 /// under-determined for a d-dimensional vector: she observes s·d + 2d
 /// values over s^2 + s·d + d + 3 unknowns (Q, X, f, R1..R3), so we need
-/// s^2 + 3 > d. Protocol users should take max(recommended_s(d), their own
-/// floor).
+/// s^2 + 3 > d.
 [[nodiscard]] std::size_t recommended_s(std::size_t d);
+
+/// The disguise dimension the framework's phase 1 uses for a d-dimensional
+/// vector: recommended_s(d), but at least 8.
+[[nodiscard]] std::size_t disguise_dim(std::size_t d);
 
 }  // namespace ppgr::dotprod

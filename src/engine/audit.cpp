@@ -85,7 +85,6 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
   fw.k = cfg_.k;
   fw.group = cfg_.group;
   fw.dot_field = cfg_.dot_field;
-  fw.dot_s = cfg_.dot_s;
   const std::vector<mpz::Nat> betas =
       core::phase1_betas(fw, v0, w, infos, rng);
   expected_ops_ = benchcore::model_he_ops(cfg_.spec, cfg_.n,
@@ -99,8 +98,7 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
   // rounds included.
   expected_rounds_ =
       benchcore::model_he_schedule(cfg_.spec, cfg_.n, *cfg_.group,
-                                   *cfg_.dot_field, cfg_.dot_s,
-                                   expected_submitted_)
+                                   *cfg_.dot_field, expected_submitted_)
           .rounds;
   check_rounds_ = true;
 }
@@ -183,7 +181,7 @@ void ConformanceAuditor::run_complete(
       }
     };
     add(benchcore::model_he_comm(cfg_.spec, cfg_.n, *cfg_.group,
-                                 *cfg_.dot_field, cfg_.dot_s, submitted_ids),
+                                 *cfg_.dot_field, submitted_ids),
         0);
     add(comm->links(), 2);
     for (const auto& [key, v] : links) {

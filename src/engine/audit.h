@@ -99,7 +99,6 @@ class ConformanceAuditor final : public core::AuditSink {
     /// message schedule). Required for HE; must outlive the auditor.
     const group::Group* group = nullptr;
     const mpz::FpCtx* dot_field = nullptr;
-    std::size_t dot_s = 8;
     /// True when the session runs under a fault plan: framing and
     /// retransmits make wire bytes legitimately diverge from the fault-free
     /// model, so the byte-exact comm check is skipped.

@@ -145,8 +145,6 @@ std::uint64_t SessionEngine::submit(RankingRequest req) {
       throw EngineError(EngineErrorCode::kDuplicateSession,
                         "session " + std::to_string(sid) +
                             ": duplicate session id");
-    if (req.fault_plan.enabled() || req.degrade_on_dropout)
-      fault_aware_ = true;
     queue_.push_back(Queued{std::move(req), runtime::metrics_now_seconds()});
   }
   work_cv_.notify_one();
@@ -266,7 +264,9 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
   fcfg.k = req.k;
   fcfg.group = group.group;
   fcfg.dot_field = &core::default_dot_field();
-  fcfg.metrics = cfg_.metrics;
+  // Sessions always run with observability: the rollup, the session log
+  // and the audit read the run's registries.
+  fcfg.metrics = true;
   // Progress reporting is observation only — the cell never feeds back into
   // the protocol, so outputs are identical with or without it.
   fcfg.progress = progress;
@@ -287,10 +287,9 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
 
   // Live conformance audit: the auditor runs phase 1 alone on the session's
   // stream (a second identical family draw) and predicts the rest from
-  // closed forms, then rides the run's phase boundaries. Needs the
-  // registries, hence metrics.
+  // closed forms, then rides the run's phase boundaries.
   std::optional<ConformanceAuditor> auditor;
-  if (cfg_.audit && cfg_.metrics) {
+  if (cfg_.audit) {
     ConformanceAuditor::Config acfg;
     acfg.ss = req.framework == FrameworkKind::kSs;
     acfg.spec = req.spec;
@@ -298,7 +297,6 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
     acfg.k = req.k;
     acfg.group = fcfg.group;
     acfg.dot_field = fcfg.dot_field;
-    acfg.dot_s = fcfg.dot_s;
     acfg.fault_plan = plan.enabled();
     auditor.emplace(std::move(acfg), req.v0, req.w, req.infos,
                     session_family_.stream(req.session_id));
@@ -379,16 +377,12 @@ std::string SessionEngine::rollup_json() const {
   out += "{\n  \"schema\": \"ppgr.engine.v1\",\n";
   appendf(out, "  \"engine_seed\": %llu,\n",
           static_cast<unsigned long long>(cfg_.seed));
-  appendf(out, "  \"metrics\": %s,\n", cfg_.metrics ? "true" : "false");
   appendf(out, "  \"sessions_completed\": %zu,\n", summaries_.size());
-  if (fault_aware_) {
-    std::size_t ok = 0;
-    std::size_t faulted = 0;
-    for (const auto& [sid, s] : summaries_)
-      ++(s.outcome == SessionOutcome::kOk ? ok : faulted);
-    appendf(out, "  \"outcomes\": {\"ok\": %zu, \"fault\": %zu},\n", ok,
-            faulted);
-  }
+  std::size_t faulted = 0;
+  for (const auto& [sid, s] : summaries_)
+    if (s.outcome == SessionOutcome::kFault) ++faulted;
+  appendf(out, "  \"outcomes\": {\"ok\": %zu, \"fault\": %zu},\n",
+          summaries_.size() - faulted, faulted);
   if (cfg_.telemetry) {
     // Live-telemetry sections (EngineConfig::telemetry): wall-clock-derived
     // latency quantiles per session kind and the end-of-run health verdict.
@@ -422,9 +416,6 @@ std::string SessionEngine::rollup_json() const {
     // counts, which *are* deterministic. The stall tally is the watchdog's
     // observation count and is not. Confirmed model drift (audit findings)
     // degrades health exactly like a faulted session.
-    std::size_t faulted = 0;
-    for (const auto& [sid, s] : summaries_)
-      if (s.outcome == SessionOutcome::kFault) ++faulted;
     appendf(out, "  \"health\": {\"state\": \"%s\", \"stalls\": %llu},\n",
             runtime::to_string(faulted != 0 || audit_drift_done_ != 0
                                    ? runtime::HealthState::kDegraded
@@ -477,18 +468,16 @@ std::string SessionEngine::rollup_json() const {
               "\"verdict\": \"%s\"}",
               s.audit_checks, s.audit_findings, s.audit_verdict.c_str());
     }
-    if (fault_aware_) {
-      appendf(out, ",\n     \"outcome\": \"%s\"", to_string(s.outcome));
-      if (s.fault.has_value()) {
-        const core::FaultInfo& f = *s.fault;
-        appendf(out, ", \"fault\": {\"phase\": \"%s\", \"round\": %zu, ",
-                runtime::phase_name(f.phase), f.round);
-        appendf(out, "\"party\": %lld, \"cause\": ",
-                f.party == core::kNoParty ? -1LL
-                                          : static_cast<long long>(f.party));
-        append_json_string(out, f.cause);
-        out += "}";
-      }
+    appendf(out, ",\n     \"outcome\": \"%s\"", to_string(s.outcome));
+    if (s.fault.has_value()) {
+      const core::FaultInfo& f = *s.fault;
+      appendf(out, ", \"fault\": {\"phase\": \"%s\", \"round\": %zu, ",
+              runtime::phase_name(f.phase), f.round);
+      appendf(out, "\"party\": %lld, \"cause\": ",
+              f.party == core::kNoParty ? -1LL
+                                        : static_cast<long long>(f.party));
+      append_json_string(out, f.cause);
+      out += "}";
     }
     out += "}";
     first = false;

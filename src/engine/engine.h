@@ -162,7 +162,7 @@ struct SessionResult {
   double setup_seconds = 0.0;  // time inside the group-instance lookup (noisy)
   PrecomputeStats precompute;  // this session's cache interactions
 
-  /// Present iff EngineConfig::audit (and metrics): the conformance-audit
+  /// Present iff EngineConfig::audit: the conformance-audit
   /// report of this session ("ppgr.audit.v1").
   std::shared_ptr<const AuditReport> audit;
 
@@ -186,8 +186,6 @@ struct EngineConfig {
   /// parallel protocol steps onto (0 = hardware concurrency, 1 = each
   /// driver runs its session inline). Never affects outputs.
   std::size_t parallelism = 1;
-  /// Per-session observability (FrameworkConfig::metrics).
-  bool metrics = true;
   /// Group-instance cache to share; null = the process-wide one. A fresh
   /// PrecomputeCache makes the engine's cache private; it must outlive the
   /// engine. Outputs are bit-identical either way: the cache only moves
@@ -201,7 +199,7 @@ struct EngineConfig {
   /// (engine/introspect.h) work regardless of this flag.
   bool telemetry = false;
   /// Live conformance audit (engine/audit.h): every session runs with a
-  /// ConformanceAuditor attached (requires `metrics`; ignored without it).
+  /// ConformanceAuditor attached.
   /// The rollup gains a deterministic per-session "audit" entry, and audit
   /// drift degrades engine health. Off by default: the golden rollup pins
   /// the off state, and sessions take zero audit branches.
@@ -340,11 +338,6 @@ class SessionEngine {
   std::size_t audit_drift_done_ = 0;  // completed sessions with findings
   std::uint64_t stalls_total_ = 0;    // stall flags of *completed* sessions
   bool stop_ = false;
-  /// Latches true once any submitted request carries a fault plan (or
-  /// degrade flag); only then does rollup_json() emit the per-outcome counts
-  /// and per-session outcome/fault fields — fault-free engines export
-  /// byte-identically to the pre-fault-layer golden.
-  bool fault_aware_ = false;
 
   std::vector<std::thread> drivers_;  // last member: joins before teardown
 };

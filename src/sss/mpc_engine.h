@@ -24,7 +24,9 @@
 //    randomized retry succeeded on the first try (the expected case; see
 //    EXPERIMENTS.md). This mode prices protocols at parameter scales where
 //    full execution would take hours — the SS counterpart of
-//    benchcore::model_he_ops for the HE frameworks.
+//    benchcore::model_he_ops for the HE frameworks. The SS model
+//    (benchcore::price_ss_framework) runs mpc_rank_sort on such an engine
+//    directly; the protocol itself always runs kReal.
 #pragma once
 
 #include <cstdint>

@@ -113,7 +113,7 @@ TEST(Model, ScheduleEqualsTheRecordedTrace) {
       const auto result =
           core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
       const HeSchedule s = model_he_schedule(
-          spec, n, *g, *cfg.dot_field, cfg.dot_s, result.submitted_ids);
+          spec, n, *g, *cfg.dot_field, result.submitted_ids);
       const auto& trace = result.trace.transfers();
       ASSERT_EQ(s.transfers.size(), trace.size()) << g->name() << " n=" << n;
       for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -160,6 +160,39 @@ TEST(Model, NaiveProfileReproducesTheFigureCounts) {
     EXPECT_EQ(counts.totals, pin.totals)
         << "n=" << pin.n << " seed=" << pin.seed;
     EXPECT_EQ(counts.per_participant.exps, pin.totals.exps / pin.n);
+  }
+}
+
+TEST(Model, SsSortCountsArePinned) {
+  // price_ss_framework's counted side: the SS sort's exact metered costs and
+  // parallel rounds for n values on the field sized for the spec's β.
+  const core::ProblemSpec spec{.m = 3, .t = 1, .d1 = 5, .d2 = 4, .h = 5};
+  struct Pin {
+    std::size_t n;
+    sss::MpcCosts totals;
+    std::uint64_t parallel_rounds;
+  };
+  const Pin pins[] = {
+      {5, {.mults = 3519, .opens = 761, .deals = 3520, .rounds = 2958,
+           .bytes = 398720, .rand_bits = 702, .comparisons = 9}, 1964},
+      {10, {.mults = 12512, .opens = 2698, .deals = 24980, .rounds = 10494,
+            .bytes = 6374880, .rand_bits = 2496, .comparisons = 32}, 3272},
+      {25, {.mults = 54740, .opens = 11785, .deals = 273050, .rounds = 45855,
+            .bytes = 185872800, .rand_bits = 10920, .comparisons = 140},
+       4907},
+  };
+
+  for (const Pin& pin : pins) {
+    const SsPoint point = price_ss_framework(spec, pin.n, 1, 1);
+    const sss::MpcCosts& got = point.totals;
+    EXPECT_EQ(got.mults, pin.totals.mults) << "n=" << pin.n;
+    EXPECT_EQ(got.opens, pin.totals.opens) << "n=" << pin.n;
+    EXPECT_EQ(got.deals, pin.totals.deals) << "n=" << pin.n;
+    EXPECT_EQ(got.rounds, pin.totals.rounds) << "n=" << pin.n;
+    EXPECT_EQ(got.bytes, pin.totals.bytes) << "n=" << pin.n;
+    EXPECT_EQ(got.rand_bits, pin.totals.rand_bits) << "n=" << pin.n;
+    EXPECT_EQ(got.comparisons, pin.totals.comparisons) << "n=" << pin.n;
+    EXPECT_EQ(point.parallel_rounds, pin.parallel_rounds) << "n=" << pin.n;
   }
 }
 

@@ -93,7 +93,6 @@ Outcome run_scenario(bool ss, const net::FaultPlanConfig& fpc, bool degrade,
   base.k = kTopK;
   base.group = &chaos_group();
   base.dot_field = &default_dot_field();
-  base.dot_s = 4;
   base.parallelism = parallelism;
   base.fault_plan = &plan;
   base.degrade_on_dropout = degrade;
@@ -307,7 +306,6 @@ TEST(Chaos, InertPlanMatchesNoPlan) {
   cfg.k = kTopK;
   cfg.group = &chaos_group();
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
 
   ChaChaRng r1{7}, r2{7};
   const FrameworkResult plain = run_framework(cfg, in.v0, in.w, in.infos, r1);

@@ -30,7 +30,6 @@ FrameworkConfig make_config(const group::Group& g, std::size_t n,
   cfg.k = k;
   cfg.group = &g;
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   return cfg;
 }
 
@@ -388,21 +387,6 @@ TEST(SsFramework, EndToEndMatchesReference) {
   EXPECT_GT(result.trace.total_bytes(), 0u);
   // The SS framework uses many more rounds than the HE framework's O(n).
   EXPECT_GT(result.parallel_rounds, n);
-}
-
-TEST(SsFramework, CountOnlyMode) {
-  ChaChaRng rng{118};
-  SsFrameworkConfig cfg;
-  cfg.base = make_config(*make_group(GroupId::kDlTest256), 9, 2);
-  cfg.threshold = 4;
-  cfg.mode = sss::MpcEngine::Mode::kCountOnly;
-  const AttrVec v0{0, 0, 0, 0}, w{1, 1, 1, 1};
-  std::vector<AttrVec> infos(9, AttrVec{1, 2, 3, 4});
-  const auto result = run_ss_framework(cfg, v0, w, infos, rng);
-  EXPECT_TRUE(result.ranks.empty());
-  EXPECT_GT(result.sort_costs.mults, 0u);
-  EXPECT_EQ(result.comparators,
-            sss::comparator_count(sss::batcher_network(9)));
 }
 
 TEST(SsFramework, FieldSizingPerBetaBits) {

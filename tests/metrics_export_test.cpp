@@ -36,7 +36,6 @@ FrameworkResult run_at(std::size_t parallelism) {
   cfg.k = 2;
   cfg.group = g.get();
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   cfg.parallelism = parallelism;
   cfg.metrics = true;
 
@@ -133,7 +132,6 @@ TEST(MetricsExport, DisabledByDefault) {
   cfg.k = 1;
   cfg.group = g.get();
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   ChaChaRng rng{7};
   const std::vector<AttrVec> infos{{1, 2, 3}, {9, 4, 2}, {5, 6, 1}};
   const auto result = run_framework(cfg, {0, 0, 0}, {1, 1, 1}, infos, rng);

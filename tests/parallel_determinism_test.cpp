@@ -27,7 +27,6 @@ FrameworkConfig small_config(const group::Group& g, std::size_t parallelism) {
   cfg.k = 2;
   cfg.group = &g;
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   cfg.parallelism = parallelism;
   return cfg;
 }
@@ -147,7 +146,6 @@ TEST(ParallelDeterminism, EcGroupAlsoDeterministic) {
   cfg.k = 1;
   cfg.group = g.get();
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   const std::vector<AttrVec> infos{{1, 2}, {9, 4}, {5, 6}};
   cfg.parallelism = 1;
   const auto serial = run_framework(cfg, {0, 0}, {1, 1}, infos, rng1);

@@ -51,7 +51,6 @@ FrameworkConfig make_config(const group::Group& g, std::size_t n) {
   cfg.k = 1;
   cfg.group = &g;
   cfg.dot_field = &default_dot_field();
-  cfg.dot_s = 4;
   return cfg;
 }
 
