@@ -397,13 +397,8 @@ int main(int argc, char** argv) {
     // Submit everything up front (open loop), then collect in order;
     // invalid requests are reported and skipped, valid ones still run.
     std::vector<std::uint64_t> ids;
-    // Request context the wide-event log needs but the result doesn't carry;
-    // captured before submit() moves the request away.
-    std::map<std::uint64_t, engine::SessionLogInfo> log_infos;
     for (auto& req : parsed.reqs) {
       const std::uint64_t sid = req.session_id;
-      log_infos[sid] = engine::SessionLogInfo{
-          group::to_string(req.group), req.infos.size(), req.k};
       try {
         ids.push_back(eng.submit(std::move(req)));
       } catch (const engine::EngineError& e) {
@@ -421,9 +416,7 @@ int main(int argc, char** argv) {
       results.push_back(eng.take(sid));
       const engine::SessionResult& res = results.back();
       if (session_log_out)
-        *session_log_out << engine::session_wide_event_json(
-                                res, log_infos[sid])
-                         << '\n';
+        *session_log_out << engine::session_wide_event_json(res) << '\n';
       if (res.audit != nullptr && !res.audit->clean()) {
         ++drifted;
         for (const engine::AuditFinding& f : res.audit->findings)
@@ -435,10 +428,9 @@ int main(int argc, char** argv) {
           !postmortem_dir.empty()) {
         std::string err;
         const std::string path =
-            engine::write_postmortem(postmortem_dir, res, log_infos[sid],
-                                     engine::snapshot(eng, stall_deadline)
-                                         .to_jsonl(),
-                                     &err);
+            engine::write_postmortem(
+                postmortem_dir, res,
+                engine::snapshot(eng, stall_deadline).to_jsonl(), &err);
         if (path.empty()) {
           ++log_failures;
           std::fprintf(stderr, "postmortem error: %s\n", err.c_str());

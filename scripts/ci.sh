@@ -5,7 +5,11 @@
 # scheduler, the framework suites and runtime_pool_test with real threads.
 #
 # The `metrics` mode is the focused observability leg: it runs the metrics
-# unit tests, the golden exporter test, the model-vs-measured self-checks
+# unit tests (with runtime/json.h's never-truncating appendf), the golden
+# exporter test (every export's golden but the engine rollup's: the
+# fixed-seed run's metrics/trace/comm files and the fault, audit, session,
+# postmortem, telemetry, OpenMetrics, stitched-trace and phase_report pins
+# over hand-built inputs), the model-vs-measured self-checks
 # (bench/validate_model --check and --check-comm) and every test of the
 # comm report built from the transfer log (net_test's Router cases,
 # fault_test's delay-spike case, tcp_transport's socket flow parity) under

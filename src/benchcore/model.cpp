@@ -1,7 +1,6 @@
 #include "benchcore/model.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <iostream>
 #include <initializer_list>
 #include <map>
@@ -11,6 +10,7 @@
 #include "crypto/codec.h"
 #include "dotprod/dot_product.h"
 #include "group/mock_group.h"
+#include "runtime/json.h"
 #include "runtime/metrics.h"
 #include "sss/mpc_sort.h"
 
@@ -407,27 +407,26 @@ void TablePrinter::row(const std::vector<std::string>& cells) {
 }
 
 std::string TablePrinter::fmt_seconds(double s) {
-  char buf[32];
+  std::string out;
   if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
+    runtime::appendf(out, "%.1f us", s * 1e6);
   } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
+    runtime::appendf(out, "%.2f ms", s * 1e3);
   } else {
-    std::snprintf(buf, sizeof(buf), "%.2f s", s);
+    runtime::appendf(out, "%.2f s", s);
   }
-  return buf;
+  return out;
 }
 
 std::string TablePrinter::fmt_count(std::uint64_t c) {
-  char buf[32];
+  if (c < 10'000) return std::to_string(c);
+  std::string out;
   if (c >= 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fM", static_cast<double>(c) / 1e6);
-  } else if (c >= 10'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fk", static_cast<double>(c) / 1e3);
+    runtime::appendf(out, "%.1fM", static_cast<double>(c) / 1e6);
   } else {
-    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(c));
+    runtime::appendf(out, "%.1fk", static_cast<double>(c) / 1e3);
   }
-  return buf;
+  return out;
 }
 
 }  // namespace ppgr::benchcore

@@ -1,17 +1,18 @@
 #include "engine/audit.h"
 
-#include <cstdio>
 #include <map>
 #include <tuple>
 #include <utility>
 
 #include "benchcore/model.h"
-#include "engine/json_append.h"
+#include "runtime/json.h"
 
 namespace ppgr::engine {
 
 namespace {
 
+using runtime::append_json_string;
+using runtime::appendf;
 using runtime::CryptoOp;
 using runtime::Phase;
 
@@ -62,6 +63,11 @@ std::string AuditReport::to_json() const {
   }
   out += "\n  ]\n}\n";
   return out;
+}
+
+void AuditReport::append_summary_json(std::string& out) const {
+  appendf(out, "{\"checks\": %zu, \"findings\": %zu, \"verdict\": \"%s\"}",
+          checks, findings.size(), verdict());
 }
 
 ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
@@ -186,13 +192,11 @@ void ConformanceAuditor::run_complete(
     add(comm->links(), 2);
     for (const auto& [key, v] : links) {
       const auto& [phase, src, dst] = key;
-      char label[64];
-      std::snprintf(label, sizeof(label), "P%zu->P%zu", src, dst);
-      check_count(AuditCheckKind::kComm, phase,
-                  std::string(label) + " messages", v[0], v[2],
-                  "per-link message count diverges from the comm model");
-      check_count(AuditCheckKind::kComm, phase, std::string(label) + " bytes",
-                  v[1], v[3],
+      const std::string label =
+          "P" + std::to_string(src) + "->P" + std::to_string(dst);
+      check_count(AuditCheckKind::kComm, phase, label + " messages", v[0],
+                  v[2], "per-link message count diverges from the comm model");
+      check_count(AuditCheckKind::kComm, phase, label + " bytes", v[1], v[3],
                   "per-link byte total diverges from the comm model");
     }
   }

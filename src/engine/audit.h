@@ -83,6 +83,9 @@ struct AuditReport {
   /// "clean" | "drift" | "incomplete" (incompleteness dominates drift).
   [[nodiscard]] const char* verdict() const;
   [[nodiscard]] std::string to_json() const;
+  /// `{"checks", "findings", "verdict"}`: the summary the session log and
+  /// the engine rollup carry per session.
+  void append_summary_json(std::string& out) const;
 };
 
 /// Live auditor for one session; attach via core::FrameworkConfig::audit.

@@ -5,42 +5,14 @@
 #include <utility>
 #include <vector>
 
-#include "engine/json_append.h"
+#include "runtime/json.h"
 
 namespace ppgr::engine {
 
 namespace {
 
-using runtime::CryptoOp;
-using runtime::Phase;
-
-void append_index_list(std::string& out, const std::vector<std::size_t>& v) {
-  out.push_back('[');
-  for (std::size_t i = 0; i < v.size(); ++i)
-    appendf(out, "%s%zu", i == 0 ? "" : ", ", v[i]);
-  out.push_back(']');
-}
-
-// Nonzero ops only, like MetricsRegistry::to_json — adding CryptoOp values
-// later cannot disturb existing goldens.
-void append_ops(std::string& out, const runtime::OpTally& t) {
-  out.push_back('{');
-  bool first = true;
-  for (std::size_t i = 0; i < runtime::kOpCount; ++i) {
-    if (t.v[i] == 0) continue;
-    appendf(out, "%s\"%s\": %llu", first ? "" : ", ",
-            runtime::op_name(static_cast<CryptoOp>(i)),
-            static_cast<unsigned long long>(t.v[i]));
-    first = false;
-  }
-  out.push_back('}');
-}
-
-void append_counters(std::string& out, const CacheCounters& c) {
-  appendf(out, "{\"hits\": %llu, \"misses\": %llu}",
-          static_cast<unsigned long long>(c.hits),
-          static_cast<unsigned long long>(c.misses));
-}
+using runtime::append_index_list;
+using runtime::appendf;
 
 // Nearest-rank quantile over an unsorted sample set (sorts in place; the
 // estimator itself is the shared one in runtime/histogram.h).
@@ -50,6 +22,21 @@ double quantile(std::vector<double>& v, double q) {
 }
 
 }  // namespace
+
+void CacheCounters::append_json(std::string& out) const {
+  appendf(out, "{\"hits\": %llu, \"misses\": %llu}",
+          static_cast<unsigned long long>(hits),
+          static_cast<unsigned long long>(misses));
+}
+
+void append_fault_json(std::string& out, const core::FaultInfo& f) {
+  appendf(out, "{\"phase\": \"%s\", \"round\": %zu, \"party\": %lld, ",
+          runtime::phase_name(f.phase), f.round,
+          f.party == core::kNoParty ? -1LL : static_cast<long long>(f.party));
+  out += "\"cause\": ";
+  runtime::append_json_string(out, f.cause);
+  out += "}";
+}
 
 const char* to_string(FrameworkKind kind) {
   return kind == FrameworkKind::kHe ? "he" : "ss";
@@ -203,9 +190,9 @@ void SessionEngine::driver_loop() {
         if (res.outcome == SessionOutcome::kFault) ++faulted_done_;
         Summary s;
         s.framework = res.framework;
-        s.group_name = group::to_string(req.group);
-        s.n = req.infos.size();
-        s.k = req.k;
+        s.group = res.group;
+        s.n = res.n;
+        s.k = res.k;
         s.beta_bits = req.spec.beta_bits();
         s.ranks = res.ranks();
         s.submitted_ids = res.submitted_ids();
@@ -221,13 +208,8 @@ void SessionEngine::driver_loop() {
         s.queue_wait_s = queue_wait_s;
         s.run_s = res.wall_seconds;
         s.stalls = stalls;
-        if (res.audit != nullptr) {
-          s.has_audit = true;
-          s.audit_checks = res.audit->checks;
-          s.audit_findings = res.audit->findings.size();
-          s.audit_verdict = res.audit->verdict();
-          if (!res.audit->clean()) ++audit_drift_done_;
-        }
+        s.audit = res.audit;
+        if (s.audit != nullptr && !s.audit->clean()) ++audit_drift_done_;
         summaries_.emplace(req.session_id, std::move(s));
         totals_ += res.precompute;
         done_.emplace(req.session_id, std::move(res));
@@ -244,6 +226,9 @@ SessionResult SessionEngine::execute(const RankingRequest& req,
   SessionResult out;
   out.id = req.session_id;
   out.framework = req.framework;
+  out.group = req.group;
+  out.n = req.infos.size();
+  out.k = req.k;
 
   // The determinism anchor: everything this session draws comes from
   // (engine seed, session id) — never from engine state that concurrent
@@ -429,10 +414,10 @@ std::string SessionEngine::rollup_json() const {
     std::size_t checks = 0;
     std::size_t findings = 0;
     for (const auto& [sid, s] : summaries_) {
-      if (!s.has_audit) continue;
+      if (s.audit == nullptr) continue;
       ++audited;
-      checks += s.audit_checks;
-      findings += s.audit_findings;
+      checks += s.audit->checks;
+      findings += s.audit->findings.size();
     }
     appendf(out,
             "  \"audit\": {\"sessions\": %zu, \"checks\": %zu, "
@@ -440,7 +425,7 @@ std::string SessionEngine::rollup_json() const {
             audited, checks, findings, audit_drift_done_);
   }
   out += "  \"cache\": {\n    \"generator_tables\": ";
-  append_counters(out, totals_.generator_table);
+  totals_.generator_table.append_json(out);
   out += "\n  },\n  \"sessions\": [";
   bool first = true;
   for (const auto& [sid, s] : summaries_) {
@@ -448,7 +433,7 @@ std::string SessionEngine::rollup_json() const {
             first ? "" : ",", static_cast<unsigned long long>(sid),
             to_string(s.framework));
     appendf(out, "\"group\": \"%s\", \"n\": %zu, \"k\": %zu, ",
-            s.group_name.c_str(), s.n, s.k);
+            group::to_string(s.group).c_str(), s.n, s.k);
     appendf(out, "\"beta_bits\": %zu,\n     \"ranks\": ", s.beta_bits);
     append_index_list(out, s.ranks);
     out += ", \"submitted_ids\": ";
@@ -460,24 +445,16 @@ std::string SessionEngine::rollup_json() const {
             s.trace_rounds);
     if (s.has_ops) {
       out += ",\n     \"ops\": ";
-      append_ops(out, s.ops);
+      runtime::append_tally_json(out, s.ops);
     }
-    if (s.has_audit) {
-      appendf(out,
-              ",\n     \"audit\": {\"checks\": %zu, \"findings\": %zu, "
-              "\"verdict\": \"%s\"}",
-              s.audit_checks, s.audit_findings, s.audit_verdict.c_str());
+    if (s.audit != nullptr) {
+      out += ",\n     \"audit\": ";
+      s.audit->append_summary_json(out);
     }
     appendf(out, ",\n     \"outcome\": \"%s\"", to_string(s.outcome));
     if (s.fault.has_value()) {
-      const core::FaultInfo& f = *s.fault;
-      appendf(out, ", \"fault\": {\"phase\": \"%s\", \"round\": %zu, ",
-              runtime::phase_name(f.phase), f.round);
-      appendf(out, "\"party\": %lld, \"cause\": ",
-              f.party == core::kNoParty ? -1LL
-                                        : static_cast<long long>(f.party));
-      append_json_string(out, f.cause);
-      out += "}";
+      out += ", \"fault\": ";
+      append_fault_json(out, *s.fault);
     }
     out += "}";
     first = false;

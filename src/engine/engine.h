@@ -107,6 +107,10 @@ class EngineError : public std::runtime_error {
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+
+  /// `{"hits", "misses"}`: the rollup's, session log's and live snapshot's
+  /// cache object.
+  void append_json(std::string& out) const;
 };
 
 /// Cache interaction counts. Engine-wide totals are deterministic
@@ -132,6 +136,11 @@ struct PrecomputeStats {
 struct SessionResult {
   std::uint64_t id = 0;
   FrameworkKind framework = FrameworkKind::kHe;
+  /// The request's group, n (participants) and k, so every export renders
+  /// from the result alone.
+  group::GroupId group = group::GroupId::kDlTest256;
+  std::size_t n = 0;
+  std::size_t k = 0;
   /// Exactly one of these is populated, per `framework`; both expose the
   /// full observability payload (metrics/spans/comm/trace) of the run.
   core::FrameworkResult he;
@@ -176,6 +185,10 @@ struct SessionResult {
   std::string fault_what;
   std::optional<net::FaultReport> fault_report;
 };
+
+/// `{"phase", "round", "party", "cause"}` (party -1 = unattributable): the
+/// fault object of the rollup and the session log.
+void append_fault_json(std::string& out, const core::FaultInfo& f);
 
 struct EngineConfig {
   std::uint64_t seed = 1;
@@ -259,7 +272,7 @@ class SessionEngine {
 
   struct Summary {
     FrameworkKind framework = FrameworkKind::kHe;
-    std::string group_name;
+    group::GroupId group = group::GroupId::kDlTest256;
     std::size_t n = 0;
     std::size_t k = 0;
     std::size_t beta_bits = 0;
@@ -275,11 +288,7 @@ class SessionEngine {
     double queue_wait_s = 0.0;   // submit() -> driver claim (noisy)
     double run_s = 0.0;          // driver claim -> completion (noisy)
     std::uint64_t stalls = 0;    // watchdog observations while running
-    // Audit outcome (EngineConfig::audit; deterministic counts).
-    bool has_audit = false;
-    std::size_t audit_checks = 0;
-    std::size_t audit_findings = 0;
-    std::string audit_verdict;
+    std::shared_ptr<const AuditReport> audit;  // EngineConfig::audit
   };
 
   /// A submitted-but-unstarted session plus its admission timestamp (the

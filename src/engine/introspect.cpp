@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <limits>
 
-#include "engine/json_append.h"
+#include "runtime/json.h"
 
 namespace ppgr::engine {
 
 namespace {
 
+using runtime::appendf;
 using runtime::HealthState;
 using runtime::LatencyHistogram;
 using runtime::OpenMetricsBuilder;
@@ -95,9 +96,8 @@ std::string EngineSnapshot::to_jsonl() const {
   appendf(out, ", \"audit_drift\": %zu", audit_drift);
   appendf(out, ", \"stalls\": %llu",
           static_cast<unsigned long long>(stalls_total));
-  appendf(out, ", \"cache\": {\"hits\": %llu, \"misses\": %llu}",
-          static_cast<unsigned long long>(cache_hits),
-          static_cast<unsigned long long>(cache_misses));
+  out += ", \"cache\": ";
+  CacheCounters{cache_hits, cache_misses}.append_json(out);
   out += ", \"latency\": {";
   bool first = true;
   for (std::size_t kind = 0; kind < 2; ++kind) {

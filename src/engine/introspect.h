@@ -20,8 +20,9 @@
 //    has not advanced within stall_deadline_s is flagged stalled, its sticky
 //    stall counter bumped, and the snapshot's health degraded to kStalled.
 //  - EngineSnapshot::to_jsonl() / to_openmetrics(): the "ppgr.telemetry.v1"
-//    JSONL line and the OpenMetrics exposition page (validated by
-//    scripts/check_openmetrics.py in CI).
+//    JSONL line (its cache object is CacheCounters::append_json, shared
+//    with the rollup and the session log) and the OpenMetrics exposition
+//    page (validated by scripts/check_openmetrics.py in CI).
 //  - EngineSampler: binds a runtime::TelemetrySampler to an engine — a
 //    background thread snapshotting every period into a JSONL stream and an
 //    atomically-replaced OpenMetrics file.

@@ -5,11 +5,14 @@
 #include <cstdio>
 #include <cstring>
 
-#include "engine/json_append.h"
+#include "runtime/json.h"
 
 namespace ppgr::engine {
 
 namespace {
+
+using runtime::append_json_string;
+using runtime::appendf;
 
 std::uint64_t retry_count(const SessionResult& res) {
   // A completed faulted-plan run carries its fault report; a run that
@@ -24,15 +27,14 @@ std::uint64_t retry_count(const SessionResult& res) {
 
 }  // namespace
 
-std::string session_wide_event_json(const SessionResult& res,
-                                    const SessionLogInfo& info) {
+std::string session_wide_event_json(const SessionResult& res) {
   std::string out;
   out += "{\"schema\": \"ppgr.session.v1\"";
   appendf(out, ", \"id\": %llu", static_cast<unsigned long long>(res.id));
   appendf(out, ", \"framework\": \"%s\"", to_string(res.framework));
   out += ", \"group\": ";
-  append_json_string(out, info.group_name);
-  appendf(out, ", \"n\": %zu, \"k\": %zu", info.n, info.k);
+  append_json_string(out, group::to_string(res.group));
+  appendf(out, ", \"n\": %zu, \"k\": %zu", res.n, res.k);
   appendf(out, ", \"outcome\": \"%s\"", to_string(res.outcome));
   appendf(out, ", \"wall_seconds\": %.6f, \"setup_seconds\": %.6f",
           res.wall_seconds, res.setup_seconds);
@@ -72,37 +74,23 @@ std::string session_wide_event_json(const SessionResult& res,
   appendf(out, ", \"rounds\": %zu", res.trace().rounds());
   appendf(out, ", \"retries\": %llu",
           static_cast<unsigned long long>(retry_count(res)));
-  const CacheCounters cache = res.precompute.total();
-  appendf(out, ", \"cache\": {\"hits\": %llu, \"misses\": %llu}",
-          static_cast<unsigned long long>(cache.hits),
-          static_cast<unsigned long long>(cache.misses));
-  out += ", \"submitted_ids\": [";
-  const std::vector<std::size_t>& ids = res.submitted_ids();
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    appendf(out, "%s%zu", i == 0 ? "" : ", ", ids[i]);
-  out += "]";
-  if (res.audit != nullptr)
-    appendf(out,
-            ", \"audit\": {\"checks\": %zu, \"findings\": %zu, "
-            "\"verdict\": \"%s\"}",
-            res.audit->checks, res.audit->findings.size(),
-            res.audit->verdict());
+  out += ", \"cache\": ";
+  res.precompute.total().append_json(out);
+  out += ", \"submitted_ids\": ";
+  runtime::append_index_list(out, res.submitted_ids());
+  if (res.audit != nullptr) {
+    out += ", \"audit\": ";
+    res.audit->append_summary_json(out);
+  }
   if (res.fault.has_value()) {
-    const core::FaultInfo& f = *res.fault;
-    appendf(out, ", \"fault\": {\"phase\": \"%s\", \"round\": %zu, ",
-            runtime::phase_name(f.phase), f.round);
-    appendf(out, "\"party\": %lld, \"cause\": ",
-            f.party == core::kNoParty ? -1LL
-                                      : static_cast<long long>(f.party));
-    append_json_string(out, f.cause);
-    out += "}";
+    out += ", \"fault\": ";
+    append_fault_json(out, *res.fault);
   }
   out += "}";
   return out;
 }
 
 std::string postmortem_json(const SessionResult& res,
-                            const SessionLogInfo& info,
                             const std::string& snapshot_jsonl) {
   std::string out;
   out += "{\n  \"schema\": \"ppgr.postmortem.v1\",\n";
@@ -110,7 +98,7 @@ std::string postmortem_json(const SessionResult& res,
   out += "  \"what\": ";
   append_json_string(out, res.fault_what);
   out += ",\n  \"event\": ";
-  out += session_wide_event_json(res, info);
+  out += session_wide_event_json(res);
   out += ",\n  \"fault_report\": ";
   out += res.fault_report.has_value() ? res.fault_report->to_json()
                                       : std::string("null");
@@ -126,13 +114,12 @@ std::string postmortem_json(const SessionResult& res,
 }
 
 std::string write_postmortem(const std::string& dir, const SessionResult& res,
-                             const SessionLogInfo& info,
                              const std::string& snapshot_jsonl,
                              std::string* err) {
   const std::string path =
       dir + "/session-" + std::to_string(res.id) + ".postmortem.json";
   const std::string tmp = path + ".tmp";
-  const std::string doc = postmortem_json(res, info, snapshot_jsonl);
+  const std::string doc = postmortem_json(res, snapshot_jsonl);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     if (err != nullptr)

@@ -16,8 +16,11 @@
 //    but the snapshot is deterministic. Written atomically (tmp + rename),
 //    so a crash mid-write never leaves a torn bundle.
 //
-// Both are observation-only renderings of a SessionResult; nothing here
-// touches engine state.
+// Both are observation-only renderings of a SessionResult alone (it carries
+// the request's group, n and k); nothing here touches engine state. The
+// cache, audit-summary and fault objects are the rollup's own renderers
+// (CacheCounters::append_json, AuditReport::append_summary_json,
+// append_fault_json), so the two exports cannot drift apart.
 #pragma once
 
 #include <string>
@@ -26,21 +29,12 @@
 
 namespace ppgr::engine {
 
-/// Request context the result alone does not carry.
-struct SessionLogInfo {
-  std::string group_name;
-  std::size_t n = 0;
-  std::size_t k = 0;
-};
-
 /// One "ppgr.session.v1" JSON object on a single line, no trailing newline.
-[[nodiscard]] std::string session_wide_event_json(const SessionResult& res,
-                                                  const SessionLogInfo& info);
+[[nodiscard]] std::string session_wide_event_json(const SessionResult& res);
 
 /// The "ppgr.postmortem.v1" bundle. `snapshot_jsonl` is an optional
 /// "ppgr.telemetry.v1" line to embed (empty = omitted).
 [[nodiscard]] std::string postmortem_json(const SessionResult& res,
-                                          const SessionLogInfo& info,
                                           const std::string& snapshot_jsonl);
 
 /// Atomically writes the bundle to `dir`/session-<id>.postmortem.json
@@ -48,7 +42,6 @@ struct SessionLogInfo {
 /// with *err set (when non-null) on failure.
 [[nodiscard]] std::string write_postmortem(const std::string& dir,
                                            const SessionResult& res,
-                                           const SessionLogInfo& info,
                                            const std::string& snapshot_jsonl,
                                            std::string* err);
 

@@ -52,11 +52,9 @@
 #include "net/fault.h"
 #include "runtime/telemetry.h"
 #include "runtime/trace.h"
-#include "runtime/wire.h"
 
 namespace ppgr::net {
 
-class Channel;
 class Transport;
 
 namespace detail {
@@ -279,8 +277,6 @@ class Router {
   /// cleanly finished protocol leaves 0.
   [[nodiscard]] std::size_t pending() const;
 
-  [[nodiscard]] Channel channel(std::size_t src, std::size_t dst);
-
   // Fault-plan introspection (all cheap; meaningful only with a plan).
   [[nodiscard]] bool fault_active() const { return faults_ != nullptr; }
   [[nodiscard]] bool party_dead(std::size_t p) const;
@@ -337,35 +333,5 @@ class Router {
   FaultStats stats_;
   std::vector<FaultEvent> events_;
 };
-
-/// Lightweight directed (src -> dst) handle onto a Router — what protocol
-/// code passes around to send or receive on one link.
-class Channel {
- public:
-  Channel(Router& router, std::size_t src, std::size_t dst)
-      : router_(&router), src_(src), dst_(dst) {}
-
-  [[nodiscard]] std::size_t src() const { return src_; }
-  [[nodiscard]] std::size_t dst() const { return dst_; }
-
-  /// Sends the writer's bytes (consumes the writer).
-  void send(runtime::Writer&& w) { router_->send(src_, dst_, w.take()); }
-  void send(std::shared_ptr<const std::vector<std::uint8_t>> payload) {
-    router_->send(src_, dst_, std::move(payload));
-  }
-  void transmit(std::size_t bytes) { router_->transmit(src_, dst_, bytes); }
-  [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> receive() {
-    return router_->receive(src_, dst_);
-  }
-
- private:
-  Router* router_;
-  std::size_t src_;
-  std::size_t dst_;
-};
-
-inline Channel Router::channel(std::size_t src, std::size_t dst) {
-  return Channel{*this, src, dst};
-}
 
 }  // namespace ppgr::net

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <utility>
+
+#include "runtime/json.h"
 
 namespace ppgr::net {
 
@@ -320,14 +321,10 @@ Frame decode_frame(std::span<const std::uint8_t> bytes) {
 
 std::string FaultReport::to_json() const {
   std::string out;
-  char buf[256];
   out += "{\n  \"schema\": \"ppgr.fault.v1\",\n  \"plan\": {\n";
-  std::snprintf(buf, sizeof(buf), "    \"seed\": %" PRIu64 ",\n", plan.seed);
-  out += buf;
-  const auto prob = [&](const char* name, double v, bool comma = true) {
-    std::snprintf(buf, sizeof(buf), "    \"%s\": %.6f%s\n", name, v,
-                  comma ? "," : "");
-    out += buf;
+  runtime::appendf(out, "    \"seed\": %" PRIu64 ",\n", plan.seed);
+  const auto prob = [&out](const char* name, double v) {
+    runtime::appendf(out, "    \"%s\": %.6f,\n", name, v);
   };
   prob("drop", plan.drop);
   prob("duplicate", plan.duplicate);
@@ -336,47 +333,41 @@ std::string FaultReport::to_json() const {
   prob("tamper", plan.tamper);
   prob("delay", plan.delay);
   prob("delay_spike_s", plan.delay_spike_s);
-  std::snprintf(buf, sizeof(buf),
-                "    \"only_phase\": %d,\n    \"max_retries\": %zu,\n",
-                plan.only_phase, plan.max_retries);
-  out += buf;
+  runtime::appendf(out, "    \"only_phase\": %d,\n    \"max_retries\": %zu,\n",
+                   plan.only_phase, plan.max_retries);
   prob("backoff_base_s", plan.backoff_base_s);
   prob("deadline_s", plan.deadline_s);
   out += "    \"crashes\": [";
   bool first = true;
   for (const CrashPoint& c : plan.crashes) {
-    std::snprintf(buf, sizeof(buf), "%s{\"party\": %zu, \"phase\": \"%s\"}",
-                  first ? "" : ", ", c.party, runtime::phase_name(c.phase));
-    out += buf;
+    runtime::appendf(out, "%s{\"party\": %zu, \"phase\": \"%s\"}",
+                     first ? "" : ", ", c.party,
+                     runtime::phase_name(c.phase));
     first = false;
   }
   out += "]\n  },\n  \"counters\": {\n";
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    std::snprintf(buf, sizeof(buf), "    \"injected_%s\": %" PRIu64 ",\n",
-                  to_string(static_cast<FaultKind>(k)), stats.injected[k]);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "    \"retransmits\": %" PRIu64 ",\n"
-                "    \"crc_detected\": %" PRIu64 ",\n"
-                "    \"duplicates_dropped\": %" PRIu64 ",\n"
-                "    \"reorders_healed\": %" PRIu64 ",\n"
-                "    \"timeouts\": %" PRIu64 ",\n"
-                "    \"giveups\": %" PRIu64 "\n  },\n",
-                stats.retransmits, stats.crc_detected,
-                stats.duplicates_dropped, stats.reorders_healed,
-                stats.timeouts, stats.giveups);
-  out += buf;
+  for (std::size_t k = 0; k < kFaultKindCount; ++k)
+    runtime::appendf(out, "    \"injected_%s\": %" PRIu64 ",\n",
+                     to_string(static_cast<FaultKind>(k)), stats.injected[k]);
+  runtime::appendf(out,
+                   "    \"retransmits\": %" PRIu64 ",\n"
+                   "    \"crc_detected\": %" PRIu64 ",\n"
+                   "    \"duplicates_dropped\": %" PRIu64 ",\n"
+                   "    \"reorders_healed\": %" PRIu64 ",\n"
+                   "    \"timeouts\": %" PRIu64 ",\n"
+                   "    \"giveups\": %" PRIu64 "\n  },\n",
+                   stats.retransmits, stats.crc_detected,
+                   stats.duplicates_dropped, stats.reorders_healed,
+                   stats.timeouts, stats.giveups);
   out += "  \"events\": [";
   first = true;
   for (const FaultEvent& e : events) {
     out += first ? "\n" : ",\n";
     first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"kind\": \"%s\", \"round\": %zu, \"src\": %zu, "
-                  "\"dst\": %zu, \"attempt\": %zu}",
-                  to_string(e.kind), e.round, e.src, e.dst, e.attempt);
-    out += buf;
+    runtime::appendf(out,
+                     "    {\"kind\": \"%s\", \"round\": %zu, \"src\": %zu, "
+                     "\"dst\": %zu, \"attempt\": %zu}",
+                     to_string(e.kind), e.round, e.src, e.dst, e.attempt);
   }
   out += events.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

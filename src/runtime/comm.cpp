@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
+
+#include "runtime/json.h"
 
 namespace ppgr::runtime {
 
@@ -38,38 +39,22 @@ std::vector<CommLink> CommRegistry::links() const {
   return out;
 }
 
-namespace {
-
-void append_f(std::string& out, const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string CommRegistry::to_json() const {
-  const auto& all_flows = flows_;
   const auto all_links = links();
-  const auto& phase_s = phase_virtual_;
 
   std::string out;
   out += "{\n  \"schema\": \"ppgr.comm.v1\",\n";
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "  \"rounds\": %zu,\n  \"messages\": %zu,\n"
-                "  \"bytes\": %" PRIu64 ",\n",
-                rounds_, all_flows.size(), total_bytes());
-  out += buf;
-  out += "  \"virtual_seconds\": ";
-  append_f(out, "%.9f", virtual_seconds_);
-  out += ",\n  \"phases\": [";
+  appendf(out,
+          "  \"rounds\": %zu,\n  \"messages\": %zu,\n"
+          "  \"bytes\": %" PRIu64 ",\n  \"virtual_seconds\": %.9f,\n"
+          "  \"phases\": [",
+          rounds_, flows_.size(), total_bytes(), virtual_seconds_);
 
   bool first_phase = true;
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
     const auto phase = static_cast<Phase>(p);
     std::uint64_t pb = 0, pm = 0;
-    for (const auto& f : all_flows)
+    for (const auto& f : flows_)
       if (f.phase == phase) {
         pb += f.bytes;
         ++pm;
@@ -77,112 +62,91 @@ std::string CommRegistry::to_json() const {
     if (pm == 0) continue;
     out += first_phase ? "\n" : ",\n";
     first_phase = false;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"phase\": \"%s\", \"messages\": %" PRIu64
-                  ", \"bytes\": %" PRIu64 ", \"virtual_seconds\": ",
-                  phase_name(phase), pm, pb);
-    out += buf;
-    append_f(out, "%.9f", phase_s[p]);
-    out += ", \"links\": [";
+    appendf(out,
+            "    {\"phase\": \"%s\", \"messages\": %" PRIu64
+            ", \"bytes\": %" PRIu64 ", \"virtual_seconds\": %.9f, "
+            "\"links\": [",
+            phase_name(phase), pm, pb, phase_virtual_[p]);
     bool first_link = true;
     for (const auto& l : all_links) {
       if (l.phase != phase) continue;
       out += first_link ? "\n" : ",\n";
       first_link = false;
-      std::snprintf(buf, sizeof(buf),
-                    "      {\"src\": %zu, \"dst\": %zu, \"messages\": %" PRIu64
-                    ", \"bytes\": %" PRIu64 ", \"tx_seconds\": ",
-                    l.src, l.dst, l.messages, l.bytes);
-      out += buf;
-      append_f(out, "%.9f", l.tx_s);
-      out += ", \"utilization\": ";
-      append_f(out, "%.6f", phase_s[p] > 0.0 ? l.tx_s / phase_s[p] : 0.0);
-      out += "}";
+      appendf(out,
+              "      {\"src\": %zu, \"dst\": %zu, \"messages\": %" PRIu64
+              ", \"bytes\": %" PRIu64
+              ", \"tx_seconds\": %.9f, \"utilization\": %.6f}",
+              l.src, l.dst, l.messages, l.bytes, l.tx_s,
+              phase_virtual_[p] > 0.0 ? l.tx_s / phase_virtual_[p] : 0.0);
     }
     out += "\n    ]}";
   }
   out += "\n  ],\n  \"flows\": [";
 
   bool first_flow = true;
-  for (const auto& f : all_flows) {
+  for (const auto& f : flows_) {
     out += first_flow ? "\n" : ",\n";
     first_flow = false;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"phase\": \"%s\", \"round\": %zu, \"src\": %zu, "
-                  "\"dst\": %zu, \"bytes\": %zu, \"send_s\": ",
-                  phase_name(f.phase), f.round, f.src, f.dst, f.bytes);
-    out += buf;
-    append_f(out, "%.9f", f.t.send_s);
-    out += ", \"deliver_s\": ";
-    append_f(out, "%.9f", f.t.deliver_s);
-    out += ", \"tx_s\": ";
-    append_f(out, "%.9f", f.t.tx_s);
-    out += ", \"prop_s\": ";
-    append_f(out, "%.9f", f.t.prop_s);
-    out += ", \"queue_s\": ";
-    append_f(out, "%.9f", f.t.queue_s);
-    out += "}";
+    appendf(out,
+            "    {\"phase\": \"%s\", \"round\": %zu, \"src\": %zu, "
+            "\"dst\": %zu, \"bytes\": %zu, \"send_s\": %.9f, "
+            "\"deliver_s\": %.9f, \"tx_s\": %.9f, \"prop_s\": %.9f, "
+            "\"queue_s\": %.9f}",
+            phase_name(f.phase), f.round, f.src, f.dst, f.bytes, f.t.send_s,
+            f.t.deliver_s, f.t.tx_s, f.t.prop_s, f.t.queue_s);
   }
   out += "\n  ]\n}\n";
   return out;
 }
 
 std::string CommRegistry::chrome_trace_json() const {
-  const auto& all_flows = flows_;
-
   // One lane (tid) per party; tid = party + 1 matches the span exporter's
   // convention. pid 1 keeps the virtual-network timeline in its own process
   // group when loaded next to the compute spans (pid 0).
   std::size_t max_party = 0;
-  for (const auto& f : all_flows)
+  for (const auto& f : flows_)
     max_party = std::max({max_party, f.src, f.dst});
 
   std::string out = "[\n";
-  char buf[256];
   out +=
       "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", "
       "\"args\": {\"name\": \"virtual network\"}}";
   for (std::size_t p = 0; p <= max_party; ++p) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  {\"ph\": \"M\", \"pid\": 1, \"tid\": %zu, \"name\": "
-                  "\"thread_name\", \"args\": {\"name\": \"%s\"}}",
-                  p + 1, p == 0 ? "P0 (initiator)" : ("P" + std::to_string(p)).c_str());
-    out += buf;
+    appendf(out,
+            ",\n  {\"ph\": \"M\", \"pid\": 1, \"tid\": %zu, \"name\": "
+            "\"thread_name\", \"args\": {\"name\": \"P%zu%s\"}}",
+            p + 1, p, p == 0 ? " (initiator)" : "");
   }
 
   std::size_t seq = 0;
-  for (const auto& f : all_flows) {
+  for (const auto& f : flows_) {
     const double send_us = f.t.send_s * 1e6;
     const double deliver_us = f.t.deliver_s * 1e6;
     // The send slice spans the message's stay in the network; the receive
     // slice is a zero-ish marker at delivery. Flow arrows link the two.
     const double dur_us = std::max(deliver_us - send_us, 0.001);
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": %zu, \"ts\": "
-                  "%.3f, \"dur\": %.3f, \"name\": \"send %zu->%zu\", "
-                  "\"cat\": \"%s\", \"args\": {\"bytes\": %zu, \"round\": "
-                  "%zu}}",
-                  f.src + 1, send_us, dur_us, f.src, f.dst,
-                  phase_name(f.phase), f.bytes, f.round);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  {\"ph\": \"s\", \"pid\": 1, \"tid\": %zu, \"ts\": "
-                  "%.3f, \"id\": %zu, \"name\": \"msg\", \"cat\": \"comm\"}",
-                  f.src + 1, send_us, seq);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  {\"ph\": \"f\", \"bp\": \"e\", \"pid\": 1, \"tid\": "
-                  "%zu, \"ts\": %.3f, \"id\": %zu, \"name\": \"msg\", "
-                  "\"cat\": \"comm\"}",
-                  f.dst + 1, deliver_us, seq);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": %zu, \"ts\": "
-                  "%.3f, \"dur\": 0.001, \"name\": \"recv %zu->%zu\", "
-                  "\"cat\": \"%s\", \"args\": {\"bytes\": %zu}}",
-                  f.dst + 1, deliver_us, f.src, f.dst, phase_name(f.phase),
-                  f.bytes);
-    out += buf;
+    appendf(out,
+            ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": %zu, \"ts\": "
+            "%.3f, \"dur\": %.3f, \"name\": \"send %zu->%zu\", "
+            "\"cat\": \"%s\", \"args\": {\"bytes\": %zu, \"round\": "
+            "%zu}}",
+            f.src + 1, send_us, dur_us, f.src, f.dst, phase_name(f.phase),
+            f.bytes, f.round);
+    appendf(out,
+            ",\n  {\"ph\": \"s\", \"pid\": 1, \"tid\": %zu, \"ts\": "
+            "%.3f, \"id\": %zu, \"name\": \"msg\", \"cat\": \"comm\"}",
+            f.src + 1, send_us, seq);
+    appendf(out,
+            ",\n  {\"ph\": \"f\", \"bp\": \"e\", \"pid\": 1, \"tid\": "
+            "%zu, \"ts\": %.3f, \"id\": %zu, \"name\": \"msg\", "
+            "\"cat\": \"comm\"}",
+            f.dst + 1, deliver_us, seq);
+    appendf(out,
+            ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": %zu, \"ts\": "
+            "%.3f, \"dur\": 0.001, \"name\": \"recv %zu->%zu\", "
+            "\"cat\": \"%s\", \"args\": {\"bytes\": %zu}}",
+            f.dst + 1, deliver_us, f.src, f.dst, phase_name(f.phase),
+            f.bytes);
     ++seq;
   }
   out += "\n]\n";

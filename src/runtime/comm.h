@@ -17,7 +17,7 @@
 // simulation, so they are deterministic too (the golden exporter tests run
 // all comm exports in default mode).
 //
-// Exporters:
+// Exporters (both append through runtime/json.h):
 //  - to_json(): "ppgr.comm.v1" — totals, per-phase per-link tables
 //    (messages, bytes, transmission seconds, utilization) and the full flow
 //    log with virtual-time segments;

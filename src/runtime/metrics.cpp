@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdio>
 
 #include "runtime/comm.h"
+#include "runtime/json.h"
 #include "runtime/span.h"
 
 namespace ppgr::runtime {
@@ -162,24 +162,17 @@ void MetricsRegistry::clear() {
   hist_ = {};
 }
 
-namespace {
-
 void append_tally_json(std::string& out, const OpTally& t) {
   out += "{";
   bool first = true;
   for (std::size_t i = 0; i < kOpCount; ++i) {
     if (t.v[i] == 0) continue;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
-                  first ? "" : ", ", op_name(static_cast<CryptoOp>(i)),
-                  t.v[i]);
-    out += buf;
+    appendf(out, "%s\"%s\": %" PRIu64, first ? "" : ", ",
+            op_name(static_cast<CryptoOp>(i)), t.v[i]);
     first = false;
   }
   out += "}";
 }
-
-}  // namespace
 
 std::string MetricsRegistry::to_json(bool include_timing) const {
   const auto sorted = slots();
@@ -221,10 +214,8 @@ std::string MetricsRegistry::to_json(bool include_timing) const {
     bool first_party = true;
     for (const auto& s : sorted) {
       if (s.phase != phase) continue;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%s\n      {\"party\": %d, \"ops\": ",
-                    first_party ? "" : ",", s.party);
-      out += buf;
+      appendf(out, "%s\n      {\"party\": %d, \"ops\": ",
+              first_party ? "" : ",", s.party);
       first_party = false;
       append_tally_json(out, s.tally);
       out += "}";
@@ -239,22 +230,17 @@ std::string MetricsRegistry::to_json(bool include_timing) const {
     if (h.count() == 0) continue;
     out += first_hist ? "\n" : ",\n";
     first_hist = false;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "    {\"op\": \"%s\", \"count\": %" PRIu64,
-                  op_name(static_cast<CryptoOp>(i)), h.count());
-    out += buf;
+    appendf(out, "    {\"op\": \"%s\", \"count\": %" PRIu64,
+            op_name(static_cast<CryptoOp>(i)), h.count());
     if (include_timing) {
-      std::snprintf(buf, sizeof(buf), ", \"total_seconds\": %.9f, \"bins\": [",
-                    h.total_seconds());
-      out += buf;
+      appendf(out, ", \"total_seconds\": %.9f, \"bins\": [",
+              h.total_seconds());
       bool first_bin = true;
       for (std::size_t b = 0; b < LatencyHistogram::kBins; ++b) {
         if (h.bins()[b] == 0) continue;
-        std::snprintf(buf, sizeof(buf), "%s{\"ge_ns\": %" PRIu64
-                      ", \"n\": %" PRIu64 "}",
-                      first_bin ? "" : ", ", LatencyHistogram::bin_floor_ns(b),
-                      h.bins()[b]);
-        out += buf;
+        appendf(out, "%s{\"ge_ns\": %" PRIu64 ", \"n\": %" PRIu64 "}",
+                first_bin ? "" : ", ", LatencyHistogram::bin_floor_ns(b),
+                h.bins()[b]);
         first_bin = false;
       }
       out += "]";
@@ -271,34 +257,36 @@ std::string phase_report(const MetricsRegistry& reg,
   std::array<double, kPhaseCount> wall{};
   if (spans != nullptr) wall = spans->phase_wall_seconds();
 
-  const auto fmt_row = [](const char* phase, const char* wall_s,
-                          const OpTally& t) {
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%-8s %10s %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %10" PRIu64
-        " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
-        " %8" PRIu64 "\n",
-        phase, wall_s, t[CryptoOp::kGroupExp], t[CryptoOp::kGroupExpG],
-        t[CryptoOp::kGroupDualExp], t[CryptoOp::kGroupMul],
-        t[CryptoOp::kGroupInv],
-        t[CryptoOp::kElGamalEncrypt], t[CryptoOp::kElGamalDecrypt],
-        t[CryptoOp::kSchnorrProve] + t[CryptoOp::kSchnorrVerify],
-        t[CryptoOp::kCompareCircuit], t[CryptoOp::kShuffleHop]);
-    return std::string{buf};
+  std::string out;
+  // Underlines the header line written since `from`: one dash per
+  // character, newline excluded.
+  const auto rule = [&out](const std::size_t from) {
+    out += std::string(out.size() - from - 1, '-') + "\n";
+  };
+  const auto row = [&out, spans](const char* phase, double wall_s,
+                                 const OpTally& t) {
+    if (spans != nullptr)
+      appendf(out, "%-8s %10.3f", phase, wall_s);
+    else
+      appendf(out, "%-8s %10s", phase, "-");
+    appendf(out,
+            " %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %10" PRIu64
+            " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+            " %8" PRIu64 "\n",
+            t[CryptoOp::kGroupExp], t[CryptoOp::kGroupExpG],
+            t[CryptoOp::kGroupDualExp], t[CryptoOp::kGroupMul],
+            t[CryptoOp::kGroupInv], t[CryptoOp::kElGamalEncrypt],
+            t[CryptoOp::kElGamalDecrypt],
+            t[CryptoOp::kSchnorrProve] + t[CryptoOp::kSchnorrVerify],
+            t[CryptoOp::kCompareCircuit], t[CryptoOp::kShuffleHop]);
   };
 
-  std::string out;
   out += "per-phase crypto-op breakdown (counts summed over parties)\n";
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%-8s %10s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n",
-                  "phase", "wall[s]", "exp", "exp_g", "dual_exp", "mul", "inv",
-                  "enc", "dec", "schnorr", "compare", "shuffle");
-    out += buf;
-    out += std::string(std::string_view{buf}.size() - 1, '-') + "\n";
-  }
+  std::size_t from = out.size();
+  appendf(out, "%-8s %10s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n",
+          "phase", "wall[s]", "exp", "exp_g", "dual_exp", "mul", "inv", "enc",
+          "dec", "schnorr", "compare", "shuffle");
+  rule(from);
   OpTally all;
   double wall_total = 0.0;
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
@@ -307,21 +295,9 @@ std::string phase_report(const MetricsRegistry& reg,
     if (t.empty() && wall[p] == 0.0) continue;
     all += t;
     wall_total += wall[p];
-    char ws[32];
-    if (spans != nullptr) {
-      std::snprintf(ws, sizeof(ws), "%.3f", wall[p]);
-    } else {
-      std::snprintf(ws, sizeof(ws), "-");
-    }
-    out += fmt_row(phase_name(phase), ws, t);
+    row(phase_name(phase), wall[p], t);
   }
-  char ws[32];
-  if (spans != nullptr) {
-    std::snprintf(ws, sizeof(ws), "%.3f", wall_total);
-  } else {
-    std::snprintf(ws, sizeof(ws), "-");
-  }
-  out += fmt_row("total", ws, all);
+  row("total", wall_total, all);
 
   // Latency summary for the ops that carry histograms.
   bool header_done = false;
@@ -330,18 +306,13 @@ std::string phase_report(const MetricsRegistry& reg,
     if (h.count() == 0) continue;
     if (!header_done) {
       out += "\nop latency (wall-clock, nondeterministic)\n";
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%-24s %12s %14s\n", "op", "count",
-                    "mean");
-      out += buf;
+      appendf(out, "%-24s %12s %14s\n", "op", "count", "mean");
       header_done = true;
     }
     const double mean_us =
         h.total_seconds() / static_cast<double>(h.count()) * 1e6;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%-24s %12" PRIu64 " %11.1f us\n",
-                  op_name(static_cast<CryptoOp>(i)), h.count(), mean_us);
-    out += buf;
+    appendf(out, "%-24s %12" PRIu64 " %11.1f us\n",
+            op_name(static_cast<CryptoOp>(i)), h.count(), mean_us);
   }
 
   if (comm != nullptr && !comm->empty()) {
@@ -349,13 +320,10 @@ std::string phase_report(const MetricsRegistry& reg,
     // Per-phase summary first: messages, exact serialized bytes, and the
     // phase's virtual network time.
     out += "\ncommunication (measured on the wire, simulated network time)\n";
-    {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%-8s %10s %12s %12s\n", "phase",
-                    "messages", "bytes", "net[s]");
-      out += buf;
-      out += std::string(std::string_view{buf}.size() - 1, '-') + "\n";
-    }
+    from = out.size();
+    appendf(out, "%-8s %10s %12s %12s\n", "phase", "messages", "bytes",
+            "net[s]");
+    rule(from);
     std::array<std::uint64_t, kPhaseCount> msgs{};
     std::array<std::uint64_t, kPhaseCount> bytes{};
     for (const CommLink& lk : links) {
@@ -365,50 +333,33 @@ std::string phase_report(const MetricsRegistry& reg,
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       const auto phase = static_cast<Phase>(p);
       if (msgs[p] == 0 && comm->phase_virtual_seconds(phase) == 0.0) continue;
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "%-8s %10" PRIu64 " %12" PRIu64 " %12.6f\n",
-                    phase_name(phase), msgs[p], bytes[p],
-                    comm->phase_virtual_seconds(phase));
-      out += buf;
+      appendf(out, "%-8s %10" PRIu64 " %12" PRIu64 " %12.6f\n",
+              phase_name(phase), msgs[p], bytes[p],
+              comm->phase_virtual_seconds(phase));
     }
-    {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "%-8s %10zu %12" PRIu64 " %12.6f\n", "total",
-                    comm->message_count(), comm->total_bytes(),
-                    comm->virtual_seconds());
-      out += buf;
-    }
+    appendf(out, "%-8s %10zu %12" PRIu64 " %12.6f\n", "total",
+            comm->message_count(), comm->total_bytes(),
+            comm->virtual_seconds());
 
     // Per-link breakdown: utilization is the link's summed transmission
     // time over its phase's virtual duration (how busy the simulator kept
     // that direction of the link).
     out += "\nper-link breakdown (util = tx seconds / phase net seconds)\n";
-    {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%-8s %9s %10s %12s %12s %8s\n",
-                    "phase", "link", "messages", "bytes", "tx[s]", "util");
-      out += buf;
-      out += std::string(std::string_view{buf}.size() - 1, '-') + "\n";
-    }
+    from = out.size();
+    appendf(out, "%-8s %9s %10s %12s %12s %8s\n", "phase", "link", "messages",
+            "bytes", "tx[s]", "util");
+    rule(from);
     for (const CommLink& lk : links) {
       const double phase_s = comm->phase_virtual_seconds(lk.phase);
-      char link[32];
-      std::snprintf(link, sizeof(link), "%zu->%zu", lk.src, lk.dst);
-      char buf[160];
-      if (phase_s > 0.0) {
-        std::snprintf(buf, sizeof(buf),
-                      "%-8s %9s %10" PRIu64 " %12" PRIu64 " %12.6f %7.1f%%\n",
-                      phase_name(lk.phase), link, lk.messages, lk.bytes,
-                      lk.tx_s, 100.0 * lk.tx_s / phase_s);
-      } else {
-        std::snprintf(buf, sizeof(buf),
-                      "%-8s %9s %10" PRIu64 " %12" PRIu64 " %12.6f %8s\n",
-                      phase_name(lk.phase), link, lk.messages, lk.bytes,
-                      lk.tx_s, "-");
-      }
-      out += buf;
+      const std::string link =
+          std::to_string(lk.src) + "->" + std::to_string(lk.dst);
+      appendf(out, "%-8s %9s %10" PRIu64 " %12" PRIu64 " %12.6f",
+              phase_name(lk.phase), link.c_str(), lk.messages, lk.bytes,
+              lk.tx_s);
+      if (phase_s > 0.0)
+        appendf(out, " %7.1f%%\n", 100.0 * lk.tx_s / phase_s);
+      else
+        appendf(out, " %8s\n", "-");
     }
   }
   return out;

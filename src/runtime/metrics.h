@@ -27,7 +27,8 @@
 // functions of the protocol instance and seed; latency bin contents and
 // sums are wall-clock and vary run to run. MetricsRegistry::to_json(false)
 // therefore emits only the deterministic fields (the golden exporter test
-// and the cross-parallelism bit-identity check run in that mode).
+// and the cross-parallelism bit-identity check run in that mode). Like
+// every export, the exporters here append through runtime/json.h.
 #pragma once
 
 #include <array>
@@ -310,6 +311,11 @@ class MetricsRegistry {
   std::vector<MetricsBuffer::Slot> slots_;
   std::array<LatencyHistogram, kOpCount> hist_;
 };
+
+/// `{"op": count, ...}` over the nonzero ops only, so adding a CryptoOp
+/// cannot disturb existing goldens. The tally object of "ppgr.metrics.v1"
+/// and of the engine rollup's per-session "ops".
+void append_tally_json(std::string& out, const OpTally& t);
 
 class CommRegistry;  // runtime/comm.h (which includes this header)
 

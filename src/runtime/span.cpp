@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
-#include <cstdio>
 #include <unordered_map>
+
+#include "runtime/json.h"
 
 namespace ppgr::runtime {
 
@@ -77,21 +78,16 @@ std::string SpanRecorder::chrome_trace_json(bool deterministic) const {
   std::sort(parties.begin(), parties.end());
 
   bool first = true;
-  char buf[256];
   for (const auto p : parties) {
-    char name[32];
-    if (p == kOrchestratorParty) {
-      std::snprintf(name, sizeof(name), "orchestrator");
-    } else if (p == 0) {
-      std::snprintf(name, sizeof(name), "P0 (initiator)");
-    } else {
-      std::snprintf(name, sizeof(name), "P%d", p);
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"ph\": \"M\", \"pid\": 0, \"tid\": %d, \"name\": "
-                  "\"thread_name\", \"args\": {\"name\": \"%s\"}}",
-                  first ? "" : ",\n", p + 1, name);
-    out += buf;
+    appendf(out,
+            "%s  {\"ph\": \"M\", \"pid\": 0, \"tid\": %d, \"name\": "
+            "\"thread_name\", \"args\": {\"name\": \"",
+            first ? "" : ",\n", p + 1);
+    if (p == kOrchestratorParty)
+      out += "orchestrator";
+    else
+      appendf(out, "P%d%s", p, p == 0 ? " (initiator)" : "");
+    out += "\"}}";
     first = false;
   }
 
@@ -121,15 +117,12 @@ std::string SpanRecorder::chrome_trace_json(bool deterministic) const {
       ts_us = (b.t_wall - t0) * 1e6;
       dur_us = (ev.t_wall - b.t_wall) * 1e6;
     }
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"ph\": \"X\", \"pid\": 0, \"tid\": %d, \"name\": "
-                  "\"%s\", \"cat\": \"%s\", \"ts\": %.3f, \"dur\": %.3f, "
-                  "\"args\": {\"party\": %d, \"depth\": %u, \"i\": %" PRIu64
-                  "}}",
-                  first ? "" : ",\n", ev.party + 1, b.name,
-                  phase_name(b.phase), ts_us, dur_us, ev.party, b.depth,
-                  b.index);
-    out += buf;
+    appendf(out,
+            "%s  {\"ph\": \"X\", \"pid\": 0, \"tid\": %d, \"name\": "
+            "\"%s\", \"cat\": \"%s\", \"ts\": %.3f, \"dur\": %.3f, "
+            "\"args\": {\"party\": %d, \"depth\": %u, \"i\": %" PRIu64 "}}",
+            first ? "" : ",\n", ev.party + 1, b.name, phase_name(b.phase),
+            ts_us, dur_us, ev.party, b.depth, b.index);
     first = false;
   }
   out += "\n]}\n";

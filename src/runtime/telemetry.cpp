@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "runtime/json.h"
+
 namespace ppgr::runtime {
 
 const char* to_string(HealthState state) {
@@ -26,13 +28,9 @@ void OpenMetricsBuilder::family(const std::string& name, const char* type,
 
 void OpenMetricsBuilder::sample(const std::string& name,
                                 const std::string& labels, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
   body_ += name;
   if (!labels.empty()) body_ += "{" + labels + "}";
-  body_ += " ";
-  body_ += buf;
-  body_ += "\n";
+  appendf(body_, " %.9g\n", value);
 }
 
 void OpenMetricsBuilder::sample(const std::string& name,
@@ -55,10 +53,9 @@ void OpenMetricsBuilder::histogram(const std::string& name,
   const std::string sep = labels.empty() ? "" : ",";
   for (std::size_t i = 0; i < top; ++i) {
     cum += hist.bins()[i];
-    const double le_s = LatencyHistogram::bin_upper_seconds(i);
-    char le[48];
-    std::snprintf(le, sizeof(le), "le=\"%.9g\"", le_s);
-    sample(name + "_bucket", labels + sep + le, cum);
+    std::string bucket = labels + sep;
+    appendf(bucket, "le=\"%.9g\"", LatencyHistogram::bin_upper_seconds(i));
+    sample(name + "_bucket", bucket, cum);
   }
   sample(name + "_bucket", labels + sep + "le=\"+Inf\"", hist.count());
   sample(name + "_sum", labels, hist.total_seconds());

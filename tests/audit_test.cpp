@@ -281,8 +281,7 @@ TEST(ConformanceAudit, AuditDriftDegradesEngineHealth) {
 TEST(SessionLog, WideEventLineRendersTheResult) {
   const SessionResult res =
       run_one(fig2a_request(9, /*n=*/4, /*k=*/2), /*audit=*/true);
-  const SessionLogInfo info{"dl-test-256", 4, 2};
-  const std::string line = session_wide_event_json(res, info);
+  const std::string line = session_wide_event_json(res);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // ONE line
   EXPECT_NE(line.find("\"schema\": \"ppgr.session.v1\""), std::string::npos);
   EXPECT_NE(line.find("\"id\": 9"), std::string::npos);
@@ -299,11 +298,10 @@ TEST(SessionLog, PostmortemBundleIsAtomicAndComplete) {
   req.fault_plan = net::parse_fault_plan("seed=7,crash=2@1");
   const SessionResult res = run_one(std::move(req), /*audit=*/true);
   ASSERT_EQ(res.outcome, SessionOutcome::kFault);
-  const SessionLogInfo info{"dl-test-256", 4, 2};
 
   const std::string dir = ::testing::TempDir();
   std::string err;
-  const std::string path = write_postmortem(dir, res, info, "", &err);
+  const std::string path = write_postmortem(dir, res, "", &err);
   ASSERT_FALSE(path.empty()) << err;
   EXPECT_NE(path.find("session-3.postmortem.json"), std::string::npos);
   // Atomic: the .tmp sibling must be gone.
@@ -326,10 +324,9 @@ TEST(SessionLog, PostmortemBundleIsAtomicAndComplete) {
 TEST(SessionLog, PostmortemWriteFailureReportsError) {
   const SessionResult res =
       run_one(fig2a_request(4, /*n=*/4, /*k=*/2), /*audit=*/false);
-  const SessionLogInfo info{"dl-test-256", 4, 2};
   std::string err;
-  const std::string path = write_postmortem(
-      "/nonexistent-ppgr-dir", res, info, "", &err);
+  const std::string path =
+      write_postmortem("/nonexistent-ppgr-dir", res, "", &err);
   EXPECT_TRUE(path.empty());
   EXPECT_FALSE(err.empty());
 }
@@ -350,8 +347,7 @@ TEST(SessionLog, PostmortemForensicBlocksAreDeterministic) {
     req.fault_plan = net::parse_fault_plan("seed=7,drop=0.2,crash=2@2");
     const SessionResult res = eng.take(eng.submit(std::move(req)));
     EXPECT_EQ(res.outcome, SessionOutcome::kFault);
-    const std::string doc =
-        postmortem_json(res, SessionLogInfo{"dl-test-256", 4, 2}, "");
+    const std::string doc = postmortem_json(res, "");
     const std::size_t from = doc.find("\"fault_report\": ");
     const std::size_t to = doc.find(",\n  \"snapshot\": ");
     EXPECT_NE(from, std::string::npos);

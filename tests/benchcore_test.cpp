@@ -259,5 +259,25 @@ TEST(Model, PaperDefaultSpecMatchesSecVII) {
   EXPECT_NO_THROW(spec.validate());
 }
 
+// The bench tables' cell formats, pinned at each unit's range and edges.
+TEST(TablePrinter, FormatsSecondsAtEachRange) {
+  EXPECT_EQ(TablePrinter::fmt_seconds(0.0), "0.0 us");
+  EXPECT_EQ(TablePrinter::fmt_seconds(0.0001236), "123.6 us");
+  EXPECT_EQ(TablePrinter::fmt_seconds(0.0123456), "12.35 ms");
+  EXPECT_EQ(TablePrinter::fmt_seconds(0.999), "999.00 ms");
+  EXPECT_EQ(TablePrinter::fmt_seconds(1.0), "1.00 s");
+  EXPECT_EQ(TablePrinter::fmt_seconds(1234.5678), "1234.57 s");
+}
+
+TEST(TablePrinter, FormatsCountsAtEachRange) {
+  EXPECT_EQ(TablePrinter::fmt_count(0), "0");
+  EXPECT_EQ(TablePrinter::fmt_count(9'999), "9999");
+  EXPECT_EQ(TablePrinter::fmt_count(10'000), "10.0k");
+  EXPECT_EQ(TablePrinter::fmt_count(1'234'567), "1234.6k");
+  EXPECT_EQ(TablePrinter::fmt_count(10'000'000), "10.0M");
+  EXPECT_EQ(TablePrinter::fmt_count(18'446'744'073'709'551'615ULL),
+            "18446744073709.6M");
+}
+
 }  // namespace
 }  // namespace ppgr::benchcore

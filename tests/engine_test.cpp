@@ -12,9 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,13 +19,10 @@
 
 #include "engine/engine.h"
 #include "engine/precompute.h"
+#include "golden.h"
 #include "group/group.h"
 #include "group/metered_group.h"
 #include "mpz/rng.h"
-
-#ifndef PPGR_GOLDEN_DIR
-#define PPGR_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace ppgr::engine {
 namespace {
@@ -356,31 +350,13 @@ std::string rollup_at(std::size_t in_flight, std::size_t parallelism) {
   return engine.rollup_json();
 }
 
-void check_golden(const char* name, const std::string& produced) {
-  const std::string path = std::string{PPGR_GOLDEN_DIR} + "/" + name;
-  if (std::getenv("PPGR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out{path};
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced;
-    GTEST_SKIP() << "golden updated: " << path;
-  }
-  std::ifstream in{path};
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " (regenerate with PPGR_UPDATE_GOLDEN=1)";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(produced, expected.str())
-      << name << " drifted from its golden; if the change is deliberate, "
-      << "regenerate with PPGR_UPDATE_GOLDEN=1";
-}
-
 TEST(SessionEngine, RollupMatchesGoldenAtEveryParallelism) {
   const std::string serial = rollup_at(1, 1);
   EXPECT_EQ(serial, rollup_at(3, 2));
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 2;
   EXPECT_EQ(serial, rollup_at(3, hw));
-  check_golden("engine_small.json", serial);
+  ppgr::testing::check_golden("engine_small.json", serial);
 }
 
 // TSan target (scripts/ci.sh engine leg): many sessions racing through the

@@ -227,7 +227,7 @@ TEST(Simulator, TimingSegmentsAddUp) {
   }
 }
 
-// ---- Router / Channel ----
+// ---- Router ----
 
 TEST(Router, SendReceiveIsFifoPerLink) {
   TraceRecorder trace;

@@ -1,12 +1,15 @@
 // Unit tests for the crypto-op metrics layer (runtime/metrics.h): counter
 // and histogram correctness, the disabled-mode no-op contract of the
 // thread-local sink funnel, and merge determinism when per-task buffers are
-// filled concurrently under the thread pool.
+// filled concurrently under the thread pool. Also the export string builder
+// (runtime/json.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "runtime/json.h"
 #include "runtime/metrics.h"
 #include "runtime/span.h"
 #include "runtime/thread_pool.h"
@@ -203,6 +206,28 @@ TEST(PhaseReport, ListsPhasesAndTotals) {
   EXPECT_NE(report.find("phase2"), std::string::npos);
   EXPECT_NE(report.find("42"), std::string::npos);
   EXPECT_NE(report.find("total"), std::string::npos);
+}
+
+// A field longer than any fixed buffer comes back whole, behind what the
+// string already held and with the rest of the format after it.
+TEST(Json, AppendfNeverTruncates) {
+  const std::string field(1000, 'x');
+  std::string out = "head:";
+  appendf(out, "[%s|%d]", field.c_str(), 42);
+  EXPECT_EQ(out, "head:[" + field + "|42]");
+  appendf(out, "%s", "");
+  appendf(out, "%zu", std::size_t{7});
+  EXPECT_EQ(out, "head:[" + field + "|42]7");
+}
+
+TEST(Json, EscapesStringsAndListsIndices) {
+  std::string out;
+  append_json_string(out, "a\"b\\c\n");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\u000a\"");
+  out.clear();
+  append_index_list(out, {});
+  append_index_list(out, {3, 1, 2});
+  EXPECT_EQ(out, "[][3, 1, 2]");
 }
 
 }  // namespace
